@@ -28,7 +28,6 @@
 #include "sampling/sample_handler.h"
 #include "storage/disk_table.h"
 #include "storage/scan_source.h"
-#include "storage/shard_plan.h"
 
 namespace {
 
@@ -186,38 +185,10 @@ int main(int argc, char** argv) {
                    runs.front().create_ms / m.create_ms, "threads", "x");
   }
 
-  // The shard dimension: the same passes over a ShardedScanSource (the
-  // sharded engine's source layout) must produce bit-identical samples and
-  // masses — the sharded source delivers the same rows in the same order.
-  std::vector<size_t> shard_counts = {2, 4};
-  if (Flags().shards > 1 &&
-      std::find(shard_counts.begin(), shard_counts.end(), Flags().shards) ==
-          shard_counts.end()) {
-    shard_counts.push_back(Flags().shards);
-  }
-  std::vector<Measurement> shard_runs;
-  for (size_t shards : shard_counts) {
-    smartdd::ShardPlan plan =
-        smartdd::ShardPlan::Make(source->num_rows(), shards);
-    std::vector<std::unique_ptr<smartdd::RangeScanSource>> slices;
-    std::vector<const smartdd::ScanSource*> slice_ptrs;
-    for (size_t s = 0; s < shards; ++s) {
-      slices.push_back(std::make_unique<smartdd::RangeScanSource>(
-          *source, plan.shard(s).begin, plan.shard(s).end));
-      slice_ptrs.push_back(slices.back().get());
-    }
-    smartdd::ShardedScanSource sharded(slice_ptrs);
-    shard_runs.push_back(RunOnce(sharded, 4, reps));
-    shard_runs.back().threads = shards;  // x axis below
-    PrintSeriesRow("sharded_create_pass", static_cast<double>(shards),
-                   shard_runs.back().create_ms, "shards", "ms");
-  }
-
   const Measurement& serial = runs.front();
   bool identical = true;
   for (const Measurement& m : runs) identical &= SameResults(serial, m);
-  for (const Measurement& m : shard_runs) identical &= SameResults(serial, m);
-  std::printf("identical results across thread and shard counts: %s\n",
+  std::printf("identical results across thread counts: %s\n",
               identical ? "yes" : "NO (BUG)");
   std::printf("hardware threads available: %u\n",
               std::thread::hardware_concurrency());

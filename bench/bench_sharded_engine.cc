@@ -1,4 +1,4 @@
-// Scatter-gather drill-down through the ShardedEngine at 1/2/4 shards
+// Scatter-gather drill-down through an ExplorationEngine at 1/2/4 shards
 // (plus --shards=N if given) on the census-at-scale workload.
 //
 // Each configuration runs sessions with num_threads=1 per shard, so the
@@ -22,8 +22,7 @@
 #include "common/logging.h"
 #include "common/timer.h"
 #include "data/census_gen.h"
-#include "explore/sharded_engine.h"
-#include "explore/session.h"
+#include "explore/engine.h"
 #include "weights/standard_weights.h"
 
 namespace {
@@ -70,9 +69,9 @@ double Percentile(std::vector<double> sorted, double p) {
 
 Measurement RunOnce(const Table& table, const WeightFunction& weight, size_t k,
                     size_t shards, uint64_t reps) {
-  ShardedEngineOptions options;
+  EngineOptions options;
   options.num_shards = shards;
-  auto engine = ShardedEngine::Create(table, weight, options);
+  auto engine = ExplorationEngine::Create(table, weight, options);
   SMARTDD_CHECK(engine.ok()) << engine.status().ToString();
 
   DrillDownRequest request;
@@ -87,7 +86,7 @@ Measurement RunOnce(const Table& table, const WeightFunction& weight, size_t k,
   latencies.reserve(reps);
   for (uint64_t rep = 0; rep < reps; ++rep) {
     WallTimer timer;
-    auto response = (*engine)->RunDrillDown(request, std::nullopt);
+    auto response = (*engine)->DrillDown(request, std::nullopt);
     double ms = timer.ElapsedMillis();
     SMARTDD_CHECK(response.ok()) << response.status().ToString();
     latencies.push_back(ms);

@@ -250,15 +250,15 @@ ExpansionMeasurement MeasureExpandEmpty(const ScanSource& source,
 
 BenchSession MakeBenchSession(const Table& table, const WeightFunction& weight,
                               SessionOptions options) {
-  ShardedEngineOptions engine_options;
+  EngineOptions engine_options;
   engine_options.num_shards = Flags().shards;
-  engine_options.engine.num_threads = options.num_threads;
-  engine_options.engine.kernel = Flags().kernel;
+  engine_options.num_threads = options.num_threads;
+  engine_options.kernel = Flags().kernel;
   if (options.kernel == KernelPref::kAuto) options.kernel = Flags().kernel;
   RecordTableBytes("session_table", table);
-  auto engine = ShardedEngine::Create(table, weight, engine_options);
+  auto engine = ExplorationEngine::Create(table, weight, engine_options);
   SMARTDD_CHECK(engine.ok()) << engine.status().ToString();
-  auto session = (*engine)->front().NewSession(std::move(options));
+  auto session = (*engine)->NewSession(std::move(options));
   SMARTDD_CHECK(session.ok()) << session.status().ToString();
   return BenchSession{std::move(engine).value(), std::move(session).value()};
 }

@@ -11,7 +11,7 @@
 #include "core/scan_kernels.h"
 #include "data/census_gen.h"
 #include "data/marketing_gen.h"
-#include "explore/sharded_engine.h"
+#include "explore/engine.h"
 #include "explore/session.h"
 #include "sampling/sample_handler.h"
 #include "storage/disk_table.h"
@@ -101,11 +101,11 @@ ExpansionMeasurement MeasureExpandEmpty(const ScanSource& source,
                                         uint64_t memory_capacity, size_t k,
                                         uint64_t seed);
 
-/// A ShardedEngine plus one session on its front, honoring Flags().shards
-/// and Flags().threads. Dies with a message on invalid options (benches
+/// An engine plus one session on it, honoring Flags().shards and
+/// Flags().threads. Dies with a message on invalid options (benches
 /// want loud failures, not Status plumbing).
 struct BenchSession {
-  std::unique_ptr<ShardedEngine> engine;
+  std::unique_ptr<ExplorationEngine> engine;
   ExplorationSession session;
 };
 BenchSession MakeBenchSession(const Table& table, const WeightFunction& weight,

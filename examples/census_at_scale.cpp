@@ -54,7 +54,7 @@ int main() {
   SessionOptions options;
   options.k = 3;
   options.max_weight = 4;
-  options.prefetch = Prefetcher::Mode::kSynchronous;
+  options.prefetch = PrefetchMode::kSynchronous;
   auto session_or = (*engine)->NewSession(options);
   if (!session_or.ok()) {
     std::fprintf(stderr, "%s\n", session_or.status().ToString().c_str());

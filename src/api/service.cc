@@ -71,18 +71,13 @@ Status ExplorationService::AddEngine(std::string name,
   return Status::OK();
 }
 
-Status ExplorationService::AddEngine(std::string name, ShardedEngine* engine) {
-  SMARTDD_CHECK(engine != nullptr);
-  return AddEngine(std::move(name), &engine->front());
-}
-
 Status ExplorationService::AddShardedTable(std::string name,
                                            const Table& table,
                                            const WeightFunction& weight,
                                            size_t num_shards) {
-  ShardedEngineOptions options;
+  EngineOptions options;
   options.num_shards = num_shards != 0 ? num_shards : default_num_shards_;
-  auto engine = ShardedEngine::Create(table, weight, std::move(options));
+  auto engine = ExplorationEngine::Create(table, weight, options);
   SMARTDD_RETURN_IF_ERROR(engine.status());
   SMARTDD_RETURN_IF_ERROR(AddEngine(std::move(name), engine->get()));
   std::lock_guard<std::mutex> lock(engines_mu_);
@@ -159,7 +154,7 @@ void ExplorationService::GcVersionEnginesLocked(LiveDataset& ds) {
             // (use_count > 1 means an Open copied the pointer but has not
             // registered its session yet — sparing it is always safe).
             return ve->snapshot->version != latest &&
-                   ve->engine->front().num_sessions() == 0 &&
+                   ve->engine->num_sessions() == 0 &&
                    ve.use_count() == 1;
           }),
       ds.engines.end());
@@ -174,10 +169,10 @@ ExplorationService::LatestVersionEngine(LiveDataset& ds) {
   }
   auto ve = std::make_shared<VersionEngine>();
   ve->snapshot = std::move(snapshot);
-  ShardedEngineOptions opts;
+  EngineOptions opts;
   opts.num_shards = ds.num_shards;
-  auto engine = ShardedEngine::Create(ve->snapshot->table, *ds.weight,
-                                      std::move(opts));
+  auto engine = ExplorationEngine::Create(ve->snapshot->table, *ds.weight,
+                                          opts);
   SMARTDD_RETURN_IF_ERROR(engine.status());
   ve->engine = std::move(engine).value();
   ds.engines.push_back(ve);
@@ -210,7 +205,7 @@ Response ExplorationService::Open(const OpenRequest& request) {
     auto ve = LatestVersionEngine(*live);
     if (!ve.ok()) return ErrorResponse(ve.status());
     version_engine = std::move(ve).value();
-    engine = &version_engine->engine->front();
+    engine = version_engine->engine.get();
     version = version_engine->snapshot->version;
   } else {
     engine = FindEngine(request.dataset);
@@ -227,7 +222,7 @@ Response ExplorationService::Open(const OpenRequest& request) {
   options.max_weight = request.max_weight;
   if (!request.measure.empty()) options.measure_column = request.measure;
   options.num_threads = request.num_threads;
-  if (request.prefetch) options.prefetch = Prefetcher::Mode::kBackground;
+  if (request.prefetch) options.prefetch = PrefetchMode::kBackground;
 
   auto session = engine->NewSession(std::move(options));
   if (!session.ok()) return ErrorResponse(session.status());
@@ -479,7 +474,7 @@ Response ExplorationService::Append(const AppendRequest& request) {
     // store — its reservoirs describe the previous version's rows.
     std::lock_guard<std::mutex> lock(live->mu);
     for (const auto& ve : live->engines) {
-      SampleHandler* sampler = ve->engine->front().sampler();
+      SampleHandler* sampler = ve->engine->sampler();
       if (sampler != nullptr) sampler->BumpDataVersion(info.version);
     }
   }

@@ -15,7 +15,6 @@
 #include "api/session_registry.h"
 #include "cache/expansion_cache.h"
 #include "explore/engine.h"
-#include "explore/sharded_engine.h"
 #include "live/table_versions.h"
 
 namespace smartdd::api {
@@ -76,13 +75,7 @@ class ExplorationService {
   /// InvalidArgument for a duplicate name.
   Status AddEngine(std::string name, ExplorationEngine* engine);
 
-  /// Registers a sharded engine's front as dataset `name`. Sessions opened
-  /// on the dataset scatter-gather their exact drill-downs across the
-  /// shards; the wire protocol is unchanged. Borrowed, must outlive the
-  /// service.
-  Status AddEngine(std::string name, ShardedEngine* engine);
-
-  /// Stands up a service-owned ShardedEngine over `table` (num_shards = 0
+  /// Stands up a service-owned engine over `table` (num_shards = 0
   /// uses ServiceOptions::num_shards) and registers it as dataset `name`.
   /// `table` and `weight` must outlive the service.
   Status AddShardedTable(std::string name, const Table& table,
@@ -92,7 +85,7 @@ class ExplorationService {
   /// `wal_path` is non-empty, appended rows are durably logged there and
   /// replayed on the next startup (recovered rows become version 2 before
   /// the first open). Each published snapshot version gets its own
-  /// service-owned ShardedEngine lazily, on the first open that sees it;
+  /// service-owned engine lazily, on the first open that sees it;
   /// sessions pin the version they opened against and old version engines
   /// are retired when their last session closes. `weight` must outlive the
   /// service. Snapshot cadence and fsync batching come from ServiceOptions.
@@ -165,11 +158,11 @@ class ExplorationService {
 
  private:
   /// One frozen snapshot version's execution backend. The snapshot member
-  /// is declared before the engine on purpose: the ShardedEngine borrows
-  /// the snapshot's Table, so the engine must be destroyed first.
+  /// is declared before the engine on purpose: the engine borrows the
+  /// snapshot's Table, so the engine must be destroyed first.
   struct VersionEngine {
     std::shared_ptr<const live::TableSnapshot> snapshot;
-    std::unique_ptr<ShardedEngine> engine;
+    std::unique_ptr<ExplorationEngine> engine;
   };
 
   /// A registered live dataset: the appendable table plus the per-version
@@ -248,10 +241,10 @@ class ExplorationService {
   /// own lock for its engines vector).
   std::map<std::string, std::unique_ptr<LiveDataset>> live_datasets_;
   std::string default_dataset_;
-  /// Sharded engines stood up by AddShardedTable. Declared before the
-  /// registry so live sessions (owned by registry_, destroyed first) never
-  /// outlive their engine.
-  std::vector<std::unique_ptr<ShardedEngine>> owned_engines_;
+  /// Engines stood up by AddShardedTable. Declared before the registry so
+  /// live sessions (owned by registry_, destroyed first) never outlive
+  /// their engine.
+  std::vector<std::unique_ptr<ExplorationEngine>> owned_engines_;
   std::mutex meta_mu_;
   std::unordered_map<uint64_t, SessionMeta> session_meta_;
   /// Live AddLiveTable calls currently replaying a WAL (readyz signal).

@@ -35,8 +35,9 @@ struct RouterOptions {
 /// The cluster's front door: an api::WireService that owns no engine at
 /// all. Sessions are partitioned across backend shard-server processes —
 /// each backend hosts a full deterministic replica of the dataset (itself
-/// row-sharded in-process by its own ShardedEngine), so any backend
-/// produces byte-identical trees and the router only has to route:
+/// optionally row-sharded in-process, see EngineOptions::num_shards), so
+/// any backend produces byte-identical trees and the router only has to
+/// route:
 ///
 ///   open  -> least-loaded healthy backend (ties to the lowest index);
 ///            the issued session token is mapped to that backend

@@ -10,7 +10,8 @@ namespace smartdd::cluster {
 
 /// A backend process of the exploration cluster: one api::WireService
 /// (typically a LocalWireService over an ExplorationService fronting a
-/// deterministic ShardedEngine replica) hosted behind an rpc::Server.
+/// deterministic, optionally row-sharded ExplorationEngine replica) hosted
+/// behind an rpc::Server.
 ///
 /// The mapping is mechanical on purpose — the RPC payloads ARE the codec
 /// bytes, so every response a shard-server produces is byte-identical to

@@ -139,13 +139,6 @@ TaskScheduler::~TaskScheduler() {
   }
 }
 
-TaskScheduler& TaskScheduler::Shared() {
-  // Leaked on purpose: standalone prefetchers may be destroyed during static
-  // teardown, after a function-local static scheduler would have been.
-  static TaskScheduler* scheduler = new TaskScheduler(2);
-  return *scheduler;
-}
-
 TaskScheduler::Queue* TaskScheduler::FindLocked(QueueId id) {
   for (auto& q : queues_) {
     if (q->id == id) return q.get();

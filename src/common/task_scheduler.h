@@ -42,12 +42,6 @@ class TaskScheduler {
   TaskScheduler(const TaskScheduler&) = delete;
   TaskScheduler& operator=(const TaskScheduler&) = delete;
 
-  /// Process-wide scheduler for components that need background execution
-  /// without owning worker threads (e.g. a standalone Prefetcher). Created
-  /// on first use and intentionally never destroyed, so it is safe to use
-  /// from static teardown.
-  static TaskScheduler& Shared();
-
   /// Registers a new task queue. Queue ids are never reused.
   QueueId CreateQueue();
 

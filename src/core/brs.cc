@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "common/logging.h"
-#include "common/timer.h"
 #include "rules/rule_ops.h"
 
 namespace smartdd {
@@ -59,12 +58,7 @@ Result<BrsResult> RunBrsSharded(const std::vector<const TableView*>& views,
   // `covered`, so a final unapplied update is simply dropped.
   std::optional<CoveredUpdate> pending;
 
-  WallTimer budget_timer;
   for (size_t step = 0; step < options.k; ++step) {
-    if (options.time_budget_ms > 0 && step > 0 &&
-        budget_timer.ElapsedMillis() >= options.time_budget_ms) {
-      break;  // anytime mode: report what we have so far
-    }
     if (options.deadline.active() && options.deadline.expired()) {
       result.deadline_exceeded = true;
       break;  // degrade: keep the steps that finished in budget

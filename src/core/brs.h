@@ -36,16 +36,13 @@ struct BrsOptions {
   /// they are found"): invoked after each greedy pick; return false to stop
   /// early with the rules found so far.
   std::function<bool(const ScoredRule&, size_t index)> on_rule;
-  /// Time-budget mode (§6.1: "we can set a time limit ... and display as
-  /// many rules as we can find within that time limit"). After the budget
-  /// elapses, no further greedy steps are started (the rules found so far
-  /// are returned; at least one step always runs). 0 = unlimited.
-  double time_budget_ms = 0;
-  /// Hard cooperative deadline, threaded into the marginal search's chunk
-  /// loops: unlike time_budget_ms it can interrupt a step in flight (the
-  /// interrupted step's work is discarded; completed steps are kept) and
-  /// can fire before the first step. Expiry marks the result partial
-  /// instead of erroring — degrade, not fail. Default is inert.
+  /// Time-limit mode (§6.1: "we can set a time limit ... and display as
+  /// many rules as we can find within that time limit"): a cooperative
+  /// deadline, threaded into the marginal search's chunk loops, so it can
+  /// interrupt a step in flight (the interrupted step's work is discarded;
+  /// completed steps are kept) and can fire before the first step. Expiry
+  /// marks the result partial instead of erroring — degrade, not fail.
+  /// Default is inert.
   Deadline deadline;
 };
 

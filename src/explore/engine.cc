@@ -8,6 +8,9 @@
 #include "common/metrics.h"
 #include "common/string_util.h"
 #include "explore/session.h"
+#include "rules/rule_ops.h"
+#include "storage/shard_plan.h"
+#include "storage/table_view.h"
 
 namespace smartdd {
 
@@ -33,6 +36,11 @@ Status ValidateEngineOptions(const EngineOptions& options, bool in_memory) {
     return Status::InvalidArgument(
         "sampling mode requires a ScanSource engine; in-memory tables are "
         "drilled exactly");
+  }
+  if (!in_memory && options.num_shards > 1) {
+    return Status::InvalidArgument(
+        "num_shards > 1 requires an in-memory table; a scan source is "
+        "scanned whole");
   }
   if (options.use_sampling &&
       options.sampler.memory_capacity < options.sampler.min_sample_size) {
@@ -73,13 +81,46 @@ ExplorationEngine::ExplorationEngine(const Table& table,
           std::max<size_t>(1, options_.scheduler_workers))) {
   SMARTDD_CHECK(!options_.use_sampling)
       << "sampling mode requires the ScanSource constructor";
+  options_.num_shards = std::max<size_t>(1, options_.num_shards);
+  if (options_.num_shards == 1) {
+    shards_.push_back(&table);
+  } else {
+    const ShardPlan plan =
+        ShardPlan::Make(table.num_rows(), options_.num_shards);
+    shard_slices_.reserve(plan.num_shards());
+    for (const ShardRange& r : plan.ranges()) {
+      shard_slices_.push_back(table.SliceRows(r.begin, r.end));
+      shards_.push_back(&shard_slices_.back());
+    }
+  }
   LogKernelPath(options_.kernel);
-  // Resident bytes of the packed column payloads (the unsharded series;
-  // ShardedEngine registers per-shard smartdd_table_bytes{shard="N"}).
-  MetricsRegistry::Default()
+
+  MetricsRegistry& registry = MetricsRegistry::Default();
+  // Resident bytes of the packed column payloads, whole table and per shard.
+  registry
       .GetGauge("smartdd_table_bytes",
                 "Resident bytes of the engine table's packed column storage")
       .Set(static_cast<int64_t>(table_->resident_column_bytes()));
+  shard_scan_passes_.reserve(shards_.size());
+  for (size_t s = 0; s < shards_.size(); ++s) {
+    const std::string label = StrFormat("{shard=\"%zu\"}", s);
+    registry
+        .GetGauge("smartdd_shard_rows" + label,
+                  "Rows owned by each shard of the engine table")
+        .Set(static_cast<int64_t>(shards_[s]->num_rows()));
+    registry
+        .GetGauge("smartdd_table_bytes" + label,
+                  "Resident bytes of each shard's packed column storage")
+        .Set(static_cast<int64_t>(shards_[s]->resident_column_bytes()));
+    shard_scan_passes_.push_back(&registry.GetCounter(
+        "smartdd_shard_scan_passes_total" + label,
+        "Counting-pass scans executed against each shard's rows"));
+  }
+  merge_latency_ = &registry.GetHistogram(
+      "smartdd_sharded_merge_latency_seconds",
+      "Wall time of the scatter-gather merge stages (folding per-lane and "
+      "per-block partials in deterministic order) per exact drill-down",
+      Histogram::LatencySeconds());
 }
 
 ExplorationEngine::ExplorationEngine(const ScanSource& source,
@@ -91,6 +132,7 @@ ExplorationEngine::ExplorationEngine(const ScanSource& source,
       prototype_(source.MakeEmptyTable()),
       scheduler_(std::make_unique<TaskScheduler>(
           std::max<size_t>(1, options_.scheduler_workers))) {
+  options_.num_shards = 1;
   if (options_.use_sampling) {
     // The sampler's scan passes share the engine's thread knob unless it
     // was configured separately.
@@ -126,7 +168,7 @@ Status ExplorationEngine::ValidateSessionOptions(
           options.measure_column->c_str()));
     }
   }
-  if (options.prefetch != Prefetcher::Mode::kDisabled && sampler_ == nullptr) {
+  if (options.prefetch != PrefetchMode::kDisabled && sampler_ == nullptr) {
     return Status::InvalidArgument(
         "prefetch requires a sampling engine (EngineOptions::use_sampling); "
         "exact drill-downs have nothing to pre-fetch");
@@ -142,6 +184,62 @@ Result<ExplorationSession> ExplorationEngine::NewSession(
 
 Result<ExplorationSession> ExplorationEngine::NewSession() {
   return NewSession(SessionOptions{});
+}
+
+Result<DrillDownResponse> ExplorationEngine::DrillDown(
+    DrillDownRequest request,
+    const std::optional<std::string>& measure_column) const {
+  SMARTDD_CHECK(table_ != nullptr)
+      << "exact drill-down requires an in-memory engine";
+  std::optional<size_t> measure;
+  if (measure_column) {
+    SMARTDD_ASSIGN_OR_RETURN(measure, table_->FindMeasure(*measure_column));
+  }
+  // N shards at k threads each search with N*k lanes (0 stays 0 = all
+  // hardware threads).
+  request.num_threads *= shards_.size();
+
+  std::vector<TableView> views;
+  views.reserve(shards_.size());
+  for (const Table* t : shards_) {
+    views.emplace_back(*t);
+    if (measure) views.back().SelectMeasure(*measure);
+  }
+  std::vector<const TableView*> view_ptrs;
+  for (const TableView& v : views) view_ptrs.push_back(&v);
+
+  SMARTDD_ASSIGN_OR_RETURN(
+      DrillDownResponse response,
+      SmartDrillDownSharded(view_ptrs, *weight_, request));
+
+  // Every counting pass scanned every shard's rows once; the gather/merge
+  // wall time is the scatter-gather overhead.
+  for (Counter* c : shard_scan_passes_) c->Inc(response.stats.passes);
+  merge_latency_->Observe(response.stats.merge_seconds);
+  return response;
+}
+
+std::vector<double> ExplorationEngine::ExactMasses(
+    const std::vector<Rule>& rules, std::optional<size_t> measure) const {
+  SMARTDD_CHECK(table_ != nullptr)
+      << "exact masses require an in-memory engine";
+  std::vector<double> masses(rules.size(), 0.0);
+  // Each rule's accumulator carries over from shard to shard, so the floats
+  // are byte-identical for every shard count.
+  for (const Table* t : shards_) {
+    TableView view(*t);
+    if (measure) view.SelectMeasure(*measure);
+    const uint64_t n = view.num_rows();
+    for (size_t i = 0; i < rules.size(); ++i) {
+      double acc = masses[i];
+      for (uint64_t row = 0; row < n; ++row) {
+        if (RuleCoversRow(rules[i], view, row)) acc += view.mass(row);
+      }
+      masses[i] = acc;
+    }
+  }
+  for (Counter* c : shard_scan_passes_) c->Inc(1);
+  return masses;
 }
 
 uint64_t ExplorationEngine::RegisterSession() {

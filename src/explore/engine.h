@@ -4,9 +4,13 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <optional>
+#include <string>
+#include <vector>
 
 #include "common/result.h"
 #include "common/task_scheduler.h"
+#include "core/drilldown.h"
 #include "core/scan_kernels.h"
 #include "sampling/sample_handler.h"
 #include "storage/scan_source.h"
@@ -15,8 +19,9 @@
 
 namespace smartdd {
 
+class Counter;
 class ExplorationSession;
-class ShardedEngine;
+class Histogram;
 struct SessionOptions;
 
 /// Engine-wide configuration (per dataset, not per user).
@@ -38,6 +43,12 @@ struct EngineOptions {
   /// scheduler spawns workers lazily, so engines whose sessions never
   /// prefetch cost no threads.
   size_t scheduler_workers = 2;
+  /// Row partitions an in-memory table is split into (clamped to >= 1).
+  /// Every exact drill-down scatter-gathers over the shards; expansion
+  /// trees are byte-identical for every value, so this trades per-shard
+  /// scan parallelism against per-shard working-set size. Scan-source
+  /// engines are never sharded (Create rejects num_shards > 1 for them).
+  size_t num_shards = 1;
 };
 
 /// The shared, thread-safe half of the engine/session split: one
@@ -59,6 +70,12 @@ struct EngineOptions {
 /// of its rule. The WeightFunction must be safe for concurrent const calls
 /// (the standard weights are stateless).
 ///
+/// An in-memory engine holds its table as EngineOptions::num_shards
+/// row-contiguous shards (a ShardPlan over the rows, shared dictionaries).
+/// With one shard that shard is the borrowed table itself; more shards are
+/// SliceRows copies. Drill-downs treat the shards' concatenation as one row
+/// space, so every shard count yields the same bytes.
+///
 /// The engine is pinned in memory (non-copyable, non-movable): sessions
 /// hold raw back-pointers into it. Destroy all sessions before the engine.
 class ExplorationEngine {
@@ -66,8 +83,9 @@ class ExplorationEngine {
   /// Validated construction (the service-layer path): rejects inconsistent
   /// EngineOptions with a clear Status instead of dying or silently
   /// misbehaving later — scheduler_workers == 0 (background prefetch would
-  /// never run), use_sampling on an in-memory table, or a sampler
-  /// memory_capacity below min_sample_size (every Create would starve).
+  /// never run), use_sampling on an in-memory table, num_shards > 1 on a
+  /// scan source, or a sampler memory_capacity below min_sample_size
+  /// (every Create would starve).
   static Result<std::unique_ptr<ExplorationEngine>> Create(
       const Table& table, const WeightFunction& weight,
       EngineOptions options = {});
@@ -116,10 +134,11 @@ class ExplorationEngine {
   const ScanSource* source() const { return source_; }
   /// The shared sample handler, or nullptr when sampling is off.
   SampleHandler* sampler() const { return sampler_.get(); }
-  /// The sharded engine this engine fronts, or nullptr when unsharded.
-  /// Sessions route exact drill-downs through it (scatter-gather over the
-  /// shard slices); all other paths are unaffected.
-  const ShardedEngine* sharded() const { return sharded_; }
+  /// Row shards of the in-memory table (1 in scan-source mode).
+  size_t num_shards() const { return options_.num_shards; }
+  /// Shard `i` of the in-memory table, in shard order: the borrowed table
+  /// itself when there is one shard, an owned row slice otherwise.
+  const Table& shard(size_t i) const { return *shards_[i]; }
   /// Fair background-task scheduler (one queue per session).
   TaskScheduler& scheduler() const { return *scheduler_; }
   const EngineOptions& options() const { return options_; }
@@ -128,9 +147,16 @@ class ExplorationEngine {
     return live_sessions_.load(std::memory_order_relaxed);
   }
 
+  /// Exact drill-down over the shards (in-memory mode only).
+  /// `measure_column` selects Sum aggregation. A non-zero
+  /// request.num_threads is per shard: it is scaled by num_shards(), so a
+  /// session's thread knob fans out across the shards.
+  Result<DrillDownResponse> DrillDown(
+      DrillDownRequest request,
+      const std::optional<std::string>& measure_column) const;
+
  private:
   friend class ExplorationSession;
-  friend class ShardedEngine;
 
   /// Binds a new session: allocates its scheduler queue and returns its id
   /// (also the SampleHandler session key).
@@ -138,6 +164,11 @@ class ExplorationEngine {
   /// Releases a session: drains its background tasks, drops its displayed
   /// tree from the handler, and destroys its queue.
   void UnregisterSession(uint64_t id);
+  /// Exact masses of `rules` (in-memory mode only). Each rule's sum runs
+  /// over the shards in shard order, the same additions in the same order
+  /// as one pass over the whole table.
+  std::vector<double> ExactMasses(const std::vector<Rule>& rules,
+                                  std::optional<size_t> measure) const;
 
   const WeightFunction* weight_;
   EngineOptions options_;
@@ -147,8 +178,14 @@ class ExplorationEngine {
   Table prototype_;
   std::unique_ptr<SampleHandler> sampler_;
   std::unique_ptr<TaskScheduler> scheduler_;
-  /// Back-pointer set by the owning ShardedEngine (not owned).
-  const ShardedEngine* sharded_ = nullptr;
+  /// In-memory mode: the shards in shard order. They point at table_ when
+  /// there is one shard and into shard_slices_ otherwise.
+  std::vector<Table> shard_slices_;
+  std::vector<const Table*> shards_;
+  /// Per-shard counting-pass counters and the scatter-gather merge-latency
+  /// histogram (process-wide instruments; in-memory mode only).
+  std::vector<Counter*> shard_scan_passes_;
+  Histogram* merge_latency_ = nullptr;
   std::atomic<size_t> live_sessions_{0};
 };
 

@@ -6,8 +6,6 @@
 
 #include "common/string_util.h"
 #include "explore/engine.h"
-#include "explore/sharded_engine.h"
-#include "rules/rule_ops.h"
 #include "sampling/minss_guidance.h"
 
 namespace smartdd {
@@ -111,6 +109,10 @@ Result<DrillDownResponse> ExplorationSession::RunDrillDown(
     };
   }
 
+  if (engine_->table() != nullptr) {
+    return engine_->DrillDown(request, options_.measure_column);
+  }
+
   const WeightFunction& weight = engine_->weight();
 
   // Switches a view to the session's Sum measure if one is configured.
@@ -121,18 +123,6 @@ Result<DrillDownResponse> ExplorationSession::RunDrillDown(
     view.SelectMeasure(m);
     return Status::OK();
   };
-
-  if (engine_->table() != nullptr) {
-    // Sharded engines scatter-gather the exact drill-down across their
-    // shard slices; results are byte-identical to the unsharded view path.
-    const ShardedEngine* sharded = engine_->sharded();
-    if (sharded != nullptr) {
-      return sharded->RunDrillDown(request, options_.measure_column);
-    }
-    TableView view(*engine_->table());
-    SMARTDD_RETURN_IF_ERROR(apply_measure(view));
-    return SmartDrillDown(view, weight, request);
-  }
 
   const ScanSource* source = engine_->source();
   SMARTDD_CHECK(source != nullptr);
@@ -375,12 +365,12 @@ void ExplorationSession::AfterExpansion() {
   if (sampler == nullptr) return;
   sampler->SetDisplayedTree(id_, BuildDisplayTree());
   switch (options_.prefetch) {
-    case Prefetcher::Mode::kDisabled:
+    case PrefetchMode::kDisabled:
       break;
-    case Prefetcher::Mode::kSynchronous:
+    case PrefetchMode::kSynchronous:
       sync_prefetch_status_ = sampler->Prefetch(id_);
       break;
-    case Prefetcher::Mode::kBackground: {
+    case PrefetchMode::kBackground: {
       // Engine-scheduled background task on this session's fair queue — no
       // thread spawn per pass, and one session's prefetch backlog cannot
       // starve another session's.
@@ -407,14 +397,7 @@ Status ExplorationSession::RefreshExactCounts() {
 
   std::vector<double> masses;
   if (engine_->table() != nullptr) {
-    if (engine_->sharded() != nullptr) {
-      SMARTDD_ASSIGN_OR_RETURN(masses,
-                               engine_->sharded()->ExactMasses(rules, measure));
-    } else {
-      TableView view(*engine_->table());
-      if (measure) view.SelectMeasure(*measure);
-      for (const Rule& r : rules) masses.push_back(RuleMass(view, r));
-    }
+    masses = engine_->ExactMasses(rules, measure);
   } else if (engine_->sampler() != nullptr) {
     SMARTDD_ASSIGN_OR_RETURN(masses,
                              engine_->sampler()->ExactMasses(rules, measure));
@@ -440,7 +423,7 @@ Status ExplorationSession::RefreshExactCounts() {
 
 Status ExplorationSession::WaitForPrefetch() {
   Status drained = engine_->scheduler().Drain(id_);
-  if (options_.prefetch == Prefetcher::Mode::kSynchronous) {
+  if (options_.prefetch == PrefetchMode::kSynchronous) {
     return sync_prefetch_status_;
   }
   return drained;

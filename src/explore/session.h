@@ -1,6 +1,7 @@
 #ifndef SMARTDD_EXPLORE_SESSION_H_
 #define SMARTDD_EXPLORE_SESSION_H_
 
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -8,7 +9,6 @@
 
 #include "common/result.h"
 #include "core/drilldown.h"
-#include "explore/prefetcher.h"
 #include "sampling/sample_handler.h"
 #include "storage/scan_source.h"
 #include "weights/weight_function.h"
@@ -16,6 +16,18 @@
 namespace smartdd {
 
 class ExplorationEngine;
+
+/// How a sampling session pre-fetches samples for likely next drill-downs
+/// (paper §4.3: "while the user is busy reading the current rule-list ...
+/// start making a pass through the table in the background").
+enum class PrefetchMode {
+  kDisabled,
+  /// Runs the prefetch pass inline at the end of each expansion.
+  kSynchronous,
+  /// Submits the pass to the engine's scheduler on the session's fair
+  /// queue; the next interaction joins it.
+  kBackground,
+};
 
 /// Session configuration.
 struct SessionOptions {
@@ -27,7 +39,7 @@ struct SessionOptions {
   /// Pre-fetch samples for likely next drill-downs after each expansion.
   /// Background prefetches run as engine-scheduled tasks on the session's
   /// fair queue, not on a dedicated thread.
-  Prefetcher::Mode prefetch = Prefetcher::Mode::kDisabled;
+  PrefetchMode prefetch = PrefetchMode::kDisabled;
   /// Rank and display by Sum over this measure column instead of Count
   /// (paper §6.3). Must name a measure column of the table/source.
   std::optional<std::string> measure_column;

@@ -44,64 +44,6 @@ uint64_t ScanSource::PlanChunks(uint64_t num_rows) {
   return std::clamp<uint64_t>(num_rows / kMinRowsPerChunk, 1, kMaxChunks);
 }
 
-uint64_t ScanSource::PlanChunks(uint64_t num_rows, uint64_t parallelism) {
-  constexpr uint64_t kMaxChunks = 64;
-  const uint64_t floor =
-      std::clamp<uint64_t>(parallelism, 1, std::max<uint64_t>(1, num_rows));
-  return std::min(kMaxChunks, std::max(PlanChunks(num_rows), floor));
-}
-
-Status RangeScanSource::ScanRange(uint64_t row_begin, uint64_t row_end,
-                                  const ScanCallback& fn) const {
-  const uint64_t end = std::min(row_end, num_rows());
-  if (row_begin >= end) return Status::OK();
-  const uint64_t base = begin_;
-  return base_->ScanRange(
-      base + row_begin, base + end,
-      [&fn, base](uint64_t row, const uint32_t* codes, const double* measures) {
-        return fn(row - base, codes, measures);
-      });
-}
-
-ShardedScanSource::ShardedScanSource(std::vector<const ScanSource*> shards)
-    : shards_(std::move(shards)) {
-  SMARTDD_CHECK(!shards_.empty()) << "a sharded source needs >= 1 shard";
-  offsets_.reserve(shards_.size() + 1);
-  offsets_.push_back(0);
-  for (const ScanSource* s : shards_) {
-    SMARTDD_CHECK(s != nullptr);
-    SMARTDD_CHECK(s->num_measures() == shards_[0]->num_measures());
-    offsets_.push_back(offsets_.back() + s->num_rows());
-  }
-}
-
-Status ShardedScanSource::ScanRange(uint64_t row_begin, uint64_t row_end,
-                                    const ScanCallback& fn) const {
-  const uint64_t end = std::min(row_end, num_rows());
-  // Visit the overlapped shards in shard order, translating local row ids
-  // back to global. An early stop (fn returning false) inside one shard
-  // ends the whole pass, matching a monolithic ScanRange.
-  bool stopped = false;
-  for (size_t s = 0; s < shards_.size() && !stopped; ++s) {
-    const uint64_t lo = std::max(row_begin, offsets_[s]);
-    const uint64_t hi = std::min(end, offsets_[s + 1]);
-    if (lo >= hi) continue;
-    const uint64_t base = offsets_[s];
-    Status st = shards_[s]->ScanRange(
-        lo - base, hi - base,
-        [&fn, &stopped, base](uint64_t row, const uint32_t* codes,
-                              const double* measures) {
-          if (!fn(row + base, codes, measures)) {
-            stopped = true;
-            return false;
-          }
-          return true;
-        });
-    SMARTDD_RETURN_IF_ERROR(st);
-  }
-  return Status::OK();
-}
-
 Status MemoryScanSource::ScanRange(uint64_t row_begin, uint64_t row_end,
                                    const ScanCallback& fn) const {
   const size_t num_cols = table_->num_columns();

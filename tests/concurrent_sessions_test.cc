@@ -227,7 +227,7 @@ TEST_F(ConcurrentSamplingTest, ConcurrentSamplingSessionsStaySane) {
   for (int i = 0; i < kSessions; ++i) {
     threads.emplace_back([&, i]() {
       SessionOptions options;
-      if (i % 2 == 0) options.prefetch = Prefetcher::Mode::kBackground;
+      if (i % 2 == 0) options.prefetch = PrefetchMode::kBackground;
       ExplorationSession session = *engine.NewSession(options);
       auto children = session.Expand(session.root());
       ASSERT_TRUE(children.ok()) << children.status().ToString();
@@ -255,7 +255,7 @@ TEST_F(ConcurrentSamplingTest, PerSessionTreesDriveIndependentPrefetch) {
   // must not wipe out the other's ability to Find its displayed rules.
   ExplorationEngine engine(source_, weight_, SamplingOptions());
   SessionOptions options;
-  options.prefetch = Prefetcher::Mode::kSynchronous;
+  options.prefetch = PrefetchMode::kSynchronous;
   ExplorationSession a = *engine.NewSession(options);
   ExplorationSession b = *engine.NewSession(options);
 

@@ -82,27 +82,30 @@ TEST(TimeBudgetTest, UnlimitedByDefault) {
   EXPECT_EQ(result->rules.size(), 4u);
 }
 
-TEST(TimeBudgetTest, TinyBudgetStillReturnsAtLeastOneRule) {
+TEST(TimeBudgetTest, ExpiredDeadlineKeepsOnlyCompletedSteps) {
   Table t = GenerateRetailTable();
   TableView v(t);
   SizeWeight w;
   BrsOptions options;
   options.k = 10;
-  options.time_budget_ms = 1e-6;  // expires immediately after step 1
+  options.deadline = Deadline::AfterMillis(0);  // expired before step 1
   auto result = RunBrs(v, w, options);
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->rules.size(), 1u);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_TRUE(result->deadline_exceeded);
+  EXPECT_TRUE(result->rules.empty());
+  EXPECT_EQ(result->total_score, 0);
 }
 
-TEST(TimeBudgetTest, GenerousBudgetReturnsEverything) {
+TEST(TimeBudgetTest, GenerousDeadlineReturnsEverything) {
   Table t = GenerateRetailTable();
   TableView v(t);
   SizeWeight w;
   BrsOptions options;
   options.k = 4;
-  options.time_budget_ms = 60000;
+  options.deadline = Deadline::AfterMillis(60000);
   auto result = RunBrs(v, w, options);
-  ASSERT_TRUE(result.ok());
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_FALSE(result->deadline_exceeded);
   EXPECT_EQ(result->rules.size(), 4u);
 }
 

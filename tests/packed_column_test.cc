@@ -2,8 +2,8 @@
 // kernels: round-trips across every width class, the kernel unit
 // differentials (scalar vs AVX2 must agree byte for byte), the
 // ExactRepeatAdd closed form, and a full-tree differential suite proving
-// drill-down trees identical across {scalar, SIMD} x threads x shards on
-// memory, measure, and disk tables.
+// drill-down trees identical across {scalar, SIMD} x threads (x shards for
+// in-memory tables) on memory, measure, and disk tables.
 
 #include <gtest/gtest.h>
 
@@ -16,7 +16,7 @@
 #include "core/scan_kernels.h"
 #include "data/census_gen.h"
 #include "data/synth.h"
-#include "explore/sharded_engine.h"
+#include "explore/engine.h"
 #include "storage/disk_table.h"
 #include "storage/scan_source.h"
 #include "storage/table.h"
@@ -116,7 +116,7 @@ TEST(PackedColumnTest, UnfrozenColumnsKeepFullReadSupport) {
   EXPECT_EQ(col.Get(codes.size()), 3u);
 }
 
-// --- Packed views: SliceRows and RangeScanSource ----------------------------
+// --- Packed views: SliceRows ------------------------------------------------
 
 TEST(PackedColumnTest, SliceRowsOfFrozenTableStaysPackedAndByteCompatible) {
   SynthSpec spec;
@@ -137,29 +137,6 @@ TEST(PackedColumnTest, SliceRowsOfFrozenTableStaysPackedAndByteCompatible) {
           << "c=" << c << " i=" << i;
     }
   }
-}
-
-TEST(PackedColumnTest, RangeScanSourceDecodesPackedColumns) {
-  SynthSpec spec;
-  spec.rows = 9000;
-  spec.cardinalities = {5, 13};
-  spec.seed = 17;
-  Table table = GenerateSyntheticTable(spec);
-  MemoryScanSource base(table);
-  RangeScanSource slice(base, 1000, 8000);
-  ASSERT_EQ(slice.num_rows(), 7000u);
-  uint64_t rows_seen = 0;
-  Status s = slice.Scan([&](uint64_t row_id, const uint32_t* codes,
-                            const double*) {
-    // Scan emits slice-local row ids with codes decoded from the packed
-    // parent payload at the biased position.
-    EXPECT_EQ(codes[0], table.column(0).Get(1000 + row_id));
-    EXPECT_EQ(codes[1], table.column(1).Get(1000 + row_id));
-    ++rows_seen;
-    return true;
-  });
-  ASSERT_TRUE(s.ok()) << s.ToString();
-  EXPECT_EQ(rows_seen, 7000u);
 }
 
 // --- Kernel unit differentials ----------------------------------------------
@@ -342,16 +319,16 @@ void CheckMemoryGrid(const Table& table, const WeightFunction& weight,
   for (size_t shards : {1u, 4u}) {
     for (size_t threads : {1u, 8u}) {
       for (KernelPref pref : {KernelPref::kScalar, KernelPref::kAvx2}) {
-        ShardedEngineOptions options;
+        EngineOptions options;
         options.num_shards = shards;
-        auto engine = ShardedEngine::Create(table, weight, options);
+        auto engine = ExplorationEngine::Create(table, weight, options);
         ASSERT_TRUE(engine.ok()) << engine.status().ToString();
         SessionOptions so;
         so.k = 3;
         so.num_threads = threads;
         so.kernel = pref;
         so.measure_column = measure;
-        auto session = (*engine)->front().NewSession(so);
+        auto session = (*engine)->NewSession(so);
         ASSERT_TRUE(session.ok()) << session.status().ToString();
         EXPECT_EQ(Drive(*session), expected)
             << "tree drift at shards=" << shards << " threads=" << threads
@@ -425,24 +402,19 @@ TEST(PackedDifferentialTest, DiskTableTreesIdenticalAcrossKernels) {
   std::string expected = Drive(reference.session);
   ASSERT_FALSE(expected.empty());
 
-  for (size_t shards : {1u, 4u}) {
-    for (size_t threads : {1u, 8u}) {
-      for (KernelPref pref : {KernelPref::kScalar, KernelPref::kAvx2}) {
-        ShardedEngineOptions options;
-        options.num_shards = shards;
-        options.engine = sampling;
-        auto engine = ShardedEngine::Create(source, weight, options);
-        ASSERT_TRUE(engine.ok()) << engine.status().ToString();
-        SessionOptions so;
-        so.k = 3;
-        so.num_threads = threads;
-        so.kernel = pref;
-        auto session = (*engine)->front().NewSession(so);
-        ASSERT_TRUE(session.ok()) << session.status().ToString();
-        EXPECT_EQ(Drive(*session), expected)
-            << "disk tree drift at shards=" << shards
-            << " threads=" << threads << " kernel=" << KernelPrefName(pref);
-      }
+  for (size_t threads : {1u, 8u}) {
+    for (KernelPref pref : {KernelPref::kScalar, KernelPref::kAvx2}) {
+      auto engine = ExplorationEngine::Create(source, weight, sampling);
+      ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+      SessionOptions so;
+      so.k = 3;
+      so.num_threads = threads;
+      so.kernel = pref;
+      auto session = (*engine)->NewSession(so);
+      ASSERT_TRUE(session.ok()) << session.status().ToString();
+      EXPECT_EQ(Drive(*session), expected)
+          << "disk tree drift at threads=" << threads
+          << " kernel=" << KernelPrefName(pref);
     }
   }
   std::remove(path.c_str());

@@ -273,7 +273,7 @@ TEST_F(SamplingSessionTest, SampledTopRulesMostlyMatchExactTopRules) {
 
 TEST_F(SamplingSessionTest, BackgroundPrefetchCompletesCleanly) {
   SessionOptions options = SamplingOptions();
-  options.prefetch = Prefetcher::Mode::kBackground;
+  options.prefetch = PrefetchMode::kBackground;
   auto owned = testing::MakeSession(*source_, weight_, options,
                                     SamplingEngineOptions());
   ExplorationSession& session = owned.session;
@@ -337,40 +337,12 @@ TEST_F(SamplingSessionTest, DeepDrillDownOnRareSliceIsComplete) {
 
 TEST_F(SamplingSessionTest, SynchronousPrefetchAlsoWorks) {
   SessionOptions options = SamplingOptions();
-  options.prefetch = Prefetcher::Mode::kSynchronous;
+  options.prefetch = PrefetchMode::kSynchronous;
   auto owned = testing::MakeSession(*source_, weight_, options,
                                     SamplingEngineOptions());
   ExplorationSession& session = owned.session;
   ASSERT_TRUE(session.Expand(session.root()).ok());
   EXPECT_TRUE(session.WaitForPrefetch().ok());
-}
-
-TEST(PrefetcherTest, SynchronousRunsInline) {
-  Prefetcher p(Prefetcher::Mode::kSynchronous);
-  int runs = 0;
-  p.Schedule([&]() {
-    ++runs;
-    return Status::OK();
-  });
-  EXPECT_EQ(runs, 1);
-  EXPECT_TRUE(p.Wait().ok());
-}
-
-TEST(PrefetcherTest, DisabledRunsNothing) {
-  Prefetcher p(Prefetcher::Mode::kDisabled);
-  int runs = 0;
-  p.Schedule([&]() {
-    ++runs;
-    return Status::OK();
-  });
-  EXPECT_EQ(runs, 0);
-}
-
-TEST(PrefetcherTest, BackgroundReportsStatus) {
-  Prefetcher p(Prefetcher::Mode::kBackground);
-  p.Schedule([]() { return Status::IOError("boom"); });
-  Status s = p.Wait();
-  EXPECT_EQ(s.code(), StatusCode::kIOError);
 }
 
 }  // namespace

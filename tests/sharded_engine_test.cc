@@ -1,7 +1,9 @@
 // The sharded-engine differential suite: the ShardPlan partition contract,
-// and byte-identity of expansion trees across every num_shards x
-// num_threads combination — against single-shard serial — on in-memory
-// tables, on disk-backed scan sources, and through the service front door.
+// and byte-identity of expansion trees across every
+// EngineOptions::num_shards x num_threads combination — against
+// single-shard serial — on in-memory tables and through the service front
+// door, plus thread-count identity on disk-backed scan sources (which are
+// never sharded).
 
 #include <gtest/gtest.h>
 
@@ -14,7 +16,7 @@
 #include "common/metrics.h"
 #include "data/census_gen.h"
 #include "data/synth.h"
-#include "explore/sharded_engine.h"
+#include "explore/engine.h"
 #include "explore/session.h"
 #include "storage/disk_table.h"
 #include "storage/scan_source.h"
@@ -161,15 +163,15 @@ TEST(ShardedDifferentialTest, MemoryTableTreesAreByteIdentical) {
 
   for (size_t shards : {1u, 2u, 4u}) {
     for (size_t threads : {1u, 8u}) {
-      ShardedEngineOptions options;
+      EngineOptions options;
       options.num_shards = shards;
-      auto engine = ShardedEngine::Create(table, weight, options);
+      auto engine = ExplorationEngine::Create(table, weight, options);
       ASSERT_TRUE(engine.ok()) << engine.status().ToString();
       EXPECT_EQ((*engine)->num_shards(), shards);
       SessionOptions so;
       so.k = 3;
       so.num_threads = threads;
-      auto session = (*engine)->front().NewSession(so);
+      auto session = (*engine)->NewSession(so);
       ASSERT_TRUE(session.ok()) << session.status().ToString();
       EXPECT_EQ(DriveScript(*session), expected)
           << "tree drift at num_shards=" << shards
@@ -180,7 +182,7 @@ TEST(ShardedDifferentialTest, MemoryTableTreesAreByteIdentical) {
 
 TEST(ShardedDifferentialTest, SumMeasureTreesAreByteIdentical) {
   // The Sum-aggregate path (measure columns) through SmartDrillDownSharded
-  // and the sharded ExactMasses accumulators.
+  // and the engine's shard-ordered ExactMasses accumulators.
   SynthSpec spec;
   spec.rows = 40000;
   spec.cardinalities = {6, 5, 4};
@@ -198,15 +200,15 @@ TEST(ShardedDifferentialTest, SumMeasureTreesAreByteIdentical) {
   std::string expected = DriveScript(reference.session);
   ASSERT_FALSE(expected.empty());
 
-  for (size_t shards : {2u, 4u}) {
+  for (size_t shards : {1u, 2u, 4u}) {
     for (size_t threads : {1u, 8u}) {
-      ShardedEngineOptions options;
+      EngineOptions options;
       options.num_shards = shards;
-      auto engine = ShardedEngine::Create(table, weight, options);
+      auto engine = ExplorationEngine::Create(table, weight, options);
       ASSERT_TRUE(engine.ok()) << engine.status().ToString();
       SessionOptions so = serial;
       so.num_threads = threads;
-      auto session = (*engine)->front().NewSession(so);
+      auto session = (*engine)->NewSession(so);
       ASSERT_TRUE(session.ok()) << session.status().ToString();
       EXPECT_EQ(DriveScript(*session), expected)
           << "Sum tree drift at num_shards=" << shards
@@ -216,10 +218,9 @@ TEST(ShardedDifferentialTest, SumMeasureTreesAreByteIdentical) {
 }
 
 TEST(ShardedDifferentialTest, DiskTableTreesAreByteIdentical) {
-  // Scan-source mode: the sharded source must deliver the same rows in the
-  // same order as the unsharded one, making the sampling subsystem
-  // (seeded sub-reservoirs, chunk-merged ExactMasses) byte-identical by
-  // construction.
+  // Scan-source engines are never sharded; the sampling subsystem (seeded
+  // sub-reservoirs, chunk-merged ExactMasses) must still be byte-identical
+  // for every thread count.
   CensusSpec census;
   census.rows = 40000;
   census.columns_used = 6;
@@ -243,24 +244,49 @@ TEST(ShardedDifferentialTest, DiskTableTreesAreByteIdentical) {
   std::string expected = DriveScript(reference.session);
   ASSERT_FALSE(expected.empty());
 
-  for (size_t shards : {1u, 2u, 4u}) {
-    for (size_t threads : {1u, 8u}) {
-      ShardedEngineOptions options;
-      options.num_shards = shards;
-      options.engine = sampling;
-      auto engine = ShardedEngine::Create(source, weight, options);
-      ASSERT_TRUE(engine.ok()) << engine.status().ToString();
-      SessionOptions so;
-      so.k = 3;
-      so.num_threads = threads;
-      auto session = (*engine)->front().NewSession(so);
-      ASSERT_TRUE(session.ok()) << session.status().ToString();
-      EXPECT_EQ(DriveScript(*session), expected)
-          << "disk tree drift at num_shards=" << shards
-          << " num_threads=" << threads;
-    }
+  for (size_t threads : {1u, 8u}) {
+    auto engine = ExplorationEngine::Create(source, weight, sampling);
+    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+    SessionOptions so;
+    so.k = 3;
+    so.num_threads = threads;
+    auto session = (*engine)->NewSession(so);
+    ASSERT_TRUE(session.ok()) << session.status().ToString();
+    EXPECT_EQ(DriveScript(*session), expected)
+        << "disk tree drift at num_threads=" << threads;
   }
   std::remove(path.c_str());
+}
+
+TEST(EngineShardsTest, SingleShardIsTheBorrowedTable) {
+  Table table = ShardableTable();
+  SizeWeight weight;
+  auto engine = ExplorationEngine::Create(table, weight);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  ASSERT_EQ((*engine)->num_shards(), 1u);
+  EXPECT_EQ(&(*engine)->shard(0), &table);  // no copy at N = 1
+
+  EngineOptions options;
+  options.num_shards = 2;
+  auto sharded = ExplorationEngine::Create(table, weight, options);
+  ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
+  ASSERT_EQ((*sharded)->num_shards(), 2u);
+  EXPECT_NE(&(*sharded)->shard(0), &table);
+  EXPECT_EQ((*sharded)->shard(0).num_rows() + (*sharded)->shard(1).num_rows(),
+            table.num_rows());
+}
+
+TEST(EngineShardsTest, ScanSourceRejectsMultipleShards) {
+  Table table = ShardableTable();
+  MemoryScanSource source(table);
+  SizeWeight weight;
+  EngineOptions options;
+  options.num_shards = 2;
+  auto engine = ExplorationEngine::Create(source, weight, options);
+  EXPECT_EQ(engine.status().code(), StatusCode::kInvalidArgument);
+
+  options.num_shards = 1;
+  EXPECT_TRUE(ExplorationEngine::Create(source, weight, options).ok());
 }
 
 TEST(ShardedServiceTest, AddShardedTableServesIdenticalTreeBytes) {
@@ -304,9 +330,9 @@ TEST(ShardedServiceTest, AddShardedTableServesIdenticalTreeBytes) {
 TEST(ShardedMetricsTest, PerShardInstrumentsRenderWithShardLabel) {
   Table table = ShardableTable();
   SizeWeight weight;
-  ShardedEngineOptions options;
+  EngineOptions options;
   options.num_shards = 2;
-  auto engine = ShardedEngine::Create(table, weight, options);
+  auto engine = ExplorationEngine::Create(table, weight, options);
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
 
   Counter& passes0 = MetricsRegistry::Default().GetCounter(
@@ -314,7 +340,7 @@ TEST(ShardedMetricsTest, PerShardInstrumentsRenderWithShardLabel) {
       "Pass-1 scan passes executed by this shard");
   uint64_t passes_before = passes0.value();
 
-  auto session = (*engine)->front().NewSession();
+  auto session = (*engine)->NewSession();
   ASSERT_TRUE(session.ok());
   ASSERT_TRUE(session->Expand(session->root()).ok());
 

@@ -287,17 +287,5 @@ TEST(TaskSchedulerTest, SelfDestroyInsideHelpRunTaskStillErasesQueue) {
   EXPECT_EQ(scheduler.num_queues(), 0u);
 }
 
-TEST(TaskSchedulerTest, SharedSchedulerIsUsable) {
-  auto q = TaskScheduler::Shared().CreateQueue();
-  std::atomic<bool> ran{false};
-  TaskScheduler::Shared().Submit(q, [&]() {
-    ran = true;
-    return Status::OK();
-  });
-  EXPECT_TRUE(TaskScheduler::Shared().Drain(q).ok());
-  EXPECT_TRUE(ran.load());
-  TaskScheduler::Shared().DestroyQueue(q);
-}
-
 }  // namespace
 }  // namespace smartdd
