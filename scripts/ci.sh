@@ -26,15 +26,18 @@ fi
 
 # The concurrency- and robustness-sensitive suites both sanitizer stages
 # run: the parallel differential suites, everything touching the background
-# prefetcher and registry, and the chaos suite (which arms fault schedules
-# while 16 sessions hammer the service).
-SAN_TESTS="parallel_marginal_test|parallel_sampling_test|sample_handler_test|session_test|concurrent_sessions_test|task_scheduler_test|service_test|codec_test|metrics_test|http_server_test|chaos_test|disk_table_test|sharded_engine_test|packed_column_test|deadline_test|rpc_test|cluster_test|live_table_test|expansion_cache_test"
+# prefetcher and registry, the chaos suite (which arms fault schedules
+# while 16 sessions hammer the service), and the marginal finder's cover
+# store (read by pool workers, written by the calling thread) with the
+# brute-force BRS oracle.
+SAN_TESTS="parallel_marginal_test|parallel_sampling_test|sample_handler_test|session_test|concurrent_sessions_test|task_scheduler_test|service_test|codec_test|metrics_test|http_server_test|chaos_test|disk_table_test|sharded_engine_test|packed_column_test|deadline_test|rpc_test|cluster_test|live_table_test|expansion_cache_test|cover_memo_test|brs_oracle_test"
 SAN_TARGETS=(
   parallel_marginal_test parallel_sampling_test sample_handler_test
   session_test concurrent_sessions_test task_scheduler_test
   service_test codec_test metrics_test http_server_test chaos_test
   disk_table_test sharded_engine_test packed_column_test
   deadline_test rpc_test cluster_test live_table_test expansion_cache_test
+  cover_memo_test brs_oracle_test
 )
 
 run_sanitizer_stage() {
@@ -104,7 +107,9 @@ if [[ "$MODE" != "--tsan-only" && "$MODE" != "--asan-only" ]]; then
   # Packed-storage / SIMD smoke: the marginal bench checks that results are
   # identical across thread counts, shard counts, AND kernel paths, and
   # that bit-packing actually shrinks the resident columns (>= 2x gate).
-  (cd build && SMARTDD_CENSUS_ROWS=50000 SMARTDD_BENCH_K=1 \
+  # K=3 so later greedy steps count from the finder's cover store under
+  # the same gate.
+  (cd build && SMARTDD_CENSUS_ROWS=50000 SMARTDD_BENCH_K=3 \
     SMARTDD_BENCH_REPS=1 ./bench_parallel_marginal)
   echo "packed column smoke: identical trees across kernel paths"
 fi

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <deque>
 #include <functional>
 #include <limits>
 #include <memory>
@@ -18,6 +19,8 @@ namespace smartdd {
 
 namespace {
 
+constexpr uint32_t kNoCover = std::numeric_limits<uint32_t>::max();
+
 /// Per-candidate counters. `excluded` marks rules whose weight exceeds mw
 /// or whose upper bound fell below the threshold H before they were
 /// counted; they are kept as tombstones so that candidate generation skips
@@ -28,6 +31,12 @@ struct Entry {
   double marginal = 0;
   /// Upper bound on the marginal value (set at generation, passes >= 2).
   double bound = 0;
+  /// This rule's cover in the finder's CoverStore, or kNoCover.
+  uint32_t cover = kNoCover;
+  /// The shortest stored cover among the immediate sub-rules (arity >= 3),
+  /// and the position of the one column that sub-rule lacks.
+  uint32_t source = kNoCover;
+  uint32_t source_col = 0;
   bool excluded = false;
 };
 
@@ -54,6 +63,10 @@ using Cols = std::vector<uint32_t>;
 constexpr uint64_t kMinLaneRows = 16384;
 constexpr uint64_t kMaxLanes = 64;
 constexpr uint64_t kMaxLaneCells = uint64_t{1} << 22;  // ~80 MB of scratch
+/// Bounds the cover store (64 MB of row ids per finder). Once full, new
+/// candidates are no longer recorded and count by the postings walk, with
+/// identical results.
+constexpr uint64_t kMaxCoverRows = uint64_t{1} << 24;
 
 /// Candidates per block in the counting passes. The threshold H is frozen
 /// at each block boundary: pruning decisions depend only on block layout
@@ -74,6 +87,7 @@ struct CandidateGroup {
   TuplePacker packer;
   FlatMap<Entry> map;
   std::vector<uint32_t> tuples;
+  uint32_t store_group = 0;  // this column set's index in the CoverStore
 
   const uint32_t* tuple(size_t entry_index) const {
     return tuples.data() + entry_index * cols.size();
@@ -102,6 +116,52 @@ struct Postings {
 
 }  // namespace
 
+/// Covers of the counted arity >= 2 rules, kept for the finder's lifetime:
+/// a rule's cover and mass depend only on the views, never on the covered
+/// weights. Counting workers only read it; the calling thread appends in
+/// the serial gather after each candidate block.
+struct MarginalRuleFinder::CoverStore {
+  struct Cover {
+    uint64_t begin;  // offset into `rows`
+    uint32_t size;
+    double mass;
+  };
+  std::vector<Cover> covers;
+  /// Concatenated covers, each ascending in the global row order.
+  std::vector<uint32_t> rows;
+  /// ColsKey -> index into `groups`; each group maps packed values to an
+  /// index into `covers`. A deque: growing it never moves the groups.
+  FlatMap<uint32_t> group_index;
+  std::deque<FlatMap<uint32_t>> groups;
+  bool full = false;
+
+  uint32_t GroupFor(const Key128& cols_key) {
+    auto [slot, inserted] = group_index.FindOrInsert(cols_key);
+    if (inserted) {
+      *slot = static_cast<uint32_t>(groups.size());
+      groups.emplace_back();
+    }
+    return *slot;
+  }
+
+  /// Records a cover; returns its index, or kNoCover once the store is full.
+  uint32_t Add(uint32_t group, const Key128& vals_key,
+               const std::vector<uint32_t>& cover, double mass) {
+    if (full || rows.size() + cover.size() > kMaxCoverRows) {
+      full = true;
+      return kNoCover;
+    }
+    const uint32_t id = static_cast<uint32_t>(covers.size());
+    covers.push_back(Cover{rows.size(), static_cast<uint32_t>(cover.size()),
+                           mass});
+    rows.insert(rows.end(), cover.begin(), cover.end());
+    *groups[group].FindOrInsert(vals_key).first = id;
+    return id;
+  }
+
+  const uint32_t* begin(const Cover& c) const { return rows.data() + c.begin; }
+};
+
 struct MarginalRuleFinder::Impl {
   /// One shard slice of the logical row space. `begin` is the slice's
   /// offset in the concatenated order; covered/mut_covered are shard-local
@@ -119,9 +179,10 @@ struct MarginalRuleFinder::Impl {
   const WeightFunction& weight;
   const MarginalSearchOptions& options;
   MarginalSearchStats& stats;
+  CoverStore& store;
   std::vector<Segment> segs;
   uint64_t total_rows = 0;
-  /// Deferred update fused into the first pass-1 region (see Find overload).
+  /// Deferred update fused into the first pass-1 region (see FindSharded).
   const CoveredUpdate* pending = nullptr;
   /// Caller's promise that every covered-weight entry is exactly 0.0 (the
   /// first greedy step): pass 1 may then fold its Phase-B marginal scan
@@ -181,11 +242,12 @@ struct MarginalRuleFinder::Impl {
 
   Impl(const std::vector<const TableView*>& views, const WeightFunction& w,
        const MarginalSearchOptions& opts, MarginalSearchStats& s,
-       const std::vector<const double*>& covered,
+       CoverStore& cs, const std::vector<const double*>& covered,
        const std::vector<double*>& mut_covered)
       : weight(w),
         options(opts),
         stats(s),
+        store(cs),
         base(opts.base_rule ? *opts.base_rule
                             : Rule(views[0]->num_columns())),
         scratch(0),
@@ -611,20 +673,55 @@ struct MarginalRuleFinder::Impl {
 
   // --- Counting passes (arity >= 2) -------------------------------------
 
-  /// Counts one candidate by walking the postings of its rarest
-  /// instantiated value and verifying the remaining columns against the
-  /// column arrays. The walk is ascending in the concatenated row order and
-  /// crosses shard boundaries by rebinding the hoisted column pointers to
-  /// the next shard's slice — a strictly sequential accumulation, so the
-  /// sums never depend on where the shard cuts fall. Returns the rows
-  /// visited. Writes only to `e` — safe to run concurrently across distinct
-  /// candidates.
+  /// Sum of mass(t) * (w - cw(t))^+ over a stored cover, in its ascending
+  /// row order: the additions the postings walk makes over the rows it
+  /// keeps, so the float is bit-identical.
+  double CoverMarginal(const uint32_t* p, const uint32_t* end,
+                       double w) const {
+    double marginal = 0;
+    size_t si = 0;
+    while (p != end) {
+      while (segs[si].begin + segs[si].rows <= *p) ++si;
+      const Segment& s = segs[si];
+      const uint32_t* run_end = std::lower_bound(
+          p, end, s.begin + s.rows,
+          [](uint32_t a, uint64_t b) { return uint64_t{a} < b; });
+      for (; p != run_end; ++p) {
+        const uint64_t t = *p - s.begin;
+        const uint32_t row =
+            s.subset ? s.view->row_id(t) : static_cast<uint32_t>(t);
+        const double m = s.mass_col ? s.mass_col[row] : 1.0;
+        marginal += m * std::max(0.0, w - s.covered[t]);
+      }
+    }
+    return marginal;
+  }
+
+  /// Counts one candidate. A stored rule walks its own cover for the
+  /// marginal and reuses the stored mass. Otherwise the walk list is the
+  /// shortest stored immediate sub-rule cover when it is shorter than the
+  /// rarest value's postings (then only the sub-rule's missing column is
+  /// checked), else those postings (every other column is checked). Either
+  /// list is ascending in the concatenated row order and crosses shard
+  /// boundaries by rebinding the hoisted column pointers to the next
+  /// shard's slice — a strictly sequential accumulation over exactly the
+  /// covered rows, so the sums never depend on which list was walked or
+  /// where the shard cuts fall. Appends the covered global row ids to
+  /// `record` when set. Returns the rows walked. Writes only to `e` and
+  /// `record` — safe to run concurrently across distinct candidates.
   uint64_t CountOneCandidate(const CandidateGroup& g, const uint32_t* vals,
-                             Entry& e) const {
+                             Entry& e, std::vector<uint32_t>* record) const {
+    if (e.cover != kNoCover) {
+      const CoverStore::Cover& c = store.covers[e.cover];
+      const uint32_t* rows = store.begin(c);
+      e.mass = c.mass;
+      e.marginal += CoverMarginal(rows, rows + c.size, e.weight);
+      return c.size;
+    }
     const size_t arity = g.cols.size();
-    // Walk the shortest posting list: selected by occurrence *count* (the
-    // actual rows visited), not mass — under Sum a huge-support value can
-    // have near-zero mass.
+    // The postings candidate: the shortest posting list, selected by
+    // occurrence *count* (the actual rows visited), not mass — under Sum a
+    // huge-support value can have near-zero mass.
     size_t rare_i = 0;
     uint32_t rare_count = std::numeric_limits<uint32_t>::max();
     for (size_t i = 0; i < arity; ++i) {
@@ -634,9 +731,24 @@ struct MarginalRuleFinder::Impl {
         rare_i = i;
       }
     }
-    const Postings& ps = postings[col_dense[g.cols[rare_i]]];
-    const uint32_t* row_begin = ps.rows.data() + ps.offsets[vals[rare_i]];
-    const uint32_t* row_end = ps.rows.data() + ps.offsets[vals[rare_i] + 1];
+    const uint32_t* row_begin;
+    const uint32_t* row_end;
+    size_t pivot = rare_i;
+    bool only_pivot = false;  // check only the pivot column, not all others
+    if (e.source != kNoCover && store.covers[e.source].size < rare_count) {
+      const CoverStore::Cover& c = store.covers[e.source];
+      row_begin = store.begin(c);
+      row_end = row_begin + c.size;
+      pivot = e.source_col;
+      only_pivot = true;
+    } else {
+      const Postings& ps = postings[col_dense[g.cols[rare_i]]];
+      row_begin = ps.rows.data() + ps.offsets[vals[rare_i]];
+      row_end = ps.rows.data() + ps.offsets[vals[rare_i] + 1];
+    }
+    auto checked = [&](size_t i) {
+      return only_pivot ? i == pivot : i != pivot;
+    };
 
     const bool hoisted = arity <= kMaxHoistedArity;
     GatherPred preds_buf[kMaxHoistedArity];
@@ -669,7 +781,7 @@ struct MarginalRuleFinder::Impl {
         if (hoisted) {
           preds = 0;
           for (size_t i = 0; i < arity; ++i) {
-            if (i == rare_i) continue;
+            if (!checked(i)) continue;
             preds_buf[preds].col = table->column(g.cols[i]).ref();
             preds_buf[preds].want = vals[i];
             ++preds;
@@ -677,7 +789,7 @@ struct MarginalRuleFinder::Impl {
         }
       }
       if (hoisted && !subset) {
-        // Batch the run of postings inside this segment through the
+        // Batch the run of rows inside this segment through the
         // gather-filter kernel, then accumulate the survivors — in the same
         // ascending order the direct loop visits them, so the float sums
         // are bit-identical to the per-row path.
@@ -694,6 +806,9 @@ struct MarginalRuleFinder::Impl {
             const double m = mass_col ? mass_col[t] : 1.0;
             mass += m;
             marginal += m * std::max(0.0, e.weight - s->covered[t]);
+          }
+          if (record != nullptr) {
+            record->insert(record->end(), outbuf, outbuf + kept);
           }
           p += blk;
         }
@@ -712,7 +827,7 @@ struct MarginalRuleFinder::Impl {
         }
       } else {
         for (size_t i = 0; i < arity; ++i) {
-          if (i == rare_i) continue;
+          if (!checked(i)) continue;
           if (table->column(g.cols[i]).Get(row) != vals[i]) {
             covered = false;
             break;
@@ -723,6 +838,7 @@ struct MarginalRuleFinder::Impl {
         const double m = mass_col ? mass_col[row] : 1.0;
         mass += m;
         marginal += m * std::max(0.0, e.weight - s->covered[t]);
+        if (record != nullptr) record->push_back(static_cast<uint32_t>(gt));
       }
       ++p;
     }
@@ -738,7 +854,9 @@ struct MarginalRuleFinder::Impl {
   /// applied per block), while the candidates inside a block count on all
   /// threads. Because the block layout and H-updates are independent of
   /// the thread count, stats and results are bit-identical to serial.
-  /// Returns DeadlineExceeded when the deadline fires at a block boundary.
+  /// Each newly counted candidate's cover is recorded into the store in
+  /// the gather, in item order. Returns DeadlineExceeded when the deadline
+  /// fires at a block boundary.
   Status CountCandidates(std::vector<CandidateGroup>& groups) {
     struct Item {
       CandidateGroup* group;
@@ -762,6 +880,7 @@ struct MarginalRuleFinder::Impl {
 
     const bool prune = options.pruning == PruningMode::kFull;
     double h = best_marginal;
+    std::vector<std::vector<uint32_t>> slot_covers(kCountBlock);
     for (size_t block = 0; block < items.size(); block += kCountBlock) {
       if (DeadlineExpired()) return DeadlineStatus();
       const size_t block_end = std::min(items.size(), block + kCountBlock);
@@ -774,18 +893,29 @@ struct MarginalRuleFinder::Impl {
           ++stats.candidates_pruned;
         }
       }
+      const bool record = !store.full;
       RunChunked(block_end - block, [&](uint64_t k) {
         Item& item = items[block + k];
         if (item.skip) return;
         Entry& e = item.group->map.entry(item.index).second;
+        std::vector<uint32_t>* cover = nullptr;
+        if (record && e.cover == kNoCover) {
+          cover = &slot_covers[k];
+          cover->clear();
+        }
         item.visits = CountOneCandidate(
-            *item.group, item.group->tuple(item.index), e);
+            *item.group, item.group->tuple(item.index), e, cover);
       });
-      // Gather: merge in item order; advance H for the next block.
+      // Gather: merge in item order; record the new covers; advance H for
+      // the next block.
       WallTimer merge_timer;
       for (size_t i = block; i < block_end; ++i) {
         if (items[i].skip) continue;
-        const Entry& e = items[i].group->map.entry(items[i].index).second;
+        auto& [key, e] = items[i].group->map.entry(items[i].index);
+        if (record && e.cover == kNoCover) {
+          e.cover = store.Add(items[i].group->store_group, key,
+                              slot_covers[i - block], e.mass);
+        }
         stats.tuple_visits += items[i].visits;
         ++stats.candidates_counted;
         if (e.marginal > h) h = e.marginal;
@@ -896,10 +1026,14 @@ struct MarginalRuleFinder::Impl {
 
         // Upper-bound test against every counted immediate sub-rule. A
         // missing / excluded / zero-mass sub-rule proves the candidate is
-        // itself zero-mass or already dominated, so drop it.
+        // itself zero-mass or already dominated, so drop it. The same
+        // lookups find the shortest stored sub-rule cover to count from.
         bool pruned = false;
         double bound = std::numeric_limits<double>::infinity();
         const size_t arity = cand_cols.size();
+        uint32_t source = kNoCover;
+        uint32_t source_col = 0;
+        uint32_t source_size = std::numeric_limits<uint32_t>::max();
         for (size_t drop = 0; drop < arity; ++drop) {
           sub_cols.clear();
           sub_vals.clear();
@@ -915,6 +1049,12 @@ struct MarginalRuleFinder::Impl {
             break;
           }
           bound = std::min(bound, SuperRuleBound(*sub));
+          if (arity >= 3 && sub->cover != kNoCover &&
+              store.covers[sub->cover].size < source_size) {
+            source = sub->cover;
+            source_col = static_cast<uint32_t>(drop);
+            source_size = store.covers[sub->cover].size;
+          }
         }
         if (!pruned && prune && (bound < best_marginal || bound <= 0)) {
           pruned = true;
@@ -925,23 +1065,28 @@ struct MarginalRuleFinder::Impl {
         }
 
         uint32_t gi;
-        auto [slot, inserted] =
-            group_index.FindOrInsert(ColsKey(cand_cols.data(), arity));
+        const Key128 cols_key = ColsKey(cand_cols.data(), arity);
+        auto [slot, inserted] = group_index.FindOrInsert(cols_key);
         if (inserted) {
           gi = static_cast<uint32_t>(out.size());
           *slot = gi;
           out.emplace_back();
           out.back().cols = cand_cols;
           out.back().packer = MakePacker(cand_cols);
+          out.back().store_group = store.GroupFor(cols_key);
         } else {
           gi = *slot;
         }
         CandidateGroup& g = out[gi];
-        auto [entry, fresh] =
-            g.map.FindOrInsert(g.packer.Pack(cand_vals.data(), arity));
+        const Key128 vals_key = g.packer.Pack(cand_vals.data(), arity);
+        auto [entry, fresh] = g.map.FindOrInsert(vals_key);
         if (fresh) {
           entry->weight = w;
           entry->bound = bound;
+          const uint32_t* stored = store.groups[g.store_group].Find(vals_key);
+          entry->cover = stored != nullptr ? *stored : kNoCover;
+          entry->source = source;
+          entry->source_col = source_col;
           g.tuples.insert(g.tuples.end(), cand_vals.begin(), cand_vals.end());
         }
       }
@@ -1027,14 +1172,22 @@ struct MarginalRuleFinder::Impl {
 MarginalRuleFinder::MarginalRuleFinder(const TableView& view,
                                        const WeightFunction& weight,
                                        MarginalSearchOptions options)
-    : views_({&view}), weight_(&weight), options_(std::move(options)) {}
+    : views_({&view}),
+      weight_(&weight),
+      options_(std::move(options)),
+      store_(std::make_unique<CoverStore>()) {}
 
 MarginalRuleFinder::MarginalRuleFinder(std::vector<const TableView*> views,
                                        const WeightFunction& weight,
                                        MarginalSearchOptions options)
-    : views_(std::move(views)), weight_(&weight), options_(std::move(options)) {
+    : views_(std::move(views)),
+      weight_(&weight),
+      options_(std::move(options)),
+      store_(std::make_unique<CoverStore>()) {
   SMARTDD_CHECK(!views_.empty()) << "a sharded finder needs >= 1 view";
 }
+
+MarginalRuleFinder::~MarginalRuleFinder() = default;
 
 Result<MarginalRuleResult> MarginalRuleFinder::Find(
     const std::vector<double>& covered_weight) {
@@ -1043,21 +1196,8 @@ Result<MarginalRuleResult> MarginalRuleFinder::Find(
   SMARTDD_CHECK(covered_weight.size() == views_[0]->num_rows())
       << "covered_weight must have one entry per view row";
   stats_ = MarginalSearchStats{};
-  Impl impl(views_, *weight_, options_, stats_, {covered_weight.data()}, {});
-  return impl.Run();
-}
-
-Result<MarginalRuleResult> MarginalRuleFinder::Find(
-    std::vector<double>& covered_weight, const CoveredUpdate& pending) {
-  SMARTDD_CHECK(views_.size() == 1)
-      << "a sharded finder takes per-shard covered weights (FindSharded)";
-  SMARTDD_CHECK(covered_weight.size() == views_[0]->num_rows())
-      << "covered_weight must have one entry per view row";
-  SMARTDD_CHECK(pending.rule.num_columns() == views_[0]->num_columns());
-  stats_ = MarginalSearchStats{};
-  Impl impl(views_, *weight_, options_, stats_, {covered_weight.data()},
-            {covered_weight.data()});
-  impl.pending = &pending;
+  Impl impl(views_, *weight_, options_, stats_, *store_,
+            {covered_weight.data()}, {});
   return impl.Run();
 }
 
@@ -1080,7 +1220,7 @@ Result<MarginalRuleResult> MarginalRuleFinder::FindSharded(
     SMARTDD_CHECK(pending->rule.num_columns() == views_[0]->num_columns());
   }
   stats_ = MarginalSearchStats{};
-  Impl impl(views_, *weight_, options_, stats_, covered_ptrs,
+  Impl impl(views_, *weight_, options_, stats_, *store_, covered_ptrs,
             pending != nullptr ? mut_ptrs : std::vector<double*>{});
   impl.pending = pending;
   impl.covered_zero = covered_is_zero;

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -56,7 +57,10 @@ struct MarginalSearchStats {
   size_t candidates_generated = 0;   ///< candidate rules considered
   size_t candidates_pruned = 0;      ///< dropped by the upper-bound test
   size_t candidates_counted = 0;     ///< actually counted in a pass
-  uint64_t tuple_visits = 0;         ///< row visits across counting passes
+  /// Rows walked across counting passes: n per column in pass 1, then per
+  /// counted candidate the length of the row list its count walked (a
+  /// stored cover, a sub-rule's cover, or its rarest value's postings).
+  uint64_t tuple_visits = 0;
   /// Wall time spent in the gather/merge stages — folding per-lane and
   /// per-block partial aggregates back together in deterministic order
   /// after each scatter. The sharded engine exports this as its
@@ -75,9 +79,9 @@ struct MarginalSearchStats {
 
 /// A deferred covered-weight update from the previous greedy pick: before
 /// the next search reads covered_weight[t], every row covered by `rule`
-/// must have its entry raised to at least `weight`. Passing it into Find()
-/// lets the finder fuse this O(n) update into its own parallel pass-1
-/// region — the drill-down fan-out pipelining: step i's covered-weight
+/// must have its entry raised to at least `weight`. Passing it into
+/// FindSharded() lets the finder fuse this O(n) update into its own parallel
+/// pass-1 region — the drill-down fan-out pipelining: step i's covered-weight
 /// update scan overlaps step i+1's counting scan instead of running as a
 /// separate serial pass between greedy steps.
 struct CoveredUpdate {
@@ -102,6 +106,15 @@ struct MarginalRuleResult {
 ///     min over counted sub-rules r' of
 ///         Marginal(r') + Mass(r') * (max_weight - W(r'))
 /// cannot beat the best marginal value H found so far.
+///
+/// The finder keeps a cover store across its Find calls (BRS runs its k
+/// greedy steps on one finder): for every counted rule of arity >= 2, the
+/// rows it covers and its mass, which no covered-weight change can alter.
+/// A later count of a stored rule walks only its cover; a new rule of arity
+/// >= 3 walks its shortest stored immediate sub-rule cover and checks the
+/// one missing column. Every sum still runs over the same rows in the same
+/// order, so results are bit-identical to a fresh finder per call. The
+/// views' rows must therefore not change while the finder is in use.
 class MarginalRuleFinder {
  public:
   /// `view` and `weight` must outlive the finder.
@@ -125,20 +138,15 @@ class MarginalRuleFinder {
   /// Returns NotFound when no rule has positive marginal value.
   Result<MarginalRuleResult> Find(const std::vector<double>& covered_weight);
 
-  /// Like Find, but first applies `pending` to `covered_weight` inside the
-  /// search's first pass-1 parallel region (each row is updated exactly
-  /// once before any read, so the result is bit-identical to applying the
-  /// update serially before calling Find, for every thread count). When the
-  /// search bails out before scanning (empty view / empty search space),
-  /// `covered_weight` is left untouched — the NotFound ends the greedy loop
-  /// anyway.
-  Result<MarginalRuleResult> Find(std::vector<double>& covered_weight,
-                                  const CoveredUpdate& pending);
-
   /// Sharded Find: `covered[s]` holds the covered-weight entries for
   /// views[s]'s rows (shard-local state, the seam for a multi-process
-  /// tier). `pending` may be null; when set, it is fused into the first
-  /// pass-1 region exactly like the single-view overload.
+  /// tier). `pending` may be null; when set, it is first applied to
+  /// `covered` inside the search's first pass-1 parallel region (each row
+  /// is updated exactly once before any read, so the result is
+  /// bit-identical to applying the update serially first, for every thread
+  /// count). When the search bails out before scanning (empty view / empty
+  /// search space), `covered` is left untouched — the NotFound ends the
+  /// greedy loop anyway.
   ///
   /// `covered_is_zero` is the caller's promise that every covered entry is
   /// exactly 0.0 (the first greedy step, before any rule was picked) — it
@@ -149,16 +157,20 @@ class MarginalRuleFinder {
       const std::vector<std::vector<double>*>& covered,
       const CoveredUpdate* pending, bool covered_is_zero = false);
 
+  ~MarginalRuleFinder();
+
   /// Stats of the most recent Find call.
   const MarginalSearchStats& stats() const { return stats_; }
 
  private:
   struct Impl;
+  struct CoverStore;
 
   std::vector<const TableView*> views_;
   const WeightFunction* weight_;
   MarginalSearchOptions options_;
   MarginalSearchStats stats_;
+  std::unique_ptr<CoverStore> store_;
 };
 
 }  // namespace smartdd

@@ -8,6 +8,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -370,19 +371,24 @@ Result<ResultPayload> Channel::DoCall(std::string_view line,
         StrFormat("%s: send failed", target_.c_str()));
   }
 
+  // Expiry is sampled before `done` on every wake-up, and the wait never
+  // outlasts the deadline (the 50 ms tick only bounds how long a cancel
+  // flag goes unnoticed): a RESULT first observed after expiry is late and
+  // answers DeadlineExceeded, never OK.
   std::unique_lock<std::mutex> lock(state_mu_);
   bool expired = false;
-  while (!pending->done) {
-    if (deadline.active() && deadline.expired()) {
-      expired = true;
-      break;
-    }
-    cv_.wait_for(lock, std::chrono::milliseconds(50));
+  while (true) {
+    expired = deadline.active() && deadline.expired();
+    if (expired || pending->done) break;
+    const double wait_ms = std::clamp(deadline.remaining_ms(), 0.0, 50.0);
+    cv_.wait_for(lock, std::chrono::ceil<std::chrono::microseconds>(
+                           std::chrono::duration<double, std::milli>(wait_ms)));
   }
-  if (expired && !pending->done) {
+  if (expired) {
     pending_.erase(call_id);
+    const bool answered = pending->done;
     lock.unlock();
-    SendCancel(call_id);
+    if (!answered) SendCancel(call_id);
     errors_total_.Inc();
     return Status::DeadlineExceeded(
         StrFormat("%s: rpc deadline expired", target_.c_str()));

@@ -1,0 +1,286 @@
+// Differential suite for the marginal finder's cover store. BRS keeps one
+// MarginalRuleFinder across its k greedy steps, so later steps count the
+// rules they saw before from stored covers, and new rules of arity >= 3 from
+// a stored sub-rule cover. The reference here runs every greedy step on a
+// fresh finder (no cross-step store); both must agree bit for bit on every
+// rule, mass, and score, for every shard x thread x kernel combination,
+// while the store walks strictly fewer rows once k >= 2.
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cmath>
+#include <optional>
+#include <string>
+#include <vector>
+
+#include "core/best_marginal.h"
+#include "core/brs.h"
+#include "core/score.h"
+#include "data/synth.h"
+#include "rules/rule_ops.h"
+#include "storage/shard_plan.h"
+#include "weights/standard_weights.h"
+#include "weights/star_constraint.h"
+
+namespace smartdd {
+namespace {
+
+/// RunBrsSharded's greedy loop with a fresh finder per step.
+BrsResult ReferenceBrs(const std::vector<const TableView*>& views,
+                       const WeightFunction& weight,
+                       const BrsOptions& options) {
+  MarginalSearchOptions search;
+  search.max_weight = options.max_weight;
+  if (std::isinf(search.max_weight)) {
+    double cap = weight.MaxPossibleWeight(views[0]->num_columns());
+    if (std::isfinite(cap)) search.max_weight = cap;
+  }
+  search.pruning = options.pruning;
+  search.max_rule_size = options.max_rule_size;
+  search.allowed_columns = options.allowed_columns;
+  search.base_rule = options.base_rule;
+  search.num_threads = options.num_threads;
+  search.kernel = options.kernel;
+
+  BrsResult result;
+  std::vector<std::vector<double>> covered(views.size());
+  std::vector<std::vector<double>*> covered_ptrs(views.size());
+  for (size_t s = 0; s < views.size(); ++s) {
+    covered[s].assign(views[s]->num_rows(), 0.0);
+    covered_ptrs[s] = &covered[s];
+  }
+  std::optional<CoveredUpdate> pending;
+  for (size_t step = 0; step < options.k; ++step) {
+    MarginalRuleFinder finder(views, weight, search);
+    auto found = finder.FindSharded(
+        covered_ptrs, pending ? &*pending : nullptr, step == 0);
+    pending.reset();
+    result.stats.Accumulate(finder.stats());
+    if (!found.ok()) {
+      EXPECT_EQ(found.status().code(), StatusCode::kNotFound);
+      break;
+    }
+    ScoredRule sr;
+    sr.rule = found->rule;
+    sr.weight = found->weight;
+    sr.mass = found->mass;
+    sr.marginal_value = found->marginal;
+    result.rules.push_back(sr);
+    pending = CoveredUpdate{found->rule, found->weight};
+  }
+  std::stable_sort(result.rules.begin(), result.rules.end(),
+                   [](const ScoredRule& a, const ScoredRule& b) {
+                     return a.weight > b.weight;
+                   });
+  std::vector<Rule> in_order;
+  for (const auto& r : result.rules) in_order.push_back(r.rule);
+  RuleListEvaluation eval =
+      EvaluateRuleListSharded(views, in_order, weight, options.kernel);
+  for (size_t i = 0; i < result.rules.size(); ++i) {
+    result.rules[i].mass = eval.mass[i];
+    result.rules[i].marginal_mass = eval.marginal_mass[i];
+  }
+  result.total_score = eval.total_score;
+  return result;
+}
+
+void ExpectBitIdentical(const BrsResult& a, const BrsResult& b,
+                        const std::string& label) {
+  ASSERT_EQ(a.rules.size(), b.rules.size()) << label;
+  for (size_t i = 0; i < a.rules.size(); ++i) {
+    const ScoredRule& x = a.rules[i];
+    const ScoredRule& y = b.rules[i];
+    EXPECT_EQ(x.rule, y.rule) << label << " rule " << i;
+    // EXPECT_EQ on doubles is exact: any drift in summation order shows.
+    EXPECT_EQ(x.weight, y.weight) << label << " rule " << i;
+    EXPECT_EQ(x.mass, y.mass) << label << " rule " << i;
+    EXPECT_EQ(x.marginal_mass, y.marginal_mass) << label << " rule " << i;
+    EXPECT_EQ(x.marginal_value, y.marginal_value) << label << " rule " << i;
+  }
+  EXPECT_EQ(a.total_score, b.total_score) << label;
+}
+
+/// Row-contiguous shard slices of `table`, Sum over its measure if asked.
+struct Shards {
+  std::vector<Table> slices;
+  std::vector<TableView> views;
+  std::vector<const TableView*> ptrs;
+
+  Shards(const Table& table, size_t num_shards, bool sum) {
+    ShardPlan plan = ShardPlan::Make(table.num_rows(), num_shards);
+    slices.reserve(num_shards);
+    for (size_t s = 0; s < num_shards; ++s) {
+      slices.push_back(
+          table.SliceRows(plan.shard(s).begin, plan.shard(s).end));
+    }
+    for (const Table& t : slices) {
+      views.emplace_back(t);
+      if (sum) views.back().SelectMeasure(0);
+    }
+    for (const TableView& v : views) ptrs.push_back(&v);
+  }
+};
+
+enum class Base { kTrivial, kDrillDown, kStarColumn };
+
+const char* BaseName(Base b) {
+  switch (b) {
+    case Base::kTrivial: return "trivial";
+    case Base::kDrillDown: return "drilldown";
+    case Base::kStarColumn: return "star";
+  }
+  return "?";
+}
+
+/// A 5-column synthetic table with a non-integer measure, so that Sum
+/// masses depend on the order they are added in.
+Table GridTable() {
+  SynthSpec spec;
+  spec.rows = 2500;
+  spec.cardinalities = {4, 5, 3, 6, 4};
+  spec.zipf = {1.1, 0.7, 1.3, 0.9, 1.0};
+  spec.seed = 4242;
+  spec.with_measure = true;
+  return GenerateSyntheticTable(spec);
+}
+
+TEST(CoverMemoTest, BrsMatchesFreshFinderPerStepAcrossTheGrid) {
+  const Table table = GridTable();
+  SizeWeight size;
+  BitsWeight bits = BitsWeight::FromTable(table);
+  // Drill-down base: the first column's most frequent value (code 0 of a
+  // Zipf column), the reduction SmartDrillDown applies.
+  Rule drill_base(table.num_columns());
+  drill_base.set_value(0, 0);
+  const size_t star_col = 1;
+
+  for (bool sum : {false, true}) {
+    for (const WeightFunction* base_weight :
+         {static_cast<const WeightFunction*>(&size),
+          static_cast<const WeightFunction*>(&bits)}) {
+      for (Base base : {Base::kTrivial, Base::kDrillDown, Base::kStarColumn}) {
+        std::optional<StarConstraintWeight> star_weight;
+        const WeightFunction* weight = base_weight;
+        if (base == Base::kStarColumn) {
+          star_weight.emplace(*base_weight, star_col);
+          weight = &*star_weight;
+        }
+        BrsOptions options;
+        options.base_rule = base == Base::kDrillDown
+                                ? drill_base
+                                : Rule(table.num_columns());
+        for (size_t c = 0; c < table.num_columns(); ++c) {
+          if (options.base_rule->is_star(c)) {
+            options.allowed_columns.push_back(c);
+          }
+        }
+
+        // One logical table per shard count; drill-downs filter each
+        // shard to the base's cover, as SmartDrillDownSharded does.
+        struct Layout {
+          size_t shards;
+          Shards raw;
+          std::vector<TableView> filtered;
+          std::vector<const TableView*> views;
+        };
+        std::vector<Layout> layouts;
+        layouts.reserve(3);
+        for (size_t shards : {size_t{1}, size_t{2}, size_t{4}}) {
+          layouts.push_back(Layout{shards, Shards(table, shards, sum), {}, {}});
+          Layout& l = layouts.back();
+          if (base == Base::kDrillDown) {
+            for (const TableView* v : l.raw.ptrs) {
+              l.filtered.push_back(FilterView(*v, drill_base));
+            }
+            for (const TableView& v : l.filtered) l.views.push_back(&v);
+          } else {
+            l.views = l.raw.ptrs;
+          }
+        }
+
+        for (size_t k = 1; k <= 5; ++k) {
+          const std::string config =
+              std::string(sum ? "Sum" : "Count") + "/" + base_weight->name() +
+              "/" + BaseName(base) + "/k=" + std::to_string(k);
+          options.k = k;
+          options.num_threads = 1;
+          options.kernel = KernelPref::kScalar;
+          const BrsResult reference =
+              ReferenceBrs(layouts[0].views, *weight, options);
+          ASSERT_EQ(reference.rules.size(), k) << config;
+
+          std::optional<uint64_t> visits;
+          for (const Layout& l : layouts) {
+            for (size_t threads : {size_t{1}, size_t{4}}) {
+              for (KernelPref kernel :
+                   {KernelPref::kScalar, KernelPref::kAuto}) {
+                const std::string label =
+                    config + " shards=" + std::to_string(l.shards) +
+                    " threads=" + std::to_string(threads) + " kernel=" +
+                    (kernel == KernelPref::kScalar ? "scalar" : "auto");
+                options.num_threads = threads;
+                options.kernel = kernel;
+                auto got = RunBrsSharded(l.views, *weight, options);
+                ASSERT_TRUE(got.ok()) << label << ": "
+                                      << got.status().ToString();
+                ExpectBitIdentical(*got, reference, label);
+                EXPECT_EQ(got->stats.candidates_counted,
+                          reference.stats.candidates_counted)
+                    << label;
+                if (!visits) visits = got->stats.tuple_visits;
+                EXPECT_EQ(got->stats.tuple_visits, *visits) << label;
+              }
+            }
+          }
+          if (k >= 2) {
+            EXPECT_LT(*visits, reference.stats.tuple_visits)
+                << config << ": later steps should walk stored covers";
+          } else {
+            EXPECT_EQ(*visits, reference.stats.tuple_visits) << config;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(CoverMemoTest, RepeatedFindOnOneFinderMatchesFreshFinders) {
+  // Direct finder use: the second and later Find calls on one finder count
+  // from the store, and must agree with a fresh finder on the same covered
+  // weights.
+  const Table table = GridTable();
+  TableView view(table);
+  view.SelectMeasure(0);
+  SizeWeight weight;
+  MarginalSearchOptions options;
+  options.max_weight = 5;
+  options.num_threads = 1;
+  MarginalRuleFinder shared(view, weight, options);
+  std::vector<double> covered(view.num_rows(), 0.0);
+  for (int step = 0; step < 4; ++step) {
+    auto got = shared.Find(covered);
+    MarginalRuleFinder fresh(view, weight, options);
+    auto want = fresh.Find(covered);
+    ASSERT_TRUE(got.ok() && want.ok()) << step;
+    EXPECT_EQ(got->rule, want->rule) << step;
+    EXPECT_EQ(got->weight, want->weight) << step;
+    EXPECT_EQ(got->mass, want->mass) << step;
+    EXPECT_EQ(got->marginal, want->marginal) << step;
+    EXPECT_EQ(shared.stats().candidates_counted,
+              fresh.stats().candidates_counted)
+        << step;
+    if (step > 0) {
+      EXPECT_LT(shared.stats().tuple_visits, fresh.stats().tuple_visits)
+          << step;
+    }
+    for (uint64_t t = 0; t < view.num_rows(); ++t) {
+      if (RuleCoversRow(got->rule, view, t)) {
+        covered[t] = std::max(covered[t], got->weight);
+      }
+    }
+  }
+}
+
+}  // namespace
+}  // namespace smartdd
