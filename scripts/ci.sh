@@ -28,16 +28,17 @@ fi
 # run: the parallel differential suites, everything touching the background
 # prefetcher and registry, the chaos suite (which arms fault schedules
 # while 16 sessions hammer the service), and the marginal finder's cover
-# store (read by pool workers, written by the calling thread) with the
-# brute-force BRS oracle.
-SAN_TESTS="parallel_marginal_test|parallel_sampling_test|sample_handler_test|session_test|concurrent_sessions_test|task_scheduler_test|service_test|codec_test|metrics_test|http_server_test|chaos_test|disk_table_test|sharded_engine_test|packed_column_test|deadline_test|rpc_test|cluster_test|live_table_test|expansion_cache_test|cover_memo_test|brs_oracle_test"
+# store (read by pool workers, written by the calling thread) and its lazy
+# singleton recounts (written by pool workers) with the brute-force BRS and
+# greedy oracles.
+SAN_TESTS="parallel_marginal_test|parallel_sampling_test|sample_handler_test|session_test|concurrent_sessions_test|task_scheduler_test|service_test|codec_test|metrics_test|http_server_test|chaos_test|disk_table_test|sharded_engine_test|packed_column_test|deadline_test|rpc_test|cluster_test|live_table_test|expansion_cache_test|cover_memo_test|brs_oracle_test|greedy_oracle_test"
 SAN_TARGETS=(
   parallel_marginal_test parallel_sampling_test sample_handler_test
   session_test concurrent_sessions_test task_scheduler_test
   service_test codec_test metrics_test http_server_test chaos_test
   disk_table_test sharded_engine_test packed_column_test
   deadline_test rpc_test cluster_test live_table_test expansion_cache_test
-  cover_memo_test brs_oracle_test
+  cover_memo_test brs_oracle_test greedy_oracle_test
 )
 
 run_sanitizer_stage() {

@@ -7,6 +7,7 @@
 #include <functional>
 #include <limits>
 #include <memory>
+#include <optional>
 
 #include "common/flat_map.h"
 #include "common/float_sum.h"
@@ -37,7 +38,14 @@ struct Entry {
   /// and the position of the one column that sub-rule lacks.
   uint32_t source = kNoCover;
   uint32_t source_col = 0;
+  /// The marginal this rule was last counted with in an earlier Find (arity
+  /// >= 2, from the CoverStore; +inf when never counted). Covered weights
+  /// only rise between Finds, so it bounds the current marginal.
+  double last = std::numeric_limits<double>::infinity();
   bool excluded = false;
+  /// Not recounted in this Find: `marginal` is a stale upper bound, valid
+  /// for pruning and generation but never a winner (see CountCandidates).
+  bool stale = false;
 };
 
 using Cols = std::vector<uint32_t>;
@@ -63,15 +71,32 @@ using Cols = std::vector<uint32_t>;
 constexpr uint64_t kMinLaneRows = 16384;
 constexpr uint64_t kMaxLanes = 64;
 constexpr uint64_t kMaxLaneCells = uint64_t{1} << 22;  // ~80 MB of scratch
+
+/// The lane grid of one column: `lanes` lanes of `rows` rows each (the last
+/// may be shorter) over n global rows, for a dictionary of `dict` codes.
+struct LaneLayout {
+  uint64_t lanes;
+  uint64_t rows;
+
+  LaneLayout(uint64_t n, size_t dict)
+      : lanes(std::max<uint64_t>(
+            1, std::min({(n + kMinLaneRows - 1) / kMinLaneRows, kMaxLanes,
+                         kMaxLaneCells / std::max<uint64_t>(1, dict)}))),
+        rows((n + lanes - 1) / lanes) {}
+};
+
+/// A lane length no row list reaches: WalkMarginal then sums sequentially.
+constexpr uint64_t kOneLane = std::numeric_limits<uint64_t>::max();
 /// Bounds the cover store (64 MB of row ids per finder). Once full, new
 /// candidates are no longer recorded and count by the postings walk, with
 /// identical results.
 constexpr uint64_t kMaxCoverRows = uint64_t{1} << 24;
 
-/// Candidates per block in the counting passes. The threshold H is frozen
+/// Largest block of candidates counted together. The threshold H is frozen
 /// at each block boundary: pruning decisions depend only on block layout
 /// (thread-count-independent), while the candidates inside one block count
-/// concurrently.
+/// concurrently. Blocks grow 1, 2, 4, ... up to this size (see
+/// ForEachBlock), so H rises from 0 before the wide blocks start.
 constexpr size_t kCountBlock = 64;
 
 /// Stack capacity for hoisted per-candidate column pointers; rules wider
@@ -104,6 +129,9 @@ struct SingletonTable {
   std::vector<Entry> entries;
   std::vector<uint32_t> counts;
   std::vector<uint32_t> codes;
+  /// Pass 1's lane length for this column; a recount over the postings
+  /// sums in these lanes (see RecountSingles).
+  uint64_t lane_rows = 0;
 };
 
 /// Row postings per dictionary code of one column, CSR layout: the rows
@@ -125,6 +153,7 @@ struct MarginalRuleFinder::CoverStore {
     uint64_t begin;  // offset into `rows`
     uint32_t size;
     double mass;
+    double marginal;  // as last counted; an upper bound in later Finds
   };
   std::vector<Cover> covers;
   /// Concatenated covers, each ascending in the global row order.
@@ -146,20 +175,40 @@ struct MarginalRuleFinder::CoverStore {
 
   /// Records a cover; returns its index, or kNoCover once the store is full.
   uint32_t Add(uint32_t group, const Key128& vals_key,
-               const std::vector<uint32_t>& cover, double mass) {
+               const std::vector<uint32_t>& cover, double mass,
+               double marginal) {
     if (full || rows.size() + cover.size() > kMaxCoverRows) {
       full = true;
       return kNoCover;
     }
     const uint32_t id = static_cast<uint32_t>(covers.size());
     covers.push_back(Cover{rows.size(), static_cast<uint32_t>(cover.size()),
-                           mass});
+                           mass, marginal});
     rows.insert(rows.end(), cover.begin(), cover.end());
     *groups[group].FindOrInsert(vals_key).first = id;
     return id;
   }
 
   const uint32_t* begin(const Cover& c) const { return rows.data() + c.begin; }
+};
+
+/// Pass 1's state, kept for the finder's lifetime once a Find built the
+/// postings: counts, masses, weights and postings depend only on the views,
+/// and each entry's marginal is the one it was last counted with. `pick`
+/// names the last winner's cover, so that the covered-weight update of the
+/// next Find walks it instead of scanning every row.
+struct MarginalRuleFinder::PassOneStore {
+  std::vector<SingletonTable> singles;  // per dense column
+  std::vector<Postings> postings;       // per dense column, global row ids
+  bool built = false;
+
+  struct Pick {
+    Rule rule{0};
+    Rule rest{0};  // `rule` without the columns its cover list matches
+    int32_t single = -1;        // dense column of a singleton winner, or -1
+    uint32_t cover = kNoCover;  // stored cover of a wider winner
+  };
+  std::optional<Pick> pick;
 };
 
 struct MarginalRuleFinder::Impl {
@@ -180,9 +229,11 @@ struct MarginalRuleFinder::Impl {
   const MarginalSearchOptions& options;
   MarginalSearchStats& stats;
   CoverStore& store;
+  PassOneStore& pass1;
   std::vector<Segment> segs;
   uint64_t total_rows = 0;
-  /// Deferred update fused into the first pass-1 region (see FindSharded).
+  /// Deferred covered-weight update (see FindSharded): fused into pass 1 on
+  /// the finder's first Find, applied by ApplyPending on later ones.
   const CoveredUpdate* pending = nullptr;
   /// Caller's promise that every covered-weight entry is exactly 0.0 (the
   /// first greedy step): pass 1 may then fold its Phase-B marginal scan
@@ -213,8 +264,8 @@ struct MarginalRuleFinder::Impl {
   /// bit-identical to double(count) up to 2^53 rows.
   bool count_mode = false;
 
-  std::vector<Postings> postings;        // per dense column, global row ids
-  std::vector<SingletonTable> singles;   // per dense column
+  std::vector<Postings>& postings;       // pass1.postings
+  std::vector<SingletonTable>& singles;  // pass1.singles
   std::vector<CandidateGroup> counted;   // arity >= 2 groups, all passes
   FlatMap<uint32_t> counted_index;       // ColsKey -> index into `counted`
 
@@ -222,6 +273,8 @@ struct MarginalRuleFinder::Impl {
   Rule best_rule{0};
   double best_weight = 0;
   double best_mass = 0;
+  Cols best_cols;                 // the winner's candidate columns
+  uint32_t best_cover = kNoCover;  // its stored cover (arity >= 2)
 
   /// Latched deadline state, polled from the driver thread only — at pass,
   /// column, and candidate-block boundaries, i.e. right after (never
@@ -242,18 +295,22 @@ struct MarginalRuleFinder::Impl {
 
   Impl(const std::vector<const TableView*>& views, const WeightFunction& w,
        const MarginalSearchOptions& opts, MarginalSearchStats& s,
-       CoverStore& cs, const std::vector<const double*>& covered,
+       CoverStore& cs, PassOneStore& p1,
+       const std::vector<const double*>& covered,
        const std::vector<double*>& mut_covered)
       : weight(w),
         options(opts),
         stats(s),
         store(cs),
+        pass1(p1),
         base(opts.base_rule ? *opts.base_rule
                             : Rule(views[0]->num_columns())),
         scratch(0),
         threads(ThreadPool::EffectiveThreads(opts.num_threads)),
         kpath(ResolveKernelPath(opts.kernel)),
-        kern(&GetScanKernels(kpath)) {
+        kern(&GetScanKernels(kpath)),
+        postings(p1.postings),
+        singles(p1.singles) {
     SMARTDD_CHECK(!views.empty());
     const TableView& proto = *views[0];
     SMARTDD_CHECK(base.num_columns() == proto.num_columns());
@@ -328,6 +385,36 @@ struct MarginalRuleFinder::Impl {
     }
   }
 
+  /// Invokes fn(segment, begin, end) for each maximal run [begin, end) of
+  /// the ascending global row list [p, end) that lies in one shard, in order.
+  template <typename Fn>
+  void ForEachRun(const uint32_t* p, const uint32_t* end, Fn&& fn) const {
+    size_t si = 0;
+    while (p != end) {
+      while (segs[si].begin + segs[si].rows <= *p) ++si;
+      const Segment& s = segs[si];
+      const uint32_t* run_end = std::lower_bound(
+          p, end, s.begin + s.rows,
+          [](uint32_t a, uint64_t b) { return uint64_t{a} < b; });
+      fn(s, p, run_end);
+      p = run_end;
+    }
+  }
+
+  /// Calls fn(begin, end) for consecutive blocks of [0, n) of 1, 2, 4, ...
+  /// up to kCountBlock items: the finder's one block schedule, a pure
+  /// function of n. Returns DeadlineExceeded when the deadline fires at a
+  /// block boundary.
+  template <typename Fn>
+  Status ForEachBlock(size_t n, Fn&& fn) {
+    for (size_t begin = 0, size = 1; begin < n;
+         begin += size, size = std::min(2 * size, kCountBlock)) {
+      if (DeadlineExpired()) return DeadlineStatus();
+      fn(begin, std::min(n, begin + size));
+    }
+    return Status::OK();
+  }
+
   // --- Keys -------------------------------------------------------------
 
   /// Key for a set of columns: a bitmask over dense column indices when the
@@ -392,12 +479,13 @@ struct MarginalRuleFinder::Impl {
     return FullRule(cols, vals).values() < best_rule.values();
   }
 
-  void TakeBest(double marginal, double w, double mass, const Cols& cols,
-                const uint32_t* vals) {
-    best_marginal = marginal;
+  void TakeBest(const Entry& e, const Cols& cols, const uint32_t* vals) {
+    best_marginal = e.marginal;
     best_rule = FullRule(cols, vals);
-    best_weight = w;
-    best_mass = mass;
+    best_weight = e.weight;
+    best_mass = e.mass;
+    best_cols = cols;
+    best_cover = e.cover;
   }
 
   /// Dispatches fn(chunk) over [0, num_chunks): inline when serial (never
@@ -413,6 +501,26 @@ struct MarginalRuleFinder::Impl {
   }
 
   // --- Pass 1 -----------------------------------------------------------
+
+  /// Raises covered[t] to the pending weight on the rows of [llo, lhi) of
+  /// `s` that the pending rule covers. Distinct ranges touch distinct rows.
+  void ApplyPendingRange(const Segment& s, uint64_t llo, uint64_t lhi) const {
+    const double w = pending->weight;
+    double* cw = s.mut_covered;
+    if (s.subset) {
+      for (uint64_t t = llo; t < lhi; ++t) {
+        if (cw[t] < w && RuleCoversRow(pending->rule, *s.view, t)) cw[t] = w;
+      }
+      return;
+    }
+    uint8_t rmask[kScanBlockRows];
+    const Table& table = s.view->table();
+    for (uint64_t b0 = llo; b0 < lhi; b0 += kScanBlockRows) {
+      const uint64_t b1 = std::min(lhi, b0 + kScanBlockRows);
+      ComputeRuleMask(pending->rule, table, b0, b1, rmask, *kern);
+      kern->covered_max(cw + b0, rmask, static_cast<size_t>(b1 - b0), w);
+    }
+  }
 
   /// One scan per column counting every size-1 rule and building the
   /// per-value CSR postings. Parallel over fixed row chunks with per-chunk
@@ -439,12 +547,13 @@ struct MarginalRuleFinder::Impl {
       st.col = c;
       st.entries.assign(dict, Entry{});
       st.counts.assign(dict, 0u);
+      st.codes.clear();
 
       // Lane layout for this column (global-data-shape-dependent only).
-      const uint64_t num_lanes = std::max<uint64_t>(
-          1, std::min({(n + kMinLaneRows - 1) / kMinLaneRows, kMaxLanes,
-                       kMaxLaneCells / std::max<uint64_t>(1, dict)}));
-      const uint64_t lane_rows = (n + num_lanes - 1) / num_lanes;
+      const LaneLayout layout(n, dict);
+      const uint64_t num_lanes = layout.lanes;
+      const uint64_t lane_rows = layout.rows;
+      st.lane_rows = lane_rows;
       auto lane_bounds = [&](uint64_t lane) {
         return std::pair<uint64_t, uint64_t>(
             lane * lane_rows, std::min(n, (lane + 1) * lane_rows));
@@ -473,23 +582,13 @@ struct MarginalRuleFinder::Impl {
         double* mass =
             count_mode ? nullptr : lane_mass.data() + lane * dict;
         uint32_t codes[kScanBlockRows];
-        uint8_t rmask[kScanBlockRows];
         ForEachRange(lo, hi, [&](const Segment& s, uint64_t llo,
                                  uint64_t lhi) {
-          const Table& table = s.view->table();
-          const PackedRef col = table.column(c).ref();
+          const PackedRef col = s.view->table().column(c).ref();
           const double* mass_col = s.mass_col;
           if (s.subset) {
             // Subset views resolve a row id per row: no contiguous decode.
-            if (fuse_update) {
-              const double w = pending->weight;
-              double* cw = s.mut_covered;
-              for (uint64_t t = llo; t < lhi; ++t) {
-                if (cw[t] < w && RuleCoversRow(pending->rule, *s.view, t)) {
-                  cw[t] = w;
-                }
-              }
-            }
+            if (fuse_update) ApplyPendingRange(s, llo, lhi);
             for (uint64_t t = llo; t < lhi; ++t) {
               const uint32_t row = s.view->row_id(t);
               const uint32_t code = col.Get(row);
@@ -510,11 +609,7 @@ struct MarginalRuleFinder::Impl {
           for (uint64_t b0 = llo; b0 < lhi; b0 += kScanBlockRows) {
             const uint64_t b1 = std::min(lhi, b0 + kScanBlockRows);
             const size_t bn = static_cast<size_t>(b1 - b0);
-            if (fuse_update) {
-              ComputeRuleMask(pending->rule, table, b0, b1, rmask, *kern);
-              kern->covered_max(s.mut_covered + b0, rmask, bn,
-                                pending->weight);
-            }
+            if (fuse_update) ApplyPendingRange(s, b0, b1);
             if (mass == nullptr) {
               kern->count_codes(col, b0, b1, dict, counts);
               continue;
@@ -671,31 +766,165 @@ struct MarginalRuleFinder::Impl {
     return Status::OK();
   }
 
-  // --- Counting passes (arity >= 2) -------------------------------------
-
-  /// Sum of mass(t) * (w - cw(t))^+ over a stored cover, in its ascending
-  /// row order: the additions the postings walk makes over the rows it
-  /// keeps, so the float is bit-identical.
-  double CoverMarginal(const uint32_t* p, const uint32_t* end,
-                       double w) const {
+  /// Sum of mass(t) * (w - cw(t))^+ over an ascending global row list,
+  /// added in row order within each `lane_rows`-row lane of the global row
+  /// space, the lane sums then added in lane order. Over a code's postings
+  /// with its column's lane length, that is the float pass 1's Phase B
+  /// computes for the code (a lane without its rows adds 0.0 there, which
+  /// changes nothing); with kOneLane it is the sequential sum a postings
+  /// walk makes over the same rows. Either way bit for bit.
+  double WalkMarginal(const uint32_t* p, const uint32_t* end, double w,
+                      uint64_t lane_rows) const {
     double marginal = 0;
-    size_t si = 0;
-    while (p != end) {
-      while (segs[si].begin + segs[si].rows <= *p) ++si;
-      const Segment& s = segs[si];
-      const uint32_t* run_end = std::lower_bound(
-          p, end, s.begin + s.rows,
-          [](uint32_t a, uint64_t b) { return uint64_t{a} < b; });
-      for (; p != run_end; ++p) {
-        const uint64_t t = *p - s.begin;
+    double lane = 0;
+    uint64_t lane_end = 0;
+    ForEachRun(p, end, [&](const Segment& s, const uint32_t* q,
+                           const uint32_t* run_end) {
+      for (; q != run_end; ++q) {
+        if (*q >= lane_end) {
+          marginal += lane;
+          lane = 0;
+          lane_end = (*q / lane_rows + 1) * lane_rows;
+        }
+        const uint64_t t = *q - s.begin;
         const uint32_t row =
             s.subset ? s.view->row_id(t) : static_cast<uint32_t>(t);
         const double m = s.mass_col ? s.mass_col[row] : 1.0;
-        marginal += m * std::max(0.0, w - s.covered[t]);
+        lane += m * std::max(0.0, w - s.covered[t]);
+      }
+    });
+    return marginal + lane;
+  }
+
+  /// Applies the pending covered-weight update in full. When the pending
+  /// rule is the previous Find's winner, only its cover list is walked: a
+  /// singleton's postings or a wider rule's stored cover, checking on each
+  /// row the rule's other columns (the drill-down base's). Otherwise every
+  /// row is scanned, as pass 1's fused update does.
+  void ApplyPending() {
+    if (pending == nullptr) return;
+    const std::optional<PassOneStore::Pick>& pick = pass1.pick;
+    const uint32_t* rows = nullptr;
+    uint64_t len = 0;
+    if (pick && pick->rule == pending->rule) {
+      if (pick->single >= 0) {
+        const Postings& ps = postings[pick->single];
+        const uint32_t code = pick->rule.value(columns[pick->single]);
+        rows = ps.rows.data() + ps.offsets[code];
+        len = ps.offsets[code + 1] - ps.offsets[code];
+      } else if (pick->cover != kNoCover) {
+        const CoverStore::Cover& c = store.covers[pick->cover];
+        rows = store.begin(c);
+        len = c.size;
       }
     }
-    return marginal;
+    if (rows == nullptr) {
+      const LaneLayout layout(total_rows, 1);
+      RunChunked(layout.lanes, [&](uint64_t lane) {
+        ForEachRange(lane * layout.rows,
+                     std::min(total_rows, (lane + 1) * layout.rows),
+                     [&](const Segment& s, uint64_t llo, uint64_t lhi) {
+                       ApplyPendingRange(s, llo, lhi);
+                     });
+      });
+      return;
+    }
+    const double w = pending->weight;
+    RunChunked((len + kMinLaneRows - 1) / kMinLaneRows, [&](uint64_t chunk) {
+      const uint32_t* p = rows + chunk * kMinLaneRows;
+      const uint32_t* end = rows + std::min(len, (chunk + 1) * kMinLaneRows);
+      ForEachRun(p, end, [&](const Segment& s, const uint32_t* q,
+                             const uint32_t* run_end) {
+        const CompiledRule rest(pick->rest, s.view->table());
+        for (; q != run_end; ++q) {
+          const uint64_t t = *q - s.begin;
+          const uint32_t row =
+              s.subset ? s.view->row_id(t) : static_cast<uint32_t>(t);
+          if (s.mut_covered[t] < w && rest.Covers(row)) s.mut_covered[t] = w;
+        }
+      });
+    });
   }
+
+  /// Pass 1 of a Find after the one that built the postings: counts,
+  /// masses, weights and postings are the stored ones, and a singleton's
+  /// marginal can only have fallen since it was last counted. Singletons
+  /// are taken in decreasing order of that last marginal, in the block
+  /// schedule with H frozen per block; one whose last marginal is below H
+  /// (or zero) can neither win nor tie, and is set aside. Once H is final,
+  /// a set-aside singleton whose last super-rule bound still reaches H is
+  /// recounted after all: stale, it would loosen pass 2's bounds and let
+  /// through candidates that its fresh count prunes. The others keep their
+  /// last marginal as a stale bound, which prunes exactly as the fresh one
+  /// would. A recount walks the postings in pass 1's lanes, which gives
+  /// Phase B's floats bit for bit.
+  Status RecountSingles() {
+    struct Item {
+      Entry* e;
+      const uint32_t* rows;
+      uint32_t size;
+      uint64_t lane_rows;
+    };
+    std::vector<Item> items;
+    for (size_t ci = 0; ci < columns.size(); ++ci) {
+      SingletonTable& st = singles[ci];
+      const Postings& ps = postings[ci];
+      for (uint32_t v : st.codes) {
+        ++stats.candidates_generated;
+        Entry& e = st.entries[v];
+        if (e.excluded) continue;
+        items.push_back(Item{&e, ps.rows.data() + ps.offsets[v], st.counts[v],
+                             st.lane_rows});
+      }
+    }
+    std::stable_sort(items.begin(), items.end(),
+                     [](const Item& a, const Item& b) {
+                       return a.e->marginal > b.e->marginal;
+                     });
+
+    const bool prune = options.pruning == PruningMode::kFull;
+    double h = best_marginal;
+    std::vector<size_t> todo;  // indices into `items` to recount
+    auto recount = [&] {
+      RunChunked(todo.size(), [&](uint64_t k) {
+        Item& item = items[todo[k]];
+        item.e->marginal = WalkMarginal(item.rows, item.rows + item.size,
+                                        item.e->weight, item.lane_rows);
+      });
+      for (size_t i : todo) {
+        items[i].e->stale = false;
+        stats.tuple_visits += items[i].size;
+        ++stats.candidates_counted;
+        h = std::max(h, items[i].e->marginal);
+      }
+    };
+    SMARTDD_RETURN_IF_ERROR(ForEachBlock(items.size(), [&](size_t begin,
+                                                           size_t end) {
+      todo.clear();
+      for (size_t i = begin; i < end; ++i) {
+        Entry& e = *items[i].e;
+        e.stale = prune && (e.marginal < h || e.marginal <= 0);
+        if (!e.stale) todo.push_back(i);
+      }
+      recount();
+    }));
+    if (DeadlineExpired()) return DeadlineStatus();
+    todo.clear();
+    for (size_t i = 0; i < items.size(); ++i) {
+      const Entry& e = *items[i].e;
+      if (e.stale && e.marginal > 0 && SuperRuleBound(e) >= h) {
+        todo.push_back(i);
+      }
+    }
+    recount();  // each fresh marginal is below H: H stays final
+    for (const Item& item : items) {
+      stats.candidates_stale_skipped += item.e->stale;
+    }
+    ++stats.passes;
+    return Status::OK();
+  }
+
+  // --- Counting passes (arity >= 2) -------------------------------------
 
   /// Counts one candidate. A stored rule walks its own cover for the
   /// marginal and reuses the stored mass. Otherwise the walk list is the
@@ -715,7 +944,7 @@ struct MarginalRuleFinder::Impl {
       const CoverStore::Cover& c = store.covers[e.cover];
       const uint32_t* rows = store.begin(c);
       e.mass = c.mass;
-      e.marginal += CoverMarginal(rows, rows + c.size, e.weight);
+      e.marginal += WalkMarginal(rows, rows + c.size, e.weight, kOneLane);
       return c.size;
     }
     const size_t arity = g.cols.size();
@@ -847,16 +1076,20 @@ struct MarginalRuleFinder::Impl {
     return static_cast<uint64_t>(row_end - row_begin);
   }
 
-  /// Passes 2+: candidates are processed in decreasing order of their
-  /// generation-time upper bound, in fixed-size blocks. The threshold H is
-  /// frozen at each block boundary: the long tail of weak candidates is
-  /// still skipped without touching a tuple (the paper's threshold rule,
-  /// applied per block), while the candidates inside a block count on all
-  /// threads. Because the block layout and H-updates are independent of
-  /// the thread count, stats and results are bit-identical to serial.
-  /// Each newly counted candidate's cover is recorded into the store in
-  /// the gather, in item order. Returns DeadlineExceeded when the deadline
-  /// fires at a block boundary.
+  /// Passes 2+: candidates are processed in decreasing order of
+  /// min(generation-time upper bound, last counted marginal), in the block
+  /// schedule. The threshold H is frozen at each block boundary: the long
+  /// tail of weak candidates is still skipped without touching a tuple (the
+  /// paper's threshold rule, applied per block), while the candidates
+  /// inside a block count on all threads. A candidate whose bound is below
+  /// H is tombstoned; one whose last marginal is below H (or zero) is not
+  /// recounted, keeping that marginal as a stale bound (see Entry::stale).
+  /// Ties with H are recounted, so the tie-break sees every contender.
+  /// Because the block layout and H-updates are independent of the thread
+  /// count, stats and results are bit-identical to serial. Each counted
+  /// candidate's cover (when new) and marginal are recorded into the store
+  /// in the gather, in item order. Returns DeadlineExceeded when the
+  /// deadline fires at a block boundary.
   Status CountCandidates(std::vector<CandidateGroup>& groups) {
     struct Item {
       CandidateGroup* group;
@@ -872,30 +1105,39 @@ struct MarginalRuleFinder::Impl {
         }
       }
     }
+    auto key = [](const Item& item) {
+      const Entry& e = item.group->map.entry(item.index).second;
+      return std::min(e.bound, e.last);
+    };
     std::stable_sort(items.begin(), items.end(),
-                     [](const Item& a, const Item& b) {
-                       return a.group->map.entry(a.index).second.bound >
-                              b.group->map.entry(b.index).second.bound;
+                     [&](const Item& a, const Item& b) {
+                       return key(a) > key(b);
                      });
 
     const bool prune = options.pruning == PruningMode::kFull;
     double h = best_marginal;
     std::vector<std::vector<uint32_t>> slot_covers(kCountBlock);
-    for (size_t block = 0; block < items.size(); block += kCountBlock) {
-      if (DeadlineExpired()) return DeadlineStatus();
-      const size_t block_end = std::min(items.size(), block + kCountBlock);
+    SMARTDD_RETURN_IF_ERROR(ForEachBlock(items.size(), [&](size_t begin,
+                                                           size_t end) {
       // Pruning decisions against the frozen H, in order.
-      for (size_t i = block; i < block_end; ++i) {
+      for (size_t i = begin; i < end; ++i) {
         Entry& e = items[i].group->map.entry(items[i].index).second;
-        if (prune && (e.bound < h || e.bound <= 0)) {
+        if (!prune) continue;
+        if (e.bound < h || e.bound <= 0) {
           e.excluded = true;  // tombstone: super-rules prune through it
           items[i].skip = true;
           ++stats.candidates_pruned;
+        } else if (e.last < h || e.last <= 0) {
+          e.marginal = e.last;
+          e.mass = store.covers[e.cover].mass;
+          e.stale = true;
+          items[i].skip = true;
+          ++stats.candidates_stale_skipped;
         }
       }
       const bool record = !store.full;
-      RunChunked(block_end - block, [&](uint64_t k) {
-        Item& item = items[block + k];
+      RunChunked(end - begin, [&](uint64_t k) {
+        Item& item = items[begin + k];
         if (item.skip) return;
         Entry& e = item.group->map.entry(item.index).second;
         std::vector<uint32_t>* cover = nullptr;
@@ -906,22 +1148,24 @@ struct MarginalRuleFinder::Impl {
         item.visits = CountOneCandidate(
             *item.group, item.group->tuple(item.index), e, cover);
       });
-      // Gather: merge in item order; record the new covers; advance H for
-      // the next block.
+      // Gather: merge in item order; record the new covers and the fresh
+      // marginals; advance H for the next block.
       WallTimer merge_timer;
-      for (size_t i = block; i < block_end; ++i) {
+      for (size_t i = begin; i < end; ++i) {
         if (items[i].skip) continue;
-        auto& [key, e] = items[i].group->map.entry(items[i].index);
-        if (record && e.cover == kNoCover) {
-          e.cover = store.Add(items[i].group->store_group, key,
-                              slot_covers[i - block], e.mass);
+        auto& [k, e] = items[i].group->map.entry(items[i].index);
+        if (e.cover != kNoCover) {
+          store.covers[e.cover].marginal = e.marginal;
+        } else if (record) {
+          e.cover = store.Add(items[i].group->store_group, k,
+                              slot_covers[i - begin], e.mass, e.marginal);
         }
         stats.tuple_visits += items[i].visits;
         ++stats.candidates_counted;
         if (e.marginal > h) h = e.marginal;
       }
       stats.merge_seconds += merge_timer.ElapsedMillis() / 1e3;
-    }
+    }));
     ++stats.passes;
     return Status::OK();
   }
@@ -935,10 +1179,10 @@ struct MarginalRuleFinder::Impl {
   }
 
   void ConsiderBest(const Entry& e, const Cols& cols, const uint32_t* vals) {
-    if (e.excluded || e.marginal <= 0) return;
+    if (e.excluded || e.stale || e.marginal <= 0) return;
     if (e.marginal > best_marginal ||
         BetterThanBest(e.marginal, e.weight, cols, vals)) {
-      TakeBest(e.marginal, e.weight, e.mass, cols, vals);
+      TakeBest(e, cols, vals);
     }
   }
 
@@ -1084,7 +1328,10 @@ struct MarginalRuleFinder::Impl {
           entry->weight = w;
           entry->bound = bound;
           const uint32_t* stored = store.groups[g.store_group].Find(vals_key);
-          entry->cover = stored != nullptr ? *stored : kNoCover;
+          if (stored != nullptr) {
+            entry->cover = *stored;
+            entry->last = store.covers[*stored].marginal;
+          }
           entry->source = source;
           entry->source_col = source_col;
           g.tuples.insert(g.tuples.end(), cand_vals.begin(), cand_vals.end());
@@ -1142,8 +1389,16 @@ struct MarginalRuleFinder::Impl {
     // caller keeps whatever rules it has (degrade, not fail).
     if (DeadlineExpired()) return DeadlineStatus();
 
-    // Pass 1: count all size-1 rules and build postings.
-    SMARTDD_RETURN_IF_ERROR(CountSizeOne());
+    // Pass 1: the first Find scans the view for every size-1 rule and
+    // builds the postings; later Finds update the covered weights along
+    // the last winner's cover and recount from the stored state.
+    if (pass1.built) {
+      ApplyPending();
+      SMARTDD_RETURN_IF_ERROR(RecountSingles());
+    } else {
+      SMARTDD_RETURN_IF_ERROR(CountSizeOne());
+      pass1.built = build_postings;
+    }
     AbsorbSingles();
 
     // Passes 2..max_size: a-priori-style candidate generation + counting.
@@ -1160,6 +1415,17 @@ struct MarginalRuleFinder::Impl {
     if (best_marginal <= 0) {
       return Status::NotFound("no rule with positive marginal value");
     }
+    if (pass1.built) {
+      PassOneStore::Pick& pick = pass1.pick.emplace();
+      pick.rule = best_rule;
+      pick.rest = best_rule;
+      pick.rest.clear_values(best_cols);
+      if (best_cols.size() == 1) {
+        pick.single = col_dense[best_cols[0]];
+      } else {
+        pick.cover = best_cover;
+      }
+    }
     MarginalRuleResult result;
     result.rule = best_rule;
     result.weight = best_weight;
@@ -1175,7 +1441,8 @@ MarginalRuleFinder::MarginalRuleFinder(const TableView& view,
     : views_({&view}),
       weight_(&weight),
       options_(std::move(options)),
-      store_(std::make_unique<CoverStore>()) {}
+      store_(std::make_unique<CoverStore>()),
+      pass1_(std::make_unique<PassOneStore>()) {}
 
 MarginalRuleFinder::MarginalRuleFinder(std::vector<const TableView*> views,
                                        const WeightFunction& weight,
@@ -1183,7 +1450,8 @@ MarginalRuleFinder::MarginalRuleFinder(std::vector<const TableView*> views,
     : views_(std::move(views)),
       weight_(&weight),
       options_(std::move(options)),
-      store_(std::make_unique<CoverStore>()) {
+      store_(std::make_unique<CoverStore>()),
+      pass1_(std::make_unique<PassOneStore>()) {
   SMARTDD_CHECK(!views_.empty()) << "a sharded finder needs >= 1 view";
 }
 
@@ -1196,7 +1464,7 @@ Result<MarginalRuleResult> MarginalRuleFinder::Find(
   SMARTDD_CHECK(covered_weight.size() == views_[0]->num_rows())
       << "covered_weight must have one entry per view row";
   stats_ = MarginalSearchStats{};
-  Impl impl(views_, *weight_, options_, stats_, *store_,
+  Impl impl(views_, *weight_, options_, stats_, *store_, *pass1_,
             {covered_weight.data()}, {});
   return impl.Run();
 }
@@ -1220,7 +1488,8 @@ Result<MarginalRuleResult> MarginalRuleFinder::FindSharded(
     SMARTDD_CHECK(pending->rule.num_columns() == views_[0]->num_columns());
   }
   stats_ = MarginalSearchStats{};
-  Impl impl(views_, *weight_, options_, stats_, *store_, covered_ptrs,
+  Impl impl(views_, *weight_, options_, stats_, *store_, *pass1_,
+            covered_ptrs,
             pending != nullptr ? mut_ptrs : std::vector<double*>{});
   impl.pending = pending;
   impl.covered_zero = covered_is_zero;

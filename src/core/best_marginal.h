@@ -53,13 +53,22 @@ struct MarginalSearchOptions {
 
 /// Instrumentation for tests and the pruning-ablation benchmark.
 struct MarginalSearchStats {
-  size_t passes = 0;                 ///< counting passes over the view
+  /// Counting passes: pass 1 (the size-1 rules) plus one per arity >= 2.
+  /// Pass 1 scans every row of the view on a finder's first Find; later
+  /// Finds walk only the postings of the singletons they recount (a search
+  /// capped at size-1 rules keeps no postings and scans every time).
+  size_t passes = 0;
   size_t candidates_generated = 0;   ///< candidate rules considered
   size_t candidates_pruned = 0;      ///< dropped by the upper-bound test
   size_t candidates_counted = 0;     ///< actually counted in a pass
-  /// Rows walked across counting passes: n per column in pass 1, then per
+  /// Skipped because the marginal counted in an earlier Find on the same
+  /// finder already fell below H (a marginal never rises between Finds).
+  size_t candidates_stale_skipped = 0;
+  /// Rows walked by the counting: n per column when pass 1 scans the view,
+  /// the posting list of each recounted singleton otherwise, then per
   /// counted candidate the length of the row list its count walked (a
   /// stored cover, a sub-rule's cover, or its rarest value's postings).
+  /// The covered-weight update's rows are not included.
   uint64_t tuple_visits = 0;
   /// Wall time spent in the gather/merge stages — folding per-lane and
   /// per-block partial aggregates back together in deterministic order
@@ -72,6 +81,7 @@ struct MarginalSearchStats {
     candidates_generated += other.candidates_generated;
     candidates_pruned += other.candidates_pruned;
     candidates_counted += other.candidates_counted;
+    candidates_stale_skipped += other.candidates_stale_skipped;
     tuple_visits += other.tuple_visits;
     merge_seconds += other.merge_seconds;
   }
@@ -80,10 +90,10 @@ struct MarginalSearchStats {
 /// A deferred covered-weight update from the previous greedy pick: before
 /// the next search reads covered_weight[t], every row covered by `rule`
 /// must have its entry raised to at least `weight`. Passing it into
-/// FindSharded() lets the finder fuse this O(n) update into its own parallel
-/// pass-1 region — the drill-down fan-out pipelining: step i's covered-weight
-/// update scan overlaps step i+1's counting scan instead of running as a
-/// separate serial pass between greedy steps.
+/// FindSharded() lets the finder apply it where it is cheapest: on the
+/// finder's first search, fused into its own parallel pass-1 scan; on a
+/// later one, by walking the rows of the rule the finder just picked
+/// instead of scanning all n.
 struct CoveredUpdate {
   Rule rule{0};
   double weight = 0;
@@ -107,14 +117,26 @@ struct MarginalRuleResult {
 ///         Marginal(r') + Mass(r') * (max_weight - W(r'))
 /// cannot beat the best marginal value H found so far.
 ///
-/// The finder keeps a cover store across its Find calls (BRS runs its k
-/// greedy steps on one finder): for every counted rule of arity >= 2, the
-/// rows it covers and its mass, which no covered-weight change can alter.
-/// A later count of a stored rule walks only its cover; a new rule of arity
-/// >= 3 walks its shortest stored immediate sub-rule cover and checks the
-/// one missing column. Every sum still runs over the same rows in the same
-/// order, so results are bit-identical to a fresh finder per call. The
-/// views' rows must therefore not change while the finder is in use.
+/// The finder is a lazy greedy across its Find calls (BRS runs its k greedy
+/// steps on one finder; Minoux's accelerated greedy). It keeps, for its
+/// whole lifetime, everything that depends only on the views:
+///  - pass 1's singleton counts, masses, weights and CSR postings, built by
+///    the first Find's full scan (a search capped at size-1 rules builds no
+///    postings and rescans every Find);
+///  - a cover store: for every counted rule of arity >= 2, the rows it
+///    covers and its mass. A later count of a stored rule walks only its
+///    cover; a new rule of arity >= 3 walks its shortest stored immediate
+///    sub-rule cover and checks the one missing column;
+///  - each rule's last counted marginal. Covered weights never decrease
+///    between Finds, so that value bounds the rule's current marginal bit
+///    for bit, and a later Find recounts a rule only when it can still
+///    reach the threshold H (a singleton also when its super-rule bound
+///    can).
+/// A later Find applies the previous pick's covered-weight update by
+/// walking that pick's cover instead of every row. Every sum still runs over the same rows in the same order, and the
+/// winner and every tie contender are counted fresh, so results are
+/// bit-identical to a fresh finder per call. The views' rows must therefore
+/// not change while the finder is in use.
 class MarginalRuleFinder {
  public:
   /// `view` and `weight` must outlive the finder.
@@ -135,24 +157,30 @@ class MarginalRuleFinder {
 
   /// Runs the search. `covered_weight[i]` is the weight of the
   /// highest-weight already-selected rule covering view row i (0 if none).
-  /// Returns NotFound when no rule has positive marginal value.
+  /// Returns NotFound when no rule has positive marginal value. No entry
+  /// may decrease between Find calls on one finder (BRS only raises them);
+  /// the skipped recounts rely on it.
   Result<MarginalRuleResult> Find(const std::vector<double>& covered_weight);
 
   /// Sharded Find: `covered[s]` holds the covered-weight entries for
   /// views[s]'s rows (shard-local state, the seam for a multi-process
-  /// tier). `pending` may be null; when set, it is first applied to
-  /// `covered` inside the search's first pass-1 parallel region (each row
-  /// is updated exactly once before any read, so the result is
+  /// tier). `pending` may be null; when set, it is applied to `covered` in
+  /// full before any read: on the finder's first call inside pass 1's
+  /// first parallel region, on later calls by walking the cover of the
+  /// rule the previous call returned (when `pending` names it) or else
+  /// every row. Each row is updated at most once, so the result is
   /// bit-identical to applying the update serially first, for every thread
-  /// count). When the search bails out before scanning (empty view / empty
-  /// search space), `covered` is left untouched — the NotFound ends the
-  /// greedy loop anyway.
+  /// count. When the search bails out before scanning (empty view / empty
+  /// search space, or a deadline already expired), `covered` is left
+  /// untouched — the greedy loop ends anyway.
   ///
   /// `covered_is_zero` is the caller's promise that every covered entry is
   /// exactly 0.0 (the first greedy step, before any rule was picked) — it
   /// lets pass 1 fold its Phase-B marginal scan into the Phase-A counts,
   /// with bit-identical results (see CountSizeOne). It must not be combined
   /// with a pending update (an update implies a prior pick).
+  ///
+  /// As with Find, no covered entry may decrease between calls.
   Result<MarginalRuleResult> FindSharded(
       const std::vector<std::vector<double>*>& covered,
       const CoveredUpdate* pending, bool covered_is_zero = false);
@@ -165,12 +193,14 @@ class MarginalRuleFinder {
  private:
   struct Impl;
   struct CoverStore;
+  struct PassOneStore;
 
   std::vector<const TableView*> views_;
   const WeightFunction* weight_;
   MarginalSearchOptions options_;
   MarginalSearchStats stats_;
   std::unique_ptr<CoverStore> store_;
+  std::unique_ptr<PassOneStore> pass1_;
 };
 
 }  // namespace smartdd

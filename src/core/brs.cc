@@ -16,13 +16,15 @@ Result<BrsResult> RunBrsSharded(const std::vector<const TableView*>& views,
   SMARTDD_CHECK(!views.empty()) << "sharded BRS needs >= 1 shard view";
   for (const TableView* vp : views) {
     if (!vp->has_measure()) continue;
-    // Negative masses would invalidate the a-priori pruning bounds and the
-    // submodularity argument; reject them up front.
+    // Negative or non-finite masses would invalidate the a-priori pruning
+    // bounds, the submodularity argument, and the finder's stale-marginal
+    // bounds; reject them up front (a NaN fails every comparison).
     const uint64_t n = vp->num_rows();
     for (uint64_t i = 0; i < n; ++i) {
-      if (vp->mass(i) < 0) {
+      const double m = vp->mass(i);
+      if (!(m >= 0 && std::isfinite(m))) {
         return Status::InvalidArgument(
-            "Sum aggregation requires non-negative measure values");
+            "Sum aggregation requires finite non-negative measure values");
       }
     }
   }
@@ -52,10 +54,11 @@ Result<BrsResult> RunBrsSharded(const std::vector<const TableView*>& views,
     covered_ptrs[s] = &covered[s];
   }
 
-  // Pipelined fan-out: the covered-weight update from step i is not applied
-  // eagerly — it is handed to step i+1's Find, which fuses the O(n) update
-  // scan into its own parallel pass-1 region. Nothing after the loop reads
-  // `covered`, so a final unapplied update is simply dropped.
+  // The covered-weight update from step i is not applied eagerly — it is
+  // handed to step i+1's Find, which walks only the rows step i's pick
+  // covers. Nothing after the loop reads `covered`, so a final unapplied
+  // update is simply dropped. Covered weights only rise, which the
+  // finder's lazy recounts rely on.
   std::optional<CoveredUpdate> pending;
 
   for (size_t step = 0; step < options.k; ++step) {

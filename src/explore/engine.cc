@@ -212,7 +212,9 @@ Result<DrillDownResponse> ExplorationEngine::DrillDown(
       DrillDownResponse response,
       SmartDrillDownSharded(view_ptrs, *weight_, request));
 
-  // Every counting pass scanned every shard's rows once; the gather/merge
+  // Every counting pass ran over every shard's rows: pass 1 of a run's
+  // first greedy step scans them all, and the later passes walk postings
+  // and stored covers, whose row lists span the shards. The gather/merge
   // wall time is the scatter-gather overhead.
   for (Counter* c : shard_scan_passes_) c->Inc(response.stats.passes);
   merge_latency_->Observe(response.stats.merge_seconds);

@@ -1,6 +1,7 @@
 #include "live/table_versions.h"
 
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
 #include <utility>
 
@@ -99,9 +100,9 @@ Status LiveTable::ParseRow(std::string_view csv_row,
     const std::string& field = fields[num_columns_ + m];
     char* end = nullptr;
     double value = std::strtod(field.c_str(), &end);
-    if (end == field.c_str() || *end != '\0') {
-      return Status::InvalidArgument(
-          StrFormat("measure field '%s' is not numeric", field.c_str()));
+    if (end == field.c_str() || *end != '\0' || !std::isfinite(value)) {
+      return Status::InvalidArgument(StrFormat(
+          "measure field '%s' is not a finite number", field.c_str()));
     }
     measures->push_back(value);
   }

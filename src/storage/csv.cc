@@ -1,5 +1,6 @@
 #include "storage/csv.h"
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -127,9 +128,10 @@ Result<Table> ParseCsv(const std::string& content, const CsvOptions& options) {
     for (size_t i = 0; i < fields.size(); ++i) {
       if (is_measure[i]) {
         auto parsed = ParseDouble(fields[i]);
-        if (!parsed.ok()) {
+        if (!parsed.ok() || !std::isfinite(*parsed)) {
           return Status::InvalidArgument(
-              StrFormat("CSV record %llu: measure field '%s' is not numeric",
+              StrFormat("CSV record %llu: measure field '%s' is not a finite "
+                        "number",
                         static_cast<unsigned long long>(record_no),
                         fields[i].c_str()));
         }

@@ -1,6 +1,7 @@
 #include "core/brs.h"
 
 #include <cmath>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -135,6 +136,20 @@ TEST(BrsTest, RejectsNegativeMeasures) {
   v.SelectMeasure(0);
   SizeWeight w;
   EXPECT_EQ(RunBrs(v, w, {}).status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(BrsTest, RejectsNonFiniteMeasures) {
+  for (double bad : {std::nan(""), std::numeric_limits<double>::infinity()}) {
+    Table t({"k"});
+    t.AddMeasureColumn("m");
+    ASSERT_TRUE(t.AppendRowValues({"a"}, std::vector<double>{1.0}).ok());
+    ASSERT_TRUE(t.AppendRowValues({"b"}, std::vector<double>{bad}).ok());
+    TableView v(t);
+    v.SelectMeasure(0);
+    SizeWeight w;
+    EXPECT_EQ(RunBrs(v, w, {}).status().code(), StatusCode::kInvalidArgument)
+        << bad;
+  }
 }
 
 TEST(BrsTest, SumAggregateRanksByMeasure) {

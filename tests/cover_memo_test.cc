@@ -4,7 +4,9 @@
 // a stored sub-rule cover. The reference here runs every greedy step on a
 // fresh finder (no cross-step store); both must agree bit for bit on every
 // rule, mass, and score, for every shard x thread x kernel combination,
-// while the store walks strictly fewer rows once k >= 2.
+// while the store walks strictly fewer rows once k >= 2. The finder is also
+// a lazy greedy (a rule whose last marginal falls below H is not
+// recounted), so it counts strictly fewer candidates once k >= 2.
 
 #include <gtest/gtest.h>
 
@@ -211,6 +213,8 @@ TEST(CoverMemoTest, BrsMatchesFreshFinderPerStepAcrossTheGrid) {
           ASSERT_EQ(reference.rules.size(), k) << config;
 
           std::optional<uint64_t> visits;
+          std::optional<size_t> counted;
+          std::optional<size_t> stale;
           for (const Layout& l : layouts) {
             for (size_t threads : {size_t{1}, size_t{4}}) {
               for (KernelPref kernel :
@@ -225,8 +229,12 @@ TEST(CoverMemoTest, BrsMatchesFreshFinderPerStepAcrossTheGrid) {
                 ASSERT_TRUE(got.ok()) << label << ": "
                                       << got.status().ToString();
                 ExpectBitIdentical(*got, reference, label);
-                EXPECT_EQ(got->stats.candidates_counted,
-                          reference.stats.candidates_counted)
+                if (!counted) {
+                  counted = got->stats.candidates_counted;
+                  stale = got->stats.candidates_stale_skipped;
+                }
+                EXPECT_EQ(got->stats.candidates_counted, *counted) << label;
+                EXPECT_EQ(got->stats.candidates_stale_skipped, *stale)
                     << label;
                 if (!visits) visits = got->stats.tuple_visits;
                 EXPECT_EQ(got->stats.tuple_visits, *visits) << label;
@@ -239,16 +247,93 @@ TEST(CoverMemoTest, BrsMatchesFreshFinderPerStepAcrossTheGrid) {
           } else {
             EXPECT_EQ(*visits, reference.stats.tuple_visits) << config;
           }
+          // Lazy greedy: a later step recounts only the rules whose last
+          // marginal can still reach H.
+          EXPECT_LE(*counted, reference.stats.candidates_counted) << config;
+          if (k >= 2) {
+            EXPECT_LT(*counted, reference.stats.candidates_counted)
+                << config << ": later steps should skip stale rules";
+            EXPECT_GT(*stale, 0u) << config;
+          }
         }
       }
     }
   }
 }
 
+TEST(CoverMemoTest, MultiLaneRecountsMatchFreshFinders) {
+  // Enough rows for pass 1 to split each column into several lanes: a
+  // later step's singleton recount must add its lane sums in lane order to
+  // reproduce the scan's floats (the grid above fits in one lane).
+  SynthSpec spec;
+  spec.rows = 40000;
+  spec.cardinalities = {3, 7, 4, 5};
+  spec.zipf = {1.0, 0.8, 1.2, 0.9};
+  spec.seed = 977;
+  spec.with_measure = true;
+  const Table table = GenerateSyntheticTable(spec);
+  SizeWeight weight;
+  BrsOptions options;
+  options.k = 4;
+  options.kernel = KernelPref::kScalar;
+  options.num_threads = 1;
+  Shards one(table, 1, /*sum=*/true);
+  const BrsResult reference = ReferenceBrs(one.ptrs, weight, options);
+  ASSERT_EQ(reference.rules.size(), options.k);
+  for (size_t shards : {size_t{1}, size_t{3}}) {
+    Shards layout(table, shards, /*sum=*/true);
+    for (size_t threads : {size_t{1}, size_t{4}}) {
+      options.num_threads = threads;
+      auto got = RunBrsSharded(layout.ptrs, weight, options);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      const std::string label = "shards=" + std::to_string(shards) +
+                                " threads=" + std::to_string(threads);
+      ExpectBitIdentical(*got, reference, label);
+      EXPECT_GT(got->stats.candidates_stale_skipped, 0u) << label;
+    }
+  }
+}
+
+TEST(CoverMemoTest, RecountedTieWithHWinsOnWeight) {
+  // Step 2 of this table is a tie at marginal 40 between a=ay (weight 1)
+  // and b=bz (weight 2), both untouched by step 1's pick, so their last
+  // marginals are exact. a=ay is recounted first and sets H = 40; b=bz's
+  // last marginal equals H, and only recounting it lets the tie-break
+  // pick it for its higher weight.
+  Table table({"a", "b", "c"});
+  auto add = [&](const std::string& a, const std::string& b,
+                 const std::string& c) {
+    ASSERT_TRUE(table.AppendRowValues({a, b, c}, {}).ok());
+  };
+  for (int i = 0; i < 15; ++i) add("ax", "bx", "cx");  // step 1: weight 4
+  for (int i = 0; i < 40; ++i) {
+    add("ay", "by" + std::to_string(i), "cy" + std::to_string(i));
+  }
+  for (int i = 0; i < 20; ++i) {
+    add("az" + std::to_string(i), "bz", "cz" + std::to_string(i));
+  }
+  table.Freeze();
+  TableView view(table);
+  LinearColumnWeight weight({1, 2, 1});
+  BrsOptions options;
+  options.k = 2;
+  options.num_threads = 1;
+  const BrsResult reference = ReferenceBrs({&view}, weight, options);
+  auto got = RunBrs(view, weight, options);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  ExpectBitIdentical(*got, reference, "tie");
+  ASSERT_EQ(got->rules.size(), 2u);
+  Rule bz(table.num_columns());
+  bz.set_value(1, *table.dictionary(1).Find("bz"));
+  EXPECT_EQ(got->rules[1].rule, bz);
+  EXPECT_EQ(got->rules[1].marginal_value, 40);
+}
+
 TEST(CoverMemoTest, RepeatedFindOnOneFinderMatchesFreshFinders) {
   // Direct finder use: the second and later Find calls on one finder count
   // from the store, and must agree with a fresh finder on the same covered
-  // weights.
+  // weights. The caller raises the covered weights itself here (no pending
+  // update), as the monotone contract allows.
   const Table table = GridTable();
   TableView view(table);
   view.SelectMeasure(0);
@@ -267,9 +352,15 @@ TEST(CoverMemoTest, RepeatedFindOnOneFinderMatchesFreshFinders) {
     EXPECT_EQ(got->weight, want->weight) << step;
     EXPECT_EQ(got->mass, want->mass) << step;
     EXPECT_EQ(got->marginal, want->marginal) << step;
-    EXPECT_EQ(shared.stats().candidates_counted,
+    EXPECT_LE(shared.stats().candidates_counted,
               fresh.stats().candidates_counted)
         << step;
+    if (step > 0) {
+      EXPECT_LT(shared.stats().candidates_counted,
+                fresh.stats().candidates_counted)
+          << step;
+      EXPECT_GT(shared.stats().candidates_stale_skipped, 0u) << step;
+    }
     if (step > 0) {
       EXPECT_LT(shared.stats().tuple_visits, fresh.stats().tuple_visits)
           << step;

@@ -78,6 +78,17 @@ TEST(CsvTest, RejectsNonNumericMeasure) {
   EXPECT_FALSE(ReadCsvString("store,sales\nA,abc\n", options).ok());
 }
 
+TEST(CsvTest, RejectsNonFiniteMeasure) {
+  CsvOptions options;
+  options.measure_columns = {"sales"};
+  for (const char* cell : {"nan", "NaN", "inf", "-inf", "infinity"}) {
+    EXPECT_FALSE(
+        ReadCsvString(std::string("store,sales\nA,") + cell + "\n", options)
+            .ok())
+        << cell;
+  }
+}
+
 TEST(CsvTest, RejectsUnknownMeasureColumn) {
   CsvOptions options;
   options.measure_columns = {"nonexistent"};

@@ -376,6 +376,19 @@ TEST(LiveTableTest, AppendValidatesBeforeTouchingTheWal) {
   EXPECT_GT((*table)->Info().wal_bytes, wal_bytes);
 }
 
+TEST(LiveTableTest, AppendRejectsNonFiniteMeasures) {
+  Table base({"store"});
+  base.AddMeasureColumn("sales");
+  ASSERT_TRUE(base.AppendRowValues({"a"}, std::vector<double>{1.0}).ok());
+  auto table = LiveTable::Create(std::move(base), LiveTableOptions{});
+  ASSERT_TRUE(table.ok()) << table.status().ToString();
+  for (const char* row : {"b,nan", "b,inf", "b,-inf", "b,1e999"}) {
+    EXPECT_EQ((*table)->Append(row).code(), StatusCode::kInvalidArgument)
+        << row;
+  }
+  EXPECT_TRUE((*table)->Append("b,2.5").ok());
+}
+
 TEST(LiveTableTest, EmptyCategoricalCellsBecomeMissingMarker) {
   LiveTableOptions options;
   options.snapshot_every_rows = 1;
