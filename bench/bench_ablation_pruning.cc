@@ -27,7 +27,7 @@ void RunMode(const std::string& name, const TableView& view,
     options.max_weight = mw;
     options.pruning = mode;
     WallTimer timer;
-    auto result = RunBrs(view, weight, options);
+    auto result = RunBrs({&view}, weight, options);
     SMARTDD_CHECK(result.ok());
     total_ms += timer.ElapsedMillis();
     if (it == 0) stats = result->stats;

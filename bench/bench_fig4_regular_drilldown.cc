@@ -38,7 +38,7 @@ int main(int argc, char** argv) {
   options.k = table.dictionary(age_col).size();
   options.max_weight = 1.0;
   options.max_rule_size = 1;
-  auto brs = RunBrs(view, weight, options);
+  auto brs = RunBrs({&view}, weight, options);
   if (!brs.ok()) {
     std::fprintf(stderr, "BRS failed: %s\n", brs.status().ToString().c_str());
     return 1;

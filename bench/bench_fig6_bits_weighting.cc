@@ -34,7 +34,7 @@ int main(int argc, char** argv) {
   options.num_threads = smartdd::bench::Flags().threads;
   options.k = 4;
   options.max_weight = 20;
-  auto result = RunBrs(view, weight, options);
+  auto result = RunBrs({&view}, weight, options);
   if (!result.ok()) {
     std::fprintf(stderr, "BRS failed: %s\n",
                  result.status().ToString().c_str());

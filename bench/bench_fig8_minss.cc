@@ -59,7 +59,7 @@ std::vector<Rule> FullTableRules(const ScanSource& source,
   options.num_threads = smartdd::bench::Flags().threads;
   options.k = 4;
   options.max_weight = mw;
-  auto result = RunBrs(view, weight, options);
+  auto result = RunBrs({&view}, weight, options);
   SMARTDD_CHECK(result.ok());
   std::vector<Rule> rules;
   for (const auto& sr : result->rules) rules.push_back(sr.rule);

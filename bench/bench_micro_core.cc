@@ -56,10 +56,9 @@ void BM_BestMarginalPass(benchmark::State& state) {
   SizeWeight w;
   MarginalSearchOptions options;
   options.max_weight = 3;
-  std::vector<double> covered(t.num_rows(), 0.0);
   for (auto _ : state) {
-    MarginalRuleFinder finder(v, w, options);
-    auto result = finder.Find(covered);
+    MarginalRuleFinder finder({&v}, w, options);
+    auto result = finder.Find();
     benchmark::DoNotOptimize(result);
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
@@ -86,7 +85,7 @@ void BM_EvaluateRuleList(benchmark::State& state) {
     rules.push_back(r);
   }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(EvaluateRuleList(v, rules, w));
+    benchmark::DoNotOptimize(EvaluateRuleList({&v}, rules, w));
   }
   state.SetItemsProcessed(state.iterations() * 20000);
 }

@@ -28,7 +28,7 @@ void RunCase(const std::string& name, const TableView& view,
   worst.num_threads = smartdd::bench::Flags().threads;
   worst.k = 4;
   timer.Restart();
-  auto full = RunBrs(view, weight, worst);
+  auto full = RunBrs({&view}, weight, worst);
   SMARTDD_CHECK(full.ok());
   double worst_ms = timer.ElapsedMillis();
   double true_max = 0;
@@ -39,7 +39,7 @@ void RunCase(const std::string& name, const TableView& view,
   capped.k = 4;
   capped.max_weight = est->mw;
   timer.Restart();
-  auto capped_result = RunBrs(view, weight, capped);
+  auto capped_result = RunBrs({&view}, weight, capped);
   SMARTDD_CHECK(capped_result.ok());
   double capped_ms = timer.ElapsedMillis();
 

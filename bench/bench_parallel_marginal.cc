@@ -51,7 +51,7 @@ Measurement RunOnce(const smartdd::TableView& view,
   m.ms = std::numeric_limits<double>::infinity();
   for (uint64_t rep = 0; rep < reps; ++rep) {
     smartdd::WallTimer timer;
-    auto result = smartdd::RunBrs(view, weight, options);
+    auto result = smartdd::RunBrs({&view}, weight, options);
     double ms = timer.ElapsedMillis();
     SMARTDD_CHECK(result.ok()) << result.status().ToString();
     m.ms = std::min(m.ms, ms);  // best-of: least scheduler noise
@@ -87,7 +87,7 @@ Measurement RunOnceSharded(const smartdd::Table& table,
   m.ms = std::numeric_limits<double>::infinity();
   for (uint64_t rep = 0; rep < reps; ++rep) {
     smartdd::WallTimer timer;
-    auto result = smartdd::RunBrsSharded(view_ptrs, weight, options);
+    auto result = smartdd::RunBrs(view_ptrs, weight, options);
     double ms = timer.ElapsedMillis();
     SMARTDD_CHECK(result.ok()) << result.status().ToString();
     m.ms = std::min(m.ms, ms);

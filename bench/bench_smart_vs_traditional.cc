@@ -52,7 +52,7 @@ int main(int argc, char** argv) {
   options.num_threads = smartdd::bench::Flags().threads;
   options.k = k;
   options.max_weight = 5;
-  auto smart = RunBrs(view, weight, options);
+  auto smart = RunBrs({&view}, weight, options);
   if (!smart.ok()) return 1;
   std::printf("\nsmart drill-down                  score=%.0f\n",
               smart->total_score);

@@ -240,7 +240,7 @@ ExpansionMeasurement MeasureExpandEmpty(const ScanSource& source,
   brs.num_threads = Flags().threads;
   brs.kernel = Flags().kernel;
   phase.Restart();
-  auto result = RunBrs(view, weight, brs);
+  auto result = RunBrs({&view}, weight, brs);
   SMARTDD_CHECK(result.ok()) << result.status().ToString();
   m.brs_ms = phase.ElapsedMillis();
   m.total_ms = total.ElapsedMillis();

@@ -54,7 +54,7 @@ int main(int argc, char** argv) {
     brs.k = 4;
     brs.max_weight = mw;
     WallTimer timer;
-    auto result = RunBrs(view, weight, brs);
+    auto result = RunBrs({&view}, weight, brs);
     if (!result.ok()) return 1;
     PrintSeriesRow("WideCensus/Size", mw, timer.ElapsedMillis(), "mw",
                    "time_ms");

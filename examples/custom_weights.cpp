@@ -22,7 +22,7 @@ void Show(const char* title, const Table& table, const WeightFunction& w,
   BrsOptions options;
   options.k = 4;
   options.max_weight = mw;
-  auto result = RunBrs(view, w, options);
+  auto result = RunBrs({&view}, w, options);
   std::printf("\n--- %s (mw=%.0f) ---\n", title, mw);
   if (!result.ok()) {
     std::printf("failed: %s\n", result.status().ToString().c_str());

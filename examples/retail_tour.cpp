@@ -67,7 +67,7 @@ int main() {
   request.base = Rule::Trivial(3);
   request.k = 3;
   request.max_weight = 5;
-  auto by_sales_resp = SmartDrillDown(by_sales, weight, request);
+  auto by_sales_resp = SmartDrillDown({&by_sales}, weight, request);
   if (by_sales_resp.ok()) {
     RenderOptions ropts;
     ropts.mass_label = "Sum(Sales)";

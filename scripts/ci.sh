@@ -30,8 +30,10 @@ fi
 # while 16 sessions hammer the service), and the marginal finder's cover
 # store (read by pool workers, written by the calling thread) and its lazy
 # singleton recounts (written by pool workers) with the brute-force BRS and
-# greedy oracles.
-SAN_TESTS="parallel_marginal_test|parallel_sampling_test|sample_handler_test|session_test|concurrent_sessions_test|task_scheduler_test|service_test|codec_test|metrics_test|http_server_test|chaos_test|disk_table_test|sharded_engine_test|packed_column_test|deadline_test|rpc_test|cluster_test|live_table_test|expansion_cache_test|cover_memo_test|brs_oracle_test|greedy_oracle_test"
+# greedy oracles, plus the finder, BRS and drill-down unit suites, whose
+# single-view and drill-down calls index the finder's one covered-weight
+# array by global row id.
+SAN_TESTS="parallel_marginal_test|parallel_sampling_test|sample_handler_test|session_test|concurrent_sessions_test|task_scheduler_test|service_test|codec_test|metrics_test|http_server_test|chaos_test|disk_table_test|sharded_engine_test|packed_column_test|deadline_test|rpc_test|cluster_test|live_table_test|expansion_cache_test|cover_memo_test|brs_oracle_test|greedy_oracle_test|best_marginal_test|brs_test|drilldown_test"
 SAN_TARGETS=(
   parallel_marginal_test parallel_sampling_test sample_handler_test
   session_test concurrent_sessions_test task_scheduler_test
@@ -39,6 +41,7 @@ SAN_TARGETS=(
   disk_table_test sharded_engine_test packed_column_test
   deadline_test rpc_test cluster_test live_table_test expansion_cache_test
   cover_memo_test brs_oracle_test greedy_oracle_test
+  best_marginal_test brs_test drilldown_test
 )
 
 run_sanitizer_stage() {

@@ -147,7 +147,7 @@ Result<ExactRuleSetResult> BruteForceOptimalRuleSet(
   std::vector<size_t> order = OrderByWeightDesc(rules, weight);
   std::vector<Rule> sorted;
   for (size_t i : order) sorted.push_back(rules[i]);
-  RuleListEvaluation eval = EvaluateRuleList(view, sorted, weight);
+  RuleListEvaluation eval = EvaluateRuleList({&view}, sorted, weight);
   for (size_t i = 0; i < sorted.size(); ++i) {
     ScoredRule sr;
     sr.rule = sorted[i];

@@ -194,9 +194,10 @@ struct MarginalRuleFinder::CoverStore {
 
 /// Pass 1's state, kept for the finder's lifetime once a Find built the
 /// postings: counts, masses, weights and postings depend only on the views,
-/// and each entry's marginal is the one it was last counted with. `pick`
-/// names the last winner's cover, so that the covered-weight update of the
-/// next Find walks it instead of scanning every row.
+/// and each entry's marginal is the one it was last counted with.
+/// `pending` is the last winner, whose covered-weight update the next Find
+/// applies before it reads any covered weight: along the winner's postings
+/// or stored cover once pass 1 is built, else fused into pass 1's scan.
 struct MarginalRuleFinder::PassOneStore {
   std::vector<SingletonTable> singles;  // per dense column
   std::vector<Postings> postings;       // per dense column, global row ids
@@ -204,21 +205,19 @@ struct MarginalRuleFinder::PassOneStore {
 
   struct Pick {
     Rule rule{0};
+    double weight = 0;
     Rule rest{0};  // `rule` without the columns its cover list matches
     int32_t single = -1;        // dense column of a singleton winner, or -1
     uint32_t cover = kNoCover;  // stored cover of a wider winner
   };
-  std::optional<Pick> pick;
+  std::optional<Pick> pending;
 };
 
 struct MarginalRuleFinder::Impl {
   /// One shard slice of the logical row space. `begin` is the slice's
-  /// offset in the concatenated order; covered/mut_covered are shard-local
-  /// arrays indexed by the slice's own view rows.
+  /// offset in the concatenated order.
   struct Segment {
     const TableView* view;
-    const double* covered;
-    double* mut_covered;
     uint64_t begin;
     uint64_t rows;
     const double* mass_col;  // measure column data, nullptr for Count
@@ -232,14 +231,9 @@ struct MarginalRuleFinder::Impl {
   PassOneStore& pass1;
   std::vector<Segment> segs;
   uint64_t total_rows = 0;
-  /// Deferred covered-weight update (see FindSharded): fused into pass 1 on
-  /// the finder's first Find, applied by ApplyPending on later ones.
-  const CoveredUpdate* pending = nullptr;
-  /// Caller's promise that every covered-weight entry is exactly 0.0 (the
-  /// first greedy step): pass 1 may then fold its Phase-B marginal scan
-  /// into the Phase-A counts (see CountSizeOne). Mutually exclusive with
-  /// `pending`.
-  bool covered_zero = false;
+  /// The finder's covered weights, indexed by global row id. Empty while
+  /// every weight is 0.0 and no search has needed the array (see Run).
+  std::vector<double>& covered;
 
   std::vector<uint32_t> columns;   // search space, ascending
   std::vector<int32_t> col_dense;  // table column -> index in columns, or -1
@@ -295,14 +289,13 @@ struct MarginalRuleFinder::Impl {
 
   Impl(const std::vector<const TableView*>& views, const WeightFunction& w,
        const MarginalSearchOptions& opts, MarginalSearchStats& s,
-       CoverStore& cs, PassOneStore& p1,
-       const std::vector<const double*>& covered,
-       const std::vector<double*>& mut_covered)
+       CoverStore& cs, PassOneStore& p1, std::vector<double>& cw)
       : weight(w),
         options(opts),
         stats(s),
         store(cs),
         pass1(p1),
+        covered(cw),
         base(opts.base_rule ? *opts.base_rule
                             : Rule(views[0]->num_columns())),
         scratch(0),
@@ -323,8 +316,6 @@ struct MarginalRuleFinder::Impl {
           << "shard views must select the same measure";
       Segment seg;
       seg.view = v;
-      seg.covered = covered[i];
-      seg.mut_covered = mut_covered.empty() ? nullptr : mut_covered[i];
       seg.begin = total_rows;
       seg.rows = v->num_rows();
       seg.mass_col =
@@ -502,14 +493,16 @@ struct MarginalRuleFinder::Impl {
 
   // --- Pass 1 -----------------------------------------------------------
 
-  /// Raises covered[t] to the pending weight on the rows of [llo, lhi) of
-  /// `s` that the pending rule covers. Distinct ranges touch distinct rows.
+  /// Raises the covered weight to the pending weight on the rows of
+  /// [llo, lhi) of `s` that the pending rule covers. Distinct ranges touch
+  /// distinct rows.
   void ApplyPendingRange(const Segment& s, uint64_t llo, uint64_t lhi) const {
-    const double w = pending->weight;
-    double* cw = s.mut_covered;
+    const PassOneStore::Pick& pending = *pass1.pending;
+    const double w = pending.weight;
+    double* cw = covered.data() + s.begin;
     if (s.subset) {
       for (uint64_t t = llo; t < lhi; ++t) {
-        if (cw[t] < w && RuleCoversRow(pending->rule, *s.view, t)) cw[t] = w;
+        if (cw[t] < w && RuleCoversRow(pending.rule, *s.view, t)) cw[t] = w;
       }
       return;
     }
@@ -517,7 +510,7 @@ struct MarginalRuleFinder::Impl {
     const Table& table = s.view->table();
     for (uint64_t b0 = llo; b0 < lhi; b0 += kScanBlockRows) {
       const uint64_t b1 = std::min(lhi, b0 + kScanBlockRows);
-      ComputeRuleMask(pending->rule, table, b0, b1, rmask, *kern);
+      ComputeRuleMask(pending.rule, table, b0, b1, rmask, *kern);
       kern->covered_max(cw + b0, rmask, static_cast<size_t>(b1 - b0), w);
     }
   }
@@ -575,7 +568,7 @@ struct MarginalRuleFinder::Impl {
       // sequential sweep in row order, so floats land identically on every
       // kernel path. Under Count aggregation the mass accumulators are
       // skipped entirely (mass is derived from the integer counts at merge).
-      const bool fuse_update = pending != nullptr && ci == 0;
+      const bool fuse_update = pass1.pending.has_value() && ci == 0;
       RunChunked(num_lanes, [&](uint64_t lane) {
         const auto [lo, hi] = lane_bounds(lane);
         uint32_t* counts = lane_counts.data() + lane * dict;
@@ -696,7 +689,8 @@ struct MarginalRuleFinder::Impl {
       // max(0, w_v), which ExactRepeatAdd reproduces bit for bit — the
       // first-interaction drill-down hot path never rescans the rows.
       lane_marginal.assign(num_lanes * dict, 0.0);
-      const bool fold_phase_b = covered_zero && count_mode && !build_postings;
+      const bool fold_phase_b =
+          covered.empty() && count_mode && !build_postings;
       if (fold_phase_b) {
         for (uint32_t v : st.codes) {
           const Entry& e = st.entries[v];
@@ -717,7 +711,7 @@ struct MarginalRuleFinder::Impl {
                                  uint64_t lhi) {
           const PackedRef col = s.view->table().column(c).ref();
           const double* mass_col = s.mass_col;
-          const double* covered = s.covered;
+          const double* cw = covered.data() + s.begin;
           const uint64_t gbase = s.begin;
           if (s.subset) {
             for (uint64_t t = llo; t < lhi; ++t) {
@@ -729,7 +723,8 @@ struct MarginalRuleFinder::Impl {
               const Entry& e = st.entries[code];
               if (e.excluded) continue;
               const double m = mass_col ? mass_col[row] : 1.0;
-              marginal[code] += m * std::max(0.0, e.weight - covered[t]);
+              marginal[code] +=
+                  m * std::max(0.0, e.weight - cw[t]);
             }
             return;
           }
@@ -744,7 +739,8 @@ struct MarginalRuleFinder::Impl {
               const Entry& e = st.entries[code];
               if (e.excluded) continue;
               const double m = mass_col ? mass_col[t] : 1.0;
-              marginal[code] += m * std::max(0.0, e.weight - covered[t]);
+              marginal[code] +=
+                  m * std::max(0.0, e.weight - cw[t]);
             }
           }
         });
@@ -775,6 +771,7 @@ struct MarginalRuleFinder::Impl {
   /// walk makes over the same rows. Either way bit for bit.
   double WalkMarginal(const uint32_t* p, const uint32_t* end, double w,
                       uint64_t lane_rows) const {
+    const double* cw = covered.data();
     double marginal = 0;
     double lane = 0;
     uint64_t lane_end = 0;
@@ -790,33 +787,31 @@ struct MarginalRuleFinder::Impl {
         const uint32_t row =
             s.subset ? s.view->row_id(t) : static_cast<uint32_t>(t);
         const double m = s.mass_col ? s.mass_col[row] : 1.0;
-        lane += m * std::max(0.0, w - s.covered[t]);
+        lane += m * std::max(0.0, w - cw[*q]);
       }
     });
     return marginal + lane;
   }
 
-  /// Applies the pending covered-weight update in full. When the pending
-  /// rule is the previous Find's winner, only its cover list is walked: a
-  /// singleton's postings or a wider rule's stored cover, checking on each
-  /// row the rule's other columns (the drill-down base's). Otherwise every
-  /// row is scanned, as pass 1's fused update does.
+  /// Applies the pending covered-weight update in full by walking the
+  /// previous winner's cover list: a singleton's postings or a wider rule's
+  /// stored cover, checking on each row the rule's other columns (the
+  /// drill-down base's). A winner whose cover was not stored (the store was
+  /// full) has every row scanned, as pass 1's fused update does.
   void ApplyPending() {
-    if (pending == nullptr) return;
-    const std::optional<PassOneStore::Pick>& pick = pass1.pick;
+    if (!pass1.pending) return;
+    const PassOneStore::Pick& pending = *pass1.pending;
     const uint32_t* rows = nullptr;
     uint64_t len = 0;
-    if (pick && pick->rule == pending->rule) {
-      if (pick->single >= 0) {
-        const Postings& ps = postings[pick->single];
-        const uint32_t code = pick->rule.value(columns[pick->single]);
-        rows = ps.rows.data() + ps.offsets[code];
-        len = ps.offsets[code + 1] - ps.offsets[code];
-      } else if (pick->cover != kNoCover) {
-        const CoverStore::Cover& c = store.covers[pick->cover];
-        rows = store.begin(c);
-        len = c.size;
-      }
+    if (pending.single >= 0) {
+      const Postings& ps = postings[pending.single];
+      const uint32_t code = pending.rule.value(columns[pending.single]);
+      rows = ps.rows.data() + ps.offsets[code];
+      len = ps.offsets[code + 1] - ps.offsets[code];
+    } else if (pending.cover != kNoCover) {
+      const CoverStore::Cover& c = store.covers[pending.cover];
+      rows = store.begin(c);
+      len = c.size;
     }
     if (rows == nullptr) {
       const LaneLayout layout(total_rows, 1);
@@ -829,18 +824,19 @@ struct MarginalRuleFinder::Impl {
       });
       return;
     }
-    const double w = pending->weight;
+    const double w = pending.weight;
+    double* cw = covered.data();
     RunChunked((len + kMinLaneRows - 1) / kMinLaneRows, [&](uint64_t chunk) {
       const uint32_t* p = rows + chunk * kMinLaneRows;
       const uint32_t* end = rows + std::min(len, (chunk + 1) * kMinLaneRows);
       ForEachRun(p, end, [&](const Segment& s, const uint32_t* q,
                              const uint32_t* run_end) {
-        const CompiledRule rest(pick->rest, s.view->table());
+        const CompiledRule rest(pending.rest, s.view->table());
         for (; q != run_end; ++q) {
           const uint64_t t = *q - s.begin;
           const uint32_t row =
               s.subset ? s.view->row_id(t) : static_cast<uint32_t>(t);
-          if (s.mut_covered[t] < w && rest.Covers(row)) s.mut_covered[t] = w;
+          if (cw[*q] < w && rest.Covers(row)) cw[*q] = w;
         }
       });
     });
@@ -994,6 +990,7 @@ struct MarginalRuleFinder::Impl {
     uint64_t seg_begin = 0;
     uint64_t seg_end = 0;  // 0 forces a bind on the first row
 
+    const double* cw = covered.data();
     double mass = 0;
     double marginal = 0;
     const uint32_t* p = row_begin;
@@ -1034,7 +1031,7 @@ struct MarginalRuleFinder::Impl {
             const uint64_t t = outbuf[j] - seg_begin;
             const double m = mass_col ? mass_col[t] : 1.0;
             mass += m;
-            marginal += m * std::max(0.0, e.weight - s->covered[t]);
+            marginal += m * std::max(0.0, e.weight - cw[outbuf[j]]);
           }
           if (record != nullptr) {
             record->insert(record->end(), outbuf, outbuf + kept);
@@ -1046,11 +1043,11 @@ struct MarginalRuleFinder::Impl {
       const uint64_t t = gt - seg_begin;
       const uint32_t row = subset ? s->view->row_id(t)
                                   : static_cast<uint32_t>(t);
-      bool covered = true;
+      bool matches = true;
       if (hoisted) {
         for (size_t i = 0; i < preds; ++i) {
           if (preds_buf[i].col.Get(row) != preds_buf[i].want) {
-            covered = false;
+            matches = false;
             break;
           }
         }
@@ -1058,15 +1055,15 @@ struct MarginalRuleFinder::Impl {
         for (size_t i = 0; i < arity; ++i) {
           if (!checked(i)) continue;
           if (table->column(g.cols[i]).Get(row) != vals[i]) {
-            covered = false;
+            matches = false;
             break;
           }
         }
       }
-      if (covered) {
+      if (matches) {
         const double m = mass_col ? mass_col[row] : 1.0;
         mass += m;
-        marginal += m * std::max(0.0, e.weight - s->covered[t]);
+        marginal += m * std::max(0.0, e.weight - cw[gt]);
         if (record != nullptr) record->push_back(static_cast<uint32_t>(gt));
       }
       ++p;
@@ -1386,17 +1383,30 @@ struct MarginalRuleFinder::Impl {
     }
 
     // An already-expired deadline aborts before the first scan: the greedy
-    // caller keeps whatever rules it has (degrade, not fail).
+    // caller keeps whatever rules it has (degrade, not fail). A pending
+    // update stays pending.
     if (DeadlineExpired()) return DeadlineStatus();
+
+    // While `covered` is empty every covered weight is 0.0. A first pass 1
+    // capped at size-1 rules under Count folds its marginal scan into the
+    // counts and reads none of them (see CountSizeOne); every other pass,
+    // and any pending update, needs the array.
+    const bool folds = count_mode && !build_postings && !pass1.pending;
+    if (covered.empty() && !folds) covered.assign(total_rows, 0.0);
 
     // Pass 1: the first Find scans the view for every size-1 rule and
     // builds the postings; later Finds update the covered weights along
-    // the last winner's cover and recount from the stored state.
+    // the last winner's cover and recount from the stored state. Once pass
+    // 1 has started, the pending update is applied in full, even when the
+    // pass then fails.
     if (pass1.built) {
       ApplyPending();
+      pass1.pending.reset();
       SMARTDD_RETURN_IF_ERROR(RecountSingles());
     } else {
-      SMARTDD_RETURN_IF_ERROR(CountSizeOne());
+      const Status counted = CountSizeOne();
+      pass1.pending.reset();
+      SMARTDD_RETURN_IF_ERROR(counted);
       pass1.built = build_postings;
     }
     AbsorbSingles();
@@ -1415,16 +1425,15 @@ struct MarginalRuleFinder::Impl {
     if (best_marginal <= 0) {
       return Status::NotFound("no rule with positive marginal value");
     }
-    if (pass1.built) {
-      PassOneStore::Pick& pick = pass1.pick.emplace();
-      pick.rule = best_rule;
-      pick.rest = best_rule;
-      pick.rest.clear_values(best_cols);
-      if (best_cols.size() == 1) {
-        pick.single = col_dense[best_cols[0]];
-      } else {
-        pick.cover = best_cover;
-      }
+    PassOneStore::Pick& pick = pass1.pending.emplace();
+    pick.rule = best_rule;
+    pick.weight = best_weight;
+    pick.rest = best_rule;
+    pick.rest.clear_values(best_cols);
+    if (best_cols.size() == 1) {
+      pick.single = col_dense[best_cols[0]];
+    } else {
+      pick.cover = best_cover;
     }
     MarginalRuleResult result;
     result.rule = best_rule;
@@ -1435,64 +1444,30 @@ struct MarginalRuleFinder::Impl {
   }
 };
 
-MarginalRuleFinder::MarginalRuleFinder(const TableView& view,
-                                       const WeightFunction& weight,
-                                       MarginalSearchOptions options)
-    : views_({&view}),
-      weight_(&weight),
-      options_(std::move(options)),
-      store_(std::make_unique<CoverStore>()),
-      pass1_(std::make_unique<PassOneStore>()) {}
-
 MarginalRuleFinder::MarginalRuleFinder(std::vector<const TableView*> views,
                                        const WeightFunction& weight,
-                                       MarginalSearchOptions options)
+                                       MarginalSearchOptions options,
+                                       std::vector<double> covered)
     : views_(std::move(views)),
       weight_(&weight),
       options_(std::move(options)),
+      covered_(std::move(covered)),
       store_(std::make_unique<CoverStore>()),
       pass1_(std::make_unique<PassOneStore>()) {
-  SMARTDD_CHECK(!views_.empty()) << "a sharded finder needs >= 1 view";
+  SMARTDD_CHECK(!views_.empty()) << "the finder needs >= 1 view";
+  if (!covered_.empty()) {
+    uint64_t rows = 0;
+    for (const TableView* v : views_) rows += v->num_rows();
+    SMARTDD_CHECK(covered_.size() == rows)
+        << "covered must have one entry per row of the views";
+  }
 }
 
 MarginalRuleFinder::~MarginalRuleFinder() = default;
 
-Result<MarginalRuleResult> MarginalRuleFinder::Find(
-    const std::vector<double>& covered_weight) {
-  SMARTDD_CHECK(views_.size() == 1)
-      << "a sharded finder takes per-shard covered weights (FindSharded)";
-  SMARTDD_CHECK(covered_weight.size() == views_[0]->num_rows())
-      << "covered_weight must have one entry per view row";
+Result<MarginalRuleResult> MarginalRuleFinder::Find() {
   stats_ = MarginalSearchStats{};
-  Impl impl(views_, *weight_, options_, stats_, *store_, *pass1_,
-            {covered_weight.data()}, {});
-  return impl.Run();
-}
-
-Result<MarginalRuleResult> MarginalRuleFinder::FindSharded(
-    const std::vector<std::vector<double>*>& covered,
-    const CoveredUpdate* pending, bool covered_is_zero) {
-  SMARTDD_CHECK(covered.size() == views_.size())
-      << "one covered-weight vector per shard view";
-  SMARTDD_CHECK(!(covered_is_zero && pending != nullptr))
-      << "a pending covered-weight update contradicts covered_is_zero";
-  std::vector<const double*> covered_ptrs;
-  std::vector<double*> mut_ptrs;
-  for (size_t i = 0; i < covered.size(); ++i) {
-    SMARTDD_CHECK(covered[i]->size() == views_[i]->num_rows())
-        << "covered_weight must have one entry per shard view row";
-    covered_ptrs.push_back(covered[i]->data());
-    mut_ptrs.push_back(covered[i]->data());
-  }
-  if (pending != nullptr) {
-    SMARTDD_CHECK(pending->rule.num_columns() == views_[0]->num_columns());
-  }
-  stats_ = MarginalSearchStats{};
-  Impl impl(views_, *weight_, options_, stats_, *store_, *pass1_,
-            covered_ptrs,
-            pending != nullptr ? mut_ptrs : std::vector<double*>{});
-  impl.pending = pending;
-  impl.covered_zero = covered_is_zero;
+  Impl impl(views_, *weight_, options_, stats_, *store_, *pass1_, covered_);
   return impl.Run();
 }
 

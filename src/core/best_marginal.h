@@ -87,18 +87,6 @@ struct MarginalSearchStats {
   }
 };
 
-/// A deferred covered-weight update from the previous greedy pick: before
-/// the next search reads covered_weight[t], every row covered by `rule`
-/// must have its entry raised to at least `weight`. Passing it into
-/// FindSharded() lets the finder apply it where it is cheapest: on the
-/// finder's first search, fused into its own parallel pass-1 scan; on a
-/// later one, by walking the rows of the rule the finder just picked
-/// instead of scanning all n.
-struct CoveredUpdate {
-  Rule rule{0};
-  double weight = 0;
-};
-
 /// Result of one best-marginal-rule search.
 struct MarginalRuleResult {
   Rule rule{0};      ///< full-width rule (base merged in)
@@ -117,9 +105,17 @@ struct MarginalRuleResult {
 ///         Marginal(r') + Mass(r') * (max_weight - W(r'))
 /// cannot beat the best marginal value H found so far.
 ///
-/// The finder is a lazy greedy across its Find calls (BRS runs its k greedy
-/// steps on one finder; Minoux's accelerated greedy). It keeps, for its
-/// whole lifetime, everything that depends only on the views:
+/// The finder is one BRS run: its k Find calls are the k greedy steps, and
+/// it owns the greedy's state, each row's covered weight (the weight of the
+/// heaviest earlier pick covering it). A Find after a successful one first
+/// raises the rows the previous winner covers to the winner's weight, so
+/// covered weights only ever rise. The update walks the winner's postings
+/// or stored cover (every row when the full store kept none); a
+/// size-1-capped search fuses it into its pass-1 scan instead.
+///
+/// The finder is a lazy greedy across its Find calls (Minoux's accelerated
+/// greedy). It keeps, for its whole lifetime, everything that depends only
+/// on the views:
 ///  - pass 1's singleton counts, masses, weights and CSR postings, built by
 ///    the first Find's full scan (a search capped at size-1 rules builds no
 ///    postings and rescans every Find);
@@ -127,63 +123,34 @@ struct MarginalRuleResult {
 ///    covers and its mass. A later count of a stored rule walks only its
 ///    cover; a new rule of arity >= 3 walks its shortest stored immediate
 ///    sub-rule cover and checks the one missing column;
-///  - each rule's last counted marginal. Covered weights never decrease
-///    between Finds, so that value bounds the rule's current marginal bit
-///    for bit, and a later Find recounts a rule only when it can still
-///    reach the threshold H (a singleton also when its super-rule bound
-///    can).
-/// A later Find applies the previous pick's covered-weight update by
-/// walking that pick's cover instead of every row. Every sum still runs over the same rows in the same order, and the
+///  - each rule's last counted marginal. Covered weights only rise, so that
+///    value bounds the rule's current marginal bit for bit, and a later
+///    Find recounts a rule only when it can still reach the threshold H (a
+///    singleton also when its super-rule bound can).
+/// Every sum still runs over the same rows in the same order, and the
 /// winner and every tie contender are counted fresh, so results are
-/// bit-identical to a fresh finder per call. The views' rows must therefore
-/// not change while the finder is in use.
+/// bit-identical to a fresh finder per step started from the same covered
+/// weights. The views' rows must not change while the finder is in use.
 class MarginalRuleFinder {
  public:
-  /// `view` and `weight` must outlive the finder.
-  MarginalRuleFinder(const TableView& view, const WeightFunction& weight,
-                     MarginalSearchOptions options);
-
-  /// Sharded search: `views` are row-contiguous shard slices, in shard
-  /// order, of one logical table (same schema, shared dictionaries, same
-  /// measure selection). The search treats their concatenation as a single
-  /// row space: scan lanes, merge order, pruning thresholds, and tie-breaks
-  /// are pure functions of the *global* shape, so the result is
-  /// byte-identical to running the single-view search over the unsharded
-  /// original — for every shard count and every thread count. The views
+  /// `views` are row-contiguous shard slices, in shard order, of one
+  /// logical table (same schema, shared dictionaries, same measure
+  /// selection); a single view is a list of one. The search treats their
+  /// concatenation as a single row space: scan lanes, merge order, pruning
+  /// thresholds, and tie-breaks are pure functions of the *global* shape,
+  /// so the result is byte-identical for every shard count and every
+  /// thread count. `covered` holds the starting covered weight of each row
+  /// of that concatenation; empty means all zero. The views and `weight`
   /// must outlive the finder.
   MarginalRuleFinder(std::vector<const TableView*> views,
                      const WeightFunction& weight,
-                     MarginalSearchOptions options);
+                     MarginalSearchOptions options,
+                     std::vector<double> covered = {});
 
-  /// Runs the search. `covered_weight[i]` is the weight of the
-  /// highest-weight already-selected rule covering view row i (0 if none).
-  /// Returns NotFound when no rule has positive marginal value. No entry
-  /// may decrease between Find calls on one finder (BRS only raises them);
-  /// the skipped recounts rely on it.
-  Result<MarginalRuleResult> Find(const std::vector<double>& covered_weight);
-
-  /// Sharded Find: `covered[s]` holds the covered-weight entries for
-  /// views[s]'s rows (shard-local state, the seam for a multi-process
-  /// tier). `pending` may be null; when set, it is applied to `covered` in
-  /// full before any read: on the finder's first call inside pass 1's
-  /// first parallel region, on later calls by walking the cover of the
-  /// rule the previous call returned (when `pending` names it) or else
-  /// every row. Each row is updated at most once, so the result is
-  /// bit-identical to applying the update serially first, for every thread
-  /// count. When the search bails out before scanning (empty view / empty
-  /// search space, or a deadline already expired), `covered` is left
-  /// untouched — the greedy loop ends anyway.
-  ///
-  /// `covered_is_zero` is the caller's promise that every covered entry is
-  /// exactly 0.0 (the first greedy step, before any rule was picked) — it
-  /// lets pass 1 fold its Phase-B marginal scan into the Phase-A counts,
-  /// with bit-identical results (see CountSizeOne). It must not be combined
-  /// with a pending update (an update implies a prior pick).
-  ///
-  /// As with Find, no covered entry may decrease between calls.
-  Result<MarginalRuleResult> FindSharded(
-      const std::vector<std::vector<double>*>& covered,
-      const CoveredUpdate* pending, bool covered_is_zero = false);
+  /// Runs one greedy step: the rule with the highest marginal value over
+  /// the current covered weights. Returns NotFound when no rule has
+  /// positive marginal value, DeadlineExceeded when the deadline fires.
+  Result<MarginalRuleResult> Find();
 
   ~MarginalRuleFinder();
 
@@ -199,6 +166,9 @@ class MarginalRuleFinder {
   const WeightFunction* weight_;
   MarginalSearchOptions options_;
   MarginalSearchStats stats_;
+  /// One covered weight per row of the views' concatenation; empty while
+  /// every weight is 0.0 and no search has needed the array.
+  std::vector<double> covered_;
   std::unique_ptr<CoverStore> store_;
   std::unique_ptr<PassOneStore> pass1_;
 };

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
 #include <utility>
 
 #include "common/logging.h"
@@ -10,10 +9,10 @@
 
 namespace smartdd {
 
-Result<BrsResult> RunBrsSharded(const std::vector<const TableView*>& views,
-                                const WeightFunction& weight,
-                                const BrsOptions& options) {
-  SMARTDD_CHECK(!views.empty()) << "sharded BRS needs >= 1 shard view";
+Result<BrsResult> RunBrs(const std::vector<const TableView*>& views,
+                         const WeightFunction& weight,
+                         const BrsOptions& options) {
+  SMARTDD_CHECK(!views.empty()) << "BRS needs >= 1 view";
   for (const TableView* vp : views) {
     if (!vp->has_measure()) continue;
     // Negative or non-finite masses would invalidate the a-priori pruning
@@ -43,35 +42,17 @@ Result<BrsResult> RunBrsSharded(const std::vector<const TableView*>& views,
   search.kernel = options.kernel;
   search.deadline = options.deadline;
 
+  // The finder owns the covered weights: each Find first applies the
+  // previous pick's update.
   MarginalRuleFinder finder(views, weight, search);
 
   BrsResult result;
-  // Shard-local covered-weight state, one vector per shard view.
-  std::vector<std::vector<double>> covered(views.size());
-  std::vector<std::vector<double>*> covered_ptrs(views.size());
-  for (size_t s = 0; s < views.size(); ++s) {
-    covered[s].assign(views[s]->num_rows(), 0.0);
-    covered_ptrs[s] = &covered[s];
-  }
-
-  // The covered-weight update from step i is not applied eagerly — it is
-  // handed to step i+1's Find, which walks only the rows step i's pick
-  // covers. Nothing after the loop reads `covered`, so a final unapplied
-  // update is simply dropped. Covered weights only rise, which the
-  // finder's lazy recounts rely on.
-  std::optional<CoveredUpdate> pending;
-
   for (size_t step = 0; step < options.k; ++step) {
     if (options.deadline.active() && options.deadline.expired()) {
       result.deadline_exceeded = true;
       break;  // degrade: keep the steps that finished in budget
     }
-    // Step 0 runs on freshly zeroed covered weights: telling the finder
-    // lets it fold the pass-1 marginal scan into the counting scan.
-    auto found = finder.FindSharded(covered_ptrs,
-                                    pending ? &*pending : nullptr,
-                                    /*covered_is_zero=*/step == 0);
-    pending.reset();
+    auto found = finder.Find();
     result.stats.Accumulate(finder.stats());
     if (!found.ok()) {
       if (found.status().code() == StatusCode::kNotFound) break;
@@ -89,7 +70,6 @@ Result<BrsResult> RunBrsSharded(const std::vector<const TableView*>& views,
     sr.mass = m.mass;
     sr.marginal_value = m.marginal;
     result.rules.push_back(sr);
-    pending = CoveredUpdate{m.rule, m.weight};
 
     if (options.on_rule && !options.on_rule(sr, step)) break;
   }
@@ -103,18 +83,13 @@ Result<BrsResult> RunBrsSharded(const std::vector<const TableView*>& views,
   std::vector<Rule> in_order;
   for (const auto& r : result.rules) in_order.push_back(r.rule);
   RuleListEvaluation eval =
-      EvaluateRuleListSharded(views, in_order, weight, options.kernel);
+      EvaluateRuleList(views, in_order, weight, options.kernel);
   for (size_t i = 0; i < result.rules.size(); ++i) {
     result.rules[i].mass = eval.mass[i];
     result.rules[i].marginal_mass = eval.marginal_mass[i];
   }
   result.total_score = eval.total_score;
   return result;
-}
-
-Result<BrsResult> RunBrs(const TableView& view, const WeightFunction& weight,
-                         const BrsOptions& options) {
-  return RunBrsSharded({&view}, weight, options);
 }
 
 }  // namespace smartdd

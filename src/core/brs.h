@@ -66,22 +66,18 @@ struct BrsResult {
 /// submodularity of Score (Lemma 3) the result is within 1-(1-1/k)^k of the
 /// optimal score when max_weight covers the optimal rules' weights.
 ///
+/// `views` are row-contiguous shard slices, in shard order, of one logical
+/// table (shared dictionaries, same measure selection); a single view is
+/// passed as `{&view}`. The search treats the shards' concatenation as a
+/// single row space, so the selected rules, masses, and scores are
+/// byte-identical for every shard count and thread count.
+///
 /// May return fewer than k rules when no remaining rule has positive
 /// marginal value. Errors only on invalid inputs (e.g. negative masses in
 /// Sum mode, which would break the pruning bounds).
-Result<BrsResult> RunBrs(const TableView& view, const WeightFunction& weight,
+Result<BrsResult> RunBrs(const std::vector<const TableView*>& views,
+                         const WeightFunction& weight,
                          const BrsOptions& options = {});
-
-/// Sharded BRS: `views` are row-contiguous shard slices, in shard order, of
-/// one logical table (shared dictionaries, same measure selection). Each
-/// shard keeps its own covered-weight vector (shard-local state — the seam
-/// for a future multi-process tier) and the marginal search treats the
-/// shards' concatenation as a single row space, so the selected rules,
-/// masses, and scores are byte-identical to RunBrs over the unsharded
-/// original — for every shard count and thread count.
-Result<BrsResult> RunBrsSharded(const std::vector<const TableView*>& views,
-                                const WeightFunction& weight,
-                                const BrsOptions& options = {});
 
 }  // namespace smartdd
 

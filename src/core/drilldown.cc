@@ -6,10 +6,10 @@
 
 namespace smartdd {
 
-Result<DrillDownResponse> SmartDrillDownSharded(
+Result<DrillDownResponse> SmartDrillDown(
     const std::vector<const TableView*>& views, const WeightFunction& weight,
     const DrillDownRequest& request) {
-  SMARTDD_CHECK(!views.empty()) << "sharded drill-down needs >= 1 shard view";
+  SMARTDD_CHECK(!views.empty()) << "drill-down needs >= 1 view";
   const Rule& base = request.base;
   if (base.num_columns() != views[0]->num_columns()) {
     return Status::InvalidArgument("base rule width does not match table");
@@ -89,7 +89,7 @@ Result<DrillDownResponse> SmartDrillDownSharded(
     w = &*star_weight;
   }
 
-  SMARTDD_ASSIGN_OR_RETURN(BrsResult brs_result, RunBrsSharded(subs, *w, brs));
+  SMARTDD_ASSIGN_OR_RETURN(BrsResult brs_result, RunBrs(subs, *w, brs));
 
   for (auto& r : brs_result.rules) {
     // Zero-weight rules can only appear if nothing positive exists; they
@@ -102,12 +102,6 @@ Result<DrillDownResponse> SmartDrillDownSharded(
   response.stats = brs_result.stats;
   response.partial = brs_result.deadline_exceeded;
   return response;
-}
-
-Result<DrillDownResponse> SmartDrillDown(const TableView& view,
-                                         const WeightFunction& weight,
-                                         const DrillDownRequest& request) {
-  return SmartDrillDownSharded({&view}, weight, request);
 }
 
 }  // namespace smartdd

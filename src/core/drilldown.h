@@ -62,21 +62,18 @@ struct DrillDownResponse {
   bool partial = false;
 };
 
-/// Executes a smart drill-down over a view using the reduction of §3.1:
-/// filter the view to the tuples covered by base (Problem 1 -> Problem 2),
-/// search only base's starred columns with weights evaluated on the merged
-/// super-rule, and — for star drill-downs — rewrite the weight so rules not
+/// Executes a smart drill-down using the reduction of §3.1: filter the
+/// view to the tuples covered by base (Problem 1 -> Problem 2), search only
+/// base's starred columns with weights evaluated on the merged super-rule,
+/// and — for star drill-downs — rewrite the weight so rules not
 /// instantiating the clicked column get weight 0.
-Result<DrillDownResponse> SmartDrillDown(const TableView& view,
-                                         const WeightFunction& weight,
-                                         const DrillDownRequest& request);
-
-/// Sharded drill-down: `views` are row-contiguous shard slices, in shard
-/// order, of one logical table. Each shard filters to the base rule's cover
-/// locally; the search and the evaluations treat the shard sub-views'
-/// concatenation as one row space, so the response is byte-identical to
-/// SmartDrillDown over the unsharded original for every shard count.
-Result<DrillDownResponse> SmartDrillDownSharded(
+///
+/// `views` are row-contiguous shard slices, in shard order, of one logical
+/// table; a single view is passed as `{&view}`. Each shard filters to the
+/// base rule's cover locally; the search and the evaluations treat the
+/// shard sub-views' concatenation as one row space, so the response is
+/// byte-identical for every shard count.
+Result<DrillDownResponse> SmartDrillDown(
     const std::vector<const TableView*>& views, const WeightFunction& weight,
     const DrillDownRequest& request);
 

@@ -40,7 +40,8 @@ Result<MwEstimate> EstimateMaxWeight(const TableView& view,
 
   BrsOptions options;
   options.k = k;
-  SMARTDD_ASSIGN_OR_RETURN(BrsResult result, RunBrs(sample, weight, options));
+  SMARTDD_ASSIGN_OR_RETURN(BrsResult result,
+                           RunBrs({&sample}, weight, options));
 
   double max_w = 0;
   for (const auto& r : result.rules) max_w = std::max(max_w, r.weight);

@@ -40,7 +40,7 @@ std::vector<size_t> OrderByWeightDesc(const std::vector<Rule>& rules,
   return order;
 }
 
-RuleListEvaluation EvaluateRuleListSharded(
+RuleListEvaluation EvaluateRuleList(
     const std::vector<const TableView*>& views, const std::vector<Rule>& rules,
     const WeightFunction& weight, KernelPref kernel) {
   RuleListEvaluation out;
@@ -166,16 +166,9 @@ RuleListEvaluation EvaluateRuleListSharded(
   return out;
 }
 
-RuleListEvaluation EvaluateRuleList(const TableView& view,
-                                    const std::vector<Rule>& rules,
-                                    const WeightFunction& weight,
-                                    KernelPref kernel) {
-  return EvaluateRuleListSharded({&view}, rules, weight, kernel);
-}
-
 double ScoreRuleSet(const TableView& view, const std::vector<Rule>& rules,
                     const WeightFunction& weight) {
-  return EvaluateRuleList(view, rules, weight).total_score;
+  return EvaluateRuleList({&view}, rules, weight).total_score;
 }
 
 double ScoreRuleListInOrder(const TableView& view,

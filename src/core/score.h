@@ -42,23 +42,19 @@ struct RuleListEvaluation {
 std::vector<size_t> OrderByWeightDesc(const std::vector<Rule>& rules,
                                       const WeightFunction& weight);
 
-/// Exact evaluation of a rule list over a view: per-rule Count/MCount (or
-/// Sum/MSum) and the total score. The list is internally evaluated in
-/// descending-weight order per Definition 2, but outputs are reported in the
-/// input order. `kernel` selects the scan-kernel path for the per-rule match
-/// masks (results are bit-identical across paths).
-RuleListEvaluation EvaluateRuleList(const TableView& view,
-                                    const std::vector<Rule>& rules,
-                                    const WeightFunction& weight,
-                                    KernelPref kernel = KernelPref::kAuto);
-
-/// Sharded evaluation: `views` are row-contiguous shard slices, in shard
-/// order, of one logical table. The accumulators run sequentially across
-/// the views in shard order — the same addition sequence as evaluating the
-/// unsharded original — so the floats are byte-identical for every shard
-/// count (per-shard subtotals folded together would not be: a different
-/// fold tree drifts in the ULPs).
-RuleListEvaluation EvaluateRuleListSharded(
+/// Exact evaluation of a rule list: per-rule Count/MCount (or Sum/MSum) and
+/// the total score. The list is internally evaluated in descending-weight
+/// order per Definition 2, but outputs are reported in the input order.
+/// `kernel` selects the scan-kernel path for the per-rule match masks
+/// (results are bit-identical across paths).
+///
+/// `views` are row-contiguous shard slices, in shard order, of one logical
+/// table; a single view is passed as `{&view}`. The accumulators run
+/// sequentially across the views in shard order — the same addition
+/// sequence as evaluating the unsharded original — so the floats are
+/// byte-identical for every shard count (per-shard subtotals folded
+/// together would not be: a different fold tree drifts in the ULPs).
+RuleListEvaluation EvaluateRuleList(
     const std::vector<const TableView*>& views, const std::vector<Rule>& rules,
     const WeightFunction& weight, KernelPref kernel = KernelPref::kAuto);
 

@@ -210,7 +210,7 @@ Result<DrillDownResponse> ExplorationEngine::DrillDown(
 
   SMARTDD_ASSIGN_OR_RETURN(
       DrillDownResponse response,
-      SmartDrillDownSharded(view_ptrs, *weight_, request));
+      SmartDrillDown(view_ptrs, *weight_, request));
 
   // Every counting pass ran over every shard's rows: pass 1 of a run's
   // first greedy step scans them all, and the later passes walk postings

@@ -145,7 +145,7 @@ Result<DrillDownResponse> ExplorationSession::RunDrillDown(
       };
     }
     SMARTDD_ASSIGN_OR_RETURN(DrillDownResponse response,
-                             SmartDrillDown(view, weight, request));
+                             SmartDrillDown({&view}, weight, request));
     // Scale sample masses to full-table estimates; attach CI info via the
     // caller (which knows the sample size).
     const double n_sample = static_cast<double>(sample.table.num_rows());
@@ -176,7 +176,7 @@ Result<DrillDownResponse> ExplorationSession::RunDrillDown(
   SMARTDD_RETURN_IF_ERROR(s);
   TableView view(materialized);
   SMARTDD_RETURN_IF_ERROR(apply_measure(view));
-  return SmartDrillDown(view, weight, request);
+  return SmartDrillDown({&view}, weight, request);
 }
 
 Result<std::vector<int>> ExplorationSession::ExpandInternal(

@@ -1,6 +1,7 @@
 #include "storage/disk_table.h"
 
 #include <chrono>
+#include <cmath>
 #include <cstring>
 #include <thread>
 
@@ -245,6 +246,17 @@ Status DiskTable::ScanRange(uint64_t row_begin, uint64_t row_end,
   const size_t meas_off = num_cols == 0
                               ? 0
                               : col_off[num_cols - 1] + widths_[num_cols - 1];
+  // The file is untrusted: a code outside its column's dictionary or a
+  // non-finite measure fails the scan instead of reaching the search.
+  std::vector<size_t> dict_sizes(num_cols);
+  for (size_t c = 0; c < num_cols; ++c) dict_sizes[c] = dicts_[c]->size();
+  auto corrupt = [&](uint64_t at, const std::string& what) {
+    std::fclose(f);
+    return Status::IOError(
+        StrFormat("disk table corrupt at row %llu: ",
+                  static_cast<unsigned long long>(at)) +
+        what + ": " + path_);
+  };
 
   uint64_t row = row_begin;
   bool keep_going = true;
@@ -299,11 +311,19 @@ Status DiskTable::ScanRange(uint64_t row_begin, uint64_t row_end,
             break;
           }
         }
+        if (codes[c] >= dict_sizes[c]) {
+          return corrupt(row, StrFormat("code %u out of dictionary range %zu "
+                                        "in column %zu",
+                                        codes[c], dict_sizes[c], c));
+        }
       }
       size_t off = meas_off;
       for (size_t m = 0; m < num_meas; ++m) {
         std::memcpy(&measures[m], p + off, 8);
         off += 8;
+        if (!std::isfinite(measures[m])) {
+          return corrupt(row, StrFormat("non-finite value in measure %zu", m));
+        }
       }
       if (!fn(row, codes.data(), num_meas ? measures.data() : nullptr)) {
         keep_going = false;

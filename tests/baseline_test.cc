@@ -129,7 +129,7 @@ TEST(TraditionalDrillDownTest, EquivalentBrsEmulation) {
   options.k = t.dictionary(0).size();
   options.max_weight = 1.0;
   options.max_rule_size = 1;
-  auto brs = RunBrs(v, w, options);
+  auto brs = RunBrs({&v}, w, options);
   ASSERT_TRUE(brs.ok());
   ASSERT_EQ(brs->rules.size(), groups.size());
   // BRS returns one rule per distinct value, counts matching the group-by.

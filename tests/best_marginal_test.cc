@@ -19,9 +19,9 @@ TEST(BestMarginalTest, FindsDominantSingleRule) {
       {{"a", "x"}, {"a", "y"}, {"a", "z"}, {"b", "x"}, {"c", "y"}});
   TableView v(t);
   SizeWeight w;
-  MarginalRuleFinder finder(v, w, {});
   std::vector<double> covered(5, 0.0);
-  auto best = finder.Find(covered);
+  MarginalRuleFinder finder({&v}, w, {}, covered);
+  auto best = finder.Find();
   ASSERT_TRUE(best.ok()) << best.status().ToString();
   EXPECT_EQ(best->rule, R(t, {"a", "?"}));
   EXPECT_DOUBLE_EQ(best->mass, 3.0);
@@ -34,9 +34,9 @@ TEST(BestMarginalTest, PrefersHighWeightWhenCountsJustify) {
       {{"a", "x"}, {"a", "x"}, {"a", "x"}, {"a", "y"}, {"b", "z"}});
   TableView v(t);
   SizeWeight w;
-  MarginalRuleFinder finder(v, w, {});
   std::vector<double> covered(5, 0.0);
-  auto best = finder.Find(covered);
+  MarginalRuleFinder finder({&v}, w, {}, covered);
+  auto best = finder.Find();
   ASSERT_TRUE(best.ok());
   EXPECT_EQ(best->rule, R(t, {"a", "x"}));
   EXPECT_DOUBLE_EQ(best->marginal, 6.0);
@@ -47,10 +47,10 @@ TEST(BestMarginalTest, CoveredWeightReducesMarginal) {
       {{"a", "x"}, {"a", "x"}, {"a", "y"}, {"b", "z"}, {"b", "z"}});
   TableView v(t);
   SizeWeight w;
-  MarginalRuleFinder finder(v, w, {});
   // Pretend (a,?) (weight 1) is already selected: rows 0-2 covered at 1.
   std::vector<double> covered = {1, 1, 1, 0, 0};
-  auto best = finder.Find(covered);
+  MarginalRuleFinder finder({&v}, w, {}, covered);
+  auto best = finder.Find();
   ASSERT_TRUE(best.ok());
   // (b,z): 2 fresh tuples * weight 2 = 4 beats (a,x): 2 * (2-1) = 2.
   EXPECT_EQ(best->rule, R(t, {"b", "z"}));
@@ -61,9 +61,9 @@ TEST(BestMarginalTest, NotFoundWhenEverythingCoveredAtMaxWeight) {
   Table t = MakeTable({{"a"}, {"b"}});
   TableView v(t);
   SizeWeight w;
-  MarginalRuleFinder finder(v, w, {});
   std::vector<double> covered = {1.0, 1.0};  // max weight for 1 column
-  auto best = finder.Find(covered);
+  MarginalRuleFinder finder({&v}, w, {}, covered);
+  auto best = finder.Find();
   EXPECT_EQ(best.status().code(), StatusCode::kNotFound);
 }
 
@@ -71,9 +71,9 @@ TEST(BestMarginalTest, NotFoundOnEmptyView) {
   Table t = MakeTable({{"a"}});
   TableView v(t, std::vector<uint32_t>{});
   SizeWeight w;
-  MarginalRuleFinder finder(v, w, {});
   std::vector<double> covered;
-  EXPECT_EQ(finder.Find(covered).status().code(), StatusCode::kNotFound);
+  MarginalRuleFinder finder({&v}, w, {}, covered);
+  EXPECT_EQ(finder.Find().status().code(), StatusCode::kNotFound);
 }
 
 TEST(BestMarginalTest, MaxWeightCapExcludesHeavyRules) {
@@ -83,9 +83,9 @@ TEST(BestMarginalTest, MaxWeightCapExcludesHeavyRules) {
   SizeWeight w;
   MarginalSearchOptions opts;
   opts.max_weight = 1.0;
-  MarginalRuleFinder finder(v, w, opts);
   std::vector<double> covered(3, 0.0);
-  auto best = finder.Find(covered);
+  MarginalRuleFinder finder({&v}, w, opts, covered);
+  auto best = finder.Find();
   ASSERT_TRUE(best.ok());
   EXPECT_EQ(best->rule.size(), 1u);
   EXPECT_DOUBLE_EQ(best->marginal, 2.0);
@@ -97,9 +97,9 @@ TEST(BestMarginalTest, MaxRuleSizeCapsPasses) {
   SizeWeight w;
   MarginalSearchOptions opts;
   opts.max_rule_size = 2;
-  MarginalRuleFinder finder(v, w, opts);
   std::vector<double> covered(2, 0.0);
-  auto best = finder.Find(covered);
+  MarginalRuleFinder finder({&v}, w, opts, covered);
+  auto best = finder.Find();
   ASSERT_TRUE(best.ok());
   EXPECT_LE(best->rule.size(), 2u);
   EXPECT_LE(finder.stats().passes, 2u);
@@ -111,9 +111,9 @@ TEST(BestMarginalTest, AllowedColumnsRestrictSearch) {
   SizeWeight w;
   MarginalSearchOptions opts;
   opts.allowed_columns = {1};
-  MarginalRuleFinder finder(v, w, opts);
   std::vector<double> covered(3, 0.0);
-  auto best = finder.Find(covered);
+  MarginalRuleFinder finder({&v}, w, opts, covered);
+  auto best = finder.Find();
   ASSERT_TRUE(best.ok());
   EXPECT_TRUE(best->rule.is_star(0));
   EXPECT_EQ(best->rule, R(t, {"?", "x"}));
@@ -128,9 +128,9 @@ TEST(BestMarginalTest, BaseRuleContributesToWeight) {
   MarginalSearchOptions opts;
   opts.base_rule = R(t, {"a", "?"});
   opts.allowed_columns = {1};
-  MarginalRuleFinder finder(filtered, w, opts);
   std::vector<double> covered(2, 0.0);
-  auto best = finder.Find(covered);
+  MarginalRuleFinder finder({&filtered}, w, opts, covered);
+  auto best = finder.Find();
   ASSERT_TRUE(best.ok());
   EXPECT_EQ(best->rule, R(t, {"a", "x"}));
   EXPECT_DOUBLE_EQ(best->weight, 2.0);
@@ -141,9 +141,9 @@ TEST(BestMarginalTest, StatsArePopulated) {
   Table t = MakeTable({{"a", "x"}, {"b", "y"}, {"a", "y"}});
   TableView v(t);
   SizeWeight w;
-  MarginalRuleFinder finder(v, w, {});
   std::vector<double> covered(3, 0.0);
-  ASSERT_TRUE(finder.Find(covered).ok());
+  MarginalRuleFinder finder({&v}, w, {}, covered);
+  ASSERT_TRUE(finder.Find().ok());
   EXPECT_GE(finder.stats().passes, 1u);
   EXPECT_GT(finder.stats().candidates_generated, 0u);
   EXPECT_GT(finder.stats().tuple_visits, 0u);
@@ -158,9 +158,9 @@ TEST(BestMarginalTest, SumAggregateUsesMeasureMass) {
   TableView v(t);
   v.SelectMeasure(0);
   SizeWeight w;
-  MarginalRuleFinder finder(v, w, {});
   std::vector<double> covered(3, 0.0);
-  auto best = finder.Find(covered);
+  MarginalRuleFinder finder({&v}, w, {}, covered);
+  auto best = finder.Find();
   ASSERT_TRUE(best.ok());
   // By count, (b,y) wins; by sales, (a,x) dominates: 100 * 2.
   EXPECT_EQ(best->rule, R(t, {"a", "x"}));
@@ -213,13 +213,13 @@ TEST_P(PruningDifferentialTest, FullMatchesExhaustiveAndNaive) {
   MarginalSearchOptions full_opts;
   full_opts.max_weight = mw;
   full_opts.pruning = PruningMode::kFull;
-  MarginalRuleFinder full(v, w, full_opts);
-  auto full_best = full.Find(covered);
+  MarginalRuleFinder full({&v}, w, full_opts, covered);
+  auto full_best = full.Find();
 
   MarginalSearchOptions ex_opts = full_opts;
   ex_opts.pruning = PruningMode::kExhaustive;
-  MarginalRuleFinder exhaustive(v, w, ex_opts);
-  auto ex_best = exhaustive.Find(covered);
+  MarginalRuleFinder exhaustive({&v}, w, ex_opts, covered);
+  auto ex_best = exhaustive.Find();
 
   auto naive = NaiveBestMarginal(v, w, covered, mw);
 
@@ -281,8 +281,8 @@ TEST_P(SumDifferentialTest, FullMatchesNaiveWithMeasuresAndSubsets) {
 
   MarginalSearchOptions opts;
   opts.max_weight = 3;
-  MarginalRuleFinder finder(v, w, opts);
-  auto fast = finder.Find(covered);
+  MarginalRuleFinder finder({&v}, w, opts, covered);
+  auto fast = finder.Find();
   auto naive = NaiveBestMarginal(v, w, covered, 3);
   ASSERT_EQ(fast.ok(), naive.ok());
   if (naive.ok()) {

@@ -27,7 +27,7 @@ TEST(BrsTest, ReproducesPaperTable2OnRetailData) {
   BrsOptions options;
   options.k = 3;
   options.max_weight = 5;
-  auto result = RunBrs(v, w, options);
+  auto result = RunBrs({&v}, w, options);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   ASSERT_EQ(result->rules.size(), 3u);
 
@@ -62,7 +62,7 @@ TEST(BrsTest, StopsEarlyWhenNothingLeft) {
   SizeWeight w;
   BrsOptions options;
   options.k = 10;  // only 2 distinct rules exist
-  auto result = RunBrs(v, w, options);
+  auto result = RunBrs({&v}, w, options);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->rules.size(), 2u);
 }
@@ -73,7 +73,7 @@ TEST(BrsTest, ResultSortedByWeightDescending) {
   SizeWeight w;
   BrsOptions options;
   options.k = 5;
-  auto result = RunBrs(v, w, options);
+  auto result = RunBrs({&v}, w, options);
   ASSERT_TRUE(result.ok());
   for (size_t i = 1; i < result->rules.size(); ++i) {
     EXPECT_GE(result->rules[i - 1].weight, result->rules[i].weight);
@@ -86,7 +86,7 @@ TEST(BrsTest, MarginalMassesPartitionCoveredMass) {
   SizeWeight w;
   BrsOptions options;
   options.k = 4;
-  auto result = RunBrs(v, w, options);
+  auto result = RunBrs({&v}, w, options);
   ASSERT_TRUE(result.ok());
   double total_marginal = 0;
   for (const auto& sr : result->rules) {
@@ -108,7 +108,7 @@ TEST(BrsTest, AnytimeCallbackSeesRulesInSelectionOrder) {
     marginals.push_back(r.marginal_value);
     return true;
   };
-  ASSERT_TRUE(RunBrs(v, w, options).ok());
+  ASSERT_TRUE(RunBrs({&v}, w, options).ok());
   ASSERT_EQ(marginals.size(), 4u);
   // Greedy marginal gains are non-increasing (submodularity).
   for (size_t i = 1; i < marginals.size(); ++i) {
@@ -123,7 +123,7 @@ TEST(BrsTest, AnytimeCallbackCanStopEarly) {
   BrsOptions options;
   options.k = 4;
   options.on_rule = [](const ScoredRule&, size_t idx) { return idx < 1; };
-  auto result = RunBrs(v, w, options);
+  auto result = RunBrs({&v}, w, options);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->rules.size(), 2u);
 }
@@ -135,7 +135,7 @@ TEST(BrsTest, RejectsNegativeMeasures) {
   TableView v(t);
   v.SelectMeasure(0);
   SizeWeight w;
-  EXPECT_EQ(RunBrs(v, w, {}).status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(RunBrs({&v}, w, {}).status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(BrsTest, RejectsNonFiniteMeasures) {
@@ -147,7 +147,7 @@ TEST(BrsTest, RejectsNonFiniteMeasures) {
     TableView v(t);
     v.SelectMeasure(0);
     SizeWeight w;
-    EXPECT_EQ(RunBrs(v, w, {}).status().code(), StatusCode::kInvalidArgument)
+    EXPECT_EQ(RunBrs({&v}, w, {}).status().code(), StatusCode::kInvalidArgument)
         << bad;
   }
 }
@@ -167,13 +167,13 @@ TEST(BrsTest, SumAggregateRanksByMeasure) {
   options.k = 1;
 
   TableView by_count(t);
-  auto count_result = RunBrs(by_count, w, options);
+  auto count_result = RunBrs({&by_count}, w, options);
   ASSERT_TRUE(count_result.ok());
   EXPECT_EQ(count_result->rules[0].rule, R(t, {"small"}));
 
   TableView by_sum(t);
   by_sum.SelectMeasure(0);
-  auto sum_result = RunBrs(by_sum, w, options);
+  auto sum_result = RunBrs({&by_sum}, w, options);
   ASSERT_TRUE(sum_result.ok());
   EXPECT_EQ(sum_result->rules[0].rule, R(t, {"big"}));
   EXPECT_DOUBLE_EQ(sum_result->rules[0].mass, 300.0);
@@ -196,7 +196,7 @@ TEST_P(ApproximationRatioTest, GreedyWithinBoundOfBruteForce) {
   const size_t k = 3;
   BrsOptions options;
   options.k = k;
-  auto greedy = RunBrs(v, w, options);
+  auto greedy = RunBrs({&v}, w, options);
   ASSERT_TRUE(greedy.ok());
 
   auto optimal = BruteForceOptimalRuleSet(v, w, k, /*max_size=*/2,
@@ -231,7 +231,7 @@ TEST_P(McpReductionTest, BrsScoreMatchesGreedyCoverage) {
   options.k = k;
   options.max_weight = 1.0;
   options.max_rule_size = 1;  // one subset indicator per rule suffices
-  auto brs = RunBrs(v, w, options);
+  auto brs = RunBrs({&v}, w, options);
   ASSERT_TRUE(brs.ok());
 
   size_t greedy_cov = GreedyMaxCoverage(inst, k);
@@ -255,7 +255,7 @@ TEST(BrsTest, InfinityMaxWeightFallsBackToWeightCap) {
   SizeWeight w;
   BrsOptions options;
   options.k = 2;
-  auto result = RunBrs(v, w, options);
+  auto result = RunBrs({&v}, w, options);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->rules[0].rule, R(t, {"a", "x"}));
 }

@@ -28,7 +28,10 @@
 namespace smartdd {
 namespace {
 
-/// RunBrsSharded's greedy loop with a fresh finder per step.
+/// RunBrs's greedy loop with a fresh finder per step. Each finder starts
+/// from this function's own covered weights (one per row of the views'
+/// concatenation), which it raises itself after every pick, so the
+/// reference never relies on the finder's own covered-weight update.
 BrsResult ReferenceBrs(const std::vector<const TableView*>& views,
                        const WeightFunction& weight,
                        const BrsOptions& options) {
@@ -46,18 +49,12 @@ BrsResult ReferenceBrs(const std::vector<const TableView*>& views,
   search.kernel = options.kernel;
 
   BrsResult result;
-  std::vector<std::vector<double>> covered(views.size());
-  std::vector<std::vector<double>*> covered_ptrs(views.size());
-  for (size_t s = 0; s < views.size(); ++s) {
-    covered[s].assign(views[s]->num_rows(), 0.0);
-    covered_ptrs[s] = &covered[s];
-  }
-  std::optional<CoveredUpdate> pending;
+  uint64_t total_rows = 0;
+  for (const TableView* v : views) total_rows += v->num_rows();
+  std::vector<double> covered(total_rows, 0.0);
   for (size_t step = 0; step < options.k; ++step) {
-    MarginalRuleFinder finder(views, weight, search);
-    auto found = finder.FindSharded(
-        covered_ptrs, pending ? &*pending : nullptr, step == 0);
-    pending.reset();
+    MarginalRuleFinder finder(views, weight, search, covered);
+    auto found = finder.Find();
     result.stats.Accumulate(finder.stats());
     if (!found.ok()) {
       EXPECT_EQ(found.status().code(), StatusCode::kNotFound);
@@ -69,7 +66,15 @@ BrsResult ReferenceBrs(const std::vector<const TableView*>& views,
     sr.mass = found->mass;
     sr.marginal_value = found->marginal;
     result.rules.push_back(sr);
-    pending = CoveredUpdate{found->rule, found->weight};
+    uint64_t begin = 0;
+    for (const TableView* v : views) {
+      for (uint64_t t = 0; t < v->num_rows(); ++t) {
+        if (RuleCoversRow(found->rule, *v, t)) {
+          covered[begin + t] = std::max(covered[begin + t], found->weight);
+        }
+      }
+      begin += v->num_rows();
+    }
   }
   std::stable_sort(result.rules.begin(), result.rules.end(),
                    [](const ScoredRule& a, const ScoredRule& b) {
@@ -78,7 +83,7 @@ BrsResult ReferenceBrs(const std::vector<const TableView*>& views,
   std::vector<Rule> in_order;
   for (const auto& r : result.rules) in_order.push_back(r.rule);
   RuleListEvaluation eval =
-      EvaluateRuleListSharded(views, in_order, weight, options.kernel);
+      EvaluateRuleList(views, in_order, weight, options.kernel);
   for (size_t i = 0; i < result.rules.size(); ++i) {
     result.rules[i].mass = eval.mass[i];
     result.rules[i].marginal_mass = eval.marginal_mass[i];
@@ -179,7 +184,7 @@ TEST(CoverMemoTest, BrsMatchesFreshFinderPerStepAcrossTheGrid) {
         }
 
         // One logical table per shard count; drill-downs filter each
-        // shard to the base's cover, as SmartDrillDownSharded does.
+        // shard to the base's cover, as SmartDrillDown does.
         struct Layout {
           size_t shards;
           Shards raw;
@@ -225,7 +230,7 @@ TEST(CoverMemoTest, BrsMatchesFreshFinderPerStepAcrossTheGrid) {
                     (kernel == KernelPref::kScalar ? "scalar" : "auto");
                 options.num_threads = threads;
                 options.kernel = kernel;
-                auto got = RunBrsSharded(l.views, *weight, options);
+                auto got = RunBrs(l.views, *weight, options);
                 ASSERT_TRUE(got.ok()) << label << ": "
                                       << got.status().ToString();
                 ExpectBitIdentical(*got, reference, label);
@@ -261,6 +266,74 @@ TEST(CoverMemoTest, BrsMatchesFreshFinderPerStepAcrossTheGrid) {
   }
 }
 
+TEST(CoverMemoTest, SizeOneCappedSearchesMatchFreshFinderPerStep) {
+  // A search capped at size-1 rules builds no postings: every step
+  // rescans, the previous pick's update rides pass 1's first parallel
+  // region, and under Count the first step folds the Phase-B scan into the
+  // counts. Two such searches: max_rule_size = 1 over the whole table, and
+  // a drill-down whose base leaves one column free.
+  const Table table = GridTable();
+  SizeWeight weight;
+  const size_t free_col = 3;
+  Rule drill_base(table.num_columns());
+  for (size_t c = 0; c < table.num_columns(); ++c) {
+    if (c != free_col) drill_base.set_value(c, 0);
+  }
+
+  for (bool sum : {false, true}) {
+    for (bool drill : {false, true}) {
+      BrsOptions options;
+      options.k = 3;
+      if (drill) {
+        options.base_rule = drill_base;
+        options.allowed_columns = {free_col};
+      } else {
+        options.max_rule_size = 1;
+      }
+      std::vector<Shards> raw;
+      raw.reserve(2);
+      std::vector<std::vector<TableView>> filtered(2);
+      std::vector<std::vector<const TableView*>> views(2);
+      for (size_t i = 0; i < 2; ++i) {
+        raw.emplace_back(table, i + 1, sum);
+        if (!drill) {
+          views[i] = raw[i].ptrs;
+          continue;
+        }
+        for (const TableView* v : raw[i].ptrs) {
+          filtered[i].push_back(FilterView(*v, drill_base));
+        }
+        for (const TableView& v : filtered[i]) views[i].push_back(&v);
+      }
+      const std::string config = std::string(sum ? "Sum" : "Count") + "/" +
+                                 (drill ? "drilldown" : "max_rule_size=1");
+      options.num_threads = 1;
+      options.kernel = KernelPref::kScalar;
+      const BrsResult reference = ReferenceBrs(views[0], weight, options);
+      ASSERT_EQ(reference.rules.size(), options.k) << config;
+      for (size_t i = 0; i < 2; ++i) {
+        for (size_t threads : {size_t{1}, size_t{4}}) {
+          const std::string label = config +
+                                    " shards=" + std::to_string(i + 1) +
+                                    " threads=" + std::to_string(threads);
+          options.num_threads = threads;
+          auto got = RunBrs(views[i], weight, options);
+          ASSERT_TRUE(got.ok()) << label << ": " << got.status().ToString();
+          ExpectBitIdentical(*got, reference, label);
+          // Every step rescans and counts every singleton, as a fresh
+          // finder does.
+          EXPECT_EQ(got->stats.tuple_visits, reference.stats.tuple_visits)
+              << label;
+          EXPECT_EQ(got->stats.candidates_counted,
+                    reference.stats.candidates_counted)
+              << label;
+          EXPECT_EQ(got->stats.candidates_stale_skipped, 0u) << label;
+        }
+      }
+    }
+  }
+}
+
 TEST(CoverMemoTest, MultiLaneRecountsMatchFreshFinders) {
   // Enough rows for pass 1 to split each column into several lanes: a
   // later step's singleton recount must add its lane sums in lane order to
@@ -284,7 +357,7 @@ TEST(CoverMemoTest, MultiLaneRecountsMatchFreshFinders) {
     Shards layout(table, shards, /*sum=*/true);
     for (size_t threads : {size_t{1}, size_t{4}}) {
       options.num_threads = threads;
-      auto got = RunBrsSharded(layout.ptrs, weight, options);
+      auto got = RunBrs(layout.ptrs, weight, options);
       ASSERT_TRUE(got.ok()) << got.status().ToString();
       const std::string label = "shards=" + std::to_string(shards) +
                                 " threads=" + std::to_string(threads);
@@ -319,7 +392,7 @@ TEST(CoverMemoTest, RecountedTieWithHWinsOnWeight) {
   options.k = 2;
   options.num_threads = 1;
   const BrsResult reference = ReferenceBrs({&view}, weight, options);
-  auto got = RunBrs(view, weight, options);
+  auto got = RunBrs({&view}, weight, options);
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   ExpectBitIdentical(*got, reference, "tie");
   ASSERT_EQ(got->rules.size(), 2u);
@@ -330,10 +403,10 @@ TEST(CoverMemoTest, RecountedTieWithHWinsOnWeight) {
 }
 
 TEST(CoverMemoTest, RepeatedFindOnOneFinderMatchesFreshFinders) {
-  // Direct finder use: the second and later Find calls on one finder count
-  // from the store, and must agree with a fresh finder on the same covered
-  // weights. The caller raises the covered weights itself here (no pending
-  // update), as the monotone contract allows.
+  // Direct finder use: the second and later Find calls on one finder
+  // apply the previous pick's covered-weight update themselves and count
+  // from the store. Each must agree with a fresh finder started from the
+  // test's own covered weights, which the test raises itself.
   const Table table = GridTable();
   TableView view(table);
   view.SelectMeasure(0);
@@ -341,12 +414,12 @@ TEST(CoverMemoTest, RepeatedFindOnOneFinderMatchesFreshFinders) {
   MarginalSearchOptions options;
   options.max_weight = 5;
   options.num_threads = 1;
-  MarginalRuleFinder shared(view, weight, options);
+  MarginalRuleFinder shared({&view}, weight, options);
   std::vector<double> covered(view.num_rows(), 0.0);
   for (int step = 0; step < 4; ++step) {
-    auto got = shared.Find(covered);
-    MarginalRuleFinder fresh(view, weight, options);
-    auto want = fresh.Find(covered);
+    auto got = shared.Find();
+    MarginalRuleFinder fresh({&view}, weight, options, covered);
+    auto want = fresh.Find();
     ASSERT_TRUE(got.ok() && want.ok()) << step;
     EXPECT_EQ(got->rule, want->rule) << step;
     EXPECT_EQ(got->weight, want->weight) << step;

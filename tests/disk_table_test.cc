@@ -2,7 +2,9 @@
 
 #include <unistd.h>
 
+#include <cmath>
 #include <cstdio>
+#include <limits>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -10,7 +12,12 @@
 #include "common/fault_injection.h"
 #include "common/metrics.h"
 #include "common/string_util.h"
+#include "data/synth.h"
+#include "explore/engine.h"
+#include "explore/session.h"
+#include "storage/scan_source.h"
 #include "tests/test_util.h"
+#include "weights/standard_weights.h"
 
 namespace smartdd {
 namespace {
@@ -213,6 +220,113 @@ TEST(DiskScanSourceTest, MakeEmptyTableSharesCodeSpace) {
                   })
                   .ok());
   std::remove(path.c_str());
+}
+
+// --- Corrupt row data ----------------------------------------------------
+
+/// Overwrites `len` bytes at byte `offset` of row `row`'s record in the
+/// data section of `dt`'s file (the rows fill the file's tail).
+void PatchRow(const DiskTable& dt, const std::string& path, uint64_t row,
+              size_t offset, const void* bytes, size_t len) {
+  std::FILE* f = std::fopen(path.c_str(), "r+b");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fseek(f, 0, SEEK_END), 0);
+  const long size = std::ftell(f);
+  const long data = size - static_cast<long>(dt.num_rows() * dt.row_bytes());
+  ASSERT_EQ(std::fseek(f, data + static_cast<long>(row * dt.row_bytes() +
+                                                   offset),
+                       SEEK_SET),
+            0);
+  ASSERT_EQ(std::fwrite(bytes, 1, len, f), len);
+  std::fclose(f);
+}
+
+Status ScanAll(const DiskTable& dt) {
+  return dt.Scan([](uint64_t, const uint32_t*, const double*) {
+    return true;
+  });
+}
+
+TEST(DiskTableTest, ScanRejectsOutOfRangeCode) {
+  Table t = MakeTable({{"a", "x"}, {"b", "y"}, {"a", "y"}}, {"k1", "k2"});
+  std::string path = TempPath("bad_code.sddt");
+  ASSERT_TRUE(DiskTable::Write(t, path).ok());
+  auto dt = DiskTable::Open(path);
+  ASSERT_TRUE(dt.ok()) << dt.status().ToString();
+  ASSERT_EQ((*dt)->row_bytes(), 2u);  // two 1-byte cells, no measures
+  const uint8_t bad = 0xFF;           // dictionary k2 holds 2 values
+  PatchRow(**dt, path, 1, 1, &bad, 1);
+  Status s = ScanAll(**dt);
+  EXPECT_EQ(s.code(), StatusCode::kIOError);
+  EXPECT_NE(s.message().find("row 1"), std::string::npos) << s.ToString();
+  EXPECT_NE(s.message().find("column 1"), std::string::npos)
+      << s.ToString();
+  std::remove(path.c_str());
+}
+
+TEST(DiskTableTest, ScanRejectsNonFiniteMeasures) {
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity()}) {
+    Table t({"k"});
+    t.AddMeasureColumn("m");
+    for (double m : {1.5, 2.5, 3.5}) {
+      ASSERT_TRUE(t.AppendRowValues({"a"}, std::vector<double>{m}).ok());
+    }
+    std::string path = TempPath("bad_measure.sddt");
+    ASSERT_TRUE(DiskTable::Write(t, path).ok());
+    auto dt = DiskTable::Open(path);
+    ASSERT_TRUE(dt.ok()) << dt.status().ToString();
+    PatchRow(**dt, path, 2, 1, &bad, sizeof bad);  // after the 1-byte cell
+    Status s = ScanAll(**dt);
+    EXPECT_EQ(s.code(), StatusCode::kIOError) << bad;
+    EXPECT_NE(s.message().find("row 2"), std::string::npos) << s.ToString();
+    std::remove(path.c_str());
+  }
+}
+
+TEST(DiskTableTest, SamplingExpandSurfacesCorruptRows) {
+  // A sampling engine reaches the file only when an expansion scans it for
+  // a sample; the corrupt row must fail that expansion cleanly.
+  SynthSpec spec;
+  spec.rows = 6000;
+  spec.cardinalities = {5, 4, 3};
+  spec.seed = 31;
+  spec.with_measure = true;
+  const Table table = GenerateSyntheticTable(spec);
+  SizeWeight weight;
+  EngineOptions options;
+  options.use_sampling = true;
+  options.num_threads = 2;
+  options.sampler.memory_capacity = 3000;
+  options.sampler.min_sample_size = 500;
+  options.sampler.seed = 5;
+  const uint8_t bad_code = 0xFF;
+  const double bad_measure = std::numeric_limits<double>::quiet_NaN();
+  for (bool measure : {false, true}) {
+    std::string path = TempPath("bad_sampled.sddt");
+    ASSERT_TRUE(DiskTable::Write(table, path).ok());
+    auto dt = DiskTable::Open(path);
+    ASSERT_TRUE(dt.ok()) << dt.status().ToString();
+    if (measure) {
+      PatchRow(**dt, path, 4321, 3, &bad_measure, sizeof bad_measure);
+    } else {
+      PatchRow(**dt, path, 4321, 2, &bad_code, 1);
+    }
+    DiskScanSource source(*dt);
+    auto engine = ExplorationEngine::Create(source, weight, options);
+    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+    SessionOptions so;
+    so.k = 3;
+    auto session = (*engine)->NewSession(so);
+    ASSERT_TRUE(session.ok()) << session.status().ToString();
+    auto expanded = session->Expand(0);
+    ASSERT_FALSE(expanded.ok()) << (measure ? "measure" : "code");
+    EXPECT_NE(expanded.status().message().find("row 4321"),
+              std::string::npos)
+        << expanded.status().ToString();
+    std::remove(path.c_str());
+  }
 }
 
 // --- Fault-injected I/O error paths (common/fault_injection) -------------

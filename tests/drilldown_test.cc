@@ -27,7 +27,7 @@ TEST_F(RetailDrillDownTest, RootDrillDownMatchesPaperTable2) {
   req.base = Rule::Trivial(3);
   req.k = 3;
   req.max_weight = 5;
-  auto resp = SmartDrillDown(view_, weight_, req);
+  auto resp = SmartDrillDown({&view_}, weight_, req);
   ASSERT_TRUE(resp.ok()) << resp.status().ToString();
   ASSERT_EQ(resp->rules.size(), 3u);
   EXPECT_DOUBLE_EQ(resp->base_mass, 6000);
@@ -46,7 +46,7 @@ TEST_F(RetailDrillDownTest, WalmartExpansionMatchesPaperTable3) {
   req.base = R(table_, {"Walmart", "?", "?"});
   req.k = 3;
   req.max_weight = 5;
-  auto resp = SmartDrillDown(view_, weight_, req);
+  auto resp = SmartDrillDown({&view_}, weight_, req);
   ASSERT_TRUE(resp.ok());
   ASSERT_EQ(resp->rules.size(), 3u);
   EXPECT_DOUBLE_EQ(resp->base_mass, 1000);
@@ -66,7 +66,7 @@ TEST_F(RetailDrillDownTest, AllResultsAreSuperRulesOfBase) {
   DrillDownRequest req;
   req.base = R(table_, {"Walmart", "?", "?"});
   req.k = 4;
-  auto resp = SmartDrillDown(view_, weight_, req);
+  auto resp = SmartDrillDown({&view_}, weight_, req);
   ASSERT_TRUE(resp.ok());
   for (const auto& sr : resp->rules) {
     EXPECT_TRUE(IsSubRuleOf(req.base, sr.rule))
@@ -79,7 +79,7 @@ TEST_F(RetailDrillDownTest, CountsWithinSliceEqualGlobalCounts) {
   DrillDownRequest req;
   req.base = R(table_, {"Walmart", "?", "?"});
   req.k = 3;
-  auto resp = SmartDrillDown(view_, weight_, req);
+  auto resp = SmartDrillDown({&view_}, weight_, req);
   ASSERT_TRUE(resp.ok());
   for (const auto& sr : resp->rules) {
     EXPECT_DOUBLE_EQ(sr.mass, RuleMass(view_, sr.rule));
@@ -91,7 +91,7 @@ TEST_F(RetailDrillDownTest, StarDrillDownInstantiatesClickedColumn) {
   req.base = Rule::Trivial(3);
   req.star_column = 2;  // Region
   req.k = 4;
-  auto resp = SmartDrillDown(view_, weight_, req);
+  auto resp = SmartDrillDown({&view_}, weight_, req);
   ASSERT_TRUE(resp.ok());
   ASSERT_FALSE(resp->rules.empty());
   for (const auto& sr : resp->rules) {
@@ -105,7 +105,7 @@ TEST_F(RetailDrillDownTest, StarDrillDownWithinRule) {
   req.base = R(table_, {"Walmart", "?", "?"});
   req.star_column = 1;  // Product
   req.k = 3;
-  auto resp = SmartDrillDown(view_, weight_, req);
+  auto resp = SmartDrillDown({&view_}, weight_, req);
   ASSERT_TRUE(resp.ok());
   for (const auto& sr : resp->rules) {
     EXPECT_FALSE(sr.rule.is_star(1));
@@ -119,7 +119,7 @@ TEST_F(RetailDrillDownTest, StarOnInstantiatedColumnFails) {
   DrillDownRequest req;
   req.base = R(table_, {"Walmart", "?", "?"});
   req.star_column = 0;
-  EXPECT_EQ(SmartDrillDown(view_, weight_, req).status().code(),
+  EXPECT_EQ(SmartDrillDown({&view_}, weight_, req).status().code(),
             StatusCode::kInvalidArgument);
 }
 
@@ -127,14 +127,14 @@ TEST_F(RetailDrillDownTest, StarColumnOutOfRangeFails) {
   DrillDownRequest req;
   req.base = Rule::Trivial(3);
   req.star_column = 99;
-  EXPECT_EQ(SmartDrillDown(view_, weight_, req).status().code(),
+  EXPECT_EQ(SmartDrillDown({&view_}, weight_, req).status().code(),
             StatusCode::kInvalidArgument);
 }
 
 TEST_F(RetailDrillDownTest, WrongWidthBaseFails) {
   DrillDownRequest req;
   req.base = Rule::Trivial(5);
-  EXPECT_EQ(SmartDrillDown(view_, weight_, req).status().code(),
+  EXPECT_EQ(SmartDrillDown({&view_}, weight_, req).status().code(),
             StatusCode::kInvalidArgument);
 }
 
@@ -144,7 +144,7 @@ TEST(DrillDownTest, FullyInstantiatedBaseYieldsNothing) {
   SizeWeight w;
   DrillDownRequest req;
   req.base = R(t, {"a", "x"});
-  auto resp = SmartDrillDown(v, w, req);
+  auto resp = SmartDrillDown({&v}, w, req);
   ASSERT_TRUE(resp.ok());
   EXPECT_TRUE(resp->rules.empty());
   EXPECT_DOUBLE_EQ(resp->base_mass, 2.0);
@@ -161,7 +161,7 @@ TEST(DrillDownTest, WeightEvaluatedOnMergedRule) {
   DrillDownRequest req;
   req.base = R(t, {"a", "?"});
   req.k = 1;
-  auto resp = SmartDrillDown(v, w, req);
+  auto resp = SmartDrillDown({&v}, w, req);
   ASSERT_TRUE(resp.ok());
   ASSERT_EQ(resp->rules.size(), 1u);
   EXPECT_EQ(resp->rules[0].rule, R(t, {"a", "x"}));
@@ -175,7 +175,7 @@ TEST(DrillDownTest, EmptySliceYieldsNothing) {
   DrillDownRequest req;
   // Base covering zero tuples ((a, y) matches nothing).
   req.base = R(t, {"a", "y"});
-  auto resp = SmartDrillDown(v, w, req);
+  auto resp = SmartDrillDown({&v}, w, req);
   ASSERT_TRUE(resp.ok());
   EXPECT_TRUE(resp->rules.empty());
   EXPECT_DOUBLE_EQ(resp->base_mass, 0.0);

@@ -60,12 +60,12 @@ TEST(ColumnBoostWeightTest, SteersBrsTowardBoostedColumn) {
   SizeWeight base;
   BrsOptions options;
   options.k = 1;
-  auto plain = RunBrs(v, base, options);
+  auto plain = RunBrs({&v}, base, options);
   ASSERT_TRUE(plain.ok());
   EXPECT_EQ(plain->rules[0].rule, R(t, {"a", "?", "?"}));
 
   ColumnBoostWeight boosted(base, {0.0, 0.0, 2.0});
-  auto steered = RunBrs(v, boosted, options);
+  auto steered = RunBrs({&v}, boosted, options);
   ASSERT_TRUE(steered.ok());
   EXPECT_FALSE(steered->rules[0].rule.is_star(2))
       << "boost failed to attract the rule to column 2";
@@ -77,7 +77,7 @@ TEST(TimeBudgetTest, UnlimitedByDefault) {
   SizeWeight w;
   BrsOptions options;
   options.k = 4;
-  auto result = RunBrs(v, w, options);
+  auto result = RunBrs({&v}, w, options);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->rules.size(), 4u);
 }
@@ -89,7 +89,7 @@ TEST(TimeBudgetTest, ExpiredDeadlineKeepsOnlyCompletedSteps) {
   BrsOptions options;
   options.k = 10;
   options.deadline = Deadline::AfterMillis(0);  // expired before step 1
-  auto result = RunBrs(v, w, options);
+  auto result = RunBrs({&v}, w, options);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_TRUE(result->deadline_exceeded);
   EXPECT_TRUE(result->rules.empty());
@@ -103,7 +103,7 @@ TEST(TimeBudgetTest, GenerousDeadlineReturnsEverything) {
   BrsOptions options;
   options.k = 4;
   options.deadline = Deadline::AfterMillis(60000);
-  auto result = RunBrs(v, w, options);
+  auto result = RunBrs({&v}, w, options);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_FALSE(result->deadline_exceeded);
   EXPECT_EQ(result->rules.size(), 4u);

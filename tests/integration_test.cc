@@ -73,7 +73,7 @@ TEST(IntegrationTest, MarketingFirstSummaryShapesLikeFigure1) {
   BrsOptions options;
   options.k = 4;
   options.max_weight = 5;
-  auto result = RunBrs(v, w, options);
+  auto result = RunBrs({&v}, w, options);
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result->rules.size(), 4u);
 
@@ -101,7 +101,7 @@ TEST(IntegrationTest, BitsWeightingShiftsAwayFromBinaryColumns) {
   BrsOptions options;
   options.k = 4;
   options.max_weight = 20;
-  auto result = RunBrs(v, bits, options);
+  auto result = RunBrs({&v}, bits, options);
   ASSERT_TRUE(result.ok());
   int rules_on_sex_only = 0;
   for (const auto& sr : result->rules) {
@@ -121,7 +121,7 @@ TEST(IntegrationTest, SizeMinusOneForcesSize2Rules) {
   BrsOptions options;
   options.k = 4;
   options.max_weight = 5;
-  auto result = RunBrs(v, w, options);
+  auto result = RunBrs({&v}, w, options);
   ASSERT_TRUE(result.ok());
   for (const auto& sr : result->rules) {
     EXPECT_GE(sr.rule.size(), 2u);
@@ -139,7 +139,7 @@ TEST(IntegrationTest, SampleBasedBrsMatchesFullTableBrs) {
   BrsOptions options;
   options.k = 4;
   options.max_weight = 5;
-  auto exact = RunBrs(full, w, options);
+  auto exact = RunBrs({&full}, w, options);
   ASSERT_TRUE(exact.ok());
 
   MemoryScanSource source(t);
@@ -150,7 +150,7 @@ TEST(IntegrationTest, SampleBasedBrsMatchesFullTableBrs) {
   auto sample = handler.GetSampleFor(Rule::Trivial(t.num_columns()));
   ASSERT_TRUE(sample.ok());
   TableView sampled(sample->table);
-  auto approx = RunBrs(sampled, w, options);
+  auto approx = RunBrs({&sampled}, w, options);
   ASSERT_TRUE(approx.ok());
 
   size_t incorrect = 0;
@@ -218,7 +218,7 @@ TEST(IntegrationTest, SumAggregateDrillDownOnRetailSales) {
   req.base = Rule::Trivial(3);
   req.k = 3;
   req.max_weight = 5;
-  auto resp = SmartDrillDown(v, w, req);
+  auto resp = SmartDrillDown({&v}, w, req);
   ASSERT_TRUE(resp.ok());
   ASSERT_EQ(resp->rules.size(), 3u);
   // Masses are sales totals now, far exceeding tuple counts.

@@ -40,12 +40,12 @@ TEST(MwEstimatorTest, EstimateCoversTheFullRunsMaxWeight) {
   BrsOptions with_cap;
   with_cap.k = 4;
   with_cap.max_weight = est->mw;
-  auto capped = RunBrs(v, w, with_cap);
+  auto capped = RunBrs({&v}, w, with_cap);
   ASSERT_TRUE(capped.ok());
 
   BrsOptions uncapped;
   uncapped.k = 4;
-  auto full = RunBrs(v, w, uncapped);
+  auto full = RunBrs({&v}, w, uncapped);
   ASSERT_TRUE(full.ok());
   EXPECT_DOUBLE_EQ(capped->total_score, full->total_score);
 }

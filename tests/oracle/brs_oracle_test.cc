@@ -167,7 +167,7 @@ TEST(BrsOracleTest, EveryGreedyPickIsTheExhaustiveArgmax) {
       picks.push_back(Pick{sr.rule, sr.weight, sr.mass, sr.marginal_value});
       return true;
     };
-    auto result = RunBrs(view, weight, options);
+    auto result = RunBrs({&view}, weight, options);
     ASSERT_TRUE(result.ok()) << label << ": " << result.status().ToString();
 
     RuleSpace space(view, weight);

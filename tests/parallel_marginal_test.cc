@@ -28,8 +28,8 @@ Finding RunWithThreads(const TableView& view, const WeightFunction& weight,
   MarginalSearchOptions options;
   options.max_weight = max_weight;
   options.num_threads = num_threads;
-  MarginalRuleFinder finder(view, weight, options);
-  auto found = finder.Find(covered);
+  MarginalRuleFinder finder({&view}, weight, options, covered);
+  auto found = finder.Find();
   EXPECT_TRUE(found.ok()) << found.status().ToString();
   Finding f;
   f.result = found.ok() ? *found : MarginalRuleResult{};
@@ -108,8 +108,8 @@ TEST(ParallelMarginalTest, HighCardinalityColumnIdenticalAcrossThreadCounts) {
     options.max_weight = 2.0;
     options.max_rule_size = 2;
     options.num_threads = threads;
-    MarginalRuleFinder finder(view, weight, options);
-    auto found = finder.Find(covered);
+    MarginalRuleFinder finder({&view}, weight, options, covered);
+    auto found = finder.Find();
     EXPECT_TRUE(found.ok()) << found.status().ToString();
     Finding f;
     f.result = found.ok() ? *found : MarginalRuleResult{};
@@ -171,7 +171,7 @@ TEST(ParallelMarginalTest, FullBrsRunIdenticalAcrossThreadCounts) {
     options.k = 4;
     options.max_weight = 3.0;
     options.num_threads = threads;
-    auto result = RunBrs(view, weight, options);
+    auto result = RunBrs({&view}, weight, options);
     EXPECT_TRUE(result.ok()) << result.status().ToString();
     return result.ok() ? *result : BrsResult{};
   };

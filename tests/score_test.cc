@@ -35,7 +35,7 @@ class ScoreFixture : public ::testing::Test {
 TEST_F(ScoreFixture, EvaluateComputesCountAndMarginalCount) {
   std::vector<Rule> rules = {R(table_, {"Walmart", "cookies"}),
                              R(table_, {"Walmart", "?"})};
-  RuleListEvaluation eval = EvaluateRuleList(view_, rules, weight_);
+  RuleListEvaluation eval = EvaluateRuleList({&view_}, rules, weight_);
   // Counts: rule 0 covers 1 tuple, rule 1 covers 3.
   EXPECT_DOUBLE_EQ(eval.mass[0], 1.0);
   EXPECT_DOUBLE_EQ(eval.mass[1], 3.0);
@@ -51,7 +51,7 @@ TEST_F(ScoreFixture, AttributionFollowsWeightNotInputOrder) {
   // Same rules in the other input order: outputs must be identical per rule.
   std::vector<Rule> rules = {R(table_, {"Walmart", "?"}),
                              R(table_, {"Walmart", "cookies"})};
-  RuleListEvaluation eval = EvaluateRuleList(view_, rules, weight_);
+  RuleListEvaluation eval = EvaluateRuleList({&view_}, rules, weight_);
   EXPECT_DOUBLE_EQ(eval.marginal_mass[0], 2.0);
   EXPECT_DOUBLE_EQ(eval.marginal_mass[1], 1.0);
   EXPECT_DOUBLE_EQ(eval.total_score, 4.0);
@@ -59,19 +59,19 @@ TEST_F(ScoreFixture, AttributionFollowsWeightNotInputOrder) {
 
 TEST_F(ScoreFixture, UncoveredTuplesContributeNothing) {
   std::vector<Rule> rules = {R(table_, {"Target", "?"})};
-  RuleListEvaluation eval = EvaluateRuleList(view_, rules, weight_);
+  RuleListEvaluation eval = EvaluateRuleList({&view_}, rules, weight_);
   EXPECT_DOUBLE_EQ(eval.total_score, 2.0);  // 2 tuples * weight 1
 }
 
 TEST_F(ScoreFixture, EmptyRuleListScoresZero) {
-  RuleListEvaluation eval = EvaluateRuleList(view_, {}, weight_);
+  RuleListEvaluation eval = EvaluateRuleList({&view_}, {}, weight_);
   EXPECT_DOUBLE_EQ(eval.total_score, 0.0);
 }
 
 TEST_F(ScoreFixture, TrivialRuleClaimsEverythingAtZeroWeight) {
   std::vector<Rule> rules = {Rule::Trivial(2), R(table_, {"Walmart", "?"})};
   // Trivial rule has weight 0, Walmart weight 1: Walmart is evaluated first.
-  RuleListEvaluation eval = EvaluateRuleList(view_, rules, weight_);
+  RuleListEvaluation eval = EvaluateRuleList({&view_}, rules, weight_);
   EXPECT_DOUBLE_EQ(eval.marginal_mass[1], 3.0);
   EXPECT_DOUBLE_EQ(eval.marginal_mass[0], 2.0);
   EXPECT_DOUBLE_EQ(eval.total_score, 3.0);
@@ -172,7 +172,7 @@ TEST(ScoreSumAggregateTest, UsesMeasureMass) {
   v.SelectMeasure(0);
   SizeWeight w;
   std::vector<Rule> rules = {R(t, {"a"})};
-  RuleListEvaluation eval = EvaluateRuleList(v, rules, w);
+  RuleListEvaluation eval = EvaluateRuleList({&v}, rules, w);
   EXPECT_DOUBLE_EQ(eval.mass[0], 15.0);       // Sum(r)
   EXPECT_DOUBLE_EQ(eval.marginal_mass[0], 15.0);  // MSum(r)
   EXPECT_DOUBLE_EQ(eval.total_score, 15.0);

@@ -181,7 +181,7 @@ TEST(ShardedDifferentialTest, MemoryTableTreesAreByteIdentical) {
 }
 
 TEST(ShardedDifferentialTest, SumMeasureTreesAreByteIdentical) {
-  // The Sum-aggregate path (measure columns) through SmartDrillDownSharded
+  // The Sum-aggregate path (measure columns) through SmartDrillDown
   // and the engine's shard-ordered ExactMasses accumulators.
   SynthSpec spec;
   spec.rows = 40000;
