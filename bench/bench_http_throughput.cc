@@ -6,9 +6,8 @@
 // per-expand latency through the socket, plus a socket-overhead probe: the
 // same script through ExplorationService::ServeLine in-process (no socket)
 // versus over loopback HTTP — the epoll layer should add tens of
-// microseconds per request, not milliseconds (compare against
-// bench_service_throughput's codec-overhead probe for the full stack
-// decomposition: engine -> +codec/registry -> +socket). A final degraded
+// microseconds per request, not milliseconds (e2e_bench's traced run prices
+// the layers below: codec parse, service execute, encode). A final degraded
 // stage reruns the path under an injected fault schedule (dispatch
 // latency, tight in-flight cap, pre-expired deadlines) and reports
 // p50/p99 alongside the shed and partial-response rates.

@@ -32,7 +32,9 @@ fi
 # singleton recounts (written by pool workers) with the brute-force BRS and
 # greedy oracles, plus the finder, BRS and drill-down unit suites, whose
 # single-view and drill-down calls index the finder's one covered-weight
-# array by global row id.
+# array by global row id. The HTTP, RPC, cluster and chaos suites drive
+# both wire protocols through the shared connection loop
+# (src/net/conn_loop.cc, built into libsmartdd under the same flags).
 SAN_TESTS="parallel_marginal_test|parallel_sampling_test|sample_handler_test|session_test|concurrent_sessions_test|task_scheduler_test|service_test|codec_test|metrics_test|http_server_test|chaos_test|disk_table_test|sharded_engine_test|packed_column_test|deadline_test|rpc_test|cluster_test|live_table_test|expansion_cache_test|cover_memo_test|brs_oracle_test|greedy_oracle_test|best_marginal_test|brs_test|drilldown_test"
 SAN_TARGETS=(
   parallel_marginal_test parallel_sampling_test sample_handler_test
@@ -116,6 +118,22 @@ if [[ "$MODE" != "--tsan-only" && "$MODE" != "--asan-only" ]]; then
   (cd build && SMARTDD_CENSUS_ROWS=50000 SMARTDD_BENCH_K=3 \
     SMARTDD_BENCH_REPS=1 ./bench_parallel_marginal)
   echo "packed column smoke: identical trees across kernel paths"
+
+  # Parallel-sampling smoke: the chunked parallel scan must build the same
+  # samples at every thread count (the bench exits nonzero on drift).
+  (cd build && SMARTDD_CENSUS_ROWS=50000 SMARTDD_BENCH_REPS=1 \
+    ./bench_parallel_sampling --json=BENCH_parallel_sampling.json)
+  echo "parallel sampling smoke: identical samples across thread counts"
+
+  # Socket-layer smokes under load: HTTP clients over loopback against
+  # net::HttpServer, and the router -> shard-server SDRP hop against
+  # rpc::Server — both protocols on the shared net::ConnLoop.
+  (cd build && SMARTDD_HTTP_ROWS=40000 SMARTDD_HTTP_SESSIONS=2 \
+    ./bench_http_throughput --json=BENCH_http_throughput.json)
+  echo "http throughput smoke: every request answered over loopback"
+  (cd build && SMARTDD_CLUSTER_ROWS=40000 SMARTDD_CLUSTER_SESSIONS=2 \
+    ./bench_cluster --json=BENCH_cluster.json)
+  echo "cluster bench smoke: cluster responses byte-identical to in-process"
 fi
 
 if [[ "$MODE" == "--tsan" || "$MODE" == "--tsan-only" ]]; then

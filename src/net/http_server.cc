@@ -1,32 +1,11 @@
 #include "net/http_server.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/epoll.h>
-#include <sys/eventfd.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <cerrno>
-#include <chrono>
-#include <csignal>
-#include <cstring>
-
 #include "common/logging.h"
 #include "common/string_util.h"
 
 namespace smartdd::net {
 
 namespace {
-
-/// epoll user-data keys for the two non-connection fds; connection ids
-/// start above them.
-constexpr uint64_t kListenKey = 0;
-constexpr uint64_t kEventKey = 1;
-constexpr uint64_t kFirstConnId = 2;
-
-constexpr int kEpollWaitMs = 50;
 
 const char* ReasonPhrase(int status) {
   switch (status) {
@@ -79,16 +58,9 @@ HttpResponse PlainResponse(int status, std::string body) {
   return r;
 }
 
-uint64_t NowMsSteady() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::milliseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
 }  // namespace
 
-struct ServerCore {
+struct ServerCore : LoopCore {
   explicit ServerCore(size_t stream_buffer_cap)
       : max_stream_buffer_bytes(stream_buffer_cap),
         sse_cancelled_total(MetricsRegistry::Default().GetCounter(
@@ -99,65 +71,26 @@ struct ServerCore {
             "Dispatch-to-completion latency of handled requests",
             Histogram::LatencySeconds())) {}
 
-  /// Queues `id` for event-loop attention and pokes the eventfd. Safe from
-  /// any thread, at any point in the server's lifetime: after shutdown the
-  /// fd reads -1 under the same lock and the poke is skipped.
-  void MarkDirty(uint64_t id) {
-    std::lock_guard<std::mutex> lock(dirty_mu);
-    if (id >= kFirstConnId) dirty.push_back(id);
-    if (event_fd >= 0) {
-      uint64_t one = 1;
-      [[maybe_unused]] ssize_t n = ::write(event_fd, &one, sizeof(one));
-    }
-  }
-
-  void DecrementInflight() {
-    if (inflight.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      std::lock_guard<std::mutex> lock(drain_mu);
-      drain_cv.notify_all();
-    }
-  }
-
   const size_t max_stream_buffer_bytes;
-  std::atomic<size_t> inflight{0};
-  std::mutex drain_mu;
-  std::condition_variable drain_cv;
-  std::mutex dirty_mu;
-  std::vector<uint64_t> dirty;
-  /// Wakeup fd; -1 once shutdown closes it (lifetime guarded by dirty_mu).
-  int event_fd = -1;
   Counter& sse_cancelled_total;
   Histogram& request_seconds;
 };
 
-/// Per-connection state. The unannotated fields belong to the event-loop
-/// thread alone (input, parsing, epoll bookkeeping); everything a worker or
-/// StreamWriter touches sits behind `mu` or is atomic.
-struct StreamWriter::Conn {
+/// Per-connection HTTP state on top of the loop's. The unannotated fields
+/// belong to the event-loop thread alone (parsing); the rest sit behind
+/// `mu`.
+struct StreamWriter::Conn : LoopConn {
   Conn(int fd, uint64_t id, const HttpLimits& limits)
-      : fd(fd), id(id), parser(limits) {}
-
-  const int fd;
-  const uint64_t id;
+      : LoopConn(fd, id), parser(limits) {}
 
   // --- event-loop thread only ---
-  std::string in;
   HttpParser parser;
-  bool handling = false;       ///< a request is dispatched / streaming
-  bool dead_parse = false;     ///< fatal request defect: flush, then close
-  bool read_eof = false;       ///< peer half-closed its write side
-  uint32_t armed_mask = 0;     ///< events currently registered with epoll
-  uint64_t last_activity_ms = 0;
+  bool handling = false;    ///< a request is dispatched / streaming
+  bool dead_parse = false;  ///< fatal request defect: flush, then close
 
-  // --- shared with workers / stream writers ---
-  std::atomic<bool> closed{false};
-  std::mutex mu;
-  std::string out;                   ///< bytes awaiting the socket
-  bool response_complete = false;    ///< current request fully serialized
-  bool close_after_response = false;
-  bool streaming = false;
-  bool abort_conn = false;           ///< discard `out` and close now
-  uint64_t dispatch_ms = 0;          ///< request latency start
+  // --- shared with workers / stream writers (guarded by mu) ---
+  bool response_complete = false;  ///< current request fully serialized
+  uint64_t dispatch_ms = 0;        ///< request latency start
 };
 
 // --- request completion (shared by buffered and streamed paths) ----------
@@ -176,10 +109,10 @@ void FinishRequest(ServerCore& core,
     std::lock_guard<std::mutex> lock(conn->mu);
     conn->out += bytes;
     conn->response_complete = true;
-    if (!keep_alive) conn->close_after_response = true;
+    if (!keep_alive) conn->close_after_flush = true;
     started = conn->dispatch_ms;
   }
-  core.request_seconds.Observe(static_cast<double>(NowMsSteady() - started) /
+  core.request_seconds.Observe(static_cast<double>(SteadyNowMs() - started) /
                                1e3);
   core.DecrementInflight();
   core.MarkDirty(conn->id);
@@ -223,7 +156,6 @@ bool StreamWriter::Begin(int status, std::string_view content_type) {
   {
     std::lock_guard<std::mutex> lock(conn_->mu);
     conn_->out += head;
-    conn_->streaming = true;
   }
   core_->MarkDirty(conn_->id);
   return true;
@@ -277,12 +209,12 @@ void StreamWriter::End() {
     }
     conn_->response_complete = true;
     if (cancelled()) conn_->abort_conn = true;
-    conn_->close_after_response =
-        conn_->close_after_response || !keep_alive_ || !chunked_;
+    conn_->close_after_flush =
+        conn_->close_after_flush || !keep_alive_ || !chunked_;
     started = conn_->dispatch_ms;
   }
   core_->request_seconds.Observe(
-      static_cast<double>(NowMsSteady() - started) / 1e3);
+      static_cast<double>(SteadyNowMs() - started) / 1e3);
   core_->DecrementInflight();
   core_->MarkDirty(conn_->id);
 }
@@ -302,323 +234,84 @@ HttpServer::HttpServer(HttpHandler handler, HttpServerOptions options)
       parse_errors_total_(MetricsRegistry::Default().GetCounter(
           "smartdd_http_parse_errors_total",
           "Connections rejected for malformed or over-limit requests")),
-      connections_total_(MetricsRegistry::Default().GetCounter(
-          "smartdd_http_connections_total", "Connections accepted")),
-      connections_open_(MetricsRegistry::Default().GetGauge(
-          "smartdd_http_connections_open", "Currently open connections")) {
+      loop_(
+          ConnLoopConfig{
+              options_.bind_address, options_.port, options_.worker_threads,
+              options_.max_connections, options_.limits.input_budget(),
+              options_.drain_timeout_ms,
+              &MetricsRegistry::Default().GetCounter(
+                  "smartdd_http_connections_total", "Connections accepted"),
+              &MetricsRegistry::Default().GetGauge(
+                  "smartdd_http_connections_open",
+                  "Currently open connections")},
+          core_, *this) {
   SMARTDD_CHECK(handler_ != nullptr);
 }
 
 HttpServer::~HttpServer() { Shutdown(); }
 
-size_t HttpServer::open_connections() const {
-  return open_conns_.load(std::memory_order_acquire);
-}
-
 size_t HttpServer::inflight_requests() const {
   return core_->inflight.load(std::memory_order_acquire);
 }
 
-Status HttpServer::Start() {
-  SMARTDD_CHECK(!running_.load()) << "HttpServer started twice";
+Status HttpServer::Start() { return loop_.Start(); }
 
-  // Belt and braces with the MSG_NOSIGNAL on every ::send: a peer that
-  // slams its socket shut mid-response must surface as EPIPE (handled),
-  // never as a process-killing SIGPIPE — some libc paths (and any future
-  // write site missing the flag) would otherwise raise it.
-  ::signal(SIGPIPE, SIG_IGN);
+void HttpServer::Shutdown() { loop_.Shutdown(); }
 
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
-  if (listen_fd_ < 0) {
-    return Status::IOError(StrFormat("socket: %s", std::strerror(errno)));
-  }
-  int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(options_.port);
-  if (::inet_pton(AF_INET, options_.bind_address.c_str(), &addr.sin_addr) !=
-      1) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return Status::InvalidArgument(
-        StrFormat("bad bind address '%s'", options_.bind_address.c_str()));
-  }
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) <
-          0 ||
-      ::listen(listen_fd_, 128) < 0) {
-    Status status = Status::IOError(
-        StrFormat("bind/listen %s:%u: %s", options_.bind_address.c_str(),
-                  unsigned{options_.port}, std::strerror(errno)));
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return status;
-  }
-  socklen_t len = sizeof(addr);
-  ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len);
-  port_ = ntohs(addr.sin_port);
-
-  epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
-  int event_fd = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
-  if (epoll_fd_ < 0 || event_fd < 0) {
-    Status status = Status::IOError("epoll_create1/eventfd failed");
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    if (epoll_fd_ >= 0) ::close(epoll_fd_);
-    epoll_fd_ = -1;
-    if (event_fd >= 0) ::close(event_fd);
-    return status;
-  }
-  {
-    std::lock_guard<std::mutex> lock(core_->dirty_mu);
-    core_->event_fd = event_fd;
-  }
-  epoll_event ev{};
-  ev.events = EPOLLIN;
-  ev.data.u64 = kListenKey;
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, listen_fd_, &ev);
-  ev.data.u64 = kEventKey;
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, event_fd, &ev);
-
-  stop_.store(false);
-  draining_.store(false);
-  running_.store(true, std::memory_order_release);
-  loop_thread_ = std::thread([this]() { EventLoop(); });
-  const size_t workers = std::max<size_t>(1, options_.worker_threads);
-  for (size_t i = 0; i < workers; ++i) {
-    workers_.emplace_back([this]() { WorkerLoop(); });
-  }
-  return Status::OK();
+std::shared_ptr<LoopConn> HttpServer::NewConn(int fd, uint64_t id) {
+  return std::make_shared<Conn>(fd, id, options_.limits);
 }
 
-void HttpServer::Shutdown() {
-  if (!running_.exchange(false, std::memory_order_acq_rel)) return;
-
-  draining_.store(true, std::memory_order_release);
-  core_->MarkDirty(kEventKey);  // just a poke; kEventKey maps to no connection
-
-  {
-    std::unique_lock<std::mutex> lock(core_->drain_mu);
-    core_->drain_cv.wait_for(
-        lock, std::chrono::milliseconds(options_.drain_timeout_ms),
-        [this]() {
-          return core_->inflight.load(std::memory_order_acquire) == 0;
-        });
-  }
-
-  stop_.store(true, std::memory_order_release);
-  core_->MarkDirty(kEventKey);
-  loop_thread_.join();
-
-  {
-    std::lock_guard<std::mutex> lock(tasks_mu_);
-    workers_stop_ = true;
-  }
-  tasks_cv_.notify_all();
-  for (auto& w : workers_) w.join();
-  workers_.clear();
-
-  // Close the wakeup fds only after every thread that could poke them is
-  // gone; a straggler StreamWriter::End (an expansion that outlived the
-  // drain window) co-owns the core, takes dirty_mu, sees -1, and skips
-  // the write — and touches nothing on the (possibly destroyed) server.
-  {
-    std::lock_guard<std::mutex> lock(core_->dirty_mu);
-    if (core_->event_fd >= 0) ::close(core_->event_fd);
-    core_->event_fd = -1;
-  }
-  if (epoll_fd_ >= 0) ::close(epoll_fd_);
-  epoll_fd_ = -1;
-  if (listen_fd_ >= 0) ::close(listen_fd_);
-  listen_fd_ = -1;
+std::string HttpServer::OnShed() {
+  shed_total_.Inc();
+  return SerializeResponse(PlainResponse(503, "connection limit reached\n"),
+                           false);
 }
 
-void HttpServer::WorkerLoop() {
-  while (true) {
-    std::function<void()> task;
-    {
-      std::unique_lock<std::mutex> lock(tasks_mu_);
-      tasks_cv_.wait(lock,
-                     [this]() { return workers_stop_ || !tasks_.empty(); });
-      if (tasks_.empty()) return;  // workers_stop_ and drained
-      task = std::move(tasks_.front());
-      tasks_.pop_front();
-    }
-    task();
-  }
+void HttpServer::OnInput(const std::shared_ptr<LoopConn>& conn) {
+  Advance(std::static_pointer_cast<Conn>(conn));
 }
 
-bool HttpServer::AnyPendingOut() {
-  for (auto& [id, conn] : conns_) {
+void HttpServer::OnWake(const std::shared_ptr<LoopConn>& base) {
+  auto conn = std::static_pointer_cast<Conn>(base);
+  bool completed, close_after;
+  {
     std::lock_guard<std::mutex> lock(conn->mu);
-    if (!conn->out.empty()) return true;
+    completed = conn->response_complete;
+    conn->response_complete = false;
+    close_after = conn->close_after_flush;
   }
-  return false;
+  if (!completed) return;
+  conn->handling = false;
+  if (close_after) return;
+  conn->parser.Reset();
+  conn->last_activity_ms = SteadyNowMs();
+  Advance(conn);  // a pipelined follower may already be buffered
 }
 
-void HttpServer::EventLoop() {
-  std::vector<epoll_event> events(64);
-  bool listener_open = true;
-  uint64_t flush_deadline = 0;
-  while (true) {
-    if (stop_.load(std::memory_order_acquire)) {
-      // Final-flush phase: in-flight work has drained (or timed out), but
-      // completed responses may still sit in connection buffers. Keep the
-      // loop pumping briefly so graceful shutdown delivers them instead of
-      // truncating the last response of every connection.
-      if (flush_deadline == 0) flush_deadline = NowMsSteady() + 2000;
-      if (!AnyPendingOut() || NowMsSteady() >= flush_deadline) break;
-    }
-    int n = ::epoll_wait(epoll_fd_, events.data(),
-                         static_cast<int>(events.size()), kEpollWaitMs);
-    if (draining_.load(std::memory_order_acquire) && listener_open) {
-      // Graceful shutdown step 1: stop accepting. Live connections keep
-      // flushing and in-flight work keeps running until drained.
-      ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, listen_fd_, nullptr);
-      ::close(listen_fd_);
-      listen_fd_ = -1;
-      listener_open = false;
-    }
-    for (int i = 0; i < n; ++i) {
-      uint64_t key = events[i].data.u64;
-      if (key == kListenKey) {
-        if (listener_open) AcceptAll();
-      } else if (key == kEventKey) {
-        uint64_t drainer;
-        while (::read(core_->event_fd, &drainer, sizeof(drainer)) > 0) {
-        }
-      } else {
-        auto it = conns_.find(key);
-        if (it != conns_.end()) {
-          // Copy the owner: HandleIo may CloseConn, which erases the map
-          // entry this iterator points at — a reference into the map would
-          // dangle mid-call.
-          std::shared_ptr<Conn> conn = it->second;
-          HandleIo(conn, events[i].events);
-        }
-      }
-    }
-    // Serve wakeups from workers/streams (response bytes ready, stream
-    // chunks, completions).
-    std::vector<uint64_t> dirty;
-    {
-      std::lock_guard<std::mutex> lock(core_->dirty_mu);
-      dirty.swap(core_->dirty);
-    }
-    for (uint64_t id : dirty) {
-      auto it = conns_.find(id);
-      if (it == conns_.end()) continue;
-      std::shared_ptr<Conn> conn = it->second;
-      bool completed, close_after, abort;
-      {
-        std::lock_guard<std::mutex> lock(conn->mu);
-        completed = conn->response_complete;
-        if (completed) conn->response_complete = false;
-        close_after = conn->close_after_response;
-        abort = conn->abort_conn;
-      }
-      if (abort) {
-        CloseConn(conn);
-        continue;
-      }
-      if (completed) {
-        conn->handling = false;
-        if (!close_after) {
-          {
-            std::lock_guard<std::mutex> lock(conn->mu);
-            conn->streaming = false;
-          }
-          conn->parser.Reset();
-          conn->last_activity_ms = NowMsSteady();
-          Advance(conn);  // a pipelined follower may already be buffered
-        }
-      }
-      FlushOut(conn);
-    }
-    SweepIdle(NowMsSteady());
-  }
-  // Loop exit: tear down whatever is left (drain timeout stragglers).
-  std::vector<std::shared_ptr<Conn>> leftover;
-  leftover.reserve(conns_.size());
-  for (auto& [id, conn] : conns_) leftover.push_back(conn);
-  for (auto& conn : leftover) CloseConn(conn);
-  if (listener_open && listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
+bool HttpServer::Busy(LoopConn& conn) {
+  return static_cast<Conn&>(conn).handling;
 }
 
-void HttpServer::AcceptAll() {
-  while (true) {
-    int fd = ::accept4(listen_fd_, nullptr, nullptr,
-                       SOCK_NONBLOCK | SOCK_CLOEXEC);
-    if (fd < 0) return;  // EAGAIN or transient error; epoll will re-arm
-    int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    connections_total_.Inc();
-    if (conns_.size() >= options_.max_connections ||
-        draining_.load(std::memory_order_acquire)) {
-      // Connection-level shedding: a one-shot 503, best effort, never
-      // blocking the loop.
-      shed_total_.Inc();
-      std::string bytes = SerializeResponse(
-          PlainResponse(503, "connection limit reached\n"), false);
-      [[maybe_unused]] ssize_t n =
-          ::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL);
-      ::close(fd);
-      continue;
-    }
-    uint64_t id = kFirstConnId + next_conn_id_++;
-    auto conn = std::make_shared<Conn>(fd, id, options_.limits);
-    conn->last_activity_ms = NowMsSteady();
-    epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.u64 = id;
-    if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) < 0) {
-      ::close(fd);
-      continue;
-    }
-    conn->armed_mask = EPOLLIN;
-    conns_.emplace(id, std::move(conn));
-    open_conns_.fetch_add(1, std::memory_order_acq_rel);
-    connections_open_.Add(1);
-  }
-}
+// A half-closed peer still gets the response it is owed: the connection
+// closes once that response has flushed.
+bool HttpServer::CloseOnEof(LoopConn&) { return false; }
 
-void HttpServer::HandleIo(const std::shared_ptr<Conn>& conn, uint32_t events) {
-  if (conn->closed.load(std::memory_order_acquire)) return;
-  if (events & (EPOLLHUP | EPOLLERR)) {
-    CloseConn(conn);
-    return;
+bool HttpServer::OnIdle(LoopConn& base, uint64_t now_ms,
+                        std::string* farewell) {
+  auto& conn = static_cast<Conn&>(base);
+  // In-flight work is never idleness; only quiet keep-alive connections
+  // and stalled (slow-loris) request reads time out.
+  if (options_.idle_timeout_ms == 0 || conn.handling ||
+      now_ms - conn.last_activity_ms < options_.idle_timeout_ms) {
+    return false;
   }
-  if (events & EPOLLIN) {
-    // Bounded input buffering: past the cap the loop stops reading (the
-    // EPOLLIN re-arm below drops) and TCP backpressure holds the peer.
-    const size_t in_cap = options_.limits.input_budget();
-    char buf[16384];
-    while (conn->in.size() < in_cap) {
-      ssize_t r = ::recv(conn->fd, buf, sizeof(buf), 0);
-      if (r > 0) {
-        conn->in.append(buf, static_cast<size_t>(r));
-        conn->last_activity_ms = NowMsSteady();
-      } else if (r == 0) {
-        conn->read_eof = true;
-        break;
-      } else if (errno == EINTR) {
-        continue;
-      } else {
-        if (errno != EAGAIN && errno != EWOULDBLOCK) {
-          CloseConn(conn);
-          return;
-        }
-        break;
-      }
-    }
-    Advance(conn);
-    if (conn->closed.load(std::memory_order_acquire)) return;
+  if (conn.parser.mid_request()) {
+    // A half-sent request earns an answer before the close.
+    *farewell =
+        SerializeResponse(PlainResponse(408, "request timed out\n"), false);
   }
-  FlushOut(conn);
+  return true;
 }
 
 void HttpServer::Advance(const std::shared_ptr<Conn>& conn) {
@@ -643,20 +336,19 @@ void HttpServer::Advance(const std::shared_ptr<Conn>& conn) {
       {
         std::lock_guard<std::mutex> lock(conn->mu);
         conn->out += bytes;
-        conn->close_after_response = true;
+        conn->close_after_flush = true;
       }
       conn->dead_parse = true;  // never parse this connection again
       break;
     }
     DispatchRequest(conn);
   }
-  FlushOut(conn);
 }
 
 void HttpServer::DispatchRequest(const std::shared_ptr<Conn>& conn) {
   requests_total_.Inc();
   HttpRequest request = conn->parser.request();
-  const bool draining = draining_.load(std::memory_order_acquire);
+  const bool draining = loop_.draining();
   const bool keep_alive = request.keep_alive && !draining;
 
   if (draining ||
@@ -672,7 +364,7 @@ void HttpServer::DispatchRequest(const std::shared_ptr<Conn>& conn) {
     {
       std::lock_guard<std::mutex> lock(conn->mu);
       conn->out += bytes;
-      if (!keep_alive) conn->close_after_response = true;
+      if (!keep_alive) conn->close_after_flush = true;
     }
     if (keep_alive) {
       conn->parser.Reset();  // keep serving the pipeline
@@ -686,7 +378,7 @@ void HttpServer::DispatchRequest(const std::shared_ptr<Conn>& conn) {
   conn->handling = true;
   {
     std::lock_guard<std::mutex> lock(conn->mu);
-    conn->dispatch_ms = NowMsSteady();
+    conn->dispatch_ms = SteadyNowMs();
   }
   conn->parser.Reset();
 
@@ -694,116 +386,20 @@ void HttpServer::DispatchRequest(const std::shared_ptr<Conn>& conn) {
   // never Begin() it.
   std::shared_ptr<StreamWriter> stream(new StreamWriter(
       core_, conn, /*chunked=*/request.version_minor >= 1, keep_alive));
-  {
-    std::lock_guard<std::mutex> lock(tasks_mu_);
-    tasks_.push_back([this, conn, request = std::move(request), keep_alive,
-                      stream]() {
-      HttpResponse response = handler_(request, stream);
-      if (response.status != 0) {
-        if (stream->begun_.load(std::memory_order_acquire)) {
-          SMARTDD_LOG(Warning) << "handler both streamed and returned a "
-                                  "buffered response; keeping the stream";
-          return;
-        }
-        stream->ended_.store(true, std::memory_order_release);
-        CompleteRequest(conn, response, keep_alive);
+  loop_.Post([this, conn, request = std::move(request), keep_alive,
+              stream]() {
+    HttpResponse response = handler_(request, stream);
+    if (response.status != 0) {
+      if (stream->begun_.load(std::memory_order_acquire)) {
+        SMARTDD_LOG(Warning) << "handler both streamed and returned a "
+                                "buffered response; keeping the stream";
+        return;
       }
-      // Streaming marker: StreamWriter::End() completes the request.
-    });
-  }
-  tasks_cv_.notify_one();
-}
-
-void HttpServer::CompleteRequest(const std::shared_ptr<Conn>& conn,
-                                 const HttpResponse& response,
-                                 bool keep_alive) {
-  FinishRequest(*core_, conn, response, keep_alive);
-}
-
-void HttpServer::FlushOut(const std::shared_ptr<Conn>& conn) {
-  if (conn->closed.load(std::memory_order_acquire)) return;
-  bool io_error = false;
-  bool out_empty;
-  bool close_after;
-  {
-    std::lock_guard<std::mutex> lock(conn->mu);
-    while (!conn->out.empty()) {
-      ssize_t w = ::send(conn->fd, conn->out.data(),
-                         std::min<size_t>(conn->out.size(), 1 << 16),
-                         MSG_NOSIGNAL);
-      if (w > 0) {
-        // erase-from-front is O(pending); pending is capped by
-        // max_stream_buffer_bytes so this stays cheap at our scale.
-        conn->out.erase(0, static_cast<size_t>(w));
-        conn->last_activity_ms = NowMsSteady();
-      } else if (w < 0 && errno == EINTR) {
-        continue;
-      } else if (w < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-        break;
-      } else {
-        io_error = true;
-        break;
-      }
+      stream->ended_.store(true, std::memory_order_release);
+      FinishRequest(*core_, conn, response, keep_alive);
     }
-    out_empty = conn->out.empty();
-    close_after = conn->close_after_response;
-  }
-  if (io_error) {
-    CloseConn(conn);
-    return;
-  }
-  if (out_empty && close_after) {
-    CloseConn(conn);
-    return;
-  }
-  if (out_empty && conn->read_eof && !conn->handling) {
-    CloseConn(conn);
-    return;
-  }
-
-  // Re-arm epoll for exactly what this connection still needs.
-  const size_t in_cap = options_.limits.input_budget();
-  uint32_t mask = 0;
-  if (!conn->read_eof && conn->in.size() < in_cap) mask |= EPOLLIN;
-  if (!out_empty) mask |= EPOLLOUT;
-  if (mask != conn->armed_mask) {
-    epoll_event ev{};
-    ev.events = mask;
-    ev.data.u64 = conn->id;
-    ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, conn->fd, &ev);
-    conn->armed_mask = mask;
-  }
-}
-
-void HttpServer::CloseConn(const std::shared_ptr<Conn>& conn) {
-  if (conn->closed.exchange(true, std::memory_order_acq_rel)) return;
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, conn->fd, nullptr);
-  ::close(conn->fd);
-  conns_.erase(conn->id);
-  open_conns_.fetch_sub(1, std::memory_order_acq_rel);
-  connections_open_.Sub(1);
-}
-
-void HttpServer::SweepIdle(uint64_t now_ms) {
-  if (options_.idle_timeout_ms == 0) return;
-  std::vector<std::shared_ptr<Conn>> victims;
-  for (auto& [id, conn] : conns_) {
-    // In-flight work is never idleness; only quiet keep-alive connections
-    // and stalled (slow-loris) request reads time out.
-    if (conn->handling) continue;
-    if (now_ms - conn->last_activity_ms < options_.idle_timeout_ms) continue;
-    victims.push_back(conn);
-  }
-  for (auto& conn : victims) {
-    if (conn->parser.mid_request()) {
-      // A half-sent request earns an answer before the close.
-      std::string bytes = SerializeResponse(
-          PlainResponse(408, "request timed out\n"), false);
-      [[maybe_unused]] ssize_t n =
-          ::send(conn->fd, bytes.data(), bytes.size(), MSG_NOSIGNAL);
-    }
-    CloseConn(conn);
-  }
+    // Streaming marker: StreamWriter::End() completes the request.
+  });
 }
 
 }  // namespace smartdd::net

@@ -2,31 +2,25 @@
 #define SMARTDD_NET_HTTP_SERVER_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
-#include <thread>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "common/metrics.h"
 #include "common/status.h"
+#include "net/conn_loop.h"
 #include "net/http_parser.h"
 
 namespace smartdd::net {
 
 class HttpServer;
-/// Shared state co-owned by the server and every live StreamWriter
-/// (in-flight accounting, event-loop wakeups, stream metrics), so a stream
-/// finishing after the server object is gone — an expansion that outlived
-/// the shutdown drain window — touches only memory it co-owns, never the
-/// destroyed server. Defined in http_server.cc.
+/// The LoopCore every live StreamWriter co-owns, plus the stream buffer
+/// cap and stream metrics, so a stream finishing after the server object is
+/// gone touches only memory it co-owns. Defined in http_server.cc.
 struct ServerCore;
 
 struct HttpServerOptions {
@@ -128,20 +122,23 @@ class StreamWriter {
 using HttpHandler = std::function<HttpResponse(
     const HttpRequest&, const std::shared_ptr<StreamWriter>&)>;
 
-/// A non-blocking, epoll-driven HTTP/1.1 server: one event-loop thread owns
-/// every socket (accept, read, parse, flush, timeouts) and a small worker
-/// pool runs handlers, so a slow client can never wedge the loop and a slow
-/// handler can never wedge other connections' I/O. Supports keep-alive with
-/// pipelining (responses serialize in request order — at most one request
-/// per connection is in flight), chunked streaming responses, bounded
-/// request parsing (see HttpLimits), connection/in-flight caps with 503
-/// load shedding, slow-loris idle timeouts, and graceful drain-then-close
-/// shutdown. Instrumented via common/metrics (smartdd_http_*).
-class HttpServer {
+/// An HTTP/1.1 server: the HTTP protocol layer over a ConnLoop, which owns
+/// the sockets (one epoll event-loop thread: accept, bounded reads, flush,
+/// idle sweep, graceful drain) and the handler worker pool. This class
+/// supplies the ConnLoop hooks: incremental request parsing (HttpParser,
+/// bounded by HttpLimits) and dispatch on input, completion on wake (reset
+/// the parser, advance the keep-alive pipeline — responses serialize in
+/// request order, at most one request per connection is in flight), a 503
+/// for a connection past the cap, "busy" while a request is handled or
+/// streaming, finishing the in-flight response after the peer's EOF, and a
+/// 408 for a half-sent request at the idle timeout. Also chunked streaming
+/// responses and in-flight-cap 503 load shedding. Instrumented via
+/// common/metrics (smartdd_http_*).
+class HttpServer : private ConnProtocol {
  public:
   explicit HttpServer(HttpHandler handler, HttpServerOptions options = {});
   /// Calls Shutdown() if still running.
-  ~HttpServer();
+  ~HttpServer() override;
 
   HttpServer(const HttpServer&) = delete;
   HttpServer& operator=(const HttpServer&) = delete;
@@ -157,78 +154,49 @@ class HttpServer {
   void Shutdown();
 
   /// The bound port (after Start()); useful with port 0.
-  uint16_t port() const { return port_; }
+  uint16_t port() const { return loop_.port(); }
 
   /// True between successful Start() and Shutdown().
-  bool running() const { return running_.load(std::memory_order_acquire); }
+  bool running() const { return loop_.running(); }
 
   /// True once Shutdown() began draining (the readiness probe's "stop
   /// sending me traffic" signal; liveness stays true until the process
   /// exits).
-  bool draining() const { return draining_.load(std::memory_order_acquire); }
+  bool draining() const { return loop_.draining(); }
 
   /// Live accepted connections (for tests).
-  size_t open_connections() const;
+  size_t open_connections() const { return loop_.open_connections(); }
 
   /// Requests dispatched or streaming, not yet complete (for tests).
   size_t inflight_requests() const;
 
  private:
-  friend class StreamWriter;
   using Conn = StreamWriter::Conn;
 
-  void EventLoop();
-  void WorkerLoop();
-  void AcceptAll();
-  void HandleIo(const std::shared_ptr<Conn>& conn, uint32_t events);
+  // ConnProtocol hooks (event-loop thread).
+  std::shared_ptr<LoopConn> NewConn(int fd, uint64_t id) override;
+  std::string OnShed() override;
+  void OnInput(const std::shared_ptr<LoopConn>& conn) override;
+  void OnWake(const std::shared_ptr<LoopConn>& conn) override;
+  bool Busy(LoopConn& conn) override;
+  bool CloseOnEof(LoopConn& conn) override;
+  bool OnIdle(LoopConn& conn, uint64_t now_ms, std::string* farewell) override;
+
   /// Parses buffered input and dispatches at most one request.
   void Advance(const std::shared_ptr<Conn>& conn);
   void DispatchRequest(const std::shared_ptr<Conn>& conn);
-  /// Serializes a buffered response for the current request into the
-  /// connection's outbound buffer and marks the request complete. Safe from
-  /// any thread.
-  void CompleteRequest(const std::shared_ptr<Conn>& conn,
-                       const HttpResponse& response, bool keep_alive);
-  /// Writes as much pending output as the socket accepts; arms EPOLLOUT
-  /// when it blocks. Event-loop thread only.
-  void FlushOut(const std::shared_ptr<Conn>& conn);
-  void CloseConn(const std::shared_ptr<Conn>& conn);
-  void SweepIdle(uint64_t now_ms);
-  /// True when any connection still has unsent bytes (event-loop thread).
-  bool AnyPendingOut();
 
   const HttpHandler handler_;
   const HttpServerOptions options_;
   /// Co-owned by every StreamWriter; see ServerCore.
   const std::shared_ptr<ServerCore> core_;
 
-  int listen_fd_ = -1;
-  int epoll_fd_ = -1;
-  uint16_t port_ = 0;
-
-  std::thread loop_thread_;
-  std::vector<std::thread> workers_;
-
-  std::mutex tasks_mu_;
-  std::condition_variable tasks_cv_;
-  std::deque<std::function<void()>> tasks_;
-  bool workers_stop_ = false;
-
-  /// Event-loop-thread-only connection table.
-  std::unordered_map<uint64_t, std::shared_ptr<Conn>> conns_;
-  uint64_t next_conn_id_ = 1;
-
-  std::atomic<bool> running_{false};
-  std::atomic<bool> draining_{false};
-  std::atomic<bool> stop_{false};
-  std::atomic<size_t> open_conns_{0};
-
   // smartdd_http_* instruments (process-wide registry).
   Counter& requests_total_;
   Counter& shed_total_;
   Counter& parse_errors_total_;
-  Counter& connections_total_;
-  Gauge& connections_open_;
+
+  ConnLoop loop_;
 };
 
 }  // namespace smartdd::net

@@ -1,18 +1,5 @@
 #include "rpc/server.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/epoll.h>
-#include <sys/eventfd.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <cerrno>
-#include <chrono>
-#include <csignal>
-#include <cstring>
-
 #include "api/codec.h"
 #include "common/fault_injection.h"
 #include "common/logging.h"
@@ -20,31 +7,30 @@
 
 namespace smartdd::rpc {
 
+using net::SteadyNowMs;
+
 namespace {
 
-/// epoll user-data keys for the two non-connection fds; connection ids
-/// start above them.
-constexpr uint64_t kListenKey = 0;
-constexpr uint64_t kEventKey = 1;
-constexpr uint64_t kFirstConnId = 2;
+/// Bounded input: a peer cannot buffer more than one max frame plus a read
+/// quantum before the loop parses it down.
+constexpr size_t kInputCap = kMaxFramePayload + kFrameHeaderBytes + 16384;
 
-constexpr int kEpollWaitMs = 50;
-
-uint64_t NowMsSteady() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::milliseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
+/// How long an accepted peer has to send its handshake before the idle
+/// sweep closes it, so silent sockets cannot hold connection slots. Equal
+/// to the default ChannelOptions::connect_timeout_ms, the budget a Channel
+/// gives the server's own greeting.
+constexpr uint64_t kHandshakeTimeoutMs = 2000;
 
 }  // namespace
 
-/// Shared state co-owned by the server and every live Responder, so a call
-/// finishing after the server object is gone — an expansion that outlived
-/// the shutdown drain window — touches only memory it co-owns.
-struct RpcServerCore {
-  RpcServerCore()
-      : call_seconds(MetricsRegistry::Default().GetHistogram(
+/// The LoopCore every live Responder co-owns, plus the output cap and call
+/// metrics, so a call finishing after the server object is gone — an
+/// expansion that outlived the shutdown drain window — touches only memory
+/// it co-owns.
+struct RpcServerCore : net::LoopCore {
+  explicit RpcServerCore(size_t out_buffer_cap)
+      : max_out_buffer_bytes(out_buffer_cap),
+        call_seconds(MetricsRegistry::Default().GetHistogram(
             "smartdd_rpc_server_call_seconds",
             "Dispatch-to-finish latency of handled RPC calls",
             Histogram::LatencySeconds())),
@@ -52,59 +38,24 @@ struct RpcServerCore {
             "smartdd_rpc_server_stream_frames_total",
             "STREAM frames sent to RPC peers")) {}
 
-  /// Queues `id` for event-loop attention and pokes the eventfd. Safe from
-  /// any thread, at any point in the server's lifetime: after shutdown the
-  /// fd reads -1 under the same lock and the poke is skipped.
-  void MarkDirty(uint64_t id) {
-    std::lock_guard<std::mutex> lock(dirty_mu);
-    if (id >= kFirstConnId) dirty.push_back(id);
-    if (event_fd >= 0) {
-      uint64_t one = 1;
-      [[maybe_unused]] ssize_t n = ::write(event_fd, &one, sizeof(one));
-    }
-  }
-
-  void DecrementInflight() {
-    if (inflight.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      std::lock_guard<std::mutex> lock(drain_mu);
-      drain_cv.notify_all();
-    }
-  }
-
-  size_t max_out_buffer_bytes = 4 * 1024 * 1024;
-  std::atomic<size_t> inflight{0};
-  std::mutex drain_mu;
-  std::condition_variable drain_cv;
-  std::mutex dirty_mu;
-  std::vector<uint64_t> dirty;
-  /// Wakeup fd; -1 once shutdown closes it (lifetime guarded by dirty_mu).
-  int event_fd = -1;
+  const size_t max_out_buffer_bytes;
   Histogram& call_seconds;
   Counter& stream_frames_total;
 };
 
-/// Per-connection state. The unannotated fields belong to the event-loop
-/// thread alone (input, frame reassembly, epoll bookkeeping); everything a
-/// worker or Responder touches sits behind `mu` or is atomic.
-struct RpcConn {
-  RpcConn(int fd, uint64_t id) : fd(fd), id(id) {}
-
-  const int fd;
-  const uint64_t id;
+/// Per-connection SDRP state on top of the loop's. The unannotated fields
+/// belong to the event-loop thread alone (handshake, frame reassembly);
+/// `calls` sits behind `mu`.
+struct RpcConn : net::LoopConn {
+  RpcConn(int fd, uint64_t id) : LoopConn(fd, id) {}
 
   // --- event-loop thread only ---
-  std::string in;
+  uint64_t accepted_ms = 0;
   bool handshaken = false;
-  bool read_eof = false;
-  uint32_t armed_mask = 0;
 
-  // --- shared with workers / responders ---
-  std::atomic<bool> closed{false};
-  std::mutex mu;
-  std::string out;  ///< bytes awaiting the socket (guarded by mu)
-  bool abort_conn = false;  ///< discard `out` and close now (guarded by mu)
-  /// Live calls' cancel flags, keyed by call_id (guarded by mu). A CANCEL
-  /// frame or connection death flips the flag; Finish erases the entry.
+  // --- shared with workers / responders (guarded by mu) ---
+  /// Live calls' cancel flags, keyed by call_id. A CANCEL frame or
+  /// connection death flips the flag; Finish erases the entry.
   std::unordered_map<uint64_t, std::shared_ptr<std::atomic<bool>>> calls;
 };
 
@@ -119,7 +70,7 @@ Responder::Responder(std::shared_ptr<RpcServerCore> core,
       line_(std::move(call.line)),
       wants_stream_(call.wants_stream),
       cancel_flag_(std::make_shared<std::atomic<bool>>(false)),
-      dispatch_ms_(NowMsSteady()) {
+      dispatch_ms_(SteadyNowMs()) {
   {
     std::lock_guard<std::mutex> lock(conn_->mu);
     conn_->calls[call_id_] = cancel_flag_;
@@ -187,7 +138,7 @@ void Responder::Finish(const ResultPayload& result) {
     }
   }
   core_->call_seconds.Observe(
-      static_cast<double>(NowMsSteady() - dispatch_ms_) / 1e3);
+      static_cast<double>(SteadyNowMs() - dispatch_ms_) / 1e3);
   core_->DecrementInflight();
   core_->MarkDirty(conn_->id);
 }
@@ -197,341 +148,85 @@ void Responder::Finish(const ResultPayload& result) {
 Server::Server(CallHandler handler, ServerOptions options)
     : handler_(std::move(handler)),
       options_(std::move(options)),
-      core_(std::make_shared<RpcServerCore>()),
+      core_(std::make_shared<RpcServerCore>(options_.max_out_buffer_bytes)),
       calls_total_(MetricsRegistry::Default().GetCounter(
           "smartdd_rpc_server_calls_total", "RPC calls dispatched")),
       protocol_errors_total_(MetricsRegistry::Default().GetCounter(
           "smartdd_rpc_server_protocol_errors_total",
           "Connections dropped for handshake or framing violations")),
-      connections_total_(MetricsRegistry::Default().GetCounter(
-          "smartdd_rpc_server_connections_total", "RPC connections accepted")),
-      connections_open_(MetricsRegistry::Default().GetGauge(
-          "smartdd_rpc_server_connections_open",
-          "Currently open RPC connections")) {
+      loop_(
+          net::ConnLoopConfig{
+              options_.bind_address, options_.port, options_.worker_threads,
+              options_.max_connections, kInputCap, options_.drain_timeout_ms,
+              &MetricsRegistry::Default().GetCounter(
+                  "smartdd_rpc_server_connections_total",
+                  "RPC connections accepted"),
+              &MetricsRegistry::Default().GetGauge(
+                  "smartdd_rpc_server_connections_open",
+                  "Currently open RPC connections")},
+          core_, *this) {
   SMARTDD_CHECK(handler_ != nullptr);
-  core_->max_out_buffer_bytes = options_.max_out_buffer_bytes;
 }
 
 Server::~Server() { Shutdown(); }
-
-size_t Server::open_connections() const {
-  return open_conns_.load(std::memory_order_acquire);
-}
 
 size_t Server::inflight_calls() const {
   return core_->inflight.load(std::memory_order_acquire);
 }
 
-Status Server::Start() {
-  SMARTDD_CHECK(!running_.load()) << "rpc::Server started twice";
+Status Server::Start() { return loop_.Start(); }
 
-  // Same belt-and-braces as the HTTP server: a peer slamming its socket
-  // shut mid-write must surface as EPIPE, never SIGPIPE.
-  ::signal(SIGPIPE, SIG_IGN);
+void Server::Shutdown() { loop_.Shutdown(); }
 
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
-  if (listen_fd_ < 0) {
-    return Status::IOError(StrFormat("socket: %s", std::strerror(errno)));
-  }
-  int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+void Server::Stop() { loop_.Stop(); }
 
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(options_.port);
-  if (::inet_pton(AF_INET, options_.bind_address.c_str(), &addr.sin_addr) !=
-      1) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return Status::InvalidArgument(
-        StrFormat("bad bind address '%s'", options_.bind_address.c_str()));
-  }
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) <
-          0 ||
-      ::listen(listen_fd_, 128) < 0) {
-    Status status = Status::IOError(
-        StrFormat("bind/listen %s:%u: %s", options_.bind_address.c_str(),
-                  unsigned{options_.port}, std::strerror(errno)));
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return status;
-  }
-  socklen_t len = sizeof(addr);
-  ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len);
-  port_ = ntohs(addr.sin_port);
-
-  epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
-  int event_fd = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
-  if (epoll_fd_ < 0 || event_fd < 0) {
-    Status status = Status::IOError("epoll_create1/eventfd failed");
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    if (epoll_fd_ >= 0) ::close(epoll_fd_);
-    epoll_fd_ = -1;
-    if (event_fd >= 0) ::close(event_fd);
-    return status;
-  }
-  {
-    std::lock_guard<std::mutex> lock(core_->dirty_mu);
-    core_->event_fd = event_fd;
-  }
-  epoll_event ev{};
-  ev.events = EPOLLIN;
-  ev.data.u64 = kListenKey;
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, listen_fd_, &ev);
-  ev.data.u64 = kEventKey;
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, event_fd, &ev);
-
-  stop_.store(false);
-  draining_.store(false);
-  abort_flush_.store(false);
-  running_.store(true, std::memory_order_release);
-  loop_thread_ = std::thread([this]() { EventLoop(); });
-  const size_t workers = std::max<size_t>(1, options_.worker_threads);
-  for (size_t i = 0; i < workers; ++i) {
-    workers_.emplace_back([this]() { WorkerLoop(); });
-  }
-  return Status::OK();
+std::shared_ptr<net::LoopConn> Server::NewConn(int fd, uint64_t id) {
+  auto conn = std::make_shared<RpcConn>(fd, id);
+  conn->accepted_ms = SteadyNowMs();
+  // Both sides greet eagerly: our preamble goes out before any frame,
+  // and the peer's must arrive before any frame is parsed.
+  conn->out = EncodeHandshake();
+  return conn;
 }
 
-void Server::Shutdown() {
-  if (!running_.exchange(false, std::memory_order_acq_rel)) return;
+// A connection past the cap is closed without a greeting.
+std::string Server::OnShed() { return {}; }
 
-  draining_.store(true, std::memory_order_release);
-  core_->MarkDirty(kEventKey);  // just a poke; the loop sends GOAWAYs
-
-  {
-    std::unique_lock<std::mutex> lock(core_->drain_mu);
-    core_->drain_cv.wait_for(
-        lock, std::chrono::milliseconds(options_.drain_timeout_ms),
-        [this]() {
-          return core_->inflight.load(std::memory_order_acquire) == 0;
-        });
-  }
-
-  ShutdownThreads(/*flush=*/true);
+bool Server::Busy(net::LoopConn& conn) {
+  auto& rpc_conn = static_cast<RpcConn&>(conn);
+  std::lock_guard<std::mutex> lock(rpc_conn.mu);
+  return !rpc_conn.calls.empty();
 }
 
-void Server::Stop() {
-  if (!running_.exchange(false, std::memory_order_acq_rel)) return;
-  draining_.store(true, std::memory_order_release);
-  abort_flush_.store(true, std::memory_order_release);
-  ShutdownThreads(/*flush=*/false);
+// Peer is gone: close now, cancelling whatever it had in flight (OnClose),
+// unless a partial frame is still buffered.
+bool Server::CloseOnEof(net::LoopConn& conn) { return conn.in.empty(); }
+
+void Server::OnDrain(net::LoopConn& conn) {
+  std::lock_guard<std::mutex> lock(conn.mu);
+  AppendFrame(conn.out, FrameType::kGoAway, 0, "draining");
 }
 
-void Server::ShutdownThreads(bool flush) {
-  if (!flush) abort_flush_.store(true, std::memory_order_release);
-  stop_.store(true, std::memory_order_release);
-  core_->MarkDirty(kEventKey);
-  loop_thread_.join();
-
-  {
-    std::lock_guard<std::mutex> lock(tasks_mu_);
-    workers_stop_ = true;
-  }
-  tasks_cv_.notify_all();
-  for (auto& w : workers_) w.join();
-  workers_.clear();
-
-  // Close the wakeup fds only after every thread that could poke them is
-  // gone; a straggler Responder::Finish co-owns the core, takes dirty_mu,
-  // sees -1, and skips the write.
-  {
-    std::lock_guard<std::mutex> lock(core_->dirty_mu);
-    if (core_->event_fd >= 0) ::close(core_->event_fd);
-    core_->event_fd = -1;
-  }
-  if (epoll_fd_ >= 0) ::close(epoll_fd_);
-  epoll_fd_ = -1;
-  if (listen_fd_ >= 0) ::close(listen_fd_);
-  listen_fd_ = -1;
-}
-
-void Server::WorkerLoop() {
-  while (true) {
-    std::function<void()> task;
-    {
-      std::unique_lock<std::mutex> lock(tasks_mu_);
-      tasks_cv_.wait(lock,
-                     [this]() { return workers_stop_ || !tasks_.empty(); });
-      if (tasks_.empty()) return;  // workers_stop_ and drained
-      task = std::move(tasks_.front());
-      tasks_.pop_front();
-    }
-    task();
+void Server::OnClose(net::LoopConn& conn) {
+  // Calls still running against this connection observe cancellation at
+  // their next deadline poll and their Finish becomes a no-op write.
+  auto& rpc_conn = static_cast<RpcConn&>(conn);
+  std::lock_guard<std::mutex> lock(rpc_conn.mu);
+  for (auto& [call_id, flag] : rpc_conn.calls) {
+    flag->store(true, std::memory_order_release);
   }
 }
 
-void Server::EventLoop() {
-  std::vector<epoll_event> events(64);
-  bool listener_open = true;
-  bool goaways_sent = false;
-  uint64_t flush_deadline = 0;
-  while (true) {
-    if (stop_.load(std::memory_order_acquire)) {
-      if (abort_flush_.load(std::memory_order_acquire)) break;
-      // Final-flush phase: in-flight calls have drained (or timed out),
-      // but finished RESULTs may still sit in connection buffers. Pump
-      // briefly so graceful shutdown delivers them.
-      if (flush_deadline == 0) flush_deadline = NowMsSteady() + 2000;
-      bool pending = false;
-      for (auto& [id, conn] : conns_) {
-        std::lock_guard<std::mutex> lock(conn->mu);
-        if (!conn->out.empty()) {
-          pending = true;
-          break;
-        }
-      }
-      if (!pending || NowMsSteady() >= flush_deadline) break;
-    }
-    int n = ::epoll_wait(epoll_fd_, events.data(),
-                         static_cast<int>(events.size()), kEpollWaitMs);
-    if (draining_.load(std::memory_order_acquire)) {
-      if (listener_open) {
-        // Graceful shutdown step 1: stop accepting. Live connections keep
-        // flushing and in-flight calls keep running until drained.
-        ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, listen_fd_, nullptr);
-        ::close(listen_fd_);
-        listen_fd_ = -1;
-        listener_open = false;
-      }
-      if (!goaways_sent && !abort_flush_.load(std::memory_order_acquire)) {
-        goaways_sent = true;
-        for (auto& [id, conn] : conns_) {
-          std::lock_guard<std::mutex> lock(conn->mu);
-          AppendFrame(conn->out, FrameType::kGoAway, 0, "draining");
-        }
-        for (auto& [id, conn] : conns_) FlushOut(conn);
-      }
-    }
-    for (int i = 0; i < n; ++i) {
-      uint64_t key = events[i].data.u64;
-      if (key == kListenKey) {
-        if (listener_open) AcceptAll();
-      } else if (key == kEventKey) {
-        uint64_t drainer;
-        while (::read(core_->event_fd, &drainer, sizeof(drainer)) > 0) {
-        }
-      } else {
-        auto it = conns_.find(key);
-        if (it != conns_.end()) {
-          // Copy the owner: HandleIo may CloseConn, which erases the map
-          // entry this iterator points at.
-          std::shared_ptr<RpcConn> conn = it->second;
-          HandleIo(conn, events[i].events);
-        }
-      }
-    }
-    // Serve wakeups from workers/responders (RESULT/STREAM bytes ready).
-    std::vector<uint64_t> dirty;
-    {
-      std::lock_guard<std::mutex> lock(core_->dirty_mu);
-      dirty.swap(core_->dirty);
-    }
-    for (uint64_t id : dirty) {
-      auto it = conns_.find(id);
-      if (it == conns_.end()) continue;
-      std::shared_ptr<RpcConn> conn = it->second;
-      bool abort;
-      {
-        std::lock_guard<std::mutex> lock(conn->mu);
-        abort = conn->abort_conn;
-      }
-      if (abort) {
-        CloseConn(conn);
-        continue;
-      }
-      FlushOut(conn);
-    }
-  }
-  // Loop exit: tear down whatever is left (drain timeout stragglers).
-  std::vector<std::shared_ptr<RpcConn>> leftover;
-  leftover.reserve(conns_.size());
-  for (auto& [id, conn] : conns_) leftover.push_back(conn);
-  for (auto& conn : leftover) CloseConn(conn);
-  if (listener_open && listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
+bool Server::OnIdle(net::LoopConn& conn, uint64_t now_ms, std::string*) {
+  // Handshaken connections are never swept: a router's one multiplexed
+  // connection may sit quiet between clicks for as long as it likes.
+  auto& rpc_conn = static_cast<RpcConn&>(conn);
+  return !rpc_conn.handshaken &&
+         now_ms - rpc_conn.accepted_ms >= kHandshakeTimeoutMs;
 }
 
-void Server::AcceptAll() {
-  while (true) {
-    int fd = ::accept4(listen_fd_, nullptr, nullptr,
-                       SOCK_NONBLOCK | SOCK_CLOEXEC);
-    if (fd < 0) return;  // EAGAIN or transient error; epoll will re-arm
-    int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    connections_total_.Inc();
-    if (conns_.size() >= options_.max_connections ||
-        draining_.load(std::memory_order_acquire)) {
-      ::close(fd);
-      continue;
-    }
-    uint64_t id = kFirstConnId + next_conn_id_++;
-    auto conn = std::make_shared<RpcConn>(fd, id);
-    // Both sides greet eagerly: our preamble goes out before any frame,
-    // and the peer's must arrive before any frame is parsed.
-    conn->out = EncodeHandshake();
-    epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.u64 = id;
-    if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) < 0) {
-      ::close(fd);
-      continue;
-    }
-    conn->armed_mask = EPOLLIN;
-    conns_.emplace(id, std::move(conn));
-    open_conns_.fetch_add(1, std::memory_order_acq_rel);
-    connections_open_.Add(1);
-    FlushOut(conns_.at(id));
-  }
-}
-
-void Server::HandleIo(const std::shared_ptr<RpcConn>& conn, uint32_t events) {
-  if (conn->closed.load(std::memory_order_acquire)) return;
-  if (events & (EPOLLHUP | EPOLLERR)) {
-    CloseConn(conn);
-    return;
-  }
-  if (events & EPOLLIN) {
-    char buf[16384];
-    while (true) {
-      ssize_t r = ::recv(conn->fd, buf, sizeof(buf), 0);
-      if (r > 0) {
-        conn->in.append(buf, static_cast<size_t>(r));
-        // Bounded input: a peer cannot buffer more than one max frame
-        // plus a read quantum before the loop parses it down.
-        if (conn->in.size() > kMaxFramePayload + kFrameHeaderBytes +
-                                  sizeof(buf)) {
-          break;
-        }
-      } else if (r == 0) {
-        conn->read_eof = true;
-        break;
-      } else if (errno == EINTR) {
-        continue;
-      } else {
-        if (errno != EAGAIN && errno != EWOULDBLOCK) {
-          CloseConn(conn);
-          return;
-        }
-        break;
-      }
-    }
-    Advance(conn);
-    if (conn->closed.load(std::memory_order_acquire)) return;
-    if (conn->read_eof && conn->in.empty()) {
-      // Peer is gone; cancel whatever it had in flight and close once the
-      // (now pointless) output would have flushed.
-      CloseConn(conn);
-      return;
-    }
-  }
-  FlushOut(conn);
-}
-
-void Server::Advance(const std::shared_ptr<RpcConn>& conn) {
+void Server::OnInput(const std::shared_ptr<net::LoopConn>& base) {
+  auto conn = std::static_pointer_cast<RpcConn>(base);
   if (!conn->handshaken) {
     if (conn->in.size() < kHandshakeBytes) return;
     auto version = DecodeHandshake(conn->in);
@@ -539,7 +234,7 @@ void Server::Advance(const std::shared_ptr<RpcConn>& conn) {
       protocol_errors_total_.Inc();
       SMARTDD_LOG(Warning) << "rpc: dropping peer: "
                            << version.status().ToString();
-      CloseConn(conn);
+      loop_.Close(conn);
       return;
     }
     conn->in.erase(0, kHandshakeBytes);
@@ -554,7 +249,7 @@ void Server::Advance(const std::shared_ptr<RpcConn>& conn) {
     if (state == DecodeState::kError) {
       protocol_errors_total_.Inc();
       SMARTDD_LOG(Warning) << "rpc: dropping peer: " << error;
-      CloseConn(conn);
+      loop_.Close(conn);
       return;
     }
     conn->in.erase(0, consumed);
@@ -578,7 +273,7 @@ void Server::Advance(const std::shared_ptr<RpcConn>& conn) {
       default:
         // RESULT/STREAM from a client are nonsense.
         protocol_errors_total_.Inc();
-        CloseConn(conn);
+        loop_.Close(conn);
         return;
     }
   }
@@ -599,93 +294,20 @@ void Server::DispatchCall(const std::shared_ptr<RpcConn>& conn, Frame frame) {
     responder.reset(new Responder(core_, conn, frame.call_id, CallPayload{}));
   }
   Status defect = call.ok() ? Status::OK() : call.status();
-  {
-    std::lock_guard<std::mutex> lock(tasks_mu_);
-    tasks_.push_back([this, responder, defect = std::move(defect)]() {
-      Status blocked = defect;
-      if (blocked.ok()) blocked = InjectFault("rpc.server.dispatch");
-      if (!blocked.ok()) {
-        ResultPayload result;
-        result.code = blocked.code();
-        api::Response response;
-        response.status = blocked;
-        result.json = api::EncodeResponse(response);
-        responder->Finish(result);
-        return;
-      }
-      handler_(responder);
-    });
-  }
-  tasks_cv_.notify_one();
-}
-
-void Server::FlushOut(const std::shared_ptr<RpcConn>& conn) {
-  if (conn->closed.load(std::memory_order_acquire)) return;
-  bool io_error = false;
-  bool out_empty;
-  {
-    std::lock_guard<std::mutex> lock(conn->mu);
-    while (!conn->out.empty()) {
-      ssize_t w = ::send(conn->fd, conn->out.data(),
-                         std::min<size_t>(conn->out.size(), 1 << 16),
-                         MSG_NOSIGNAL);
-      if (w > 0) {
-        conn->out.erase(0, static_cast<size_t>(w));
-      } else if (w < 0 && errno == EINTR) {
-        continue;
-      } else if (w < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-        break;
-      } else {
-        io_error = true;
-        break;
-      }
-    }
-    out_empty = conn->out.empty();
-  }
-  if (io_error) {
-    CloseConn(conn);
-    return;
-  }
-  if (out_empty && conn->read_eof) {
-    bool idle;
-    {
-      std::lock_guard<std::mutex> lock(conn->mu);
-      idle = conn->calls.empty();
-    }
-    if (idle) {
-      CloseConn(conn);
+  loop_.Post([this, responder, defect = std::move(defect)]() {
+    Status blocked = defect;
+    if (blocked.ok()) blocked = InjectFault("rpc.server.dispatch");
+    if (!blocked.ok()) {
+      ResultPayload result;
+      result.code = blocked.code();
+      api::Response response;
+      response.status = blocked;
+      result.json = api::EncodeResponse(response);
+      responder->Finish(result);
       return;
     }
-  }
-
-  // Re-arm epoll for exactly what this connection still needs.
-  uint32_t mask = 0;
-  if (!conn->read_eof) mask |= EPOLLIN;
-  if (!out_empty) mask |= EPOLLOUT;
-  if (mask != conn->armed_mask) {
-    epoll_event ev{};
-    ev.events = mask;
-    ev.data.u64 = conn->id;
-    ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, conn->fd, &ev);
-    conn->armed_mask = mask;
-  }
-}
-
-void Server::CloseConn(const std::shared_ptr<RpcConn>& conn) {
-  if (conn->closed.exchange(true, std::memory_order_acq_rel)) return;
-  {
-    // Calls still running against this connection observe cancellation at
-    // their next deadline poll and their Finish becomes a no-op write.
-    std::lock_guard<std::mutex> lock(conn->mu);
-    for (auto& [call_id, flag] : conn->calls) {
-      flag->store(true, std::memory_order_release);
-    }
-  }
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, conn->fd, nullptr);
-  ::close(conn->fd);
-  conns_.erase(conn->id);
-  open_conns_.fetch_sub(1, std::memory_order_acq_rel);
-  connections_open_.Sub(1);
+    handler_(responder);
+  });
 }
 
 }  // namespace smartdd::rpc

@@ -2,20 +2,15 @@
 #define SMARTDD_RPC_SERVER_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
-#include <unordered_map>
-#include <vector>
 
 #include "common/deadline.h"
 #include "common/metrics.h"
 #include "common/status.h"
+#include "net/conn_loop.h"
 #include "rpc/frame.h"
 
 namespace smartdd::rpc {
@@ -99,22 +94,26 @@ class Responder {
 /// responder->Finish (directly or from an async completion).
 using CallHandler = std::function<void(const std::shared_ptr<Responder>&)>;
 
-/// A non-blocking epoll-driven RPC server speaking the rpc/frame wire
-/// format: one event-loop thread owns every socket (accept, handshake,
-/// frame reassembly, flush) and a small worker pool runs handlers, so a
-/// slow peer can never wedge the loop and a slow handler can never wedge
-/// other connections' I/O. Calls multiplex freely on one connection;
-/// CANCEL frames flip the matching call's cancel flag (visible through
-/// Responder::deadline()). Shutdown() is graceful (GOAWAY to every peer,
-/// drain in-flight calls, flush, close); Stop() is abrupt (close
-/// everything now — the chaos path). Instrumented via common/metrics
+/// An RPC server speaking the rpc/frame wire format (SDRP): the protocol
+/// layer over a net::ConnLoop, which owns the sockets (one epoll event-loop
+/// thread: accept, bounded reads, flush, idle sweep, drain) and the handler
+/// worker pool. This class supplies the ConnLoop hooks: the eager handshake
+/// greeting on accept (none for a connection past the cap, which is simply
+/// closed), handshake check and frame decode and dispatch on input, "busy"
+/// while calls are live, close-and-cancel on the peer's EOF, GOAWAY on
+/// drain, cancel flags flipped on close, and closing a peer that has not
+/// sent its handshake within 2 s of the accept. Calls multiplex freely on
+/// one connection; CANCEL frames flip the matching call's cancel flag
+/// (visible through Responder::deadline()). Shutdown() is graceful (GOAWAY
+/// to every peer, drain in-flight calls, flush, close); Stop() is abrupt
+/// (close everything now — the chaos path). Instrumented via common/metrics
 /// (smartdd_rpc_server_*). Fault point `rpc.server.dispatch` fires before
 /// each handler invocation.
-class Server {
+class Server : private net::ConnProtocol {
  public:
   explicit Server(CallHandler handler, ServerOptions options = {});
   /// Calls Shutdown() if still running.
-  ~Server();
+  ~Server() override;
 
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
@@ -135,62 +134,40 @@ class Server {
   void Stop();
 
   /// The bound port (after Start()); useful with port 0.
-  uint16_t port() const { return port_; }
+  uint16_t port() const { return loop_.port(); }
 
   /// True between successful Start() and Shutdown()/Stop().
-  bool running() const { return running_.load(std::memory_order_acquire); }
+  bool running() const { return loop_.running(); }
 
   /// Live accepted connections (for tests).
-  size_t open_connections() const;
+  size_t open_connections() const { return loop_.open_connections(); }
 
   /// Calls dispatched but not yet finished (for tests).
   size_t inflight_calls() const;
 
  private:
-  void EventLoop();
-  void WorkerLoop();
-  void AcceptAll();
-  void HandleIo(const std::shared_ptr<RpcConn>& conn, uint32_t events);
-  /// Decodes buffered input into frames and acts on them.
-  void Advance(const std::shared_ptr<RpcConn>& conn);
+  // net::ConnProtocol hooks (event-loop thread).
+  std::shared_ptr<net::LoopConn> NewConn(int fd, uint64_t id) override;
+  std::string OnShed() override;
+  void OnInput(const std::shared_ptr<net::LoopConn>& conn) override;
+  bool Busy(net::LoopConn& conn) override;
+  bool CloseOnEof(net::LoopConn& conn) override;
+  void OnDrain(net::LoopConn& conn) override;
+  void OnClose(net::LoopConn& conn) override;
+  bool OnIdle(net::LoopConn& conn, uint64_t now_ms,
+              std::string* farewell) override;
+
   void DispatchCall(const std::shared_ptr<RpcConn>& conn, Frame frame);
-  /// Writes as much pending output as the socket accepts; arms EPOLLOUT
-  /// when it blocks. Event-loop thread only.
-  void FlushOut(const std::shared_ptr<RpcConn>& conn);
-  void CloseConn(const std::shared_ptr<RpcConn>& conn);
-  void ShutdownThreads(bool flush);
 
   const CallHandler handler_;
   const ServerOptions options_;
   const std::shared_ptr<RpcServerCore> core_;
 
-  int listen_fd_ = -1;
-  int epoll_fd_ = -1;
-  uint16_t port_ = 0;
-
-  std::thread loop_thread_;
-  std::vector<std::thread> workers_;
-
-  std::mutex tasks_mu_;
-  std::condition_variable tasks_cv_;
-  std::deque<std::function<void()>> tasks_;
-  bool workers_stop_ = false;
-
-  /// Event-loop-thread-only connection table.
-  std::unordered_map<uint64_t, std::shared_ptr<RpcConn>> conns_;
-  uint64_t next_conn_id_ = 1;
-
-  std::atomic<bool> running_{false};
-  std::atomic<bool> draining_{false};
-  std::atomic<bool> stop_{false};
-  std::atomic<bool> abort_flush_{false};
-  std::atomic<size_t> open_conns_{0};
-
   // smartdd_rpc_server_* instruments (process-wide registry).
   Counter& calls_total_;
   Counter& protocol_errors_total_;
-  Counter& connections_total_;
-  Gauge& connections_open_;
+
+  net::ConnLoop loop_;
 };
 
 }  // namespace smartdd::rpc

@@ -2,7 +2,9 @@
 // codecs, malformed-input rejection) and the Channel <-> Server contract —
 // multiplexed unary calls, streaming with seq order and backpressure
 // cancellation, deadline propagation into the handler's Deadline, graceful
-// GOAWAY drain, abrupt-stop failure semantics, and lazy re-dial healing.
+// GOAWAY drain, abrupt-stop failure semantics, and lazy re-dial healing —
+// and the server's connection handling: the connection cap, the handshake
+// budget for silent peers, output-backlog aborts, and hang-up cancellation.
 
 #include <arpa/inet.h>
 #include <gtest/gtest.h>
@@ -398,6 +400,148 @@ TEST(RpcChannelTest, GarbageGreetingIsRejected) {
   ::close(fd);
   // The real peer is unaffected.
   EXPECT_TRUE(probe.Call("still-alive").ok());
+}
+
+// --- server connection handling -----------------------------------------
+
+/// A raw TCP client of the server (no Channel): `rcvbuf` > 0 shrinks its
+/// receive buffer before the connect, and recv gives up after 5 s so a hung
+/// server fails the test, not CI.
+int RawConnect(uint16_t port, int rcvbuf = 0) {
+  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (rcvbuf > 0) {
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
+  }
+  timeval recv_timeout{5, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &recv_timeout,
+               sizeof(recv_timeout));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  return fd;
+}
+
+/// Greets the server and sends one CALL on a raw connection.
+void RawCall(int fd, uint64_t call_id, bool wants_stream) {
+  CallPayload call;
+  call.wants_stream = wants_stream;
+  call.line = "go";
+  std::string bytes = rpc::EncodeHandshake();
+  rpc::AppendFrame(bytes, FrameType::kCall, call_id,
+                   rpc::EncodeCallPayload(call));
+  ASSERT_EQ(::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(bytes.size()));
+}
+
+/// Polls `done` every 5 ms for up to `ms`; returns its last value.
+template <typename Pred>
+bool WaitFor(Pred done, int ms = 5000) {
+  for (int waited = 0; waited < ms && !done(); waited += 5) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  return done();
+}
+
+TEST(RpcServerTest, SilentPeerLosesItsSlotAfterTheHandshakeBudget) {
+  ServerOptions sopts;
+  sopts.max_connections = 1;
+  RpcFixture fx(EchoHandler, sopts);
+  // A TCP peer that connects and never sends the handshake takes the only
+  // slot...
+  int silent = RawConnect(fx.server.port());
+  ASSERT_TRUE(WaitFor([&]() { return fx.server.open_connections() == 1; }));
+  // ...until the 2 s handshake budget runs out and the sweep closes it:
+  // the peer reads the server's greeting, then EOF.
+  EXPECT_TRUE(WaitFor([&]() { return fx.server.open_connections() == 0; }));
+  char buf[64];
+  EXPECT_EQ(::recv(silent, buf, sizeof(buf), MSG_WAITALL),
+            static_cast<ssize_t>(rpc::kHandshakeBytes));
+  EXPECT_EQ(::recv(silent, buf, sizeof(buf), 0), 0);
+  ::close(silent);
+
+  auto result = fx.channel->Call("ping");
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->json, "echo:ping");
+  EXPECT_EQ(fx.server.open_connections(), 1u);
+  // A handshaken connection is never swept, however quiet it stays.
+  std::this_thread::sleep_for(std::chrono::milliseconds(2500));
+  EXPECT_TRUE(fx.channel->connected());
+  EXPECT_EQ(fx.server.open_connections(), 1u);
+  EXPECT_TRUE(fx.channel->Call("still-here").ok());
+}
+
+TEST(RpcServerTest, ConnectionPastTheCapIsClosedWithoutAGreeting) {
+  ServerOptions sopts;
+  sopts.max_connections = 1;
+  RpcFixture fx(EchoHandler, sopts);
+  ASSERT_TRUE(fx.channel->Call("first").ok());
+  int extra = RawConnect(fx.server.port());
+  char buf[64];
+  EXPECT_EQ(::recv(extra, buf, sizeof(buf), 0), 0);  // EOF, no handshake
+  ::close(extra);
+  auto result = fx.channel->Call("still-alive");
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->json, "echo:still-alive");
+  EXPECT_EQ(fx.server.open_connections(), 1u);
+}
+
+TEST(RpcServerTest, PeerThatStopsReadingIsAbortedAndItsCallCancelled) {
+  std::atomic<bool> stream_refused{false};
+  std::atomic<bool> saw_cancel{false};
+  std::atomic<bool> done{false};
+  auto handler = [&](const std::shared_ptr<Responder>& responder) {
+    const std::string chunk(16 * 1024, 'x');
+    // The peer never reads: the socket buffers fill, then the server-side
+    // backlog passes max_out_buffer_bytes and Stream() must refuse.
+    for (int i = 0; i < 100000 && !stream_refused.load(); ++i) {
+      if (!responder->Stream(chunk)) stream_refused = true;
+    }
+    saw_cancel = responder->cancelled();
+    responder->Finish(ResultPayload{});
+    done = true;
+  };
+  ServerOptions sopts;
+  sopts.max_out_buffer_bytes = 64 * 1024;
+  RpcFixture fx(handler, sopts);
+  int fd = RawConnect(fx.server.port(), /*rcvbuf=*/4096);
+  RawCall(fd, /*call_id=*/1, /*wants_stream=*/true);
+  ASSERT_TRUE(WaitFor([&]() { return done.load(); }, 10000));
+  EXPECT_TRUE(stream_refused.load());
+  EXPECT_TRUE(saw_cancel.load());
+  // The connection is aborted, not left holding its backlog.
+  EXPECT_TRUE(WaitFor([&]() { return fx.server.open_connections() == 0; }));
+  EXPECT_EQ(fx.server.inflight_calls(), 0u);
+  ::close(fd);
+}
+
+TEST(RpcServerTest, HangUpMidCallCancelsTheRunningCall) {
+  std::atomic<bool> running{false};
+  std::atomic<bool> saw_cancel{false};
+  std::atomic<bool> saw_expiry{false};
+  std::atomic<bool> done{false};
+  auto handler = [&](const std::shared_ptr<Responder>& responder) {
+    running = true;
+    // Poll like an engine chunk loop until the hang-up lands.
+    for (int i = 0; i < 1000 && !responder->cancelled(); ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    saw_cancel = responder->cancelled();
+    saw_expiry = responder->deadline().expired();
+    responder->Finish(ResultPayload{});
+    done = true;
+  };
+  RpcFixture fx(handler);
+  int fd = RawConnect(fx.server.port());
+  RawCall(fd, /*call_id=*/1, /*wants_stream=*/false);
+  ASSERT_TRUE(WaitFor([&]() { return running.load(); }));
+  ::close(fd);
+  ASSERT_TRUE(WaitFor([&]() { return done.load(); }, 10000));
+  EXPECT_TRUE(saw_cancel.load());
+  EXPECT_TRUE(saw_expiry.load());
+  EXPECT_TRUE(WaitFor([&]() { return fx.server.open_connections() == 0; }));
 }
 
 TEST(RpcChannelTest, FaultPointsInjectCleanFailures) {
