@@ -32,10 +32,12 @@ fi
 # singleton recounts (written by pool workers) with the brute-force BRS and
 # greedy oracles, plus the finder, BRS and drill-down unit suites, whose
 # single-view and drill-down calls index the finder's one covered-weight
-# array by global row id. The HTTP, RPC, cluster and chaos suites drive
-# both wire protocols through the shared connection loop
-# (src/net/conn_loop.cc, built into libsmartdd under the same flags).
-SAN_TESTS="parallel_marginal_test|parallel_sampling_test|sample_handler_test|session_test|concurrent_sessions_test|task_scheduler_test|service_test|codec_test|metrics_test|http_server_test|chaos_test|disk_table_test|sharded_engine_test|packed_column_test|deadline_test|rpc_test|cluster_test|live_table_test|expansion_cache_test|cover_memo_test|brs_oracle_test|greedy_oracle_test|best_marginal_test|brs_test|drilldown_test"
+# array by global row id, and the table, rule and mw-estimator suites, which
+# drive the row copy loop that shard slices and drill-down covers share. The
+# HTTP, RPC, cluster and chaos suites drive both wire protocols through the
+# shared connection loop (src/net/conn_loop.cc, built into libsmartdd under
+# the same flags).
+SAN_TESTS="parallel_marginal_test|parallel_sampling_test|sample_handler_test|session_test|concurrent_sessions_test|task_scheduler_test|service_test|codec_test|metrics_test|http_server_test|chaos_test|disk_table_test|sharded_engine_test|packed_column_test|deadline_test|rpc_test|cluster_test|live_table_test|expansion_cache_test|cover_memo_test|brs_oracle_test|greedy_oracle_test|best_marginal_test|brs_test|drilldown_test|table_test|rule_test|mw_estimator_test"
 SAN_TARGETS=(
   parallel_marginal_test parallel_sampling_test sample_handler_test
   session_test concurrent_sessions_test task_scheduler_test
@@ -44,6 +46,7 @@ SAN_TARGETS=(
   deadline_test rpc_test cluster_test live_table_test expansion_cache_test
   cover_memo_test brs_oracle_test greedy_oracle_test
   best_marginal_test brs_test drilldown_test
+  table_test rule_test mw_estimator_test
 )
 
 run_sanitizer_stage() {

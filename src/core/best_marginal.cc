@@ -221,7 +221,6 @@ struct MarginalRuleFinder::Impl {
     uint64_t begin;
     uint64_t rows;
     const double* mass_col;  // measure column data, nullptr for Count
-    bool subset;
   };
 
   const WeightFunction& weight;
@@ -322,7 +321,6 @@ struct MarginalRuleFinder::Impl {
           v->has_measure()
               ? v->table().measure_column(*v->measure_index()).data()
               : nullptr;
-      seg.subset = v->is_subset();
       segs.push_back(seg);
       total_rows += seg.rows;
     }
@@ -500,12 +498,6 @@ struct MarginalRuleFinder::Impl {
     const PassOneStore::Pick& pending = *pass1.pending;
     const double w = pending.weight;
     double* cw = covered.data() + s.begin;
-    if (s.subset) {
-      for (uint64_t t = llo; t < lhi; ++t) {
-        if (cw[t] < w && RuleCoversRow(pending.rule, *s.view, t)) cw[t] = w;
-      }
-      return;
-    }
     uint8_t rmask[kScanBlockRows];
     const Table& table = s.view->table();
     for (uint64_t b0 = llo; b0 < lhi; b0 += kScanBlockRows) {
@@ -579,19 +571,6 @@ struct MarginalRuleFinder::Impl {
                                  uint64_t lhi) {
           const PackedRef col = s.view->table().column(c).ref();
           const double* mass_col = s.mass_col;
-          if (s.subset) {
-            // Subset views resolve a row id per row: no contiguous decode.
-            if (fuse_update) ApplyPendingRange(s, llo, lhi);
-            for (uint64_t t = llo; t < lhi; ++t) {
-              const uint32_t row = s.view->row_id(t);
-              const uint32_t code = col.Get(row);
-              ++counts[code];
-              if (mass != nullptr) {
-                mass[code] += mass_col ? mass_col[row] : 1.0;
-              }
-            }
-            return;
-          }
           if (mass == nullptr && !fuse_update) {
             // Count aggregation needs no decode at all: the counting
             // kernel tallies the packed payload directly (SWAR popcounts
@@ -713,21 +692,6 @@ struct MarginalRuleFinder::Impl {
           const double* mass_col = s.mass_col;
           const double* cw = covered.data() + s.begin;
           const uint64_t gbase = s.begin;
-          if (s.subset) {
-            for (uint64_t t = llo; t < lhi; ++t) {
-              const uint32_t row = s.view->row_id(t);
-              const uint32_t code = col.Get(row);
-              if (build_postings) {
-                ps.rows[cursors[code]++] = static_cast<uint32_t>(gbase + t);
-              }
-              const Entry& e = st.entries[code];
-              if (e.excluded) continue;
-              const double m = mass_col ? mass_col[row] : 1.0;
-              marginal[code] +=
-                  m * std::max(0.0, e.weight - cw[t]);
-            }
-            return;
-          }
           for (uint64_t b0 = llo; b0 < lhi; b0 += kScanBlockRows) {
             const uint64_t b1 = std::min(lhi, b0 + kScanBlockRows);
             kern->unpack(col, b0, b1, codes);
@@ -783,10 +747,7 @@ struct MarginalRuleFinder::Impl {
           lane = 0;
           lane_end = (*q / lane_rows + 1) * lane_rows;
         }
-        const uint64_t t = *q - s.begin;
-        const uint32_t row =
-            s.subset ? s.view->row_id(t) : static_cast<uint32_t>(t);
-        const double m = s.mass_col ? s.mass_col[row] : 1.0;
+        const double m = s.mass_col ? s.mass_col[*q - s.begin] : 1.0;
         lane += m * std::max(0.0, w - cw[*q]);
       }
     });
@@ -833,9 +794,7 @@ struct MarginalRuleFinder::Impl {
                              const uint32_t* run_end) {
         const CompiledRule rest(pending.rest, s.view->table());
         for (; q != run_end; ++q) {
-          const uint64_t t = *q - s.begin;
-          const uint32_t row =
-              s.subset ? s.view->row_id(t) : static_cast<uint32_t>(t);
+          const uint32_t row = static_cast<uint32_t>(*q - s.begin);
           if (cw[*q] < w && rest.Covers(row)) cw[*q] = w;
         }
       });
@@ -986,7 +945,6 @@ struct MarginalRuleFinder::Impl {
     const Segment* s = nullptr;
     const Table* table = nullptr;
     const double* mass_col = nullptr;
-    bool subset = false;
     uint64_t seg_begin = 0;
     uint64_t seg_end = 0;  // 0 forces a bind on the first row
 
@@ -1001,7 +959,6 @@ struct MarginalRuleFinder::Impl {
         s = &segs[si];
         table = &s->view->table();
         mass_col = s->mass_col;
-        subset = s->subset;
         seg_begin = s->begin;
         seg_end = s->begin + s->rows;
         if (hoisted) {
@@ -1014,7 +971,7 @@ struct MarginalRuleFinder::Impl {
           }
         }
       }
-      if (hoisted && !subset) {
+      if (hoisted) {
         // Batch the run of rows inside this segment through the
         // gather-filter kernel, then accumulate the survivors — in the same
         // ascending order the direct loop visits them, so the float sums
@@ -1040,24 +997,13 @@ struct MarginalRuleFinder::Impl {
         }
         continue;
       }
-      const uint64_t t = gt - seg_begin;
-      const uint32_t row = subset ? s->view->row_id(t)
-                                  : static_cast<uint32_t>(t);
+      const uint32_t row = static_cast<uint32_t>(gt - seg_begin);
       bool matches = true;
-      if (hoisted) {
-        for (size_t i = 0; i < preds; ++i) {
-          if (preds_buf[i].col.Get(row) != preds_buf[i].want) {
-            matches = false;
-            break;
-          }
-        }
-      } else {
-        for (size_t i = 0; i < arity; ++i) {
-          if (!checked(i)) continue;
-          if (table->column(g.cols[i]).Get(row) != vals[i]) {
-            matches = false;
-            break;
-          }
+      for (size_t i = 0; i < arity; ++i) {
+        if (!checked(i)) continue;
+        if (table->column(g.cols[i]).Get(row) != vals[i]) {
+          matches = false;
+          break;
         }
       }
       if (matches) {

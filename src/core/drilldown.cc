@@ -24,20 +24,24 @@ Result<DrillDownResponse> SmartDrillDown(
     }
   }
 
-  // Problem 1 -> Problem 2: restrict to tuples covered by the clicked rule.
-  // Each shard filters locally — its sub-view keeps shard-local row ids —
-  // and the sub-views stay row-contiguous slices of the filtered logical
-  // table, in the same shard order.
-  std::vector<TableView> filtered;
-  std::vector<const TableView*> subs;
+  // Problem 1 -> Problem 2: restrict to T_r, the tuples covered by the
+  // clicked rule. Each shard gathers its cover into a compact table, in row
+  // order, so the covers stay row-contiguous slices of T_r in shard order.
+  // A shard that the base covers entirely (a sample served for the base)
+  // is searched as it is.
+  std::vector<Table> covers;
+  std::vector<TableView> cover_views;
+  std::vector<const TableView*> subs = views;
   if (!base.is_trivial()) {
-    filtered.reserve(views.size());
-    for (const TableView* v : views) {
-      filtered.push_back(FilterView(*v, base, request.kernel));
+    covers.reserve(views.size());  // cover_views point into both vectors
+    cover_views.reserve(views.size());
+    for (size_t i = 0; i < views.size(); ++i) {
+      std::optional<Table> cover = GatherCover(*views[i], base, request.kernel);
+      if (!cover) continue;
+      covers.push_back(std::move(*cover));
+      subs[i] = &cover_views.emplace_back(covers.back(),
+                                          views[i]->measure_index());
     }
-    for (const TableView& v : filtered) subs.push_back(&v);
-  } else {
-    subs = views;
   }
 
   DrillDownResponse response;

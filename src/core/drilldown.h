@@ -62,16 +62,16 @@ struct DrillDownResponse {
   bool partial = false;
 };
 
-/// Executes a smart drill-down using the reduction of §3.1: filter the
-/// view to the tuples covered by base (Problem 1 -> Problem 2), search only
+/// Executes a smart drill-down using the reduction of §3.1: gather the
+/// tuples covered by base into T_r (Problem 1 -> Problem 2), search only
 /// base's starred columns with weights evaluated on the merged super-rule,
 /// and — for star drill-downs — rewrite the weight so rules not
 /// instantiating the clicked column get weight 0.
 ///
 /// `views` are row-contiguous shard slices, in shard order, of one logical
-/// table; a single view is passed as `{&view}`. Each shard filters to the
+/// table; a single view is passed as `{&view}`. Each shard gathers the
 /// base rule's cover locally; the search and the evaluations treat the
-/// shard sub-views' concatenation as one row space, so the response is
+/// covers' concatenation as one row space, so the response is
 /// byte-identical for every shard count.
 Result<DrillDownResponse> SmartDrillDown(
     const std::vector<const TableView*>& views, const WeightFunction& weight,

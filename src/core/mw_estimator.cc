@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 
 #include "common/random.h"
 #include "core/brs.h"
@@ -17,26 +18,27 @@ Result<MwEstimate> EstimateMaxWeight(const TableView& view,
   MwEstimate est;
   const uint64_t n = view.num_rows();
 
-  // Uniform sample of row ids without replacement (reservoir over the view).
-  std::vector<uint32_t> rows;
-  if (n <= sample_rows) {
-    for (uint64_t i = 0; i < n; ++i) rows.push_back(view.row_id(i));
-  } else {
+  // Uniform sample of rows without replacement (reservoir over the view),
+  // gathered into a table of its own; a view no larger than the sample is
+  // searched as it is.
+  std::optional<Table> gathered;
+  if (n > sample_rows) {
     Rng rng(seed);
+    std::vector<uint32_t> rows;
     rows.reserve(sample_rows);
     for (uint64_t i = 0; i < n; ++i) {
       if (rows.size() < sample_rows) {
-        rows.push_back(view.row_id(i));
+        rows.push_back(static_cast<uint32_t>(i));
       } else {
         uint64_t j = rng.UniformInt(i + 1);
-        if (j < sample_rows) rows[j] = view.row_id(i);
+        if (j < sample_rows) rows[j] = static_cast<uint32_t>(i);
       }
     }
+    gathered = view.table().GatherRows(rows);
   }
-  est.sample_rows = rows.size();
-
-  TableView sample(view.table(), std::move(rows));
-  if (view.has_measure()) sample.SelectMeasure(*view.measure_index());
+  const TableView sample =
+      gathered ? TableView(*gathered, view.measure_index()) : view;
+  est.sample_rows = sample.num_rows();
 
   BrsOptions options;
   options.k = k;

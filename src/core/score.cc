@@ -10,18 +10,8 @@ namespace smartdd {
 
 namespace {
 
-std::vector<CompiledRule> CompileRules(const std::vector<Rule>& rules,
-                                       const Table& table) {
-  std::vector<CompiledRule> compiled(rules.size());
-  for (size_t i = 0; i < rules.size(); ++i) {
-    compiled[i].Compile(rules[i], table);
-  }
-  return compiled;
-}
-
 /// Pointer to the view's selected measure column (nullptr for Count): the
-/// evaluation loops below resolve the table row once and index this
-/// directly instead of paying view.mass()'s second row_id resolution.
+/// evaluation loops below index it directly.
 const double* MassColumn(const TableView& view) {
   if (!view.has_measure()) return nullptr;
   return view.table().measure_column(*view.measure_index()).data();
@@ -53,7 +43,7 @@ RuleListEvaluation EvaluateRuleList(
     weights[i] = weight.Weight(rules[i]);
   }
   const ScanKernels& kern = GetScanKernels(ResolveKernelPath(kernel));
-  // Per-rule match-mask scratch for one row block (whole-table views).
+  // Per-rule match-mask scratch for one row block.
   std::vector<uint8_t> masks(rules.size() * kScanBlockRows);
 
   // Single-rule Count fast path: with one rule and no measure column every
@@ -74,13 +64,6 @@ RuleListEvaluation EvaluateRuleList(
     for (const TableView* vp : views) {
       const TableView& view = *vp;
       const uint64_t n = view.num_rows();
-      if (view.is_subset()) {
-        CompiledRule compiled(r, view.table());
-        for (uint64_t t = 0; t < n; ++t) {
-          total += compiled.Covers(view.row_id(t)) ? 1 : 0;
-        }
-        continue;
-      }
       const std::vector<size_t> inst = r.InstantiatedColumns();
       if (inst.empty()) {
         total += n;
@@ -109,36 +92,15 @@ RuleListEvaluation EvaluateRuleList(
 
   // One accumulator set, advanced sequentially across the shard views in
   // shard order: the addition sequence matches the unsharded evaluation
-  // exactly, so results are byte-identical for every shard count. Rules are
-  // recompiled per view (each slice is its own Table object).
+  // exactly, so results are byte-identical for every shard count.
   for (const TableView* vp : views) {
     const TableView& view = *vp;
     const uint64_t n = view.num_rows();
     const double* mass_col = MassColumn(view);
-    if (view.is_subset()) {
-      std::vector<CompiledRule> compiled = CompileRules(rules, view.table());
-      for (uint64_t t = 0; t < n; ++t) {
-        const uint32_t row = view.row_id(t);
-        const double m = mass_col ? mass_col[row] : 1.0;
-        bool attributed = false;
-        for (size_t oi = 0; oi < order.size(); ++oi) {
-          size_t i = order[oi];
-          if (compiled[i].Covers(row)) {
-            out.mass[i] += m;
-            if (!attributed) {
-              out.marginal_mass[i] += m;
-              out.total_score += m * weights[i];
-              attributed = true;
-            }
-          }
-        }
-      }
-      continue;
-    }
-    // Whole-table views: per-rule match masks over each row block through
-    // the dispatched kernels, then one sequential attribution sweep per
-    // block — the same per-row, ordered-rule addition sequence as the
-    // direct loop, so the floats are bit-identical on every kernel path.
+    // Per-rule match masks over each row block through the dispatched
+    // kernels, then one sequential attribution sweep per block — the same
+    // per-row, ordered-rule addition sequence as a direct loop, so the
+    // floats are bit-identical on every kernel path.
     for (uint64_t b0 = 0; b0 < n; b0 += kScanBlockRows) {
       const uint64_t b1 = std::min(n, b0 + kScanBlockRows);
       const size_t bn = static_cast<size_t>(b1 - b0);
@@ -178,16 +140,16 @@ double ScoreRuleListInOrder(const TableView& view,
   for (size_t i = 0; i < rules.size(); ++i) {
     weights[i] = weight.Weight(rules[i]);
   }
-  std::vector<CompiledRule> compiled = CompileRules(rules, view.table());
+  std::vector<CompiledRule> compiled;
+  compiled.reserve(rules.size());
+  for (const Rule& r : rules) compiled.emplace_back(r, view.table());
   double score = 0;
   const uint64_t n = view.num_rows();
-  const bool subset = view.is_subset();
   const double* mass_col = MassColumn(view);
   for (uint64_t t = 0; t < n; ++t) {
-    const uint32_t row = subset ? view.row_id(t) : static_cast<uint32_t>(t);
     for (size_t i = 0; i < rules.size(); ++i) {
-      if (compiled[i].Covers(row)) {
-        score += (mass_col ? mass_col[row] : 1.0) * weights[i];
+      if (compiled[i].Covers(static_cast<uint32_t>(t))) {
+        score += (mass_col ? mass_col[t] : 1.0) * weights[i];
         break;  // first rule in *list order* claims the tuple
       }
     }

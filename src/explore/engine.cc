@@ -7,8 +7,8 @@
 #include "common/logging.h"
 #include "common/metrics.h"
 #include "common/string_util.h"
+#include "core/score.h"
 #include "explore/session.h"
-#include "rules/rule_ops.h"
 #include "storage/shard_plan.h"
 #include "storage/table_view.h"
 
@@ -25,6 +25,20 @@ void LogKernelPath(KernelPref pref) {
                     << KernelPathName(ResolveKernelPath(pref))
                     << " (requested " << KernelPrefName(pref) << ")";
 }
+
+/// Whole-table views over the shards, in shard order, each with `measure`
+/// selected when set.
+struct ShardViews {
+  std::vector<TableView> views;
+  std::vector<const TableView*> ptrs;
+
+  ShardViews(const std::vector<const Table*>& shards,
+             std::optional<size_t> measure) {
+    views.reserve(shards.size());
+    for (const Table* t : shards) views.emplace_back(*t, measure);
+    for (const TableView& v : views) ptrs.push_back(&v);
+  }
+};
 
 Status ValidateEngineOptions(const EngineOptions& options, bool in_memory) {
   if (options.scheduler_workers == 0) {
@@ -199,18 +213,10 @@ Result<DrillDownResponse> ExplorationEngine::DrillDown(
   // hardware threads).
   request.num_threads *= shards_.size();
 
-  std::vector<TableView> views;
-  views.reserve(shards_.size());
-  for (const Table* t : shards_) {
-    views.emplace_back(*t);
-    if (measure) views.back().SelectMeasure(*measure);
-  }
-  std::vector<const TableView*> view_ptrs;
-  for (const TableView& v : views) view_ptrs.push_back(&v);
-
+  const ShardViews shards(shards_, measure);
   SMARTDD_ASSIGN_OR_RETURN(
       DrillDownResponse response,
-      SmartDrillDown(view_ptrs, *weight_, request));
+      SmartDrillDown(shards.ptrs, *weight_, request));
 
   // Every counting pass ran over every shard's rows: pass 1 of a run's
   // first greedy step scans them all, and the later passes walk postings
@@ -225,21 +231,11 @@ std::vector<double> ExplorationEngine::ExactMasses(
     const std::vector<Rule>& rules, std::optional<size_t> measure) const {
   SMARTDD_CHECK(table_ != nullptr)
       << "exact masses require an in-memory engine";
-  std::vector<double> masses(rules.size(), 0.0);
-  // Each rule's accumulator carries over from shard to shard, so the floats
+  // Each rule's sum runs across the shards in shard order, so the floats
   // are byte-identical for every shard count.
-  for (const Table* t : shards_) {
-    TableView view(*t);
-    if (measure) view.SelectMeasure(*measure);
-    const uint64_t n = view.num_rows();
-    for (size_t i = 0; i < rules.size(); ++i) {
-      double acc = masses[i];
-      for (uint64_t row = 0; row < n; ++row) {
-        if (RuleCoversRow(rules[i], view, row)) acc += view.mass(row);
-      }
-      masses[i] = acc;
-    }
-  }
+  const ShardViews shards(shards_, measure);
+  std::vector<double> masses =
+      EvaluateRuleList(shards.ptrs, rules, *weight_, options_.kernel).mass;
   for (Counter* c : shard_scan_passes_) c->Inc(1);
   return masses;
 }

@@ -46,31 +46,23 @@ std::vector<uint32_t> FilterRows(const TableView& view, const Rule& r,
                                  KernelPref kernel) {
   std::vector<uint32_t> rows;
   const uint64_t n = view.num_rows();
-  if (!view.is_subset()) {
-    // Whole-table views: block match masks through the dispatched kernels,
-    // then sweep the mask in row order — same output as the direct loop.
-    const ScanKernels& kern = GetScanKernels(ResolveKernelPath(kernel));
-    uint8_t mask[kScanBlockRows];
-    for (uint64_t b0 = 0; b0 < n; b0 += kScanBlockRows) {
-      const uint64_t b1 = std::min(n, b0 + kScanBlockRows);
-      ComputeRuleMask(r, view.table(), b0, b1, mask, kern);
-      for (uint64_t t = b0; t < b1; ++t) {
-        if (mask[t - b0] != 0) rows.push_back(static_cast<uint32_t>(t));
-      }
+  const ScanKernels& kern = GetScanKernels(ResolveKernelPath(kernel));
+  uint8_t mask[kScanBlockRows];
+  for (uint64_t b0 = 0; b0 < n; b0 += kScanBlockRows) {
+    const uint64_t b1 = std::min(n, b0 + kScanBlockRows);
+    ComputeRuleMask(r, view.table(), b0, b1, mask, kern);
+    for (uint64_t t = b0; t < b1; ++t) {
+      if (mask[t - b0] != 0) rows.push_back(static_cast<uint32_t>(t));
     }
-    return rows;
-  }
-  for (uint64_t i = 0; i < n; ++i) {
-    if (RuleCoversRow(r, view, i)) rows.push_back(view.row_id(i));
   }
   return rows;
 }
 
-TableView FilterView(const TableView& view, const Rule& r,
-                     KernelPref kernel) {
-  TableView out(view.table(), FilterRows(view, r, kernel));
-  if (view.has_measure()) out.SelectMeasure(*view.measure_index());
-  return out;
+std::optional<Table> GatherCover(const TableView& view, const Rule& r,
+                                 KernelPref kernel) {
+  const std::vector<uint32_t> rows = FilterRows(view, r, kernel);
+  if (rows.size() == view.num_rows()) return std::nullopt;
+  return view.table().GatherRows(rows);
 }
 
 double SelectivityRatio(const TableView& view, const Rule& general,

@@ -2,6 +2,7 @@
 #define SMARTDD_RULES_RULE_OPS_H_
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "common/result.h"
@@ -26,17 +27,14 @@ inline bool IsSuperRuleOf(const Rule& specific, const Rule& general) {
 /// rules conflict (both instantiate a column with different values).
 Result<Rule> MergeRules(const Rule& a, const Rule& b);
 
-/// True if rule `r` covers the `i`-th row of the view. Column-major fast
-/// path: resolves the table row once and decodes only the rule's non-star
-/// columns straight from the packed column payloads, instead of funneling
-/// every cell through view.code()'s per-cell row_id resolution.
+/// True if rule `r` covers row `i` of the view. Column-major: decodes only
+/// the rule's non-star columns straight from the packed column payloads.
 inline bool RuleCoversRow(const Rule& r, const TableView& view, uint64_t i) {
   const Table& table = view.table();
-  const uint32_t row = view.row_id(i);
   const std::vector<uint32_t>& values = r.values();
   for (size_t c = 0; c < values.size(); ++c) {
     uint32_t v = values[c];
-    if (v != kStar && v != table.column(c).Get(row)) return false;
+    if (v != kStar && v != table.column(c).Get(i)) return false;
   }
   return true;
 }
@@ -66,7 +64,6 @@ struct CompiledRule {
     }
   }
 
-  /// `row` is a *table* row id (resolve view row ids once, outside).
   [[nodiscard]] bool Covers(uint32_t row) const {
     for (size_t i = 0; i < cols.size(); ++i) {
       if (cols[i].Get(row) != want[i]) return false;
@@ -107,15 +104,17 @@ struct RowPredicate {
 /// `r` in the view. This is the paper's Count(r) / Sum(r).
 double RuleMass(const TableView& view, const Rule& r);
 
-/// Row ids (into the underlying table) of view rows covered by `r`.
-/// Whole-table views run block-wise through the dispatched match-mask
-/// kernels; output order and content are identical on every path.
+/// Ids of the view rows covered by `r`, ascending. Runs block-wise through
+/// the dispatched match-mask kernels; the output is identical on every path.
 std::vector<uint32_t> FilterRows(const TableView& view, const Rule& r,
                                  KernelPref kernel = KernelPref::kAuto);
 
-/// A subset view of `view` restricted to rows covered by `r`.
-TableView FilterView(const TableView& view, const Rule& r,
-                     KernelPref kernel = KernelPref::kAuto);
+/// T_r (paper §3.1): the view rows covered by `r`, gathered in row order
+/// into a compact table that shares the view's dictionaries (see
+/// Table::GatherRows). Returns nullopt when `r` covers every row: the view
+/// then already is T_r, and nothing is copied.
+std::optional<Table> GatherCover(const TableView& view, const Rule& r,
+                                 KernelPref kernel = KernelPref::kAuto);
 
 /// Selectivity ratio S(r1, r2) from paper §4.1: the fraction of r1-covered
 /// mass that is also covered by r2, for r1 a sub-rule of r2 (0 otherwise; 0

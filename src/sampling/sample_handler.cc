@@ -300,24 +300,11 @@ void SampleHandler::PlanAllocation(const DisplayTree* tree_ptr,
   AllocationProblem problem = MakeTreeAllocationProblem(
       parent, sel, prob, static_cast<double>(m), static_cast<double>(minss));
 
-  AllocationResult alloc;
-  switch (options_.allocation) {
-    case AllocationStrategy::kParetoDp: {
-      auto r = SolveAllocationDp(problem);
-      if (r.ok()) {
-        alloc = std::move(r).value();
-      } else {
-        alloc = SolveAllocationConvex(problem);
-      }
-      break;
-    }
-    case AllocationStrategy::kConvex:
-      alloc = SolveAllocationConvex(problem);
-      break;
-    case AllocationStrategy::kUniform:
-      alloc = SolveAllocationUniform(problem);
-      break;
-  }
+  // The Pareto-frontier DP (§4.1); the convex relaxation (§4.2) when the
+  // problem falls outside the DP's tree-restricted model.
+  auto dp = SolveAllocationDp(problem);
+  const AllocationResult alloc =
+      dp.ok() ? std::move(dp).value() : SolveAllocationConvex(problem);
 
   for (size_t i = 0; i < n; ++i) {
     if (alloc.sample_size[i] > 0) {

@@ -18,9 +18,6 @@
 
 namespace smartdd {
 
-/// Which allocation solver the handler uses when planning a Create pass.
-enum class AllocationStrategy { kParetoDp, kConvex, kUniform };
-
 /// How a sample request was satisfied (paper §4.3).
 enum class SampleMechanism {
   kFind,     ///< an existing sample with exactly this filter sufficed
@@ -37,7 +34,6 @@ struct SampleHandlerOptions {
   /// Fraction of M a bare Create (no displayed tree yet) allocates to the
   /// requested rule, never below min_sample_size.
   double create_capacity_fraction = 0.25;
-  AllocationStrategy allocation = AllocationStrategy::kParetoDp;
   uint64_t seed = 42;
   /// Threads for the Create/ExactMasses scan passes (0 = all hardware
   /// threads). Results are bit-identical for every value: passes are

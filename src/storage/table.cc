@@ -22,25 +22,40 @@ Table Table::EmptyLike(const Table& other) {
   return t;
 }
 
+template <typename RowAt>
+Table Table::CopyRows(uint64_t n, RowAt row_at) const {
+  Table t = EmptyLike(*this);
+  for (size_t c = 0; c < cols_.size(); ++c) {
+    const PackedRef src = cols_[c].ref();
+    t.cols_[c].Reserve(n);
+    for (uint64_t i = 0; i < n; ++i) t.cols_[c].Append(src.Get(row_at(i)));
+  }
+  for (size_t m = 0; m < measures_.size(); ++m) {
+    t.measures_[m].resize(n);
+    for (uint64_t i = 0; i < n; ++i) {
+      t.measures_[m][i] = measures_[m][row_at(i)];
+    }
+  }
+  t.num_rows_ = n;
+  // Copies of a frozen table come out frozen: shard slices and drill-down
+  // covers inherit the parent's packed representation.
+  if (frozen_) t.Freeze();
+  return t;
+}
+
 Table Table::SliceRows(uint64_t row_begin, uint64_t row_end) const {
   SMARTDD_CHECK(row_begin <= row_end && row_end <= num_rows_)
       << "slice [" << row_begin << ", " << row_end << ") out of range";
-  Table t = EmptyLike(*this);
-  for (size_t c = 0; c < cols_.size(); ++c) {
-    t.cols_[c].Reserve(row_end - row_begin);
-    for (uint64_t r = row_begin; r < row_end; ++r) {
-      t.cols_[c].Append(cols_[c].Get(r));
-    }
+  return CopyRows(row_end - row_begin,
+                  [row_begin](uint64_t i) { return row_begin + i; });
+}
+
+Table Table::GatherRows(std::span<const uint32_t> rows) const {
+  for (uint32_t r : rows) {
+    SMARTDD_DCHECK(r < num_rows_) << "gather row " << r << " out of range";
   }
-  for (size_t m = 0; m < measures_.size(); ++m) {
-    t.measures_[m].assign(measures_[m].begin() + row_begin,
-                          measures_[m].begin() + row_end);
-  }
-  t.num_rows_ = row_end - row_begin;
-  // Slices of a frozen table come out frozen: the shard partitioner's
-  // slices inherit the parent's packed representation.
-  if (frozen_) t.Freeze();
-  return t;
+  return CopyRows(rows.size(),
+                  [rows](uint64_t i) { return uint64_t{rows[i]}; });
 }
 
 Table Table::UnfrozenCopyWithPrivateDicts() const {

@@ -40,6 +40,12 @@ class Table {
   /// in shard order, is exactly the original row sequence.
   Table SliceRows(uint64_t row_begin, uint64_t row_end) const;
 
+  /// Copies the listed rows, in list order (any order, repeats allowed),
+  /// into a new table sharing this table's dictionaries; frozen when this
+  /// table is. This is how a drill-down builds T_r, the compact table of
+  /// the tuples its base rule covers (paper §3.1).
+  Table GatherRows(std::span<const uint32_t> rows) const;
+
   /// Copies every row into a new *unfrozen* table whose dictionaries are
   /// private clones (same codes, separate objects). This is the live-table
   /// snapshot builder's primitive: appending new rows into the copy may
@@ -128,6 +134,11 @@ class Table {
   void GetRow(uint64_t row, uint32_t* out) const;
 
  private:
+  /// The copy loop of SliceRows and GatherRows: row i of the new table is
+  /// row row_at(i) of this one.
+  template <typename RowAt>
+  Table CopyRows(uint64_t n, RowAt row_at) const;
+
   Schema schema_;
   std::vector<std::shared_ptr<ValueDictionary>> dicts_;
   std::vector<PackedColumn> cols_;

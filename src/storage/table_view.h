@@ -3,15 +3,16 @@
 
 #include <cstdint>
 #include <optional>
-#include <vector>
 
 #include "common/logging.h"
 #include "storage/table.h"
 
 namespace smartdd {
 
-/// A lightweight, non-owning view of (a subset of the rows of) a Table,
-/// optionally weighting each tuple by a measure column.
+/// A lightweight, non-owning view of a Table's rows, optionally weighting
+/// each tuple by a measure column: a table plus an optional measure. A
+/// drill-down's restriction to the tuples its base rule covers is a table
+/// of its own (see Table::GatherRows).
 ///
 /// All smart-drill-down algorithms run over a TableView. The per-tuple
 /// "mass" is 1.0 for the Count aggregate or the measure value for the Sum
@@ -22,9 +23,11 @@ class TableView {
   /// View over all rows, Count aggregate.
   explicit TableView(const Table& table) : table_(&table) {}
 
-  /// View over an explicit subset of row ids, Count aggregate.
-  TableView(const Table& table, std::vector<uint32_t> rows)
-      : table_(&table), rows_(std::move(rows)) {}
+  /// View over all rows, Sum over measure column `measure` when set.
+  TableView(const Table& table, std::optional<size_t> measure)
+      : table_(&table) {
+    if (measure) SelectMeasure(*measure);
+  }
 
   /// Switches the per-tuple mass to measure column `m` (Sum aggregate).
   void SelectMeasure(size_t m) {
@@ -38,27 +41,14 @@ class TableView {
   const Table& table() const { return *table_; }
   size_t num_columns() const { return table_->num_columns(); }
 
-  /// Number of rows visible through the view.
-  uint64_t num_rows() const {
-    return rows_ ? rows_->size() : table_->num_rows();
-  }
+  uint64_t num_rows() const { return table_->num_rows(); }
 
-  /// Whether this is a subset view (vs. the whole table).
-  bool is_subset() const { return rows_.has_value(); }
-
-  /// Table row id of the i-th view row.
-  uint32_t row_id(uint64_t i) const {
-    return rows_ ? (*rows_)[i] : static_cast<uint32_t>(i);
-  }
-
-  /// Code of column `col` in the i-th view row.
-  uint32_t code(size_t col, uint64_t i) const {
-    return table_->code(col, row_id(i));
-  }
+  /// Code of column `col` in row i.
+  uint32_t code(size_t col, uint64_t i) const { return table_->code(col, i); }
 
   /// Per-tuple mass: 1 (Count) or the selected measure value (Sum).
   double mass(uint64_t i) const {
-    return measure_ ? table_->measure(*measure_, row_id(i)) : 1.0;
+    return measure_ ? table_->measure(*measure_, i) : 1.0;
   }
 
   /// Total mass of the view (== num_rows() for Count).
@@ -71,7 +61,6 @@ class TableView {
 
  private:
   const Table* table_;
-  std::optional<std::vector<uint32_t>> rows_;
   std::optional<size_t> measure_;
 };
 

@@ -69,7 +69,8 @@ TEST(BestMarginalTest, NotFoundWhenEverythingCoveredAtMaxWeight) {
 
 TEST(BestMarginalTest, NotFoundOnEmptyView) {
   Table t = MakeTable({{"a"}});
-  TableView v(t, std::vector<uint32_t>{});
+  Table empty = t.GatherRows({});
+  TableView v(empty);
   SizeWeight w;
   std::vector<double> covered;
   MarginalRuleFinder finder({&v}, w, {}, covered);
@@ -123,7 +124,8 @@ TEST(BestMarginalTest, BaseRuleContributesToWeight) {
   // Base (a, ?) merged into candidates: a candidate instantiating column 1
   // yields a full rule of size 2, so its weight is 2, not 1.
   Table t = MakeTable({{"a", "x"}, {"a", "x"}, {"b", "y"}});
-  TableView filtered(t, {0, 1});
+  Table cover = t.GatherRows(std::vector<uint32_t>{0, 1});
+  TableView filtered(cover);
   SizeWeight w;
   MarginalSearchOptions opts;
   opts.base_rule = R(t, {"a", "?"});
@@ -249,9 +251,9 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(static_cast<int>(info.param.max_weight));
     });
 
-// The same differential property under the Sum aggregate over a *subset*
-// view — exercises the posting-list counting with measure masses and
-// view-relative row indices.
+// The same differential property under the Sum aggregate over a random
+// subset of the rows gathered into its own table — exercises the
+// posting-list counting with measure masses.
 class SumDifferentialTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(SumDifferentialTest, FullMatchesNaiveWithMeasuresAndSubsets) {
@@ -270,7 +272,8 @@ TEST_P(SumDifferentialTest, FullMatchesNaiveWithMeasuresAndSubsets) {
     if (rng.Bernoulli(0.6)) rows.push_back(r);
   }
   if (rows.empty()) rows.push_back(0);
-  TableView v(t, rows);
+  Table subset = t.GatherRows(rows);
+  TableView v(subset);
   v.SelectMeasure(0);
 
   SizeWeight w;

@@ -24,7 +24,8 @@ TEST(ColumnStatsTest, CountsMassPerCode) {
 
 TEST(ColumnStatsTest, SubsetViewChangesStats) {
   Table t = MakeTable({{"a"}, {"b"}, {"a"}});
-  TableView v(t, {1});
+  Table sub = t.GatherRows(std::vector<uint32_t>{1});
+  TableView v(sub);
   ColumnStats s = ComputeColumnStats(v, 0);
   EXPECT_EQ(s.observed_distinct, 1u);
   EXPECT_EQ(s.dictionary_size, 2u);  // dictionary still has both
@@ -58,7 +59,8 @@ TEST(ColumnStatsTest, TableStatsMatchPerColumnStats) {
 
 TEST(ColumnStatsTest, EmptyViewIsSafe) {
   Table t = MakeTable({{"a"}});
-  TableView v(t, std::vector<uint32_t>{});
+  Table empty = t.GatherRows({});
+  TableView v(empty);
   ColumnStats s = ComputeColumnStats(v, 0);
   EXPECT_EQ(s.observed_distinct, 0u);
   EXPECT_DOUBLE_EQ(s.max_frequency_fraction, 0.0);

@@ -129,6 +129,27 @@ struct Shards {
   }
 };
 
+/// Each shard's cover of a drill-down base gathered into its own table, as
+/// SmartDrillDown does; a shard the base covers entirely is kept as it is.
+struct Covers {
+  std::vector<Table> tables;
+  std::vector<TableView> views;
+
+  std::vector<const TableView*> Gather(
+      const std::vector<const TableView*>& shards, const Rule& base) {
+    tables.reserve(shards.size());  // views point into both vectors
+    views.reserve(shards.size());
+    std::vector<const TableView*> out = shards;
+    for (size_t i = 0; i < shards.size(); ++i) {
+      std::optional<Table> cover = GatherCover(*shards[i], base);
+      if (!cover) continue;
+      tables.push_back(std::move(*cover));
+      out[i] = &views.emplace_back(tables.back(), shards[i]->measure_index());
+    }
+    return out;
+  }
+};
+
 enum class Base { kTrivial, kDrillDown, kStarColumn };
 
 const char* BaseName(Base b) {
@@ -183,12 +204,12 @@ TEST(CoverMemoTest, BrsMatchesFreshFinderPerStepAcrossTheGrid) {
           }
         }
 
-        // One logical table per shard count; drill-downs filter each
-        // shard to the base's cover, as SmartDrillDown does.
+        // One logical table per shard count; drill-downs gather each
+        // shard's cover of the base, as SmartDrillDown does.
         struct Layout {
           size_t shards;
           Shards raw;
-          std::vector<TableView> filtered;
+          Covers covers;
           std::vector<const TableView*> views;
         };
         std::vector<Layout> layouts;
@@ -197,10 +218,7 @@ TEST(CoverMemoTest, BrsMatchesFreshFinderPerStepAcrossTheGrid) {
           layouts.push_back(Layout{shards, Shards(table, shards, sum), {}, {}});
           Layout& l = layouts.back();
           if (base == Base::kDrillDown) {
-            for (const TableView* v : l.raw.ptrs) {
-              l.filtered.push_back(FilterView(*v, drill_base));
-            }
-            for (const TableView& v : l.filtered) l.views.push_back(&v);
+            l.views = l.covers.Gather(l.raw.ptrs, drill_base);
           } else {
             l.views = l.raw.ptrs;
           }
@@ -292,18 +310,12 @@ TEST(CoverMemoTest, SizeOneCappedSearchesMatchFreshFinderPerStep) {
       }
       std::vector<Shards> raw;
       raw.reserve(2);
-      std::vector<std::vector<TableView>> filtered(2);
+      std::vector<Covers> covers(2);
       std::vector<std::vector<const TableView*>> views(2);
       for (size_t i = 0; i < 2; ++i) {
         raw.emplace_back(table, i + 1, sum);
-        if (!drill) {
-          views[i] = raw[i].ptrs;
-          continue;
-        }
-        for (const TableView* v : raw[i].ptrs) {
-          filtered[i].push_back(FilterView(*v, drill_base));
-        }
-        for (const TableView& v : filtered[i]) views[i].push_back(&v);
+        views[i] = drill ? covers[i].Gather(raw[i].ptrs, drill_base)
+                         : raw[i].ptrs;
       }
       const std::string config = std::string(sum ? "Sum" : "Count") + "/" +
                                  (drill ? "drilldown" : "max_rule_size=1");

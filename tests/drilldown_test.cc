@@ -86,6 +86,42 @@ TEST_F(RetailDrillDownTest, CountsWithinSliceEqualGlobalCounts) {
   }
 }
 
+TEST_F(RetailDrillDownTest, WholeViewCoverMatchesGatheredCover) {
+  // A view the base covers entirely (e.g. a sample served for the base) is
+  // searched as it is; its tree must equal the one gathered from the full
+  // table, to the bit.
+  const Rule base = R(table_, {"Walmart", "?", "?"});
+  std::optional<Table> cover = GatherCover(view_, base);
+  ASSERT_TRUE(cover.has_value());
+  EXPECT_FALSE(GatherCover(TableView(*cover), base).has_value());
+  for (bool sum : {false, true}) {
+    const std::optional<size_t> measure =
+        sum ? std::optional<size_t>(0) : std::nullopt;
+    TableView full(table_, measure);
+    TableView whole(*cover, measure);
+    DrillDownRequest req;
+    req.base = base;
+    req.k = 4;
+    auto gathered = SmartDrillDown({&full}, weight_, req);
+    auto as_is = SmartDrillDown({&whole}, weight_, req);
+    ASSERT_TRUE(gathered.ok());
+    ASSERT_TRUE(as_is.ok());
+    ASSERT_EQ(as_is->rules.size(), gathered->rules.size());
+    for (size_t i = 0; i < gathered->rules.size(); ++i) {
+      const ScoredRule& a = as_is->rules[i];
+      const ScoredRule& b = gathered->rules[i];
+      EXPECT_EQ(a.rule, b.rule);
+      // EXPECT_EQ on doubles is exact: the same rows add in the same order.
+      EXPECT_EQ(a.weight, b.weight);
+      EXPECT_EQ(a.mass, b.mass);
+      EXPECT_EQ(a.marginal_mass, b.marginal_mass);
+      EXPECT_EQ(a.marginal_value, b.marginal_value);
+    }
+    EXPECT_EQ(as_is->total_score, gathered->total_score);
+    EXPECT_EQ(as_is->base_mass, gathered->base_mass);
+  }
+}
+
 TEST_F(RetailDrillDownTest, StarDrillDownInstantiatesClickedColumn) {
   DrillDownRequest req;
   req.base = Rule::Trivial(3);

@@ -193,11 +193,12 @@ TEST(ParallelMarginalTest, FullBrsRunIdenticalAcrossThreadCounts) {
 }
 
 TEST(ParallelMarginalTest, SubsetViewIdenticalAcrossThreadCounts) {
-  // Drill-down style subset views route row access through row_id().
+  // A drill-down style subset of the rows, gathered into its own table.
   Table table = GenerateRetailTable();
   std::vector<uint32_t> rows;
   for (uint32_t i = 0; i < table.num_rows(); i += 2) rows.push_back(i);
-  TableView view(table, rows);
+  Table subset = table.GatherRows(rows);
+  TableView view(subset);
   SizeWeight weight;
   std::vector<double> covered(view.num_rows(), 0.0);
   Finding serial = RunWithThreads(view, weight, 1, 5.0, covered);

@@ -170,7 +170,7 @@ TEST(FilterTest, FilterRowsReturnsTableRowIds) {
   EXPECT_EQ(FilterRows(v, R(t, {"a"})), (std::vector<uint32_t>{0, 2}));
 }
 
-TEST(FilterTest, FilterViewPreservesMeasure) {
+TEST(FilterTest, GatherCoverCarriesMeasure) {
   Table t({"k"});
   t.AddMeasureColumn("m");
   ASSERT_TRUE(t.AppendRowValues({"a"}, std::vector<double>{2.0}).ok());
@@ -178,7 +178,9 @@ TEST(FilterTest, FilterViewPreservesMeasure) {
   ASSERT_TRUE(t.AppendRowValues({"a"}, std::vector<double>{4.0}).ok());
   TableView v(t);
   v.SelectMeasure(0);
-  TableView f = FilterView(v, R(t, {"a"}));
+  std::optional<Table> cover = GatherCover(v, R(t, {"a"}));
+  ASSERT_TRUE(cover.has_value());
+  TableView f(*cover, v.measure_index());
   EXPECT_EQ(f.num_rows(), 2u);
   EXPECT_DOUBLE_EQ(f.total_mass(), 6.0);
 }

@@ -90,24 +90,48 @@ TEST(TableTest, GetRowMaterializesCodes) {
   EXPECT_EQ(codes[2], t.code(2, 0));
 }
 
+TEST(TableTest, GatherRowsCopiesListedRowsInListOrder) {
+  Table t({"k", "v"});
+  t.AddMeasureColumn("m");
+  ASSERT_TRUE(t.AppendRowValues({"a", "x"}, std::vector<double>{1.5}).ok());
+  ASSERT_TRUE(t.AppendRowValues({"b", "y"}, std::vector<double>{2.5}).ok());
+  ASSERT_TRUE(t.AppendRowValues({"c", "x"}, std::vector<double>{3.5}).ok());
+  ASSERT_TRUE(t.AppendRowValues({"a", "z"}, std::vector<double>{4.5}).ok());
+
+  for (bool frozen : {false, true}) {
+    if (frozen) t.Freeze();
+    const std::vector<uint32_t> rows = {3, 0, 2, 0};  // not ascending
+    Table g = t.GatherRows(rows);
+    ASSERT_EQ(g.num_rows(), rows.size());
+    EXPECT_EQ(g.is_frozen(), frozen);
+    ASSERT_EQ(g.num_measures(), 1u);
+    EXPECT_EQ(g.measure_name(0), "m");
+    for (size_t c = 0; c < t.num_columns(); ++c) {
+      EXPECT_EQ(g.dictionary_ptr(c), t.dictionary_ptr(c));
+      EXPECT_EQ(g.column(c).width(), t.column(c).width());
+      EXPECT_EQ(g.column(c).bits(), t.column(c).bits());
+    }
+    for (size_t i = 0; i < rows.size(); ++i) {
+      for (size_t c = 0; c < t.num_columns(); ++c) {
+        EXPECT_EQ(g.code(c, i), t.code(c, rows[i]));
+      }
+      EXPECT_EQ(g.measure(0, i), t.measure(0, rows[i]));
+    }
+
+    Table empty = t.GatherRows({});
+    EXPECT_EQ(empty.num_rows(), 0u);
+    EXPECT_EQ(empty.num_measures(), 1u);
+    EXPECT_EQ(empty.is_frozen(), frozen);
+    EXPECT_EQ(empty.dictionary_ptr(0), t.dictionary_ptr(0));
+  }
+}
+
 TEST(TableViewTest, FullViewCoversAllRows) {
   Table t = MakeTable({{"a"}, {"b"}, {"c"}});
   TableView v(t);
   EXPECT_EQ(v.num_rows(), 3u);
-  EXPECT_FALSE(v.is_subset());
-  EXPECT_EQ(v.row_id(2), 2u);
   EXPECT_DOUBLE_EQ(v.mass(0), 1.0);
   EXPECT_DOUBLE_EQ(v.total_mass(), 3.0);
-}
-
-TEST(TableViewTest, SubsetViewRemapsRows) {
-  Table t = MakeTable({{"a"}, {"b"}, {"c"}});
-  TableView v(t, {2, 0});
-  EXPECT_EQ(v.num_rows(), 2u);
-  EXPECT_TRUE(v.is_subset());
-  EXPECT_EQ(v.row_id(0), 2u);
-  EXPECT_EQ(v.code(0, 0), t.code(0, 2));
-  EXPECT_EQ(v.code(0, 1), t.code(0, 0));
 }
 
 TEST(TableViewTest, MeasureSelectionChangesMass) {
