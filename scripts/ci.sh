@@ -36,8 +36,9 @@ fi
 # drive the row copy loop that shard slices and drill-down covers share. The
 # HTTP, RPC, cluster and chaos suites drive both wire protocols through the
 # shared connection loop (src/net/conn_loop.cc, built into libsmartdd under
-# the same flags).
-SAN_TESTS="parallel_marginal_test|parallel_sampling_test|sample_handler_test|session_test|concurrent_sessions_test|task_scheduler_test|service_test|codec_test|metrics_test|http_server_test|chaos_test|disk_table_test|sharded_engine_test|packed_column_test|deadline_test|rpc_test|cluster_test|live_table_test|expansion_cache_test|cover_memo_test|brs_oracle_test|greedy_oracle_test|best_marginal_test|brs_test|drilldown_test|table_test|rule_test|mw_estimator_test"
+# the same flags). The score suite drives EvaluateRuleList's block sweep
+# and its single-rule Count fold.
+SAN_TESTS="parallel_marginal_test|parallel_sampling_test|sample_handler_test|session_test|concurrent_sessions_test|task_scheduler_test|service_test|codec_test|metrics_test|http_server_test|chaos_test|disk_table_test|sharded_engine_test|packed_column_test|deadline_test|rpc_test|cluster_test|live_table_test|expansion_cache_test|cover_memo_test|brs_oracle_test|greedy_oracle_test|best_marginal_test|brs_test|drilldown_test|table_test|rule_test|mw_estimator_test|score_test"
 SAN_TARGETS=(
   parallel_marginal_test parallel_sampling_test sample_handler_test
   session_test concurrent_sessions_test task_scheduler_test
@@ -46,12 +47,15 @@ SAN_TARGETS=(
   deadline_test rpc_test cluster_test live_table_test expansion_cache_test
   cover_memo_test brs_oracle_test greedy_oracle_test
   best_marginal_test brs_test drilldown_test
-  table_test rule_test mw_estimator_test
+  table_test rule_test mw_estimator_test score_test
 )
 
+# $3 is the build type: the ASan stage builds Debug, so every SMARTDD_DCHECK
+# (e.g. the marginal finder's base-covers-every-row precondition) is live
+# in the suites it runs.
 run_sanitizer_stage() {
-  local name="$1" flags="$2"
-  cmake -B "build-$name" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+  local name="$1" flags="$2" build_type="$3"
+  cmake -B "build-$name" -S . -DCMAKE_BUILD_TYPE="$build_type" \
     -DCMAKE_CXX_FLAGS="$flags"
   cmake --build "build-$name" -j "$(nproc)" --target "${SAN_TARGETS[@]}"
   # The full suite twice: once pinned to the portable scalar kernels, once
@@ -140,9 +144,9 @@ if [[ "$MODE" != "--tsan-only" && "$MODE" != "--asan-only" ]]; then
 fi
 
 if [[ "$MODE" == "--tsan" || "$MODE" == "--tsan-only" ]]; then
-  run_sanitizer_stage tsan "-fsanitize=thread -g -O1"
+  run_sanitizer_stage tsan "-fsanitize=thread -g -O1" RelWithDebInfo
 fi
 
 if [[ "$MODE" == "--asan" || "$MODE" == "--asan-only" ]]; then
-  run_sanitizer_stage asan "-fsanitize=address,undefined -fno-sanitize-recover=all -g -O1"
+  run_sanitizer_stage asan "-fsanitize=address,undefined -fno-sanitize-recover=all -g -O1" Debug
 fi

@@ -99,8 +99,8 @@ constexpr uint64_t kMaxCoverRows = uint64_t{1} << 24;
 /// ForEachBlock), so H rises from 0 before the wide blocks start.
 constexpr size_t kCountBlock = 64;
 
-/// Stack capacity for hoisted per-candidate column pointers; rules wider
-/// than this take an unhoisted (still allocation-free) slow path.
+/// Stack capacity for a candidate's column predicates; a wider rule holds
+/// them in a local vector.
 constexpr size_t kMaxHoistedArity = 64;
 
 /// All candidates sharing one set of instantiated columns (arity >= 2).
@@ -192,12 +192,11 @@ struct MarginalRuleFinder::CoverStore {
   const uint32_t* begin(const Cover& c) const { return rows.data() + c.begin; }
 };
 
-/// Pass 1's state, kept for the finder's lifetime once a Find built the
-/// postings: counts, masses, weights and postings depend only on the views,
-/// and each entry's marginal is the one it was last counted with.
-/// `pending` is the last winner, whose covered-weight update the next Find
-/// applies before it reads any covered weight: along the winner's postings
-/// or stored cover once pass 1 is built, else fused into pass 1's scan.
+/// Pass 1's state, kept for the finder's lifetime once a Find built it:
+/// counts, masses, weights and postings depend only on the views, and each
+/// entry's marginal is the one it was last counted with. `pending` is the
+/// last winner, whose covered-weight update the next Find applies before it
+/// reads any covered weight, along the winner's postings or stored cover.
 struct MarginalRuleFinder::PassOneStore {
   std::vector<SingletonTable> singles;  // per dense column
   std::vector<Postings> postings;       // per dense column, global row ids
@@ -206,7 +205,6 @@ struct MarginalRuleFinder::PassOneStore {
   struct Pick {
     Rule rule{0};
     double weight = 0;
-    Rule rest{0};  // `rule` without the columns its cover list matches
     int32_t single = -1;        // dense column of a singleton winner, or -1
     uint32_t cover = kNoCover;  // stored cover of a wider winner
   };
@@ -239,7 +237,6 @@ struct MarginalRuleFinder::Impl {
   std::vector<uint8_t> col_bits;   // per dense column: code bit width
   Rule base;     // merged into candidates for weight eval
   Rule scratch;  // reusable candidate rule: no per-candidate Rule allocs
-  bool base_stars_search_cols = true;  // base is all-stars on `columns`
 
   size_t threads;
 
@@ -247,10 +244,6 @@ struct MarginalRuleFinder::Impl {
   /// engines side by side (the differential suite does).
   KernelPath kpath;
   const ScanKernels* kern;
-  /// Pass 1 builds the CSR postings only when a later pass will walk them:
-  /// a size-1-capped search (drill-down expansions with one free column)
-  /// skips the O(n) scatter and its O(n) rows array entirely.
-  bool build_postings = true;
   /// Count aggregation (no measure column): pass 1 skips the per-lane mass
   /// accumulators and derives mass from the integer counts. Exact: each
   /// lane's mass was a sum of 1.0s, and integer-valued double sums are
@@ -341,15 +334,12 @@ struct MarginalRuleFinder::Impl {
     col_dense.assign(proto.num_columns(), -1);
     col_bits.resize(columns.size());
     for (size_t i = 0; i < columns.size(); ++i) {
+      SMARTDD_CHECK(base.is_star(columns[i]))
+          << "allowed_columns must be starred columns of base_rule";
       col_dense[columns[i]] = static_cast<int32_t>(i);
       col_bits[i] = CodeBitWidth(dict_size(columns[i]));
     }
     scratch = base;
-    for (uint32_t c : columns) {
-      base_stars_search_cols &= base.is_star(c);
-    }
-    build_postings =
-        std::min(options.max_rule_size, columns.size()) >= 2;
     count_mode = !proto.has_measure();
   }
 
@@ -437,17 +427,12 @@ struct MarginalRuleFinder::Impl {
   // --- Weight via the scratch rule -------------------------------------
 
   /// W(base merged with cols=vals), evaluated against the reusable scratch
-  /// rule: zero allocations per candidate.
+  /// rule: zero allocations per candidate. The search columns are stars of
+  /// the base, so clearing them restores it.
   double EffectiveWeight(const Cols& cols, const uint32_t* vals) {
     scratch.set_values(cols, std::span<const uint32_t>(vals, cols.size()));
     double w = weight.Weight(scratch);
-    if (base_stars_search_cols) {
-      scratch.clear_values(cols);
-    } else {
-      // A caller overlapped allowed_columns with the base rule's
-      // instantiated columns: restore the base values, not stars.
-      for (uint32_t c : cols) scratch.set_value(c, base.value(c));
-    }
+    scratch.clear_values(cols);
     return w;
   }
 
@@ -510,11 +495,11 @@ struct MarginalRuleFinder::Impl {
   /// One scan per column counting every size-1 rule and building the
   /// per-value CSR postings. Parallel over fixed row chunks with per-chunk
   /// accumulators merged in chunk order, so sums are bit-identical to the
-  /// single-thread run. Returns DeadlineExceeded when the deadline fires at
-  /// a column boundary; the deferred covered-weight update is never left
-  /// half-applied, because the first check sits after column 0's Phase A
-  /// (the region the update is fused into).
-  Status CountSizeOne() {
+  /// single-thread run. With `fold` the scan stops after Phase A: no
+  /// postings are built and each marginal is folded from the lane counts
+  /// (see Phase B). Returns DeadlineExceeded when the deadline fires at a
+  /// column boundary.
+  Status CountSizeOne(bool fold) {
     const uint64_t n = total_rows;
 
     postings.resize(columns.size());
@@ -547,20 +532,15 @@ struct MarginalRuleFinder::Impl {
       lane_counts.assign(num_lanes * dict, 0u);
       if (!count_mode) lane_mass.assign(num_lanes * dict, 0.0);
 
-      // Phase A: per-lane occurrence counts and mass sums. On the first
-      // column, each lane first applies the deferred covered-weight update
-      // to its own rows — the pipelined fan-out: the update scan rides the
-      // same parallel region as the pass-1 counting scan, and every row is
-      // updated exactly once before Phase B (after the barrier) reads it.
-      // A lane spanning a shard boundary scans the shards' sub-ranges in
-      // shard order, so the scatter covers shards and threads at once.
+      // Phase A: per-lane occurrence counts and mass sums. A lane spanning
+      // a shard boundary scans the shards' sub-ranges in shard order, so
+      // the scatter covers shards and threads at once.
       //
-      // Whole-table segments decode and rule-match block-wise through the
-      // dispatched scan kernels; the per-code accumulation stays a
-      // sequential sweep in row order, so floats land identically on every
-      // kernel path. Under Count aggregation the mass accumulators are
-      // skipped entirely (mass is derived from the integer counts at merge).
-      const bool fuse_update = pass1.pending.has_value() && ci == 0;
+      // Segments decode block-wise through the dispatched scan kernels;
+      // the per-code accumulation stays a sequential sweep in row order, so
+      // floats land identically on every kernel path. Under Count
+      // aggregation the mass accumulators are skipped entirely (mass is
+      // derived from the integer counts at merge).
       RunChunked(num_lanes, [&](uint64_t lane) {
         const auto [lo, hi] = lane_bounds(lane);
         uint32_t* counts = lane_counts.data() + lane * dict;
@@ -571,7 +551,7 @@ struct MarginalRuleFinder::Impl {
                                  uint64_t lhi) {
           const PackedRef col = s.view->table().column(c).ref();
           const double* mass_col = s.mass_col;
-          if (mass == nullptr && !fuse_update) {
+          if (mass == nullptr) {
             // Count aggregation needs no decode at all: the counting
             // kernel tallies the packed payload directly (SWAR popcounts
             // on the sub-byte widths).
@@ -581,11 +561,6 @@ struct MarginalRuleFinder::Impl {
           for (uint64_t b0 = llo; b0 < lhi; b0 += kScanBlockRows) {
             const uint64_t b1 = std::min(lhi, b0 + kScanBlockRows);
             const size_t bn = static_cast<size_t>(b1 - b0);
-            if (fuse_update) ApplyPendingRange(s, b0, b1);
-            if (mass == nullptr) {
-              kern->count_codes(col, b0, b1, dict, counts);
-              continue;
-            }
             kern->unpack(col, b0, b1, codes);
             for (size_t i = 0; i < bn; ++i) {
               const uint32_t code = codes[i];
@@ -623,7 +598,7 @@ struct MarginalRuleFinder::Impl {
         ps.offsets[v + 1] = ps.offsets[v] + total;
         if (total > 0) st.codes.push_back(static_cast<uint32_t>(v));
       }
-      if (build_postings) ps.rows.resize(n);
+      if (!fold) ps.rows.resize(n);
       stats.merge_seconds += merge_timer.ElapsedMillis() / 1e3;
 
       // Weights for the codes that occur (serial: WeightFunction is not
@@ -645,7 +620,7 @@ struct MarginalRuleFinder::Impl {
 
       // Turn per-lane counts into per-lane write cursors (exclusive
       // prefix over lanes per code, offset by the CSR base).
-      if (build_postings) {
+      if (!fold) {
         for (size_t v = 0; v < dict; ++v) {
           uint32_t cursor = ps.offsets[v];
           for (uint64_t k = 0; k < num_lanes; ++k) {
@@ -658,19 +633,14 @@ struct MarginalRuleFinder::Impl {
 
       // Phase B: scatter rows into the postings (lane-ordered, so each
       // code's posting list stays ascending in the concatenated row order)
-      // and accumulate the marginal sums per lane. A size-1-capped search
-      // has no later pass to walk the postings, so the scatter is skipped.
+      // and accumulate the marginal sums per lane.
       //
-      // When additionally every covered weight is exactly 0.0 and masses
-      // are unit (Count aggregation), the scan itself folds away: lane
-      // lane's Phase-B accumulator for code v would receive exactly
+      // Folded: every covered weight is 0.0 and every mass 1.0, so lane
+      // lane's accumulator for code v would receive exactly
       // lane_counts[lane][v] sequential additions of the constant
-      // max(0, w_v), which ExactRepeatAdd reproduces bit for bit — the
-      // first-interaction drill-down hot path never rescans the rows.
+      // max(0, w_v), which ExactRepeatAdd reproduces bit for bit.
       lane_marginal.assign(num_lanes * dict, 0.0);
-      const bool fold_phase_b =
-          covered.empty() && count_mode && !build_postings;
-      if (fold_phase_b) {
+      if (fold) {
         for (uint32_t v : st.codes) {
           const Entry& e = st.entries[v];
           if (e.excluded) continue;
@@ -681,7 +651,7 @@ struct MarginalRuleFinder::Impl {
           }
         }
       }
-      if (!fold_phase_b) RunChunked(num_lanes, [&](uint64_t lane) {
+      if (!fold) RunChunked(num_lanes, [&](uint64_t lane) {
         const auto [lo, hi] = lane_bounds(lane);
         uint32_t* cursors = lane_counts.data() + lane * dict;
         double* marginal = lane_marginal.data() + lane * dict;
@@ -697,9 +667,7 @@ struct MarginalRuleFinder::Impl {
             kern->unpack(col, b0, b1, codes);
             for (uint64_t t = b0; t < b1; ++t) {
               const uint32_t code = codes[t - b0];
-              if (build_postings) {
-                ps.rows[cursors[code]++] = static_cast<uint32_t>(gbase + t);
-              }
+              ps.rows[cursors[code]++] = static_cast<uint32_t>(gbase + t);
               const Entry& e = st.entries[code];
               if (e.excluded) continue;
               const double m = mass_col ? mass_col[t] : 1.0;
@@ -756,15 +724,16 @@ struct MarginalRuleFinder::Impl {
 
   /// Applies the pending covered-weight update in full by walking the
   /// previous winner's cover list: a singleton's postings or a wider rule's
-  /// stored cover, checking on each row the rule's other columns (the
-  /// drill-down base's). A winner whose cover was not stored (the store was
-  /// full) has every row scanned, as pass 1's fused update does.
+  /// stored cover. Every row of the views is covered by the base, so the
+  /// list is the winner's cover. A winner without a list (the store was
+  /// full, or a folded pass 1 built no postings) has every row matched
+  /// against the rule instead.
   void ApplyPending() {
     if (!pass1.pending) return;
     const PassOneStore::Pick& pending = *pass1.pending;
     const uint32_t* rows = nullptr;
     uint64_t len = 0;
-    if (pending.single >= 0) {
+    if (pending.single >= 0 && pass1.built) {
       const Postings& ps = postings[pending.single];
       const uint32_t code = pending.rule.value(columns[pending.single]);
       rows = ps.rows.data() + ps.offsets[code];
@@ -790,14 +759,9 @@ struct MarginalRuleFinder::Impl {
     RunChunked((len + kMinLaneRows - 1) / kMinLaneRows, [&](uint64_t chunk) {
       const uint32_t* p = rows + chunk * kMinLaneRows;
       const uint32_t* end = rows + std::min(len, (chunk + 1) * kMinLaneRows);
-      ForEachRun(p, end, [&](const Segment& s, const uint32_t* q,
-                             const uint32_t* run_end) {
-        const CompiledRule rest(pending.rest, s.view->table());
-        for (; q != run_end; ++q) {
-          const uint32_t row = static_cast<uint32_t>(*q - s.begin);
-          if (cw[*q] < w && rest.Covers(row)) cw[*q] = w;
-        }
-      });
+      for (; p != end; ++p) {
+        if (cw[*p] < w) cw[*p] = w;
+      }
     });
   }
 
@@ -887,12 +851,14 @@ struct MarginalRuleFinder::Impl {
   /// rarest value's postings (then only the sub-rule's missing column is
   /// checked), else those postings (every other column is checked). Either
   /// list is ascending in the concatenated row order and crosses shard
-  /// boundaries by rebinding the hoisted column pointers to the next
-  /// shard's slice — a strictly sequential accumulation over exactly the
-  /// covered rows, so the sums never depend on which list was walked or
-  /// where the shard cuts fall. Appends the covered global row ids to
-  /// `record` when set. Returns the rows walked. Writes only to `e` and
-  /// `record` — safe to run concurrently across distinct candidates.
+  /// boundaries by rebinding the column predicates to the next shard's
+  /// slice. Each run goes through the gather-filter kernel in blocks and
+  /// the survivors are summed in row order — a strictly sequential
+  /// accumulation over exactly the covered rows, so the sums never depend
+  /// on the kernel, on which list was walked or on where the shard cuts
+  /// fall. Appends the covered global row ids to `record` when set.
+  /// Returns the rows walked. Writes only to `e` and `record` — safe to
+  /// run concurrently across distinct candidates.
   uint64_t CountOneCandidate(const CandidateGroup& g, const uint32_t* vals,
                              Entry& e, std::vector<uint32_t>* record) const {
     if (e.cover != kNoCover) {
@@ -934,86 +900,43 @@ struct MarginalRuleFinder::Impl {
       return only_pivot ? i == pivot : i != pivot;
     };
 
-    const bool hoisted = arity <= kMaxHoistedArity;
-    GatherPred preds_buf[kMaxHoistedArity];
-    size_t preds = 0;
+    GatherPred stack_preds[kMaxHoistedArity];
+    std::vector<GatherPred> wide_preds;
+    GatherPred* preds = stack_preds;
+    if (arity > kMaxHoistedArity) {
+      wide_preds.resize(arity);
+      preds = wide_preds.data();
+    }
     uint32_t outbuf[kScanBlockRows];
-
-    // Per-segment bindings, advanced as the (ascending) walk crosses shard
-    // boundaries.
-    size_t si = 0;
-    const Segment* s = nullptr;
-    const Table* table = nullptr;
-    const double* mass_col = nullptr;
-    uint64_t seg_begin = 0;
-    uint64_t seg_end = 0;  // 0 forces a bind on the first row
-
     const double* cw = covered.data();
     double mass = 0;
     double marginal = 0;
-    const uint32_t* p = row_begin;
-    while (p != row_end) {
-      const uint64_t gt = *p;
-      if (gt >= seg_end) {
-        while (segs[si].begin + segs[si].rows <= gt) ++si;
-        s = &segs[si];
-        table = &s->view->table();
-        mass_col = s->mass_col;
-        seg_begin = s->begin;
-        seg_end = s->begin + s->rows;
-        if (hoisted) {
-          preds = 0;
-          for (size_t i = 0; i < arity; ++i) {
-            if (!checked(i)) continue;
-            preds_buf[preds].col = table->column(g.cols[i]).ref();
-            preds_buf[preds].want = vals[i];
-            ++preds;
-          }
-        }
-      }
-      if (hoisted) {
-        // Batch the run of rows inside this segment through the
-        // gather-filter kernel, then accumulate the survivors — in the same
-        // ascending order the direct loop visits them, so the float sums
-        // are bit-identical to the per-row path.
-        const uint32_t* run_end = std::lower_bound(
-            p, row_end, seg_end,
-            [](uint32_t a, uint64_t b) { return uint64_t{a} < b; });
-        while (p != run_end) {
-          const size_t blk = std::min<size_t>(
-              static_cast<size_t>(run_end - p), kScanBlockRows);
-          const size_t kept =
-              kern->filter_rows(p, blk, seg_begin, preds_buf, preds, outbuf);
-          for (size_t j = 0; j < kept; ++j) {
-            const uint64_t t = outbuf[j] - seg_begin;
-            const double m = mass_col ? mass_col[t] : 1.0;
-            mass += m;
-            marginal += m * std::max(0.0, e.weight - cw[outbuf[j]]);
-          }
-          if (record != nullptr) {
-            record->insert(record->end(), outbuf, outbuf + kept);
-          }
-          p += blk;
-        }
-        continue;
-      }
-      const uint32_t row = static_cast<uint32_t>(gt - seg_begin);
-      bool matches = true;
+    ForEachRun(row_begin, row_end, [&](const Segment& s, const uint32_t* p,
+                                       const uint32_t* run_end) {
+      const Table& table = s.view->table();
+      size_t num_preds = 0;
       for (size_t i = 0; i < arity; ++i) {
         if (!checked(i)) continue;
-        if (table->column(g.cols[i]).Get(row) != vals[i]) {
-          matches = false;
-          break;
+        preds[num_preds].col = table.column(g.cols[i]).ref();
+        preds[num_preds].want = vals[i];
+        ++num_preds;
+      }
+      while (p != run_end) {
+        const size_t blk = std::min<size_t>(
+            static_cast<size_t>(run_end - p), kScanBlockRows);
+        const size_t kept =
+            kern->filter_rows(p, blk, s.begin, preds, num_preds, outbuf);
+        for (size_t j = 0; j < kept; ++j) {
+          const double m = s.mass_col ? s.mass_col[outbuf[j] - s.begin] : 1.0;
+          mass += m;
+          marginal += m * std::max(0.0, e.weight - cw[outbuf[j]]);
         }
+        if (record != nullptr) {
+          record->insert(record->end(), outbuf, outbuf + kept);
+        }
+        p += blk;
       }
-      if (matches) {
-        const double m = mass_col ? mass_col[row] : 1.0;
-        mass += m;
-        marginal += m * std::max(0.0, e.weight - cw[gt]);
-        if (record != nullptr) record->push_back(static_cast<uint32_t>(gt));
-      }
-      ++p;
-    }
+    });
     e.mass += mass;
     e.marginal += marginal;
     return static_cast<uint64_t>(row_end - row_begin);
@@ -1333,27 +1256,28 @@ struct MarginalRuleFinder::Impl {
     // update stays pending.
     if (DeadlineExpired()) return DeadlineStatus();
 
-    // While `covered` is empty every covered weight is 0.0. A first pass 1
-    // capped at size-1 rules under Count folds its marginal scan into the
-    // counts and reads none of them (see CountSizeOne); every other pass,
-    // and any pending update, needs the array.
-    const bool folds = count_mode && !build_postings && !pass1.pending;
-    if (covered.empty() && !folds) covered.assign(total_rows, 0.0);
+    // While `covered` is empty every covered weight is 0.0. A first Find
+    // capped at size-1 rules under Count has no pass to walk the postings,
+    // and every marginal folds from the counts: its pass 1 stops after
+    // Phase A, reads no covered weight and builds no postings, and the next
+    // Find builds pass 1. Every other pass, and any pending update, needs
+    // the array.
+    const bool fold = count_mode && max_size == 1 && !pass1.pending &&
+                      covered.empty();
+    if (covered.empty() && !fold) covered.assign(total_rows, 0.0);
 
     // Pass 1: the first Find scans the view for every size-1 rule and
     // builds the postings; later Finds update the covered weights along
-    // the last winner's cover and recount from the stored state. Once pass
-    // 1 has started, the pending update is applied in full, even when the
-    // pass then fails.
+    // the last winner's cover and recount from the stored state. The
+    // pending update is applied in full before pass 1 starts, even when
+    // the pass then fails.
+    ApplyPending();
+    pass1.pending.reset();
     if (pass1.built) {
-      ApplyPending();
-      pass1.pending.reset();
       SMARTDD_RETURN_IF_ERROR(RecountSingles());
     } else {
-      const Status counted = CountSizeOne();
-      pass1.pending.reset();
-      SMARTDD_RETURN_IF_ERROR(counted);
-      pass1.built = build_postings;
+      SMARTDD_RETURN_IF_ERROR(CountSizeOne(fold));
+      pass1.built = !fold;
     }
     AbsorbSingles();
 
@@ -1374,8 +1298,6 @@ struct MarginalRuleFinder::Impl {
     PassOneStore::Pick& pick = pass1.pending.emplace();
     pick.rule = best_rule;
     pick.weight = best_weight;
-    pick.rest = best_rule;
-    pick.rest.clear_values(best_cols);
     if (best_cols.size() == 1) {
       pick.single = col_dense[best_cols[0]];
     } else {
@@ -1401,12 +1323,15 @@ MarginalRuleFinder::MarginalRuleFinder(std::vector<const TableView*> views,
       store_(std::make_unique<CoverStore>()),
       pass1_(std::make_unique<PassOneStore>()) {
   SMARTDD_CHECK(!views_.empty()) << "the finder needs >= 1 view";
-  if (!covered_.empty()) {
-    uint64_t rows = 0;
-    for (const TableView* v : views_) rows += v->num_rows();
-    SMARTDD_CHECK(covered_.size() == rows)
-        << "covered must have one entry per row of the views";
+  uint64_t rows = 0;
+  for (const TableView* v : views_) {
+    rows += v->num_rows();
+    SMARTDD_DCHECK(!options_.base_rule ||
+                   !GatherCover(*v, *options_.base_rule, options_.kernel))
+        << "base_rule must cover every row of the views";
   }
+  SMARTDD_CHECK(covered_.empty() || covered_.size() == rows)
+      << "covered must have one entry per row of the views";
 }
 
 MarginalRuleFinder::~MarginalRuleFinder() = default;

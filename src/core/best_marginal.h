@@ -30,11 +30,13 @@ struct MarginalSearchOptions {
   PruningMode pruning = PruningMode::kFull;
   /// Cap on the number of instantiated columns of candidate rules.
   size_t max_rule_size = std::numeric_limits<size_t>::max();
-  /// Columns candidates may instantiate; empty = all columns. (Drill-down
-  /// reductions restrict the search to the clicked rule's starred columns.)
+  /// Columns candidates may instantiate; empty = all columns. They must be
+  /// starred columns of `base_rule` (drill-down reductions search the
+  /// clicked rule's starred columns).
   std::vector<size_t> allowed_columns;
   /// Base rule merged into every candidate before weight evaluation, so the
   /// weight of a drill-down result is the weight of the *full* super-rule.
+  /// It must cover every row of the views (see MarginalRuleFinder).
   std::optional<Rule> base_rule;
   /// Threads for the counting passes: 0 = all hardware threads, 1 = serial.
   /// Results are bit-identical for every value (see best_marginal.cc).
@@ -54,9 +56,9 @@ struct MarginalSearchOptions {
 /// Instrumentation for tests and the pruning-ablation benchmark.
 struct MarginalSearchStats {
   /// Counting passes: pass 1 (the size-1 rules) plus one per arity >= 2.
-  /// Pass 1 scans every row of the view on a finder's first Find; later
-  /// Finds walk only the postings of the singletons they recount (a search
-  /// capped at size-1 rules keeps no postings and scans every time).
+  /// Pass 1 scans every row of the view on a finder's first Find (and
+  /// again on the second when the first folded, see MarginalRuleFinder);
+  /// later Finds walk only the postings of the singletons they recount.
   size_t passes = 0;
   size_t candidates_generated = 0;   ///< candidate rules considered
   size_t candidates_pruned = 0;      ///< dropped by the upper-bound test
@@ -110,15 +112,16 @@ struct MarginalRuleResult {
 /// heaviest earlier pick covering it). A Find after a successful one first
 /// raises the rows the previous winner covers to the winner's weight, so
 /// covered weights only ever rise. The update walks the winner's postings
-/// or stored cover (every row when the full store kept none); a
-/// size-1-capped search fuses it into its pass-1 scan instead.
+/// or stored cover (every row when the full store kept none).
 ///
 /// The finder is a lazy greedy across its Find calls (Minoux's accelerated
 /// greedy). It keeps, for its whole lifetime, everything that depends only
 /// on the views:
 ///  - pass 1's singleton counts, masses, weights and CSR postings, built by
-///    the first Find's full scan (a search capped at size-1 rules builds no
-///    postings and rescans every Find);
+///    the first Find's full scan. A first Find capped at size-1 rules under
+///    Count, from all-zero covered weights, needs no postings and derives
+///    each marginal from the counts, so its scan only counts and the
+///    second Find builds pass 1;
 ///  - a cover store: for every counted rule of arity >= 2, the rows it
 ///    covers and its mass. A later count of a stored rule walks only its
 ///    cover; a new rule of arity >= 3 walks its shortest stored immediate
@@ -142,6 +145,11 @@ class MarginalRuleFinder {
   /// thread count. `covered` holds the starting covered weight of each row
   /// of that concatenation; empty means all zero. The views and `weight`
   /// must outlive the finder.
+  ///
+  /// Every row of the views must be covered by `options.base_rule`, as in
+  /// SmartDrillDown, which passes each shard's gathered cover of the base
+  /// (T_r) or a shard the base covers whole. The covered-weight update
+  /// matches a winner's rows on its candidate columns only.
   MarginalRuleFinder(std::vector<const TableView*> views,
                      const WeightFunction& weight,
                      MarginalSearchOptions options,

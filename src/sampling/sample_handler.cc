@@ -100,32 +100,6 @@ size_t SampleHandler::num_samples() const {
   return samples_.size();
 }
 
-std::optional<double> SampleHandler::KnownExactMass(const Rule& rule) const {
-  std::shared_lock<std::shared_mutex> lock(store_mu_);
-  for (const auto& [r, m] : exact_masses_) {
-    if (r == rule) return m;
-  }
-  return std::nullopt;
-}
-
-void SampleHandler::RecordExactMassLocked(const Rule& rule, double mass) {
-  for (auto& [r, m] : exact_masses_) {
-    if (r == rule) {
-      m = mass;
-      return;
-    }
-  }
-  // The cache is an optimization over an immutable source, so entries never
-  // go stale — but a long-lived multi-session engine measures ever more
-  // rules, so bound it: evict oldest-first once full (deterministic, and
-  // keeps the linear probe above cheap).
-  constexpr size_t kExactMassCacheCap = 4096;
-  if (exact_masses_.size() >= kExactMassCacheCap) {
-    exact_masses_.erase(exact_masses_.begin());
-  }
-  exact_masses_.emplace_back(rule, mass);
-}
-
 std::optional<DisplayTree> SampleHandler::TreeCopy(uint64_t session) const {
   std::shared_lock<std::shared_mutex> lock(store_mu_);
   for (const auto& [id, tree] : trees_) {
@@ -519,8 +493,6 @@ Result<std::vector<double>> SampleHandler::CreateSamples(
   // and other sessions' older samples are retained newest-pass-first while
   // they still fit under the cap M (single-session behaviour is unchanged —
   // its allocation covers every displayed rule, so leftovers are rare).
-  // Exact masses are a cache over an immutable source, so entries are
-  // upserted, never invalidated.
   {
     std::unique_lock<std::shared_mutex> lock(store_mu_);
     std::vector<std::unique_ptr<Sample>> store;
@@ -541,9 +513,6 @@ Result<std::vector<double>> SampleHandler::CreateSamples(
       store.push_back(std::move(old));
     }
     samples_ = std::move(store);
-    for (size_t i = 0; i < nrules; ++i) {
-      RecordExactMassLocked(rules[i], masses[i]);
-    }
     SMARTDD_DCHECK(MemoryUsedLocked() <= options_.memory_capacity);
   }
   return masses;
@@ -654,7 +623,6 @@ void SampleHandler::DropSession(uint64_t session) {
 void SampleHandler::BumpDataVersion(uint64_t version) {
   std::unique_lock<std::shared_mutex> lock(store_mu_);
   samples_.clear();
-  exact_masses_.clear();
   data_version_.store(version, std::memory_order_relaxed);
 }
 
@@ -722,15 +690,6 @@ Result<std::vector<double>> SampleHandler::ExactMasses(
   for (uint64_t c = 0; c < num_chunks; ++c) {
     for (size_t i = 0; i < nrules; ++i) {
       masses[i] += chunk_masses[c * stride + i];
-    }
-  }
-  if (!measure) {
-    // The handler just paid a full pass for these counts; record them so
-    // KnownExactMass serves them from memory. Measure-mode sums are a
-    // different quantity and stay out of the count cache.
-    std::unique_lock<std::shared_mutex> lock(store_mu_);
-    for (size_t i = 0; i < nrules; ++i) {
-      RecordExactMassLocked(rules[i], masses[i]);
     }
   }
   return masses;

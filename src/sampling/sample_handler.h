@@ -86,8 +86,8 @@ struct SampleRequest {
 /// chunk order, so results are bit-identical for every thread count.
 ///
 /// Concurrency contract (engine/session split): one handler serves many
-/// concurrent sessions. The stored-sample map, the exact-mass cache, and
-/// the per-session displayed trees live behind a reader-writer lock: Find
+/// concurrent sessions. The stored-sample map and the per-session
+/// displayed trees live behind a reader-writer lock: Find
 /// materializes under a shared lock, Combine and the post-pass store swap
 /// take the lock exclusively, and scan passes themselves run with no store
 /// lock held. Create passes are single-flight: at most one pass over the
@@ -135,9 +135,9 @@ class SampleHandler {
   /// Forgets `session`'s displayed tree (its samples stay until evicted).
   void DropSession(uint64_t session);
 
-  /// Live-table version bump: drops every stored sample and the exact-mass
-  /// cache, because they describe rows of an older table version and
-  /// serving them against the new data would silently bias estimates.
+  /// Live-table version bump: drops every stored sample, because they
+  /// describe rows of an older table version and serving them against the
+  /// new data would silently bias estimates.
   /// Displayed trees stay — sessions keep exploring, and their next
   /// drill-down rebuilds samples from the current data. `version` is
   /// recorded for introspection via data_version().
@@ -147,8 +147,7 @@ class SampleHandler {
   }
 
   /// Exact masses of `rules` computed in one pass over the source: tuple
-  /// counts, or sums over measure column `measure` when given. Count-mode
-  /// results are recorded so KnownExactMass() can serve them afterwards.
+  /// counts, or sums over measure column `measure` when given.
   Result<std::vector<double>> ExactMasses(
       const std::vector<Rule>& rules,
       std::optional<size_t> measure = std::nullopt);
@@ -176,10 +175,6 @@ class SampleHandler {
   /// Create passes, foreground and prefetch alike.
   uint64_t creates() const { return creates_.load(std::memory_order_relaxed); }
 
-  /// Exact mass of a rule if a Create or count-mode ExactMasses pass
-  /// measured it.
-  std::optional<double> KnownExactMass(const Rule& rule) const;
-
  private:
   /// Runs one chunked pass building reservoir samples of the given
   /// capacities for the given rules; returns exact per-rule masses. When
@@ -204,9 +199,6 @@ class SampleHandler {
   /// Copy of `session`'s displayed tree, or nullopt. Takes store_mu_.
   std::optional<DisplayTree> TreeCopy(uint64_t session) const;
 
-  /// Updates or appends `rule`'s entry in the exact-mass cache.
-  /// Caller holds store_mu_ exclusively.
-  void RecordExactMassLocked(const Rule& rule, double mass);
   uint64_t MemoryUsedLocked() const;
 
   /// Blocks until this thread owns the Create single-flight. Returns false
@@ -218,11 +210,10 @@ class SampleHandler {
   const ScanSource* source_;
   SampleHandlerOptions options_;
 
-  /// Guards samples_, exact_masses_, and trees_.
+  /// Guards samples_ and trees_.
   mutable std::shared_mutex store_mu_;
   std::vector<std::unique_ptr<Sample>> samples_;
   std::vector<std::pair<uint64_t, DisplayTree>> trees_;
-  std::vector<std::pair<Rule, double>> exact_masses_;
 
   /// Single-flight Create pass (also serializes seed_counter_).
   std::mutex create_mu_;

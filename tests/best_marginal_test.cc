@@ -139,6 +139,32 @@ TEST(BestMarginalTest, BaseRuleContributesToWeight) {
   EXPECT_DOUBLE_EQ(best->marginal, 4.0);
 }
 
+TEST(BestMarginalDeathTest, SearchColumnsMustBeStarsOfTheBase) {
+  Table t = MakeTable({{"a", "x"}, {"a", "y"}});
+  TableView v(t);
+  SizeWeight w;
+  MarginalSearchOptions opts;
+  opts.base_rule = R(t, {"a", "?"});
+  opts.allowed_columns = {0, 1};
+  MarginalRuleFinder finder({&v}, w, opts);
+  EXPECT_DEATH(finder.Find().ok(), "allowed_columns must be starred");
+}
+
+#ifndef NDEBUG
+TEST(BestMarginalDeathTest, BaseMustCoverEveryRowInDebugBuilds) {
+  // The finder matches a winner's rows on its candidate columns only, so
+  // debug builds check that the base covers every row of the views.
+  Table t = MakeTable({{"a", "x"}, {"b", "x"}});
+  TableView v(t);
+  SizeWeight w;
+  MarginalSearchOptions opts;
+  opts.base_rule = R(t, {"a", "?"});
+  opts.allowed_columns = {1};
+  EXPECT_DEATH({ MarginalRuleFinder finder({&v}, w, opts); },
+               "base_rule must cover every row");
+}
+#endif
+
 TEST(BestMarginalTest, StatsArePopulated) {
   Table t = MakeTable({{"a", "x"}, {"b", "y"}, {"a", "y"}});
   TableView v(t);

@@ -126,7 +126,6 @@ struct SamplingOutcome {
   // ExactMasses over a rule list.
   std::vector<double> exact_masses;
   // Prefetch over a displayed tree, then the per-leaf Find results.
-  std::vector<double> known_masses;      // KnownExactMass per tree node
   std::vector<uint64_t> leaf_rows;       // sample rows per leaf
   std::vector<double> leaf_scales;
   std::vector<uint32_t> leaf_codes;      // concatenated leaf sample cells
@@ -174,10 +173,6 @@ SamplingOutcome RunSamplingScript(const ScanSource& source, size_t threads,
 
   handler.SetDisplayedTree(tree);
   EXPECT_TRUE(handler.Prefetch().ok());
-  for (const auto& node : tree.nodes) {
-    auto known = handler.KnownExactMass(node.rule);
-    out.known_masses.push_back(known.value_or(-1.0));
-  }
   for (size_t i = 1; i < tree.nodes.size(); ++i) {
     auto leaf = handler.GetSampleFor(tree.nodes[i].rule);
     EXPECT_TRUE(leaf.ok()) << leaf.status().ToString();
@@ -204,7 +199,6 @@ void ExpectIdentical(const SamplingOutcome& a, const SamplingOutcome& b,
   EXPECT_EQ(a.create_codes, b.create_codes) << label;
   EXPECT_EQ(a.create_measures, b.create_measures) << label;
   EXPECT_EQ(a.exact_masses, b.exact_masses) << label;
-  EXPECT_EQ(a.known_masses, b.known_masses) << label;
   EXPECT_EQ(a.leaf_rows, b.leaf_rows) << label;
   EXPECT_EQ(a.leaf_scales, b.leaf_scales) << label;
   EXPECT_EQ(a.leaf_codes, b.leaf_codes) << label;
@@ -282,7 +276,8 @@ TEST(ParallelSamplingTest, SumMeasureIdenticalAcrossThreadCounts) {
     EXPECT_TRUE(sample.ok());
     SamplingOutcome out;
     out.exact_masses = *counts;
-    out.known_masses = *sums;
+    out.exact_masses.insert(out.exact_masses.end(), sums->begin(),
+                            sums->end());
     out.create_rows = sample->table.num_rows();
     out.create_scale = sample->scale;
     FlattenTable(sample->table, &out.create_codes, &out.create_measures);

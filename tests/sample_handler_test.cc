@@ -172,55 +172,7 @@ TEST_F(SampleHandlerTest, ExactMassesMatchDirectComputation) {
   for (size_t i = 0; i < rules.size(); ++i) {
     EXPECT_DOUBLE_EQ((*masses)[i], RuleMass(full, rules[i]));
   }
-}
-
-TEST_F(SampleHandlerTest, ExactMassesPopulateCountCache) {
-  // The handler paid a full pass for these counts; KnownExactMass must
-  // serve them afterwards without another scan.
-  SampleHandler handler(*source_, SmallOptions());
-  std::vector<Rule> rules = {Rule::Trivial(3), R(table_, {"v0", "?", "?"}),
-                             R(table_, {"?", "?", "v1"})};
-  auto masses = handler.ExactMasses(rules);
-  ASSERT_TRUE(masses.ok());
-  for (size_t i = 0; i < rules.size(); ++i) {
-    auto known = handler.KnownExactMass(rules[i]);
-    ASSERT_TRUE(known.has_value()) << "rule " << i;
-    EXPECT_DOUBLE_EQ(*known, (*masses)[i]);
-  }
-  EXPECT_EQ(handler.scans_performed(), 1u);
-}
-
-TEST_F(SampleHandlerTest, MeasureModeExactMassesStayOutOfCountCache) {
-  SynthSpec spec;
-  spec.rows = 5000;
-  spec.cardinalities = {4, 3};
-  spec.seed = 55;
-  spec.with_measure = true;
-  Table table = GenerateSyntheticTable(spec);
-  MemoryScanSource source(table);
-  SampleHandlerOptions options;
-  options.memory_capacity = 2000;
-  options.min_sample_size = 500;
-  SampleHandler handler(source, options);
-
-  std::vector<Rule> rules = {Rule::Trivial(2), R(table, {"v0", "?"})};
-  // A measure-mode sum is a different quantity than a count: it must not
-  // enter the count cache, and it must not overwrite a cached count.
-  auto counts = handler.ExactMasses(rules);
-  ASSERT_TRUE(counts.ok());
-  auto sums = handler.ExactMasses(rules, 0);
-  ASSERT_TRUE(sums.ok());
-  for (size_t i = 0; i < rules.size(); ++i) {
-    auto known = handler.KnownExactMass(rules[i]);
-    ASSERT_TRUE(known.has_value());
-    EXPECT_DOUBLE_EQ(*known, (*counts)[i]);
-  }
-
-  // Measure-mode alone must leave the cache empty.
-  SampleHandler fresh(source, options);
-  ASSERT_TRUE(fresh.ExactMasses(rules, 0).ok());
-  EXPECT_FALSE(fresh.KnownExactMass(rules[0]).has_value());
-  EXPECT_FALSE(fresh.KnownExactMass(rules[1]).has_value());
+  EXPECT_EQ(handler.scans_performed(), 1u);  // one pass for every rule
 }
 
 TEST_F(SampleHandlerTest, CombineResultIsMaterializedForReuse) {
@@ -303,15 +255,6 @@ TEST_F(SampleHandlerTest, CombineResultNotStoredWhenOverMemoryCap) {
   auto second = handler.GetSampleFor(rule);
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(second->mechanism, SampleMechanism::kCombine);
-}
-
-TEST_F(SampleHandlerTest, KnownExactMassAfterCreate) {
-  SampleHandler handler(*source_, SmallOptions());
-  ASSERT_TRUE(handler.GetSampleFor(Rule::Trivial(3)).ok());
-  auto mass = handler.KnownExactMass(Rule::Trivial(3));
-  ASSERT_TRUE(mass.has_value());
-  EXPECT_DOUBLE_EQ(*mass, static_cast<double>(table_.num_rows()));
-  EXPECT_FALSE(handler.KnownExactMass(R(table_, {"v1", "?", "?"})));
 }
 
 TEST_F(SampleHandlerTest, SamplesAreUniformlyDistributed) {

@@ -345,5 +345,56 @@ TEST_F(SamplingSessionTest, SynchronousPrefetchAlsoWorks) {
   EXPECT_TRUE(session.WaitForPrefetch().ok());
 }
 
+TEST(ScanSourceSessionTest, WithoutSamplerMatchesInMemoryEngine) {
+  // A scan-source engine built without a sampler materializes each clicked
+  // rule's cover with one scan and refreshes counts by scanning directly.
+  // Both must render the same bytes as the in-memory engine.
+  SynthSpec spec;
+  spec.rows = 6000;
+  spec.cardinalities = {6, 5, 4, 3};
+  spec.zipf = {1.1, 0.7, 1.3, 0.4};
+  spec.seed = 311;
+  spec.with_measure = true;
+  const Table table = GenerateSyntheticTable(spec);
+  MemoryScanSource source(table);
+  SizeWeight weight;
+  RenderOptions render;
+  render.show_marginal = true;
+
+  auto script = [&](ExplorationSession& session) {
+    std::string out;
+    auto children = session.Expand(session.root());
+    EXPECT_TRUE(children.ok()) << children.status().ToString();
+    if (!children.ok() || children->size() < 2) return out;
+    const int first = (*children)[0];
+    const int second = (*children)[1];
+    EXPECT_TRUE(session.Expand(first).ok());
+    const Rule& rule = session.node(second).rule;
+    size_t star_col = 0;
+    while (star_col < rule.num_columns() && !rule.is_star(star_col)) {
+      ++star_col;
+    }
+    EXPECT_LT(star_col, rule.num_columns());
+    EXPECT_TRUE(session.ExpandStar(second, star_col).ok());
+    out += RenderSession(session, render);
+    EXPECT_TRUE(session.RefreshExactCounts().ok());
+    out += RenderSession(session, render);
+    return out;
+  };
+
+  for (bool sum : {false, true}) {
+    SessionOptions options;
+    options.k = 3;
+    if (sum) options.measure_column = "value";
+    auto in_memory = testing::MakeSession(table, weight, options);
+    auto scanned =
+        testing::MakeSession(source, weight, options, EngineOptions{});
+    ASSERT_EQ(scanned.engine->sampler(), nullptr);
+    const std::string want = script(in_memory.session);
+    EXPECT_FALSE(want.empty());
+    EXPECT_EQ(script(scanned.session), want) << (sum ? "Sum" : "Count");
+  }
+}
+
 }  // namespace
 }  // namespace smartdd
