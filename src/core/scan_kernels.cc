@@ -248,8 +248,13 @@ const ScanKernels& GetScanKernels(KernelPath path) {
   return kScalarKernels;
 }
 
-void ComputeRuleMask(const Rule& rule, const Table& table, uint64_t row_begin,
-                     uint64_t row_end, uint8_t* mask, const ScanKernels& k) {
+namespace {
+
+/// ComputeRuleMask over any column source: `column(c)` returns column c's
+/// PackedRef.
+template <typename ColumnAt>
+void RuleMask(const Rule& rule, ColumnAt column, uint64_t row_begin,
+              uint64_t row_end, uint8_t* mask, const ScanKernels& k) {
   SMARTDD_DCHECK(row_end >= row_begin &&
                  row_end - row_begin <= kScanBlockRows);
   const size_t n = static_cast<size_t>(row_end - row_begin);
@@ -258,8 +263,8 @@ void ComputeRuleMask(const Rule& rule, const Table& table, uint64_t row_begin,
   for (size_t c = 0; c < values.size(); ++c) {
     const uint32_t want = values[c];
     if (want == kStar) continue;
-    const PackedColumn& col = table.column(c);
-    if (col.width() == PackedWidth::kConst) {
+    const PackedRef col = column(c);
+    if (col.width == PackedWidth::kConst) {
       // Stored codes are all 0: the predicate is row-independent.
       if (want != 0) {
         std::memset(mask, 0, n);
@@ -267,10 +272,27 @@ void ComputeRuleMask(const Rule& rule, const Table& table, uint64_t row_begin,
       }
       continue;
     }
-    k.match_eq(col.ref(), row_begin, n, want, mask, first);
+    k.match_eq(col, row_begin, n, want, mask, first);
     first = false;
   }
   if (first) std::memset(mask, 0xFF, n);  // trivial (or all-const-true) rule
+}
+
+}  // namespace
+
+void ComputeRuleMask(const Rule& rule, const Table& table, uint64_t row_begin,
+                     uint64_t row_end, uint8_t* mask, const ScanKernels& k) {
+  RuleMask(
+      rule, [&](size_t c) { return table.column(c).ref(); }, row_begin,
+      row_end, mask, k);
+}
+
+void ComputeRuleMask(const Rule& rule, const PackedRef* columns,
+                     uint64_t row_begin, uint64_t row_end, uint8_t* mask,
+                     const ScanKernels& k) {
+  RuleMask(
+      rule, [&](size_t c) { return columns[c]; }, row_begin, row_end, mask,
+      k);
 }
 
 }  // namespace smartdd

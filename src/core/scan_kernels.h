@@ -93,7 +93,7 @@ const ScanKernels& GetScanKernels(KernelPath path);
 
 /// Rows per block the callers hand to the kernels: bounds scratch (codes +
 /// mask) to L1-friendly sizes while amortizing dispatch.
-inline constexpr uint64_t kScanBlockRows = 4096;
+inline constexpr uint64_t kScanBlockRows = kGranuleRows;
 
 /// Byte mask of `rule` over the contiguous table rows [row_begin, row_end):
 /// mask[i] != 0 iff the rule covers row row_begin + i. `row_end - row_begin`
@@ -101,6 +101,12 @@ inline constexpr uint64_t kScanBlockRows = 4096;
 /// per-column match_eq kernels over the rule's instantiated columns.
 void ComputeRuleMask(const Rule& rule, const Table& table, uint64_t row_begin,
                      uint64_t row_end, uint8_t* mask, const ScanKernels& k);
+
+/// The same over column readers (one per rule column), e.g. the columns of
+/// a scan block: mask[i] != 0 iff the rule covers index row_begin + i.
+void ComputeRuleMask(const Rule& rule, const PackedRef* columns,
+                     uint64_t row_begin, uint64_t row_end, uint8_t* mask,
+                     const ScanKernels& k);
 
 }  // namespace smartdd
 

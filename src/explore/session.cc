@@ -162,17 +162,21 @@ Result<DrillDownResponse> ExplorationSession::RunDrillDown(
 
   // Scan-source without sampling: materialize the covered tuples once.
   Table materialized = source->MakeEmptyTable();
-  Status s = source->Scan(
-      [&](uint64_t, const uint32_t* codes, const double* measures) {
-        if (base.Covers(codes)) {
-          materialized.AppendRow(
-              std::span<const uint32_t>(codes, materialized.num_columns()),
-              std::span<const double>(measures,
-                                      measures ? materialized.num_measures()
-                                               : 0));
-        }
-        return true;
-      });
+  const ScanKernels& kernels = GetScanKernels(ResolveKernelPath(options_.kernel));
+  Status s = source->ScanBlocks([&](const ScanBlock& block) {
+    uint8_t mask[kScanBlockRows];
+    ComputeRuleMask(base, block.columns, block.offset,
+                    block.offset + block.num_rows, mask, kernels);
+    std::vector<uint32_t> codes(block.num_columns);
+    std::vector<double> measures(block.num_measures);
+    for (size_t j = 0; j < block.num_rows; ++j) {
+      if (mask[j] == 0) continue;
+      block.GetRow(j, codes.data());
+      block.GetMeasures(j, measures.data());
+      materialized.AppendRow(codes, measures);
+    }
+    return true;
+  });
   SMARTDD_RETURN_IF_ERROR(s);
   TableView view(materialized);
   SMARTDD_RETURN_IF_ERROR(apply_measure(view));
@@ -402,15 +406,24 @@ Status ExplorationSession::RefreshExactCounts() {
     SMARTDD_ASSIGN_OR_RETURN(masses,
                              engine_->sampler()->ExactMasses(rules, measure));
   } else {
+    // One pass; each rule adds its covered rows' masses in row order.
     masses.assign(rules.size(), 0.0);
-    Status s = engine_->source()->Scan(
-        [&](uint64_t, const uint32_t* codes, const double* measures) {
-          double m = measure ? measures[*measure] : 1.0;
-          for (size_t i = 0; i < rules.size(); ++i) {
-            if (rules[i].Covers(codes)) masses[i] += m;
+    const ScanKernels& kernels =
+        GetScanKernels(ResolveKernelPath(options_.kernel));
+    Status s = engine_->source()->ScanBlocks([&](const ScanBlock& block) {
+      uint8_t mask[kScanBlockRows];
+      for (size_t i = 0; i < rules.size(); ++i) {
+        ComputeRuleMask(rules[i], block.columns, block.offset,
+                        block.offset + block.num_rows, mask, kernels);
+        for (size_t j = 0; j < block.num_rows; ++j) {
+          if (mask[j] != 0) {
+            masses[i] += measure ? block.measures[*measure][block.offset + j]
+                                 : 1.0;
           }
-          return true;
-        });
+        }
+      }
+      return true;
+    });
     SMARTDD_RETURN_IF_ERROR(s);
   }
   for (size_t i = 0; i < order.size(); ++i) {

@@ -72,34 +72,6 @@ struct CompiledRule {
   }
 };
 
-/// A rule compiled for repeated checks against decoded code *arrays* (scan
-/// callbacks, sample rows) rather than table rows: only the non-star
-/// columns, as (column, wanted code) pairs, so wildcard columns cost
-/// nothing per row. The codes-array sibling of CompiledRule.
-struct RowPredicate {
-  /// (column index, wanted code) for each instantiated column.
-  std::vector<std::pair<uint32_t, uint32_t>> preds;
-
-  RowPredicate() = default;
-  explicit RowPredicate(const Rule& r) { Compile(r); }
-
-  void Compile(const Rule& r) {
-    preds.clear();
-    for (size_t c = 0; c < r.num_columns(); ++c) {
-      uint32_t v = r.value(c);
-      if (v != kStar) preds.emplace_back(static_cast<uint32_t>(c), v);
-    }
-  }
-
-  /// `codes` must span every column of the rule's table.
-  [[nodiscard]] bool Covers(const uint32_t* codes) const {
-    for (const auto& [c, w] : preds) {
-      if (codes[c] != w) return false;
-    }
-    return true;
-  }
-};
-
 /// Total mass (Count, or Sum of the selected measure) of tuples covered by
 /// `r` in the view. This is the paper's Count(r) / Sum(r).
 double RuleMass(const TableView& view, const Rule& r);

@@ -25,6 +25,23 @@ void Sample::Add(uint64_t row_id, const uint32_t* codes,
   row_ids_.push_back(row_id);
 }
 
+void Sample::AddFrom(const Sample& src, size_t slot) {
+  SMARTDD_DCHECK(src.filter_ == filter_ && slot < src.row_ids_.size());
+  const size_t ns = star_cols_.size();
+  codes_.insert(codes_.end(), src.codes_.begin() + slot * ns,
+                src.codes_.begin() + (slot + 1) * ns);
+  measures_.insert(measures_.end(),
+                   src.measures_.begin() + slot * num_measures_,
+                   src.measures_.begin() + (slot + 1) * num_measures_);
+  row_ids_.push_back(src.row_ids_[slot]);
+}
+
+void Sample::Reserve(size_t n) {
+  codes_.reserve(n * star_cols_.size());
+  measures_.reserve(n * num_measures_);
+  row_ids_.reserve(n);
+}
+
 void Sample::ReplaceAt(size_t slot, uint64_t row_id, const uint32_t* codes,
                        const double* measures) {
   SMARTDD_DCHECK(slot < row_ids_.size());

@@ -49,6 +49,12 @@ class Sample {
   /// stored). `measures` may be nullptr when the source has none.
   void Add(uint64_t row_id, const uint32_t* codes, const double* measures);
 
+  /// Appends slot `slot` of `src`, a sample with the same filter.
+  void AddFrom(const Sample& src, size_t slot);
+
+  /// Reserves room for `n` tuples.
+  void Reserve(size_t n);
+
   /// Overwrites slot `slot` (reservoir replacement).
   void ReplaceAt(size_t slot, uint64_t row_id, const uint32_t* codes,
                  const double* measures);

@@ -1,6 +1,7 @@
 #include "sampling/sample_handler.h"
 
 #include <algorithm>
+#include <cstring>
 #include <numeric>
 #include <unordered_set>
 
@@ -8,6 +9,7 @@
 #include "common/logging.h"
 #include "common/random.h"
 #include "common/thread_pool.h"
+#include "core/scan_kernels.h"
 #include "rules/rule_ops.h"
 #include "sampling/reservoir.h"
 
@@ -19,40 +21,69 @@ namespace {
 /// sub-reservoirs use substreams 0..num_chunks-1, which stay far below this.
 constexpr uint64_t kMergeStream = ~uint64_t{0};
 
-/// A uniform without-replacement sample of `seen` population tuples — either
-/// one chunk's sub-reservoir or the fold of several.
-struct SubReservoir {
-  std::unique_ptr<Sample> sample;
-  uint64_t seen = 0;
+/// Calls fn(j) for each j in [0, n) with mask[j] != 0, in ascending order,
+/// skipping all-zero 8-byte words of the mask.
+template <typename Fn>
+void ForEachSet(const uint8_t* mask, size_t n, Fn&& fn) {
+  size_t j = 0;
+  for (; j + 8 <= n; j += 8) {
+    uint64_t word;
+    std::memcpy(&word, mask + j, sizeof word);
+    if (word == 0) continue;
+    for (size_t t = j; t < j + 8; ++t) {
+      if (mask[t] != 0) fn(t);
+    }
+  }
+  for (; j < n; ++j) {
+    if (mask[j] != 0) fn(j);
+  }
+}
+
+/// One tuple a stitched reservoir keeps: slot `slot` of chunk `chunk`'s
+/// sub-reservoir.
+struct SlotRef {
+  uint32_t chunk;
+  uint32_t slot;
 };
 
-/// Exact uniform stitch-merge of two reservoirs over disjoint populations
-/// (the two chunks' covered tuples): simulates drawing up to `capacity`
-/// tuples without replacement from the union, where each draw picks side A
-/// with probability proportional to its remaining population size and then
-/// takes a uniformly random unused element of that side's reservoir (valid
+/// Exact uniform stitch-merge of two reservoirs over disjoint populations:
+/// `acc`, the fold of the chunks before `chunk` (a uniform sample of
+/// `*acc_seen` covered tuples), and chunk `chunk`'s sub-reservoir (`b_size`
+/// tuples drawn from `b_seen`). It simulates drawing up to `capacity`
+/// tuples without replacement from the union: each draw picks side A with
+/// probability proportional to its remaining population size and then takes
+/// a uniformly random unused element of that side's reservoir (valid
 /// because a reservoir is an exchangeable uniform subset of its
-/// population). All randomness comes from `rng`, and the fold runs in chunk
-/// order, so the result is independent of how chunks were scheduled across
-/// threads. `codes`/`measures` are caller scratch of full row width.
-SubReservoir MergeSubReservoirs(SubReservoir a, SubReservoir b,
-                                uint64_t capacity, const Rule& filter,
-                                const Table& prototype, Rng& rng,
-                                uint32_t* codes, double* measures) {
-  if (b.seen == 0) return a;
-  if (a.seen == 0) return b;
+/// population). The draws depend only on the population and reservoir
+/// sizes, so the fold runs over slot references and the caller copies each
+/// kept tuple once, in the final order. All randomness comes from `rng`,
+/// and the fold runs in chunk order, so the result is independent of how
+/// chunks were scheduled across threads. `remaining_a`, `remaining_b` and
+/// `merged` are caller scratch.
+void StitchChunk(std::vector<SlotRef>* acc, uint64_t* acc_seen,
+                 uint32_t chunk, size_t b_size, uint64_t b_seen,
+                 uint64_t capacity, Rng& rng,
+                 std::vector<uint32_t>& remaining_a,
+                 std::vector<uint32_t>& remaining_b,
+                 std::vector<SlotRef>& merged) {
+  if (b_seen == 0) return;
+  if (*acc_seen == 0) {
+    acc->clear();
+    for (size_t s = 0; s < b_size; ++s) {
+      acc->push_back(SlotRef{chunk, static_cast<uint32_t>(s)});
+    }
+    *acc_seen = b_seen;
+    return;
+  }
 
-  SubReservoir out;
-  out.seen = a.seen + b.seen;
-  out.sample = std::make_unique<Sample>(filter, prototype);
-
-  std::vector<uint32_t> remaining_a(a.sample->size());
-  std::vector<uint32_t> remaining_b(b.sample->size());
+  merged.clear();
+  remaining_a.resize(acc->size());
+  remaining_b.resize(b_size);
   std::iota(remaining_a.begin(), remaining_a.end(), 0u);
   std::iota(remaining_b.begin(), remaining_b.end(), 0u);
-  uint64_t pop_a = a.seen;
-  uint64_t pop_b = b.seen;
-  while (out.sample->size() < capacity && (pop_a > 0 || pop_b > 0)) {
+  uint64_t pop_a = *acc_seen;
+  uint64_t pop_b = b_seen;
+  while (merged.size() < capacity && (pop_a > 0 || pop_b > 0)) {
     bool from_a =
         pop_b == 0 || (pop_a > 0 && rng.UniformInt(pop_a + pop_b) < pop_a);
     std::vector<uint32_t>& remaining = from_a ? remaining_a : remaining_b;
@@ -66,20 +97,20 @@ SubReservoir MergeSubReservoirs(SubReservoir a, SubReservoir b,
     uint32_t slot = remaining[j];
     remaining[j] = remaining.back();
     remaining.pop_back();
-    const Sample& src = from_a ? *a.sample : *b.sample;
-    src.GetRow(slot, codes);
-    src.GetMeasures(slot, measures);
-    out.sample->Add(src.row_id(slot), codes, measures);
+    merged.push_back(from_a ? (*acc)[slot] : SlotRef{chunk, slot});
     --(from_a ? pop_a : pop_b);
   }
-  return out;
+  acc->swap(merged);
+  *acc_seen += b_seen;
 }
 
 }  // namespace
 
 SampleHandler::SampleHandler(const ScanSource& source,
                              SampleHandlerOptions options)
-    : source_(&source), options_(options) {
+    : source_(&source),
+      options_(options),
+      kernels_(&GetScanKernels(ResolveKernelPath(KernelPref::kAuto))) {
   SMARTDD_CHECK(options_.min_sample_size <= options_.memory_capacity)
       << "minSS cannot exceed memory capacity M";
 }
@@ -383,15 +414,8 @@ Result<std::vector<double>> SampleHandler::CreateSamples(
     rule_seeds.push_back(DeriveSeed(options_.seed, ++seed_counter_));
   }
 
-  // Filters compiled once to their instantiated columns; the scan callback
-  // below runs them per (row, rule), so skipping the wildcard columns there
-  // matters.
-  std::vector<RowPredicate> filters;
-  filters.reserve(nrules);
-  for (size_t i = 0; i < nrules; ++i) filters.emplace_back(rules[i]);
-
   // One builder per (chunk, rule): chunks never share mutable state, so the
-  // scan callback is data-race free by construction.
+  // block callback is data-race free by construction.
   struct ChunkBuilder {
     std::unique_ptr<Sample> sample;
     ReservoirSampler reservoir;
@@ -409,50 +433,50 @@ Result<std::vector<double>> SampleHandler::CreateSamples(
     }
   }
 
-  // Cooperative cancellation: each chunk polls the deadline every
-  // kDeadlineCheckRows of its own tuples (cache-line-strided countdowns, no
-  // sharing between chunks); the first chunk to notice expiry raises a
-  // shared flag that stops every other chunk at its next tuple. Inert
-  // deadlines skip all of this.
-  constexpr uint64_t kDeadlineCheckRows = 4096;
-  constexpr size_t kCountdownStride = 8;
+  // Cooperative cancellation: each chunk polls the deadline once per block;
+  // the first chunk to notice expiry raises a shared flag that stops every
+  // other chunk at its next block. Inert deadlines skip all of this.
   const bool has_deadline = deadline.active();
   std::atomic<bool> deadline_hit{false};
-  std::vector<uint64_t> countdowns;
-  if (has_deadline) {
-    countdowns.assign(num_chunks * kCountdownStride, kDeadlineCheckRows);
-  }
 
-  Status scan_status = source_->ScanChunks(
-      num_chunks, parallelism,
-      [&](uint64_t chunk, uint64_t row, const uint32_t* codes,
-          const double* measures) {
+  // Each rule's builder sees its covered rows in ascending row order, as a
+  // row-at-a-time pass would offer them, so every reservoir draw is the
+  // same.
+  Status scan_status = source_->ScanBlocks(
+      [&](const ScanBlock& block) {
         if (has_deadline) {
           if (deadline_hit.load(std::memory_order_relaxed)) return false;
-          uint64_t& countdown = countdowns[chunk * kCountdownStride];
-          if (--countdown == 0) {
-            countdown = kDeadlineCheckRows;
-            if (deadline.expired()) {
-              deadline_hit.store(true, std::memory_order_relaxed);
-              return false;
-            }
+          if (deadline.expired()) {
+            deadline_hit.store(true, std::memory_order_relaxed);
+            return false;
           }
         }
-        ChunkBuilder* chunk_builders = &builders[chunk * nrules];
+        uint8_t mask[kScanBlockRows];
+        std::vector<uint32_t> codes(block.num_columns);
+        std::vector<double> measures(block.num_measures);
+        ChunkBuilder* chunk_builders = &builders[block.chunk * nrules];
         for (size_t i = 0; i < nrules; ++i) {
           ChunkBuilder& b = chunk_builders[i];
-          if (!filters[i].Covers(codes)) continue;
-          b.mass += 1.0;  // tuple count; measures ride along in the sample
-          auto placement = b.reservoir.Offer();
-          if (!placement.accept) continue;
-          if (placement.slot < b.sample->size()) {
-            b.sample->ReplaceAt(placement.slot, row, codes, measures);
-          } else {
-            b.sample->Add(row, codes, measures);
-          }
+          ComputeRuleMask(rules[i], block.columns, block.offset,
+                          block.offset + block.num_rows, mask, *kernels_);
+          ForEachSet(mask, block.num_rows, [&](size_t j) {
+            b.mass += 1.0;  // tuple count; measures ride along in the sample
+            auto placement = b.reservoir.Offer();
+            if (!placement.accept) return;
+            const uint64_t row = block.row_begin + j;
+            block.GetRow(j, codes.data());
+            block.GetMeasures(j, measures.data());
+            if (placement.slot < b.sample->size()) {
+              b.sample->ReplaceAt(placement.slot, row, codes.data(),
+                                  measures.data());
+            } else {
+              b.sample->Add(row, codes.data(), measures.data());
+            }
+          });
         }
         return true;
-      });
+      },
+      num_chunks, parallelism);
   SMARTDD_RETURN_IF_ERROR(scan_status);
   if (deadline_hit.load(std::memory_order_relaxed)) {
     // The pass was cut short: its reservoirs cover only a prefix of each
@@ -464,29 +488,34 @@ Result<std::vector<double>> SampleHandler::CreateSamples(
       .fetch_add(1, std::memory_order_relaxed);
   creates_.fetch_add(1, std::memory_order_relaxed);
 
-  // Stitch the per-chunk sub-reservoirs back together in chunk order.
-  std::vector<uint32_t> codes(prototype.num_columns());
-  std::vector<double> measures(prototype.num_measures());
+  // Stitch the per-chunk sub-reservoirs back together in chunk order, then
+  // copy each kept tuple once from its chunk sample.
   std::vector<double> masses;
   std::vector<std::unique_ptr<Sample>> created;
+  std::vector<SlotRef> acc, merged;
+  std::vector<uint32_t> remaining_a, remaining_b;
   for (size_t i = 0; i < nrules; ++i) {
     Rng merge_rng(DeriveSeed(rule_seeds[i], kMergeStream));
-    ChunkBuilder& first = builders[i];
-    SubReservoir acc{std::move(first.sample), first.reservoir.seen()};
-    double mass = first.mass;
-    for (uint64_t c = 1; c < num_chunks; ++c) {
-      ChunkBuilder& cb = builders[c * nrules + i];
+    acc.clear();
+    uint64_t seen = 0;
+    double mass = 0;
+    for (uint64_t c = 0; c < num_chunks; ++c) {
+      const ChunkBuilder& cb = builders[c * nrules + i];
       mass += cb.mass;
-      acc = MergeSubReservoirs(
-          std::move(acc), SubReservoir{std::move(cb.sample), cb.reservoir.seen()},
-          capacities[i], rules[i], prototype, merge_rng, codes.data(),
-          measures.data());
+      StitchChunk(&acc, &seen, static_cast<uint32_t>(c), cb.sample->size(),
+                  cb.reservoir.seen(), capacities[i], merge_rng, remaining_a,
+                  remaining_b, merged);
+    }
+    auto sample = std::make_unique<Sample>(rules[i], prototype);
+    sample->Reserve(acc.size());
+    for (const SlotRef& ref : acc) {
+      sample->AddFrom(*builders[ref.chunk * nrules + i].sample, ref.slot);
     }
     masses.push_back(mass);
-    size_t size = acc.sample->size();
-    acc.sample->set_source_mass(mass);
-    acc.sample->set_scale(size > 0 ? mass / static_cast<double>(size) : 1.0);
-    created.push_back(std::move(acc.sample));
+    const size_t size = sample->size();
+    sample->set_source_mass(mass);
+    sample->set_scale(size > 0 ? mass / static_cast<double>(size) : 1.0);
+    created.push_back(std::move(sample));
   }
 
   // Swap the store: this pass's samples supersede any same-filter samples,
@@ -667,22 +696,32 @@ Result<std::vector<double>> SampleHandler::ExactMasses(
 
   // Per-chunk accumulators, padded to cache-line multiples so chunks do not
   // false-share; merged in chunk order for thread-count-independent sums.
+  // Within a chunk each rule adds its covered rows' masses in ascending row
+  // order.
   const size_t stride = ((nrules + 7) / 8) * 8;
   std::vector<double> chunk_masses(num_chunks * stride, 0.0);
-  std::vector<RowPredicate> preds;
-  preds.reserve(nrules);
-  for (size_t i = 0; i < nrules; ++i) preds.emplace_back(rules[i]);
-  Status s = source_->ScanChunks(
-      num_chunks, parallelism,
-      [&](uint64_t chunk, uint64_t, const uint32_t* codes,
-          const double* measures) {
-        double m = measure ? measures[*measure] : 1.0;
-        double* acc = &chunk_masses[chunk * stride];
+  Status s = source_->ScanBlocks(
+      [&](const ScanBlock& block) {
+        uint8_t mask[kScanBlockRows];
+        double* acc = &chunk_masses[block.chunk * stride];
+        const double* m =
+            measure ? block.measures[*measure] + block.offset : nullptr;
         for (size_t i = 0; i < nrules; ++i) {
-          if (preds[i].Covers(codes)) acc[i] += m;
+          ComputeRuleMask(rules[i], block.columns, block.offset,
+                          block.offset + block.num_rows, mask, *kernels_);
+          if (m != nullptr) {
+            ForEachSet(mask, block.num_rows, [&](size_t j) { acc[i] += m[j]; });
+          } else {
+            // Whole-number sums below 2^53 are exact, so adding the block's
+            // count at once equals adding 1.0 per row.
+            size_t count = 0;
+            for (size_t j = 0; j < block.num_rows; ++j) count += mask[j] & 1;
+            acc[i] += static_cast<double>(count);
+          }
         }
         return true;
-      });
+      },
+      num_chunks, parallelism);
   SMARTDD_RETURN_IF_ERROR(s);
   scans_.fetch_add(1, std::memory_order_relaxed);
 

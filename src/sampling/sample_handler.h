@@ -18,6 +18,8 @@
 
 namespace smartdd {
 
+struct ScanKernels;
+
 /// How a sample request was satisfied (paper §4.3).
 enum class SampleMechanism {
   kFind,     ///< an existing sample with exactly this filter sufficed
@@ -209,6 +211,9 @@ class SampleHandler {
 
   const ScanSource* source_;
   SampleHandlerOptions options_;
+  /// The kernels every pass evaluates rules with (identical results on
+  /// every path; SMARTDD_KERNEL picks one).
+  const ScanKernels* kernels_;
 
   /// Guards samples_ and trees_.
   mutable std::shared_mutex store_mu_;

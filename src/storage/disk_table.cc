@@ -15,10 +15,9 @@ namespace smartdd {
 namespace {
 
 constexpr uint32_t kMagic = 0x54444453;  // "SDDT" little-endian
-constexpr uint32_t kVersion = 1;
-constexpr size_t kScanBufferBytes = 4 << 20;  // 4 MiB read buffer
+constexpr uint32_t kVersion = 2;
 
-// Transient-I/O retry policy: an open or block read gets kMaxIoRetries
+// Transient-I/O retry policy: an open or granule read gets kMaxIoRetries
 // additional attempts with exponential backoff (1ms, 2ms, 4ms) before its
 // error escapes to the caller. Retries re-seek and re-read, never
 // re-deliver rows, so the scan callback observes each tuple exactly once.
@@ -35,10 +34,67 @@ void BackoffSleep(int attempt) {
   std::this_thread::sleep_for(std::chrono::milliseconds(1LL << attempt));
 }
 
-uint8_t WidthForDictSize(uint32_t dict_size) {
-  if (dict_size <= 0x100) return 1;
-  if (dict_size <= 0x10000) return 2;
-  return 4;
+/// Sections of a granule are padded to 8 bytes, so every column payload
+/// and measure array starts aligned for its widest load.
+size_t Pad8(size_t n) { return (n + 7) & ~size_t{7}; }
+
+/// Index of the first of the `n` codes of `col` at or above `dict_size`,
+/// or `n` when every code is valid. A branch-free screen over the payload
+/// runs first; only a failing granule is searched code by code.
+uint64_t FirstCodeOutOfRange(const PackedRef& col, uint64_t n,
+                             uint32_t dict_size) {
+  if (col.width == PackedWidth::kConst) return n;
+  if (col.bits < 32 && dict_size >= (uint64_t{1} << col.bits)) return n;
+  bool any = false;
+  switch (col.width) {
+    case PackedWidth::kSub: {
+      // Codes never straddle a byte; padding codes past `n` are zero.
+      const auto* p = static_cast<const uint8_t*>(col.data);
+      const uint8_t field = static_cast<uint8_t>((1u << col.bits) - 1);
+      for (size_t i = 0, nbytes = (n * col.bits + 7) / 8; i < nbytes; ++i) {
+        for (unsigned shift = 0; shift < 8; shift += col.bits) {
+          any |= ((p[i] >> shift) & field) >= dict_size;
+        }
+      }
+      break;
+    }
+    case PackedWidth::k8: {
+      const auto* p = static_cast<const uint8_t*>(col.data);
+      for (uint64_t i = 0; i < n; ++i) any |= p[i] >= dict_size;
+      break;
+    }
+    case PackedWidth::k16: {
+      const auto* p = static_cast<const uint16_t*>(col.data);
+      for (uint64_t i = 0; i < n; ++i) any |= p[i] >= dict_size;
+      break;
+    }
+    default: {
+      const auto* p = static_cast<const uint32_t*>(col.data);
+      for (uint64_t i = 0; i < n; ++i) any |= p[i] >= dict_size;
+      break;
+    }
+  }
+  if (!any) return n;
+  for (uint64_t i = 0; i < n; ++i) {
+    if (col.Get(i) >= dict_size) return i;
+  }
+  return n;
+}
+
+/// Index of the first non-finite of `n` doubles, or `n`.
+uint64_t FirstNonFinite(const double* values, uint64_t n) {
+  constexpr uint64_t kExponent = 0x7FF0000000000000ULL;
+  bool any = false;
+  for (uint64_t i = 0; i < n; ++i) {
+    uint64_t bits;
+    std::memcpy(&bits, &values[i], sizeof bits);
+    any |= (bits & kExponent) == kExponent;
+  }
+  if (!any) return n;
+  for (uint64_t i = 0; i < n; ++i) {
+    if (!std::isfinite(values[i])) return i;
+  }
+  return n;
 }
 
 bool WritePod(std::FILE* f, const void* data, size_t n) {
@@ -77,45 +133,29 @@ bool ReadString(std::FILE* f, std::string* s) {
   return len == 0 || ReadPod(f, s->data(), len);
 }
 
-/// Writes the header (everything before the row data) for a table shape.
+/// Writes the header (everything before the granules) for a table shape.
 /// Returns the file offset where the u64 row count lives, or -1 on error.
-long WriteHeader(std::FILE* f, const Schema& schema,
-                 const std::vector<std::shared_ptr<ValueDictionary>>& dicts,
-                 const std::vector<std::string>& measure_names,
-                 uint64_t num_rows) {
+long WriteHeader(std::FILE* f, const Table& prototype) {
   if (!WriteU32(f, kMagic) || !WriteU32(f, kVersion)) return -1;
-  if (!WriteU32(f, static_cast<uint32_t>(schema.num_columns()))) return -1;
-  if (!WriteU32(f, static_cast<uint32_t>(measure_names.size()))) return -1;
-  for (size_t c = 0; c < schema.num_columns(); ++c) {
-    if (!WriteString(f, schema.name(c))) return -1;
-    uint8_t width = WidthForDictSize(dicts[c]->size());
-    if (!WritePod(f, &width, 1)) return -1;
-    if (!WriteU32(f, dicts[c]->size())) return -1;
-    for (const auto& v : dicts[c]->values()) {
+  if (!WriteU32(f, static_cast<uint32_t>(prototype.num_columns()))) return -1;
+  if (!WriteU32(f, static_cast<uint32_t>(prototype.num_measures()))) {
+    return -1;
+  }
+  for (size_t c = 0; c < prototype.num_columns(); ++c) {
+    if (!WriteString(f, prototype.schema().name(c))) return -1;
+    const ValueDictionary& dict = prototype.dictionary(c);
+    if (!WriteU32(f, dict.size())) return -1;
+    for (const auto& v : dict.values()) {
       if (!WriteString(f, v)) return -1;
     }
   }
-  for (const auto& m : measure_names) {
-    if (!WriteString(f, m)) return -1;
+  for (size_t m = 0; m < prototype.num_measures(); ++m) {
+    if (!WriteString(f, prototype.measure_name(m))) return -1;
   }
   long row_count_offset = std::ftell(f);
   if (row_count_offset < 0) return -1;
-  if (!WriteU64(f, num_rows)) return -1;
+  if (!WriteU64(f, 0)) return -1;
   return row_count_offset;
-}
-
-void EncodeRow(const uint32_t* codes, const double* measures,
-               const std::vector<uint8_t>& widths, size_t num_measures,
-               uint8_t* out) {
-  size_t off = 0;
-  for (size_t c = 0; c < widths.size(); ++c) {
-    std::memcpy(out + off, &codes[c], widths[c]);
-    off += widths[c];
-  }
-  for (size_t m = 0; m < num_measures; ++m) {
-    std::memcpy(out + off, &measures[m], 8);
-    off += 8;
-  }
 }
 
 }  // namespace
@@ -133,10 +173,17 @@ Status DiskTable::Write(const Table& table, const std::string& path) {
     for (size_t m = 0; m < table.num_measures(); ++m) {
       measures[m] = table.measure(m, r);
     }
-    SMARTDD_RETURN_IF_ERROR(writer->AppendRow(
-        codes.data(), measures.empty() ? nullptr : measures.data()));
+    SMARTDD_RETURN_IF_ERROR(writer->AppendRow(codes.data(), measures.data()));
   }
   return writer->Finish();
+}
+
+size_t DiskTable::GranuleBytes(uint64_t rows) const {
+  size_t bytes = measure_names_.size() * rows * sizeof(double);
+  for (const PackedColumn::Layout& layout : layouts_) {
+    bytes += Pad8(PackedColumn::PayloadBytes(layout, rows));
+  }
+  return bytes;
 }
 
 Result<std::shared_ptr<DiskTable>> DiskTable::Open(const std::string& path) {
@@ -162,7 +209,11 @@ Result<std::shared_ptr<DiskTable>> DiskTable::Open(const std::string& path) {
 
   uint32_t magic, version, num_cols, num_meas;
   if (!ReadU32(f, &magic) || magic != kMagic) return fail("bad magic");
-  if (!ReadU32(f, &version) || version != kVersion) return fail("bad version");
+  if (!ReadU32(f, &version)) return fail("truncated header");
+  if (version != kVersion) {
+    return fail(StrFormat("unsupported version %u (this build reads %u)",
+                          version, kVersion));
+  }
   if (!ReadU32(f, &num_cols)) return fail("truncated header");
   if (!ReadU32(f, &num_meas)) return fail("truncated header");
 
@@ -173,10 +224,6 @@ Result<std::shared_ptr<DiskTable>> DiskTable::Open(const std::string& path) {
     std::string name;
     if (!ReadString(f, &name)) return fail("truncated column name");
     names.push_back(std::move(name));
-    uint8_t width;
-    if (!ReadPod(f, &width, 1)) return fail("truncated width");
-    if (width != 1 && width != 2 && width != 4) return fail("bad cell width");
-    t->widths_.push_back(width);
     uint32_t dict_size;
     if (!ReadU32(f, &dict_size)) return fail("truncated dict size");
     auto dict = std::make_shared<ValueDictionary>();
@@ -186,6 +233,7 @@ Result<std::shared_ptr<DiskTable>> DiskTable::Open(const std::string& path) {
       dict->GetOrAdd(v);
     }
     if (dict->size() != dict_size) return fail("duplicate dict entries");
+    t->layouts_.push_back(PackedColumn::LayoutFor(dict_size));
     t->dicts_.push_back(std::move(dict));
   }
   t->schema_ = Schema(std::move(names));
@@ -198,15 +246,12 @@ Result<std::shared_ptr<DiskTable>> DiskTable::Open(const std::string& path) {
   long off = std::ftell(f);
   if (off < 0) return fail("ftell failed");
   t->data_offset_ = static_cast<uint64_t>(off);
-  t->row_bytes_ = 0;
-  for (uint8_t w : t->widths_) t->row_bytes_ += w;
-  t->row_bytes_ += 8 * t->measure_names_.size();
   std::fclose(f);
   return t;
 }
 
 Status DiskTable::ScanRange(uint64_t row_begin, uint64_t row_end,
-                            const ScanCallback& fn) const {
+                            const BlockCallback& fn) const {
   row_end = std::min(row_end, num_rows_);
   if (row_begin >= row_end) return Status::OK();
   std::FILE* f = nullptr;
@@ -221,117 +266,93 @@ Status DiskTable::ScanRange(uint64_t row_begin, uint64_t row_end,
     IoRetries().Inc();
     BackoffSleep(attempt);
   }
-  if (!SeekTo(f, data_offset_ + row_begin * row_bytes_)) {
+  auto fail = [&](Status status) {
     std::fclose(f);
-    return Status::IOError("seek failed: " + path_);
+    return status;
+  };
+  const size_t full_bytes = GranuleBytes(kGranuleRows);
+  uint64_t g = row_begin / kGranuleRows;
+  if (!SeekTo(f, data_offset_ + g * full_bytes)) {
+    return fail(Status::IOError("seek failed: " + path_));
   }
   const size_t num_cols = schema_.num_columns();
   const size_t num_meas = measure_names_.size();
-  const size_t rows_per_block =
-      row_bytes_ == 0 ? 1 : std::max<size_t>(1, kScanBufferBytes / row_bytes_);
-  std::vector<uint8_t> buf(rows_per_block * row_bytes_);
-  std::vector<uint32_t> codes(num_cols);
-  std::vector<double> measures(num_meas);
-  // Byte offset of each column within a row, hoisted out of the decode loop
-  // so the per-cell work is one fixed-width load selected by the switch
-  // below (the compiler turns the 1/2/4 memcpy cases into plain loads).
-  std::vector<size_t> col_off(num_cols);
-  {
-    size_t off = 0;
-    for (size_t c = 0; c < num_cols; ++c) {
-      col_off[c] = off;
-      off += widths_[c];
-    }
-  }
-  const size_t meas_off = num_cols == 0
-                              ? 0
-                              : col_off[num_cols - 1] + widths_[num_cols - 1];
+  // One granule, 8-byte aligned, with the kernels' over-read padding.
+  std::vector<uint64_t> buf((full_bytes + kPackedPadBytes + 7) / 8, 0);
+  auto* base = reinterpret_cast<uint8_t*>(buf.data());
+  std::vector<PackedRef> columns(num_cols);
+  std::vector<const double*> measures(num_meas);
+  ScanBlock block;
+  block.columns = columns.data();
+  block.num_columns = num_cols;
+  block.measures = measures.data();
+  block.num_measures = num_meas;
   // The file is untrusted: a code outside its column's dictionary or a
   // non-finite measure fails the scan instead of reaching the search.
-  std::vector<size_t> dict_sizes(num_cols);
-  for (size_t c = 0; c < num_cols; ++c) dict_sizes[c] = dicts_[c]->size();
   auto corrupt = [&](uint64_t at, const std::string& what) {
-    std::fclose(f);
-    return Status::IOError(
+    return fail(Status::IOError(
         StrFormat("disk table corrupt at row %llu: ",
                   static_cast<unsigned long long>(at)) +
-        what + ": " + path_);
+        what + ": " + path_));
   };
 
-  uint64_t row = row_begin;
-  bool keep_going = true;
-  while (keep_going && row < row_end) {
-    uint64_t want = std::min<uint64_t>(rows_per_block, row_end - row);
-    // A short or failed block read is retried from the block's start offset
+  for (; g * kGranuleRows < row_end; ++g) {
+    const uint64_t g0 = g * kGranuleRows;
+    const uint64_t rows = std::min<uint64_t>(kGranuleRows, num_rows_ - g0);
+    const size_t bytes = GranuleBytes(rows);
+    // A short or failed read is retried from the granule's start offset
     // (clearerr + re-seek), so a torn read from a flaky device heals without
     // the callback ever seeing a duplicate or missing row.
-    const uint64_t block_offset = data_offset_ + row * row_bytes_;
-    size_t got = 0;
     for (int attempt = 0;; ++attempt) {
       bool short_read = false;
       Status injected = InjectFault("disk_table.read", &short_read);
       if (injected.ok()) {
-        got = std::fread(buf.data(), row_bytes_, want, f);
+        size_t got = std::fread(base, 1, bytes, f);
         if (short_read) got /= 2;
-        if (got == want) break;
+        if (got == bytes) break;
         injected = Status::IOError(
-            StrFormat("disk table truncated at row %llu",
-                      static_cast<unsigned long long>(row + got)));
+            StrFormat("disk table truncated in the granule at row %llu",
+                      static_cast<unsigned long long>(g0)));
       }
-      if (attempt >= kMaxIoRetries) {
-        std::fclose(f);
-        return injected;
-      }
+      if (attempt >= kMaxIoRetries) return fail(injected);
       IoRetries().Inc();
       BackoffSleep(attempt);
       std::clearerr(f);
-      if (!SeekTo(f, block_offset)) {
-        std::fclose(f);
-        return Status::IOError("seek failed: " + path_);
+      if (!SeekTo(f, data_offset_ + g * full_bytes)) {
+        return fail(Status::IOError("seek failed: " + path_));
       }
     }
-    const uint8_t* p = buf.data();
-    for (uint64_t i = 0; i < want; ++i) {
-      for (size_t c = 0; c < num_cols; ++c) {
-        const uint8_t* q = p + col_off[c];
-        switch (widths_[c]) {
-          case 1:
-            codes[c] = *q;
-            break;
-          case 2: {
-            uint16_t v;
-            std::memcpy(&v, q, 2);
-            codes[c] = v;
-            break;
-          }
-          default: {
-            uint32_t v;
-            std::memcpy(&v, q, 4);
-            codes[c] = v;
-            break;
-          }
-        }
-        if (codes[c] >= dict_sizes[c]) {
-          return corrupt(row, StrFormat("code %u out of dictionary range %zu "
-                                        "in column %zu",
-                                        codes[c], dict_sizes[c], c));
-        }
+    size_t off = 0;
+    for (size_t c = 0; c < num_cols; ++c) {
+      PackedRef& col = columns[c];
+      col.data = base + off;
+      col.n = rows;
+      col.width = layouts_[c].width;
+      col.bits = layouts_[c].bits;
+      const uint32_t dict_size = dicts_[c]->size();
+      const uint64_t bad = FirstCodeOutOfRange(col, rows, dict_size);
+      if (bad < rows) {
+        return corrupt(g0 + bad,
+                       StrFormat("code %u out of dictionary range %u in "
+                                 "column %zu",
+                                 col.Get(bad), dict_size, c));
       }
-      size_t off = meas_off;
-      for (size_t m = 0; m < num_meas; ++m) {
-        std::memcpy(&measures[m], p + off, 8);
-        off += 8;
-        if (!std::isfinite(measures[m])) {
-          return corrupt(row, StrFormat("non-finite value in measure %zu", m));
-        }
-      }
-      if (!fn(row, codes.data(), num_meas ? measures.data() : nullptr)) {
-        keep_going = false;
-        break;
-      }
-      ++row;
-      p += row_bytes_;
+      off += Pad8(PackedColumn::PayloadBytes(layouts_[c], rows));
     }
+    for (size_t m = 0; m < num_meas; ++m) {
+      measures[m] = reinterpret_cast<const double*>(base + off);
+      const uint64_t bad = FirstNonFinite(measures[m], rows);
+      if (bad < rows) {
+        return corrupt(g0 + bad,
+                       StrFormat("non-finite value in measure %zu", m));
+      }
+      off += rows * sizeof(double);
+    }
+    block.row_begin = std::max(row_begin, g0);
+    block.offset = block.row_begin - g0;
+    block.num_rows =
+        static_cast<size_t>(std::min(row_end, g0 + rows) - block.row_begin);
+    if (!fn(block)) break;
   }
   std::fclose(f);
   return Status::OK();
@@ -356,17 +377,7 @@ Result<std::unique_ptr<DiskTableWriter>> DiskTableWriter::Create(
     const Table& prototype, const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "wb");
   if (!f) return Status::IOError("cannot create disk table: " + path);
-
-  std::vector<std::shared_ptr<ValueDictionary>> dicts;
-  for (size_t c = 0; c < prototype.num_columns(); ++c) {
-    dicts.push_back(prototype.dictionary_ptr(c));
-  }
-  std::vector<std::string> measure_names;
-  for (size_t m = 0; m < prototype.num_measures(); ++m) {
-    measure_names.push_back(prototype.measure_name(m));
-  }
-  long row_count_offset =
-      WriteHeader(f, prototype.schema(), dicts, measure_names, 0);
+  long row_count_offset = WriteHeader(f, prototype);
   if (row_count_offset < 0) {
     std::fclose(f);
     return Status::IOError("failed writing disk table header: " + path);
@@ -375,17 +386,13 @@ Result<std::unique_ptr<DiskTableWriter>> DiskTableWriter::Create(
   auto w = std::unique_ptr<DiskTableWriter>(new DiskTableWriter());
   w->file_ = f;
   w->path_ = path;
-  w->num_measures_ = measure_names.size();
+  w->num_measures_ = prototype.num_measures();
   w->row_count_offset_ = row_count_offset;
-  size_t row_bytes = 0;
   for (size_t c = 0; c < prototype.num_columns(); ++c) {
-    uint8_t width = WidthForDictSize(prototype.dictionary(c).size());
-    w->widths_.push_back(width);
     w->dict_sizes_.push_back(prototype.dictionary(c).size());
-    row_bytes += width;
   }
-  row_bytes += 8 * w->num_measures_;
-  w->row_buf_.resize(row_bytes);
+  w->codes_.resize(prototype.num_columns() * kGranuleRows);
+  w->measures_.resize(w->num_measures_ * kGranuleRows);
   return w;
 }
 
@@ -400,7 +407,7 @@ DiskTableWriter::~DiskTableWriter() {
 Status DiskTableWriter::AppendRow(const uint32_t* codes,
                                   const double* measures) {
   SMARTDD_CHECK(!finished_) << "AppendRow after Finish";
-  for (size_t c = 0; c < widths_.size(); ++c) {
+  for (size_t c = 0; c < dict_sizes_.size(); ++c) {
     if (codes[c] >= dict_sizes_[c]) {
       return Status::InvalidArgument(StrFormat(
           "code %u out of dictionary range %u in column %zu (dictionaries "
@@ -408,23 +415,54 @@ Status DiskTableWriter::AppendRow(const uint32_t* codes,
           codes[c], dict_sizes_[c], c));
     }
   }
-  EncodeRow(codes, measures, widths_, num_measures_, row_buf_.data());
-  if (std::fwrite(row_buf_.data(), 1, row_buf_.size(), file_) !=
-      row_buf_.size()) {
-    return Status::IOError("short write to disk table: " + path_);
+  for (size_t c = 0; c < dict_sizes_.size(); ++c) {
+    codes_[c * kGranuleRows + buffered_] = codes[c];
+  }
+  for (size_t m = 0; m < num_measures_; ++m) {
+    measures_[m * kGranuleRows + buffered_] = measures[m];
   }
   ++rows_written_;
+  if (++buffered_ == kGranuleRows) return FlushGranule();
+  return Status::OK();
+}
+
+Status DiskTableWriter::FlushGranule() {
+  static constexpr uint8_t kZeros[8] = {};
+  for (size_t c = 0; c < dict_sizes_.size(); ++c) {
+    // Pack exactly as a frozen column of this dictionary size is packed.
+    PackedColumn col;
+    col.Reserve(buffered_);
+    const uint32_t* codes = codes_.data() + c * kGranuleRows;
+    for (uint64_t i = 0; i < buffered_; ++i) col.Append(codes[i]);
+    col.Freeze(dict_sizes_[c]);
+    const size_t bytes = PackedColumn::PayloadBytes(
+        PackedColumn::LayoutFor(dict_sizes_[c]), buffered_);
+    if ((bytes > 0 && !WritePod(file_, col.ref().data, bytes)) ||
+        !WritePod(file_, kZeros, Pad8(bytes) - bytes)) {
+      return Status::IOError("short write to disk table: " + path_);
+    }
+  }
+  for (size_t m = 0; m < num_measures_; ++m) {
+    if (!WritePod(file_, measures_.data() + m * kGranuleRows,
+                  buffered_ * sizeof(double))) {
+      return Status::IOError("short write to disk table: " + path_);
+    }
+  }
+  buffered_ = 0;
   return Status::OK();
 }
 
 Status DiskTableWriter::Finish() {
   SMARTDD_CHECK(!finished_) << "Finish called twice";
   finished_ = true;
-  if (std::fseek(file_, row_count_offset_, SEEK_SET) != 0 ||
+  Status flushed = buffered_ > 0 ? FlushGranule() : Status::OK();
+  if (!flushed.ok() || std::fseek(file_, row_count_offset_, SEEK_SET) != 0 ||
       std::fwrite(&rows_written_, 8, 1, file_) != 1) {
     std::fclose(file_);
     file_ = nullptr;
-    return Status::IOError("failed to patch row count: " + path_);
+    return flushed.ok()
+               ? Status::IOError("failed to patch row count: " + path_)
+               : flushed;
   }
   int rc = std::fclose(file_);
   file_ = nullptr;

@@ -17,18 +17,25 @@ namespace smartdd {
 /// substrate of the paper's Section 4: reading it requires a full sequential
 /// pass, which is exactly what the SampleHandler tries to avoid.
 ///
-/// Binary layout (little-endian):
-///   magic "SDDT" | version u32
+/// Binary layout, version 2 (little-endian):
+///   magic "SDDT" | version u32 (2)
 ///   num_columns u32 | num_measures u32
-///   per column: name (u32 len + bytes), cell width u8 (1|2|4),
+///   per column: name (u32 len + bytes),
 ///               dict size u32, dict entries (u32 len + bytes each)
 ///   per measure: name (u32 len + bytes)
 ///   num_rows u64
-///   row-major cell data: per row, each categorical cell in its column's
-///   width, then each measure as a double.
+///   granules of kGranuleRows rows (the last may be shorter), each:
+///     per column: the codes' PackedColumn payload at the width class a
+///       frozen column of that dictionary size has (PackedColumn::LayoutFor:
+///       0, 1, 2 or 4 bits, or 1, 2 or 4 bytes per code);
+///     per measure: the values as doubles;
+///   every section zero-padded to a multiple of 8 bytes.
 ///
-/// Cell width is the smallest of u8/u16/u32 that fits the column's
-/// dictionary, so a 68-column census table stores ~1 byte per cell.
+/// A 4096-row payload ends on a byte boundary at every width, so a full
+/// granule's sections need no padding and every granule after the first
+/// starts at a fixed offset. A scan hands each granule to its callback as a
+/// block the scan kernels read in place; decoding a granule is one read,
+/// checked for codes outside their dictionary and non-finite measures.
 class DiskTable {
  public:
   /// Writes an in-memory table to `path`.
@@ -46,19 +53,25 @@ class DiskTable {
   }
   const ValueDictionary& dictionary(size_t col) const { return *dicts_[col]; }
 
-  /// Bytes consumed by one row on disk.
-  size_t row_bytes() const { return row_bytes_; }
+  /// Width class column `col`'s codes are stored at.
+  PackedColumn::Layout column_layout(size_t col) const { return layouts_[col]; }
 
-  /// One buffered sequential pass over all rows.
-  Status Scan(const ScanCallback& fn) const {
-    return ScanRange(0, num_rows_, fn);
-  }
+  /// Bytes one granule of `rows` rows occupies on disk.
+  size_t GranuleBytes(uint64_t rows) const;
 
-  /// Buffered sequential pass over rows [row_begin, row_end). Each call
-  /// opens its own file handle, so concurrent range scans (the chunked
-  /// parallel pass) are safe.
+  /// Buffered sequential pass over rows [row_begin, row_end), one block per
+  /// granule. Each call opens its own file handle, so concurrent range
+  /// scans (the chunked parallel pass) are safe.
   Status ScanRange(uint64_t row_begin, uint64_t row_end,
-                   const ScanCallback& fn) const;
+                   const BlockCallback& fn) const;
+
+  /// Per-row pass over all rows for tools and tests (see ForEachRow).
+  template <typename RowFn>
+  Status Scan(RowFn&& fn) const {
+    return ScanRange(0, num_rows_, [&](const ScanBlock& block) {
+      return ForEachRow(block, fn);
+    });
+  }
 
   /// Empty in-memory table sharing the dictionaries of this file.
   Table MakeEmptyTable() const;
@@ -69,11 +82,10 @@ class DiskTable {
   std::string path_;
   Schema schema_;
   std::vector<std::shared_ptr<ValueDictionary>> dicts_;
-  std::vector<uint8_t> widths_;
+  std::vector<PackedColumn::Layout> layouts_;
   std::vector<std::string> measure_names_;
   uint64_t num_rows_ = 0;
   uint64_t data_offset_ = 0;
-  size_t row_bytes_ = 0;
 };
 
 /// Streaming writer: declare schema + final dictionaries up front, then
@@ -93,11 +105,12 @@ class DiskTableWriter {
 
   /// Appends one row. `codes` must have one entry per categorical column and
   /// every code must be within the prototype dictionary; `measures` one per
-  /// measure column (may be nullptr if there are none).
+  /// measure column (may be nullptr if there are none). Rows are buffered
+  /// and written a granule at a time.
   Status AppendRow(const uint32_t* codes, const double* measures);
 
-  /// Patches the row count into the header and closes the file. Must be
-  /// called exactly once; no appends afterwards.
+  /// Writes the last granule, patches the row count into the header and
+  /// closes the file. Must be called exactly once; no appends afterwards.
   Status Finish();
 
   uint64_t rows_written() const { return rows_written_; }
@@ -105,14 +118,20 @@ class DiskTableWriter {
  private:
   DiskTableWriter() = default;
 
+  /// Packs and writes the buffered rows as one granule.
+  Status FlushGranule();
+
   std::FILE* file_ = nullptr;
   std::string path_;
-  std::vector<uint8_t> widths_;
   std::vector<uint32_t> dict_sizes_;
   size_t num_measures_ = 0;
   uint64_t rows_written_ = 0;
   long row_count_offset_ = 0;
-  std::vector<uint8_t> row_buf_;
+  /// The granule being filled: codes column-major, kGranuleRows per column;
+  /// measures likewise.
+  std::vector<uint32_t> codes_;
+  std::vector<double> measures_;
+  uint64_t buffered_ = 0;
   bool finished_ = false;
 };
 
@@ -126,7 +145,7 @@ class DiskScanSource : public ScanSource {
   uint64_t num_rows() const override { return table_->num_rows(); }
   size_t num_measures() const override { return table_->num_measures(); }
   Status ScanRange(uint64_t row_begin, uint64_t row_end,
-                   const ScanCallback& fn) const override {
+                   const BlockCallback& fn) const override {
     return table_->ScanRange(row_begin, row_end, fn);
   }
   Table MakeEmptyTable() const override { return table_->MakeEmptyTable(); }

@@ -20,6 +20,16 @@ enum class PackedWidth : uint8_t {
   k32,        ///< four bytes per code (dictionaries wider than 16 bits)
 };
 
+/// Rows per scan granule: the unit of the on-disk table layout, of the
+/// blocks a scan pass hands out, and the grid shard and chunk boundaries
+/// align to. 4096 codes end on a byte boundary at every width class.
+inline constexpr uint64_t kGranuleRows = 4096;
+
+/// Spare bytes every packed payload carries past its last code, so that
+/// (a) the sub-byte 64-bit-window read and (b) the SIMD 4-byte gathers of
+/// the k8/k16 paths never touch unmapped memory at the tail.
+inline constexpr size_t kPackedPadBytes = 8;
+
 /// A trivially copyable, non-owning reader over a PackedColumn's payload:
 /// the hot loops hoist one of these per column and decode inline, and the
 /// SIMD kernels (core/scan_kernels) switch on `width` to pick a lane
@@ -99,6 +109,17 @@ class PackedColumn {
   }
 
   [[nodiscard]] uint32_t Get(uint64_t i) const { return ref().Get(i); }
+
+  /// Width class and logical bits Freeze picks for a dictionary of
+  /// `dict_size` values: a pure function of the dictionary size.
+  struct Layout {
+    PackedWidth width;
+    uint8_t bits;
+  };
+  [[nodiscard]] static Layout LayoutFor(size_t dict_size);
+
+  /// Payload bytes of `n` codes at `layout`, without the tail padding.
+  [[nodiscard]] static size_t PayloadBytes(Layout layout, uint64_t n);
 
   /// Appends one code. Only legal before Freeze.
   void Append(uint32_t code) {

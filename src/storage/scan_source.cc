@@ -8,15 +8,9 @@
 
 namespace smartdd {
 
-Status ScanSource::Scan(const ScanCallback& fn) const {
-  Status s = ScanRange(0, num_rows(), fn);
-  scan_count_.fetch_add(1, std::memory_order_relaxed);
-  return s;
-}
-
-Status ScanSource::ScanChunks(uint64_t num_chunks, size_t parallelism,
-                              const ChunkedScanCallback& fn) const {
-  SMARTDD_CHECK(num_chunks > 0) << "ScanChunks needs at least one chunk";
+Status ScanSource::ScanBlocks(const BlockCallback& fn, uint64_t num_chunks,
+                              size_t parallelism) const {
+  SMARTDD_CHECK(num_chunks > 0) << "ScanBlocks needs at least one chunk";
   const uint64_t n = num_rows();
   // Per-chunk statuses, examined in chunk order afterwards so the reported
   // error is the same regardless of which thread ran which chunk.
@@ -25,11 +19,11 @@ Status ScanSource::ScanChunks(uint64_t num_chunks, size_t parallelism,
     const uint64_t begin = n * c / num_chunks;
     const uint64_t end = n * (c + 1) / num_chunks;
     if (begin == end) return;  // empty chunk (more chunks than rows)
-    statuses[c] = ScanRange(
-        begin, end,
-        [&fn, c](uint64_t row, const uint32_t* codes, const double* measures) {
-          return fn(c, row, codes, measures);
-        });
+    statuses[c] = ScanRange(begin, end, [&fn, c](const ScanBlock& block) {
+      ScanBlock in_chunk = block;
+      in_chunk.chunk = c;
+      return fn(in_chunk);
+    });
   });
   scan_count_.fetch_add(1, std::memory_order_relaxed);
   for (const Status& s : statuses) {
@@ -39,40 +33,33 @@ Status ScanSource::ScanChunks(uint64_t num_chunks, size_t parallelism,
 }
 
 uint64_t ScanSource::PlanChunks(uint64_t num_rows) {
-  constexpr uint64_t kMinRowsPerChunk = 4096;
   constexpr uint64_t kMaxChunks = 64;
-  return std::clamp<uint64_t>(num_rows / kMinRowsPerChunk, 1, kMaxChunks);
+  return std::clamp<uint64_t>(num_rows / kGranuleRows, 1, kMaxChunks);
 }
 
 Status MemoryScanSource::ScanRange(uint64_t row_begin, uint64_t row_end,
-                                   const ScanCallback& fn) const {
-  const size_t num_cols = table_->num_columns();
-  const size_t num_meas = table_->num_measures();
-  std::vector<uint32_t> codes(num_cols);
-  std::vector<double> measures(num_meas);
+                                   const BlockCallback& fn) const {
+  std::vector<PackedRef> columns(table_->num_columns());
+  for (size_t c = 0; c < columns.size(); ++c) {
+    columns[c] = table_->column(c).ref();
+  }
+  std::vector<const double*> measures(table_->num_measures());
+  for (size_t m = 0; m < measures.size(); ++m) {
+    measures[m] = table_->measure_column(m).data();
+  }
+  ScanBlock block;
+  block.columns = columns.data();
+  block.num_columns = columns.size();
+  block.measures = measures.data();
+  block.num_measures = measures.size();
   const uint64_t end = std::min<uint64_t>(row_end, table_->num_rows());
-  // Bulk-decode each column a block at a time (one Unpack per column per
-  // block instead of a bit-extraction per cell), then transpose per row for
-  // the row-major callback. Same rows in the same order as the direct loop.
-  constexpr uint64_t kBlockRows = 4096;
-  std::vector<uint32_t> decoded(num_cols * kBlockRows);
-  for (uint64_t b0 = row_begin; b0 < end; b0 += kBlockRows) {
-    const uint64_t b1 = std::min(end, b0 + kBlockRows);
-    for (size_t c = 0; c < num_cols; ++c) {
-      table_->column(c).Unpack(b0, b1, decoded.data() + c * kBlockRows);
-    }
-    for (uint64_t r = b0; r < b1; ++r) {
-      const uint64_t t = r - b0;
-      for (size_t c = 0; c < num_cols; ++c) {
-        codes[c] = decoded[c * kBlockRows + t];
-      }
-      for (size_t m = 0; m < num_meas; ++m) {
-        measures[m] = table_->measure(m, r);
-      }
-      if (!fn(r, codes.data(), num_meas ? measures.data() : nullptr)) {
-        return Status::OK();
-      }
-    }
+  for (uint64_t b0 = row_begin; b0 < end;) {
+    const uint64_t b1 = std::min(end, (b0 / kGranuleRows + 1) * kGranuleRows);
+    block.row_begin = b0;
+    block.offset = b0;
+    block.num_rows = static_cast<size_t>(b1 - b0);
+    if (!fn(block)) break;
+    b0 = b1;
   }
   return Status::OK();
 }

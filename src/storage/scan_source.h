@@ -4,26 +4,62 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <vector>
 
 #include "common/status.h"
 #include "storage/table.h"
 
 namespace smartdd {
 
-/// Callback invoked once per tuple during a sequential pass.
-/// `codes` has one entry per categorical column; `measures` has one entry per
-/// measure column (nullptr when the source has none). Return false to stop
-/// the scan early.
-using ScanCallback = std::function<bool(uint64_t row_id, const uint32_t* codes,
-                                        const double* measures)>;
+/// One block of a scan pass: source rows [row_begin, row_begin + num_rows),
+/// never more than kGranuleRows and never crossing a granule boundary.
+/// Block row i is index `offset + i` of every column reader and measure
+/// array, so the packed-column kernels (core/scan_kernels) read a block in
+/// place. The readers stay valid only during the callback.
+struct ScanBlock {
+  uint64_t row_begin = 0;
+  size_t num_rows = 0;
+  uint64_t offset = 0;
+  const PackedRef* columns = nullptr;        ///< one per categorical column
+  size_t num_columns = 0;
+  const double* const* measures = nullptr;   ///< one array per measure
+  size_t num_measures = 0;
+  /// Index of the chunk the block belongs to in a chunked pass (0 in a
+  /// sequential one), for callers keeping per-chunk accumulators.
+  uint64_t chunk = 0;
 
-/// Callback for chunked passes: like ScanCallback plus the index of the
-/// chunk the tuple belongs to, so callers can index per-chunk accumulators
-/// without sharing state between chunks. Returning false stops only the
-/// current chunk.
-using ChunkedScanCallback =
-    std::function<bool(uint64_t chunk, uint64_t row_id, const uint32_t* codes,
-                       const double* measures)>;
+  /// Decodes the codes of block row `i` into `out` (num_columns entries).
+  void GetRow(size_t i, uint32_t* out) const {
+    for (size_t c = 0; c < num_columns; ++c) out[c] = columns[c].Get(offset + i);
+  }
+  /// Measure values of block row `i` into `out` (num_measures entries).
+  void GetMeasures(size_t i, double* out) const {
+    for (size_t m = 0; m < num_measures; ++m) out[m] = measures[m][offset + i];
+  }
+};
+
+/// Callback of a scan pass, once per block in row order. Return false to
+/// stop the pass (a chunked pass: the current chunk) early.
+using BlockCallback = std::function<bool(const ScanBlock& block)>;
+
+/// Per-row form of a block for tools and tests: calls
+/// fn(row_id, codes, measures) for each row (measures is nullptr when the
+/// source has none) and returns false as soon as fn does. The library's
+/// own passes read blocks through the kernels instead.
+template <typename RowFn>
+bool ForEachRow(const ScanBlock& block, RowFn&& fn) {
+  std::vector<uint32_t> codes(block.num_columns);
+  std::vector<double> measures(block.num_measures);
+  for (size_t i = 0; i < block.num_rows; ++i) {
+    block.GetRow(i, codes.data());
+    block.GetMeasures(i, measures.data());
+    if (!fn(block.row_begin + i, codes.data(),
+            block.num_measures ? measures.data() : nullptr)) {
+      return false;
+    }
+  }
+  return true;
+}
 
 /// A table that can only be read by full sequential passes — the abstraction
 /// the SampleHandler is written against. The paper's setting is a table too
@@ -38,29 +74,49 @@ class ScanSource {
   virtual uint64_t num_rows() const = 0;
   virtual size_t num_measures() const = 0;
 
-  /// Sequential pass over the row range [row_begin, row_end). Implementations
-  /// must allow concurrent ScanRange calls on disjoint ranges from different
-  /// threads (each call carries its own buffers/file handles). A range pass
-  /// does not count towards scan_count(); only whole-table passes do.
+  /// Sequential pass over the row range [row_begin, row_end), one block
+  /// per granule the range touches. Implementations must allow concurrent
+  /// ScanRange calls on disjoint ranges from different threads (each call
+  /// carries its own buffers/file handles). A range pass does not count
+  /// towards scan_count(); only whole-table passes do.
   virtual Status ScanRange(uint64_t row_begin, uint64_t row_end,
-                           const ScanCallback& fn) const = 0;
+                           const BlockCallback& fn) const = 0;
 
-  /// Performs one sequential pass over all tuples.
-  Status Scan(const ScanCallback& fn) const;
-
-  /// One partitioned pass over all tuples: splits [0, num_rows) into
-  /// `num_chunks` contiguous ranges and scans them on the shared thread pool
-  /// with up to `parallelism` concurrent lanes (1 runs fully inline).
+  /// One pass over all tuples. With `num_chunks` > 1 the pass is
+  /// partitioned: [0, num_rows) splits into `num_chunks` contiguous ranges
+  /// scanned on the shared thread pool with up to `parallelism` concurrent
+  /// lanes (1 runs fully inline), and each block carries its chunk index.
   ///
-  /// Determinism contract: chunk boundaries depend only on num_rows and
-  /// num_chunks — never on `parallelism` or the machine — and `fn` receives
-  /// the chunk index, so callers that keep per-chunk accumulators and merge
-  /// them in chunk order afterwards get bit-identical results for every
-  /// thread count. `fn` must be safe to call concurrently for *different*
-  /// chunk indices; within a chunk, tuples arrive in row order on one
-  /// thread. Counts as a single pass in scan_count().
+  /// Determinism contract: chunk boundaries (n*c/num_chunks) depend only
+  /// on num_rows and num_chunks — never on `parallelism` or the machine —
+  /// so callers that keep per-chunk accumulators and merge them in chunk
+  /// order afterwards get bit-identical results for every thread count.
+  /// `fn` must be safe to call concurrently for *different* chunks; within
+  /// a chunk, blocks arrive in row order on one thread. A chunk boundary
+  /// may fall inside a granule. Counts as a single pass in scan_count().
+  Status ScanBlocks(const BlockCallback& fn, uint64_t num_chunks = 1,
+                    size_t parallelism = 1) const;
+
+  /// Per-row forms of ScanBlocks for tools and tests (see ForEachRow):
+  /// fn(row_id, codes, measures), and fn(chunk, row_id, codes, measures)
+  /// for a chunked pass.
+  template <typename RowFn>
+  Status Scan(RowFn&& fn) const {
+    return ScanBlocks(
+        [&](const ScanBlock& block) { return ForEachRow(block, fn); });
+  }
+  template <typename RowFn>
   Status ScanChunks(uint64_t num_chunks, size_t parallelism,
-                    const ChunkedScanCallback& fn) const;
+                    RowFn&& fn) const {
+    return ScanBlocks(
+        [&](const ScanBlock& block) {
+          return ForEachRow(block, [&](uint64_t row, const uint32_t* codes,
+                                       const double* measures) {
+            return fn(block.chunk, row, codes, measures);
+          });
+        },
+        num_chunks, parallelism);
+  }
 
   /// Deterministic chunk-count policy for partitioned passes: a pure
   /// function of the row count (roughly one chunk per 4096 rows, capped at
@@ -69,10 +125,10 @@ class ScanSource {
   static uint64_t PlanChunks(uint64_t num_rows);
 
   /// Creates an empty in-memory Table sharing this source's dictionaries
-  /// (codes emitted by Scan are valid codes in the returned table).
+  /// (codes a pass reads are valid codes in the returned table).
   virtual Table MakeEmptyTable() const = 0;
 
-  /// Number of completed whole-table passes — Scan() or ScanChunks() calls —
+  /// Number of completed whole-table passes (ScanBlocks calls) —
   /// for tests/benchmarks asserting how often the "disk" was touched. Safe
   /// to read while a background pass is in flight (e.g. the §4.3
   /// prefetcher): increments are atomic.
@@ -93,8 +149,9 @@ class MemoryScanSource : public ScanSource {
   const Schema& schema() const override { return table_->schema(); }
   uint64_t num_rows() const override { return table_->num_rows(); }
   size_t num_measures() const override { return table_->num_measures(); }
+  /// Hands out ranges of the table itself: no copy, no decode.
   Status ScanRange(uint64_t row_begin, uint64_t row_end,
-                   const ScanCallback& fn) const override;
+                   const BlockCallback& fn) const override;
   Table MakeEmptyTable() const override { return Table::EmptyLike(*table_); }
 
   const Table& table() const { return *table_; }

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <limits>
 #include <string>
 
@@ -88,7 +89,9 @@ TEST(DiskTableTest, NarrowCellWidthForSmallDictionaries) {
   ASSERT_TRUE(DiskTable::Write(t, path).ok());
   auto dt = DiskTable::Open(path);
   ASSERT_TRUE(dt.ok());
-  EXPECT_EQ((*dt)->row_bytes(), 1u);  // one u8 cell
+  // Three values pack at 2 bits, as a frozen in-memory column would.
+  EXPECT_EQ((*dt)->column_layout(0).width, PackedWidth::kSub);
+  EXPECT_EQ((*dt)->column_layout(0).bits, 2u);
   std::remove(path.c_str());
 }
 
@@ -101,7 +104,7 @@ TEST(DiskTableTest, WideCellWidthBeyond256Values) {
   ASSERT_TRUE(DiskTable::Write(t, path).ok());
   auto dt = DiskTable::Open(path);
   ASSERT_TRUE(dt.ok());
-  EXPECT_EQ((*dt)->row_bytes(), 2u);  // u16 cell
+  EXPECT_EQ((*dt)->column_layout(0).width, PackedWidth::k16);
   Table back = ReadAll(**dt);
   EXPECT_EQ(back.ValueAt(0, 299), "v299");
   std::remove(path.c_str());
@@ -137,6 +140,105 @@ TEST(DiskTableTest, ScanDetectsTruncatedData) {
     return true;
   });
   EXPECT_EQ(s.code(), StatusCode::kIOError);
+  std::remove(path.c_str());
+}
+
+TEST(DiskTableTest, OpenRejectsVersionOneFile) {
+  // The row-major version 1 layout is not read: its rows would decode as
+  // garbage granules.
+  std::string path = TempPath("v1.sddt");
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  const uint32_t header[4] = {0x54444453, 1, 0, 0};  // "SDDT", v1, 0 cols
+  const uint64_t num_rows = 0;
+  std::fwrite(header, sizeof header, 1, f);
+  std::fwrite(&num_rows, sizeof num_rows, 1, f);
+  std::fclose(f);
+  auto dt = DiskTable::Open(path);
+  ASSERT_FALSE(dt.ok());
+  EXPECT_EQ(dt.status().code(), StatusCode::kIOError);
+  EXPECT_NE(dt.status().message().find("unsupported version 1"),
+            std::string::npos)
+      << dt.status().ToString();
+  std::remove(path.c_str());
+}
+
+/// A two-granule table (the second one partial) with one measure.
+Table TwoGranuleTable() {
+  SynthSpec spec;
+  spec.rows = kGranuleRows + 904;
+  spec.cardinalities = {5, 300};
+  spec.seed = 8;
+  spec.with_measure = true;
+  return GenerateSyntheticTable(spec);
+}
+
+TEST(DiskTableTest, ScanDetectsTruncatedLastGranule) {
+  const Table t = TwoGranuleTable();
+  std::string path = TempPath("trunc_granule.sddt");
+  ASSERT_TRUE(DiskTable::Write(t, path).ok());
+  auto dt = DiskTable::Open(path);
+  ASSERT_TRUE(dt.ok());
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  std::fseek(f, 0, SEEK_END);
+  long size = std::ftell(f);
+  std::fclose(f);
+  ASSERT_EQ(truncate(path.c_str(), size - 8), 0);  // the last measure
+  // The full first granule still reads; the short second one fails.
+  uint64_t rows = 0;
+  ASSERT_TRUE((*dt)
+                  ->ScanRange(0, kGranuleRows,
+                              [&](const ScanBlock& block) {
+                                rows += block.num_rows;
+                                return true;
+                              })
+                  .ok());
+  EXPECT_EQ(rows, kGranuleRows);
+  Status s = (*dt)->Scan([](uint64_t, const uint32_t*, const double*) {
+    return true;
+  });
+  EXPECT_EQ(s.code(), StatusCode::kIOError);
+  EXPECT_NE(s.message().find("truncated"), std::string::npos) << s.ToString();
+  DiskScanSource source(*dt);
+  s = source.ScanBlocks([](const ScanBlock&) { return true; },
+                        /*num_chunks=*/3, /*parallelism=*/2);
+  EXPECT_EQ(s.code(), StatusCode::kIOError);
+  std::remove(path.c_str());
+}
+
+TEST(DiskTableTest, GranuleBlocksMatchTheTable) {
+  // Every block is one granule's rows (cut at the range ends), and its
+  // packed readers decode to the written table's cells.
+  const Table t = TwoGranuleTable();
+  std::string path = TempPath("granules.sddt");
+  ASSERT_TRUE(DiskTable::Write(t, path).ok());
+  auto dt = DiskTable::Open(path);
+  ASSERT_TRUE(dt.ok());
+  EXPECT_EQ((*dt)->column_layout(0).width, PackedWidth::kSub);
+  EXPECT_EQ((*dt)->column_layout(0).bits, 4u);
+  EXPECT_EQ((*dt)->column_layout(1).width, PackedWidth::k16);
+  std::vector<uint64_t> starts;
+  uint64_t mismatches = 0;
+  ASSERT_TRUE((*dt)
+                  ->ScanRange(100, t.num_rows() - 7,
+                              [&](const ScanBlock& block) {
+                                starts.push_back(block.row_begin);
+                                for (size_t i = 0; i < block.num_rows; ++i) {
+                                  const uint64_t r = block.row_begin + i;
+                                  for (size_t c = 0; c < 2; ++c) {
+                                    mismatches += block.columns[c].Get(
+                                                      block.offset + i) !=
+                                                  t.code(c, r);
+                                  }
+                                  mismatches += block.measures[0][block.offset +
+                                                                  i] !=
+                                                t.measure(0, r);
+                                }
+                                return true;
+                              })
+                  .ok());
+  EXPECT_EQ(starts, (std::vector<uint64_t>{100, kGranuleRows}));
+  EXPECT_EQ(mismatches, 0u);
   std::remove(path.c_str());
 }
 
@@ -224,20 +326,82 @@ TEST(DiskScanSourceTest, MakeEmptyTableSharesCodeSpace) {
 
 // --- Corrupt row data ----------------------------------------------------
 
-/// Overwrites `len` bytes at byte `offset` of row `row`'s record in the
-/// data section of `dt`'s file (the rows fill the file's tail).
-void PatchRow(const DiskTable& dt, const std::string& path, uint64_t row,
-              size_t offset, const void* bytes, size_t len) {
+/// Byte offset of the granule holding `row` in `dt`'s file (the granules
+/// fill the file's tail), and the row's index inside it.
+long GranuleOffset(const DiskTable& dt, const std::string& path, uint64_t row,
+                   uint64_t* index, uint64_t* rows_in_granule) {
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  EXPECT_NE(f, nullptr);
+  std::fseek(f, 0, SEEK_END);
+  const long size = std::ftell(f);
+  std::fclose(f);
+  uint64_t total = 0;
+  for (uint64_t g0 = 0; g0 < dt.num_rows(); g0 += kGranuleRows) {
+    total += dt.GranuleBytes(std::min(kGranuleRows, dt.num_rows() - g0));
+  }
+  const uint64_t g = row / kGranuleRows;
+  *index = row % kGranuleRows;
+  *rows_in_granule = std::min(kGranuleRows, dt.num_rows() - g * kGranuleRows);
+  return size - static_cast<long>(total) +
+         static_cast<long>(g * dt.GranuleBytes(kGranuleRows));
+}
+
+/// Byte offset of section `section` (columns first, then measures) of the
+/// granule of `rows` rows.
+long SectionOffset(const DiskTable& dt, size_t section, uint64_t rows) {
+  long off = 0;
+  for (size_t c = 0; c < section && c < dt.schema().num_columns(); ++c) {
+    off += static_cast<long>(
+        (PackedColumn::PayloadBytes(dt.column_layout(c), rows) + 7) / 8 * 8);
+  }
+  for (size_t m = dt.schema().num_columns(); m < section; ++m) {
+    off += static_cast<long>(rows * sizeof(double));
+  }
+  return off;
+}
+
+/// Stores `code` as row `row`'s cell of column `col`, leaving the other
+/// codes sharing its byte as they are.
+void PatchCode(const DiskTable& dt, const std::string& path, uint64_t row,
+               size_t col, uint32_t code) {
+  uint64_t index, rows;
+  const long granule = GranuleOffset(dt, path, row, &index, &rows);
+  const PackedColumn::Layout layout = dt.column_layout(col);
+  ASSERT_NE(layout.width, PackedWidth::kConst);
+  const uint64_t bit = index * layout.bits;
+  const long at = granule + SectionOffset(dt, col, rows) +
+                  static_cast<long>(bit / 8);
   std::FILE* f = std::fopen(path.c_str(), "r+b");
   ASSERT_NE(f, nullptr);
-  ASSERT_EQ(std::fseek(f, 0, SEEK_END), 0);
-  const long size = std::ftell(f);
-  const long data = size - static_cast<long>(dt.num_rows() * dt.row_bytes());
-  ASSERT_EQ(std::fseek(f, data + static_cast<long>(row * dt.row_bytes() +
-                                                   offset),
-                       SEEK_SET),
-            0);
+  uint8_t bytes[4] = {};
+  const size_t len = layout.bits < 8 ? 1 : layout.bits / 8;
+  ASSERT_EQ(std::fseek(f, at, SEEK_SET), 0);
+  ASSERT_EQ(std::fread(bytes, 1, len, f), len);
+  if (layout.bits < 8) {
+    const unsigned shift = bit % 8;
+    const unsigned field = (1u << layout.bits) - 1;
+    bytes[0] = static_cast<uint8_t>((bytes[0] & ~(field << shift)) |
+                                    ((code & field) << shift));
+  } else {
+    std::memcpy(bytes, &code, len);
+  }
+  ASSERT_EQ(std::fseek(f, at, SEEK_SET), 0);
   ASSERT_EQ(std::fwrite(bytes, 1, len, f), len);
+  std::fclose(f);
+}
+
+/// Overwrites row `row`'s value of measure `m`.
+void PatchMeasure(const DiskTable& dt, const std::string& path, uint64_t row,
+                  size_t m, double value) {
+  uint64_t index, rows;
+  const long granule = GranuleOffset(dt, path, row, &index, &rows);
+  const long at = granule +
+                  SectionOffset(dt, dt.schema().num_columns() + m, rows) +
+                  static_cast<long>(index * sizeof(double));
+  std::FILE* f = std::fopen(path.c_str(), "r+b");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fseek(f, at, SEEK_SET), 0);
+  ASSERT_EQ(std::fwrite(&value, 1, sizeof value, f), sizeof value);
   std::fclose(f);
 }
 
@@ -248,19 +412,40 @@ Status ScanAll(const DiskTable& dt) {
 }
 
 TEST(DiskTableTest, ScanRejectsOutOfRangeCode) {
-  Table t = MakeTable({{"a", "x"}, {"b", "y"}, {"a", "y"}}, {"k1", "k2"});
+  Table t = MakeTable({{"a", "x"}, {"b", "y"}, {"a", "z"}}, {"k1", "k2"});
   std::string path = TempPath("bad_code.sddt");
   ASSERT_TRUE(DiskTable::Write(t, path).ok());
   auto dt = DiskTable::Open(path);
   ASSERT_TRUE(dt.ok()) << dt.status().ToString();
-  ASSERT_EQ((*dt)->row_bytes(), 2u);  // two 1-byte cells, no measures
-  const uint8_t bad = 0xFF;           // dictionary k2 holds 2 values
-  PatchRow(**dt, path, 1, 1, &bad, 1);
+  // k2 holds 3 values at 2 bits, so code 3 fits the width but not the
+  // dictionary.
+  ASSERT_EQ((*dt)->column_layout(1).bits, 2u);
+  PatchCode(**dt, path, 1, 1, 3);
   Status s = ScanAll(**dt);
   EXPECT_EQ(s.code(), StatusCode::kIOError);
   EXPECT_NE(s.message().find("row 1"), std::string::npos) << s.ToString();
   EXPECT_NE(s.message().find("column 1"), std::string::npos)
       << s.ToString();
+  std::remove(path.c_str());
+}
+
+TEST(DiskTableTest, ScanRejectsOutOfRangeSubByteCodeInLaterGranule) {
+  // 9 in a 5-value column stored at 4 bits, in the partial last granule.
+  const Table t = TwoGranuleTable();
+  std::string path = TempPath("bad_nibble.sddt");
+  ASSERT_TRUE(DiskTable::Write(t, path).ok());
+  auto dt = DiskTable::Open(path);
+  ASSERT_TRUE(dt.ok()) << dt.status().ToString();
+  const uint64_t row = kGranuleRows + 501;
+  PatchCode(**dt, path, row, 0, 9);
+  Status s = ScanAll(**dt);
+  EXPECT_EQ(s.code(), StatusCode::kIOError);
+  EXPECT_NE(s.message().find(StrFormat("row %llu",
+                                       static_cast<unsigned long long>(row))),
+            std::string::npos)
+      << s.ToString();
+  EXPECT_NE(s.message().find("code 9"), std::string::npos) << s.ToString();
+  EXPECT_NE(s.message().find("column 0"), std::string::npos) << s.ToString();
   std::remove(path.c_str());
 }
 
@@ -277,7 +462,7 @@ TEST(DiskTableTest, ScanRejectsNonFiniteMeasures) {
     ASSERT_TRUE(DiskTable::Write(t, path).ok());
     auto dt = DiskTable::Open(path);
     ASSERT_TRUE(dt.ok()) << dt.status().ToString();
-    PatchRow(**dt, path, 2, 1, &bad, sizeof bad);  // after the 1-byte cell
+    PatchMeasure(**dt, path, 2, 0, bad);
     Status s = ScanAll(**dt);
     EXPECT_EQ(s.code(), StatusCode::kIOError) << bad;
     EXPECT_NE(s.message().find("row 2"), std::string::npos) << s.ToString();
@@ -301,7 +486,6 @@ TEST(DiskTableTest, SamplingExpandSurfacesCorruptRows) {
   options.sampler.memory_capacity = 3000;
   options.sampler.min_sample_size = 500;
   options.sampler.seed = 5;
-  const uint8_t bad_code = 0xFF;
   const double bad_measure = std::numeric_limits<double>::quiet_NaN();
   for (bool measure : {false, true}) {
     std::string path = TempPath("bad_sampled.sddt");
@@ -309,9 +493,10 @@ TEST(DiskTableTest, SamplingExpandSurfacesCorruptRows) {
     auto dt = DiskTable::Open(path);
     ASSERT_TRUE(dt.ok()) << dt.status().ToString();
     if (measure) {
-      PatchRow(**dt, path, 4321, 3, &bad_measure, sizeof bad_measure);
+      PatchMeasure(**dt, path, 4321, 0, bad_measure);
     } else {
-      PatchRow(**dt, path, 4321, 2, &bad_code, 1);
+      // Column 0 holds 5 values at 4 bits: 9 fits the width only.
+      PatchCode(**dt, path, 4321, 0, 9);
     }
     DiskScanSource source(*dt);
     auto engine = ExplorationEngine::Create(source, weight, options);
