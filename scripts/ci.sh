@@ -37,8 +37,9 @@ fi
 # HTTP, RPC, cluster and chaos suites drive both wire protocols through the
 # shared connection loop (src/net/conn_loop.cc, built into libsmartdd under
 # the same flags). The score suite drives EvaluateRuleList's block sweep
-# and its single-rule Count fold.
-SAN_TESTS="parallel_marginal_test|parallel_sampling_test|sample_handler_test|session_test|concurrent_sessions_test|task_scheduler_test|service_test|codec_test|metrics_test|http_server_test|chaos_test|disk_table_test|sharded_engine_test|packed_column_test|deadline_test|rpc_test|cluster_test|live_table_test|expansion_cache_test|cover_memo_test|brs_oracle_test|greedy_oracle_test|best_marginal_test|brs_test|drilldown_test|table_test|rule_test|mw_estimator_test|score_test"
+# and its single-rule Count fold. The sampling and sampler-digest suites
+# drive the Create/ExactMasses block passes over memory and disk granules.
+SAN_TESTS="parallel_marginal_test|parallel_sampling_test|sample_handler_test|session_test|concurrent_sessions_test|task_scheduler_test|service_test|codec_test|metrics_test|http_server_test|chaos_test|disk_table_test|sharded_engine_test|packed_column_test|deadline_test|rpc_test|cluster_test|live_table_test|expansion_cache_test|cover_memo_test|brs_oracle_test|greedy_oracle_test|best_marginal_test|brs_test|drilldown_test|table_test|rule_test|mw_estimator_test|score_test|sampling_test|sampler_digest_test"
 SAN_TARGETS=(
   parallel_marginal_test parallel_sampling_test sample_handler_test
   session_test concurrent_sessions_test task_scheduler_test
@@ -48,6 +49,7 @@ SAN_TARGETS=(
   cover_memo_test brs_oracle_test greedy_oracle_test
   best_marginal_test brs_test drilldown_test
   table_test rule_test mw_estimator_test score_test
+  sampling_test sampler_digest_test
 )
 
 # $3 is the build type: the ASan stage builds Debug, so every SMARTDD_DCHECK
@@ -118,8 +120,10 @@ if [[ "$MODE" != "--tsan-only" && "$MODE" != "--asan-only" ]]; then
   echo "sharded engine smoke: identical trees across shard counts"
 
   # Packed-storage / SIMD smoke: the marginal bench checks that results are
-  # identical across thread counts, shard counts, AND kernel paths, and
-  # that bit-packing actually shrinks the resident columns (>= 2x gate).
+  # identical across thread counts, shard counts, AND kernel paths, that
+  # bit-packing actually shrinks the resident columns (>= 2x gate), and
+  # that packed+AVX2 pass 1 is >= 2x unpacked+scalar (skipped without
+  # AVX2); it exits nonzero when any of these fails.
   # K=3 so later greedy steps count from the finder's cover store under
   # the same gate.
   (cd build && SMARTDD_CENSUS_ROWS=50000 SMARTDD_BENCH_K=3 \
@@ -127,10 +131,16 @@ if [[ "$MODE" != "--tsan-only" && "$MODE" != "--asan-only" ]]; then
   echo "packed column smoke: identical trees across kernel paths"
 
   # Parallel-sampling smoke: the chunked parallel scan must build the same
-  # samples at every thread count (the bench exits nonzero on drift).
+  # samples at every thread count (the bench exits nonzero on drift), once
+  # over the in-memory table and once over a disk table read granule by
+  # granule.
   (cd build && SMARTDD_CENSUS_ROWS=50000 SMARTDD_BENCH_REPS=1 \
     ./bench_parallel_sampling --json=BENCH_parallel_sampling.json)
   echo "parallel sampling smoke: identical samples across thread counts"
+  (cd build && SMARTDD_CENSUS_ROWS=50000 SMARTDD_BENCH_REPS=1 \
+    SMARTDD_SAMPLING_DISK=1 \
+    ./bench_parallel_sampling --json=BENCH_parallel_sampling_disk.json)
+  echo "parallel sampling smoke (disk): identical samples across thread counts"
 
   # Socket-layer smokes under load: HTTP clients over loopback against
   # net::HttpServer, and the router -> shard-server SDRP hop against

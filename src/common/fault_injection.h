@@ -31,7 +31,7 @@ namespace smartdd {
 /// Fault points wired in so far:
 ///   disk_table.open        DiskTable::Open header read
 ///   disk_table.scan_open   per-ScanRange file open
-///   disk_table.read        per fread block inside ScanRange
+///   disk_table.read        per granule read inside ScanRange
 ///   scheduler.task         TaskScheduler, before each task body
 ///   sample_handler.create  SampleHandler, before each Create pass
 ///   http.dispatch          HTTP adapter, before routing a request

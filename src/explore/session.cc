@@ -162,7 +162,8 @@ Result<DrillDownResponse> ExplorationSession::RunDrillDown(
 
   // Scan-source without sampling: materialize the covered tuples once.
   Table materialized = source->MakeEmptyTable();
-  const ScanKernels& kernels = GetScanKernels(ResolveKernelPath(options_.kernel));
+  const ScanKernels& kernels =
+      GetScanKernels(ResolveKernelPath(options_.kernel));
   Status s = source->ScanBlocks([&](const ScanBlock& block) {
     uint8_t mask[kScanBlockRows];
     ComputeRuleMask(base, block.columns, block.offset,

@@ -277,9 +277,11 @@ Status DiskTable::ScanRange(uint64_t row_begin, uint64_t row_end,
   }
   const size_t num_cols = schema_.num_columns();
   const size_t num_meas = measure_names_.size();
-  // One granule, 8-byte aligned, with the kernels' over-read padding.
-  std::vector<uint64_t> buf((full_bytes + kPackedPadBytes + 7) / 8, 0);
-  auto* base = reinterpret_cast<uint8_t*>(buf.data());
+  // One granule, with the kernels' over-read padding. Byte storage from
+  // operator new is aligned for every payload type; the column readers and
+  // measure arrays point into it.
+  const auto buf = std::make_unique<uint8_t[]>(full_bytes + kPackedPadBytes);
+  uint8_t* base = buf.get();
   std::vector<PackedRef> columns(num_cols);
   std::vector<const double*> measures(num_meas);
   ScanBlock block;

@@ -87,8 +87,8 @@ void PackedColumn::Freeze(size_t dict_size) {
       // 1, 2, or 4 bits: tight pack into 64-bit words, little-endian bit
       // order. Because bits divides 8 a code never crosses a byte (or word)
       // boundary.
-      words_.assign((size_ * bits_ + 63) / 64 + kPackedPadBytes / sizeof(uint64_t),
-                    0u);
+      words_.assign(
+          (size_ * bits_ + 63) / 64 + kPackedPadBytes / sizeof(uint64_t), 0u);
       for (uint64_t i = 0; i < size_; ++i) {
         const uint64_t bit = i * bits_;
         words_[bit >> 6] |= uint64_t{raw_[i]} << (bit & 63);
@@ -100,24 +100,6 @@ void PackedColumn::Freeze(size_t dict_size) {
   }
   width_ = layout.width;
   raw_.shrink_to_fit();
-}
-
-void PackedColumn::Unpack(uint64_t begin, uint64_t end, uint32_t* out) const {
-  SMARTDD_DCHECK(begin <= end && end <= size_);
-  const PackedRef r = ref();
-  switch (width_) {
-    case PackedWidth::kUnpacked:
-    case PackedWidth::k32: {
-      std::memcpy(out, raw_.data() + begin, (end - begin) * sizeof(uint32_t));
-      return;
-    }
-    case PackedWidth::kConst:
-      std::memset(out, 0, (end - begin) * sizeof(uint32_t));
-      return;
-    default:
-      for (uint64_t i = begin; i < end; ++i) *out++ = r.Get(i);
-      return;
-  }
 }
 
 }  // namespace smartdd

@@ -140,11 +140,6 @@ class PackedColumn {
   /// dictionary grows later.
   void Freeze(size_t dict_size);
 
-  /// Decodes codes [begin, end) into `out` (portable scalar path; the
-  /// runtime-dispatched SIMD unpack lives in core/scan_kernels and reads
-  /// through ref()).
-  void Unpack(uint64_t begin, uint64_t end, uint32_t* out) const;
-
  private:
   [[noreturn]] static void FailFrozenAppend();
 

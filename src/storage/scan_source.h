@@ -20,9 +20,9 @@ struct ScanBlock {
   uint64_t row_begin = 0;
   size_t num_rows = 0;
   uint64_t offset = 0;
-  const PackedRef* columns = nullptr;        ///< one per categorical column
+  const PackedRef* columns = nullptr;       ///< one per categorical column
   size_t num_columns = 0;
-  const double* const* measures = nullptr;   ///< one array per measure
+  const double* const* measures = nullptr;  ///< one array per measure
   size_t num_measures = 0;
   /// Index of the chunk the block belongs to in a chunked pass (0 in a
   /// sequential one), for callers keeping per-chunk accumulators.
@@ -30,7 +30,9 @@ struct ScanBlock {
 
   /// Decodes the codes of block row `i` into `out` (num_columns entries).
   void GetRow(size_t i, uint32_t* out) const {
-    for (size_t c = 0; c < num_columns; ++c) out[c] = columns[c].Get(offset + i);
+    for (size_t c = 0; c < num_columns; ++c) {
+      out[c] = columns[c].Get(offset + i);
+    }
   }
   /// Measure values of block row `i` into `out` (num_measures entries).
   void GetMeasures(size_t i, double* out) const {

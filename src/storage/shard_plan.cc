@@ -1,15 +1,9 @@
 #include "storage/shard_plan.h"
 
 #include "common/logging.h"
+#include "storage/packed_column.h"
 
 namespace smartdd {
-
-namespace {
-
-/// The scan granule shards align to (ScanSource::PlanChunks' chunk floor).
-constexpr uint64_t kGranule = 4096;
-
-}  // namespace
 
 ShardPlan ShardPlan::Make(uint64_t num_rows, size_t num_shards) {
   if (num_shards == 0) num_shards = 1;
@@ -20,11 +14,11 @@ ShardPlan ShardPlan::Make(uint64_t num_rows, size_t num_shards) {
   // Even split; interior boundaries aligned down to the scan granule when
   // every shard still gets at least one full granule that way. Integer
   // arithmetic on (num_rows, i, num_shards) only: pure by construction.
-  const bool align = num_rows >= kGranule * num_shards;
+  const bool align = num_rows >= kGranuleRows * num_shards;
   uint64_t begin = 0;
   for (size_t i = 0; i < num_shards; ++i) {
     uint64_t end = num_rows * (i + 1) / num_shards;
-    if (align && i + 1 < num_shards) end -= end % kGranule;
+    if (align && i + 1 < num_shards) end -= end % kGranuleRows;
     SMARTDD_DCHECK(end >= begin);
     plan.ranges_[i] = ShardRange{begin, end};
     begin = end;
