@@ -39,7 +39,9 @@ fi
 # the same flags). The score suite drives EvaluateRuleList's block sweep
 # and its single-rule Count fold. The sampling and sampler-digest suites
 # drive the Create/ExactMasses block passes over memory and disk granules.
-SAN_TESTS="parallel_marginal_test|parallel_sampling_test|sample_handler_test|session_test|concurrent_sessions_test|task_scheduler_test|service_test|codec_test|metrics_test|http_server_test|chaos_test|disk_table_test|sharded_engine_test|packed_column_test|deadline_test|rpc_test|cluster_test|live_table_test|expansion_cache_test|cover_memo_test|brs_oracle_test|greedy_oracle_test|best_marginal_test|brs_test|drilldown_test|table_test|rule_test|mw_estimator_test|score_test|sampling_test|sampler_digest_test"
+# The random suite drives Rng::UniformInt, whose draws place every
+# reservoir slot and stitch pick.
+SAN_TESTS="parallel_marginal_test|parallel_sampling_test|sample_handler_test|session_test|concurrent_sessions_test|task_scheduler_test|service_test|codec_test|metrics_test|http_server_test|chaos_test|disk_table_test|sharded_engine_test|packed_column_test|deadline_test|rpc_test|cluster_test|live_table_test|expansion_cache_test|cover_memo_test|brs_oracle_test|greedy_oracle_test|best_marginal_test|brs_test|drilldown_test|table_test|rule_test|mw_estimator_test|score_test|sampling_test|sampler_digest_test|random_test"
 SAN_TARGETS=(
   parallel_marginal_test parallel_sampling_test sample_handler_test
   session_test concurrent_sessions_test task_scheduler_test
@@ -49,7 +51,7 @@ SAN_TARGETS=(
   cover_memo_test brs_oracle_test greedy_oracle_test
   best_marginal_test brs_test drilldown_test
   table_test rule_test mw_estimator_test score_test
-  sampling_test sampler_digest_test
+  sampling_test sampler_digest_test random_test
 )
 
 # $3 is the build type: the ASan stage builds Debug, so every SMARTDD_DCHECK

@@ -47,11 +47,12 @@ uint64_t Rng::Next() {
 
 uint64_t Rng::UniformInt(uint64_t bound) {
   SMARTDD_DCHECK(bound > 0);
-  // Debiased modulo (rejection sampling on the top of the range).
-  uint64_t threshold = (0 - bound) % bound;
+  // Debiased modulo: reject draws below 2^64 mod bound. That threshold is
+  // below `bound`, so a draw at or above `bound` is accepted without
+  // computing it, and a typical draw costs one division.
   for (;;) {
     uint64_t r = Next();
-    if (r >= threshold) return r % bound;
+    if (r >= bound || r >= (0 - bound) % bound) return r % bound;
   }
 }
 

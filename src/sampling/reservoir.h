@@ -22,18 +22,18 @@ class ReservoirSampler {
     size_t slot = 0;      ///< slot to (over)write when accept
   };
 
-  /// Call once per stream element, in order.
+  /// Call once per stream element, in order. A rejected element's slot is
+  /// meaningless; batch callers rely on the acceptance being computed
+  /// without a branch.
   Placement Offer() {
     Placement p;
     if (seen_ < capacity_) {
       p.accept = true;
       p.slot = static_cast<size_t>(seen_);
     } else {
-      uint64_t j = rng_.UniformInt(seen_ + 1);
-      if (j < capacity_) {
-        p.accept = true;
-        p.slot = static_cast<size_t>(j);
-      }
+      const uint64_t j = rng_.UniformInt(seen_ + 1);
+      p.accept = j < capacity_;
+      p.slot = static_cast<size_t>(j);
     }
     ++seen_;
     return p;

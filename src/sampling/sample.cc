@@ -1,57 +1,50 @@
 #include "sampling/sample.h"
 
-#include <cstring>
-
 #include "common/logging.h"
 
 namespace smartdd {
 
 Sample::Sample(Rule filter, const Table& prototype)
-    : filter_(std::move(filter)),
-      prototype_(Table::EmptyLike(prototype)),
-      num_measures_(prototype.num_measures()) {
+    : filter_(std::move(filter)), prototype_(Table::EmptyLike(prototype)) {
   SMARTDD_CHECK(filter_.num_columns() == prototype_.num_columns());
   for (size_t c = 0; c < filter_.num_columns(); ++c) {
     if (filter_.is_star(c)) star_cols_.push_back(c);
   }
+  codes_.resize(star_cols_.size());
+  measures_.resize(prototype_.num_measures());
 }
 
 void Sample::Add(uint64_t row_id, const uint32_t* codes,
                  const double* measures) {
-  for (size_t c : star_cols_) codes_.push_back(codes[c]);
-  for (size_t m = 0; m < num_measures_; ++m) {
-    measures_.push_back(measures == nullptr ? 0.0 : measures[m]);
+  for (size_t k = 0; k < star_cols_.size(); ++k) {
+    codes_[k].push_back(codes[star_cols_[k]]);
+  }
+  for (size_t m = 0; m < measures_.size(); ++m) {
+    measures_[m].push_back(measures == nullptr ? 0.0 : measures[m]);
   }
   row_ids_.push_back(row_id);
 }
 
-void Sample::AddFrom(const Sample& src, size_t slot) {
-  SMARTDD_DCHECK(src.filter_ == filter_ && slot < src.row_ids_.size());
-  const size_t ns = star_cols_.size();
-  codes_.insert(codes_.end(), src.codes_.begin() + slot * ns,
-                src.codes_.begin() + (slot + 1) * ns);
-  measures_.insert(measures_.end(),
-                   src.measures_.begin() + slot * num_measures_,
-                   src.measures_.begin() + (slot + 1) * num_measures_);
-  row_ids_.push_back(src.row_ids_[slot]);
+void Sample::Reserve(size_t n) {
+  for (auto& col : codes_) col.reserve(n);
+  for (auto& col : measures_) col.reserve(n);
+  row_ids_.reserve(n);
 }
 
-void Sample::Reserve(size_t n) {
-  codes_.reserve(n * star_cols_.size());
-  measures_.reserve(n * num_measures_);
-  row_ids_.reserve(n);
+void Sample::Resize(size_t n) {
+  for (auto& col : codes_) col.resize(n);
+  for (auto& col : measures_) col.resize(n);
+  row_ids_.resize(n);
 }
 
 void Sample::ReplaceAt(size_t slot, uint64_t row_id, const uint32_t* codes,
                        const double* measures) {
   SMARTDD_DCHECK(slot < row_ids_.size());
-  size_t base = slot * star_cols_.size();
-  for (size_t i = 0; i < star_cols_.size(); ++i) {
-    codes_[base + i] = codes[star_cols_[i]];
+  for (size_t k = 0; k < star_cols_.size(); ++k) {
+    codes_[k][slot] = codes[star_cols_[k]];
   }
-  size_t mbase = slot * num_measures_;
-  for (size_t m = 0; m < num_measures_; ++m) {
-    measures_[mbase + m] = measures == nullptr ? 0.0 : measures[m];
+  for (size_t m = 0; m < measures_.size(); ++m) {
+    measures_[m][slot] = measures == nullptr ? 0.0 : measures[m];
   }
   row_ids_[slot] = row_id;
 }
@@ -62,28 +55,25 @@ void Sample::GetRow(size_t slot, uint32_t* out) const {
   for (size_t c = 0; c < filter_.num_columns(); ++c) {
     if (!filter_.is_star(c)) out[c] = filter_.value(c);
   }
-  size_t base = slot * star_cols_.size();
-  for (size_t i = 0; i < star_cols_.size(); ++i) {
-    out[star_cols_[i]] = codes_[base + i];
+  for (size_t k = 0; k < star_cols_.size(); ++k) {
+    out[star_cols_[k]] = codes_[k][slot];
   }
 }
 
 void Sample::GetMeasures(size_t slot, double* out) const {
   SMARTDD_DCHECK(slot < row_ids_.size());
-  size_t mbase = slot * num_measures_;
-  for (size_t m = 0; m < num_measures_; ++m) out[m] = measures_[mbase + m];
+  for (size_t m = 0; m < measures_.size(); ++m) out[m] = measures_[m][slot];
 }
 
 Table Sample::Materialize() const {
-  Table t = Table::EmptyLike(prototype_);
-  std::vector<uint32_t> codes(t.num_columns());
-  std::vector<double> measures(num_measures_);
-  for (size_t slot = 0; slot < row_ids_.size(); ++slot) {
-    GetRow(slot, codes.data());
-    GetMeasures(slot, measures.data());
-    t.AppendRow(codes, measures);
+  std::vector<std::vector<uint32_t>> columns(filter_.num_columns());
+  for (size_t c = 0; c < columns.size(); ++c) {
+    if (!filter_.is_star(c)) columns[c].assign(size(), filter_.value(c));
   }
-  return t;
+  for (size_t k = 0; k < star_cols_.size(); ++k) {
+    columns[star_cols_[k]] = codes_[k];
+  }
+  return Table::FromColumns(prototype_, std::move(columns), measures_);
 }
 
 }  // namespace smartdd

@@ -16,8 +16,9 @@ namespace smartdd {
 ///
 /// Storage implements the paper's column-elision optimization: tuples
 /// covered by f_s are constant on f_s's instantiated columns, so only the
-/// starred columns are stored per row (plus measures and the original row
-/// id, used for de-duplication in Combine).
+/// starred columns are stored (plus measures and the original row id, used
+/// for de-duplication in Combine). Storage is column-major, so a scan pass
+/// fills it a column at a time and Materialize() copies whole columns.
 class Sample {
  public:
   /// `prototype` must share dictionaries with the scan source (use
@@ -49,11 +50,12 @@ class Sample {
   /// stored). `measures` may be nullptr when the source has none.
   void Add(uint64_t row_id, const uint32_t* codes, const double* measures);
 
-  /// Appends slot `slot` of `src`, a sample with the same filter.
-  void AddFrom(const Sample& src, size_t slot);
-
   /// Reserves room for `n` tuples.
   void Reserve(size_t n);
+
+  /// Resizes to `n` tuples; new slots hold code 0, measure 0 and row id 0
+  /// until a caller writes them through the column accessors below.
+  void Resize(size_t n);
 
   /// Overwrites slot `slot` (reservoir replacement).
   void ReplaceAt(size_t slot, uint64_t row_id, const uint32_t* codes,
@@ -69,6 +71,17 @@ class Sample {
   uint64_t row_id(size_t slot) const { return row_ids_[slot]; }
   const std::vector<uint64_t>& row_ids() const { return row_ids_; }
 
+  /// Column access for column-at-a-time builders: the source columns that
+  /// are stored (the filter's starred ones, ascending), and per stored
+  /// column `k`, per measure `m` and for the row ids, one array of size()
+  /// entries, slot-indexed.
+  const std::vector<size_t>& star_columns() const { return star_cols_; }
+  const uint32_t* codes(size_t k) const { return codes_[k].data(); }
+  uint32_t* mutable_codes(size_t k) { return codes_[k].data(); }
+  const double* measures(size_t m) const { return measures_[m].data(); }
+  double* mutable_measures(size_t m) { return measures_[m].data(); }
+  uint64_t* mutable_row_ids() { return row_ids_.data(); }
+
   /// Builds a full-width in-memory table of all sampled tuples (shares
   /// dictionaries with the prototype/source).
   Table Materialize() const;
@@ -83,12 +96,13 @@ class Sample {
   Rule filter_;
   Table prototype_;                 // empty; schema + shared dictionaries
   std::vector<size_t> star_cols_;   // columns actually stored
-  size_t num_measures_;
   double scale_ = 1.0;
   double source_mass_ = 0;
   bool derived_ = false;
-  std::vector<uint32_t> codes_;     // row-major, star_cols_ per row
-  std::vector<double> measures_;    // row-major, num_measures_ per row
+  // Column-major: one code vector per stored column, one value vector per
+  // measure, all of size() entries.
+  std::vector<std::vector<uint32_t>> codes_;
+  std::vector<std::vector<double>> measures_;
   std::vector<uint64_t> row_ids_;
 };
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <numeric>
+#include <span>
 #include <unordered_set>
 
 #include "common/fault_injection.h"
@@ -45,6 +46,48 @@ struct SlotRef {
   uint32_t chunk;
   uint32_t slot;
 };
+
+/// An accepted reservoir offer of one block: slot `slot` takes block row
+/// `row`.
+struct Hit {
+  uint32_t slot;
+  uint32_t row;
+};
+
+/// Writes a block's accepted rows into `sample`'s slots, one column at a
+/// time. Hits are applied in row order, so a slot hit twice in the block
+/// ends holding the later row, as row-at-a-time replacement would leave it.
+/// A stored column is decoded once over the hits' row span with the unpack
+/// kernel when the hits are dense in it (one or more per 8 rows), and read
+/// per hit otherwise.
+/// `scratch` holds kScanBlockRows codes.
+void ScatterHits(const ScanBlock& block, std::span<const Hit> hits,
+                 const ScanKernels& kernels, uint32_t* scratch,
+                 Sample* sample) {
+  if (hits.empty()) return;
+  const uint64_t first = hits.front().row;
+  const uint64_t span = hits.back().row + 1 - first;
+  const bool dense = hits.size() * 8 >= span;
+  const std::vector<size_t>& star_cols = sample->star_columns();
+  for (size_t k = 0; k < star_cols.size(); ++k) {
+    const PackedRef& col = block.columns[star_cols[k]];
+    uint32_t* out = sample->mutable_codes(k);
+    if (dense) {
+      const uint64_t begin = block.offset + first;
+      kernels.unpack(col, begin, begin + span, scratch);
+      for (const Hit& h : hits) out[h.slot] = scratch[h.row - first];
+    } else {
+      for (const Hit& h : hits) out[h.slot] = col.Get(block.offset + h.row);
+    }
+  }
+  for (size_t m = 0; m < block.num_measures; ++m) {
+    const double* in = block.measures[m] + block.offset;
+    double* out = sample->mutable_measures(m);
+    for (const Hit& h : hits) out[h.slot] = in[h.row];
+  }
+  uint64_t* ids = sample->mutable_row_ids();
+  for (const Hit& h : hits) ids[h.slot] = block.row_begin + h.row;
+}
 
 /// Exact uniform stitch-merge of two reservoirs over disjoint populations:
 /// `acc`, the fold of the chunks before `chunk` (a uniform sample of
@@ -102,6 +145,20 @@ void StitchChunk(std::vector<SlotRef>* acc, uint64_t* acc_seen,
   }
   acc->swap(merged);
   *acc_seen += b_seen;
+}
+
+/// out[t] = column_of(*chunks[acc[t].chunk])[acc[t].slot] for every kept
+/// tuple t: one column of a stitched sample, gathered from the chunk
+/// sub-reservoirs.
+template <typename T, typename ColumnOf>
+void GatherColumn(const std::vector<SlotRef>& acc,
+                  const std::vector<const Sample*>& chunks,
+                  ColumnOf column_of, T* out) {
+  std::vector<const T*> base(chunks.size());
+  for (size_t c = 0; c < chunks.size(); ++c) base[c] = column_of(*chunks[c]);
+  for (size_t t = 0; t < acc.size(); ++t) {
+    out[t] = base[acc[t].chunk][acc[t].slot];
+  }
 }
 
 }  // namespace
@@ -415,21 +472,27 @@ Result<std::vector<double>> SampleHandler::CreateSamples(
   }
 
   // One builder per (chunk, rule): chunks never share mutable state, so the
-  // block callback is data-race free by construction.
+  // block callback is data-race free by construction. A builder's columns
+  // are reserved for the most its chunk can keep: min(capacity, chunk rows).
   struct ChunkBuilder {
     std::unique_ptr<Sample> sample;
     ReservoirSampler reservoir;
     double mass = 0;
   };
+  const uint64_t n = source_->num_rows();
   std::vector<ChunkBuilder> builders;
   builders.reserve(num_chunks * nrules);
   for (uint64_t c = 0; c < num_chunks; ++c) {
+    const uint64_t chunk_rows =
+        n * (c + 1) / num_chunks - n * c / num_chunks;
     for (size_t i = 0; i < nrules; ++i) {
       builders.push_back(
           ChunkBuilder{std::make_unique<Sample>(rules[i], prototype),
                        ReservoirSampler(static_cast<size_t>(capacities[i]),
                                         DeriveSeed(rule_seeds[i], c)),
                        0.0});
+      builders.back().sample->Reserve(
+          static_cast<size_t>(std::min(capacities[i], chunk_rows)));
     }
   }
 
@@ -439,9 +502,9 @@ Result<std::vector<double>> SampleHandler::CreateSamples(
   const bool has_deadline = deadline.active();
   std::atomic<bool> deadline_hit{false};
 
-  // Each rule's builder sees its covered rows in ascending row order, as a
-  // row-at-a-time pass would offer them, so every reservoir draw is the
-  // same.
+  // Each rule's reservoir is offered its covered rows in ascending row
+  // order, as a row-at-a-time pass would offer them, so every draw and slot
+  // is the same; the accepted rows are then written column by column.
   Status scan_status = source_->ScanBlocks(
       [&](const ScanBlock& block) {
         if (has_deadline) {
@@ -452,27 +515,32 @@ Result<std::vector<double>> SampleHandler::CreateSamples(
           }
         }
         uint8_t mask[kScanBlockRows];
-        std::vector<uint32_t> codes(block.num_columns);
-        std::vector<double> measures(block.num_measures);
+        uint32_t scratch[kScanBlockRows];
+        Hit hits[kScanBlockRows];
         ChunkBuilder* chunk_builders = &builders[block.chunk * nrules];
         for (size_t i = 0; i < nrules; ++i) {
           ChunkBuilder& b = chunk_builders[i];
           ComputeRuleMask(rules[i], block.columns, block.offset,
                           block.offset + block.num_rows, mask, *kernels_);
+          // Every offer writes a hit entry; only an accepted one counts, so
+          // the loop does not branch on the random acceptance.
+          size_t covered = 0;
+          size_t num_hits = 0;
           ForEachSet(mask, block.num_rows, [&](size_t j) {
-            b.mass += 1.0;  // tuple count; measures ride along in the sample
-            auto placement = b.reservoir.Offer();
-            if (!placement.accept) return;
-            const uint64_t row = block.row_begin + j;
-            block.GetRow(j, codes.data());
-            block.GetMeasures(j, measures.data());
-            if (placement.slot < b.sample->size()) {
-              b.sample->ReplaceAt(placement.slot, row, codes.data(),
-                                  measures.data());
-            } else {
-              b.sample->Add(row, codes.data(), measures.data());
-            }
+            ++covered;
+            const auto placement = b.reservoir.Offer();
+            hits[num_hits] = Hit{static_cast<uint32_t>(placement.slot),
+                                 static_cast<uint32_t>(j)};
+            num_hits += placement.accept ? 1 : 0;
           });
+          // The mass is the tuple count (measures ride along in the
+          // sample). Whole-number sums below 2^53 are exact, so adding the
+          // block's count at once equals adding 1.0 per row.
+          b.mass += static_cast<double>(covered);
+          if (num_hits == 0) continue;
+          b.sample->Resize(b.reservoir.size());
+          ScatterHits(block, std::span<const Hit>(hits, num_hits), *kernels_,
+                      scratch, b.sample.get());
         }
         return true;
       },
@@ -489,11 +557,12 @@ Result<std::vector<double>> SampleHandler::CreateSamples(
   creates_.fetch_add(1, std::memory_order_relaxed);
 
   // Stitch the per-chunk sub-reservoirs back together in chunk order, then
-  // copy each kept tuple once from its chunk sample.
+  // gather each kept tuple's columns once from the chunk samples.
   std::vector<double> masses;
   std::vector<std::unique_ptr<Sample>> created;
   std::vector<SlotRef> acc, merged;
   std::vector<uint32_t> remaining_a, remaining_b;
+  std::vector<const Sample*> chunks(num_chunks);
   for (size_t i = 0; i < nrules; ++i) {
     Rng merge_rng(DeriveSeed(rule_seeds[i], kMergeStream));
     acc.clear();
@@ -505,12 +574,23 @@ Result<std::vector<double>> SampleHandler::CreateSamples(
       StitchChunk(&acc, &seen, static_cast<uint32_t>(c), cb.sample->size(),
                   cb.reservoir.seen(), capacities[i], merge_rng, remaining_a,
                   remaining_b, merged);
+      chunks[c] = cb.sample.get();
     }
     auto sample = std::make_unique<Sample>(rules[i], prototype);
-    sample->Reserve(acc.size());
-    for (const SlotRef& ref : acc) {
-      sample->AddFrom(*builders[ref.chunk * nrules + i].sample, ref.slot);
+    sample->Resize(acc.size());
+    for (size_t k = 0; k < sample->star_columns().size(); ++k) {
+      GatherColumn(
+          acc, chunks, [k](const Sample& s) { return s.codes(k); },
+          sample->mutable_codes(k));
     }
+    for (size_t m = 0; m < prototype.num_measures(); ++m) {
+      GatherColumn(
+          acc, chunks, [m](const Sample& s) { return s.measures(m); },
+          sample->mutable_measures(m));
+    }
+    GatherColumn(
+        acc, chunks, [](const Sample& s) { return s.row_ids().data(); },
+        sample->mutable_row_ids());
     masses.push_back(mass);
     const size_t size = sample->size();
     sample->set_source_mass(mass);

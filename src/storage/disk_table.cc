@@ -40,9 +40,12 @@ size_t Pad8(size_t n) { return (n + 7) & ~size_t{7}; }
 
 /// Index of the first of the `n` codes of `col` at or above `dict_size`,
 /// or `n` when every code is valid. A branch-free screen over the payload
-/// runs first; only a failing granule is searched code by code.
+/// runs first; only a failing granule is searched code by code. A sub-byte
+/// payload is screened a byte at a time through `byte_screen`, the
+/// column's table of bytes holding a field at or above `dict_size`.
 uint64_t FirstCodeOutOfRange(const PackedRef& col, uint64_t n,
-                             uint32_t dict_size) {
+                             uint32_t dict_size,
+                             const ByteScreen& byte_screen) {
   if (col.width == PackedWidth::kConst) return n;
   if (col.bits < 32 && dict_size >= (uint64_t{1} << col.bits)) return n;
   bool any = false;
@@ -50,12 +53,11 @@ uint64_t FirstCodeOutOfRange(const PackedRef& col, uint64_t n,
     case PackedWidth::kSub: {
       // Codes never straddle a byte; padding codes past `n` are zero.
       const auto* p = static_cast<const uint8_t*>(col.data);
-      const uint8_t field = static_cast<uint8_t>((1u << col.bits) - 1);
+      uint8_t bad = 0;
       for (size_t i = 0, nbytes = (n * col.bits + 7) / 8; i < nbytes; ++i) {
-        for (unsigned shift = 0; shift < 8; shift += col.bits) {
-          any |= ((p[i] >> shift) & field) >= dict_size;
-        }
+        bad |= byte_screen[p[i]];
       }
+      any = bad != 0;
       break;
     }
     case PackedWidth::k8: {
@@ -79,6 +81,20 @@ uint64_t FirstCodeOutOfRange(const PackedRef& col, uint64_t n,
     if (col.Get(i) >= dict_size) return i;
   }
   return n;
+}
+
+/// The screen of a sub-byte column: entry b is 1 when byte b holds a field
+/// of `layout.bits` bits at or above `dict_size`. All zero for other widths.
+ByteScreen MakeByteScreen(PackedColumn::Layout layout, uint32_t dict_size) {
+  ByteScreen screen{};
+  if (layout.width != PackedWidth::kSub) return screen;
+  const unsigned field = (1u << layout.bits) - 1;
+  for (unsigned b = 0; b < screen.size(); ++b) {
+    for (unsigned shift = 0; shift < 8; shift += layout.bits) {
+      screen[b] |= ((b >> shift) & field) >= dict_size ? 1 : 0;
+    }
+  }
+  return screen;
 }
 
 /// Index of the first non-finite of `n` doubles, or `n`.
@@ -234,6 +250,8 @@ Result<std::shared_ptr<DiskTable>> DiskTable::Open(const std::string& path) {
     }
     if (dict->size() != dict_size) return fail("duplicate dict entries");
     t->layouts_.push_back(PackedColumn::LayoutFor(dict_size));
+    t->byte_screens_.push_back(
+        MakeByteScreen(t->layouts_.back(), dict_size));
     t->dicts_.push_back(std::move(dict));
   }
   t->schema_ = Schema(std::move(names));
@@ -332,7 +350,8 @@ Status DiskTable::ScanRange(uint64_t row_begin, uint64_t row_end,
       col.width = layouts_[c].width;
       col.bits = layouts_[c].bits;
       const uint32_t dict_size = dicts_[c]->size();
-      const uint64_t bad = FirstCodeOutOfRange(col, rows, dict_size);
+      const uint64_t bad =
+          FirstCodeOutOfRange(col, rows, dict_size, byte_screens_[c]);
       if (bad < rows) {
         return corrupt(g0 + bad,
                        StrFormat("code %u out of dictionary range %u in "
@@ -361,16 +380,7 @@ Status DiskTable::ScanRange(uint64_t row_begin, uint64_t row_end,
 }
 
 Table DiskTable::MakeEmptyTable() const {
-  Table t(schema_.names());
-  // Rebuild a Table whose dictionaries are the shared ones from this file.
-  // Table::EmptyLike only works Table->Table, so reconstruct manually: add
-  // values in code order so codes line up, via a prototype.
-  Table proto(schema_.names());
-  for (size_t c = 0; c < dicts_.size(); ++c) {
-    for (const auto& v : dicts_[c]->values()) proto.EncodeValue(c, v);
-  }
-  for (const auto& m : measure_names_) proto.AddMeasureColumn(m);
-  return proto;
+  return Table::EmptyWithDictionaries(schema_.names(), dicts_, measure_names_);
 }
 
 // --- DiskTableWriter ---------------------------------------------------

@@ -1,6 +1,7 @@
 #ifndef SMARTDD_STORAGE_DISK_TABLE_H_
 #define SMARTDD_STORAGE_DISK_TABLE_H_
 
+#include <array>
 #include <cstdint>
 #include <cstdio>
 #include <memory>
@@ -12,6 +13,9 @@
 #include "storage/table.h"
 
 namespace smartdd {
+
+/// 256-entry table over byte values; see DiskTable's granule check.
+using ByteScreen = std::array<uint8_t, 256>;
 
 /// File-backed, dictionary-encoded table. This is the "big table on disk"
 /// substrate of the paper's Section 4: reading it requires a full sequential
@@ -35,7 +39,12 @@ namespace smartdd {
 /// granule's sections need no padding and every granule after the first
 /// starts at a fixed offset. A scan hands each granule to its callback as a
 /// block the scan kernels read in place; decoding a granule is one read,
-/// checked for codes outside their dictionary and non-finite measures.
+/// checked for codes outside their dictionary and non-finite measures. The
+/// code check is branch-free: byte, 16-bit and 32-bit codes are compared
+/// with the dictionary size, and a sub-byte payload is screened one byte
+/// per lookup in a 256-entry table built at Open (its fields never
+/// straddle a byte); only a granule that fails the screen is searched for
+/// its first bad row.
 class DiskTable {
  public:
   /// Writes an in-memory table to `path`.
@@ -73,7 +82,8 @@ class DiskTable {
     });
   }
 
-  /// Empty in-memory table sharing the dictionaries of this file.
+  /// Empty in-memory table sharing the dictionaries of this file (the same
+  /// objects, not copies, so encode no new values into it).
   Table MakeEmptyTable() const;
 
  private:
@@ -83,6 +93,9 @@ class DiskTable {
   Schema schema_;
   std::vector<std::shared_ptr<ValueDictionary>> dicts_;
   std::vector<PackedColumn::Layout> layouts_;
+  /// Per column, the bytes of a sub-byte payload holding an out-of-range
+  /// code (all zero for other widths).
+  std::vector<ByteScreen> byte_screens_;
   std::vector<std::string> measure_names_;
   uint64_t num_rows_ = 0;
   uint64_t data_offset_ = 0;

@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 namespace smartdd {
@@ -120,6 +121,14 @@ class PackedColumn {
 
   /// Payload bytes of `n` codes at `layout`, without the tail padding.
   [[nodiscard]] static size_t PayloadBytes(Layout layout, uint64_t n);
+
+  /// An unfrozen column holding `codes`.
+  static PackedColumn FromCodes(std::vector<uint32_t> codes) {
+    PackedColumn col;
+    col.size_ = codes.size();
+    col.raw_ = std::move(codes);
+    return col;
+  }
 
   /// Appends one code. Only legal before Freeze.
   void Append(uint32_t code) {

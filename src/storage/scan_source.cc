@@ -12,18 +12,48 @@ Status ScanSource::ScanBlocks(const BlockCallback& fn, uint64_t num_chunks,
                               size_t parallelism) const {
   SMARTDD_CHECK(num_chunks > 0) << "ScanBlocks needs at least one chunk";
   const uint64_t n = num_rows();
-  // Per-chunk statuses, examined in chunk order afterwards so the reported
-  // error is the same regardless of which thread ran which chunk.
-  std::vector<Status> statuses(num_chunks);
-  ThreadPool::Global().ParallelFor(num_chunks, parallelism, [&](uint64_t c) {
-    const uint64_t begin = n * c / num_chunks;
-    const uint64_t end = n * (c + 1) / num_chunks;
-    if (begin == end) return;  // empty chunk (more chunks than rows)
-    statuses[c] = ScanRange(begin, end, [&fn, c](const ScanBlock& block) {
-      ScanBlock in_chunk = block;
-      in_chunk.chunk = c;
-      return fn(in_chunk);
-    });
+  const auto chunk_begin = [n, num_chunks](uint64_t c) {
+    return n * c / num_chunks;
+  };
+  // Contiguous groups of chunks, one lane each, so a granule shared by two
+  // chunks of a group is read once. Statuses are examined in group (hence
+  // chunk) order afterwards, so the reported error is the same regardless
+  // of which thread ran which group.
+  const uint64_t num_groups =
+      std::min<uint64_t>(std::max<size_t>(parallelism, 1), num_chunks);
+  std::vector<Status> statuses(num_groups);
+  ThreadPool::Global().ParallelFor(num_groups, parallelism, [&](uint64_t g) {
+    const uint64_t last = num_chunks * (g + 1) / num_groups;
+    const uint64_t group_end = chunk_begin(last);
+    // One range scan from chunk `c` to the group's end, cutting each block
+    // at chunk boundaries. A chunk whose callback returns false ends the
+    // range, and the next range starts at the chunk after it.
+    for (uint64_t c = num_chunks * g / num_groups; c < last;) {
+      uint64_t cur = c;
+      uint64_t stopped = last;
+      statuses[g] = ScanRange(
+          chunk_begin(c), group_end, [&](const ScanBlock& block) {
+            ScanBlock piece = block;
+            const uint64_t block_end = block.row_begin + block.num_rows;
+            for (uint64_t row = block.row_begin; row < block_end;) {
+              while (chunk_begin(cur + 1) <= row) ++cur;
+              const uint64_t piece_end =
+                  std::min(block_end, chunk_begin(cur + 1));
+              piece.row_begin = row;
+              piece.offset = block.offset + (row - block.row_begin);
+              piece.num_rows = static_cast<size_t>(piece_end - row);
+              piece.chunk = cur;
+              if (!fn(piece)) {
+                stopped = cur;
+                return false;
+              }
+              row = piece_end;
+            }
+            return true;
+          });
+      if (!statuses[g].ok() || stopped == last) return;
+      c = stopped + 1;
+    }
   });
   scan_count_.fetch_add(1, std::memory_order_relaxed);
   for (const Status& s : statuses) {

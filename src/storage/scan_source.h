@@ -86,16 +86,22 @@ class ScanSource {
 
   /// One pass over all tuples. With `num_chunks` > 1 the pass is
   /// partitioned: [0, num_rows) splits into `num_chunks` contiguous ranges
-  /// scanned on the shared thread pool with up to `parallelism` concurrent
-  /// lanes (1 runs fully inline), and each block carries its chunk index.
+  /// and each block carries its chunk index. The chunks are scanned in
+  /// min(parallelism, num_chunks) contiguous groups on the shared thread
+  /// pool (1 runs fully inline); each group makes one ScanRange over its
+  /// rows, so every granule is read once per group, and a block that
+  /// crosses a chunk boundary is split there and handed to each chunk in
+  /// turn.
   ///
   /// Determinism contract: chunk boundaries (n*c/num_chunks) depend only
   /// on num_rows and num_chunks — never on `parallelism` or the machine —
   /// so callers that keep per-chunk accumulators and merge them in chunk
   /// order afterwards get bit-identical results for every thread count.
   /// `fn` must be safe to call concurrently for *different* chunks; within
-  /// a chunk, blocks arrive in row order on one thread. A chunk boundary
-  /// may fall inside a granule. Counts as a single pass in scan_count().
+  /// a chunk, blocks arrive in row order on one thread, and never extend
+  /// past the chunk. A false return stops that chunk only. On failure the
+  /// error of the first failing chunk in chunk order is returned. Counts
+  /// as a single pass in scan_count().
   Status ScanBlocks(const BlockCallback& fn, uint64_t num_chunks = 1,
                     size_t parallelism = 1) const;
 

@@ -22,6 +22,41 @@ Table Table::EmptyLike(const Table& other) {
   return t;
 }
 
+Table Table::EmptyWithDictionaries(
+    std::vector<std::string> column_names,
+    std::vector<std::shared_ptr<ValueDictionary>> dicts,
+    std::vector<std::string> measure_names) {
+  Table t(std::move(column_names));
+  SMARTDD_CHECK(dicts.size() == t.num_columns())
+      << "expected " << t.num_columns() << " dictionaries, got "
+      << dicts.size();
+  t.dicts_ = std::move(dicts);
+  t.measure_names_ = std::move(measure_names);
+  t.measures_.resize(t.measure_names_.size());
+  return t;
+}
+
+Table Table::FromColumns(const Table& like,
+                         std::vector<std::vector<uint32_t>> codes,
+                         std::vector<std::vector<double>> measures) {
+  Table t = EmptyLike(like);
+  SMARTDD_CHECK(codes.size() == t.cols_.size() &&
+                measures.size() == t.measures_.size())
+      << "FromColumns needs one vector per column and per measure";
+  const uint64_t n = codes.empty() ? (measures.empty() ? 0 : measures[0].size())
+                                   : codes[0].size();
+  for (size_t c = 0; c < codes.size(); ++c) {
+    SMARTDD_CHECK(codes[c].size() == n) << "column " << c << " length";
+    t.cols_[c] = PackedColumn::FromCodes(std::move(codes[c]));
+  }
+  for (size_t m = 0; m < measures.size(); ++m) {
+    SMARTDD_CHECK(measures[m].size() == n) << "measure " << m << " length";
+    t.measures_[m] = std::move(measures[m]);
+  }
+  t.num_rows_ = n;
+  return t;
+}
+
 template <typename RowAt>
 Table Table::CopyRows(uint64_t n, RowAt row_at) const {
   Table t = EmptyLike(*this);

@@ -33,6 +33,22 @@ class Table {
   /// measure-column names. Used for samples and filtered slices.
   static Table EmptyLike(const Table& other);
 
+  /// An empty table over `dicts` (one per column, shared, not copied) with
+  /// measure columns named `measure_names`: how a file-backed source hands
+  /// out its code space.
+  static Table EmptyWithDictionaries(
+      std::vector<std::string> column_names,
+      std::vector<std::shared_ptr<ValueDictionary>> dicts,
+      std::vector<std::string> measure_names);
+
+  /// An unfrozen table like `like` (shared dictionaries) whose columns are
+  /// `codes` (one per column) and whose measures are `measures` (one per
+  /// measure column), all of one length: a column-major builder's output
+  /// moved in without a per-row copy.
+  static Table FromColumns(const Table& like,
+                           std::vector<std::vector<uint32_t>> codes,
+                           std::vector<std::vector<double>> measures);
+
   /// Copies rows [row_begin, row_end) into a new table sharing this table's
   /// dictionaries (a code means the same value in both). This is the shard
   /// partitioner's storage primitive: a ShardPlan's ranges sliced off a

@@ -6,7 +6,11 @@
 #include <cstdio>
 #include <cstring>
 #include <limits>
+#include <memory>
+#include <numeric>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -324,6 +328,36 @@ TEST(DiskScanSourceTest, MakeEmptyTableSharesCodeSpace) {
   std::remove(path.c_str());
 }
 
+TEST(DiskScanSourceTest, MakeEmptyTableSharesTheFileDictionaries) {
+  Table t({"k1", "k2"});
+  t.AddMeasureColumn("m");
+  for (const auto& [k1, k2] : {std::pair{"a", "x"}, std::pair{"b", "y"},
+                               std::pair{"c", "x"}}) {
+    ASSERT_TRUE(t.AppendRowValues({k1, k2}, std::vector<double>{1.0}).ok());
+  }
+  std::string path = TempPath("shared_dicts.sddt");
+  ASSERT_TRUE(DiskTable::Write(t, path).ok());
+  auto dt = DiskTable::Open(path);
+  ASSERT_TRUE(dt.ok()) << dt.status().ToString();
+  const Table first = (*dt)->MakeEmptyTable();
+  const Table second = (*dt)->MakeEmptyTable();
+  EXPECT_EQ(first.schema().names(), t.schema().names());
+  EXPECT_EQ(first.num_rows(), 0u);
+  ASSERT_EQ(first.num_measures(), 1u);
+  EXPECT_EQ(first.measure_name(0), "m");
+  for (size_t c = 0; c < t.num_columns(); ++c) {
+    // The file's dictionary objects themselves, not rebuilt copies.
+    EXPECT_EQ(&first.dictionary(c), &(*dt)->dictionary(c)) << c;
+    EXPECT_EQ(&second.dictionary(c), &(*dt)->dictionary(c)) << c;
+    ASSERT_EQ(first.dictionary(c).size(), t.dictionary(c).size());
+    for (uint32_t code = 0; code < t.dictionary(c).size(); ++code) {
+      EXPECT_EQ(first.dictionary(c).ValueOf(code),
+                t.dictionary(c).ValueOf(code));
+    }
+  }
+  std::remove(path.c_str());
+}
+
 // --- Corrupt row data ----------------------------------------------------
 
 /// Byte offset of the granule holding `row` in `dt`'s file (the granules
@@ -449,6 +483,58 @@ TEST(DiskTableTest, ScanRejectsOutOfRangeSubByteCodeInLaterGranule) {
   std::remove(path.c_str());
 }
 
+TEST(DiskTableTest, SubByteScreenRejectsEachOutOfRangeCode) {
+  // Column 0 holds 2 values at 1 bit, which fill the width: no stored field
+  // can be out of range, and the check must never flag it. Column 1 holds
+  // 2^bits - 1 values at 2 and 4 bits, so exactly one field value, the
+  // dictionary size, is out of range. 901 rows in the partial last granule
+  // leave a zero-padded tail in its last payload byte.
+  const uint64_t num_rows = kGranuleRows + 901;
+  for (uint32_t bits : {2u, 4u}) {
+    const uint32_t dict_size = (1u << bits) - 1;
+    SynthSpec spec;
+    spec.rows = num_rows;
+    spec.cardinalities = {2, dict_size};
+    spec.seed = 12;
+    const Table t = GenerateSyntheticTable(spec);
+    std::string path = TempPath("sub_byte_screen.sddt");
+    ASSERT_TRUE(DiskTable::Write(t, path).ok());
+    auto dt = DiskTable::Open(path);
+    ASSERT_TRUE(dt.ok()) << dt.status().ToString();
+    ASSERT_EQ((*dt)->column_layout(0).bits, 1u);
+    ASSERT_EQ((*dt)->column_layout(1).width, PackedWidth::kSub);
+    ASSERT_EQ((*dt)->column_layout(1).bits, bits);
+    // The clean file, zero-padded tail included, scans and round-trips.
+    ASSERT_TRUE(ScanAll(**dt).ok()) << bits;
+    const Table clean = ReadAll(**dt);
+    ASSERT_EQ(clean.num_rows(), num_rows);
+    // The first and last rows of the full granule, and the last row of the
+    // partial one.
+    for (uint64_t row : {uint64_t{0}, kGranuleRows - 1, num_rows - 1}) {
+      const uint32_t original = t.code(1, row);
+      PatchCode(**dt, path, row, 1, dict_size);
+      Status s = ScanAll(**dt);
+      EXPECT_EQ(s.code(), StatusCode::kIOError) << bits << " " << row;
+      EXPECT_NE(s.message().find(StrFormat(
+                    "row %llu: code %u out of dictionary range %u in "
+                    "column 1",
+                    static_cast<unsigned long long>(row), dict_size,
+                    dict_size)),
+                std::string::npos)
+          << s.ToString();
+      // The largest valid code passes.
+      PatchCode(**dt, path, row, 1, dict_size - 1);
+      EXPECT_TRUE(ScanAll(**dt).ok()) << bits << " " << row;
+      PatchCode(**dt, path, row, 1, original);
+    }
+    // A field of the padding past the last row is not a row: even an
+    // out-of-range value there is accepted.
+    PatchCode(**dt, path, num_rows, 1, dict_size);
+    EXPECT_TRUE(ScanAll(**dt).ok()) << bits;
+    std::remove(path.c_str());
+  }
+}
+
 TEST(DiskTableTest, ScanRejectsNonFiniteMeasures) {
   for (double bad : {std::numeric_limits<double>::quiet_NaN(),
                      std::numeric_limits<double>::infinity(),
@@ -511,6 +597,112 @@ TEST(DiskTableTest, SamplingExpandSurfacesCorruptRows) {
               std::string::npos)
         << expanded.status().ToString();
     std::remove(path.c_str());
+  }
+}
+
+// --- Chunked passes -------------------------------------------------------
+
+/// A 100k-row disk table, 25 granules, scanned in 24 chunks: most chunk
+/// boundaries fall inside a granule.
+class ChunkedScanTest : public ::testing::Test {
+ protected:
+  static constexpr uint64_t kRows = 100000;
+  static constexpr uint64_t kChunks = 24;
+
+  void SetUp() override {
+    FaultRegistry::Default().DisarmAll();
+    SynthSpec spec;
+    spec.rows = kRows;
+    spec.cardinalities = {5, 3};
+    spec.seed = 21;
+    spec.with_measure = true;
+    path_ = TempPath("chunked.sddt");
+    ASSERT_TRUE(DiskTable::Write(GenerateSyntheticTable(spec), path_).ok());
+    auto dt = DiskTable::Open(path_);
+    ASSERT_TRUE(dt.ok()) << dt.status().ToString();
+    source_ = std::make_unique<DiskScanSource>(*dt);
+  }
+
+  void TearDown() override {
+    FaultRegistry::Default().DisarmAll();
+    std::remove(path_.c_str());
+  }
+
+  static uint64_t ChunkBegin(uint64_t c) { return kRows * c / kChunks; }
+
+  /// Runs a 24-chunk pass recording each chunk's rows, and returns the
+  /// number of granule reads it made (a 0 ms latency fault armed on every
+  /// read counts them without changing them). `stop_chunk` returns false
+  /// from its first block.
+  uint64_t ScanRecording(size_t parallelism,
+                         std::vector<std::vector<uint64_t>>* rows,
+                         uint64_t stop_chunk = kChunks) {
+    rows->assign(kChunks, {});
+    FaultRegistry::Default().ArmLatency("disk_table.read", 0.0, 0);
+    const uint64_t before = FaultRegistry::Default().fired("disk_table.read");
+    Status s = source_->ScanBlocks(
+        [&](const ScanBlock& block) {
+          EXPECT_LT(block.chunk, kChunks);
+          for (size_t i = 0; i < block.num_rows; ++i) {
+            (*rows)[block.chunk].push_back(block.row_begin + i);
+          }
+          return block.chunk != stop_chunk;
+        },
+        kChunks, parallelism);
+    const uint64_t reads =
+        FaultRegistry::Default().fired("disk_table.read") - before;
+    FaultRegistry::Default().DisarmAll();
+    EXPECT_TRUE(s.ok()) << s.ToString();
+    return reads;
+  }
+
+  std::string path_;
+  std::unique_ptr<DiskScanSource> source_;
+};
+
+TEST_F(ChunkedScanTest, ReadsEachGranuleOncePerGroup) {
+  const uint64_t granules = (kRows + kGranuleRows - 1) / kGranuleRows;
+  ASSERT_EQ(granules, 25u);
+  for (size_t parallelism : {size_t{1}, size_t{4}}) {
+    std::vector<std::vector<uint64_t>> rows;
+    const uint64_t reads = ScanRecording(parallelism, &rows);
+    if (parallelism == 1) {
+      EXPECT_EQ(reads, granules);
+    } else {
+      // Four groups: only a granule holding a group boundary is read twice.
+      EXPECT_GE(reads, granules);
+      EXPECT_LE(reads, granules + 3);
+    }
+    // Every row exactly once, in ascending order, in its own chunk.
+    for (uint64_t c = 0; c < kChunks; ++c) {
+      std::vector<uint64_t> want(ChunkBegin(c + 1) - ChunkBegin(c));
+      std::iota(want.begin(), want.end(), ChunkBegin(c));
+      EXPECT_EQ(rows[c], want) << "parallelism " << parallelism << " chunk "
+                               << c;
+    }
+  }
+}
+
+TEST_F(ChunkedScanTest, FalseStopsOnlyItsChunk) {
+  // Chunk 2 shares its group with later chunks at both parallelisms.
+  constexpr uint64_t kStop = 2;
+  for (size_t parallelism : {size_t{1}, size_t{4}}) {
+    std::vector<std::vector<uint64_t>> rows;
+    ScanRecording(parallelism, &rows, kStop);
+    // The stopped chunk saw its first block only: its rows up to the end
+    // of the granule holding its first row.
+    const uint64_t first = ChunkBegin(kStop);
+    std::vector<uint64_t> want((first / kGranuleRows + 1) * kGranuleRows -
+                               first);
+    std::iota(want.begin(), want.end(), first);
+    EXPECT_EQ(rows[kStop], want) << "parallelism " << parallelism;
+    for (uint64_t c = 0; c < kChunks; ++c) {
+      if (c == kStop) continue;
+      ASSERT_EQ(rows[c].size(), ChunkBegin(c + 1) - ChunkBegin(c))
+          << "parallelism " << parallelism << " chunk " << c;
+      EXPECT_EQ(rows[c].front(), ChunkBegin(c));
+      EXPECT_EQ(rows[c].back(), ChunkBegin(c + 1) - 1);
+    }
   }
 }
 

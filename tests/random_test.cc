@@ -31,6 +31,40 @@ TEST(RngTest, UniformIntStaysInBounds) {
   }
 }
 
+// The rejection threshold is computed only for draws below the bound; this
+// checks the draws against the loop that computes it before every draw.
+TEST(RngTest, UniformIntMatchesTwoDivisionReference) {
+  auto reference = [](Rng& rng, uint64_t bound) {
+    const uint64_t threshold = (0 - bound) % bound;
+    for (;;) {
+      const uint64_t r = rng.Next();
+      if (r >= threshold) return r % bound;
+    }
+  };
+  constexpr uint64_t kTop = ~uint64_t{0};
+  const uint64_t bounds[] = {1,
+                             2,
+                             3,
+                             5,
+                             7,
+                             uint64_t{1} << 32,
+                             (uint64_t{1} << 32) + 1,
+                             uint64_t{1} << 63,
+                             (uint64_t{1} << 63) + 1,
+                             kTop - 1,
+                             kTop,
+                             0xC3A5C85C97CB3127ULL};
+  for (uint64_t bound : bounds) {
+    Rng rng(77), ref(77);
+    for (int i = 0; i < 100000; ++i) {
+      ASSERT_EQ(rng.UniformInt(bound), reference(ref, bound))
+          << "bound " << bound << " draw " << i;
+    }
+    // Both consumed the same raw draws, rejections included.
+    EXPECT_EQ(rng.Next(), ref.Next()) << "bound " << bound;
+  }
+}
+
 TEST(RngTest, UniformIntCoversRange) {
   Rng rng(2);
   std::set<uint64_t> seen;
