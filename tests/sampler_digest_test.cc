@@ -6,10 +6,13 @@
 // other; this test compares them with a fixed reference, so a change to
 // the scan path, the chunk reservoirs or the stitch merge that alters a
 // single sampled cell, row id, slot position, scale or mass fails here.
+// A second script pins Combine: Horvitz-Thompson unions of stored sub-rule
+// samples, served, stored and found again.
 
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -29,6 +32,10 @@ using ::smartdd::testing::R;
 /// Digest of the script below; the same for both sources and every thread
 /// count.
 constexpr uint64_t kExpectedDigest = 12335600122680045607ULL;
+
+/// Digest of the Combine script below; the same for both sources and every
+/// thread count.
+constexpr uint64_t kExpectedCombineDigest = 121720055086208066ULL;
 
 class Fnv1a {
  public:
@@ -154,6 +161,90 @@ uint64_t RunScript(const ScanSource& source, const Table& table,
   h.U64(handler.combine_hits());
   h.U64(handler.creates());
   return h.value();
+}
+
+/// Mechanisms the Combine script expects, in request order.
+constexpr SampleMechanism kCombineScript[] = {
+    SampleMechanism::kCreate,   // root, bare Create (scale > 1)
+    SampleMechanism::kCreate,   // p: too few rows in the root sample
+    SampleMechanism::kCombine,  // q: union of the p and root samples
+    SampleMechanism::kFind,     // q again: the stored derived union
+    SampleMechanism::kCreate,   // s: its whole cover fits (scale 1)
+    SampleMechanism::kCombine,  // t: union with the complete s sample
+    SampleMechanism::kCreate,   // root, filling the cap M
+    SampleMechanism::kCombine,  // p: union too big to store under M
+    SampleMechanism::kCombine,  // p again: rebuilt, not found
+};
+
+/// A script whose requests reach Combine: a union of two independent
+/// sub-rule samples whose stored columns differ, that union served back
+/// as a Find, a union over a complete (scale 1) source, and a union that
+/// is served but not stored because it does not fit under M. Every sample
+/// and the handler counters go into the digest.
+uint64_t RunCombineScript(const ScanSource& source, const Table& table,
+                          size_t threads) {
+  Fnv1a h;
+  size_t step = 0;
+  auto request = [&](SampleHandler& handler, const Rule& rule) {
+    auto sample = handler.GetSampleFor(rule);
+    EXPECT_TRUE(sample.ok()) << sample.status().ToString();
+    if (!sample.ok()) return;
+    EXPECT_EQ(sample->mechanism, kCombineScript[step]) << "request " << step;
+    ++step;
+    HashSample(*sample, &h);
+  };
+  auto counters = [&](const SampleHandler& handler) {
+    EXPECT_GT(handler.combine_hits(), 0u);
+    h.U64(handler.scans_performed());
+    h.U64(handler.find_hits());
+    h.U64(handler.combine_hits());
+    h.U64(handler.creates());
+    h.U64(handler.num_samples());
+    h.U64(handler.memory_used());
+  };
+  const Rule root = Rule::Trivial(table.num_columns());
+  const Rule p = R(table, {"v2", "?", "?", "?", "?"});
+  const Rule q = R(table, {"v2", "v0", "?", "?", "?"});
+  const Rule s = R(table, {"v4", "?", "?", "?", "?"});
+  const Rule t = R(table, {"v4", "v1", "?", "?", "?"});
+
+  SampleHandlerOptions options;
+  options.memory_capacity = 12000;
+  options.min_sample_size = 1000;
+  options.seed = 11;
+  options.num_threads = threads;
+  SampleHandler handler(source, options);
+  for (const Rule* rule : {&root, &p, &q, &q, &s, &t}) {
+    request(handler, *rule);
+  }
+  counters(handler);
+
+  options.create_capacity_fraction = 1.0;
+  SampleHandler capped(source, options);
+  for (const Rule* rule : {&root, &p, &p}) request(capped, *rule);
+  counters(capped);
+  EXPECT_EQ(step, std::size(kCombineScript));
+  return h.value();
+}
+
+TEST(SamplerDigestTest, CombineMatchesPinnedDigest) {
+  const Table table = MakeDigestTable();
+  MemoryScanSource memory(table);
+  const std::string path = ::testing::TempDir() + "smartdd_combine.sddt";
+  ASSERT_TRUE(DiskTable::Write(table, path).ok());
+  auto disk = DiskTable::Open(path);
+  ASSERT_TRUE(disk.ok()) << disk.status().ToString();
+  DiskScanSource disk_source(*disk);
+  for (const ScanSource* source :
+       {static_cast<const ScanSource*>(&memory),
+        static_cast<const ScanSource*>(&disk_source)}) {
+    for (size_t threads : {size_t{1}, size_t{4}}) {
+      EXPECT_EQ(RunCombineScript(*source, table, threads),
+                kExpectedCombineDigest)
+          << "threads=" << threads;
+    }
+  }
+  std::remove(path.c_str());
 }
 
 TEST(SamplerDigestTest, MemorySourceMatchesPinnedDigest) {
