@@ -109,6 +109,20 @@ if [[ "$MODE" != "--tsan-only" && "$MODE" != "--asan-only" ]]; then
   # (see scripts/live_smoke.sh).
   scripts/live_smoke.sh build
 
+  # End-to-end driver smoke: the benchmark driver builds from this tree
+  # (into .bench_build/) and answers every request of a short run of each
+  # workload correctly, so a library change that breaks the driver fails
+  # here rather than at benchmark time.
+  for workload in explore dashboard sampled; do
+    result=$(python3 e2e_bench/run.py --workload "$workload" --seed 1 \
+      --seconds 5 | tail -n 1)
+    python3 -c 'import json, sys
+r = json.loads(sys.argv[1])
+sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)' "$result" \
+      || { echo "e2e smoke ($workload): $result"; exit 1; }
+    echo "e2e smoke ($workload): correct, 0 failed requests"
+  done
+
   # Expansion-cache smoke: warm hits must replay byte-identical trees at
   # >= 10x the cold p50 (the bench exits nonzero when either gate fails).
   (cd build && SMARTDD_CENSUS_ROWS=50000 SMARTDD_BENCH_REPS=3 \

@@ -463,23 +463,10 @@ Response ExplorationService::Append(const AppendRequest& request) {
             ? std::string("service has no datasets registered")
             : StrFormat("unknown dataset '%s'", request.dataset.c_str())));
   }
-  const uint64_t version_before = live->table->Info().version;
   Status s = live->table->Append(request.row);
   if (!s.ok()) return ErrorResponse(std::move(s));
-  live::LiveTableInfo info = live->table->Info();
-  if (info.version != version_before) {
-    // A new snapshot version was published. Exact engines need nothing
-    // (new opens get a fresh version engine; old sessions keep theirs),
-    // but any sampling backend fronting this dataset must drop its sample
-    // store — its reservoirs describe the previous version's rows.
-    std::lock_guard<std::mutex> lock(live->mu);
-    for (const auto& ve : live->engines) {
-      SampleHandler* sampler = ve->engine->sampler();
-      if (sampler != nullptr) sampler->BumpDataVersion(info.version);
-    }
-  }
   Response r;
-  r.table = MakeInfoView(resolved, info);
+  r.table = MakeInfoView(resolved, live->table->Info());
   return r;
 }
 

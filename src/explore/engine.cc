@@ -56,7 +56,7 @@ Status ValidateEngineOptions(const EngineOptions& options, bool in_memory) {
         "num_shards > 1 requires an in-memory table; a scan source is "
         "scanned whole");
   }
-  if (options.use_sampling &&
+  if (!in_memory &&
       options.sampler.memory_capacity < options.sampler.min_sample_size) {
     return Status::InvalidArgument(StrFormat(
         "sampler memory_capacity (%llu) is below min_sample_size (%llu); "
@@ -93,8 +93,6 @@ ExplorationEngine::ExplorationEngine(const Table& table,
       prototype_(Table::EmptyLike(table)),
       scheduler_(std::make_unique<TaskScheduler>(
           std::max<size_t>(1, options_.scheduler_workers))) {
-  SMARTDD_CHECK(!options_.use_sampling)
-      << "sampling mode requires the ScanSource constructor";
   options_.num_shards = std::max<size_t>(1, options_.num_shards);
   if (options_.num_shards == 1) {
     shards_.push_back(&table);
@@ -147,14 +145,12 @@ ExplorationEngine::ExplorationEngine(const ScanSource& source,
       scheduler_(std::make_unique<TaskScheduler>(
           std::max<size_t>(1, options_.scheduler_workers))) {
   options_.num_shards = 1;
-  if (options_.use_sampling) {
-    // The sampler's scan passes share the engine's thread knob unless it
-    // was configured separately.
-    if (options_.sampler.num_threads == 0) {
-      options_.sampler.num_threads = options_.num_threads;
-    }
-    sampler_ = std::make_unique<SampleHandler>(source, options_.sampler);
+  // The sampler's scan passes share the engine's thread knob unless it was
+  // configured separately.
+  if (options_.sampler.num_threads == 0) {
+    options_.sampler.num_threads = options_.num_threads;
   }
+  sampler_ = std::make_unique<SampleHandler>(source, options_.sampler);
   LogKernelPath(options_.kernel);
 }
 
@@ -184,8 +180,8 @@ Status ExplorationEngine::ValidateSessionOptions(
   }
   if (options.prefetch != PrefetchMode::kDisabled && sampler_ == nullptr) {
     return Status::InvalidArgument(
-        "prefetch requires a sampling engine (EngineOptions::use_sampling); "
-        "exact drill-downs have nothing to pre-fetch");
+        "prefetch requires a scan-source engine, which samples; exact "
+        "in-memory drill-downs have nothing to pre-fetch");
   }
   return Status::OK();
 }

@@ -26,9 +26,10 @@ struct SessionOptions;
 
 /// Engine-wide configuration (per dataset, not per user).
 struct EngineOptions {
-  /// Build the shared SampleHandler so sessions route drill-downs through
-  /// samples (scan-source engines only; mandatory for sources that do not
-  /// fit in memory).
+  /// Read only by Create(table, ...), which rejects true: a scan-source
+  /// engine always samples and an in-memory one never does. The field stays
+  /// while the end-to-end benchmark driver still sets it; it goes when that
+  /// driver registers datasets through the service instead.
   bool use_sampling = false;
   SampleHandlerOptions sampler;
   /// Default thread knob for sessions and the sampler's scan passes when
@@ -63,11 +64,11 @@ struct EngineOptions {
 /// (in-memory Table) drill-downs are pure reads with deterministic
 /// chunk-merged parallel passes, so every session's results are
 /// bit-identical to the same interaction script run serially, regardless of
-/// thread count or session interleaving. Sampling-mode sessions share the
-/// handler's sample store (reader-writer locked, single-flight Create);
-/// their estimates depend on which samples are resident, hence on the
-/// interleaving, but each returned sample is always a valid uniform sample
-/// of its rule. The WeightFunction must be safe for concurrent const calls
+/// thread count or session interleaving. Scan-source (sampling) sessions
+/// share the handler's sample store (reader-writer locked, single-flight
+/// Create); their estimates depend on which samples are resident, hence on
+/// the interleaving, but each returned sample is always a valid uniform
+/// sample of its rule. The WeightFunction must be safe for concurrent const calls
 /// (the standard weights are stateless).
 ///
 /// An in-memory engine holds its table as EngineOptions::num_shards
@@ -83,8 +84,8 @@ class ExplorationEngine {
   /// Validated construction (the service-layer path): rejects inconsistent
   /// EngineOptions with a clear Status instead of dying or silently
   /// misbehaving later — scheduler_workers == 0 (background prefetch would
-  /// never run), use_sampling on an in-memory table, num_shards > 1 on a
-  /// scan source, or a sampler memory_capacity below min_sample_size
+  /// never run), use_sampling on an in-memory table, and on a scan source
+  /// num_shards > 1 or a sampler memory_capacity below min_sample_size
   /// (every Create would starve).
   static Result<std::unique_ptr<ExplorationEngine>> Create(
       const Table& table, const WeightFunction& weight,
@@ -100,10 +101,10 @@ class ExplorationEngine {
   ExplorationEngine(const Table& table, const WeightFunction& weight,
                     EngineOptions options = {});
 
-  /// Scan-source mode: drill-downs run on shared SampleHandler samples when
-  /// options.use_sampling is set (otherwise each expansion pays a one-off
-  /// materialization scan; sampling is strongly recommended). Embedding-layer
-  /// constructor; prefer Create() for validated construction.
+  /// Scan-source mode: drill-downs run on samples from the engine's shared
+  /// SampleHandler, built from options.sampler, and exact counts come from
+  /// its passes. Embedding-layer constructor; prefer Create() for validated
+  /// construction.
   ExplorationEngine(const ScanSource& source, const WeightFunction& weight,
                     EngineOptions options = {});
 
@@ -114,8 +115,9 @@ class ExplorationEngine {
 
   /// Creates a new exploration session bound to this engine, validating the
   /// options up front: k == 0, a non-positive or NaN max_weight, an unknown
-  /// measure_column, or prefetch on an engine without a sampler all return
-  /// InvalidArgument here instead of failing deep inside a later Expand.
+  /// measure_column, or prefetch on an in-memory engine (which has no
+  /// sampler) all return InvalidArgument here instead of failing deep inside
+  /// a later Expand.
   /// Sessions are cheap (the display tree and options); create one per
   /// user/request stream. The returned session must not outlive the engine.
   Result<ExplorationSession> NewSession(SessionOptions options);
@@ -132,7 +134,8 @@ class ExplorationEngine {
   const Table* table() const { return table_; }
   /// The scan source, or nullptr in in-memory mode.
   const ScanSource* source() const { return source_; }
-  /// The shared sample handler, or nullptr when sampling is off.
+  /// The shared sample handler of a scan-source engine, or nullptr in
+  /// in-memory mode.
   SampleHandler* sampler() const { return sampler_.get(); }
   /// Row shards of the in-memory table (1 in scan-source mode).
   size_t num_shards() const { return options_.num_shards; }

@@ -101,87 +101,50 @@ Result<DrillDownResponse> ExplorationSession::RunDrillDown(
   request.num_threads = options_.num_threads;
   request.kernel = options_.kernel;
   request.deadline = deadline;
-  if (on_step) {
-    // Non-sampling paths search the full data: step masses are exact. The
-    // sampling branch below replaces this with a scale-aware wrapper.
-    request.on_step = [&on_step](const ScoredRule& r, size_t step) {
-      return on_step(r, step, /*exact=*/true);
-    };
-  }
-
   if (engine_->table() != nullptr) {
+    if (on_step) {
+      // The exact path searches the full data: step masses are exact.
+      request.on_step = [&on_step](const ScoredRule& r, size_t step) {
+        return on_step(r, step, /*exact=*/true);
+      };
+    }
     return engine_->DrillDown(request, options_.measure_column);
   }
 
-  const WeightFunction& weight = engine_->weight();
-
-  // Switches a view to the session's Sum measure if one is configured.
-  auto apply_measure = [this](TableView& view) -> Status {
-    if (!options_.measure_column) return Status::OK();
+  // A scan source: search a sample of the rule's cover.
+  SMARTDD_ASSIGN_OR_RETURN(
+      SampleRequest sample,
+      engine_->sampler()->GetSampleFor(base, id_, deadline));
+  TableView view(sample.table);
+  if (options_.measure_column) {
     SMARTDD_ASSIGN_OR_RETURN(
-        size_t m, view.table().FindMeasure(*options_.measure_column));
+        size_t m, sample.table.FindMeasure(*options_.measure_column));
     view.SelectMeasure(m);
-    return Status::OK();
-  };
-
-  const ScanSource* source = engine_->source();
-  SMARTDD_CHECK(source != nullptr);
-  SampleHandler* sampler = engine_->sampler();
-  if (sampler != nullptr) {
-    SMARTDD_ASSIGN_OR_RETURN(SampleRequest sample,
-                             sampler->GetSampleFor(base, id_, deadline));
-    TableView view(sample.table);
-    SMARTDD_RETURN_IF_ERROR(apply_measure(view));
-    if (on_step) {
-      // Stream full-table estimates, not raw sample masses: the observer
-      // sees the same scale — and the same exactness — the final children
-      // will carry (a complete cover, scale <= 1, is exact).
-      const double scale = sample.scale;
-      request.on_step = [&on_step, scale](const ScoredRule& r, size_t step) {
-        ScoredRule scaled = r;
-        scaled.mass *= scale;
-        scaled.marginal_mass *= scale;
-        return on_step(scaled, step, /*exact=*/scale <= 1.0);
-      };
-    }
-    SMARTDD_ASSIGN_OR_RETURN(DrillDownResponse response,
-                             SmartDrillDown({&view}, weight, request));
-    // Scale sample masses to full-table estimates; attach CI info via the
-    // caller (which knows the sample size).
-    const double n_sample = static_cast<double>(sample.table.num_rows());
-    for (auto& r : response.rules) {
-      r.marginal_mass *= sample.scale;
-      r.mass *= sample.scale;
-    }
-    response.base_mass *= sample.scale;
-    // Stash the sampling context for CI computation in ExpandInternal.
-    response.sample_scale = sample.scale;
-    response.sample_rows = static_cast<uint64_t>(n_sample);
-    return response;
   }
-
-  // Scan-source without sampling: materialize the covered tuples once.
-  Table materialized = source->MakeEmptyTable();
-  const ScanKernels& kernels =
-      GetScanKernels(ResolveKernelPath(options_.kernel));
-  Status s = source->ScanBlocks([&](const ScanBlock& block) {
-    uint8_t mask[kScanBlockRows];
-    ComputeRuleMask(base, block.columns, block.offset,
-                    block.offset + block.num_rows, mask, kernels);
-    std::vector<uint32_t> codes(block.num_columns);
-    std::vector<double> measures(block.num_measures);
-    for (size_t j = 0; j < block.num_rows; ++j) {
-      if (mask[j] == 0) continue;
-      block.GetRow(j, codes.data());
-      block.GetMeasures(j, measures.data());
-      materialized.AppendRow(codes, measures);
-    }
-    return true;
-  });
-  SMARTDD_RETURN_IF_ERROR(s);
-  TableView view(materialized);
-  SMARTDD_RETURN_IF_ERROR(apply_measure(view));
-  return SmartDrillDown({&view}, weight, request);
+  const double scale = sample.scale;
+  if (on_step) {
+    // Stream full-table estimates, not raw sample masses: the observer sees
+    // the same scale — and the same exactness — the final children will
+    // carry (a complete cover, scale <= 1, is exact).
+    request.on_step = [&on_step, scale](const ScoredRule& r, size_t step) {
+      ScoredRule scaled = r;
+      scaled.mass *= scale;
+      scaled.marginal_mass *= scale;
+      return on_step(scaled, step, /*exact=*/scale <= 1.0);
+    };
+  }
+  SMARTDD_ASSIGN_OR_RETURN(DrillDownResponse response,
+                           SmartDrillDown({&view}, engine_->weight(), request));
+  // Scale sample masses to full-table estimates; ExpandInternal attaches
+  // the confidence intervals from the sampling context stashed here.
+  for (auto& r : response.rules) {
+    r.marginal_mass *= scale;
+    r.mass *= scale;
+  }
+  response.base_mass *= scale;
+  response.sample_scale = scale;
+  response.sample_rows = sample.table.num_rows();
+  return response;
 }
 
 Result<std::vector<int>> ExplorationSession::ExpandInternal(
@@ -403,29 +366,9 @@ Status ExplorationSession::RefreshExactCounts() {
   std::vector<double> masses;
   if (engine_->table() != nullptr) {
     masses = engine_->ExactMasses(rules, measure);
-  } else if (engine_->sampler() != nullptr) {
+  } else {
     SMARTDD_ASSIGN_OR_RETURN(masses,
                              engine_->sampler()->ExactMasses(rules, measure));
-  } else {
-    // One pass; each rule adds its covered rows' masses in row order.
-    masses.assign(rules.size(), 0.0);
-    const ScanKernels& kernels =
-        GetScanKernels(ResolveKernelPath(options_.kernel));
-    Status s = engine_->source()->ScanBlocks([&](const ScanBlock& block) {
-      uint8_t mask[kScanBlockRows];
-      for (size_t i = 0; i < rules.size(); ++i) {
-        ComputeRuleMask(rules[i], block.columns, block.offset,
-                        block.offset + block.num_rows, mask, kernels);
-        for (size_t j = 0; j < block.num_rows; ++j) {
-          if (mask[j] != 0) {
-            masses[i] += measure ? block.measures[*measure][block.offset + j]
-                                 : 1.0;
-          }
-        }
-      }
-      return true;
-    });
-    SMARTDD_RETURN_IF_ERROR(s);
   }
   for (size_t i = 0; i < order.size(); ++i) {
     nodes_[order[i]].mass = masses[i];

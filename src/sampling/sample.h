@@ -46,27 +46,12 @@ class Sample {
 
   size_t size() const { return row_ids_.size(); }
 
-  /// Appends one covered tuple (full-width codes; only starred columns are
-  /// stored). `measures` may be nullptr when the source has none.
-  void Add(uint64_t row_id, const uint32_t* codes, const double* measures);
-
   /// Reserves room for `n` tuples.
   void Reserve(size_t n);
 
   /// Resizes to `n` tuples; new slots hold code 0, measure 0 and row id 0
   /// until a caller writes them through the column accessors below.
   void Resize(size_t n);
-
-  /// Overwrites slot `slot` (reservoir replacement).
-  void ReplaceAt(size_t slot, uint64_t row_id, const uint32_t* codes,
-                 const double* measures);
-
-  /// Reconstructs the full-width codes of the `slot`-th sampled tuple
-  /// (elided columns come from the filter). `out` must hold num_columns.
-  void GetRow(size_t slot, uint32_t* out) const;
-
-  /// Measure values of the `slot`-th tuple (`out` holds num_measures).
-  void GetMeasures(size_t slot, double* out) const;
 
   uint64_t row_id(size_t slot) const { return row_ids_[slot]; }
   const std::vector<uint64_t>& row_ids() const { return row_ids_; }

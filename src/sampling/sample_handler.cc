@@ -40,8 +40,8 @@ void ForEachSet(const uint8_t* mask, size_t n, Fn&& fn) {
   }
 }
 
-/// One tuple a stitched reservoir keeps: slot `slot` of chunk `chunk`'s
-/// sub-reservoir.
+/// One tuple a gathered sample keeps: slot `slot` of input sample `chunk`
+/// (a chunk sub-reservoir in a stitch, a source sample in a Combine).
 struct SlotRef {
   uint32_t chunk;
   uint32_t slot;
@@ -148,8 +148,8 @@ void StitchChunk(std::vector<SlotRef>* acc, uint64_t* acc_seen,
 }
 
 /// out[t] = column_of(*chunks[acc[t].chunk])[acc[t].slot] for every kept
-/// tuple t: one column of a stitched sample, gathered from the chunk
-/// sub-reservoirs.
+/// tuple t: one column of a stitched sample or a Combine union, gathered
+/// from its input samples.
 template <typename T, typename ColumnOf>
 void GatherColumn(const std::vector<SlotRef>& acc,
                   const std::vector<const Sample*>& chunks,
@@ -161,11 +161,105 @@ void GatherColumn(const std::vector<SlotRef>& acc,
   }
 }
 
+/// mask[j] = 1 iff `rule` covers slot j of `s`. The filter of `s` is a
+/// sub-rule of `rule`, so only the columns `rule` instantiates and `s`
+/// stores need a test.
+void CoverMask(const Rule& rule, const Sample& s, std::vector<uint8_t>* mask) {
+  mask->assign(s.size(), 1);
+  uint8_t* m = mask->data();
+  const std::vector<size_t>& stored = s.star_columns();
+  for (size_t k = 0; k < stored.size(); ++k) {
+    if (rule.is_star(stored[k])) continue;
+    const uint32_t want = rule.value(stored[k]);
+    const uint32_t* codes = s.codes(k);
+    for (size_t j = 0; j < s.size(); ++j) m[j] &= codes[j] == want ? 1 : 0;
+  }
+}
+
+/// Index of source column `column` among the stored columns of `s`.
+size_t StoredIndex(const Sample& s, size_t column) {
+  const std::vector<size_t>& stored = s.star_columns();
+  return static_cast<size_t>(
+      std::lower_bound(stored.begin(), stored.end(), column) - stored.begin());
+}
+
 }  // namespace
+
+Result<std::unique_ptr<Sample>> CombineSamples(
+    const Rule& rule, const std::vector<const Sample*>& sources,
+    const Table& prototype, uint64_t min_sample_size) {
+  if (sources.empty()) {
+    return Status::NotFound("no sub-rule samples to combine");
+  }
+  // A tuple covered by `rule` appears in sample s with probability
+  // 1/scale(s) (independent samples); the union's inclusion probability is
+  // 1 - prod(1 - 1/scale_s), giving the Horvitz-Thompson scaling. This
+  // reduces to the paper's N_s for a single source sample. A union with a
+  // complete source (one holding *all* covered tuples, scale 1) is complete
+  // itself and needs no minimum size.
+  double miss_prob = 1.0;
+  bool complete = false;
+  for (const Sample* s : sources) {
+    double p = s->scale() > 0 ? std::min(1.0, 1.0 / s->scale()) : 1.0;
+    miss_prob *= (1.0 - p);
+    complete = complete || s->scale() <= 1.0;
+  }
+  double include_prob = 1.0 - miss_prob;
+  if (include_prob <= 0) {
+    return Status::NotFound("combined samples have zero inclusion mass");
+  }
+
+  // The union as slot references, source by source in slot order, each
+  // row id kept where it first appears.
+  std::vector<SlotRef> refs;
+  std::unordered_set<uint64_t> seen;
+  std::vector<uint8_t> mask;
+  for (size_t i = 0; i < sources.size(); ++i) {
+    const Sample& s = *sources[i];
+    SMARTDD_DCHECK(IsSubRuleOf(s.filter(), rule));
+    CoverMask(rule, s, &mask);
+    const uint64_t* ids = s.row_ids().data();
+    ForEachSet(mask.data(), s.size(), [&](size_t j) {
+      if (seen.insert(ids[j]).second) {
+        refs.push_back(
+            SlotRef{static_cast<uint32_t>(i), static_cast<uint32_t>(j)});
+      }
+    });
+  }
+  if (refs.size() < min_sample_size && !complete) {
+    return Status::NotFound("combined sub-rule samples below minSS");
+  }
+
+  auto combined = std::make_unique<Sample>(rule, prototype);
+  combined->Resize(refs.size());
+  const std::vector<size_t>& stored = combined->star_columns();
+  for (size_t k = 0; k < stored.size(); ++k) {
+    const size_t column = stored[k];
+    GatherColumn(
+        refs, sources,
+        [column](const Sample& s) { return s.codes(StoredIndex(s, column)); },
+        combined->mutable_codes(k));
+  }
+  for (size_t m = 0; m < prototype.num_measures(); ++m) {
+    GatherColumn(
+        refs, sources, [m](const Sample& s) { return s.measures(m); },
+        combined->mutable_measures(m));
+  }
+  GatherColumn(
+      refs, sources, [](const Sample& s) { return s.row_ids().data(); },
+      combined->mutable_row_ids());
+
+  const double scale = complete ? 1.0 : 1.0 / include_prob;
+  combined->set_scale(scale);
+  combined->set_source_mass(scale * static_cast<double>(combined->size()));
+  combined->set_derived(true);
+  return combined;
+}
 
 SampleHandler::SampleHandler(const ScanSource& source,
                              SampleHandlerOptions options)
     : source_(&source),
+      prototype_(source.MakeEmptyTable()),
       options_(options),
       kernels_(&GetScanKernels(ResolveKernelPath(KernelPref::kAuto))) {
   SMARTDD_CHECK(options_.min_sample_size <= options_.memory_capacity)
@@ -237,63 +331,18 @@ Result<SampleRequest> SampleHandler::TryCombine(const Rule& rule) {
   for (const auto& s : samples_) {
     // Derived samples (materialized earlier unions) are deterministic
     // subsets of independent samples that are still in the store; letting
-    // them into the product below would double-count their sources'
-    // inclusion probability and bias the scale low.
+    // them into CombineSamples' inclusion product would double-count their
+    // sources' inclusion probability and bias the scale low.
     if (s->derived()) continue;
     if (IsSubRuleOf(s->filter(), rule)) sources.push_back(s.get());
   }
-  if (sources.empty()) {
-    return Status::NotFound("no sub-rule samples to combine");
-  }
-
-  // A tuple covered by `rule` appears in sample s with probability
-  // 1/scale(s) (independent samples); the union's inclusion probability is
-  // 1 - prod(1 - 1/scale_s), giving the Horvitz-Thompson scaling. This
-  // reduces to the paper's N_s for a single source sample.
-  double miss_prob = 1.0;
-  for (const Sample* s : sources) {
-    double p = s->scale() > 0 ? std::min(1.0, 1.0 / s->scale()) : 1.0;
-    miss_prob *= (1.0 - p);
-  }
-  double include_prob = 1.0 - miss_prob;
-  if (include_prob <= 0) {
-    return Status::NotFound("combined samples have zero inclusion mass");
-  }
-
-  // Assemble the de-duplicated union directly as a Sample so it can be kept
-  // for reuse after serving this request.
-  Table prototype = source_->MakeEmptyTable();
-  auto combined = std::make_unique<Sample>(rule, prototype);
-  std::unordered_set<uint64_t> seen;
-  std::vector<uint32_t> codes(prototype.num_columns());
-  std::vector<double> measures(prototype.num_measures());
-  for (const Sample* s : sources) {
-    for (size_t slot = 0; slot < s->size(); ++slot) {
-      s->GetRow(slot, codes.data());
-      if (!rule.Covers(codes.data())) continue;
-      if (!seen.insert(s->row_id(slot)).second) continue;
-      s->GetMeasures(slot, measures.data());
-      combined->Add(s->row_id(slot), codes.data(), measures.data());
-    }
-  }
-
-  // Was the union complete (some source held *all* covered tuples)?
-  bool complete = false;
-  for (const Sample* s : sources) {
-    if (s->scale() <= 1.0) complete = true;
-  }
-  if (combined->size() < options_.min_sample_size && !complete) {
-    return Status::NotFound("combined sub-rule samples below minSS");
-  }
-
-  double scale = complete ? 1.0 : 1.0 / include_prob;
-  combined->set_scale(scale);
-  combined->set_source_mass(scale * static_cast<double>(combined->size()));
-  combined->set_derived(true);
+  SMARTDD_ASSIGN_OR_RETURN(
+      std::unique_ptr<Sample> combined,
+      CombineSamples(rule, sources, prototype_, options_.min_sample_size));
 
   SampleRequest req;
   req.table = combined->Materialize();
-  req.scale = scale;
+  req.scale = combined->scale();
   req.mechanism = SampleMechanism::kCombine;
   combines_.fetch_add(1, std::memory_order_relaxed);
 
@@ -444,7 +493,6 @@ Result<std::vector<double>> SampleHandler::CreateSamples(
     return Status::DeadlineExceeded(
         "sample create pass abandoned: deadline exceeded");
   }
-  Table prototype = source_->MakeEmptyTable();
   const size_t nrules = rules.size();
 
   // Chunk layout and seeds are pure functions of (row count, handler seed,
@@ -487,7 +535,7 @@ Result<std::vector<double>> SampleHandler::CreateSamples(
         n * (c + 1) / num_chunks - n * c / num_chunks;
     for (size_t i = 0; i < nrules; ++i) {
       builders.push_back(
-          ChunkBuilder{std::make_unique<Sample>(rules[i], prototype),
+          ChunkBuilder{std::make_unique<Sample>(rules[i], prototype_),
                        ReservoirSampler(static_cast<size_t>(capacities[i]),
                                         DeriveSeed(rule_seeds[i], c)),
                        0.0});
@@ -576,14 +624,14 @@ Result<std::vector<double>> SampleHandler::CreateSamples(
                   remaining_b, merged);
       chunks[c] = cb.sample.get();
     }
-    auto sample = std::make_unique<Sample>(rules[i], prototype);
+    auto sample = std::make_unique<Sample>(rules[i], prototype_);
     sample->Resize(acc.size());
     for (size_t k = 0; k < sample->star_columns().size(); ++k) {
       GatherColumn(
           acc, chunks, [k](const Sample& s) { return s.codes(k); },
           sample->mutable_codes(k));
     }
-    for (size_t m = 0; m < prototype.num_measures(); ++m) {
+    for (size_t m = 0; m < prototype_.num_measures(); ++m) {
       GatherColumn(
           acc, chunks, [m](const Sample& s) { return s.measures(m); },
           sample->mutable_measures(m));
@@ -727,12 +775,6 @@ void SampleHandler::DropSession(uint64_t session) {
       return;
     }
   }
-}
-
-void SampleHandler::BumpDataVersion(uint64_t version) {
-  std::unique_lock<std::shared_mutex> lock(store_mu_);
-  samples_.clear();
-  data_version_.store(version, std::memory_order_relaxed);
 }
 
 Status SampleHandler::Prefetch(uint64_t session) {

@@ -71,6 +71,19 @@ struct SampleRequest {
   SampleMechanism mechanism = SampleMechanism::kFind;
 };
 
+/// Combine (paper §4.3): the de-duplicated union of the tuples of `sources`
+/// that `rule` covers, source by source and slot by slot, each row id kept
+/// where it first appears, with the Horvitz-Thompson scale of independent
+/// sources (1 when one of them is complete, i.e. has scale 1). Every
+/// source's filter must be a sub-rule of `rule`; `prototype` is the
+/// full-width schema (as for Sample). Built a column at a time from the
+/// sources' stored columns, and marked derived. NotFound when there is no
+/// source, or when the union is incomplete and holds fewer than
+/// `min_sample_size` tuples.
+Result<std::unique_ptr<Sample>> CombineSamples(
+    const Rule& rule, const std::vector<const Sample*>& sources,
+    const Table& prototype, uint64_t min_sample_size);
+
 /// Creates, maintains, retrieves, and evicts in-memory samples of a
 /// scan-only source in response to drill-down interactions (paper §4.3).
 ///
@@ -137,17 +150,6 @@ class SampleHandler {
   /// Forgets `session`'s displayed tree (its samples stay until evicted).
   void DropSession(uint64_t session);
 
-  /// Live-table version bump: drops every stored sample, because they
-  /// describe rows of an older table version and serving them against the
-  /// new data would silently bias estimates.
-  /// Displayed trees stay — sessions keep exploring, and their next
-  /// drill-down rebuilds samples from the current data. `version` is
-  /// recorded for introspection via data_version().
-  void BumpDataVersion(uint64_t version);
-  uint64_t data_version() const {
-    return data_version_.load(std::memory_order_relaxed);
-  }
-
   /// Exact masses of `rules` computed in one pass over the source: tuple
   /// counts, or sums over measure column `measure` when given.
   Result<std::vector<double>> ExactMasses(
@@ -210,6 +212,9 @@ class SampleHandler {
   void ReleaseCreateFlight();
 
   const ScanSource* source_;
+  /// Empty table sharing the source's dictionaries: the schema every
+  /// sample is built against.
+  const Table prototype_;
   SampleHandlerOptions options_;
   /// The kernels every pass evaluates rules with (identical results on
   /// every path; SMARTDD_KERNEL picks one).
@@ -231,7 +236,6 @@ class SampleHandler {
   std::atomic<uint64_t> finds_{0};
   std::atomic<uint64_t> combines_{0};
   std::atomic<uint64_t> creates_{0};
-  std::atomic<uint64_t> data_version_{0};
   uint64_t seed_counter_ = 0;  // guarded by the Create single-flight
 };
 

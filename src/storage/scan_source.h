@@ -105,25 +105,12 @@ class ScanSource {
   Status ScanBlocks(const BlockCallback& fn, uint64_t num_chunks = 1,
                     size_t parallelism = 1) const;
 
-  /// Per-row forms of ScanBlocks for tools and tests (see ForEachRow):
-  /// fn(row_id, codes, measures), and fn(chunk, row_id, codes, measures)
-  /// for a chunked pass.
+  /// Per-row form of a sequential ScanBlocks for tools and tests (see
+  /// ForEachRow): fn(row_id, codes, measures).
   template <typename RowFn>
   Status Scan(RowFn&& fn) const {
     return ScanBlocks(
         [&](const ScanBlock& block) { return ForEachRow(block, fn); });
-  }
-  template <typename RowFn>
-  Status ScanChunks(uint64_t num_chunks, size_t parallelism,
-                    RowFn&& fn) const {
-    return ScanBlocks(
-        [&](const ScanBlock& block) {
-          return ForEachRow(block, [&](uint64_t row, const uint32_t* codes,
-                                       const double* measures) {
-            return fn(block.chunk, row, codes, measures);
-          });
-        },
-        num_chunks, parallelism);
   }
 
   /// Deterministic chunk-count policy for partitioned passes: a pure

@@ -21,8 +21,6 @@
 #include "common/fault_injection.h"
 #include "data/synth.h"
 #include "live/wal.h"
-#include "sampling/sample_handler.h"
-#include "storage/scan_source.h"
 #include "storage/table.h"
 #include "tests/test_util.h"
 #include "weights/standard_weights.h"
@@ -469,39 +467,6 @@ TEST(LiveTableTest, ReplayFaultSurfacesThroughCreate) {
   faults.DisarmAll();
   EXPECT_FALSE(reborn.ok());
   EXPECT_EQ(reborn.status().code(), StatusCode::kIOError);
-}
-
-// --- Sample invalidation on version bump ----------------------------
-
-TEST(LiveTableTest, SampleHandlerDropsStoreOnDataVersionBump) {
-  SynthSpec spec;
-  spec.rows = 20000;
-  spec.cardinalities = {5, 4, 6};
-  spec.zipf = {1.0, 0.6, 1.2};
-  spec.seed = 77;
-  Table table = GenerateSyntheticTable(spec);
-  MemoryScanSource source(table);
-  SampleHandlerOptions options;
-  options.memory_capacity = 5000;
-  options.min_sample_size = 500;
-  SampleHandler handler(source, options);
-
-  ASSERT_TRUE(handler.GetSampleFor(Rule::Trivial(3)).ok());
-  EXPECT_EQ(handler.scans_performed(), 1u);
-  auto cached = handler.GetSampleFor(Rule::Trivial(3));
-  ASSERT_TRUE(cached.ok());
-  EXPECT_EQ(cached->mechanism, SampleMechanism::kFind);
-  EXPECT_EQ(handler.scans_performed(), 1u);
-
-  // A version bump means every reservoir describes rows that no longer
-  // exist in that shape: the stored samples must go, and the next request
-  // must rescan.
-  handler.BumpDataVersion(2);
-  EXPECT_EQ(handler.data_version(), 2u);
-  auto fresh = handler.GetSampleFor(Rule::Trivial(3));
-  ASSERT_TRUE(fresh.ok());
-  EXPECT_EQ(fresh->mechanism, SampleMechanism::kCreate);
-  EXPECT_EQ(handler.scans_performed(), 2u);
 }
 
 // --- Service-level version pinning ----------------------------------

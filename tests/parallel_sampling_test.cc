@@ -25,6 +25,21 @@ using ::smartdd::testing::R;
 
 // --- ScanChunks partition contract -------------------------------------
 
+/// Per-row form of a chunked ScanBlocks pass: fn(chunk, row, codes,
+/// measures) for every row.
+template <typename RowFn>
+Status ScanChunks(const ScanSource& source, uint64_t num_chunks,
+                  size_t parallelism, RowFn&& fn) {
+  return source.ScanBlocks(
+      [&](const ScanBlock& block) {
+        return ForEachRow(block, [&](uint64_t row, const uint32_t* codes,
+                                     const double* measures) {
+          return fn(block.chunk, row, codes, measures);
+        });
+      },
+      num_chunks, parallelism);
+}
+
 void CheckChunkPartition(const ScanSource& source, size_t parallelism) {
   const uint64_t n = source.num_rows();
   const uint64_t num_chunks = ScanSource::PlanChunks(n);
@@ -32,8 +47,8 @@ void CheckChunkPartition(const ScanSource& source, size_t parallelism) {
 
   // Collect each chunk's visited rows; chunks never share state.
   std::vector<std::vector<uint64_t>> per_chunk(num_chunks);
-  Status s = source.ScanChunks(
-      num_chunks, parallelism,
+  Status s = ScanChunks(
+      source, num_chunks, parallelism,
       [&](uint64_t chunk, uint64_t row, const uint32_t*, const double*) {
         per_chunk[chunk].push_back(row);
         return true;
@@ -91,15 +106,15 @@ TEST(ScanChunksTest, DiskSourcePartitionsRowsExactlyOnce) {
                   .ok());
   std::vector<uint32_t> chunked_codes(serial_codes.size());
   std::vector<double> chunked_measures(serial_measures.size());
-  ASSERT_TRUE(source
-                  .ScanChunks(ScanSource::PlanChunks(source.num_rows()), 8,
-                              [&](uint64_t, uint64_t row,
-                                  const uint32_t* codes, const double* m) {
-                                chunked_codes[2 * row] = codes[0];
-                                chunked_codes[2 * row + 1] = codes[1];
-                                chunked_measures[row] = m[0];
-                                return true;
-                              })
+  ASSERT_TRUE(ScanChunks(source, ScanSource::PlanChunks(source.num_rows()),
+                         8,
+                         [&](uint64_t, uint64_t row, const uint32_t* codes,
+                             const double* m) {
+                           chunked_codes[2 * row] = codes[0];
+                           chunked_codes[2 * row + 1] = codes[1];
+                           chunked_measures[row] = m[0];
+                           return true;
+                         })
                   .ok());
   EXPECT_EQ(chunked_codes, serial_codes);
   EXPECT_EQ(chunked_measures, serial_measures);

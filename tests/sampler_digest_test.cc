@@ -7,13 +7,19 @@
 // the scan path, the chunk reservoirs or the stitch merge that alters a
 // single sampled cell, row id, slot position, scale or mass fails here.
 // A second script pins Combine: Horvitz-Thompson unions of stored sub-rule
-// samples, served, stored and found again.
+// samples, served, stored and found again. CombineUnionTest checks the
+// column-at-a-time union against a row-at-a-time reference on random
+// sources.
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <iterator>
+#include <memory>
+#include <random>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -245,6 +251,151 @@ TEST(SamplerDigestTest, CombineMatchesPinnedDigest) {
     }
   }
   std::remove(path.c_str());
+}
+
+// --- Combine against the row-at-a-time reference ----------------------
+
+/// The union Combine built before it worked a column at a time, kept here
+/// as the reference: per source in order, per slot, the full-width row (the
+/// filter's constants plus the stored columns), `Rule::Covers`, a row-id
+/// de-duplication and an append, then the minSS check and the
+/// Horvitz-Thompson scale.
+struct ReferenceUnion {
+  bool found = false;
+  std::vector<uint64_t> row_ids;
+  std::vector<std::vector<uint32_t>> rows;  // full-width codes per tuple
+  std::vector<std::vector<double>> measures;
+  double scale = 0;
+};
+
+ReferenceUnion RowLoopUnion(const Rule& rule,
+                            const std::vector<const Sample*>& sources,
+                            size_t num_measures, uint64_t min_sample_size) {
+  ReferenceUnion ref;
+  if (sources.empty()) return ref;
+  double miss_prob = 1.0;
+  for (const Sample* s : sources) {
+    double p = s->scale() > 0 ? std::min(1.0, 1.0 / s->scale()) : 1.0;
+    miss_prob *= (1.0 - p);
+  }
+  const double include_prob = 1.0 - miss_prob;
+  if (include_prob <= 0) return ref;
+
+  std::unordered_set<uint64_t> seen;
+  std::vector<uint32_t> codes(rule.num_columns());
+  for (const Sample* s : sources) {
+    for (size_t slot = 0; slot < s->size(); ++slot) {
+      for (size_t c = 0; c < rule.num_columns(); ++c) {
+        if (!s->filter().is_star(c)) codes[c] = s->filter().value(c);
+      }
+      for (size_t k = 0; k < s->star_columns().size(); ++k) {
+        codes[s->star_columns()[k]] = s->codes(k)[slot];
+      }
+      if (!rule.Covers(codes.data())) continue;
+      if (!seen.insert(s->row_id(slot)).second) continue;
+      ref.row_ids.push_back(s->row_id(slot));
+      ref.rows.push_back(codes);
+      std::vector<double> m(num_measures);
+      for (size_t i = 0; i < num_measures; ++i) m[i] = s->measures(i)[slot];
+      ref.measures.push_back(std::move(m));
+    }
+  }
+  bool complete = false;
+  for (const Sample* s : sources) {
+    if (s->scale() <= 1.0) complete = true;
+  }
+  if (ref.row_ids.size() < min_sample_size && !complete) return ref;
+  ref.found = true;
+  ref.scale = complete ? 1.0 : 1.0 / include_prob;
+  return ref;
+}
+
+TEST(CombineUnionTest, MatchesRowLoopReference) {
+  size_t found = 0;
+  size_t multi_source = 0;
+  for (uint64_t seed = 1; seed <= 60; ++seed) {
+    SynthSpec spec;
+    spec.rows = 1500 + 37 * seed;
+    spec.cardinalities = {3, 4, 2, 5, 3};
+    spec.seed = seed;
+    spec.with_measure = true;
+    const Table table = GenerateSyntheticTable(spec);
+    const size_t cols = table.num_columns();
+    std::mt19937_64 gen(seed);
+    auto uniform = [&gen](uint64_t n) { return gen() % n; };
+
+    // The requested rule, and independent sources whose filters are random
+    // sub-rules of it, each holding a random subset of its filter's cover in
+    // random slot order: sources overlap, so de-duplication matters.
+    Rule rule = Rule::Trivial(cols);
+    for (size_t c = 0; c < cols; ++c) {
+      if (uniform(2) == 0) {
+        rule.set_value(c,
+                       static_cast<uint32_t>(uniform(spec.cardinalities[c])));
+      }
+    }
+    std::vector<std::unique_ptr<Sample>> owned;
+    std::vector<const Sample*> sources;
+    const size_t num_sources = 1 + uniform(4);
+    for (size_t i = 0; i < num_sources; ++i) {
+      Rule filter = Rule::Trivial(cols);
+      for (size_t c = 0; c < cols; ++c) {
+        if (!rule.is_star(c) && uniform(2) == 0) {
+          filter.set_value(c, rule.value(c));
+        }
+      }
+      std::vector<uint64_t> cover;
+      std::vector<uint32_t> codes(cols);
+      for (uint64_t r = 0; r < table.num_rows(); ++r) {
+        table.GetRow(r, codes.data());
+        if (filter.Covers(codes.data())) cover.push_back(r);
+      }
+      std::shuffle(cover.begin(), cover.end(), gen);
+      cover.resize(uniform(cover.size() + 1));
+      auto sample = std::make_unique<Sample>(filter, table);
+      sample->Resize(cover.size());
+      for (size_t slot = 0; slot < cover.size(); ++slot) {
+        for (size_t k = 0; k < sample->star_columns().size(); ++k) {
+          sample->mutable_codes(k)[slot] =
+              table.code(sample->star_columns()[k], cover[slot]);
+        }
+        sample->mutable_measures(0)[slot] = table.measure(0, cover[slot]);
+        sample->mutable_row_ids()[slot] = cover[slot];
+      }
+      constexpr double kScales[] = {1.0, 1.25, 2.0, 3.5, 10.0, 40.0};
+      sample->set_scale(kScales[uniform(std::size(kScales))]);
+      sources.push_back(sample.get());
+      owned.push_back(std::move(sample));
+    }
+    const uint64_t min_size = uniform(400);
+
+    const ReferenceUnion want = RowLoopUnion(rule, sources, 1, min_size);
+    auto got = CombineSamples(rule, sources, table, min_size);
+    ASSERT_EQ(got.ok(), want.found) << "seed " << seed;
+    if (!want.found) continue;
+    ++found;
+    multi_source += num_sources > 1 ? 1 : 0;
+    const Sample& u = **got;
+    EXPECT_EQ(u.filter(), rule);
+    EXPECT_TRUE(u.derived());
+    EXPECT_EQ(u.scale(), want.scale) << "seed " << seed;
+    EXPECT_EQ(u.source_mass(),
+              want.scale * static_cast<double>(want.row_ids.size()));
+    ASSERT_EQ(u.size(), want.row_ids.size()) << "seed " << seed;
+    EXPECT_EQ(u.row_ids(), want.row_ids) << "seed " << seed;
+    const Table m = u.Materialize();
+    for (size_t t = 0; t < u.size(); ++t) {
+      for (size_t c = 0; c < cols; ++c) {
+        ASSERT_EQ(m.code(c, t), want.rows[t][c])
+            << "seed " << seed << " tuple " << t << " column " << c;
+      }
+      ASSERT_EQ(m.measure(0, t), want.measures[t][0])
+          << "seed " << seed << " tuple " << t;
+    }
+  }
+  // The grid must exercise real unions, not only refusals.
+  EXPECT_GE(found, 20u);
+  EXPECT_GE(multi_source, 10u);
 }
 
 TEST(SamplerDigestTest, MemorySourceMatchesPinnedDigest) {

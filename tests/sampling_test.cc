@@ -79,18 +79,31 @@ TEST(SampleTest, ElidesFilterColumns) {
   EXPECT_EQ(s.stored_columns(), 2u);  // only columns 1, 2 stored
 }
 
-TEST(SampleTest, GetRowReconstructsFullTuple) {
+/// Writes table row `row` into slot `slot` of `s` through the column
+/// accessors: the stored columns, the measures and the row id.
+void FillSlot(const Table& t, uint64_t row, size_t slot, Sample* s) {
+  for (size_t k = 0; k < s->star_columns().size(); ++k) {
+    s->mutable_codes(k)[slot] = t.code(s->star_columns()[k], row);
+  }
+  for (size_t m = 0; m < t.num_measures(); ++m) {
+    s->mutable_measures(m)[slot] = t.measure(m, row);
+  }
+  s->mutable_row_ids()[slot] = row;
+}
+
+TEST(SampleTest, MaterializeReconstructsFullTuple) {
   Table t = MakeTable({{"a", "x", "q"}, {"a", "y", "r"}});
   Rule filter = R(t, {"a", "?", "?"});
   Sample s(filter, t);
-  uint32_t codes[3];
-  t.GetRow(1, codes);
-  s.Add(1, codes, nullptr);
-  uint32_t out[3];
-  s.GetRow(0, out);
-  EXPECT_EQ(out[0], t.code(0, 1));
-  EXPECT_EQ(out[1], t.code(1, 1));
-  EXPECT_EQ(out[2], t.code(2, 1));
+  s.Resize(1);
+  FillSlot(t, 1, 0, &s);
+  EXPECT_EQ(s.codes(0)[0], t.code(1, 1));
+  EXPECT_EQ(s.codes(1)[0], t.code(2, 1));
+  Table m = s.Materialize();
+  ASSERT_EQ(m.num_rows(), 1u);
+  EXPECT_EQ(m.code(0, 0), t.code(0, 1));  // elided: from the filter
+  EXPECT_EQ(m.code(1, 0), t.code(1, 1));
+  EXPECT_EQ(m.code(2, 0), t.code(2, 1));
   EXPECT_EQ(s.row_id(0), 1u);
 }
 
@@ -98,11 +111,8 @@ TEST(SampleTest, MaterializeRebuildsRows) {
   Table t = MakeTable({{"a", "x"}, {"a", "y"}, {"b", "z"}});
   Rule filter = R(t, {"a", "?"});
   Sample s(filter, t);
-  uint32_t codes[2];
-  for (uint64_t r : {0ull, 1ull}) {
-    t.GetRow(r, codes);
-    s.Add(r, codes, nullptr);
-  }
+  s.Resize(2);
+  for (uint64_t r : {0ull, 1ull}) FillSlot(t, r, r, &s);
   Table m = s.Materialize();
   ASSERT_EQ(m.num_rows(), 2u);
   EXPECT_EQ(m.ValueAt(0, 0), "a");
@@ -110,33 +120,14 @@ TEST(SampleTest, MaterializeRebuildsRows) {
   EXPECT_EQ(m.ValueAt(1, 1), "y");
 }
 
-TEST(SampleTest, ReplaceAtOverwritesSlot) {
-  Table t = MakeTable({{"a", "x"}, {"a", "y"}});
-  Sample s(R(t, {"a", "?"}), t);
-  uint32_t codes[2];
-  t.GetRow(0, codes);
-  s.Add(0, codes, nullptr);
-  t.GetRow(1, codes);
-  s.ReplaceAt(0, 1, codes, nullptr);
-  uint32_t out[2];
-  s.GetRow(0, out);
-  EXPECT_EQ(out[1], t.code(1, 1));
-  EXPECT_EQ(s.row_id(0), 1u);
-  EXPECT_EQ(s.size(), 1u);
-}
-
 TEST(SampleTest, MeasuresStoredPerRow) {
   Table t({"k"});
   t.AddMeasureColumn("m");
   ASSERT_TRUE(t.AppendRowValues({"a"}, std::vector<double>{4.5}).ok());
   Sample s(Rule::Trivial(1), t);
-  uint32_t codes[1];
-  t.GetRow(0, codes);
-  double measures[1] = {4.5};
-  s.Add(0, codes, measures);
-  double out[1];
-  s.GetMeasures(0, out);
-  EXPECT_DOUBLE_EQ(out[0], 4.5);
+  s.Resize(1);
+  FillSlot(t, 0, 0, &s);
+  EXPECT_DOUBLE_EQ(s.measures(0)[0], 4.5);
   Table m = s.Materialize();
   EXPECT_DOUBLE_EQ(m.measure(0, 0), 4.5);
 }

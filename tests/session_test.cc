@@ -229,17 +229,37 @@ TEST_F(SamplingSessionTest, EstimatesWithinConfidenceOfExact) {
 }
 
 TEST_F(SamplingSessionTest, RefreshExactCountsConvergesToTruth) {
-  auto owned = testing::MakeSession(*source_, weight_, SamplingOptions(),
-                                    SamplingEngineOptions());
-  ExplorationSession& session = owned.session;
-  auto children = session.Expand(session.root());
-  ASSERT_TRUE(children.ok());
-  ASSERT_TRUE(session.RefreshExactCounts().ok());
-  TableView full(table_);
-  for (int id : session.DisplayOrder()) {
-    const ExplorationNode& node = session.node(id);
-    EXPECT_TRUE(node.exact);
-    EXPECT_DOUBLE_EQ(node.mass, RuleMass(full, node.rule));
+  // Count over table_, then Sum over a copy with an integer-valued measure.
+  // Whole-number sums are exact in any order of additions, so the sampler's
+  // chunked pass must match a row-order RuleMass bit for bit.
+  Table with_units = Table::EmptyLike(table_);
+  with_units.AddMeasureColumn("units");
+  std::vector<uint32_t> codes(table_.num_columns());
+  for (uint64_t r = 0; r < table_.num_rows(); ++r) {
+    table_.GetRow(r, codes.data());
+    const double units = static_cast<double>((r * 7919) % 101);
+    with_units.AppendRow(codes, {&units, 1});
+  }
+  with_units.Freeze();
+  MemoryScanSource units_source(with_units);
+
+  for (bool sum : {false, true}) {
+    SessionOptions options = SamplingOptions();
+    if (sum) options.measure_column = "units";
+    auto owned = testing::MakeSession(sum ? units_source : *source_, weight_,
+                                      options, SamplingEngineOptions());
+    ExplorationSession& session = owned.session;
+    auto children = session.Expand(session.root());
+    ASSERT_TRUE(children.ok()) << children.status().ToString();
+    ASSERT_TRUE(session.RefreshExactCounts().ok());
+    TableView full(sum ? with_units : table_);
+    if (sum) full.SelectMeasure(0);
+    for (int id : session.DisplayOrder()) {
+      const ExplorationNode& node = session.node(id);
+      EXPECT_TRUE(node.exact);
+      EXPECT_EQ(node.mass, RuleMass(full, node.rule))
+          << (sum ? "Sum" : "Count");
+    }
   }
 }
 
@@ -343,57 +363,6 @@ TEST_F(SamplingSessionTest, SynchronousPrefetchAlsoWorks) {
   ExplorationSession& session = owned.session;
   ASSERT_TRUE(session.Expand(session.root()).ok());
   EXPECT_TRUE(session.WaitForPrefetch().ok());
-}
-
-TEST(ScanSourceSessionTest, WithoutSamplerMatchesInMemoryEngine) {
-  // A scan-source engine built without a sampler materializes each clicked
-  // rule's cover with one scan and refreshes counts by scanning directly.
-  // Both must render the same bytes as the in-memory engine.
-  SynthSpec spec;
-  spec.rows = 6000;
-  spec.cardinalities = {6, 5, 4, 3};
-  spec.zipf = {1.1, 0.7, 1.3, 0.4};
-  spec.seed = 311;
-  spec.with_measure = true;
-  const Table table = GenerateSyntheticTable(spec);
-  MemoryScanSource source(table);
-  SizeWeight weight;
-  RenderOptions render;
-  render.show_marginal = true;
-
-  auto script = [&](ExplorationSession& session) {
-    std::string out;
-    auto children = session.Expand(session.root());
-    EXPECT_TRUE(children.ok()) << children.status().ToString();
-    if (!children.ok() || children->size() < 2) return out;
-    const int first = (*children)[0];
-    const int second = (*children)[1];
-    EXPECT_TRUE(session.Expand(first).ok());
-    const Rule& rule = session.node(second).rule;
-    size_t star_col = 0;
-    while (star_col < rule.num_columns() && !rule.is_star(star_col)) {
-      ++star_col;
-    }
-    EXPECT_LT(star_col, rule.num_columns());
-    EXPECT_TRUE(session.ExpandStar(second, star_col).ok());
-    out += RenderSession(session, render);
-    EXPECT_TRUE(session.RefreshExactCounts().ok());
-    out += RenderSession(session, render);
-    return out;
-  };
-
-  for (bool sum : {false, true}) {
-    SessionOptions options;
-    options.k = 3;
-    if (sum) options.measure_column = "value";
-    auto in_memory = testing::MakeSession(table, weight, options);
-    auto scanned =
-        testing::MakeSession(source, weight, options, EngineOptions{});
-    ASSERT_EQ(scanned.engine->sampler(), nullptr);
-    const std::string want = script(in_memory.session);
-    EXPECT_FALSE(want.empty());
-    EXPECT_EQ(script(scanned.session), want) << (sum ? "Sum" : "Count");
-  }
 }
 
 }  // namespace

@@ -286,7 +286,10 @@ TEST(EngineShardsTest, ScanSourceRejectsMultipleShards) {
   EXPECT_EQ(engine.status().code(), StatusCode::kInvalidArgument);
 
   options.num_shards = 1;
-  EXPECT_TRUE(ExplorationEngine::Create(source, weight, options).ok());
+  auto accepted = ExplorationEngine::Create(source, weight, options);
+  ASSERT_TRUE(accepted.ok()) << accepted.status().ToString();
+  // A scan-source engine always samples, with default options too.
+  EXPECT_NE((*accepted)->sampler(), nullptr);
 }
 
 TEST(ShardedServiceTest, AddShardedTableServesIdenticalTreeBytes) {
