@@ -68,8 +68,8 @@ struct EngineOptions {
 /// share the handler's sample store (reader-writer locked, single-flight
 /// Create); their estimates depend on which samples are resident, hence on
 /// the interleaving, but each returned sample is always a valid uniform
-/// sample of its rule. The WeightFunction must be safe for concurrent const calls
-/// (the standard weights are stateless).
+/// sample of its rule. The WeightFunction must be safe for concurrent const
+/// calls (the standard weights are stateless).
 ///
 /// An in-memory engine holds its table as EngineOptions::num_shards
 /// row-contiguous shards (a ShardPlan over the rows, shared dictionaries).
