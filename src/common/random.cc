@@ -24,36 +24,9 @@ uint64_t DeriveSeed(uint64_t root, uint64_t stream, uint64_t substream) {
   return DeriveSeed(DeriveSeed(root, stream), substream);
 }
 
-namespace {
-inline uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-}  // namespace
-
 Rng::Rng(uint64_t seed) {
   uint64_t sm = seed;
   for (auto& s : state_) s = SplitMix64(sm);
-}
-
-uint64_t Rng::Next() {
-  const uint64_t result = Rotl(state_[1] * 5, 7) * 9;
-  const uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = Rotl(state_[3], 45);
-  return result;
-}
-
-uint64_t Rng::UniformInt(uint64_t bound) {
-  SMARTDD_DCHECK(bound > 0);
-  // Debiased modulo: reject draws below 2^64 mod bound. That threshold is
-  // below `bound`, so a draw at or above `bound` is accepted without
-  // computing it, and a typical draw costs one division.
-  for (;;) {
-    uint64_t r = Next();
-    if (r >= bound || r >= (0 - bound) % bound) return r % bound;
-  }
 }
 
 int64_t Rng::UniformRange(int64_t lo, int64_t hi) {

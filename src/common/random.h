@@ -6,6 +6,8 @@
 #include <utility>
 #include <vector>
 
+#include "common/logging.h"
+
 namespace smartdd {
 
 /// Deterministic, seedable PRNG (xoshiro256**). All randomized components of
@@ -15,11 +17,31 @@ class Rng {
  public:
   explicit Rng(uint64_t seed = 0x9E3779B97F4A7C15ULL);
 
-  /// Next raw 64 random bits.
-  uint64_t Next();
+  /// Next raw 64 random bits. Inline, with UniformInt: reservoir offers
+  /// and stitch merges draw once or twice per row.
+  uint64_t Next() {
+    const uint64_t result = Rotl(state_[1] * 5, 7) * 9;
+    const uint64_t t = state_[1] << 17;
+    state_[2] ^= state_[0];
+    state_[3] ^= state_[1];
+    state_[1] ^= state_[2];
+    state_[0] ^= state_[3];
+    state_[2] ^= t;
+    state_[3] = Rotl(state_[3], 45);
+    return result;
+  }
 
   /// Uniform integer in [0, bound). bound must be > 0.
-  uint64_t UniformInt(uint64_t bound);
+  uint64_t UniformInt(uint64_t bound) {
+    SMARTDD_DCHECK(bound > 0);
+    // Debiased modulo: reject draws below 2^64 mod bound. That threshold is
+    // below `bound`, so a draw at or above `bound` is accepted without
+    // computing it, and a typical draw costs one division.
+    for (;;) {
+      const uint64_t r = Next();
+      if (r >= bound || r >= (0 - bound) % bound) return r % bound;
+    }
+  }
 
   /// Uniform integer in [lo, hi] inclusive. Requires lo <= hi.
   int64_t UniformRange(int64_t lo, int64_t hi);
@@ -57,6 +79,10 @@ class Rng {
   }
 
  private:
+  static uint64_t Rotl(uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
   uint64_t state_[4];
 };
 
