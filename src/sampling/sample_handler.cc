@@ -209,17 +209,27 @@ Result<std::unique_ptr<Sample>> CombineSamples(
     return Status::NotFound("combined samples have zero inclusion mass");
   }
 
+  // Each source's cover of `rule` first: de-duplication only shrinks the
+  // union, so when the masked slots together fall below minSS the union
+  // does too, and it is refused before any row id is hashed.
+  std::vector<std::vector<uint8_t>> masks(sources.size());
+  uint64_t masked = 0;
+  for (size_t i = 0; i < sources.size(); ++i) {
+    SMARTDD_DCHECK(IsSubRuleOf(sources[i]->filter(), rule));
+    CoverMask(rule, *sources[i], &masks[i]);
+    for (uint8_t m : masks[i]) masked += m;
+  }
+  if (masked < min_sample_size && !complete) {
+    return Status::NotFound("combined sub-rule samples below minSS");
+  }
+
   // The union as slot references, source by source in slot order, each
   // row id kept where it first appears.
   std::vector<SlotRef> refs;
   std::unordered_set<uint64_t> seen;
-  std::vector<uint8_t> mask;
   for (size_t i = 0; i < sources.size(); ++i) {
-    const Sample& s = *sources[i];
-    SMARTDD_DCHECK(IsSubRuleOf(s.filter(), rule));
-    CoverMask(rule, s, &mask);
-    const uint64_t* ids = s.row_ids().data();
-    ForEachSet(mask.data(), s.size(), [&](size_t j) {
+    const uint64_t* ids = sources[i]->row_ids().data();
+    ForEachSet(masks[i].data(), sources[i]->size(), [&](size_t j) {
       if (seen.insert(ids[j]).second) {
         refs.push_back(
             SlotRef{static_cast<uint32_t>(i), static_cast<uint32_t>(j)});
