@@ -6,6 +6,17 @@
 
 namespace smartdd {
 
+namespace {
+
+bool AllIntegers(const std::vector<double>& values) {
+  for (double v : values) {
+    if (!std::isfinite(v) || std::floor(v) != v) return false;
+  }
+  return true;
+}
+
+}  // namespace
+
 BitsWeight::BitsWeight(std::vector<double> bits_per_column)
     : bits_per_column_(std::move(bits_per_column)) {
   for (double b : bits_per_column_) {
@@ -43,6 +54,10 @@ double BitsWeight::MaxPossibleWeight(size_t num_columns) const {
   return total;
 }
 
+bool BitsWeight::IntegerValued() const {
+  return AllIntegers(bits_per_column_);
+}
+
 LinearColumnWeight::LinearColumnWeight(std::vector<double> column_weights,
                                        std::string name)
     : weights_(std::move(column_weights)), name_(std::move(name)) {
@@ -68,6 +83,10 @@ double LinearColumnWeight::MaxPossibleWeight(size_t num_columns) const {
   return total;
 }
 
+bool LinearColumnWeight::IntegerValued() const {
+  return AllIntegers(weights_);
+}
+
 ColumnBoostWeight::ColumnBoostWeight(const WeightFunction& base,
                                      std::vector<double> boosts)
     : base_(&base), boosts_(std::move(boosts)) {
@@ -91,6 +110,10 @@ double ColumnBoostWeight::MaxPossibleWeight(size_t num_columns) const {
     total += boosts_[c];
   }
   return total;
+}
+
+bool ColumnBoostWeight::IntegerValued() const {
+  return base_->IntegerValued() && AllIntegers(boosts_);
 }
 
 }  // namespace smartdd

@@ -19,6 +19,7 @@ class SizeWeight : public WeightFunction {
   double MaxPossibleWeight(size_t num_columns) const override {
     return static_cast<double>(num_columns);
   }
+  bool IntegerValued() const override { return true; }
 };
 
 /// Bits weighting (paper §2.2): W(r) = sum over instantiated columns c of
@@ -36,6 +37,8 @@ class BitsWeight : public WeightFunction {
   double Weight(const Rule& rule) const override;
   std::string name() const override { return "Bits"; }
   double MaxPossibleWeight(size_t num_columns) const override;
+  /// True iff every per-column bit count is an integer (FromTable's are).
+  bool IntegerValued() const override;
 
   const std::vector<double>& bits_per_column() const {
     return bits_per_column_;
@@ -58,6 +61,7 @@ class SizeMinusOneWeight : public WeightFunction {
   double MaxPossibleWeight(size_t num_columns) const override {
     return num_columns > 0 ? static_cast<double>(num_columns - 1) : 0.0;
   }
+  bool IntegerValued() const override { return true; }
 };
 
 /// Linear per-column weighting: W(r) = sum of w_c over instantiated columns.
@@ -72,6 +76,8 @@ class LinearColumnWeight : public WeightFunction {
   double Weight(const Rule& rule) const override;
   std::string name() const override { return name_; }
   double MaxPossibleWeight(size_t num_columns) const override;
+  /// True iff every w_c is an integer.
+  bool IntegerValued() const override;
 
   const std::vector<double>& column_weights() const { return weights_; }
 
@@ -93,6 +99,7 @@ class ColumnIndicatorWeight : public WeightFunction {
   }
   std::string name() const override { return "ColumnIndicator"; }
   double MaxPossibleWeight(size_t) const override { return 1.0; }
+  bool IntegerValued() const override { return true; }
 
  private:
   size_t col_;
@@ -112,6 +119,8 @@ class ColumnBoostWeight : public WeightFunction {
   double Weight(const Rule& rule) const override;
   std::string name() const override { return base_->name() + "+Boost"; }
   double MaxPossibleWeight(size_t num_columns) const override;
+  /// True iff the base is integer-valued and every boost is an integer.
+  bool IntegerValued() const override;
 
  private:
   const WeightFunction* base_;

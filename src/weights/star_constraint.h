@@ -29,6 +29,7 @@ class StarConstraintWeight : public WeightFunction {
   double MaxPossibleWeight(size_t num_columns) const override {
     return base_->MaxPossibleWeight(num_columns);
   }
+  bool IntegerValued() const override { return base_->IntegerValued(); }
 
   size_t constrained_column() const { return col_; }
 

@@ -33,6 +33,12 @@ class WeightFunction {
     (void)num_columns;
     return std::numeric_limits<double>::infinity();
   }
+
+  /// True when every weight this function returns is an integer. Then,
+  /// under Count from integer covered weights, every marginal term is an
+  /// integer, and the marginal search counts by popcounts instead of
+  /// per-row sums (see MarginalRuleFinder). Defaults to false.
+  virtual bool IntegerValued() const { return false; }
 };
 
 }  // namespace smartdd

@@ -204,6 +204,40 @@ TEST(StarConstraintWeightTest, RemainsMonotonic) {
   }
 }
 
+// IntegerValued() opens the marginal search's exact-count regime, so a
+// weight may claim it only when every weight it returns is an integer.
+TEST(IntegerValuedTest, EachShippedWeight) {
+  EXPECT_TRUE(SizeWeight().IntegerValued());
+  EXPECT_TRUE(SizeMinusOneWeight().IntegerValued());
+  EXPECT_TRUE(ColumnIndicatorWeight(1).IntegerValued());
+
+  EXPECT_TRUE(BitsWeight({2, 0, 3}).IntegerValued());
+  EXPECT_FALSE(BitsWeight({2, 0.5, 3}).IntegerValued());
+  const Table table =
+      testing::MakeTable({{"a", "x", "p"}, {"b", "x", "q"}, {"c", "x", "r"}});
+  EXPECT_TRUE(BitsWeight::FromTable(table).IntegerValued());
+
+  EXPECT_TRUE(LinearColumnWeight({1, 4, 0}).IntegerValued());
+  EXPECT_FALSE(LinearColumnWeight({1, 4, 0.25}).IntegerValued());
+
+  SizeWeight size;
+  BitsWeight fractional({1.5, 1, 1});
+  EXPECT_TRUE(ColumnBoostWeight(size, {0, 2, 1}).IntegerValued());
+  EXPECT_FALSE(ColumnBoostWeight(size, {0, 0.5, 1}).IntegerValued());
+  EXPECT_FALSE(ColumnBoostWeight(fractional, {0, 2, 1}).IntegerValued());
+
+  // The default is false: alpha = 1 with integer weights would qualify,
+  // but the parametric family makes no such claim.
+  EXPECT_FALSE(ParametricWeight({1, 1, 1}, 2.0).IntegerValued());
+}
+
+TEST(IntegerValuedTest, StarConstraintDelegates) {
+  SizeWeight size;
+  BitsWeight fractional({1.5, 1, 1});
+  EXPECT_TRUE(StarConstraintWeight(size, 1).IntegerValued());
+  EXPECT_FALSE(StarConstraintWeight(fractional, 1).IntegerValued());
+}
+
 // ---------------------------------------------------------------------
 // §6.1 parametric analysis helpers.
 // ---------------------------------------------------------------------
