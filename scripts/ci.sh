@@ -78,6 +78,13 @@ if [[ "$MODE" != "--tsan-only" && "$MODE" != "--asan-only" ]]; then
   cmake --build build -j "$(nproc)"
   (cd build && ctest --output-on-failure -j "$(nproc)")
 
+  # The finder's differential suites again on the portable scalar kernels
+  # (the run above dispatches to AVX2 where the host has it): its bitset
+  # AND and popcount kernels have a scalar and an AVX2 form, and the
+  # Release build must be bit-identical under both.
+  (cd build && SMARTDD_KERNEL=scalar ctest --output-on-failure -j "$(nproc)" \
+    -R 'cover_memo_test|parallel_marginal_test|count_regime_test|brs_oracle_test|greedy_oracle_test')
+
   # Service-protocol smoke: a scripted session's codec bytes in must
   # reproduce the golden snapshot bytes out (the paper's retail walkthrough
   # through the front-door ExplorationService; tokens are deterministic).

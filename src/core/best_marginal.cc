@@ -87,10 +87,21 @@ struct LaneLayout {
 
 /// A lane length no row list reaches: WalkMarginal then sums sequentially.
 constexpr uint64_t kOneLane = std::numeric_limits<uint64_t>::max();
-/// Bounds the cover store (64 MB of row ids per finder). Once full, new
-/// candidates are no longer recorded and count by the postings walk, with
-/// identical results.
+/// Bounds the cover store (64 MB of row ids, or of bitset words in the
+/// exact-count regime, per finder). Once full, new candidates are no longer
+/// recorded and count from the postings or value bitsets, with identical
+/// results.
 constexpr uint64_t kMaxCoverRows = uint64_t{1} << 24;
+constexpr uint64_t kMaxCoverWords = kMaxCoverRows / 2;
+
+/// The exact-count regime's limits (see ExactCountRegime): integer sums
+/// below 2^53 are exact in a double, value bitsets may take up to twice
+/// the postings' bytes (a 32-bit row id per row and column, against one
+/// bit per row and value), and the starting covered weights form at most
+/// this many levels.
+constexpr double kMaxExactSum = 9007199254740992.0;  // 2^53
+constexpr uint64_t kMaxMeanValues = 64;
+constexpr size_t kMaxStartLevels = 64;
 
 /// Largest block of candidates counted together. The threshold H is frozen
 /// at each block boundary: pruning decisions depend only on block layout
@@ -142,6 +153,22 @@ struct Postings {
   std::vector<uint32_t> rows;
 };
 
+/// The covered weights in the exact-count regime: the distinct weights,
+/// ascending, each with the bitset of the rows at that weight. Every row is
+/// in exactly one level; no levels means every weight is still the
+/// starting one and none has been needed yet.
+struct CoveredLevels {
+  std::vector<double> weights;
+  std::vector<std::vector<uint64_t>> rows;
+};
+
+/// Rows in bitset words: bit t % 64 of word t / 64 is global row t.
+uint64_t BitsetWords(uint64_t rows) { return (rows + 63) / 64; }
+
+void SetRow(uint64_t* bits, uint64_t row) {
+  bits[row >> 6] |= uint64_t{1} << (row & 63);
+}
+
 }  // namespace
 
 /// Covers of the counted arity >= 2 rules, kept for the finder's lifetime:
@@ -150,14 +177,16 @@ struct Postings {
 /// the serial gather after each candidate block.
 struct MarginalRuleFinder::CoverStore {
   struct Cover {
-    uint64_t begin;  // offset into `rows`
-    uint32_t size;
+    uint64_t begin;  // offset into `rows`, or into `words` when exact
+    uint32_t size;   // rows covered
     double mass;
     double marginal;  // as last counted; an upper bound in later Finds
   };
   std::vector<Cover> covers;
   /// Concatenated covers, each ascending in the global row order.
   std::vector<uint32_t> rows;
+  /// In the exact-count regime, concatenated cover bitsets instead.
+  std::vector<uint64_t> words;
   /// ColsKey -> index into `groups`; each group maps packed values to an
   /// index into `covers`. A deque: growing it never moves the groups.
   FlatMap<uint32_t> group_index;
@@ -189,18 +218,43 @@ struct MarginalRuleFinder::CoverStore {
     return id;
   }
 
+  /// Records a cover bitset of `size` rows; kNoCover once the store is full.
+  uint32_t AddBits(uint32_t group, const Key128& vals_key,
+                   const std::vector<uint64_t>& bits, uint32_t size,
+                   double mass, double marginal) {
+    if (full || words.size() + bits.size() > kMaxCoverWords) {
+      full = true;
+      return kNoCover;
+    }
+    const uint32_t id = static_cast<uint32_t>(covers.size());
+    covers.push_back(Cover{words.size(), size, mass, marginal});
+    words.insert(words.end(), bits.begin(), bits.end());
+    *groups[group].FindOrInsert(vals_key).first = id;
+    return id;
+  }
+
   const uint32_t* begin(const Cover& c) const { return rows.data() + c.begin; }
+  const uint64_t* bits(const Cover& c) const { return words.data() + c.begin; }
 };
 
 /// Pass 1's state, kept for the finder's lifetime once a Find built it:
 /// counts, masses, weights and postings depend only on the views, and each
 /// entry's marginal is the one it was last counted with. `pending` is the
 /// last winner, whose covered-weight update the next Find applies before it
-/// reads any covered weight, along the winner's postings or stored cover.
+/// reads any covered weight, along the winner's postings or stored cover
+/// (its value bitset or stored bitset in the exact-count regime).
 struct MarginalRuleFinder::PassOneStore {
   std::vector<SingletonTable> singles;  // per dense column
   std::vector<Postings> postings;       // per dense column, global row ids
   bool built = false;
+
+  /// The exact-count regime, decided once by the finder's constructor. It
+  /// replaces the postings with `value_bits` (per dense column, one bitset
+  /// per dictionary code, code v at word v * BitsetWords(rows)) and the
+  /// covered-weight array with `levels`.
+  bool exact = false;
+  std::vector<std::vector<uint64_t>> value_bits;
+  CoveredLevels levels;
 
   struct Pick {
     Rule rule{0};
@@ -249,9 +303,16 @@ struct MarginalRuleFinder::Impl {
   /// lane's mass was a sum of 1.0s, and integer-valued double sums are
   /// bit-identical to double(count) up to 2^53 rows.
   bool count_mode = false;
+  /// The exact-count regime (pass1.exact): Count from integer weights, so
+  /// every marginal term is an integer and every sum is exact in any order.
+  /// Covers are row bitsets of `words` words, counted by popcounts against
+  /// the covered-weight levels (see LevelMarginal).
+  bool exact = false;
+  uint64_t words = 0;
 
   std::vector<Postings>& postings;       // pass1.postings
   std::vector<SingletonTable>& singles;  // pass1.singles
+  CoveredLevels& levels;                 // pass1.levels
   std::vector<CandidateGroup> counted;   // arity >= 2 groups, all passes
   FlatMap<uint32_t> counted_index;       // ColsKey -> index into `counted`
 
@@ -295,7 +356,8 @@ struct MarginalRuleFinder::Impl {
         kpath(ResolveKernelPath(opts.kernel)),
         kern(&GetScanKernels(kpath)),
         postings(p1.postings),
-        singles(p1.singles) {
+        singles(p1.singles),
+        levels(p1.levels) {
     SMARTDD_CHECK(!views.empty());
     const TableView& proto = *views[0];
     SMARTDD_CHECK(base.num_columns() == proto.num_columns());
@@ -341,6 +403,8 @@ struct MarginalRuleFinder::Impl {
     }
     scratch = base;
     count_mode = !proto.has_measure();
+    exact = p1.exact;
+    words = BitsetWords(total_rows);
   }
 
   /// Dictionary size of column c. The shards share their dictionaries
@@ -474,6 +538,130 @@ struct MarginalRuleFinder::Impl {
     }
   }
 
+  // --- Exact-count regime ----------------------------------------------
+
+  /// The bitset of the rows where table column `col` holds `code`.
+  const uint64_t* ValueBits(uint32_t col, uint32_t code) const {
+    return pass1.value_bits[col_dense[col]].data() + code * words;
+  }
+
+  /// Invokes fn(segment, local_lo, local_hi) over every row in chunks of
+  /// kMinLaneRows global rows, the chunks in parallel. The chunks are whole
+  /// bitset words, so chunks setting bits of one bitset never share a word.
+  template <typename Fn>
+  void ForEachWordChunk(Fn&& fn) {
+    RunChunked((total_rows + kMinLaneRows - 1) / kMinLaneRows,
+               [&](uint64_t chunk) {
+                 ForEachRange(chunk * kMinLaneRows,
+                              std::min(total_rows, (chunk + 1) * kMinLaneRows),
+                              fn);
+               });
+  }
+
+  /// Builds the levels from the starting covered weights (all zero when
+  /// `covered` is empty), once.
+  void EnsureLevels() {
+    if (!levels.weights.empty()) return;
+    if (covered.empty()) {
+      levels.weights.assign(1, 0.0);
+      levels.rows.assign(1, std::vector<uint64_t>(words, ~uint64_t{0}));
+      if (total_rows % 64 != 0) {
+        levels.rows[0].back() = (uint64_t{1} << (total_rows % 64)) - 1;
+      }
+      return;
+    }
+    levels.weights = covered;
+    std::sort(levels.weights.begin(), levels.weights.end());
+    levels.weights.erase(
+        std::unique(levels.weights.begin(), levels.weights.end()),
+        levels.weights.end());
+    levels.rows.assign(levels.weights.size(),
+                       std::vector<uint64_t>(words, 0));
+    for (uint64_t t = 0; t < total_rows; ++t) {
+      const size_t l = static_cast<size_t>(
+          std::lower_bound(levels.weights.begin(), levels.weights.end(),
+                           covered[t]) -
+          levels.weights.begin());
+      SetRow(levels.rows[l].data(), t);
+    }
+  }
+
+  /// Moves the rows of `cover` below weight w up to level w: the
+  /// covered-weight update cw(t) = max(cw(t), w) over the cover.
+  void RaiseLevels(const uint64_t* cover, double w) {
+    auto it = std::lower_bound(levels.weights.begin(), levels.weights.end(), w);
+    const size_t top = static_cast<size_t>(it - levels.weights.begin());
+    const bool inserted = it == levels.weights.end() || *it != w;
+    if (inserted) {
+      levels.weights.insert(it, w);
+      levels.rows.insert(levels.rows.begin() + top,
+                         std::vector<uint64_t>(words, 0));
+    }
+    // Downward, so erasing an emptied level leaves the lower indices, and
+    // `dst` (the level's heap words) stays valid as the vector shifts.
+    uint64_t* dst = levels.rows[top].data();
+    uint64_t any = 0;
+    size_t at = top;  // level w's index once emptied levels are erased
+    for (size_t l = top; l-- > 0;) {
+      uint64_t* src = levels.rows[l].data();
+      uint64_t left = 0;
+      for (uint64_t i = 0; i < words; ++i) {
+        const uint64_t moved = src[i] & cover[i];
+        src[i] ^= moved;
+        dst[i] |= moved;
+        any |= moved;
+        left |= src[i];
+      }
+      if (left == 0) {
+        levels.weights.erase(levels.weights.begin() + l);
+        levels.rows.erase(levels.rows.begin() + l);
+        --at;
+      }
+    }
+    if (inserted && any == 0) {
+      levels.weights.erase(levels.weights.begin() + at);
+      levels.rows.erase(levels.rows.begin() + at);
+    }
+  }
+
+  /// The marginal of a cover bitset of `mass` rows at weight w:
+  ///   sum over levels l < w of (w - l) * |cover & level l|.
+  /// When every level is below w, the lowest level's count is the mass
+  /// less the others', which saves one popcount pass. Every term is an
+  /// integer and every partial sum stays below 2^53, so this is bit for
+  /// bit the row-order sum of (w - cw(t))^+ over the cover.
+  double LevelMarginal(const uint64_t* cover, double w, double mass) const {
+    const std::vector<double>& lw = levels.weights;
+    if (mass == 0 || lw[0] >= w) return 0;
+    const bool derive = lw.back() < w;
+    double marginal = 0;
+    uint64_t rest = static_cast<uint64_t>(mass);
+    for (size_t l = derive ? 1 : 0; l < lw.size() && lw[l] < w; ++l) {
+      const uint64_t count =
+          kern->and_popcount(cover, levels.rows[l].data(), words);
+      marginal += (w - lw[l]) * static_cast<double>(count);
+      rest -= count;
+    }
+    if (derive) marginal += (w - lw[0]) * static_cast<double>(rest);
+    return marginal;
+  }
+
+  /// The bitset of the rows `rule` covers, matched block by block.
+  std::vector<uint64_t> RuleBits(const Rule& rule) {
+    std::vector<uint64_t> bits(words, 0);
+    ForEachWordChunk([&](const Segment& s, uint64_t llo, uint64_t lhi) {
+      uint8_t mask[kScanBlockRows];
+      for (uint64_t b0 = llo; b0 < lhi; b0 += kScanBlockRows) {
+        const uint64_t b1 = std::min(lhi, b0 + kScanBlockRows);
+        ComputeRuleMask(rule, s.view->table(), b0, b1, mask, *kern);
+        for (uint64_t t = b0; t < b1; ++t) {
+          if (mask[t - b0] != 0) SetRow(bits.data(), s.begin + t);
+        }
+      }
+    });
+    return bits;
+  }
+
   // --- Pass 1 -----------------------------------------------------------
 
   /// Raises the covered weight to the pending weight on the rows of
@@ -500,6 +688,7 @@ struct MarginalRuleFinder::Impl {
   /// (see Phase B). Returns DeadlineExceeded when the deadline fires at a
   /// column boundary.
   Status CountSizeOne(bool fold) {
+    if (exact && !fold) return CountSizeOneBits();
     const uint64_t n = total_rows;
 
     postings.resize(columns.size());
@@ -601,22 +790,7 @@ struct MarginalRuleFinder::Impl {
       if (!fold) ps.rows.resize(n);
       stats.merge_seconds += merge_timer.ElapsedMillis() / 1e3;
 
-      // Weights for the codes that occur (serial: WeightFunction is not
-      // required to be thread-safe, and this is O(dict), not O(rows)).
-      Cols one_col{c};
-      uint32_t one_val[1];
-      for (uint32_t v : st.codes) {
-        Entry& e = st.entries[v];
-        one_val[0] = v;
-        e.weight = EffectiveWeight(one_col, one_val);
-        e.excluded = e.weight > options.max_weight;
-        ++stats.candidates_generated;
-        if (e.excluded) {
-          e.mass = 0;  // match the lazy path: excluded rules are not counted
-        } else {
-          ++stats.candidates_counted;
-        }
-      }
+      WeighSingles(st);
 
       // Turn per-lane counts into per-lane write cursors (exclusive
       // prefix over lanes per code, offset by the CSR base).
@@ -694,6 +868,78 @@ struct MarginalRuleFinder::Impl {
     return Status::OK();
   }
 
+  /// Weights for the codes that occur (serial: WeightFunction is not
+  /// required to be thread-safe, and this is O(dict), not O(rows)).
+  void WeighSingles(SingletonTable& st) {
+    Cols one_col{st.col};
+    uint32_t one_val[1];
+    for (uint32_t v : st.codes) {
+      Entry& e = st.entries[v];
+      one_val[0] = v;
+      e.weight = EffectiveWeight(one_col, one_val);
+      SMARTDD_DCHECK(!exact || std::floor(e.weight) == e.weight)
+          << weight.name() << " claims IntegerValued";
+      e.excluded = e.weight > options.max_weight;
+      ++stats.candidates_generated;
+      if (e.excluded) {
+        e.mass = 0;  // match the lazy path: excluded rules are not counted
+      } else {
+        ++stats.candidates_counted;
+      }
+    }
+  }
+
+  /// Pass 1 in the exact-count regime: one scan per column sets each row's
+  /// bit in its value's bitset; a value's count (and mass) is the bitset's
+  /// popcount and its marginal a LevelMarginal. The sums are exact
+  /// integers, so they equal the lane sums of CountSizeOne bit for bit.
+  Status CountSizeOneBits() {
+    singles.resize(columns.size());
+    pass1.value_bits.resize(columns.size());
+    for (size_t ci = 0; ci < columns.size(); ++ci) {
+      const uint32_t c = columns[ci];
+      const size_t dict = dict_size(c);
+      SingletonTable& st = singles[ci];
+      st.col = c;
+      st.entries.assign(dict, Entry{});
+      st.counts.assign(dict, 0u);
+      st.codes.clear();
+      std::vector<uint64_t>& bits = pass1.value_bits[ci];
+      bits.assign(dict * words, 0);
+      ForEachWordChunk([&](const Segment& s, uint64_t llo, uint64_t lhi) {
+        const PackedRef col = s.view->table().column(c).ref();
+        uint32_t codes[kScanBlockRows];
+        for (uint64_t b0 = llo; b0 < lhi; b0 += kScanBlockRows) {
+          const uint64_t b1 = std::min(lhi, b0 + kScanBlockRows);
+          kern->unpack(col, b0, b1, codes);
+          for (uint64_t t = b0; t < b1; ++t) {
+            SetRow(bits.data() + codes[t - b0] * words, s.begin + t);
+          }
+        }
+      });
+      if (DeadlineExpired()) return DeadlineStatus();
+
+      WallTimer merge_timer;
+      for (size_t v = 0; v < dict; ++v) {
+        const uint64_t* b = bits.data() + v * words;
+        st.counts[v] = static_cast<uint32_t>(kern->and_popcount(b, b, words));
+        st.entries[v].mass = st.counts[v];
+        if (st.counts[v] > 0) st.codes.push_back(static_cast<uint32_t>(v));
+      }
+      WeighSingles(st);
+      for (uint32_t v : st.codes) {
+        Entry& e = st.entries[v];
+        if (e.excluded) continue;
+        e.marginal = LevelMarginal(bits.data() + v * words, e.weight, e.mass);
+      }
+      stats.merge_seconds += merge_timer.ElapsedMillis() / 1e3;
+      stats.tuple_visits += total_rows;
+      if (DeadlineExpired()) return DeadlineStatus();
+    }
+    ++stats.passes;
+    return Status::OK();
+  }
+
   /// Sum of mass(t) * (w - cw(t))^+ over an ascending global row list,
   /// added in row order within each `lane_rows`-row lane of the global row
   /// space, the lane sums then added in lane order. Over a code's postings
@@ -727,10 +973,28 @@ struct MarginalRuleFinder::Impl {
   /// stored cover. Every row of the views is covered by the base, so the
   /// list is the winner's cover. A winner without a list (the store was
   /// full, or a folded pass 1 built no postings) has every row matched
-  /// against the rule instead.
+  /// against the rule instead. In the exact-count regime the same cover, as
+  /// a bitset, moves its rows up the levels.
   void ApplyPending() {
     if (!pass1.pending) return;
     const PassOneStore::Pick& pending = *pass1.pending;
+    if (exact) {
+      // The same cover as a bitset: a value's, a stored one, or the rule's
+      // matched rows.
+      std::vector<uint64_t> matched;
+      const uint64_t* cover;
+      if (pending.single >= 0 && pass1.built) {
+        cover = ValueBits(columns[pending.single],
+                          pending.rule.value(columns[pending.single]));
+      } else if (pending.cover != kNoCover) {
+        cover = store.bits(store.covers[pending.cover]);
+      } else {
+        matched = RuleBits(pending.rule);
+        cover = matched.data();
+      }
+      RaiseLevels(cover, pending.weight);
+      return;
+    }
     const uint32_t* rows = nullptr;
     uint64_t len = 0;
     if (pending.single >= 0 && pass1.built) {
@@ -776,24 +1040,31 @@ struct MarginalRuleFinder::Impl {
   /// through candidates that its fresh count prunes. The others keep their
   /// last marginal as a stale bound, which prunes exactly as the fresh one
   /// would. A recount walks the postings in pass 1's lanes, which gives
-  /// Phase B's floats bit for bit.
+  /// Phase B's floats bit for bit; in the exact-count regime it is the
+  /// value bitset's LevelMarginal, an exact integer.
   Status RecountSingles() {
     struct Item {
       Entry* e;
-      const uint32_t* rows;
+      const uint32_t* rows;  // the value's postings, or its bitset if exact
+      const uint64_t* bits;
       uint32_t size;
       uint64_t lane_rows;
     };
     std::vector<Item> items;
     for (size_t ci = 0; ci < columns.size(); ++ci) {
       SingletonTable& st = singles[ci];
-      const Postings& ps = postings[ci];
       for (uint32_t v : st.codes) {
         ++stats.candidates_generated;
         Entry& e = st.entries[v];
         if (e.excluded) continue;
-        items.push_back(Item{&e, ps.rows.data() + ps.offsets[v], st.counts[v],
-                             st.lane_rows});
+        if (exact) {
+          items.push_back(Item{&e, nullptr, ValueBits(st.col, v), st.counts[v],
+                               st.lane_rows});
+        } else {
+          const Postings& ps = postings[ci];
+          items.push_back(Item{&e, ps.rows.data() + ps.offsets[v], nullptr,
+                               st.counts[v], st.lane_rows});
+        }
       }
     }
     std::stable_sort(items.begin(), items.end(),
@@ -807,8 +1078,10 @@ struct MarginalRuleFinder::Impl {
     auto recount = [&] {
       RunChunked(todo.size(), [&](uint64_t k) {
         Item& item = items[todo[k]];
-        item.e->marginal = WalkMarginal(item.rows, item.rows + item.size,
-                                        item.e->weight, item.lane_rows);
+        item.e->marginal =
+            exact ? LevelMarginal(item.bits, item.e->weight, item.e->mass)
+                  : WalkMarginal(item.rows, item.rows + item.size,
+                                 item.e->weight, item.lane_rows);
       });
       for (size_t i : todo) {
         items[i].e->stale = false;
@@ -942,6 +1215,52 @@ struct MarginalRuleFinder::Impl {
     return static_cast<uint64_t>(row_end - row_begin);
   }
 
+  /// CountOneCandidate in the exact-count regime. A stored rule's marginal
+  /// is its stored bitset's LevelMarginal. Otherwise the cover is one AND:
+  /// the shortest stored immediate sub-rule's bitset with the missing
+  /// value's bitset, or all the values' bitsets; it is left in `cover`.
+  /// Mass and marginal are exact integers, so they equal the walk's sums.
+  /// Returns the rows the walk would read: the shorter of the sub-rule's
+  /// cover and the rarest value's postings.
+  uint64_t CountOneCandidateBits(const CandidateGroup& g,
+                                 const uint32_t* vals, Entry& e,
+                                 std::vector<uint64_t>& cover) const {
+    if (e.cover != kNoCover) {
+      const CoverStore::Cover& c = store.covers[e.cover];
+      e.mass = c.mass;
+      e.marginal += LevelMarginal(store.bits(c), e.weight, c.mass);
+      return c.size;
+    }
+    const size_t arity = g.cols.size();
+    uint32_t rare_count = std::numeric_limits<uint32_t>::max();
+    for (size_t i = 0; i < arity; ++i) {
+      rare_count = std::min(
+          rare_count, singles[col_dense[g.cols[i]]].counts[vals[i]]);
+    }
+    cover.resize(words);
+    uint64_t count;
+    uint64_t visits = rare_count;
+    if (e.source != kNoCover) {
+      const CoverStore::Cover& c = store.covers[e.source];
+      count = kern->and_store(
+          store.bits(c), ValueBits(g.cols[e.source_col], vals[e.source_col]),
+          words, cover.data());
+      visits = std::min(visits, uint64_t{c.size});
+    } else {
+      count = kern->and_store(ValueBits(g.cols[0], vals[0]),
+                              ValueBits(g.cols[1], vals[1]), words,
+                              cover.data());
+      for (size_t i = 2; i < arity; ++i) {
+        count = kern->and_store(cover.data(), ValueBits(g.cols[i], vals[i]),
+                                words, cover.data());
+      }
+    }
+    const double mass = static_cast<double>(count);
+    e.mass += mass;
+    e.marginal += LevelMarginal(cover.data(), e.weight, mass);
+    return visits;
+  }
+
   /// Passes 2+: candidates are processed in decreasing order of
   /// min(generation-time upper bound, last counted marginal), in the block
   /// schedule. The threshold H is frozen at each block boundary: the long
@@ -982,7 +1301,8 @@ struct MarginalRuleFinder::Impl {
 
     const bool prune = options.pruning == PruningMode::kFull;
     double h = best_marginal;
-    std::vector<std::vector<uint32_t>> slot_covers(kCountBlock);
+    std::vector<std::vector<uint32_t>> slot_covers(exact ? 0 : kCountBlock);
+    std::vector<std::vector<uint64_t>> slot_bits(exact ? kCountBlock : 0);
     SMARTDD_RETURN_IF_ERROR(ForEachBlock(items.size(), [&](size_t begin,
                                                            size_t end) {
       // Pruning decisions against the frozen H, in order.
@@ -1006,6 +1326,11 @@ struct MarginalRuleFinder::Impl {
         Item& item = items[begin + k];
         if (item.skip) return;
         Entry& e = item.group->map.entry(item.index).second;
+        if (exact) {
+          item.visits = CountOneCandidateBits(
+              *item.group, item.group->tuple(item.index), e, slot_bits[k]);
+          return;
+        }
         std::vector<uint32_t>* cover = nullptr;
         if (record && e.cover == kNoCover) {
           cover = &slot_covers[k];
@@ -1022,6 +1347,11 @@ struct MarginalRuleFinder::Impl {
         auto& [k, e] = items[i].group->map.entry(items[i].index);
         if (e.cover != kNoCover) {
           store.covers[e.cover].marginal = e.marginal;
+        } else if (record && exact) {
+          e.cover = store.AddBits(items[i].group->store_group, k,
+                                  slot_bits[i - begin],
+                                  static_cast<uint32_t>(e.mass), e.mass,
+                                  e.marginal);
         } else if (record) {
           e.cover = store.Add(items[i].group->store_group, k,
                               slot_covers[i - begin], e.mass, e.marginal);
@@ -1133,6 +1463,8 @@ struct MarginalRuleFinder::Impl {
 
         double w = EffectiveWeight(cand_cols, cand_vals.data());
         if (w > options.max_weight) continue;  // weight cap (mw)
+        SMARTDD_DCHECK(!exact || std::floor(w) == w)
+            << weight.name() << " claims IntegerValued";
 
         // Upper-bound test against every counted immediate sub-rule. A
         // missing / excluded / zero-mass sub-rule proves the candidate is
@@ -1261,13 +1593,17 @@ struct MarginalRuleFinder::Impl {
     // and every marginal folds from the counts: its pass 1 stops after
     // Phase A, reads no covered weight and builds no postings, and the next
     // Find builds pass 1. Every other pass, and any pending update, needs
-    // the array.
+    // the array, or in the exact-count regime the levels that stand for it.
     const bool fold = count_mode && max_size == 1 && !pass1.pending &&
-                      covered.empty();
-    if (covered.empty() && !fold) covered.assign(total_rows, 0.0);
+                      covered.empty() && levels.weights.empty();
+    if (exact && !fold) {
+      EnsureLevels();
+    } else if (covered.empty() && !fold) {
+      covered.assign(total_rows, 0.0);
+    }
 
     // Pass 1: the first Find scans the view for every size-1 rule and
-    // builds the postings; later Finds update the covered weights along
+    // builds the postings (value bitsets when exact); later Finds update the covered weights along
     // the last winner's cover and recount from the stored state. The
     // pending update is applied in full before pass 1 starts, even when
     // the pass then fails.
@@ -1312,6 +1648,49 @@ struct MarginalRuleFinder::Impl {
   }
 };
 
+namespace {
+
+/// The exact-count regime, decided from the finder's inputs: Count
+/// aggregation; an integer-valued weight; integer, non-negative starting
+/// covered weights in at most kMaxStartLevels levels; every marginal below
+/// 2^53 (rows x the largest weight a candidate may have); and value bitsets
+/// no larger than twice the postings (the search columns' dictionaries,
+/// which bound their occurring values, average at most kMaxMeanValues).
+bool ExactCountRegime(const std::vector<const TableView*>& views,
+                      const WeightFunction& weight,
+                      const MarginalSearchOptions& options,
+                      const std::vector<double>& covered, uint64_t rows) {
+  const TableView& proto = *views[0];
+  if (proto.has_measure() || !weight.IntegerValued()) return false;
+  const double mw = std::min(options.max_weight,
+                             weight.MaxPossibleWeight(proto.num_columns()));
+  if (!(mw >= 0 && static_cast<double>(rows) * mw < kMaxExactSum)) {
+    return false;
+  }
+  std::vector<double> starts = covered;
+  std::sort(starts.begin(), starts.end());
+  starts.erase(std::unique(starts.begin(), starts.end()), starts.end());
+  if (starts.size() > kMaxStartLevels) return false;
+  for (double w : starts) {
+    if (!(w >= 0 && std::floor(w) == w)) return false;  // rejects NaN, inf
+  }
+  std::vector<bool> searched(proto.num_columns(),
+                             options.allowed_columns.empty());
+  for (size_t c : options.allowed_columns) {
+    if (c < searched.size()) searched[c] = true;  // Find checks the rest
+  }
+  uint64_t columns = 0;
+  uint64_t values = 0;
+  for (size_t c = 0; c < searched.size(); ++c) {
+    if (!searched[c]) continue;
+    ++columns;
+    values += proto.table().dictionary(c).size();
+  }
+  return values <= kMaxMeanValues * columns;
+}
+
+}  // namespace
+
 MarginalRuleFinder::MarginalRuleFinder(std::vector<const TableView*> views,
                                        const WeightFunction& weight,
                                        MarginalSearchOptions options,
@@ -1332,6 +1711,7 @@ MarginalRuleFinder::MarginalRuleFinder(std::vector<const TableView*> views,
   }
   SMARTDD_CHECK(covered_.empty() || covered_.size() == rows)
       << "covered must have one entry per row of the views";
+  pass1_->exact = ExactCountRegime(views_, weight, options_, covered_, rows);
 }
 
 MarginalRuleFinder::~MarginalRuleFinder() = default;

@@ -70,7 +70,10 @@ struct MarginalSearchStats {
   /// the posting list of each recounted singleton otherwise, then per
   /// counted candidate the length of the row list its count walked (a
   /// stored cover, a sub-rule's cover, or its rarest value's postings).
-  /// The covered-weight update's rows are not included.
+  /// A count by bitsets (the exact-count regime, see MarginalRuleFinder)
+  /// walks no list and adds the length of the list the walk would read, so
+  /// the figure does not depend on the regime. The covered-weight update's
+  /// rows are not included.
   uint64_t tuple_visits = 0;
   /// Wall time spent in the gather/merge stages — folding per-lane and
   /// per-block partial aggregates back together in deterministic order
@@ -134,6 +137,25 @@ struct MarginalRuleResult {
 /// winner and every tie contender are counted fresh, so results are
 /// bit-identical to a fresh finder per step started from the same covered
 /// weights. The views' rows must not change while the finder is in use.
+///
+/// The exact-count regime. The constructor decides once whether every
+/// marginal term mass * (W(r) - cw(t))^+ is an integer and every sum stays
+/// below 2^53: Count aggregation, WeightFunction::IntegerValued(), integer
+/// starting covered weights (at most 64 distinct ones), rows times the
+/// largest admissible weight below 2^53, and search-column dictionaries
+/// averaging at most 64 values (so one bit per row and value costs at most
+/// twice the postings' 32-bit row ids). Sums are then exact in any order,
+/// and the finder counts by popcounts instead of per-row sums:
+///  - pass 1 builds one row bitset per value instead of postings;
+///  - the cover store keeps each counted rule's bitset;
+///  - a new candidate's cover is one AND: its shortest stored immediate
+///    sub-rule's bitset with the missing value's bitset, or all its values'
+///    bitsets;
+///  - the covered weights are a few level bitsets (the rows at each
+///    distinct weight), so mass is popcount(S) and the marginal
+///    sum over levels l < W(r) of (W(r) - l) * popcount(S & level l).
+/// Every figure equals the per-row sum's bit for bit, and the stats are the
+/// same (see tuple_visits). Other searches keep the per-row sums.
 class MarginalRuleFinder {
  public:
   /// `views` are row-contiguous shard slices, in shard order, of one

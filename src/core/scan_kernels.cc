@@ -143,12 +143,35 @@ void CountCodesScalar(PackedRef col, uint64_t begin, uint64_t end,
   }
 }
 
+// The library builds without -mpopcnt, where __builtin_popcountll is a
+// libgcc call; a SWAR count keeps the scalar bitset kernels inline.
+inline uint64_t Popcount64(uint64_t x) {
+  x -= (x >> 1) & 0x5555555555555555ULL;
+  x = (x & 0x3333333333333333ULL) + ((x >> 2) & 0x3333333333333333ULL);
+  x = (x + (x >> 4)) & 0x0F0F0F0F0F0F0F0FULL;
+  return (x * 0x0101010101010101ULL) >> 56;
+}
+
+uint64_t AndStoreScalar(const uint64_t* a, const uint64_t* b, size_t n,
+                        uint64_t* out) {
+  uint64_t count = 0;
+  for (size_t i = 0; i < n; ++i) {
+    out[i] = a[i] & b[i];
+    count += Popcount64(out[i]);
+  }
+  return count;
+}
+
+uint64_t AndPopcountScalar(const uint64_t* a, const uint64_t* b, size_t n) {
+  uint64_t count = 0;
+  for (size_t i = 0; i < n; ++i) count += Popcount64(a[i] & b[i]);
+  return count;
+}
+
 constexpr ScanKernels kScalarKernels = {
-    &UnpackScalar,
-    &MatchEqScalar,
-    &CoveredMaxScalar,
-    &FilterRowsScalar,
-    &CountCodesScalar,
+    &UnpackScalar,      &MatchEqScalar,  &CoveredMaxScalar,
+    &FilterRowsScalar,  &CountCodesScalar, &AndStoreScalar,
+    &AndPopcountScalar,
 };
 
 bool CpuHasAvx2() {

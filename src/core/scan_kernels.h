@@ -85,6 +85,16 @@ struct ScanKernels {
   /// where the packed layout pays off (no per-row decode at all).
   void (*count_codes)(PackedRef col, uint64_t begin, uint64_t end,
                       size_t dict_size, uint32_t* counts);
+
+  /// Row bitsets (bit t of word t / 64 is row t), the marginal search's
+  /// cover form in its exact-count regime. out[i] = a[i] & b[i] for i in
+  /// [0, n); returns the number of set bits in `out`. `out` may alias `a`
+  /// or `b`, so a chain of calls ANDs any number of bitsets.
+  uint64_t (*and_store)(const uint64_t* a, const uint64_t* b, size_t n,
+                        uint64_t* out);
+
+  /// The number of set bits in a[i] & b[i] over i in [0, n).
+  uint64_t (*and_popcount)(const uint64_t* a, const uint64_t* b, size_t n);
 };
 
 /// The kernel table for a resolved path (kAvx2 silently degrades to the

@@ -248,6 +248,38 @@ TEST(ScanKernelTest, FilterRowsAgreesAcrossPaths) {
   });
 }
 
+TEST(ScanKernelTest, BitsetAndAndPopcountAgreeAcrossPaths) {
+  std::mt19937_64 gen(1412);
+  // Lengths around the four-word unroll, and words from empty to full.
+  for (size_t n : {size_t{0}, size_t{1}, size_t{3}, size_t{4}, size_t{5},
+                   size_t{64}, size_t{313}}) {
+    std::vector<uint64_t> a(n), b(n);
+    for (size_t i = 0; i < n; ++i) {
+      a[i] = i % 7 == 0 ? ~uint64_t{0} : gen();
+      b[i] = i % 5 == 0 ? 0 : gen() | gen();
+    }
+    std::vector<uint64_t> want(n);
+    uint64_t want_count = 0;
+    for (size_t i = 0; i < n; ++i) {
+      want[i] = a[i] & b[i];
+      for (uint64_t x = want[i]; x != 0; x &= x - 1) ++want_count;
+    }
+    ForEachKernelPath([&](const ScanKernels& k, const char* name) {
+      std::vector<uint64_t> out(n, 0xABCD);
+      EXPECT_EQ(k.and_store(a.data(), b.data(), n, out.data()), want_count)
+          << name << " n=" << n;
+      EXPECT_EQ(out, want) << name << " n=" << n;
+      EXPECT_EQ(k.and_popcount(a.data(), b.data(), n), want_count)
+          << name << " n=" << n;
+      // In place, as a chain of ANDs uses it.
+      std::vector<uint64_t> acc = a;
+      EXPECT_EQ(k.and_store(acc.data(), b.data(), n, acc.data()), want_count)
+          << name << " n=" << n;
+      EXPECT_EQ(acc, want) << name << " n=" << n;
+    });
+  }
+}
+
 // --- ExactRepeatAdd ----------------------------------------------------------
 
 TEST(ExactRepeatAddTest, MatchesLiteralLoop) {
