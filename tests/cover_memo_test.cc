@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "common/random.h"
 #include "core/best_marginal.h"
 #include "core/brs.h"
 #include "core/score.h"
@@ -419,6 +420,96 @@ TEST(CoverMemoTest, RecountedTieWithHWinsOnWeight) {
   bz.set_value(1, *table.dictionary(1).Find("bz"));
   EXPECT_EQ(got->rules[1].rule, bz);
   EXPECT_EQ(got->rules[1].marginal_value, 40);
+}
+
+/// `rows` rows of `correlated` binary columns, which in 9 rows of 10 all
+/// copy one random bit (each draws its own bit otherwise), then one column
+/// per entry of `uniform` with that many uniformly drawn values, and a
+/// measure uniform in [0, 100).
+Table CorrelatedTable(uint64_t rows, size_t correlated,
+                      const std::vector<uint32_t>& uniform, uint64_t seed) {
+  std::vector<uint32_t> cards(correlated, 2);
+  cards.insert(cards.end(), uniform.begin(), uniform.end());
+  std::vector<std::string> names;
+  for (size_t c = 0; c < cards.size(); ++c) {
+    names.push_back("c" + std::to_string(c));
+  }
+  Table table(names);
+  table.AddMeasureColumn("value");
+  for (size_t c = 0; c < cards.size(); ++c) {
+    for (uint32_t v = 0; v < cards[c]; ++v) {
+      table.EncodeValue(c, "v" + std::to_string(v));  // code v
+    }
+  }
+  Rng rng(seed);
+  std::vector<uint32_t> codes(cards.size());
+  for (uint64_t r = 0; r < rows; ++r) {
+    const uint32_t shared = static_cast<uint32_t>(rng.UniformInt(2));
+    const bool together = rng.UniformInt(10) != 0;
+    for (size_t c = 0; c < cards.size(); ++c) {
+      codes[c] = c < correlated && together
+                     ? shared
+                     : static_cast<uint32_t>(rng.UniformInt(cards[c]));
+    }
+    table.AppendRow(codes, std::vector<double>{rng.UniformDouble() * 100.0});
+  }
+  table.Freeze();
+  return table;
+}
+
+TEST(CoverMemoTest, WinnersTheFullStoreDidNotKeepMatchFreshFinders) {
+  // Each table fills the cover store before its winning rules are counted,
+  // so the store keeps no cover of them, and a later step must still raise
+  // exactly their rows. Exhaustive pruning counts every rule with rows.
+  //  - Count under Size, in the exact-count regime: 64,000 rows make every
+  //    cover a bitset of 1,000 words, so the store's kMaxCoverWords = 2^23
+  //    words hold 8,388 covers. Two 100-value columns give ~10,000 arity-2
+  //    rules with rows (64,000 rows over 10,000 value pairs leave ~17
+  //    empty), so the store fills in pass 2 and keeps no arity-3 rule. The
+  //    search columns average (100 + 100 + 3 * 2) / 5 = 41 values, within
+  //    the regime's 64. Three correlated columns make arity-3 rules win.
+  //  - Sum under Size, outside the regime: the store's kMaxCoverRows =
+  //    2^24 = 16,777,216 row ids. Each of 110,000 rows lies in C(10, 2) =
+  //    45 arity-2 and C(10, 3) = 120 arity-3 rules of 10 binary columns, so
+  //    passes 2 and 3 would store 165 * 110,000 = 18,150,000 row ids: the
+  //    store fills in pass 3 and keeps no arity-4 rule. Four correlated
+  //    columns make arity-4 rules win.
+  struct Case {
+    std::string name;
+    Table table;
+    bool sum;
+    size_t max_rule_size;
+  };
+  std::vector<Case> cases;
+  cases.push_back(
+      Case{"Count", CorrelatedTable(64000, 3, {100, 100}, 281), false, 3});
+  cases.push_back(Case{"Sum",
+                       CorrelatedTable(110000, 4, {2, 2, 2, 2, 2, 2}, 282),
+                       true, 4});
+  SizeWeight weight;
+  for (const Case& c : cases) {
+    BrsOptions options;
+    options.k = 4;
+    options.pruning = PruningMode::kExhaustive;
+    options.max_rule_size = c.max_rule_size;
+    options.num_threads = 1;
+    Shards one(c.table, 1, c.sum);
+    const BrsResult reference = ReferenceBrs(one.ptrs, weight, options);
+    ASSERT_EQ(reference.rules.size(), options.k) << c.name;
+    EXPECT_EQ(reference.rules[0].rule.size(), c.max_rule_size) << c.name;
+    for (size_t shards : {size_t{1}, size_t{2}}) {
+      Shards layout(c.table, shards, c.sum);
+      for (size_t threads : {size_t{1}, size_t{4}}) {
+        const std::string label = c.name + " shards=" +
+                                  std::to_string(shards) +
+                                  " threads=" + std::to_string(threads);
+        options.num_threads = threads;
+        auto got = RunBrs(layout.ptrs, weight, options);
+        ASSERT_TRUE(got.ok()) << label << ": " << got.status().ToString();
+        ExpectBitIdentical(*got, reference, label);
+      }
+    }
+  }
 }
 
 TEST(CoverMemoTest, RepeatedFindOnOneFinderMatchesFreshFinders) {

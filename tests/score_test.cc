@@ -5,6 +5,7 @@
 #include "common/random.h"
 #include "data/synth.h"
 #include "rules/rule_ops.h"
+#include "storage/shard_plan.h"
 #include "tests/test_util.h"
 #include "weights/standard_weights.h"
 
@@ -176,6 +177,78 @@ TEST(ScoreSumAggregateTest, UsesMeasureMass) {
   EXPECT_DOUBLE_EQ(eval.mass[0], 15.0);       // Sum(r)
   EXPECT_DOUBLE_EQ(eval.marginal_mass[0], 15.0);  // MSum(r)
   EXPECT_DOUBLE_EQ(eval.total_score, 15.0);
+}
+
+// A one-rule list under Count may fold its evaluation into a match count,
+// which is exact only for an integer-valued weight; any other weight takes
+// the block sweep. Either way every figure must equal the sweep over an
+// all-ones measure, the path every Sum evaluation takes: for rules with
+// 0, 1 and 2 instantiated columns, over 1 and 2 shard views.
+TEST(SingleRuleCountTest, MatchesSweepOverOnes) {
+  SynthSpec spec;
+  spec.rows = 3001;
+  spec.cardinalities = {4, 6, 3};
+  spec.seed = 28;
+  const Table synth = GenerateSyntheticTable(spec);
+  Table table = Table::EmptyLike(synth);
+  table.AddMeasureColumn("one");
+  std::vector<uint32_t> codes(synth.num_columns());
+  const std::vector<double> one = {1.0};
+  for (uint64_t r = 0; r < synth.num_rows(); ++r) {
+    synth.GetRow(r, codes.data());
+    table.AppendRow(codes, one);
+  }
+  table.Freeze();
+
+  Rule single(table.num_columns());
+  single.set_value(1, table.code(1, 0));
+  Rule pair(table.num_columns());
+  pair.set_value(0, table.code(0, 0));
+  pair.set_value(2, table.code(2, 0));
+  SizeWeight size;
+  BitsWeight fractional({0.1, 0.7, 1.3});
+
+  for (size_t shards : {size_t{1}, size_t{2}}) {
+    const ShardPlan plan = ShardPlan::Make(table.num_rows(), shards);
+    std::vector<Table> slices;
+    for (size_t s = 0; s < shards; ++s) {
+      slices.push_back(
+          table.SliceRows(plan.shard(s).begin, plan.shard(s).end));
+    }
+    std::vector<TableView> count_views;
+    std::vector<TableView> sum_views;
+    for (const Table& t : slices) {
+      count_views.emplace_back(t);
+      sum_views.emplace_back(t, 0);
+    }
+    std::vector<const TableView*> count;
+    std::vector<const TableView*> sum;
+    for (size_t s = 0; s < shards; ++s) {
+      count.push_back(&count_views[s]);
+      sum.push_back(&sum_views[s]);
+    }
+    for (const Rule& rule : {Rule(table.num_columns()), single, pair}) {
+      for (const WeightFunction* weight :
+           {static_cast<const WeightFunction*>(&size),
+            static_cast<const WeightFunction*>(&fractional)}) {
+        const std::string label = weight->name() + " size=" +
+                                  std::to_string(rule.size()) +
+                                  " shards=" + std::to_string(shards);
+        const RuleListEvaluation got = EvaluateRuleList(count, {rule}, *weight);
+        const RuleListEvaluation want = EvaluateRuleList(sum, {rule}, *weight);
+        EXPECT_GT(want.mass[0], 0) << label;
+        // EXPECT_EQ on doubles is exact.
+        EXPECT_EQ(got.mass[0], want.mass[0]) << label;
+        EXPECT_EQ(got.marginal_mass[0], want.marginal_mass[0]) << label;
+        EXPECT_EQ(got.total_score, want.total_score) << label;
+      }
+    }
+    // The fractional weights' repeated additions drift from count * w, so
+    // a fold that multiplied would show above.
+    const RuleListEvaluation drift =
+        EvaluateRuleList(sum, {single}, fractional);
+    EXPECT_NE(drift.total_score, drift.mass[0] * 0.7);
+  }
 }
 
 }  // namespace
