@@ -37,7 +37,9 @@ fi
 # HTTP, RPC, cluster and chaos suites drive both wire protocols through the
 # shared connection loop (src/net/conn_loop.cc, built into libsmartdd under
 # the same flags). The score suite drives EvaluateRuleList's block sweep
-# and its single-rule Count fold. The sampling and sampler-digest suites
+# and its single-rule Count fold, which counts with count_codes or a
+# match_eq mask for an integer-valued weight and leaves every other weight
+# to the sweep. The sampling and sampler-digest suites
 # drive the Create/ExactMasses block passes over memory and disk granules.
 # The random suite drives Rng::UniformInt, whose draws place every
 # reservoir slot and stitch pick. The count-regime suite holds Count
@@ -81,9 +83,11 @@ if [[ "$MODE" != "--tsan-only" && "$MODE" != "--asan-only" ]]; then
   # The finder's differential suites again on the portable scalar kernels
   # (the run above dispatches to AVX2 where the host has it): its bitset
   # AND and popcount kernels have a scalar and an AVX2 form, and the
-  # Release build must be bit-identical under both.
+  # Release build must be bit-identical under both. The score suite's
+  # single-rule Count fold counts through count_codes and match_eq, which
+  # have both forms too.
   (cd build && SMARTDD_KERNEL=scalar ctest --output-on-failure -j "$(nproc)" \
-    -R 'cover_memo_test|parallel_marginal_test|count_regime_test|brs_oracle_test|greedy_oracle_test')
+    -R 'cover_memo_test|parallel_marginal_test|count_regime_test|brs_oracle_test|greedy_oracle_test|score_test')
 
   # Service-protocol smoke: a scripted session's codec bytes in must
   # reproduce the golden snapshot bytes out (the paper's retail walkthrough

@@ -10,7 +10,6 @@
 #include <optional>
 
 #include "common/flat_map.h"
-#include "common/float_sum.h"
 #include "common/logging.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
@@ -241,8 +240,9 @@ struct MarginalRuleFinder::CoverStore {
 /// counts, masses, weights and postings depend only on the views, and each
 /// entry's marginal is the one it was last counted with. `pending` is the
 /// last winner, whose covered-weight update the next Find applies before it
-/// reads any covered weight, along the winner's postings or stored cover
-/// (its value bitset or stored bitset in the exact-count regime).
+/// reads any covered weight, along the winner's postings, its stored cover,
+/// or a cover rebuilt from the postings (bitsets in the exact-count
+/// regime; see ApplyPending).
 struct MarginalRuleFinder::PassOneStore {
   std::vector<SingletonTable> singles;  // per dense column
   std::vector<Postings> postings;       // per dense column, global row ids
@@ -260,7 +260,7 @@ struct MarginalRuleFinder::PassOneStore {
     Rule rule{0};
     double weight = 0;
     int32_t single = -1;        // dense column of a singleton winner, or -1
-    uint32_t cover = kNoCover;  // stored cover of a wider winner
+    uint32_t cover = kNoCover;  // stored cover of a wider winner, if any
   };
   std::optional<Pick> pending;
 };
@@ -646,49 +646,18 @@ struct MarginalRuleFinder::Impl {
     return marginal;
   }
 
-  /// The bitset of the rows `rule` covers, matched block by block.
-  std::vector<uint64_t> RuleBits(const Rule& rule) {
-    std::vector<uint64_t> bits(words, 0);
-    ForEachWordChunk([&](const Segment& s, uint64_t llo, uint64_t lhi) {
-      uint8_t mask[kScanBlockRows];
-      for (uint64_t b0 = llo; b0 < lhi; b0 += kScanBlockRows) {
-        const uint64_t b1 = std::min(lhi, b0 + kScanBlockRows);
-        ComputeRuleMask(rule, s.view->table(), b0, b1, mask, *kern);
-        for (uint64_t t = b0; t < b1; ++t) {
-          if (mask[t - b0] != 0) SetRow(bits.data(), s.begin + t);
-        }
-      }
-    });
-    return bits;
-  }
-
   // --- Pass 1 -----------------------------------------------------------
-
-  /// Raises the covered weight to the pending weight on the rows of
-  /// [llo, lhi) of `s` that the pending rule covers. Distinct ranges touch
-  /// distinct rows.
-  void ApplyPendingRange(const Segment& s, uint64_t llo, uint64_t lhi) const {
-    const PassOneStore::Pick& pending = *pass1.pending;
-    const double w = pending.weight;
-    double* cw = covered.data() + s.begin;
-    uint8_t rmask[kScanBlockRows];
-    const Table& table = s.view->table();
-    for (uint64_t b0 = llo; b0 < lhi; b0 += kScanBlockRows) {
-      const uint64_t b1 = std::min(lhi, b0 + kScanBlockRows);
-      ComputeRuleMask(pending.rule, table, b0, b1, rmask, *kern);
-      kern->covered_max(cw + b0, rmask, static_cast<size_t>(b1 - b0), w);
-    }
-  }
 
   /// One scan per column counting every size-1 rule and building the
   /// per-value CSR postings. Parallel over fixed row chunks with per-chunk
   /// accumulators merged in chunk order, so sums are bit-identical to the
-  /// single-thread run. With `fold` the scan stops after Phase A: no
-  /// postings are built and each marginal is folded from the lane counts
-  /// (see Phase B). Returns DeadlineExceeded when the deadline fires at a
-  /// column boundary.
+  /// single-thread run. With `fold` (the exact-count regime only) the scan
+  /// stops after Phase A: no postings are built and each marginal is
+  /// max(0, w) times the value's count. Returns DeadlineExceeded when the
+  /// deadline fires at a column boundary.
   Status CountSizeOne(bool fold) {
     if (exact && !fold) return CountSizeOneBits();
+    SMARTDD_DCHECK(!pass1.pending);
     const uint64_t n = total_rows;
 
     postings.resize(columns.size());
@@ -787,45 +756,40 @@ struct MarginalRuleFinder::Impl {
         ps.offsets[v + 1] = ps.offsets[v] + total;
         if (total > 0) st.codes.push_back(static_cast<uint32_t>(v));
       }
-      if (!fold) ps.rows.resize(n);
       stats.merge_seconds += merge_timer.ElapsedMillis() / 1e3;
 
       WeighSingles(st);
 
+      // Folded: every covered weight is 0.0 and every mass 1.0, so a
+      // value's marginal is max(0, w) times its count, an integer below
+      // 2^53 in the exact-count regime and so exact.
+      if (fold) {
+        for (uint32_t v : st.codes) {
+          Entry& e = st.entries[v];
+          if (!e.excluded) e.marginal = std::max(0.0, e.weight) * st.counts[v];
+        }
+        stats.tuple_visits += n;
+        if (DeadlineExpired()) return DeadlineStatus();
+        continue;
+      }
+
       // Turn per-lane counts into per-lane write cursors (exclusive
       // prefix over lanes per code, offset by the CSR base).
-      if (!fold) {
-        for (size_t v = 0; v < dict; ++v) {
-          uint32_t cursor = ps.offsets[v];
-          for (uint64_t k = 0; k < num_lanes; ++k) {
-            uint32_t cnt = lane_counts[k * dict + v];
-            lane_counts[k * dict + v] = cursor;
-            cursor += cnt;
-          }
+      ps.rows.resize(n);
+      for (size_t v = 0; v < dict; ++v) {
+        uint32_t cursor = ps.offsets[v];
+        for (uint64_t k = 0; k < num_lanes; ++k) {
+          uint32_t cnt = lane_counts[k * dict + v];
+          lane_counts[k * dict + v] = cursor;
+          cursor += cnt;
         }
       }
 
       // Phase B: scatter rows into the postings (lane-ordered, so each
       // code's posting list stays ascending in the concatenated row order)
       // and accumulate the marginal sums per lane.
-      //
-      // Folded: every covered weight is 0.0 and every mass 1.0, so lane
-      // lane's accumulator for code v would receive exactly
-      // lane_counts[lane][v] sequential additions of the constant
-      // max(0, w_v), which ExactRepeatAdd reproduces bit for bit.
       lane_marginal.assign(num_lanes * dict, 0.0);
-      if (fold) {
-        for (uint32_t v : st.codes) {
-          const Entry& e = st.entries[v];
-          if (e.excluded) continue;
-          const double w = std::max(0.0, e.weight);
-          for (uint64_t k = 0; k < num_lanes; ++k) {
-            const uint32_t cnt = lane_counts[k * dict + v];
-            if (cnt != 0) lane_marginal[k * dict + v] = ExactRepeatAdd(w, cnt);
-          }
-        }
-      }
-      if (!fold) RunChunked(num_lanes, [&](uint64_t lane) {
+      RunChunked(num_lanes, [&](uint64_t lane) {
         const auto [lo, hi] = lane_bounds(lane);
         uint32_t* cursors = lane_counts.data() + lane * dict;
         double* marginal = lane_marginal.data() + lane * dict;
@@ -893,6 +857,9 @@ struct MarginalRuleFinder::Impl {
   /// bit in its value's bitset; a value's count (and mass) is the bitset's
   /// popcount and its marginal a LevelMarginal. The sums are exact
   /// integers, so they equal the lane sums of CountSizeOne bit for bit.
+  /// A pending update (the winner of a folded Find) is applied along its
+  /// value's bitset once every bitset is built, before any marginal is
+  /// counted; it stays pending when the deadline fires during the build.
   Status CountSizeOneBits() {
     singles.resize(columns.size());
     pass1.value_bits.resize(columns.size());
@@ -927,15 +894,20 @@ struct MarginalRuleFinder::Impl {
         if (st.counts[v] > 0) st.codes.push_back(static_cast<uint32_t>(v));
       }
       WeighSingles(st);
-      for (uint32_t v : st.codes) {
-        Entry& e = st.entries[v];
-        if (e.excluded) continue;
-        e.marginal = LevelMarginal(bits.data() + v * words, e.weight, e.mass);
-      }
       stats.merge_seconds += merge_timer.ElapsedMillis() / 1e3;
       stats.tuple_visits += total_rows;
       if (DeadlineExpired()) return DeadlineStatus();
     }
+    ApplyPending();
+    WallTimer merge_timer;
+    for (SingletonTable& st : singles) {
+      for (uint32_t v : st.codes) {
+        Entry& e = st.entries[v];
+        if (e.excluded) continue;
+        e.marginal = LevelMarginal(ValueBits(st.col, v), e.weight, e.mass);
+      }
+    }
+    stats.merge_seconds += merge_timer.ElapsedMillis() / 1e3;
     ++stats.passes;
     return Status::OK();
   }
@@ -968,36 +940,46 @@ struct MarginalRuleFinder::Impl {
     return marginal + lane;
   }
 
-  /// Applies the pending covered-weight update in full by walking the
-  /// previous winner's cover list: a singleton's postings or a wider rule's
-  /// stored cover. Every row of the views is covered by the base, so the
-  /// list is the winner's cover. A winner without a list (the store was
-  /// full, or a folded pass 1 built no postings) has every row matched
-  /// against the rule instead. In the exact-count regime the same cover, as
-  /// a bitset, moves its rows up the levels.
+  /// Applies the pending covered-weight update in full along the previous
+  /// winner's cover: a singleton's postings, a wider rule's stored cover,
+  /// or, when the full store kept none, the cover CountOneCandidate
+  /// rebuilds from the postings. Every row of the views is covered by the
+  /// base, so that is exactly the rows the winner covers. In the
+  /// exact-count regime the same cover, as a bitset (a value's, a stored
+  /// one, or the AND of the winner's values'), moves its rows up the
+  /// levels. The update is a max, so it does not depend on row order.
   void ApplyPending() {
     if (!pass1.pending) return;
-    const PassOneStore::Pick& pending = *pass1.pending;
+    const PassOneStore::Pick pending = *pass1.pending;
+    pass1.pending.reset();
+    Cols cols;
+    std::vector<uint32_t> vals;
+    for (uint32_t c : columns) {
+      if (pending.rule.is_star(c)) continue;
+      cols.push_back(c);
+      vals.push_back(pending.rule.value(c));
+    }
+    Entry rebuilt;
+    rebuilt.weight = pending.weight;
     if (exact) {
-      // The same cover as a bitset: a value's, a stored one, or the rule's
-      // matched rows.
-      std::vector<uint64_t> matched;
+      std::vector<uint64_t> bits;
       const uint64_t* cover;
-      if (pending.single >= 0 && pass1.built) {
+      if (pending.single >= 0) {
         cover = ValueBits(columns[pending.single],
                           pending.rule.value(columns[pending.single]));
       } else if (pending.cover != kNoCover) {
         cover = store.bits(store.covers[pending.cover]);
       } else {
-        matched = RuleBits(pending.rule);
-        cover = matched.data();
+        CountOneCandidateBits(cols, vals.data(), rebuilt, bits);
+        cover = bits.data();
       }
       RaiseLevels(cover, pending.weight);
       return;
     }
-    const uint32_t* rows = nullptr;
-    uint64_t len = 0;
-    if (pending.single >= 0 && pass1.built) {
+    std::vector<uint32_t> list;
+    const uint32_t* rows;
+    uint64_t len;
+    if (pending.single >= 0) {
       const Postings& ps = postings[pending.single];
       const uint32_t code = pending.rule.value(columns[pending.single]);
       rows = ps.rows.data() + ps.offsets[code];
@@ -1006,17 +988,10 @@ struct MarginalRuleFinder::Impl {
       const CoverStore::Cover& c = store.covers[pending.cover];
       rows = store.begin(c);
       len = c.size;
-    }
-    if (rows == nullptr) {
-      const LaneLayout layout(total_rows, 1);
-      RunChunked(layout.lanes, [&](uint64_t lane) {
-        ForEachRange(lane * layout.rows,
-                     std::min(total_rows, (lane + 1) * layout.rows),
-                     [&](const Segment& s, uint64_t llo, uint64_t lhi) {
-                       ApplyPendingRange(s, llo, lhi);
-                     });
-      });
-      return;
+    } else {
+      CountOneCandidate(cols, vals.data(), rebuilt, &list);
+      rows = list.data();
+      len = list.size();
     }
     const double w = pending.weight;
     double* cw = covered.data();
@@ -1132,8 +1107,8 @@ struct MarginalRuleFinder::Impl {
   /// fall. Appends the covered global row ids to `record` when set.
   /// Returns the rows walked. Writes only to `e` and `record` — safe to
   /// run concurrently across distinct candidates.
-  uint64_t CountOneCandidate(const CandidateGroup& g, const uint32_t* vals,
-                             Entry& e, std::vector<uint32_t>* record) const {
+  uint64_t CountOneCandidate(const Cols& cols, const uint32_t* vals, Entry& e,
+                             std::vector<uint32_t>* record) const {
     if (e.cover != kNoCover) {
       const CoverStore::Cover& c = store.covers[e.cover];
       const uint32_t* rows = store.begin(c);
@@ -1141,14 +1116,14 @@ struct MarginalRuleFinder::Impl {
       e.marginal += WalkMarginal(rows, rows + c.size, e.weight, kOneLane);
       return c.size;
     }
-    const size_t arity = g.cols.size();
+    const size_t arity = cols.size();
     // The postings candidate: the shortest posting list, selected by
     // occurrence *count* (the actual rows visited), not mass — under Sum a
     // huge-support value can have near-zero mass.
     size_t rare_i = 0;
     uint32_t rare_count = std::numeric_limits<uint32_t>::max();
     for (size_t i = 0; i < arity; ++i) {
-      uint32_t cnt = singles[col_dense[g.cols[i]]].counts[vals[i]];
+      uint32_t cnt = singles[col_dense[cols[i]]].counts[vals[i]];
       if (cnt < rare_count) {
         rare_count = cnt;
         rare_i = i;
@@ -1165,7 +1140,7 @@ struct MarginalRuleFinder::Impl {
       pivot = e.source_col;
       only_pivot = true;
     } else {
-      const Postings& ps = postings[col_dense[g.cols[rare_i]]];
+      const Postings& ps = postings[col_dense[cols[rare_i]]];
       row_begin = ps.rows.data() + ps.offsets[vals[rare_i]];
       row_end = ps.rows.data() + ps.offsets[vals[rare_i] + 1];
     }
@@ -1190,7 +1165,7 @@ struct MarginalRuleFinder::Impl {
       size_t num_preds = 0;
       for (size_t i = 0; i < arity; ++i) {
         if (!checked(i)) continue;
-        preds[num_preds].col = table.column(g.cols[i]).ref();
+        preds[num_preds].col = table.column(cols[i]).ref();
         preds[num_preds].want = vals[i];
         ++num_preds;
       }
@@ -1222,20 +1197,19 @@ struct MarginalRuleFinder::Impl {
   /// Mass and marginal are exact integers, so they equal the walk's sums.
   /// Returns the rows the walk would read: the shorter of the sub-rule's
   /// cover and the rarest value's postings.
-  uint64_t CountOneCandidateBits(const CandidateGroup& g,
-                                 const uint32_t* vals, Entry& e,
-                                 std::vector<uint64_t>& cover) const {
+  uint64_t CountOneCandidateBits(const Cols& cols, const uint32_t* vals,
+                                 Entry& e, std::vector<uint64_t>& cover) const {
     if (e.cover != kNoCover) {
       const CoverStore::Cover& c = store.covers[e.cover];
       e.mass = c.mass;
       e.marginal += LevelMarginal(store.bits(c), e.weight, c.mass);
       return c.size;
     }
-    const size_t arity = g.cols.size();
+    const size_t arity = cols.size();
     uint32_t rare_count = std::numeric_limits<uint32_t>::max();
     for (size_t i = 0; i < arity; ++i) {
       rare_count = std::min(
-          rare_count, singles[col_dense[g.cols[i]]].counts[vals[i]]);
+          rare_count, singles[col_dense[cols[i]]].counts[vals[i]]);
     }
     cover.resize(words);
     uint64_t count;
@@ -1243,15 +1217,15 @@ struct MarginalRuleFinder::Impl {
     if (e.source != kNoCover) {
       const CoverStore::Cover& c = store.covers[e.source];
       count = kern->and_store(
-          store.bits(c), ValueBits(g.cols[e.source_col], vals[e.source_col]),
+          store.bits(c), ValueBits(cols[e.source_col], vals[e.source_col]),
           words, cover.data());
       visits = std::min(visits, uint64_t{c.size});
     } else {
-      count = kern->and_store(ValueBits(g.cols[0], vals[0]),
-                              ValueBits(g.cols[1], vals[1]), words,
+      count = kern->and_store(ValueBits(cols[0], vals[0]),
+                              ValueBits(cols[1], vals[1]), words,
                               cover.data());
       for (size_t i = 2; i < arity; ++i) {
-        count = kern->and_store(cover.data(), ValueBits(g.cols[i], vals[i]),
+        count = kern->and_store(cover.data(), ValueBits(cols[i], vals[i]),
                                 words, cover.data());
       }
     }
@@ -1327,8 +1301,10 @@ struct MarginalRuleFinder::Impl {
         if (item.skip) return;
         Entry& e = item.group->map.entry(item.index).second;
         if (exact) {
-          item.visits = CountOneCandidateBits(
-              *item.group, item.group->tuple(item.index), e, slot_bits[k]);
+          item.visits =
+              CountOneCandidateBits(item.group->cols,
+                                    item.group->tuple(item.index), e,
+                                    slot_bits[k]);
           return;
         }
         std::vector<uint32_t>* cover = nullptr;
@@ -1337,7 +1313,7 @@ struct MarginalRuleFinder::Impl {
           cover->clear();
         }
         item.visits = CountOneCandidate(
-            *item.group, item.group->tuple(item.index), e, cover);
+            item.group->cols, item.group->tuple(item.index), e, cover);
       });
       // Gather: merge in item order; record the new covers and the fresh
       // marginals; advance H for the next block.
@@ -1588,28 +1564,28 @@ struct MarginalRuleFinder::Impl {
     // update stays pending.
     if (DeadlineExpired()) return DeadlineStatus();
 
-    // While `covered` is empty every covered weight is 0.0. A first Find
-    // capped at size-1 rules under Count has no pass to walk the postings,
-    // and every marginal folds from the counts: its pass 1 stops after
-    // Phase A, reads no covered weight and builds no postings, and the next
-    // Find builds pass 1. Every other pass, and any pending update, needs
-    // the array, or in the exact-count regime the levels that stand for it.
-    const bool fold = count_mode && max_size == 1 && !pass1.pending &&
-                      covered.empty() && levels.weights.empty();
-    if (exact && !fold) {
+    // While `covered` is empty every covered weight is 0.0. In the
+    // exact-count regime, a first Find capped at size-1 rules has no pass
+    // to walk the value bitsets, and every marginal folds from the counts:
+    // its pass 1 stops after Phase A and builds no bitsets, and the next
+    // Find builds pass 1. Every other pass needs the covered weights: the
+    // levels in the regime, the array outside it.
+    const bool fold = exact && max_size == 1 && covered.empty() &&
+                      levels.weights.empty();
+    if (exact) {
       EnsureLevels();
-    } else if (covered.empty() && !fold) {
+    } else if (covered.empty()) {
       covered.assign(total_rows, 0.0);
     }
 
     // Pass 1: the first Find scans the view for every size-1 rule and
-    // builds the postings (value bitsets when exact); later Finds update the covered weights along
-    // the last winner's cover and recount from the stored state. The
-    // pending update is applied in full before pass 1 starts, even when
-    // the pass then fails.
-    ApplyPending();
-    pass1.pending.reset();
+    // builds the postings (value bitsets when exact); later Finds update
+    // the covered weights along the last winner's cover and recount from
+    // the stored state. The pending update is applied in full before the
+    // recount starts, even when the recount then fails; after a folded
+    // Find, pass 1 applies it once its value bitsets are built.
     if (pass1.built) {
+      ApplyPending();
       SMARTDD_RETURN_IF_ERROR(RecountSingles());
     } else {
       SMARTDD_RETURN_IF_ERROR(CountSizeOne(fold));

@@ -43,8 +43,8 @@ struct MarginalSearchOptions {
   size_t num_threads = 0;
   /// Scan-kernel dispatch (core/scan_kernels.h): kAuto defers to
   /// SMARTDD_KERNEL, then CPU detection. Results are bit-identical across
-  /// paths — the SIMD kernels vectorize only integer decode/compare work
-  /// and a max-blend, never floating-point accumulation.
+  /// paths — the SIMD kernels vectorize only integer decode, compare and
+  /// bitset work, never floating-point accumulation.
   KernelPref kernel = KernelPref::kAuto;
   /// Cooperative cancellation: checked at pass, column, lane, and
   /// candidate-block boundaries. When it fires, Find returns
@@ -115,16 +115,17 @@ struct MarginalRuleResult {
 /// heaviest earlier pick covering it). A Find after a successful one first
 /// raises the rows the previous winner covers to the winner's weight, so
 /// covered weights only ever rise. The update walks the winner's postings
-/// or stored cover (every row when the full store kept none).
+/// or stored cover; when the full store kept none, the cover is rebuilt
+/// from the postings as a count of the winner would walk them.
 ///
 /// The finder is a lazy greedy across its Find calls (Minoux's accelerated
 /// greedy). It keeps, for its whole lifetime, everything that depends only
 /// on the views:
 ///  - pass 1's singleton counts, masses, weights and CSR postings, built by
-///    the first Find's full scan. A first Find capped at size-1 rules under
-///    Count, from all-zero covered weights, needs no postings and derives
-///    each marginal from the counts, so its scan only counts and the
-///    second Find builds pass 1;
+///    the first Find's full scan. In the exact-count regime (below), a
+///    first Find capped at size-1 rules from all-zero covered weights needs
+///    no value bitsets and derives each marginal from the counts, so its
+///    scan only counts and the second Find builds pass 1;
 ///  - a cover store: for every counted rule of arity >= 2, the rows it
 ///    covers and its mass. A later count of a stored rule walks only its
 ///    cover; a new rule of arity >= 3 walks its shortest stored immediate
@@ -146,7 +147,9 @@ struct MarginalRuleResult {
 /// averaging at most 64 values (so one bit per row and value costs at most
 /// twice the postings' 32-bit row ids). Sums are then exact in any order,
 /// and the finder counts by popcounts instead of per-row sums:
-///  - pass 1 builds one row bitset per value instead of postings;
+///  - pass 1 builds one row bitset per value instead of postings, and a
+///    covered-weight update rebuilds a winner the full store did not keep
+///    as the AND of its values' bitsets;
 ///  - the cover store keeps each counted rule's bitset;
 ///  - a new candidate's cover is one AND: its shortest stored immediate
 ///    sub-rule's bitset with the missing value's bitset, or all its values'

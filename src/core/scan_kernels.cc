@@ -89,13 +89,6 @@ void MatchEqScalar(PackedRef col, uint64_t begin, size_t n, uint32_t want,
   }
 }
 
-void CoveredMaxScalar(double* covered, const uint8_t* mask, size_t n,
-                      double w) {
-  for (size_t i = 0; i < n; ++i) {
-    if (mask[i] != 0 && w > covered[i]) covered[i] = w;
-  }
-}
-
 size_t FilterRowsScalar(const uint32_t* rows, size_t n, uint64_t bias,
                         const GatherPred* preds, size_t num_preds,
                         uint32_t* out) {
@@ -169,9 +162,8 @@ uint64_t AndPopcountScalar(const uint64_t* a, const uint64_t* b, size_t n) {
 }
 
 constexpr ScanKernels kScalarKernels = {
-    &UnpackScalar,      &MatchEqScalar,  &CoveredMaxScalar,
-    &FilterRowsScalar,  &CountCodesScalar, &AndStoreScalar,
-    &AndPopcountScalar,
+    &UnpackScalar,     &MatchEqScalar,  &FilterRowsScalar,
+    &CountCodesScalar, &AndStoreScalar, &AndPopcountScalar,
 };
 
 bool CpuHasAvx2() {

@@ -52,9 +52,9 @@ struct GatherPred {
 
 /// The kernel table bound to one KernelPath. Every function has identical
 /// observable semantics on both paths — the SIMD variants only vectorize
-/// integer decode/compare work and a double max-blend, never reassociate a
-/// floating-point sum — which is what keeps drill-down trees byte-identical
-/// across {scalar, SIMD} x num_threads x num_shards.
+/// integer decode, compare and bitset work, never a floating-point sum —
+/// which is what keeps drill-down trees byte-identical across
+/// {scalar, SIMD} x num_threads x num_shards.
 struct ScanKernels {
   /// Decodes codes [begin, end) of `col` into `out`.
   void (*unpack)(PackedRef col, uint64_t begin, uint64_t end, uint32_t* out);
@@ -64,11 +64,6 @@ struct ScanKernels {
   ///   : 0).
   void (*match_eq)(PackedRef col, uint64_t begin, size_t n, uint32_t want,
                    uint8_t* mask, bool first);
-
-  /// covered[i] = max(covered[i], w) wherever mask[i] != 0. A pure
-  /// max-blend: no FP arithmetic, so results are exactly the scalar loop's.
-  void (*covered_max)(double* covered, const uint8_t* mask, size_t n,
-                      double w);
 
   /// Posting-list filter: copies rows[j] (global row ids) into `out` when
   /// every predicate matches at local row rows[j] - bias, preserving order.

@@ -224,28 +224,6 @@ void MatchEqAvx2(PackedRef col, uint64_t begin, size_t n, uint32_t want,
   }
 }
 
-void CoveredMaxAvx2(double* covered, const uint8_t* mask, size_t n,
-                    double w) {
-  const __m256d wv = _mm256_set1_pd(w);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    int32_t m4;
-    std::memcpy(&m4, mask + i, 4);
-    if (m4 == 0) continue;
-    // Widen 4 mask bytes to qword lanes; replace covered with w exactly
-    // where (mask && w > covered), mirroring the scalar branch bit-for-bit
-    // (no max_pd: its -0.0/+0.0 tie-break differs from the `>` test).
-    const __m256i m64 = _mm256_cvtepi8_epi64(_mm_cvtsi32_si128(m4));
-    const __m256d c = _mm256_loadu_pd(covered + i);
-    const __m256d gt = _mm256_cmp_pd(wv, c, _CMP_GT_OQ);
-    const __m256d take = _mm256_and_pd(gt, _mm256_castsi256_pd(m64));
-    _mm256_storeu_pd(covered + i, _mm256_blendv_pd(c, wv, take));
-  }
-  for (; i < n; ++i) {
-    if (mask[i] != 0 && w > covered[i]) covered[i] = w;
-  }
-}
-
 /// Decodes `col` at 8 arbitrary local row indexes (a gather).
 __m256i GatherDecode(const PackedRef& col, __m256i idx) {
   switch (col.width) {
@@ -472,8 +450,8 @@ uint64_t AndPopcountAvx2(const uint64_t* a, const uint64_t* b, size_t n) {
 }
 
 constexpr ScanKernels kAvx2Kernels = {
-    &UnpackAvx2,     &MatchEqAvx2,    &CoveredMaxAvx2,  &FilterRowsAvx2,
-    &CountCodesAvx2, &AndStoreAvx2,   &AndPopcountAvx2,
+    &UnpackAvx2,     &MatchEqAvx2,  &FilterRowsAvx2,
+    &CountCodesAvx2, &AndStoreAvx2, &AndPopcountAvx2,
 };
 
 }  // namespace

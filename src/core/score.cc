@@ -1,14 +1,17 @@
 #include "core/score.h"
 
 #include <algorithm>
+#include <cmath>
 #include <numeric>
 
-#include "common/float_sum.h"
 #include "rules/rule_ops.h"
 
 namespace smartdd {
 
 namespace {
+
+/// Integer sums below 2^53 are exact in a double.
+constexpr double kMaxExactSum = 9007199254740992.0;  // 2^53
 
 /// Pointer to the view's selected measure column (nullptr for Count): the
 /// evaluation loops below index it directly.
@@ -49,15 +52,18 @@ RuleListEvaluation EvaluateRuleList(
   // Single-rule Count fast path: with one rule and no measure column every
   // match contributes the same 1.0 to mass and the same weights[0] to the
   // score, so the per-row attribution sweep collapses to a match count —
-  // count_codes for <= 1 predicate, a mask popcount otherwise. Results are
-  // bit-identical to the sweep: sums of 1.0 are exact integers (< 2^53
-  // rows), and ExactRepeatAdd reproduces the sweep's repeated weights[0]
-  // additions bit for bit.
-  bool count_fold = rules.size() == 1;
+  // count_codes for <= 1 predicate, a mask popcount otherwise. For an
+  // integer weight w with rows * |w| < 2^53 every partial sum of the sweep
+  // is an exact integer, so count * w is the sweep's float bit for bit;
+  // any other weight takes the sweep.
+  bool count_fold = rules.size() == 1 && weight.IntegerValued();
+  uint64_t rows = 0;
   for (const TableView* vp : views) {
     count_fold = count_fold && !vp->has_measure();
+    rows += vp->num_rows();
   }
-  if (count_fold) {
+  if (count_fold &&
+      static_cast<double>(rows) * std::abs(weights[0]) < kMaxExactSum) {
     const Rule& r = rules[0];
     uint64_t total = 0;
     std::vector<uint32_t> counts;
@@ -86,7 +92,8 @@ RuleListEvaluation EvaluateRuleList(
     }
     out.mass[0] = static_cast<double>(total);
     out.marginal_mass[0] = static_cast<double>(total);
-    out.total_score = ExactRepeatAdd(weights[0], total);
+    // 0.0 + turns a -0.0 product into the +0.0 the sweep leaves.
+    out.total_score = 0.0 + static_cast<double>(total) * weights[0];
     return out;
   }
 

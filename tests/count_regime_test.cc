@@ -121,9 +121,10 @@ void ExpectSameStats(const MarginalSearchStats& a,
   EXPECT_EQ(a.tuple_visits, b.tuple_visits) << label;
 }
 
-/// `stats` is false for a search over one free column: its first Count
-/// step folds its marginals from the counts without building postings (so
-/// its second step scans again), which Sum never does.
+/// `stats` is false for a search over one free column in the exact-count
+/// regime: its first Count step folds its marginals from the counts
+/// without building value bitsets (so its second step scans again), which
+/// Sum never does. Outside the regime Count never folds.
 void ExpectSameResponse(const DrillDownResponse& got,
                         const DrillDownResponse& want, bool stats,
                         const std::string& label) {
@@ -170,9 +171,10 @@ std::vector<Click> Clicks(const Table& table) {
 
 /// Runs every click at k = 1..5 as a Sum search over one shard and one
 /// thread, and as a Count search at every shard x thread count; each Count
-/// response must equal the Sum one.
+/// response must equal the Sum one. `in_regime` says whether the Count
+/// searches run in the exact-count regime.
 void CompareGrid(const Table& table, const WeightFunction& weight,
-                 const std::string& name) {
+                 bool in_regime, const std::string& name) {
   std::vector<Shards> layouts;
   layouts.reserve(3);
   for (size_t shards : {size_t{1}, size_t{2}, size_t{4}}) {
@@ -201,7 +203,7 @@ void CompareGrid(const Table& table, const WeightFunction& weight,
           request.num_threads = threads;
           auto got = SmartDrillDown(l.count, weight, request);
           ASSERT_TRUE(got.ok()) << label << ": " << got.status().ToString();
-          ExpectSameResponse(*got, *want, free >= 2, label);
+          ExpectSameResponse(*got, *want, free >= 2 || !in_regime, label);
         }
       }
     }
@@ -220,9 +222,9 @@ TEST(CountRegimeTest, OracleTablesMatchSumOverOnes) {
       linear[c] = static_cast<double>(1 + rng.UniformInt(3));
     }
     LinearColumnWeight integer_linear(linear);
-    CompareGrid(table, size, name);
-    CompareGrid(table, size_minus_one, name);
-    CompareGrid(table, integer_linear, name);
+    CompareGrid(table, size, true, name);
+    CompareGrid(table, size_minus_one, true, name);
+    CompareGrid(table, integer_linear, true, name);
   }
 }
 
@@ -231,22 +233,24 @@ TEST(CountRegimeTest, SynthTableMatchesSumOverOnes) {
   SizeWeight size;
   SizeMinusOneWeight size_minus_one;
   LinearColumnWeight integer_linear({2, 1, 3, 1, 2, 1});
-  CompareGrid(table, size, "synth20k");
-  CompareGrid(table, size_minus_one, "synth20k");
-  CompareGrid(table, integer_linear, "synth20k");
+  CompareGrid(table, size, true, "synth20k");
+  CompareGrid(table, size_minus_one, true, "synth20k");
+  CompareGrid(table, integer_linear, true, "synth20k");
 }
 
 TEST(CountRegimeTest, FractionalBitsWeightMatchesSumOverOnes) {
   const Table table = SynthTable(3000, {4, 6, 3, 5}, 7);
   BitsWeight fractional({1.5, 0.25, 2.75, 1.0});
-  CompareGrid(table, fractional, "fractional-bits");
+  CompareGrid(table, fractional, false, "fractional-bits");
 }
 
 TEST(CountRegimeTest, WideColumnMatchesSumOverOnes) {
   // 200 values next to 3: the value bitsets would outgrow the postings.
-  const Table table = SynthTable(20000, {200, 3}, 11);
+  // The drill-down fixes the first column and searches the 200-value one
+  // alone, so it stays outside the regime with one free column.
+  const Table table = SynthTable(20000, {3, 200}, 11);
   SizeWeight size;
-  CompareGrid(table, size, "wide-column");
+  CompareGrid(table, size, false, "wide-column");
 }
 
 TEST(CountRegimeTest, FractionalStartingCoveredWeightMatchesSumOverOnes) {

@@ -1,9 +1,9 @@
 // Tests for the bit-packed column storage and the runtime-dispatched scan
 // kernels: round-trips across every width class, the kernel unit
-// differentials (scalar vs AVX2 must agree byte for byte), the
-// ExactRepeatAdd closed form, and a full-tree differential suite proving
-// drill-down trees identical across {scalar, SIMD} x threads (x shards for
-// in-memory tables) on memory, measure, and disk tables.
+// differentials (scalar vs AVX2 must agree byte for byte), and a full-tree
+// differential suite proving drill-down trees identical across
+// {scalar, SIMD} x threads (x shards for in-memory tables) on memory,
+// measure, and disk tables.
 
 #include <gtest/gtest.h>
 
@@ -12,7 +12,6 @@
 #include <random>
 #include <vector>
 
-#include "common/float_sum.h"
 #include "core/scan_kernels.h"
 #include "data/census_gen.h"
 #include "data/synth.h"
@@ -201,25 +200,16 @@ TEST(ScanKernelTest, CountCodesAccumulatesIntoExistingCounts) {
   });
 }
 
-TEST(ScanKernelTest, MatchEqAndCoveredMaxAgreeAcrossPaths) {
+TEST(ScanKernelTest, MatchEqAgreesAcrossPaths) {
   for (uint32_t dict : {2u, 4u, 9u, 200u, 300u}) {
     std::vector<uint32_t> codes = MakeCodes(4096, dict, 17);
     PackedColumn col = MakeColumn(codes, dict);
     const uint32_t want = dict / 2;
-    std::vector<uint8_t> ref_mask(4096);
-    std::vector<double> ref_cov(4096, 0.5);
-    GetScanKernels(KernelPath::kScalar)
-        .match_eq(col.ref(), 0, 4096, want, ref_mask.data(), true);
-    GetScanKernels(KernelPath::kScalar)
-        .covered_max(ref_cov.data(), ref_mask.data(), 4096, 1.25);
     ForEachKernelPath([&](const ScanKernels& k, const char* name) {
       std::vector<uint8_t> mask(4096);
-      std::vector<double> cov(4096, 0.5);
       k.match_eq(col.ref(), 0, 4096, want, mask.data(), true);
-      k.covered_max(cov.data(), mask.data(), 4096, 1.25);
       for (size_t i = 0; i < 4096; ++i) {
         ASSERT_EQ(mask[i] != 0, codes[i] == want) << name << " i=" << i;
-        ASSERT_EQ(cov[i], mask[i] ? 1.25 : 0.5) << name << " i=" << i;
       }
     });
   }
@@ -278,29 +268,6 @@ TEST(ScanKernelTest, BitsetAndAndPopcountAgreeAcrossPaths) {
       EXPECT_EQ(acc, want) << name << " n=" << n;
     });
   }
-}
-
-// --- ExactRepeatAdd ----------------------------------------------------------
-
-TEST(ExactRepeatAddTest, MatchesLiteralLoop) {
-  const double weights[] = {0.0, 1.0, 2.0, 0.5, 1.5, 3.0, 7.0,
-                            0.1, 1.0 / 3.0, 123.456, 1e-30, 1e30};
-  const uint64_t counts[] = {0, 1, 2, 3, 63, 64, 1000, 4097};
-  for (double w : weights) {
-    for (uint64_t n : counts) {
-      double loop = 0;
-      for (uint64_t i = 0; i < n; ++i) loop += w;
-      EXPECT_EQ(ExactRepeatAdd(w, n), loop) << "w=" << w << " n=" << n;
-    }
-  }
-}
-
-TEST(ExactRepeatAddTest, LargeCountsOfExactWeightsUseClosedForm) {
-  // Integer and small-rational weights stay exact at row-scale counts.
-  EXPECT_EQ(ExactRepeatAdd(1.0, uint64_t{200000}), 200000.0);
-  EXPECT_EQ(ExactRepeatAdd(2.5, uint64_t{1} << 40), 2.5 * (uint64_t{1} << 40));
-  EXPECT_EQ(ExactRepeatAdd(std::numeric_limits<double>::infinity(), 5),
-            std::numeric_limits<double>::infinity());
 }
 
 // --- Full-tree differential suite -------------------------------------------
