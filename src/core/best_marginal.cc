@@ -959,8 +959,7 @@ struct MarginalRuleFinder::Impl {
       cols.push_back(c);
       vals.push_back(pending.rule.value(c));
     }
-    Entry rebuilt;
-    rebuilt.weight = pending.weight;
+    Entry rebuilt;  // weight 0: a rebuild only wants the cover
     if (exact) {
       std::vector<uint64_t> bits;
       const uint64_t* cover;
