@@ -164,6 +164,7 @@ class TuplePacker {
     for (uint8_t b : bits) total += b;
     exact_ = total <= 128;
     bits_.assign(bits.begin(), bits.end());
+    if (!bits_.empty()) last_shift_ = total - bits_.back();
   }
 
   bool exact() const { return exact_; }
@@ -174,15 +175,7 @@ class TuplePacker {
     if (exact_) {
       size_t shift = 0;
       for (size_t i = 0; i < arity; ++i) {
-        uint64_t v = vals[i];
-        if (shift < 64) {
-          key.lo |= v << shift;
-          if (shift + bits_[i] > 64 && shift != 0) {
-            key.hi |= v >> (64 - shift);
-          }
-        } else {
-          key.hi |= v << (shift - 64);
-        }
+        Place(key, vals[i], shift, bits_[i]);
         shift += bits_[i];
       }
     } else {
@@ -195,8 +188,29 @@ class TuplePacker {
     return key;
   }
 
+  /// Pack of a tuple whose last value is `last`, given `prefix`, the Pack
+  /// of the same tuple with its last value 0: one prefix then serves every
+  /// last value at one OR. Exact packers only.
+  Key128 PackLast(Key128 prefix, uint32_t last) const {
+    SMARTDD_DCHECK(exact_ && !bits_.empty());
+    Place(prefix, last, last_shift_, bits_.back());
+    return prefix;
+  }
+
  private:
+  /// ORs a `bits`-wide value into the key at bit `shift`; a value that
+  /// straddles bit 64 lands in both lanes.
+  static void Place(Key128& key, uint64_t v, size_t shift, size_t bits) {
+    if (shift < 64) {
+      key.lo |= v << shift;
+      if (shift + bits > 64 && shift != 0) key.hi |= v >> (64 - shift);
+    } else {
+      key.hi |= v << (shift - 64);
+    }
+  }
+
   std::vector<uint8_t> bits_;
+  size_t last_shift_ = 0;  // bit offset of the last position
   bool exact_ = true;
 };
 

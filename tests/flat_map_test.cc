@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <unordered_map>
 #include <vector>
 
@@ -147,6 +148,59 @@ TEST(TuplePackerTest, StraddlesThe64BitBoundary) {
   EXPECT_NE(packer.Pack(a, 4), packer.Pack(b, 4));
   EXPECT_NE(packer.Pack(a, 4), packer.Pack(c, 4));
   EXPECT_EQ(packer.Pack(a, 4), packer.Pack(a, 4));
+}
+
+TEST(TuplePackerTest, PackLastEqualsPack) {
+  // Random exact layouts, half of them built so that the last position
+  // straddles bit 64; PackLast on the tuple's zero-last prefix must give
+  // Pack's key for every last value.
+  Rng rng(2029);
+  size_t straddles = 0;
+  for (int trial = 0; trial < 2000; ++trial) {
+    std::vector<uint8_t> bits;
+    size_t total = 0;
+    if (trial % 2 == 0) {
+      // The last field starts at bit 33..63 and ends past bit 64.
+      const size_t last_shift = 33 + rng.UniformInt(31);
+      while (total < last_shift) {
+        bits.push_back(static_cast<uint8_t>(
+            std::min<uint64_t>(last_shift - total, 1 + rng.UniformInt(16))));
+        total += bits.back();
+      }
+      bits.push_back(static_cast<uint8_t>(
+          65 - last_shift + rng.UniformInt(last_shift - 32)));
+      total += bits.back();
+    } else {
+      // Up to 11 fields of up to 11 bits: at most 121 bits, exact.
+      const size_t arity = 2 + rng.UniformInt(10);
+      for (size_t i = 0; i < arity; ++i) {
+        bits.push_back(static_cast<uint8_t>(1 + rng.UniformInt(11)));
+        total += bits.back();
+      }
+    }
+    const size_t arity = bits.size();
+    const size_t last_shift = total - bits.back();
+    straddles += last_shift < 64 && last_shift + bits.back() > 64;
+    TuplePacker packer(bits);
+    ASSERT_TRUE(packer.exact());
+    std::vector<uint32_t> vals(arity);
+    for (size_t i = 0; i < arity; ++i) {
+      const uint64_t limit = uint64_t{1} << bits[i];
+      vals[i] = static_cast<uint32_t>(rng.UniformInt(limit));
+    }
+    const uint32_t last = vals.back();
+    vals.back() = 0;
+    const Key128 prefix = packer.Pack(vals.data(), arity);
+    vals.back() = last;
+    EXPECT_EQ(packer.PackLast(prefix, last), packer.Pack(vals.data(), arity))
+        << "trial " << trial;
+    // The largest last value sets every bit of its field.
+    vals.back() = static_cast<uint32_t>((uint64_t{1} << bits.back()) - 1);
+    EXPECT_EQ(packer.PackLast(prefix, vals.back()),
+              packer.Pack(vals.data(), arity))
+        << "trial " << trial;
+  }
+  EXPECT_GE(straddles, 1000u);
 }
 
 TEST(TuplePackerTest, OverflowFallsBackToHashing) {
