@@ -15,7 +15,8 @@ namespace smartdd {
 ///     (more specific rules never weigh less).
 /// These two properties are what the BRS pruning bounds and the greedy
 /// approximation guarantee rely on; tests/weights_test.cc property-checks
-/// every implementation shipped here.
+/// every implementation shipped here, and that no weight exceeds
+/// MaxPossibleWeight.
 class WeightFunction {
  public:
   virtual ~WeightFunction() = default;
@@ -28,7 +29,9 @@ class WeightFunction {
   virtual std::string name() const = 0;
 
   /// An upper bound on Weight over all rules of the given width, used by
-  /// parameter guidance (§6.1). Defaults to +infinity when unknown.
+  /// parameter guidance (§6.1) and by the marginal search, which weighs
+  /// only the candidates that survive pruning when its cap mw is at least
+  /// this bound. Defaults to +infinity when unknown.
   virtual double MaxPossibleWeight(size_t num_columns) const {
     (void)num_columns;
     return std::numeric_limits<double>::infinity();

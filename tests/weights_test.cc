@@ -129,7 +129,7 @@ TEST(StarConstraintWeightTest, ZeroesRulesWithoutTheColumn) {
 // ---------------------------------------------------------------------
 // Property suite: every shipped weight function must be non-negative and
 // monotonic (sub-rule weight <= super-rule weight) — the two contracts the
-// paper's algorithms rely on (§2.2).
+// paper's algorithms rely on (§2.2) — and bounded by MaxPossibleWeight.
 // ---------------------------------------------------------------------
 
 struct WeightCase {
@@ -162,7 +162,17 @@ TEST_P(WeightContractTest, NonNegativeAndMonotonic) {
     ASSERT_GE(ws, 0.0) << w.name();
     ASSERT_GE(wp, 0.0) << w.name();
     ASSERT_LE(ws, wp) << w.name() << " violates monotonicity";
+    // The marginal search weighs only the candidates that survive pruning
+    // when its cap mw is at least this bound, so it must be one.
+    ASSERT_LE(wp, w.MaxPossibleWeight(cols))
+        << w.name() << " exceeds MaxPossibleWeight";
   }
+}
+
+/// A base weight for the wrappers below, which keep a pointer to it.
+const SizeWeight& SharedSize() {
+  static const SizeWeight size;
+  return size;
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -181,7 +191,12 @@ INSTANTIATE_TEST_SUITE_P(
                        std::vector<double>{1, 2, 1, 0.5, 1}, 2.0)},
         WeightCase{"McpIndicator",
                    std::make_shared<McpWeight>(
-                       std::vector<uint32_t>{1, 1, 1, 1, 1})}),
+                       std::vector<uint32_t>{1, 1, 1, 1, 1})},
+        WeightCase{"ColumnBoost",
+                   std::make_shared<ColumnBoostWeight>(
+                       SharedSize(), std::vector<double>{0, 2, 0.5, 1, 0})},
+        WeightCase{"StarConstrained",
+                   std::make_shared<StarConstraintWeight>(SharedSize(), 3)}),
     [](const ::testing::TestParamInfo<WeightCase>& info) {
       return info.param.name;
     });
