@@ -292,6 +292,9 @@ struct MarginalRuleFinder::Impl {
   Rule base;     // merged into candidates for weight eval
   Rule scratch;  // reusable candidate rule: no per-candidate Rule allocs
 
+  /// Threads of the counting passes: options.num_threads, or 1 when the
+  /// views hold fewer than kMinParallelRows rows (RunChunked then runs
+  /// every chunk inline).
   size_t threads;
 
   /// Resolved once per search so a process can host scalar and SIMD
@@ -309,6 +312,11 @@ struct MarginalRuleFinder::Impl {
   /// the covered-weight levels (see LevelMarginal).
   bool exact = false;
   uint64_t words = 0;
+  /// Whether the weight cap mw can exclude a candidate, i.e. mw is below
+  /// MaxPossibleWeight of the rule width. When it cannot (RunBrs's default
+  /// mw is that maximum), generation weighs only the candidates that
+  /// survive pruning.
+  bool cap_binds = true;
 
   std::vector<Postings>& postings;       // pass1.postings
   std::vector<SingletonTable>& singles;  // pass1.singles
@@ -379,6 +387,7 @@ struct MarginalRuleFinder::Impl {
       segs.push_back(seg);
       total_rows += seg.rows;
     }
+    if (total_rows < kMinParallelRows) threads = 1;
 
     if (options.allowed_columns.empty()) {
       for (size_t c = 0; c < proto.num_columns(); ++c) {
@@ -405,6 +414,8 @@ struct MarginalRuleFinder::Impl {
     count_mode = !proto.has_measure();
     exact = p1.exact;
     words = BitsetWords(total_rows);
+    cap_binds =
+        !(options.max_weight >= weight.MaxPossibleWeight(proto.num_columns()));
   }
 
   /// Dictionary size of column c. The shards share their dictionaries
@@ -1391,123 +1402,186 @@ struct MarginalRuleFinder::Impl {
 
   // --- Candidate generation ---------------------------------------------
 
-  /// Looks up the counted entry of an arbitrary sub-rule (any arity >= 1).
-  /// Returns nullptr when the sub-rule was never counted.
-  const Entry* FindCounted(const uint32_t* cols, const uint32_t* vals,
-                           size_t arity) const {
-    if (arity == 1) {
-      const SingletonTable& st = singles[col_dense[cols[0]]];
-      if (st.counts[vals[0]] == 0) return nullptr;
-      return &st.entries[vals[0]];
+  /// Scratch for ExtendParent, reused across parents. For one (parent,
+  /// added column) pair, `sub_groups[i]` is the counted group of the
+  /// immediate sub-rule that lacks the parent's i-th column (the added
+  /// column last), and `sub_prefix[i]` its packed key with the added value
+  /// 0, so a value costs one PackLast and one probe per sub-rule. A hashed
+  /// packer packs row i of `sub_vals` (the sub-rule's values, the added one
+  /// last) instead.
+  struct GenScratch {
+    Cols cand_cols, sub_cols;
+    std::vector<uint32_t> cand_vals, sub_vals;
+    std::vector<const CandidateGroup*> sub_groups;
+    std::vector<Key128> sub_prefix;
+  };
+
+  /// Resolves the sub-rule groups of one (parent, added column c) pair
+  /// (parent arity >= 2). Returns false when one was never counted: every
+  /// candidate of the pair then has a missing sub-rule.
+  bool ResolveSubGroups(const Cols& pcols, const uint32_t* pvals, uint32_t c,
+                        GenScratch& gs) const {
+    const size_t parity = pcols.size();
+    gs.sub_groups.resize(parity);
+    gs.sub_prefix.resize(parity);
+    gs.sub_vals.resize(parity * parity);
+    for (size_t i = 0; i < parity; ++i) {
+      gs.sub_cols.clear();
+      uint32_t* vals = gs.sub_vals.data() + i * parity;
+      for (size_t j = 0, n = 0; j < parity; ++j) {
+        if (j == i) continue;
+        gs.sub_cols.push_back(pcols[j]);
+        vals[n++] = pvals[j];
+      }
+      gs.sub_cols.push_back(c);
+      vals[parity - 1] = 0;
+      const uint32_t* slot =
+          counted_index.Find(ColsKey(gs.sub_cols.data(), parity));
+      if (slot == nullptr) return false;
+      const CandidateGroup& g = counted[*slot];
+      gs.sub_groups[i] = &g;
+      gs.sub_prefix[i] = g.packer.exact() ? g.packer.Pack(vals, parity)
+                                          : Key128{};
     }
-    const uint32_t* slot = counted_index.Find(ColsKey(cols, arity));
-    if (slot == nullptr) return nullptr;
-    const CandidateGroup& g = counted[*slot];
+    return true;
+  }
+
+  /// The counted entry of sub-rule i of the resolved pair at added value
+  /// v, or nullptr when it was never counted.
+  const Entry* FindSub(GenScratch& gs, size_t i, uint32_t v) const {
+    const CandidateGroup& g = *gs.sub_groups[i];
+    if (g.packer.exact()) {
+      return g.map.Find(g.packer.PackLast(gs.sub_prefix[i], v));
+    }
+    const size_t arity = g.cols.size();
+    uint32_t* vals = gs.sub_vals.data() + i * arity;
+    vals[arity - 1] = v;
     return g.map.Find(g.packer.Pack(vals, arity));
   }
 
   /// Extends one parent (cols/vals/entry) with every later column's
   /// surviving singletons, appending candidates into `out`.
+  ///
+  /// A candidate is pruned when an immediate sub-rule is missing, excluded
+  /// or of zero mass (the candidate is then itself zero-mass or already
+  /// dominated), or when the least SuperRuleBound over them is below H or
+  /// not positive. Two sub-rules need no lookup: the parent, and at arity 2
+  /// the added singleton; the others are probed in column order and the
+  /// first that prunes ends the test. The same sub-rules give the shortest
+  /// stored cover to count from, ties to the earliest dropped column.
+  /// When the weight cap cannot bind, only the survivors are weighed.
   void ExtendParent(const Cols& pcols, const uint32_t* pvals,
                     const Entry& parent, bool prune,
                     FlatMap<uint32_t>& group_index,
-                    std::vector<CandidateGroup>& out, Cols& cand_cols,
-                    std::vector<uint32_t>& cand_vals, Cols& sub_cols,
-                    std::vector<uint32_t>& sub_vals) {
+                    std::vector<CandidateGroup>& out, GenScratch& gs) {
     if (parent.excluded || parent.mass <= 0) return;
+    const double parent_bound = SuperRuleBound(parent);
     // Cheap parent-level cut: no super-rule of this parent can beat H.
-    if (prune && SuperRuleBound(parent) < best_marginal) return;
+    if (prune && parent_bound < best_marginal) return;
 
     const size_t parity = pcols.size();
+    const size_t arity = parity + 1;
+    Cols& cand_cols = gs.cand_cols;
+    std::vector<uint32_t>& cand_vals = gs.cand_vals;
     cand_cols.assign(pcols.begin(), pcols.end());
     cand_cols.push_back(0);
     cand_vals.assign(pvals, pvals + parity);
     cand_vals.push_back(0);
+    auto fails = [&](double bound) {
+      return prune && (bound < best_marginal || bound <= 0);
+    };
 
     for (size_t ci = 0; ci < columns.size(); ++ci) {
       const uint32_t c = columns[ci];
       if (c <= pcols.back()) continue;
       const SingletonTable& st = singles[ci];
       cand_cols[parity] = c;
+      const bool missing = parity >= 2 && !ResolveSubGroups(pcols, pvals, c, gs);
+      CandidateGroup* g = nullptr;  // found or made on the first survivor
+      Key128 cand_prefix;
       for (uint32_t v1 : st.codes) {
         const Entry& e1 = st.entries[v1];
         if (e1.excluded || e1.mass <= 0) continue;
         ++stats.candidates_generated;
 
         cand_vals[parity] = v1;
+        double w = 0;
+        if (cap_binds) {
+          w = EffectiveWeight(cand_cols, cand_vals.data());
+          if (w > options.max_weight) continue;  // weight cap (mw)
+        }
 
-        double w = EffectiveWeight(cand_cols, cand_vals.data());
-        if (w > options.max_weight) continue;  // weight cap (mw)
-        SMARTDD_DCHECK(!exact || std::floor(w) == w)
-            << weight.name() << " claims IntegerValued";
-
-        // Upper-bound test against every counted immediate sub-rule. A
-        // missing / excluded / zero-mass sub-rule proves the candidate is
-        // itself zero-mass or already dominated, so drop it. The same
-        // lookups find the shortest stored sub-rule cover to count from.
-        bool pruned = false;
-        double bound = std::numeric_limits<double>::infinity();
-        const size_t arity = cand_cols.size();
+        double bound = parity == 1 ? std::min(parent_bound, SuperRuleBound(e1))
+                                   : parent_bound;
+        bool pruned = missing || fails(bound);
         uint32_t source = kNoCover;
         uint32_t source_col = 0;
         uint32_t source_size = std::numeric_limits<uint32_t>::max();
-        for (size_t drop = 0; drop < arity; ++drop) {
-          sub_cols.clear();
-          sub_vals.clear();
-          for (size_t i = 0; i < arity; ++i) {
-            if (i == drop) continue;
-            sub_cols.push_back(cand_cols[i]);
-            sub_vals.push_back(cand_vals[i]);
-          }
-          const Entry* sub =
-              FindCounted(sub_cols.data(), sub_vals.data(), arity - 1);
+        // At arity 2 the sub-rules are the parent and e1, both known.
+        const size_t probed = parity >= 2 ? parity : 0;
+        for (size_t i = 0; i < probed && !pruned; ++i) {
+          const Entry* sub = FindSub(gs, i, v1);
           if (sub == nullptr || sub->excluded || sub->mass <= 0) {
             pruned = true;
             break;
           }
           bound = std::min(bound, SuperRuleBound(*sub));
-          if (arity >= 3 && sub->cover != kNoCover &&
+          pruned = fails(bound);
+          if (sub->cover != kNoCover &&
               store.covers[sub->cover].size < source_size) {
             source = sub->cover;
-            source_col = static_cast<uint32_t>(drop);
+            source_col = static_cast<uint32_t>(i);
             source_size = store.covers[sub->cover].size;
           }
-        }
-        if (!pruned && prune && (bound < best_marginal || bound <= 0)) {
-          pruned = true;
         }
         if (pruned) {
           ++stats.candidates_pruned;
           continue;
         }
-
-        uint32_t gi;
-        const Key128 cols_key = ColsKey(cand_cols.data(), arity);
-        auto [slot, inserted] = group_index.FindOrInsert(cols_key);
-        if (inserted) {
-          gi = static_cast<uint32_t>(out.size());
-          *slot = gi;
-          out.emplace_back();
-          out.back().cols = cand_cols;
-          out.back().packer = MakePacker(cand_cols);
-          out.back().store_group = store.GroupFor(cols_key);
-        } else {
-          gi = *slot;
+        // The parent is the sub-rule that lacks the added (last) column.
+        if (parity >= 2 && parent.cover != kNoCover &&
+            store.covers[parent.cover].size < source_size) {
+          source = parent.cover;
+          source_col = static_cast<uint32_t>(parity);
         }
-        CandidateGroup& g = out[gi];
-        const Key128 vals_key = g.packer.Pack(cand_vals.data(), arity);
-        auto [entry, fresh] = g.map.FindOrInsert(vals_key);
+        if (!cap_binds) w = EffectiveWeight(cand_cols, cand_vals.data());
+        SMARTDD_DCHECK(w <= options.max_weight)
+            << weight.name() << " exceeds MaxPossibleWeight";
+        SMARTDD_DCHECK(!exact || std::floor(w) == w)
+            << weight.name() << " claims IntegerValued";
+
+        if (g == nullptr) {
+          const Key128 cols_key = ColsKey(cand_cols.data(), arity);
+          auto [slot, inserted] = group_index.FindOrInsert(cols_key);
+          if (inserted) {
+            *slot = static_cast<uint32_t>(out.size());
+            out.emplace_back();
+            out.back().cols = cand_cols;
+            out.back().packer = MakePacker(cand_cols);
+            out.back().store_group = store.GroupFor(cols_key);
+          }
+          g = &out[*slot];
+          if (g->packer.exact()) {
+            cand_vals[parity] = 0;
+            cand_prefix = g->packer.Pack(cand_vals.data(), arity);
+            cand_vals[parity] = v1;
+          }
+        }
+        const Key128 vals_key =
+            g->packer.exact() ? g->packer.PackLast(cand_prefix, v1)
+                              : g->packer.Pack(cand_vals.data(), arity);
+        auto [entry, fresh] = g->map.FindOrInsert(vals_key);
         if (fresh) {
           entry->weight = w;
           entry->bound = bound;
-          const uint32_t* stored = store.groups[g.store_group].Find(vals_key);
+          const uint32_t* stored = store.groups[g->store_group].Find(vals_key);
           if (stored != nullptr) {
             entry->cover = *stored;
             entry->last = store.covers[*stored].marginal;
           }
           entry->source = source;
           entry->source_col = source_col;
-          g.tuples.insert(g.tuples.end(), cand_vals.begin(), cand_vals.end());
+          g->tuples.insert(g->tuples.end(), cand_vals.begin(), cand_vals.end());
         }
       }
     }
@@ -1523,18 +1597,17 @@ struct MarginalRuleFinder::Impl {
     const bool prune = options.pruning == PruningMode::kFull;
     FlatMap<uint32_t> group_index;
     std::vector<CandidateGroup> out;
-
-    Cols cand_cols, sub_cols, pcols(1);
-    std::vector<uint32_t> cand_vals, sub_vals;
-    uint32_t pvals[1];
+    GenScratch gs;
 
     if (from_singles) {
+      Cols pcols(1);
+      uint32_t pvals[1];
       for (const SingletonTable& st : singles) {
         pcols[0] = st.col;
         for (uint32_t v : st.codes) {
           pvals[0] = v;
           ExtendParent(pcols, pvals, st.entries[v], prune, group_index, out,
-                       cand_cols, cand_vals, sub_cols, sub_vals);
+                       gs);
         }
       }
     } else {
@@ -1542,8 +1615,7 @@ struct MarginalRuleFinder::Impl {
         const CandidateGroup& g = counted[id];
         for (size_t i = 0; i < g.map.size(); ++i) {
           ExtendParent(g.cols, g.tuple(i), g.map.entry(i).second, prune,
-                       group_index, out, cand_cols, cand_vals, sub_cols,
-                       sub_vals);
+                       group_index, out, gs);
         }
       }
     }

@@ -16,6 +16,15 @@
 
 namespace smartdd {
 
+/// Views of fewer rows in all than this search on the calling thread: below
+/// it, handing counting blocks to the thread pool costs more than it saves.
+/// From bench_parallel_marginal's thread series (census, K=2, 4-core VM):
+/// at 20k rows 2 and 4 threads ran at 0.85x and 0.84x of one thread, at 50k
+/// and 100k rows at 0.74-1.01x, and at 2^17 rows 2 threads gave 1.24x and
+/// 4 threads 1.59x. Lane and chunk boundaries never depend on the thread
+/// count, so the results do not depend on this constant either.
+inline constexpr uint64_t kMinParallelRows = uint64_t{1} << 17;
+
 /// Controls how aggressively FindBestMarginalRule prunes its candidate
 /// space. kFull is the paper's Algorithm 2; kExhaustive disables the
 /// upper-bound/threshold pruning (but still skips zero-support rules, whose
@@ -38,8 +47,10 @@ struct MarginalSearchOptions {
   /// weight of a drill-down result is the weight of the *full* super-rule.
   /// It must cover every row of the views (see MarginalRuleFinder).
   std::optional<Rule> base_rule;
-  /// Threads for the counting passes: 0 = all hardware threads, 1 = serial.
-  /// Results are bit-identical for every value (see best_marginal.cc).
+  /// Upper bound on the threads of the counting passes: 0 = all hardware
+  /// threads, 1 = serial. Views of fewer than kMinParallelRows rows in all
+  /// search on the calling thread whatever the value. Results are
+  /// bit-identical for every value (see best_marginal.cc).
   size_t num_threads = 0;
   /// Scan-kernel dispatch (core/scan_kernels.h): kAuto defers to
   /// SMARTDD_KERNEL, then CPU detection. Results are bit-identical across
