@@ -153,8 +153,9 @@ sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)' "$result" \
   # that packed+AVX2 pass 1 is >= 2x unpacked+scalar (skipped without
   # AVX2); it exits nonzero when any of these fails.
   # K=3 so later greedy steps count from the finder's cover store under
-  # the same gate.
-  (cd build && SMARTDD_CENSUS_ROWS=50000 SMARTDD_BENCH_K=3 \
+  # the same gate. 200k rows is above kMinParallelRows (2^17), so the
+  # thread counts above 1 reach the thread pool.
+  (cd build && SMARTDD_CENSUS_ROWS=200000 SMARTDD_BENCH_K=3 \
     SMARTDD_BENCH_REPS=1 ./bench_parallel_marginal)
   echo "packed column smoke: identical trees across kernel paths"
 

@@ -1,7 +1,11 @@
 // Differential tests for the parallel best-marginal search: for every
 // workload and thread count, results (rule, weight, mass, marginal) and the
 // search stats must be bit-identical, because chunk boundaries and the
-// per-block threshold schedule are independent of the thread count.
+// per-block threshold schedule are independent of the thread count. Views
+// below kMinParallelRows search on the calling thread at any thread count,
+// so the cases that must reach the thread pool have at least that many
+// rows: one in the exact-count regime (synth), one per-row under Sum
+// (synth-sum), the high-cardinality one and a full BRS run.
 
 #include <gtest/gtest.h>
 
@@ -81,7 +85,7 @@ TEST(ParallelMarginalTest, RetailIdenticalAcrossThreadCounts) {
 
 TEST(ParallelMarginalTest, SynthIdenticalAcrossThreadCounts) {
   SynthSpec spec;
-  spec.rows = 40000;
+  spec.rows = kMinParallelRows;
   spec.cardinalities = {8, 6, 10, 4, 12};
   spec.zipf = {1.0, 0.6, 1.2, 0.3, 0.9};
   spec.seed = 99;
@@ -125,7 +129,7 @@ TEST(ParallelMarginalTest, HighCardinalityColumnIdenticalAcrossThreadCounts) {
 TEST(ParallelMarginalTest, SumAggregateIdenticalAcrossThreadCounts) {
   // Measure-weighted masses exercise the floating-point merge order.
   SynthSpec spec;
-  spec.rows = 25000;
+  spec.rows = kMinParallelRows;
   spec.cardinalities = {7, 5, 9};
   spec.seed = 123;
   spec.with_measure = true;
@@ -160,7 +164,7 @@ TEST(ParallelMarginalTest, FullBrsRunIdenticalAcrossThreadCounts) {
   // End-to-end: k greedy steps, including the covered-weight updates
   // between steps, must agree rule for rule.
   CensusSpec spec;
-  spec.rows = 15000;
+  spec.rows = kMinParallelRows;
   spec.columns_used = 7;
   Table table = GenerateCensusTable(spec);
   TableView view(table);
