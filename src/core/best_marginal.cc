@@ -1496,7 +1496,8 @@ struct MarginalRuleFinder::Impl {
       if (c <= pcols.back()) continue;
       const SingletonTable& st = singles[ci];
       cand_cols[parity] = c;
-      const bool missing = parity >= 2 && !ResolveSubGroups(pcols, pvals, c, gs);
+      const bool missing =
+          parity >= 2 && !ResolveSubGroups(pcols, pvals, c, gs);
       CandidateGroup* g = nullptr;  // found or made on the first survivor
       Key128 cand_prefix;
       for (uint32_t v1 : st.codes) {

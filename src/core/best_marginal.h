@@ -18,11 +18,11 @@ namespace smartdd {
 
 /// Views of fewer rows in all than this search on the calling thread: below
 /// it, handing counting blocks to the thread pool costs more than it saves.
-/// From bench_parallel_marginal's thread series (census, K=2, 4-core VM):
-/// at 20k rows 2 and 4 threads ran at 0.85x and 0.84x of one thread, at 50k
-/// and 100k rows at 0.74-1.01x, and at 2^17 rows 2 threads gave 1.24x and
-/// 4 threads 1.59x. Lane and chunk boundaries never depend on the thread
-/// count, so the results do not depend on this constant either.
+/// From bench_parallel_marginal's thread series (census, K=2, 5-15 reps,
+/// 4-core VM): from 20k to 100k rows 2 and 4 threads ran at 0.74-1.05x of
+/// one thread, and from 2^17 to 300k rows at 0.93-1.68x. Lane and chunk
+/// boundaries never depend on the thread count, so the results do not
+/// depend on this constant either.
 inline constexpr uint64_t kMinParallelRows = uint64_t{1} << 17;
 
 /// Controls how aggressively FindBestMarginalRule prunes its candidate
