@@ -29,8 +29,10 @@ fi
 # prefetcher and registry, the chaos suite (which arms fault schedules
 # while 16 sessions hammer the service), and the marginal finder's cover
 # store (read by pool workers, written by the calling thread) and its lazy
-# singleton recounts (written by pool workers) with the brute-force BRS and
-# greedy oracles, plus the finder, BRS and drill-down unit suites, whose
+# singleton recounts (written by pool workers), which reach the pool only
+# on views of at least kMinParallelRows rows (parallel_marginal_test's
+# large cases), with the brute-force BRS and greedy oracles, plus the
+# finder, BRS and drill-down unit suites, whose
 # single-view and drill-down calls index the finder's one covered-weight
 # array by global row id, and the table, rule and mw-estimator suites, which
 # drive the row copy loop that shard slices and drill-down covers share. The

@@ -5,7 +5,8 @@
 // below kMinParallelRows search on the calling thread at any thread count,
 // so the cases that must reach the thread pool have at least that many
 // rows: one in the exact-count regime (synth), one per-row under Sum
-// (synth-sum), the high-cardinality one and a full BRS run.
+// (synth-sum: one search and a 3-step BRS run), the high-cardinality one
+// and a full BRS run in the regime.
 
 #include <gtest/gtest.h>
 
@@ -142,6 +143,31 @@ TEST(ParallelMarginalTest, SumAggregateIdenticalAcrossThreadCounts) {
   for (size_t threads : {size_t{2}, size_t{8}}) {
     Finding parallel = RunWithThreads(view, weight, threads, 3.0, covered);
     ExpectIdentical(serial, parallel, "synth-sum");
+  }
+
+  // The per-row path's later greedy steps on the pool: covered-weight
+  // updates along postings and stored covers, and lane-summed recounts.
+  auto brs = [&](size_t threads) {
+    BrsOptions options;
+    options.k = 3;
+    options.num_threads = threads;
+    auto result = RunBrs({&view}, weight, options);
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    return result.ok() ? *result : BrsResult{};
+  };
+  const BrsResult one = brs(1);
+  ASSERT_EQ(one.rules.size(), 3u);
+  for (size_t threads : {size_t{2}, size_t{8}}) {
+    const BrsResult many = brs(threads);
+    ASSERT_EQ(many.rules.size(), one.rules.size());
+    for (size_t i = 0; i < one.rules.size(); ++i) {
+      EXPECT_EQ(many.rules[i].rule, one.rules[i].rule);
+      EXPECT_EQ(many.rules[i].mass, one.rules[i].mass);
+      EXPECT_EQ(many.rules[i].marginal_value, one.rules[i].marginal_value);
+    }
+    EXPECT_EQ(many.total_score, one.total_score);
+    EXPECT_EQ(many.stats.candidates_counted, one.stats.candidates_counted);
+    EXPECT_EQ(many.stats.tuple_visits, one.stats.tuple_visits);
   }
 }
 
