@@ -201,12 +201,14 @@ TEST(ExpansionCacheTest, AbandonMakesWaitersReRaceForLeadership) {
 
 // --- Service-level integration --------------------------------------
 
-Table SynthBase() {
+/// `with_measure` adds a "value" measure column for Sum sessions.
+Table SynthBase(bool with_measure = false) {
   SynthSpec spec;
   spec.rows = 30000;
   spec.cardinalities = {6, 5, 4};
   spec.zipf = {1.1, 0.7, 1.3};
   spec.seed = 616;
+  spec.with_measure = with_measure;
   return GenerateSyntheticTable(spec);
 }
 
@@ -284,6 +286,54 @@ TEST(ExpansionCacheServiceTest, ConcurrentIdenticalExpandsCostOneScan) {
                   .find("\"ok\":true"),
               std::string::npos);
   }
+}
+
+/// Declines the stream after its first step.
+class CancelAfterFirstStepSink : public api::ProgressSink {
+ public:
+  bool OnStep(const api::NodeView&, size_t, size_t) override { return false; }
+  void OnDone(const api::Response&) override {}
+};
+
+// A sink-cut run is a prefix of the expansion, so it must never be
+// memoized: the next identical expand scans again and installs all k
+// children, and only that complete run feeds later hits.
+TEST(ExpansionCacheServiceTest, CancelledRunIsNotMemoized) {
+  Table base = SynthBase();
+  SizeWeight weight;
+  api::ExplorationService service;
+  ASSERT_TRUE(service.AddShardedTable("synth", base, weight).ok());
+  cache::ExpansionCache& cache = service.expansion_cache();
+  const uint64_t misses = cache.misses();
+  const uint64_t hits = cache.hits();
+  const size_t entries = cache.entries();
+
+  auto expand = [&](api::ProgressSink* sink) {
+    api::ExpandRequest request;
+    request.session = TokenOf(service.ServeLine("open k=3"));
+    request.node = 0;
+    api::Response response = service.Execute(api::Request(request), sink);
+    EXPECT_TRUE(response.status.ok()) << response.status.ToString();
+    EXPECT_TRUE(response.tree.has_value());
+    return response.tree ? *response.tree : api::TreeSnapshot{};
+  };
+
+  CancelAfterFirstStepSink cancel;
+  api::TreeSnapshot cut = expand(&cancel);
+  EXPECT_EQ(cut.nodes.size(), 2u) << "root plus the one streamed step";
+  EXPECT_EQ(cache.misses(), misses + 1);
+  EXPECT_EQ(cache.entries(), entries) << "a sink-cut run was memoized";
+
+  api::TreeSnapshot full = expand(nullptr);
+  EXPECT_EQ(cache.misses(), misses + 2) << "the cut run must not serve hits";
+  ASSERT_FALSE(full.nodes.empty());
+  EXPECT_EQ(full.nodes[0].children.size(), 3u);
+  EXPECT_EQ(cache.entries(), entries + 1);
+
+  api::TreeSnapshot replayed = expand(nullptr);
+  EXPECT_EQ(cache.hits(), hits + 1);
+  EXPECT_EQ(cache.misses(), misses + 2);
+  EXPECT_EQ(api::EncodeTree(replayed), api::EncodeTree(full));
 }
 
 TEST(ExpansionCacheServiceTest, InvalidationIsPurelyByVersionBump) {
@@ -411,47 +461,87 @@ TEST(ExpansionCacheServiceTest, HitPathByteIdenticalAcrossExecutionConfigs) {
 }
 
 // The same walk with the cache disabled must also match: the hit path's
-// bytes equal the cold path's, not merely each other.
+// bytes equal the cold path's, not merely each other. Three walks: plain
+// Count expands, a star expand (the replayed steps come from the rewritten
+// star weight), and a Sum session over a measure column (masses are float
+// sums, not integer counts).
 TEST(ExpansionCacheServiceTest, HitPathByteIdenticalToCacheDisabledColdRun) {
-  Table base = SynthBase();
+  struct Op {
+    enum Kind { kExpand, kStar, kCollapse } kind;
+    int node;
+    size_t column = 0;
+  };
+  struct Walk {
+    const char* name;
+    bool with_measure;
+    const char* open;
+    std::vector<Op> ops;
+  };
+  const std::vector<Walk> walks = {
+      {"count",
+       false,
+       "open k=3",
+       {{Op::kExpand, 0}, {Op::kExpand, 1}, {Op::kCollapse, 0},
+        {Op::kExpand, 0}}},
+      {"star",
+       false,
+       "open k=3",
+       {{Op::kStar, 0, 2}, {Op::kExpand, 1}, {Op::kCollapse, 0},
+        {Op::kStar, 0, 2}}},
+      {"sum",
+       true,
+       "open k=3 measure=value",
+       {{Op::kExpand, 0}, {Op::kExpand, 1}, {Op::kCollapse, 0},
+        {Op::kExpand, 0}}},
+  };
   SizeWeight weight;
 
-  auto drive = [&](size_t cache_bytes) {
-    api::ServiceOptions options;
-    options.cache_max_bytes = cache_bytes;
-    options.live_snapshot_every_rows = 1;
-    api::ExplorationService service(options);
-    EXPECT_TRUE(service.AddLiveTable("synth", base, weight).ok());
-    uint64_t token = TokenOf(service.ServeLine("open k=3"));
-    std::string tok = api::FormatToken(token);
-    std::string transcript;
-    for (const auto& [node, is_collapse] :
-         std::vector<std::pair<int, bool>>{
-             {0, false}, {1, false}, {0, true}, {0, false}}) {
-      if (is_collapse) {
-        EXPECT_NE(service
-                      .ServeLine("collapse " + tok + " " +
-                                 std::to_string(node))
-                      .find("\"ok\":true"),
-                  std::string::npos);
-        continue;
-      }
-      RecordingSink sink;
-      api::ExpandRequest request;
-      request.session = token;
-      request.node = node;
-      api::Response response = service.Execute(api::Request(request), &sink);
-      EXPECT_TRUE(response.status.ok()) << response.status.ToString();
-      transcript += sink.transcript();
-      transcript += response.tree ? api::EncodeTree(*response.tree) : "";
-      transcript += "\n";
-    }
-    return transcript;
-  };
+  for (const Walk& walk : walks) {
+    Table base = SynthBase(walk.with_measure);
 
-  std::string warm = drive(32u << 20);  // hits on the re-expand
-  std::string cold = drive(0);          // cache disabled: every expand scans
-  EXPECT_EQ(warm, cold);
+    auto drive = [&](size_t cache_bytes) {
+      api::ServiceOptions options;
+      options.cache_max_bytes = cache_bytes;
+      options.live_snapshot_every_rows = 1;
+      api::ExplorationService service(options);
+      EXPECT_TRUE(service.AddLiveTable("synth", base, weight).ok());
+      const uint64_t hits = service.expansion_cache().hits();
+      uint64_t token = TokenOf(service.ServeLine(walk.open));
+      std::string tok = api::FormatToken(token);
+      std::string transcript;
+      for (const Op& op : walk.ops) {
+        if (op.kind == Op::kCollapse) {
+          EXPECT_NE(service
+                        .ServeLine("collapse " + tok + " " +
+                                   std::to_string(op.node))
+                        .find("\"ok\":true"),
+                    std::string::npos);
+          continue;
+        }
+        RecordingSink sink;
+        api::ExpandRequest request;
+        request.session = token;
+        request.node = op.node;
+        if (op.kind == Op::kStar) request.star_column = op.column;
+        api::Response response =
+            service.Execute(api::Request(request), &sink);
+        EXPECT_TRUE(response.status.ok())
+            << walk.name << ": " << response.status.ToString();
+        transcript += sink.transcript();
+        transcript += response.tree ? api::EncodeTree(*response.tree) : "";
+        transcript += "\n";
+      }
+      if (cache_bytes > 0) {
+        EXPECT_EQ(service.expansion_cache().hits(), hits + 1)
+            << walk.name << ": the re-expand must come from the cache";
+      }
+      return transcript;
+    };
+
+    std::string warm = drive(32u << 20);  // hits on the re-expand
+    std::string cold = drive(0);  // cache disabled: every expand scans
+    EXPECT_EQ(warm, cold) << walk.name;
+  }
 }
 
 /// A request carrying an explicit deadline budget must never be served from
