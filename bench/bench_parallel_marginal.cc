@@ -197,7 +197,11 @@ int main(int argc, char** argv) {
   // Gate 2 (throughput): single-threaded pass-1 (k=1, size-1 rules only) on
   // census-200k — packed storage + the resolved SIMD path must be >= 2x the
   // unpacked scalar baseline. Hosts without AVX2 report the gate as skipped
-  // rather than passed, and exit 0.
+  // rather than passed, and exit 0. The two sides run in alternating reps,
+  // so host noise lands on both, and each side keeps its best of at least
+  // kGatePairs reps whatever SMARTDD_BENCH_REPS says: one rep of a ~0.6 ms
+  // side read from 1.9x to 7.9x across runs of one binary.
+  constexpr uint64_t kGatePairs = 7;
   const bool has_avx2 = resolved == KernelPath::kAvx2;
   double pass1_speedup = 0;
   std::string pass1_gate = "skipped (no avx2)";
@@ -208,17 +212,24 @@ int main(int argc, char** argv) {
     Table unpacked_table = GenerateCensusTable(gate_spec);
     gate_spec.freeze = true;
     Table packed_table = GenerateCensusTable(gate_spec);
-    Measurement base = RunOnce(TableView(unpacked_table), weight, 1, 1, reps,
-                               KernelPref::kScalar, 1);
-    Measurement fast = RunOnce(TableView(packed_table), weight, 1, 1, reps,
-                               Flags().kernel, 1);
-    pass1_speedup = fast.ms > 0 ? base.ms / fast.ms : 0;
+    const TableView unpacked_view(unpacked_table);
+    const TableView packed_view(packed_table);
+    double base_ms = std::numeric_limits<double>::infinity();
+    double fast_ms = base_ms;
+    for (uint64_t pair = 0; pair < std::max(reps, kGatePairs); ++pair) {
+      base_ms = std::min(base_ms, RunOnce(unpacked_view, weight, 1, 1, 1,
+                                          KernelPref::kScalar, 1)
+                                      .ms);
+      fast_ms = std::min(
+          fast_ms, RunOnce(packed_view, weight, 1, 1, 1, Flags().kernel, 1).ms);
+    }
+    pass1_speedup = fast_ms > 0 ? base_ms / fast_ms : 0;
     if (has_avx2) pass1_gate = pass1_speedup >= 2.0 ? "pass" : "fail";
     std::printf(
         "pass-1 gate (census-%llu, k=1, size-1): unpacked+scalar=%.3fms "
         "packed+%s=%.3fms speedup=%.2fx -> %s\n",
-        static_cast<unsigned long long>(gate_spec.rows), base.ms,
-        KernelPathName(resolved), fast.ms, pass1_speedup, pass1_gate.c_str());
+        static_cast<unsigned long long>(gate_spec.rows), base_ms,
+        KernelPathName(resolved), fast_ms, pass1_speedup, pass1_gate.c_str());
   }
 
   const Measurement& serial = runs.front();

@@ -54,7 +54,7 @@ int main() {
   SessionOptions options;
   options.k = 3;
   options.max_weight = 4;
-  options.prefetch = PrefetchMode::kSynchronous;
+  options.prefetch = true;
   auto session_or = (*engine)->NewSession(options);
   if (!session_or.ok()) {
     std::fprintf(stderr, "%s\n", session_or.status().ToString().c_str());
@@ -75,7 +75,10 @@ int main() {
   ropts.show_confidence = true;
   std::printf("%s", RenderSession(session, ropts).c_str());
 
-  // Thanks to prefetching, the next drill-down is served from memory.
+  // The prefetch pass ran in the background while the tree printed (the
+  // user reading it); join it, and the next drill-down is served from
+  // memory.
+  if (!session.WaitForPrefetch().ok()) return 1;
   timer.Restart();
   auto level2 = session.Expand((*level1)[0]);
   double expand2_ms = timer.ElapsedMillis();

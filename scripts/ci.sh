@@ -153,7 +153,9 @@ sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)' "$result" \
   # identical across thread counts, shard counts, AND kernel paths, that
   # bit-packing actually shrinks the resident columns (>= 2x gate), and
   # that packed+AVX2 pass 1 is >= 2x unpacked+scalar (skipped without
-  # AVX2); it exits nonzero when any of these fails.
+  # AVX2); it exits nonzero when any of these fails. The pass-1 gate times
+  # its two sides in alternating reps and takes best-of over at least 7
+  # pairs, so SMARTDD_BENCH_REPS=1 below does not make it a single sample.
   # K=3 so later greedy steps count from the finder's cover store under
   # the same gate. 200k rows is above kMinParallelRows (2^17), so the
   # thread counts above 1 reach the thread pool.

@@ -222,7 +222,7 @@ Response ExplorationService::Open(const OpenRequest& request) {
   options.max_weight = request.max_weight;
   if (!request.measure.empty()) options.measure_column = request.measure;
   options.num_threads = request.num_threads;
-  if (request.prefetch) options.prefetch = PrefetchMode::kBackground;
+  options.prefetch = request.prefetch;
 
   auto session = engine->NewSession(std::move(options));
   if (!session.ok()) return ErrorResponse(session.status());
@@ -308,10 +308,9 @@ bool ExplorationService::BuildCacheKey(const ExpandRequest& request,
   // spelled out. Execution knobs (threads/kernel/shards) are deliberately
   // absent — the determinism contract makes them byte-irrelevant.
   std::string k = StrFormat(
-      "%s|v%llu|k=%zu|mw=%.17g|m=%s|p=%d|r=", dataset.c_str(),
+      "%s|v%llu|k=%zu|mw=%.17g|m=%s|r=", dataset.c_str(),
       static_cast<unsigned long long>(version), opts.k, opts.max_weight,
-      opts.measure_column ? opts.measure_column->c_str() : "",
-      static_cast<int>(opts.pruning));
+      opts.measure_column ? opts.measure_column->c_str() : "");
   for (uint32_t code : session.node(request.node).rule.values()) {
     k += StrFormat("%08x,", code);
   }
@@ -343,67 +342,26 @@ Response ExplorationService::Expand(const ExpandRequest& request,
       deadline = Deadline::AfterMillis(request.deadline_ms);
     }
 
+    // A cache-keyed request passes `memo` to the session. On a hit it holds
+    // the entry, which the session replays; on a miss this request leads
+    // the single flight, and the session fills `memo` only when the run
+    // completed — a sink-cut run is a prefix and must not be served as the
+    // whole answer.
     std::string key;
-    if (BuildCacheKey(request, session, &key)) {
-      bool leader = false;
-      auto hit = cache_.LookupOrBegin(key, &leader);
-      if (hit != nullptr) {
-        // Hit: replay the memoized expansion. Streams the same steps and
-        // mutates the tree identically to the cold run (deadline-budgeted
-        // requests never reach here — BuildCacheKey keeps them cold).
-        return session
-            .ApplyExpansion(request.node, hit->steps, hit->rules,
-                            hit->base_mass, on_step)
-            .status();
-      }
-      // Miss, and this request holds the single-flight leadership: run the
-      // greedy search cold, recording each streamed step. The final child
-      // list is read back off the tree afterwards — the greedy stream and
-      // the installed children genuinely differ (the cold path weight-sorts
-      // and exactly re-scores the list after the loop).
-      auto recorded = std::make_shared<cache::CachedExpansion>();
-      bool cancelled = false;
-      ExplorationSession::ExpandStepCallback recording =
-          [&recorded, &cancelled, &on_step](const ScoredRule& rule,
-                                            size_t step, bool exact) {
-            recorded->steps.push_back(rule);
-            if (on_step && !on_step(rule, step, exact)) {
-              cancelled = true;
-              return false;
-            }
-            return true;
-          };
-      Result<std::vector<int>> children =
-          request.star_column
-              ? session.ExpandStar(request.node, *request.star_column,
-                                   recording, deadline)
-              : session.Expand(request.node, recording, deadline);
-      // Memoize only complete, successful expansions: a partial
-      // (deadline-degraded) or sink-cancelled run is a prefix, and serving
-      // a prefix as the full answer would break byte-identity.
-      if (children.ok() && !cancelled) {
-        for (int child : *children) {
-          const ExplorationNode& n = session.node(child);
-          ScoredRule sr;
-          sr.rule = n.rule;
-          sr.weight = n.weight;
-          sr.mass = n.mass;
-          sr.marginal_mass = n.marginal_mass;
-          recorded->rules.push_back(std::move(sr));
-        }
-        recorded->base_mass = session.node(request.node).mass;
-        cache_.Complete(key, std::move(recorded));
+    const bool cached = BuildCacheKey(request, session, &key);
+    std::shared_ptr<const cache::CachedExpansion> memo;
+    if (cached) memo = cache_.LookupOrBegin(key);
+    const bool leader = cached && memo == nullptr;
+    Result<std::vector<int>> children = session.ExpandMemoized(
+        request.node, request.star_column, on_step, deadline,
+        cached ? &memo : nullptr);
+    if (leader) {
+      if (memo != nullptr) {
+        cache_.Complete(key, std::move(memo));
       } else {
         cache_.Abandon(key);
       }
-      return children.status();
     }
-
-    Result<std::vector<int>> children =
-        request.star_column
-            ? session.ExpandStar(request.node, *request.star_column, on_step,
-                                 deadline)
-            : session.Expand(request.node, on_step, deadline);
     return children.status();
   });
 }

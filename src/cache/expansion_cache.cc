@@ -73,14 +73,12 @@ std::shared_ptr<const CachedExpansion> ExpansionCache::Lookup(
 }
 
 std::shared_ptr<const CachedExpansion> ExpansionCache::LookupOrBegin(
-    const std::string& key, bool* leader) {
-  *leader = true;
+    const std::string& key) {
   if (!enabled()) return nullptr;
   Shard& shard = ShardFor(key);
   for (;;) {
     if (auto value = LookupIn(shard, key)) {
       hits_.Inc();
-      *leader = false;
       return value;
     }
     std::unique_lock<std::mutex> lock(flights_mu_);

@@ -42,13 +42,14 @@ struct ExpansionCacheOptions {
 /// Cross-session memoized expansion cache: sharded LRU with a byte budget
 /// and single-flight per key.
 ///
-/// Key anatomy (built by the service, opaque here): every input that can
-/// change the expansion's bytes —
+/// Key anatomy (built by ExplorationService::BuildCacheKey, opaque here):
+/// every input that can change the expansion's bytes —
 ///
-///   dataset | table-version | node rule | star column | k | max_weight |
-///   measure | weight-fingerprint
+///   dataset | table-version | k | max_weight | measure | node rule |
+///   star column
 ///
-/// and *nothing* that cannot: num_threads, kernel, and num_shards are
+/// (the dataset name pins the weight function, fixed at registration) and
+/// *nothing* that cannot: num_threads, kernel, and num_shards are
 /// excluded because the engine's determinism contract makes the result
 /// byte-identical across them — which is exactly what lets a scalar 1-shard
 /// backend hit on an entry computed by an AVX2 8-thread one. Entries never
@@ -56,8 +57,8 @@ struct ExpansionCacheOptions {
 /// stop matching, and stale entries age out of the LRU.
 ///
 /// Single-flight: when N sessions request the same missing key
-/// concurrently, one becomes the leader (LookupOrBegin returns a miss with
-/// *leader=true) and computes; the other N-1 block until the leader calls
+/// concurrently, one becomes the leader (LookupOrBegin returns nullptr) and
+/// computes; the other N-1 block until the leader calls
 /// Complete (they get the entry) or Abandon (they re-race for leadership).
 /// One scan serves all N.
 ///
@@ -72,14 +73,13 @@ class ExpansionCache {
   ExpansionCache(const ExpansionCache&) = delete;
   ExpansionCache& operator=(const ExpansionCache&) = delete;
 
-  /// Hit: returns the entry (touches LRU recency). Miss: returns nullptr;
-  /// *leader tells the caller whether it must compute-and-Complete (true)
-  /// or it waited on another computation that was abandoned and may retry
-  /// or fall through to a cold run (also true after re-race). A leader MUST
-  /// eventually call Complete or Abandon with the same key or waiters block
-  /// until process exit.
-  std::shared_ptr<const CachedExpansion> LookupOrBegin(const std::string& key,
-                                                       bool* leader);
+  /// Hit: returns the entry (touches LRU recency), after waiting out an
+  /// in-flight computation of the same key. Miss: returns nullptr, and the
+  /// caller is the key's leader (also after a waited-on leader abandoned).
+  /// A leader MUST eventually call Complete or Abandon with the same key or
+  /// waiters block until process exit. A disabled cache always misses and
+  /// tracks no flights.
+  std::shared_ptr<const CachedExpansion> LookupOrBegin(const std::string& key);
 
   /// Plain lookup without single-flight (no leadership, never blocks).
   std::shared_ptr<const CachedExpansion> Lookup(const std::string& key);

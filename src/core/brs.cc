@@ -69,12 +69,13 @@ Result<BrsResult> RunBrs(const std::vector<const TableView*>& views,
     sr.weight = m.weight;
     sr.mass = m.mass;
     sr.marginal_value = m.marginal;
-    result.rules.push_back(sr);
+    result.steps.push_back(sr);
 
     if (options.on_rule && !options.on_rule(sr, step)) break;
   }
 
   // Display order: descending weight (Lemma 1), stable for ties.
+  result.rules = result.steps;
   std::stable_sort(
       result.rules.begin(), result.rules.end(),
       [](const ScoredRule& a, const ScoredRule& b) { return a.weight > b.weight; });

@@ -48,6 +48,9 @@ struct BrsOptions {
 
 /// Output of BRS.
 struct BrsResult {
+  /// Selected rules in greedy selection order, as streamed to on_rule:
+  /// masses are exact over the view at pick time, marginal_mass is 0.
+  std::vector<ScoredRule> steps;
   /// Selected rules in display order: descending weight (Lemma 1), ties in
   /// selection order. mass/marginal_mass are exact over the input view.
   std::vector<ScoredRule> rules;

@@ -1,5 +1,7 @@
 #include "core/drilldown.h"
 
+#include <utility>
+
 #include "common/logging.h"
 #include "rules/rule_ops.h"
 #include "weights/star_constraint.h"
@@ -75,8 +77,6 @@ Result<DrillDownResponse> SmartDrillDown(
   BrsOptions brs;
   brs.k = request.k;
   brs.max_weight = request.max_weight;
-  brs.pruning = request.pruning;
-  brs.max_rule_size = request.max_rule_size;
   brs.allowed_columns = allowed;
   brs.base_rule = base;
   brs.num_threads = request.num_threads;
@@ -102,6 +102,7 @@ Result<DrillDownResponse> SmartDrillDown(
     if (request.star_column && r.rule.is_star(*request.star_column)) continue;
     response.rules.push_back(std::move(r));
   }
+  response.steps = std::move(brs_result.steps);
   response.total_score = brs_result.total_score;
   response.stats = brs_result.stats;
   response.partial = brs_result.deadline_exceeded;

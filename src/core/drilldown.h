@@ -22,8 +22,6 @@ struct DrillDownRequest {
   /// The mw cap forwarded to BRS; infinity = derive from the weight
   /// function.
   double max_weight = std::numeric_limits<double>::infinity();
-  PruningMode pruning = PruningMode::kFull;
-  size_t max_rule_size = std::numeric_limits<size_t>::max();
   /// Threads for the underlying BRS search (0 = all hardware threads).
   size_t num_threads = 0;
   /// Scan-kernel path for the search (core/scan_kernels.h): kAuto defers
@@ -43,6 +41,9 @@ struct DrillDownRequest {
 
 /// Result of a smart drill-down.
 struct DrillDownResponse {
+  /// The greedy steps in selection order, as streamed to on_step (a star
+  /// drill-down's defensive filter below does not apply to them).
+  std::vector<ScoredRule> steps;
   /// Full-width super-rules of the request's base, sorted by descending
   /// weight. mass is Count(r)/Sum(r) over the *input view* (for a super-rule
   /// of base this equals its count over the base's cover); marginal_mass is

@@ -178,7 +178,7 @@ Status ExplorationEngine::ValidateSessionOptions(
           options.measure_column->c_str()));
     }
   }
-  if (options.prefetch != PrefetchMode::kDisabled && sampler_ == nullptr) {
+  if (options.prefetch && sampler_ == nullptr) {
     return Status::InvalidArgument(
         "prefetch requires a scan-source engine, which samples; exact "
         "in-memory drill-downs have nothing to pre-fetch");

@@ -4,6 +4,7 @@
 #include <functional>
 #include <utility>
 
+#include "cache/expansion_cache.h"
 #include "common/string_util.h"
 #include "explore/engine.h"
 #include "sampling/minss_guidance.h"
@@ -61,7 +62,6 @@ ExplorationSession::ExplorationSession(ExplorationSession&& other) noexcept
     : engine_(other.engine_),
       options_(std::move(other.options_)),
       id_(other.id_),
-      sync_prefetch_status_(std::move(other.sync_prefetch_status_)),
       nodes_(std::move(other.nodes_)) {
   other.engine_ = nullptr;
   other.id_ = 0;
@@ -74,7 +74,6 @@ ExplorationSession& ExplorationSession::operator=(
   engine_ = other.engine_;
   options_ = std::move(other.options_);
   id_ = other.id_;
-  sync_prefetch_status_ = std::move(other.sync_prefetch_status_);
   nodes_ = std::move(other.nodes_);
   other.engine_ = nullptr;
   other.id_ = 0;
@@ -97,7 +96,6 @@ Result<DrillDownResponse> ExplorationSession::RunDrillDown(
   request.star_column = star_column;
   request.k = options_.k;
   request.max_weight = options_.max_weight;
-  request.pruning = options_.pruning;
   request.num_threads = options_.num_threads;
   request.kernel = options_.kernel;
   request.deadline = deadline;
@@ -135,11 +133,13 @@ Result<DrillDownResponse> ExplorationSession::RunDrillDown(
   }
   SMARTDD_ASSIGN_OR_RETURN(DrillDownResponse response,
                            SmartDrillDown({&view}, engine_->weight(), request));
-  // Scale sample masses to full-table estimates; ExpandInternal attaches
+  // Scale sample masses to full-table estimates; ExpandMemoized attaches
   // the confidence intervals from the sampling context stashed here.
-  for (auto& r : response.rules) {
-    r.marginal_mass *= scale;
-    r.mass *= scale;
+  for (auto* list : {&response.steps, &response.rules}) {
+    for (auto& r : *list) {
+      r.marginal_mass *= scale;
+      r.mass *= scale;
+    }
   }
   response.base_mass *= scale;
   response.sample_scale = scale;
@@ -147,9 +147,10 @@ Result<DrillDownResponse> ExplorationSession::RunDrillDown(
   return response;
 }
 
-Result<std::vector<int>> ExplorationSession::ExpandInternal(
+Result<std::vector<int>> ExplorationSession::ExpandMemoized(
     int node_id, std::optional<size_t> star_column,
-    const ExpandStepCallback& on_step, const Deadline& deadline) {
+    const ExpandStepCallback& on_step, const Deadline& deadline,
+    std::shared_ptr<const cache::CachedExpansion>* memo) {
   if (node_id < 0 || node_id >= static_cast<int>(nodes_.size()) ||
       !nodes_[node_id].alive) {
     return Status::InvalidArgument("no such display node");
@@ -164,9 +165,30 @@ Result<std::vector<int>> ExplorationSession::ExpandInternal(
     SMARTDD_RETURN_IF_ERROR(Collapse(node_id));
   }
 
-  SMARTDD_ASSIGN_OR_RETURN(
-      DrillDownResponse response,
-      RunDrillDown(nodes_[node_id].rule, star_column, on_step, deadline));
+  const cache::CachedExpansion* hit =
+      memo != nullptr ? memo->get() : nullptr;
+  bool declined = false;
+  DrillDownResponse response;
+  if (hit != nullptr) {
+    for (size_t step = 0; step < hit->steps.size(); ++step) {
+      if (on_step && !on_step(hit->steps[step], step, /*exact=*/true)) break;
+    }
+    response.rules = hit->rules;
+    response.base_mass = hit->base_mass;
+  } else {
+    // Note whether the observer cut the search short (see the memo below).
+    ExpandStepCallback observe;
+    if (on_step) {
+      observe = [&on_step, &declined](const ScoredRule& r, size_t step,
+                                      bool exact) {
+        declined = !on_step(r, step, exact);
+        return !declined;
+      };
+    }
+    SMARTDD_ASSIGN_OR_RETURN(
+        response,
+        RunDrillDown(nodes_[node_id].rule, star_column, observe, deadline));
+  }
 
   std::vector<int> child_ids;
   const bool sampled = response.sample_rows > 0;
@@ -207,63 +229,25 @@ Result<std::vector<int>> ExplorationSession::ExpandInternal(
         "expansion deadline exceeded; partial tree retained");
   }
   AfterExpansion();
+  // Only a complete exact run is worth memoizing: one cut short by the
+  // observer is a prefix of the expansion, not the expansion.
+  if (memo != nullptr && hit == nullptr && !declined && !sampled) {
+    *memo = std::make_shared<const cache::CachedExpansion>(
+        cache::CachedExpansion{std::move(response.steps),
+                               std::move(response.rules), response.base_mass});
+  }
   return child_ids;
 }
 
 Result<std::vector<int>> ExplorationSession::Expand(
     int node_id, ExpandStepCallback on_step, const Deadline& deadline) {
-  return ExpandInternal(node_id, std::nullopt, on_step, deadline);
+  return ExpandMemoized(node_id, std::nullopt, on_step, deadline, nullptr);
 }
 
 Result<std::vector<int>> ExplorationSession::ExpandStar(
     int node_id, size_t column, ExpandStepCallback on_step,
     const Deadline& deadline) {
-  return ExpandInternal(node_id, column, on_step, deadline);
-}
-
-Result<std::vector<int>> ExplorationSession::ApplyExpansion(
-    int node_id, const std::vector<ScoredRule>& steps,
-    const std::vector<ScoredRule>& rules, double base_mass,
-    const ExpandStepCallback& on_step) {
-  // Mirror ExpandInternal's exact (non-sampling) branch step for step, so a
-  // cache hit is observationally identical to the cold run it memoized:
-  // `steps` replays the greedy-order stream, `rules` the weight-sorted,
-  // exactly re-scored children the cold run installed.
-  if (node_id < 0 || node_id >= static_cast<int>(nodes_.size()) ||
-      !nodes_[node_id].alive) {
-    return Status::InvalidArgument("no such display node");
-  }
-  SMARTDD_RETURN_IF_ERROR(WaitForPrefetch());
-  if (!nodes_[node_id].children.empty()) {
-    SMARTDD_RETURN_IF_ERROR(Collapse(node_id));
-  }
-  // Stream the steps in greedy order. A declining callback stops the
-  // stream (matching the cold path's observer contract) but the full child
-  // list still lands in the tree: the result is already computed, so
-  // unlike the cold path there is no work left to save, and truncating
-  // would leave the session's tree dependent on client speed.
-  for (size_t step = 0; step < steps.size(); ++step) {
-    if (on_step && !on_step(steps[step], step, /*exact=*/true)) break;
-  }
-  std::vector<int> child_ids;
-  for (const ScoredRule& sr : rules) {
-    ExplorationNode child;
-    child.rule = sr.rule;
-    child.weight = sr.weight;
-    child.mass = sr.mass;
-    child.marginal_mass = sr.marginal_mass;
-    child.exact = true;
-    child.parent = node_id;
-    child.depth = nodes_[node_id].depth + 1;
-    int id = static_cast<int>(nodes_.size());
-    nodes_.push_back(std::move(child));
-    nodes_[node_id].children.push_back(id);
-    child_ids.push_back(id);
-  }
-  nodes_[node_id].mass = base_mass;
-  nodes_[node_id].exact = true;
-  AfterExpansion();
-  return child_ids;
+  return ExpandMemoized(node_id, column, on_step, deadline, nullptr);
 }
 
 void ExplorationSession::KillSubtree(int node_id) {
@@ -332,22 +316,13 @@ void ExplorationSession::AfterExpansion() {
   SampleHandler* sampler = engine_->sampler();
   if (sampler == nullptr) return;
   sampler->SetDisplayedTree(id_, BuildDisplayTree());
-  switch (options_.prefetch) {
-    case PrefetchMode::kDisabled:
-      break;
-    case PrefetchMode::kSynchronous:
-      sync_prefetch_status_ = sampler->Prefetch(id_);
-      break;
-    case PrefetchMode::kBackground: {
-      // Engine-scheduled background task on this session's fair queue — no
-      // thread spawn per pass, and one session's prefetch backlog cannot
-      // starve another session's.
-      const uint64_t session = id_;
-      engine_->scheduler().Submit(
-          id_, [sampler, session]() { return sampler->Prefetch(session); });
-      break;
-    }
-  }
+  if (!options_.prefetch) return;
+  // Engine-scheduled background task on this session's fair queue — no
+  // thread spawn per pass, and one session's prefetch backlog cannot starve
+  // another session's.
+  const uint64_t session = id_;
+  engine_->scheduler().Submit(
+      id_, [sampler, session]() { return sampler->Prefetch(session); });
 }
 
 Status ExplorationSession::RefreshExactCounts() {
@@ -379,11 +354,7 @@ Status ExplorationSession::RefreshExactCounts() {
 }
 
 Status ExplorationSession::WaitForPrefetch() {
-  Status drained = engine_->scheduler().Drain(id_);
-  if (options_.prefetch == PrefetchMode::kSynchronous) {
-    return sync_prefetch_status_;
-  }
-  return drained;
+  return engine_->scheduler().Drain(id_);
 }
 
 }  // namespace smartdd

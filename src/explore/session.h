@@ -16,18 +16,9 @@
 namespace smartdd {
 
 class ExplorationEngine;
-
-/// How a sampling session pre-fetches samples for likely next drill-downs
-/// (paper §4.3: "while the user is busy reading the current rule-list ...
-/// start making a pass through the table in the background").
-enum class PrefetchMode {
-  kDisabled,
-  /// Runs the prefetch pass inline at the end of each expansion.
-  kSynchronous,
-  /// Submits the pass to the engine's scheduler on the session's fair
-  /// queue; the next interaction joins it.
-  kBackground,
-};
+namespace cache {
+struct CachedExpansion;
+}  // namespace cache
 
 /// Session configuration.
 struct SessionOptions {
@@ -35,18 +26,20 @@ struct SessionOptions {
   size_t k = 3;
   /// mw cap; infinity derives it from the weight function.
   double max_weight = std::numeric_limits<double>::infinity();
-  PruningMode pruning = PruningMode::kFull;
-  /// Pre-fetch samples for likely next drill-downs after each expansion.
-  /// Background prefetches run as engine-scheduled tasks on the session's
-  /// fair queue, not on a dedicated thread.
-  PrefetchMode prefetch = PrefetchMode::kDisabled;
+  /// Pre-fetch samples for likely next drill-downs after each expansion
+  /// (paper §4.3: "while the user is busy reading the current rule-list ...
+  /// start making a pass through the table in the background"). The pass
+  /// runs as an engine-scheduled task on the session's fair queue, and the
+  /// next interaction joins it. Sampling engines only.
+  bool prefetch = false;
   /// Rank and display by Sum over this measure column instead of Count
   /// (paper §6.3). Must name a measure column of the table/source.
   std::optional<std::string> measure_column;
-  /// Threads for drill-down searches and for the sampling subsystem's
-  /// Create/ExactMasses scan passes (0 = the engine default, which itself
-  /// defaults to all hardware threads). The sampler inherits this value
-  /// unless sampler.num_threads is set explicitly; sampling results are
+  /// Threads for this session's drill-down searches (0 = the engine
+  /// default, which itself defaults to all hardware threads). The sampler's
+  /// Create/ExactMasses scan passes are shared by every session and take
+  /// their threads from EngineOptions (sampler.num_threads, which defaults
+  /// to EngineOptions::num_threads), not from here. Results are
   /// bit-identical for every thread count.
   size_t num_threads = 0;
   /// Scan-kernel path for this session's drill-down searches (0 = the
@@ -129,24 +122,24 @@ class ExplorationSession {
                                       ExpandStepCallback on_step = nullptr,
                                       const Deadline& deadline = {});
 
-  /// Replays a previously computed exact expansion onto `node_id` without
-  /// running the greedy search: `steps` are the streamed rules in greedy
-  /// selection order (what OnStep observers saw on the cold run), `rules`
-  /// the weight-sorted, exactly re-scored children the cold run installed,
-  /// and `base_mass` the re-measured mass of the expanded rule. Streams
-  /// `on_step` per step and mutates the tree identically to the cold path.
-  /// One deliberate divergence: a declining callback stops the stream but
-  /// the full child list still lands — the result is already computed, so
-  /// there is no work to save by truncating, and the tree state stays
-  /// independent of client speed. This is the expansion cache's hit path;
-  /// it is only valid for exact (non-sampling) engines, where the memoized
-  /// result is deterministic.
-  Result<std::vector<int>> ApplyExpansion(int node_id,
-                                          const std::vector<ScoredRule>& steps,
-                                          const std::vector<ScoredRule>& rules,
-                                          double base_mass,
-                                          const ExpandStepCallback& on_step =
-                                              nullptr);
+  /// The one way an expansion reaches the tree; Expand and ExpandStar are
+  /// this call without `memo`. `star_column` set makes it a star
+  /// drill-down.
+  ///
+  /// `memo` carries the expansion cache's record (cache/expansion_cache.h;
+  /// exact engines only, where a result is deterministic). When `*memo`
+  /// holds a record, it lands instead of a search: its greedy-order steps
+  /// stream to `on_step` and its children and base mass land exactly as
+  /// the cold run installed them. A declining callback stops that stream
+  /// but the full child list still lands: the result is already computed,
+  /// so truncating saves no work, and the tree stays independent of client
+  /// speed. When `*memo` is null, the drill-down runs, and if it completed
+  /// (exact, not cut short by `on_step`, not degraded by `deadline`)
+  /// `*memo` receives its record for the caller to publish.
+  Result<std::vector<int>> ExpandMemoized(
+      int node_id, std::optional<size_t> star_column,
+      const ExpandStepCallback& on_step, const Deadline& deadline,
+      std::shared_ptr<const cache::CachedExpansion>* memo);
 
   /// Roll up: removes the node's descendants from the display.
   Status Collapse(int node_id);
@@ -194,10 +187,6 @@ class ExplorationSession {
                                          std::optional<size_t> star_column,
                                          const ExpandStepCallback& on_step,
                                          const Deadline& deadline);
-  Result<std::vector<int>> ExpandInternal(int node_id,
-                                          std::optional<size_t> star_column,
-                                          const ExpandStepCallback& on_step,
-                                          const Deadline& deadline);
   void KillSubtree(int node_id);
   DisplayTree BuildDisplayTree() const;
   void AfterExpansion();
@@ -205,7 +194,6 @@ class ExplorationSession {
   ExplorationEngine* engine_ = nullptr;
   SessionOptions options_;
   uint64_t id_ = 0;  // 0 = unbound (moved-from)
-  Status sync_prefetch_status_;
   std::vector<ExplorationNode> nodes_;
 };
 

@@ -227,7 +227,7 @@ TEST_F(ConcurrentSamplingTest, ConcurrentSamplingSessionsStaySane) {
   for (int i = 0; i < kSessions; ++i) {
     threads.emplace_back([&, i]() {
       SessionOptions options;
-      if (i % 2 == 0) options.prefetch = PrefetchMode::kBackground;
+      options.prefetch = i % 2 == 0;
       ExplorationSession session = *engine.NewSession(options);
       auto children = session.Expand(session.root());
       ASSERT_TRUE(children.ok()) << children.status().ToString();
@@ -255,7 +255,7 @@ TEST_F(ConcurrentSamplingTest, PerSessionTreesDriveIndependentPrefetch) {
   // must not wipe out the other's ability to Find its displayed rules.
   ExplorationEngine engine(source_, weight_, SamplingOptions());
   SessionOptions options;
-  options.prefetch = PrefetchMode::kSynchronous;
+  options.prefetch = true;
   ExplorationSession a = *engine.NewSession(options);
   ExplorationSession b = *engine.NewSession(options);
 
@@ -263,6 +263,9 @@ TEST_F(ConcurrentSamplingTest, PerSessionTreesDriveIndependentPrefetch) {
   ASSERT_TRUE(a_children.ok()) << a_children.status().ToString();
   auto b_children = b.ExpandStar(b.root(), 2);
   ASSERT_TRUE(b_children.ok()) << b_children.status().ToString();
+  // Both background prefetch passes must have finished cleanly.
+  EXPECT_TRUE(a.WaitForPrefetch().ok());
+  EXPECT_TRUE(b.WaitForPrefetch().ok());
 
   // Both sessions drill further; their samples come from trees that were
   // prefetched per session, so no expansion may fail.

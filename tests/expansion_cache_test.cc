@@ -47,18 +47,14 @@ std::shared_ptr<const CachedExpansion> MakeEntry(size_t num_rules) {
 /// Inserts `key` through the single-flight protocol (the only write path).
 void Insert(ExpansionCache& cache, const std::string& key,
             std::shared_ptr<const CachedExpansion> value) {
-  bool leader = false;
-  ASSERT_EQ(cache.LookupOrBegin(key, &leader), nullptr);
-  ASSERT_TRUE(leader);
+  ASSERT_EQ(cache.LookupOrBegin(key), nullptr);
   cache.Complete(key, std::move(value));
 }
 
 TEST(ExpansionCacheTest, MissThenHitBumpsCounters) {
   ExpansionCache cache;
   uint64_t hits = cache.hits(), misses = cache.misses();
-  bool leader = false;
-  EXPECT_EQ(cache.LookupOrBegin("k", &leader), nullptr);
-  EXPECT_TRUE(leader);
+  EXPECT_EQ(cache.LookupOrBegin("k"), nullptr);
   EXPECT_EQ(cache.misses(), misses + 1);
   cache.Complete("k", MakeEntry(2));
 
@@ -66,8 +62,7 @@ TEST(ExpansionCacheTest, MissThenHitBumpsCounters) {
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->rules.size(), 2u);
   EXPECT_EQ(cache.hits(), hits + 1);
-  EXPECT_EQ(cache.LookupOrBegin("k", &leader), hit);
-  EXPECT_FALSE(leader);
+  EXPECT_EQ(cache.LookupOrBegin("k"), hit);
   EXPECT_EQ(cache.hits(), hits + 2);
   EXPECT_EQ(cache.misses(), misses + 1);
 }
@@ -128,8 +123,7 @@ TEST(ExpansionCacheTest, ZeroBudgetDisablesEverything) {
   options.max_bytes = 0;
   ExpansionCache cache(options);
   EXPECT_FALSE(cache.enabled());
-  bool leader = true;
-  EXPECT_EQ(cache.LookupOrBegin("k", &leader), nullptr);
+  EXPECT_EQ(cache.LookupOrBegin("k"), nullptr);
   cache.Complete("k", MakeEntry(1));
   EXPECT_EQ(cache.Lookup("k"), nullptr);
   EXPECT_EQ(cache.entries(), 0u);
@@ -139,22 +133,13 @@ TEST(ExpansionCacheTest, ZeroBudgetDisablesEverything) {
 TEST(ExpansionCacheTest, SingleFlightOneLeaderManyWaiters) {
   ExpansionCache cache;
   uint64_t waits = cache.singleflight_waits();
-  bool leader = false;
-  ASSERT_EQ(cache.LookupOrBegin("sf", &leader), nullptr);
-  ASSERT_TRUE(leader);
+  ASSERT_EQ(cache.LookupOrBegin("sf"), nullptr);
 
   constexpr int kWaiters = 4;
   std::vector<std::thread> threads;
   std::vector<std::shared_ptr<const CachedExpansion>> got(kWaiters);
-  // char, not bool: vector<bool> bit-packs, so concurrent writers to
-  // distinct indices would race on the shared word.
-  std::vector<char> was_leader(kWaiters, 1);
   for (int i = 0; i < kWaiters; ++i) {
-    threads.emplace_back([&, i]() {
-      bool l = true;
-      got[i] = cache.LookupOrBegin("sf", &l);
-      was_leader[i] = l ? 1 : 0;
-    });
+    threads.emplace_back([&, i]() { got[i] = cache.LookupOrBegin("sf"); });
   }
   // The waits counter increments before a waiter blocks, so polling it
   // makes the rendezvous deterministic: Complete fires only once all four
@@ -166,9 +151,9 @@ TEST(ExpansionCacheTest, SingleFlightOneLeaderManyWaiters) {
   for (auto& t : threads) t.join();
 
   for (int i = 0; i < kWaiters; ++i) {
-    ASSERT_NE(got[i], nullptr) << "waiter " << i;
+    // A non-null return is the entry: the waiter did not become a leader.
+    ASSERT_NE(got[i], nullptr) << "waiter " << i << " should not lead";
     EXPECT_EQ(got[i]->rules.size(), 3u);
-    EXPECT_FALSE(was_leader[i]) << "waiter " << i << " should not lead";
   }
   EXPECT_EQ(cache.singleflight_waits(), waits + kWaiters);
 }
@@ -176,24 +161,20 @@ TEST(ExpansionCacheTest, SingleFlightOneLeaderManyWaiters) {
 TEST(ExpansionCacheTest, AbandonMakesWaitersReRaceForLeadership) {
   ExpansionCache cache;
   uint64_t waits = cache.singleflight_waits();
-  bool leader = false;
-  ASSERT_EQ(cache.LookupOrBegin("ab", &leader), nullptr);
-  ASSERT_TRUE(leader);
+  ASSERT_EQ(cache.LookupOrBegin("ab"), nullptr);
 
   std::shared_ptr<const CachedExpansion> got;
-  bool relead = false;
   std::thread waiter([&]() {
-    got = cache.LookupOrBegin("ab", &relead);
-    // The abandoned flight promoted this waiter to leader: it must compute
-    // and publish (or abandon) itself.
-    if (got == nullptr && relead) cache.Complete("ab", MakeEntry(5));
+    got = cache.LookupOrBegin("ab");
+    // The abandoned flight promoted this waiter to leader (a null return):
+    // it must compute and publish (or abandon) itself.
+    if (got == nullptr) cache.Complete("ab", MakeEntry(5));
   });
   while (cache.singleflight_waits() < waits + 1) std::this_thread::yield();
   cache.Abandon("ab");
   waiter.join();
 
   EXPECT_EQ(got, nullptr);
-  EXPECT_TRUE(relead);
   auto published = cache.Lookup("ab");
   ASSERT_NE(published, nullptr);
   EXPECT_EQ(published->rules.size(), 5u);

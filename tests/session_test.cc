@@ -293,7 +293,7 @@ TEST_F(SamplingSessionTest, SampledTopRulesMostlyMatchExactTopRules) {
 
 TEST_F(SamplingSessionTest, BackgroundPrefetchCompletesCleanly) {
   SessionOptions options = SamplingOptions();
-  options.prefetch = PrefetchMode::kBackground;
+  options.prefetch = true;
   auto owned = testing::MakeSession(*source_, weight_, options,
                                     SamplingEngineOptions());
   ExplorationSession& session = owned.session;
@@ -353,16 +353,6 @@ TEST_F(SamplingSessionTest, DeepDrillDownOnRareSliceIsComplete) {
     double exact = RuleMass(full, node.rule);
     EXPECT_NEAR(node.mass, exact, std::max(3 * node.ci_half_width, 1e-9));
   }
-}
-
-TEST_F(SamplingSessionTest, SynchronousPrefetchAlsoWorks) {
-  SessionOptions options = SamplingOptions();
-  options.prefetch = PrefetchMode::kSynchronous;
-  auto owned = testing::MakeSession(*source_, weight_, options,
-                                    SamplingEngineOptions());
-  ExplorationSession& session = owned.session;
-  ASSERT_TRUE(session.Expand(session.root()).ok());
-  EXPECT_TRUE(session.WaitForPrefetch().ok());
 }
 
 }  // namespace
