@@ -4,6 +4,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include "common/random.h"
 #include "core/best_marginal.h"
 #include "core/score.h"
 #include "data/synth.h"
@@ -64,6 +65,56 @@ void BM_BestMarginalPass(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_BestMarginalPass)->Arg(5000)->Arg(20000);
+
+/// The bench table's rows with one measure column of integers drawn
+/// uniformly from [1, 2^p], times `scale`.
+Table WithIntegerMeasure(const Table& src, int p, double scale) {
+  Table out = Table::EmptyLike(src);
+  out.AddMeasureColumn("amount");
+  Rng rng(77);
+  std::vector<uint32_t> codes(src.num_columns());
+  std::vector<double> measure(1);
+  for (uint64_t r = 0; r < src.num_rows(); ++r) {
+    for (size_t c = 0; c < src.num_columns(); ++c) codes[c] = src.code(c, r);
+    measure[0] =
+        scale * static_cast<double>(1 + rng.UniformInt(uint64_t{1} << p));
+    out.AppendRow(codes, measure);
+  }
+  out.Freeze();
+  return out;
+}
+
+/// Sum searches (three greedy steps on one finder, mw = 3 as in
+/// BM_BestMarginalPass) over an integer measure in [1, 2^p], which needs
+/// p + 1 measure bit-planes: with arg 1 = 0 the measure as is, which takes
+/// the exact regime while p + 1 <= kMaxMeasurePlanes, and with arg 1 = 1
+/// its half-scaled twin, which always takes the per-row walk. The `regime`
+/// counter says which path ran; where the two times cross is where the
+/// plane cap belongs.
+void BM_BestMarginalSum(benchmark::State& state) {
+  const int p = static_cast<int>(state.range(0));
+  const bool twin = state.range(1) != 0;
+  Table t = WithIntegerMeasure(MakeBenchTable(20000), p, twin ? 0.5 : 1.0);
+  TableView v(t, 0);
+  SizeWeight w;
+  MarginalSearchOptions options;
+  options.max_weight = 3;
+  options.num_threads = 1;
+  bool regime = false;
+  for (auto _ : state) {
+    MarginalRuleFinder finder({&v}, w, options);
+    regime = finder.exact_regime();
+    for (int step = 0; step < 3; ++step) {
+      auto result = finder.Find();
+      benchmark::DoNotOptimize(result);
+    }
+  }
+  state.counters["regime"] = regime ? 1 : 0;
+  state.SetItemsProcessed(state.iterations() * 20000);
+}
+BENCHMARK(BM_BestMarginalSum)
+    ->ArgsProduct({{1, 4, 7, 10, 14}, {0, 1}})
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_ReservoirOffer(benchmark::State& state) {
   ReservoirSampler rs(5000, 99);

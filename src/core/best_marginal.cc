@@ -1,6 +1,7 @@
 #include "core/best_marginal.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <deque>
@@ -87,17 +88,16 @@ struct LaneLayout {
 /// A lane length no row list reaches: WalkMarginal then sums sequentially.
 constexpr uint64_t kOneLane = std::numeric_limits<uint64_t>::max();
 /// Bounds the cover store (64 MB of row ids, or of bitset words in the
-/// exact-count regime, per finder). Once full, new candidates are no longer
+/// exact regime, per finder). Once full, new candidates are no longer
 /// recorded and count from the postings or value bitsets, with identical
 /// results.
 constexpr uint64_t kMaxCoverRows = uint64_t{1} << 24;
 constexpr uint64_t kMaxCoverWords = kMaxCoverRows / 2;
 
-/// The exact-count regime's limits (see ExactCountRegime): integer sums
-/// below 2^53 are exact in a double, value bitsets may take up to twice
-/// the postings' bytes (a 32-bit row id per row and column, against one
-/// bit per row and value), and the starting covered weights form at most
-/// this many levels.
+/// The exact regime's limits (see ExactRegime): integer sums below 2^53
+/// are exact in a double, value bitsets may take up to twice the postings'
+/// bytes (a 32-bit row id per row and column, against one bit per row and
+/// value), and the starting covered weights form at most this many levels.
 constexpr double kMaxExactSum = 9007199254740992.0;  // 2^53
 constexpr uint64_t kMaxMeanValues = 64;
 constexpr size_t kMaxStartLevels = 64;
@@ -152,7 +152,7 @@ struct Postings {
   std::vector<uint32_t> rows;
 };
 
-/// The covered weights in the exact-count regime: the distinct weights,
+/// The covered weights in the exact regime: the distinct weights,
 /// ascending, each with the bitset of the rows at that weight. Every row is
 /// in exactly one level; no levels means every weight is still the
 /// starting one and none has been needed yet.
@@ -184,7 +184,7 @@ struct MarginalRuleFinder::CoverStore {
   std::vector<Cover> covers;
   /// Concatenated covers, each ascending in the global row order.
   std::vector<uint32_t> rows;
-  /// In the exact-count regime, concatenated cover bitsets instead.
+  /// In the exact regime, concatenated cover bitsets instead.
   std::vector<uint64_t> words;
   /// ColsKey -> index into `groups`; each group maps packed values to an
   /// index into `covers`. A deque: growing it never moves the groups.
@@ -217,7 +217,8 @@ struct MarginalRuleFinder::CoverStore {
     return id;
   }
 
-  /// Records a cover bitset of `size` rows; kNoCover once the store is full.
+  /// Records a cover bitset of `size` rows (its popcount) and measure mass
+  /// `mass`; kNoCover once the store is full.
   uint32_t AddBits(uint32_t group, const Key128& vals_key,
                    const std::vector<uint64_t>& bits, uint32_t size,
                    double mass, double marginal) {
@@ -241,19 +242,23 @@ struct MarginalRuleFinder::CoverStore {
 /// entry's marginal is the one it was last counted with. `pending` is the
 /// last winner, whose covered-weight update the next Find applies before it
 /// reads any covered weight, along the winner's postings, its stored cover,
-/// or a cover rebuilt from the postings (bitsets in the exact-count
-/// regime; see ApplyPending).
+/// or a cover rebuilt from the postings (bitsets in the exact regime; see
+/// ApplyPending).
 struct MarginalRuleFinder::PassOneStore {
   std::vector<SingletonTable> singles;  // per dense column
   std::vector<Postings> postings;       // per dense column, global row ids
   bool built = false;
 
-  /// The exact-count regime, decided once by the finder's constructor. It
+  /// The exact regime, decided once by the finder's constructor. It
   /// replaces the postings with `value_bits` (per dense column, one bitset
   /// per dictionary code, code v at word v * BitsetWords(rows)) and the
-  /// covered-weight array with `levels`.
+  /// covered-weight array with `levels`. Under Sum, pass 1 also builds
+  /// `num_planes` measure bit-planes (plane p at word p * BitsetWords(rows)
+  /// holds bit p of each row's measure); Count has none.
   bool exact = false;
+  size_t num_planes = 0;
   std::vector<std::vector<uint64_t>> value_bits;
+  std::vector<uint64_t> planes;
   CoveredLevels levels;
 
   struct Pick {
@@ -306,10 +311,11 @@ struct MarginalRuleFinder::Impl {
   /// lane's mass was a sum of 1.0s, and integer-valued double sums are
   /// bit-identical to double(count) up to 2^53 rows.
   bool count_mode = false;
-  /// The exact-count regime (pass1.exact): Count from integer weights, so
-  /// every marginal term is an integer and every sum is exact in any order.
-  /// Covers are row bitsets of `words` words, counted by popcounts against
-  /// the covered-weight levels (see LevelMarginal).
+  /// The exact regime (pass1.exact): Count, or Sum over a small
+  /// non-negative integer measure, from integer weights, so every marginal
+  /// term is an integer and every sum is exact in any order. Covers are row
+  /// bitsets of `words` words, weighed by the measure bit-planes (see Mass)
+  /// against the covered-weight levels (see LevelMarginal).
   bool exact = false;
   uint64_t words = 0;
   /// Whether the weight cap mw can exclude a candidate, i.e. mw is below
@@ -549,7 +555,7 @@ struct MarginalRuleFinder::Impl {
     }
   }
 
-  // --- Exact-count regime ----------------------------------------------
+  // --- Exact regime ----------------------------------------------------
 
   /// The bitset of the rows where table column `col` holds `code`.
   const uint64_t* ValueBits(uint32_t col, uint32_t code) const {
@@ -635,12 +641,25 @@ struct MarginalRuleFinder::Impl {
     }
   }
 
-  /// The marginal of a cover bitset of `mass` rows at weight w:
-  ///   sum over levels l < w of (w - l) * |cover & level l|.
-  /// When every level is below w, the lowest level's count is the mass
-  /// less the others', which saves one popcount pass. Every term is an
-  /// integer and every partial sum stays below 2^53, so this is bit for
-  /// bit the row-order sum of (w - cw(t))^+ over the cover.
+  /// The mass of the rows in a & b: the sum of their measure values,
+  /// 2^p * popcount(a & b & plane p) summed over the planes, or under
+  /// Count (no planes) the popcount of a & b.
+  uint64_t Mass(const uint64_t* a, const uint64_t* b) const {
+    return kern->and_mass(a, b, pass1.planes.data(), pass1.num_planes, words);
+  }
+
+  /// The mass of a bitset of `count` rows: `count` itself under Count.
+  double BitsMass(const uint64_t* bits, uint64_t count) const {
+    return static_cast<double>(pass1.num_planes == 0 ? count
+                                                     : Mass(bits, bits));
+  }
+
+  /// The marginal of a cover bitset of mass `mass` at weight w:
+  ///   sum over levels l < w of (w - l) * Mass(cover & level l).
+  /// When every level is below w, the lowest level's mass is the cover's
+  /// less the others', which saves one mass pass. Every term is an integer
+  /// and every partial sum stays below 2^53, so this is bit for bit the
+  /// row-order sum of mass(t) * (w - cw(t))^+ over the cover.
   double LevelMarginal(const uint64_t* cover, double w, double mass) const {
     const std::vector<double>& lw = levels.weights;
     if (mass == 0 || lw[0] >= w) return 0;
@@ -648,13 +667,24 @@ struct MarginalRuleFinder::Impl {
     double marginal = 0;
     uint64_t rest = static_cast<uint64_t>(mass);
     for (size_t l = derive ? 1 : 0; l < lw.size() && lw[l] < w; ++l) {
-      const uint64_t count =
-          kern->and_popcount(cover, levels.rows[l].data(), words);
-      marginal += (w - lw[l]) * static_cast<double>(count);
-      rest -= count;
+      const uint64_t level_mass = Mass(cover, levels.rows[l].data());
+      marginal += (w - lw[l]) * static_cast<double>(level_mass);
+      rest -= level_mass;
     }
     if (derive) marginal += (w - lw[0]) * static_cast<double>(rest);
     return marginal;
+  }
+
+  /// Builds the measure bit-planes (Sum only): row t's measure m has bit p
+  /// of m set iff plane p has bit t set. The chunks are whole words, so
+  /// concurrent chunks never write one word.
+  void BuildPlanes() {
+    if (pass1.num_planes == 0) return;
+    pass1.planes.assign(pass1.num_planes * words, 0);
+    ForEachWordChunk([&](const Segment& s, uint64_t llo, uint64_t lhi) {
+      kern->set_planes(s.mass_col + llo, lhi - llo, s.begin + llo,
+                       pass1.num_planes, words, pass1.planes.data());
+    });
   }
 
   // --- Pass 1 -----------------------------------------------------------
@@ -662,7 +692,7 @@ struct MarginalRuleFinder::Impl {
   /// One scan per column counting every size-1 rule and building the
   /// per-value CSR postings. Parallel over fixed row chunks with per-chunk
   /// accumulators merged in chunk order, so sums are bit-identical to the
-  /// single-thread run. With `fold` (the exact-count regime only) the scan
+  /// single-thread run. With `fold` (Count in the exact regime only) the scan
   /// stops after Phase A: no postings are built and each marginal is
   /// max(0, w) times the value's count. Returns DeadlineExceeded when the
   /// deadline fires at a column boundary.
@@ -773,7 +803,7 @@ struct MarginalRuleFinder::Impl {
 
       // Folded: every covered weight is 0.0 and every mass 1.0, so a
       // value's marginal is max(0, w) times its count, an integer below
-      // 2^53 in the exact-count regime and so exact.
+      // 2^53 in the exact regime and so exact.
       if (fold) {
         for (uint32_t v : st.codes) {
           Entry& e = st.entries[v];
@@ -864,14 +894,16 @@ struct MarginalRuleFinder::Impl {
     }
   }
 
-  /// Pass 1 in the exact-count regime: one scan per column sets each row's
-  /// bit in its value's bitset; a value's count (and mass) is the bitset's
-  /// popcount and its marginal a LevelMarginal. The sums are exact
+  /// Pass 1 in the exact regime: under Sum it first builds the measure
+  /// bit-planes; then one scan per column sets each row's bit in its
+  /// value's bitset. A value's count is the bitset's popcount, its mass the
+  /// bitset's Mass and its marginal a LevelMarginal. The sums are exact
   /// integers, so they equal the lane sums of CountSizeOne bit for bit.
   /// A pending update (the winner of a folded Find) is applied along its
   /// value's bitset once every bitset is built, before any marginal is
   /// counted; it stays pending when the deadline fires during the build.
   Status CountSizeOneBits() {
+    BuildPlanes();
     singles.resize(columns.size());
     pass1.value_bits.resize(columns.size());
     for (size_t ci = 0; ci < columns.size(); ++ci) {
@@ -901,7 +933,7 @@ struct MarginalRuleFinder::Impl {
       for (size_t v = 0; v < dict; ++v) {
         const uint64_t* b = bits.data() + v * words;
         st.counts[v] = static_cast<uint32_t>(kern->and_popcount(b, b, words));
-        st.entries[v].mass = st.counts[v];
+        st.entries[v].mass = BitsMass(b, st.counts[v]);
         if (st.counts[v] > 0) st.codes.push_back(static_cast<uint32_t>(v));
       }
       WeighSingles(st);
@@ -955,10 +987,10 @@ struct MarginalRuleFinder::Impl {
   /// winner's cover: a singleton's postings, a wider rule's stored cover,
   /// or, when the full store kept none, the cover CountOneCandidate
   /// rebuilds from the postings. Every row of the views is covered by the
-  /// base, so that is exactly the rows the winner covers. In the
-  /// exact-count regime the same cover, as a bitset (a value's, a stored
-  /// one, or the AND of the winner's values'), moves its rows up the
-  /// levels. The update is a max, so it does not depend on row order.
+  /// base, so that is exactly the rows the winner covers. In the exact
+  /// regime the same cover, as a bitset (a value's, a stored one, or the
+  /// AND of the winner's values'), moves its rows up the levels. The update
+  /// is a max, so it does not depend on row order.
   void ApplyPending() {
     if (!pass1.pending) return;
     const PassOneStore::Pick pending = *pass1.pending;
@@ -980,7 +1012,8 @@ struct MarginalRuleFinder::Impl {
       } else if (pending.cover != kNoCover) {
         cover = store.bits(store.covers[pending.cover]);
       } else {
-        CountOneCandidateBits(cols, vals.data(), rebuilt, bits);
+        uint32_t rows;
+        CountOneCandidateBits(cols, vals.data(), rebuilt, bits, &rows);
         cover = bits.data();
       }
       RaiseLevels(cover, pending.weight);
@@ -1025,8 +1058,8 @@ struct MarginalRuleFinder::Impl {
   /// through candidates that its fresh count prunes. The others keep their
   /// last marginal as a stale bound, which prunes exactly as the fresh one
   /// would. A recount walks the postings in pass 1's lanes, which gives
-  /// Phase B's floats bit for bit; in the exact-count regime it is the
-  /// value bitset's LevelMarginal, an exact integer.
+  /// Phase B's floats bit for bit; in the exact regime it is the value
+  /// bitset's LevelMarginal, an exact integer.
   Status RecountSingles() {
     struct Item {
       Entry* e;
@@ -1200,15 +1233,16 @@ struct MarginalRuleFinder::Impl {
     return static_cast<uint64_t>(row_end - row_begin);
   }
 
-  /// CountOneCandidate in the exact-count regime. A stored rule's marginal
-  /// is its stored bitset's LevelMarginal. Otherwise the cover is one AND:
-  /// the shortest stored immediate sub-rule's bitset with the missing
-  /// value's bitset, or all the values' bitsets; it is left in `cover`.
-  /// Mass and marginal are exact integers, so they equal the walk's sums.
-  /// Returns the rows the walk would read: the shorter of the sub-rule's
-  /// cover and the rarest value's postings.
+  /// CountOneCandidate in the exact regime. A stored rule's marginal is its
+  /// stored bitset's LevelMarginal. Otherwise the cover is one AND: the
+  /// shortest stored immediate sub-rule's bitset with the missing value's
+  /// bitset, or all the values' bitsets; it is left in `cover`, and its
+  /// popcount in `rows`. Mass and marginal are exact integers, so they
+  /// equal the walk's sums. Returns the rows the walk would read: the
+  /// shorter of the sub-rule's cover and the rarest value's postings.
   uint64_t CountOneCandidateBits(const Cols& cols, const uint32_t* vals,
-                                 Entry& e, std::vector<uint64_t>& cover) const {
+                                 Entry& e, std::vector<uint64_t>& cover,
+                                 uint32_t* rows) const {
     if (e.cover != kNoCover) {
       const CoverStore::Cover& c = store.covers[e.cover];
       e.mass = c.mass;
@@ -1239,7 +1273,8 @@ struct MarginalRuleFinder::Impl {
                                 words, cover.data());
       }
     }
-    const double mass = static_cast<double>(count);
+    const double mass = BitsMass(cover.data(), count);
+    *rows = static_cast<uint32_t>(count);
     e.mass += mass;
     e.marginal += LevelMarginal(cover.data(), e.weight, mass);
     return visits;
@@ -1264,13 +1299,14 @@ struct MarginalRuleFinder::Impl {
       CandidateGroup* group;
       uint32_t index;  // entry index within the group's map
       uint64_t visits = 0;
+      uint32_t rows = 0;  // a new cover bitset's popcount (exact regime)
       bool skip = false;
     };
     std::vector<Item> items;
     for (auto& g : groups) {
       for (uint32_t i = 0; i < g.map.size(); ++i) {
         if (!g.map.entry(i).second.excluded) {
-          items.push_back(Item{&g, i, 0, false});
+          items.push_back(Item{&g, i});
         }
       }
     }
@@ -1314,7 +1350,7 @@ struct MarginalRuleFinder::Impl {
           item.visits =
               CountOneCandidateBits(item.group->cols,
                                     item.group->tuple(item.index), e,
-                                    slot_bits[k]);
+                                    slot_bits[k], &item.rows);
           return;
         }
         std::vector<uint32_t>* cover = nullptr;
@@ -1335,8 +1371,7 @@ struct MarginalRuleFinder::Impl {
           store.covers[e.cover].marginal = e.marginal;
         } else if (record && exact) {
           e.cover = store.AddBits(items[i].group->store_group, k,
-                                  slot_bits[i - begin],
-                                  static_cast<uint32_t>(e.mass), e.mass,
+                                  slot_bits[i - begin], items[i].rows, e.mass,
                                   e.marginal);
         } else if (record) {
           e.cover = store.Add(items[i].group->store_group, k,
@@ -1636,14 +1671,16 @@ struct MarginalRuleFinder::Impl {
     // update stays pending.
     if (DeadlineExpired()) return DeadlineStatus();
 
-    // While `covered` is empty every covered weight is 0.0. In the
-    // exact-count regime, a first Find capped at size-1 rules has no pass
-    // to walk the value bitsets, and every marginal folds from the counts:
-    // its pass 1 stops after Phase A and builds no bitsets, and the next
-    // Find builds pass 1. Every other pass needs the covered weights: the
-    // levels in the regime, the array outside it.
-    const bool fold = exact && max_size == 1 && covered.empty() &&
-                      levels.weights.empty();
+    // While `covered` is empty every covered weight is 0.0. Under Count in
+    // the exact regime, a first Find capped at size-1 rules has no pass to
+    // walk the value bitsets, and every marginal folds from the counts: its
+    // pass 1 stops after Phase A, which counts without decoding a row, and
+    // builds no bitsets, and the next Find builds pass 1. (A Sum Phase A
+    // decodes every row, so a Sum search builds its bitsets at once and
+    // its stats stay those of the per-row path.) Every other pass needs
+    // the covered weights: the levels in the regime, the array outside it.
+    const bool fold = exact && count_mode && max_size == 1 &&
+                      covered.empty() && levels.weights.empty();
     if (exact) {
       EnsureLevels();
     } else if (covered.empty()) {
@@ -1698,29 +1735,31 @@ struct MarginalRuleFinder::Impl {
 
 namespace {
 
-/// The exact-count regime, decided from the finder's inputs: Count
-/// aggregation; an integer-valued weight; integer, non-negative starting
-/// covered weights in at most kMaxStartLevels levels; every marginal below
-/// 2^53 (rows x the largest weight a candidate may have); and value bitsets
-/// no larger than twice the postings (the search columns' dictionaries,
-/// which bound their occurring values, average at most kMaxMeanValues).
-bool ExactCountRegime(const std::vector<const TableView*>& views,
-                      const WeightFunction& weight,
-                      const MarginalSearchOptions& options,
-                      const std::vector<double>& covered, uint64_t rows) {
+/// The exact regime, decided from the finder's inputs: an integer-valued
+/// weight; integer, non-negative starting covered weights in at most
+/// kMaxStartLevels levels; value bitsets no larger than twice the postings
+/// (the search columns' dictionaries, which bound their occurring values,
+/// average at most kMaxMeanValues); Count, or Sum over a measure whose
+/// every value is a non-negative integer below 2^kMaxMeasurePlanes; and every
+/// marginal below 2^53 (the total mass x the largest weight a candidate
+/// may have). Returns the number of measure bit-planes the Sum needs (at
+/// least 1; 0 under Count), or nullopt outside the regime.
+std::optional<size_t> ExactRegime(const std::vector<const TableView*>& views,
+                                  const WeightFunction& weight,
+                                  const MarginalSearchOptions& options,
+                                  const std::vector<double>& covered,
+                                  uint64_t rows) {
   const TableView& proto = *views[0];
-  if (proto.has_measure() || !weight.IntegerValued()) return false;
+  if (!weight.IntegerValued()) return std::nullopt;
   const double mw = std::min(options.max_weight,
                              weight.MaxPossibleWeight(proto.num_columns()));
-  if (!(mw >= 0 && static_cast<double>(rows) * mw < kMaxExactSum)) {
-    return false;
-  }
+  if (!(mw >= 0)) return std::nullopt;
   std::vector<double> starts = covered;
   std::sort(starts.begin(), starts.end());
   starts.erase(std::unique(starts.begin(), starts.end()), starts.end());
-  if (starts.size() > kMaxStartLevels) return false;
+  if (starts.size() > kMaxStartLevels) return std::nullopt;
   for (double w : starts) {
-    if (!(w >= 0 && std::floor(w) == w)) return false;  // rejects NaN, inf
+    if (!(w >= 0 && std::floor(w) == w)) return std::nullopt;  // NaN, inf
   }
   std::vector<bool> searched(proto.num_columns(),
                              options.allowed_columns.empty());
@@ -1734,7 +1773,31 @@ bool ExactCountRegime(const std::vector<const TableView*>& views,
     ++columns;
     values += proto.table().dictionary(c).size();
   }
-  return values <= kMaxMeanValues * columns;
+  if (values > kMaxMeanValues * columns) return std::nullopt;
+
+  static_assert(kMaxMeasurePlanes <= 31, "the planes take 32-bit measures");
+  double total = static_cast<double>(rows);
+  uint64_t bits = 0;  // the OR of every measure value
+  if (proto.has_measure()) {
+    constexpr double kLimit =
+        static_cast<double>(uint64_t{1} << kMaxMeasurePlanes);
+    total = 0;
+    for (const TableView* v : views) {
+      const double* m = v->table().measure_column(*v->measure_index()).data();
+      for (uint64_t t = 0; t < v->num_rows(); ++t) {
+        // Rejects NaN too; in range, the cast truncates to an integer.
+        if (!(m[t] >= 0 && m[t] < kLimit) ||
+            static_cast<double>(static_cast<uint32_t>(m[t])) != m[t]) {
+          return std::nullopt;
+        }
+        total += m[t];  // integers below 2^53 (rows < 2^32): exact
+        bits |= static_cast<uint32_t>(m[t]);
+      }
+    }
+  }
+  if (!(total * std::max(mw, 1.0) < kMaxExactSum)) return std::nullopt;
+  if (!proto.has_measure()) return size_t{0};
+  return std::max<size_t>(1, static_cast<size_t>(std::bit_width(bits)));
 }
 
 }  // namespace
@@ -1759,10 +1822,15 @@ MarginalRuleFinder::MarginalRuleFinder(std::vector<const TableView*> views,
   }
   SMARTDD_CHECK(covered_.empty() || covered_.size() == rows)
       << "covered must have one entry per row of the views";
-  pass1_->exact = ExactCountRegime(views_, weight, options_, covered_, rows);
+  const std::optional<size_t> planes =
+      ExactRegime(views_, weight, options_, covered_, rows);
+  pass1_->exact = planes.has_value();
+  pass1_->num_planes = planes.value_or(0);
 }
 
 MarginalRuleFinder::~MarginalRuleFinder() = default;
+
+bool MarginalRuleFinder::exact_regime() const { return pass1_->exact; }
 
 Result<MarginalRuleResult> MarginalRuleFinder::Find() {
   stats_ = MarginalSearchStats{};

@@ -25,6 +25,19 @@ namespace smartdd {
 /// depend on this constant either.
 inline constexpr uint64_t kMinParallelRows = uint64_t{1} << 17;
 
+/// A Sum search joins the finder's exact regime (see MarginalRuleFinder)
+/// only when every measure value is a non-negative integer below
+/// 2^kMaxMeasurePlanes, so that it fits this many measure bit-planes.
+/// Every plane adds one AND-popcount pass to each mass a bitset count
+/// takes, while the per-row walk's cost does not depend on the values.
+/// From bench_micro_core's BM_BestMarginalSum (20k rows, 3 steps at mw = 3,
+/// one thread, 4-core VM, medians of 5): with 2, 5, 8, 11 and 15 planes
+/// the regime took 2.1, 2.9, 2.6, 3.2 and 4.0 ms, and the per-row walk of
+/// the half-scaled twins 9.5-10.0 ms. The planes cost about 0.15 ms each,
+/// so the two would cross past 40 planes; the cap stays one plane past the
+/// largest measured case, where the regime still ran 2.4x faster.
+inline constexpr size_t kMaxMeasurePlanes = 16;
+
 /// Controls how aggressively FindBestMarginalRule prunes its candidate
 /// space. kFull is the paper's Algorithm 2; kExhaustive disables the
 /// upper-bound/threshold pruning (but still skips zero-support rules, whose
@@ -81,7 +94,7 @@ struct MarginalSearchStats {
   /// the posting list of each recounted singleton otherwise, then per
   /// counted candidate the length of the row list its count walked (a
   /// stored cover, a sub-rule's cover, or its rarest value's postings).
-  /// A count by bitsets (the exact-count regime, see MarginalRuleFinder)
+  /// A count by bitsets (the exact regime, see MarginalRuleFinder)
   /// walks no list and adds the length of the list the walk would read, so
   /// the figure does not depend on the regime. The covered-weight update's
   /// rows are not included.
@@ -133,10 +146,10 @@ struct MarginalRuleResult {
 /// greedy). It keeps, for its whole lifetime, everything that depends only
 /// on the views:
 ///  - pass 1's singleton counts, masses, weights and CSR postings, built by
-///    the first Find's full scan. In the exact-count regime (below), a
-///    first Find capped at size-1 rules from all-zero covered weights needs
-///    no value bitsets and derives each marginal from the counts, so its
-///    scan only counts and the second Find builds pass 1;
+///    the first Find's full scan. Under Count in the exact regime (below),
+///    a first Find capped at size-1 rules from all-zero covered weights
+///    needs no value bitsets and derives each marginal from the counts, so
+///    its scan only counts and the second Find builds pass 1;
 ///  - a cover store: for every counted rule of arity >= 2, the rows it
 ///    covers and its mass. A later count of a stored rule walks only its
 ///    cover; a new rule of arity >= 3 walks its shortest stored immediate
@@ -150,26 +163,35 @@ struct MarginalRuleResult {
 /// bit-identical to a fresh finder per step started from the same covered
 /// weights. The views' rows must not change while the finder is in use.
 ///
-/// The exact-count regime. The constructor decides once whether every
-/// marginal term mass * (W(r) - cw(t))^+ is an integer and every sum stays
-/// below 2^53: Count aggregation, WeightFunction::IntegerValued(), integer
-/// starting covered weights (at most 64 distinct ones), rows times the
-/// largest admissible weight below 2^53, and search-column dictionaries
-/// averaging at most 64 values (so one bit per row and value costs at most
-/// twice the postings' 32-bit row ids). Sums are then exact in any order,
-/// and the finder counts by popcounts instead of per-row sums:
+/// The exact regime. The constructor decides once whether every marginal
+/// term mass * (W(r) - cw(t))^+ is an integer and every sum stays below
+/// 2^53: WeightFunction::IntegerValued(), integer starting covered weights
+/// (at most 64 distinct ones), search-column dictionaries averaging at most
+/// 64 values (so one bit per row and value costs at most twice the
+/// postings' 32-bit row ids), Count aggregation or a Sum whose one scan of
+/// the measure finds every value a non-negative integer below
+/// 2^kMaxMeasurePlanes, and the total mass times the largest admissible
+/// weight below 2^53. Sums are then exact in any order, and the finder
+/// counts by popcounts instead of per-row sums:
 ///  - pass 1 builds one row bitset per value instead of postings, and a
 ///    covered-weight update rebuilds a winner the full store did not keep
 ///    as the AND of its values' bitsets;
+///  - under Sum, pass 1 also builds P measure bit-planes P_b (the rows
+///    whose measure has bit b set, P the bit width of the largest value),
+///    and the mass of a bitset X is sum over b of 2^b * popcount(X & P_b);
+///    Count is the zero-plane case, where the mass is popcount(X);
 ///  - the cover store keeps each counted rule's bitset;
 ///  - a new candidate's cover is one AND: its shortest stored immediate
 ///    sub-rule's bitset with the missing value's bitset, or all its values'
 ///    bitsets;
 ///  - the covered weights are a few level bitsets (the rows at each
-///    distinct weight), so mass is popcount(S) and the marginal
-///    sum over levels l < W(r) of (W(r) - l) * popcount(S & level l).
+///    distinct weight), so a rule's marginal is
+///    sum over levels l < W(r) of (W(r) - l) * mass(S & level l).
 /// Every figure equals the per-row sum's bit for bit, and the stats are the
-/// same (see tuple_visits). Other searches keep the per-row sums.
+/// same (see tuple_visits) until a cover store fills: the bitset store
+/// holds fewer covers than the row-id store, and once it is full the two
+/// paths skip and count different candidates. Other searches keep the
+/// per-row sums.
 class MarginalRuleFinder {
  public:
   /// `views` are row-contiguous shard slices, in shard order, of one
@@ -200,6 +222,9 @@ class MarginalRuleFinder {
 
   /// Stats of the most recent Find call.
   const MarginalSearchStats& stats() const { return stats_; }
+
+  /// Whether the constructor chose the exact regime.
+  bool exact_regime() const;
 
  private:
   struct Impl;

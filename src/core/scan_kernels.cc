@@ -161,9 +161,35 @@ uint64_t AndPopcountScalar(const uint64_t* a, const uint64_t* b, size_t n) {
   return count;
 }
 
+uint64_t AndMassScalar(const uint64_t* a, const uint64_t* b,
+                       const uint64_t* planes, size_t num_planes, size_t n) {
+  if (num_planes == 0) return AndPopcountScalar(a, b, n);
+  uint64_t mass = 0;
+  for (size_t i = 0; i < n; ++i) {
+    const uint64_t x = a[i] & b[i];
+    for (size_t p = 0; p < num_planes; ++p) {
+      mass += Popcount64(x & planes[p * n + i]) << p;
+    }
+  }
+  return mass;
+}
+
+void SetPlanesScalar(const double* values, uint64_t n, uint64_t first,
+                     size_t num_planes, size_t stride, uint64_t* planes) {
+  for (uint64_t i = 0; i < n; ++i) {
+    const uint64_t m = static_cast<uint64_t>(values[i]);
+    const uint64_t row = first + i;
+    uint64_t* word = planes + (row >> 6);
+    for (size_t p = 0; p < num_planes; ++p) {
+      word[p * stride] |= ((m >> p) & 1) << (row & 63);
+    }
+  }
+}
+
 constexpr ScanKernels kScalarKernels = {
     &UnpackScalar,     &MatchEqScalar,  &FilterRowsScalar,
     &CountCodesScalar, &AndStoreScalar, &AndPopcountScalar,
+    &AndMassScalar,    &SetPlanesScalar,
 };
 
 bool CpuHasAvx2() {

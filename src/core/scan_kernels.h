@@ -82,7 +82,7 @@ struct ScanKernels {
                       size_t dict_size, uint32_t* counts);
 
   /// Row bitsets (bit t of word t / 64 is row t), the marginal search's
-  /// cover form in its exact-count regime. out[i] = a[i] & b[i] for i in
+  /// cover form in its exact regime. out[i] = a[i] & b[i] for i in
   /// [0, n); returns the number of set bits in `out`. `out` may alias `a`
   /// or `b`, so a chain of calls ANDs any number of bitsets.
   uint64_t (*and_store)(const uint64_t* a, const uint64_t* b, size_t n,
@@ -90,6 +90,22 @@ struct ScanKernels {
 
   /// The number of set bits in a[i] & b[i] over i in [0, n).
   uint64_t (*and_popcount)(const uint64_t* a, const uint64_t* b, size_t n);
+
+  /// The measure mass of the rows in a & b, from measure bit-planes: plane
+  /// p (words planes[p * n .. p * n + n)) holds bit p of each row's
+  /// integer measure, and the mass is the sum over p < num_planes of
+  ///   2^p * popcount(a & b & plane p).
+  /// With no planes every row weighs 1, and this is and_popcount.
+  uint64_t (*and_mass)(const uint64_t* a, const uint64_t* b,
+                       const uint64_t* planes, size_t num_planes, size_t n);
+
+  /// Builds measure bit-planes over rows: for i in [0, n), ORs bit p of the
+  /// integer values[i] into bit `first + i` of plane p (words
+  /// planes[p * stride .. p * stride + stride)) for every p < num_planes.
+  /// Every value must be a non-negative integer below 2^num_planes, and
+  /// num_planes at most 31.
+  void (*set_planes)(const double* values, uint64_t n, uint64_t first,
+                     size_t num_planes, size_t stride, uint64_t* planes);
 };
 
 /// The kernel table for a resolved path (kAvx2 silently degrades to the

@@ -449,9 +449,87 @@ uint64_t AndPopcountAvx2(const uint64_t* a, const uint64_t* b, size_t n) {
   return c0 + c1 + c2 + c3;
 }
 
+// Four words of a & b at a time, ANDed with each plane in turn and counted
+// by nibble lookups (vpshufb), which runs on more ports than popcnt; each
+// plane's four per-word counts are shifted by the plane's bit and added in
+// 64-bit lanes.
+uint64_t AndMassAvx2(const uint64_t* a, const uint64_t* b,
+                     const uint64_t* planes, size_t num_planes, size_t n) {
+  if (num_planes == 0) return AndPopcountAvx2(a, b, n);
+  const __m256i lut = _mm256_setr_epi8(0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2,
+                                       3, 3, 4, 0, 1, 1, 2, 1, 2, 2, 3, 1, 2,
+                                       2, 3, 2, 3, 3, 4);
+  const __m256i nibble = _mm256_set1_epi8(0x0F);
+  const __m256i zero = _mm256_setzero_si256();
+  __m256i acc = zero;
+  size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const __m256i x = _mm256_and_si256(
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i)),
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i)));
+    const uint64_t* q = planes + i;
+    for (size_t p = 0; p < num_planes; ++p, q += n) {
+      const __m256i y = _mm256_and_si256(
+          x, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(q)));
+      const __m256i bytes = _mm256_add_epi8(
+          _mm256_shuffle_epi8(lut, _mm256_and_si256(y, nibble)),
+          _mm256_shuffle_epi8(
+              lut, _mm256_and_si256(_mm256_srli_epi16(y, 4), nibble)));
+      acc = _mm256_add_epi64(
+          acc, _mm256_sll_epi64(_mm256_sad_epu8(bytes, zero),
+                                _mm_cvtsi32_si128(static_cast<int>(p))));
+    }
+  }
+  alignas(32) uint64_t lanes[4];
+  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), acc);
+  uint64_t mass = lanes[0] + lanes[1] + lanes[2] + lanes[3];
+  for (; i < n; ++i) {
+    const uint64_t x = a[i] & b[i];
+    for (size_t p = 0; p < num_planes; ++p) {
+      mass += static_cast<uint64_t>(
+                  __builtin_popcountll(x & planes[p * n + i]))
+              << p;
+    }
+  }
+  return mass;
+}
+
+void SetPlanesAvx2(const double* values, uint64_t n, uint64_t first,
+                   size_t num_planes, size_t stride, uint64_t* planes) {
+  auto one = [&](uint64_t i) {
+    const uint64_t m = static_cast<uint64_t>(values[i]);
+    const uint64_t row = first + i;
+    uint64_t* word = planes + (row >> 6);
+    for (size_t p = 0; p < num_planes; ++p) {
+      word[p * stride] |= ((m >> p) & 1) << (row & 63);
+    }
+  };
+  uint64_t i = 0;
+  for (; i < n && ((first + i) & 7) != 0; ++i) one(i);
+  // Eight rows at a time from a byte boundary: the values as 32-bit
+  // integers, and per plane the sign bits after shifting bit p to the top
+  // are the plane's byte (x86 is little-endian, so byte b of a plane holds
+  // rows 8b .. 8b + 7).
+  uint8_t* bytes = reinterpret_cast<uint8_t*>(planes);
+  for (; i + 8 <= n; i += 8) {
+    const __m128i lo = _mm256_cvttpd_epi32(_mm256_loadu_pd(values + i));
+    const __m128i hi = _mm256_cvttpd_epi32(_mm256_loadu_pd(values + i + 4));
+    const __m256i v = _mm256_set_m128i(hi, lo);
+    uint8_t* byte = bytes + ((first + i) >> 3);
+    for (size_t p = 0; p < num_planes; ++p, byte += stride * 8) {
+      const __m256i top =
+          _mm256_sll_epi32(v, _mm_cvtsi32_si128(static_cast<int>(31 - p)));
+      *byte |= static_cast<uint8_t>(
+          _mm256_movemask_ps(_mm256_castsi256_ps(top)));
+    }
+  }
+  for (; i < n; ++i) one(i);
+}
+
 constexpr ScanKernels kAvx2Kernels = {
     &UnpackAvx2,     &MatchEqAvx2,  &FilterRowsAvx2,
     &CountCodesAvx2, &AndStoreAvx2, &AndPopcountAvx2,
+    &AndMassAvx2,    &SetPlanesAvx2,
 };
 
 }  // namespace

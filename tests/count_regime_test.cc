@@ -1,14 +1,15 @@
-// Differential suite for the finder's exact-count regime. Under Count with
-// an integer-valued weight and integer starting covered weights, every
-// term mass * (W(r) - cw(t))^+ of a marginal is an integer, so the finder
-// may count candidates by any exact method. The same table searched as Sum
-// over an all-ones measure column adds the same terms row by row, the
-// path every non-Count search takes. The two must agree bit for bit on
+// Differential suite for Count in the finder's exact regime. Under Count
+// with an integer-valued weight and integer starting covered weights,
+// every term mass * (W(r) - cw(t))^+ of a marginal is an integer, so the
+// finder may count candidates by any exact method. The same table searched
+// as Sum over an all-ones measure column adds the same terms; an all-ones
+// measure is a small integer one, so that search is in the regime too and
+// counts by a single measure bit-plane. The two must agree bit for bit on
 // every rule, weight, mass, marginal and score, and on every search stat,
 // for every shard x thread count, at the root, in drill-downs and in star
 // drill-downs. Searches outside the regime (fractional weights, a column
 // with too many values, fractional starting covered weights) must agree
-// too.
+// too. tests/sum_regime_test.cc holds regime searches to per-row twins.
 
 #include <gtest/gtest.h>
 

@@ -12,6 +12,7 @@
 #include <random>
 #include <vector>
 
+#include "core/best_marginal.h"
 #include "core/scan_kernels.h"
 #include "data/census_gen.h"
 #include "data/synth.h"
@@ -267,6 +268,84 @@ TEST(ScanKernelTest, BitsetAndAndPopcountAgreeAcrossPaths) {
           << name << " n=" << n;
       EXPECT_EQ(acc, want) << name << " n=" << n;
     });
+  }
+}
+
+TEST(ScanKernelTest, BitsetPlaneMassAgreesAcrossPaths) {
+  std::mt19937_64 gen(1997);
+  // Lengths around the four-word unroll (4 has no tail word, the others
+  // do), and plane counts from none (a popcount) to the Sum regime's cap.
+  for (size_t n : {size_t{0}, size_t{1}, size_t{3}, size_t{4}, size_t{5},
+                   size_t{313}}) {
+    std::vector<uint64_t> a(n), b(n);
+    for (size_t i = 0; i < n; ++i) {
+      a[i] = i % 7 == 0 ? ~uint64_t{0} : gen();
+      b[i] = i % 5 == 0 ? 0 : gen() | gen();
+    }
+    for (size_t num_planes : {size_t{0}, size_t{1}, size_t{7},
+                              kMaxMeasurePlanes}) {
+      std::vector<uint64_t> planes(num_planes * n);
+      for (size_t i = 0; i < planes.size(); ++i) {
+        planes[i] = i % 3 == 0 ? ~uint64_t{0} : gen() & gen();
+      }
+      // The mass of a & b, row by row: each set row adds its measure,
+      // whose bit p is the row's bit in plane p.
+      uint64_t want = 0;
+      for (size_t i = 0; i < n; ++i) {
+        for (size_t bit = 0; bit < 64; ++bit) {
+          if (((a[i] & b[i]) >> bit & 1) == 0) continue;
+          uint64_t measure = num_planes == 0 ? 1 : 0;
+          for (size_t p = 0; p < num_planes; ++p) {
+            measure |= (planes[p * n + i] >> bit & 1) << p;
+          }
+          want += measure;
+        }
+      }
+      ForEachKernelPath([&](const ScanKernels& k, const char* name) {
+        EXPECT_EQ(k.and_mass(a.data(), b.data(), planes.data(), num_planes,
+                             n),
+                  want)
+            << name << " n=" << n << " planes=" << num_planes;
+      });
+    }
+  }
+}
+
+TEST(ScanKernelTest, MeasurePlanesAgreeAcrossPaths) {
+  std::mt19937_64 gen(1412);
+  for (size_t num_planes : {size_t{1}, size_t{7}, kMaxMeasurePlanes}) {
+    // Row ranges from empty to several words, starting on and off word
+    // and byte boundaries, after earlier bits the kernel must keep.
+    for (uint64_t first : {uint64_t{0}, uint64_t{3}, uint64_t{64},
+                           uint64_t{69}}) {
+      for (uint64_t n : {uint64_t{0}, uint64_t{1}, uint64_t{7}, uint64_t{8},
+                         uint64_t{13}, uint64_t{300}}) {
+        std::vector<double> values(n);
+        for (double& v : values) {
+          v = static_cast<double>(gen() >> (64 - num_planes));
+        }
+        const size_t stride = (first + n + 63) / 64 + 1;
+        std::vector<uint64_t> want(num_planes * stride);
+        for (size_t i = 0; i < want.size(); ++i) want[i] = gen() & gen();
+        const std::vector<uint64_t> before = want;
+        for (uint64_t i = 0; i < n; ++i) {
+          const uint64_t m = static_cast<uint64_t>(values[i]);
+          const uint64_t row = first + i;
+          for (size_t p = 0; p < num_planes; ++p) {
+            if ((m >> p) & 1) {
+              want[p * stride + row / 64] |= uint64_t{1} << (row % 64);
+            }
+          }
+        }
+        ForEachKernelPath([&](const ScanKernels& k, const char* name) {
+          std::vector<uint64_t> planes = before;
+          k.set_planes(values.data(), n, first, num_planes, stride,
+                       planes.data());
+          EXPECT_EQ(planes, want) << name << " planes=" << num_planes
+                                  << " first=" << first << " n=" << n;
+        });
+      }
+    }
   }
 }
 
