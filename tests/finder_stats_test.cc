@@ -10,7 +10,8 @@
 // drill-down (base rule plus its starred columns), a star drill-down
 // (StarConstraintWeight on one starred column) and a binding mw (Size
 // weight, mw = 3). Each runs on one view with one thread and on two shards
-// with two threads, which must pin the same figures.
+// with two threads, which must pin the same figures. A second grid pins a
+// table whose value tuples overflow the 128-bit exact packing.
 
 #include <gtest/gtest.h>
 
@@ -208,6 +209,104 @@ TEST(FinderStatsTest, StatsMatchPinnedFigures) {
           EXPECT_EQ(got->total_score, pin->total_score)
               << label << "\n" << row;
         }
+      }
+    }
+  }
+}
+
+// A table whose candidate tuples overflow the 128-bit exact packing: ten
+// columns whose dictionaries hold 16385 values each (15 bits a code), so
+// value tuples of arity 9 and 10 pack to a hash, and arity-10 candidates
+// join arity-9 sub-rules that are hashed too. Only a few values occur: a
+// few row patterns repeat, so rules on all ten columns are generated and
+// counted.
+Table WideCodeTable() {
+  constexpr size_t kColumns = 10;
+  constexpr uint32_t kDictValues = 16385;
+  std::vector<std::string> names;
+  for (size_t c = 0; c < kColumns; ++c) names.push_back("c" + std::to_string(c));
+  Table table(names);
+  for (size_t c = 0; c < kColumns; ++c) {
+    for (uint32_t v = 0; v < kDictValues; ++v) {
+      table.EncodeValue(c, "v" + std::to_string(v));
+    }
+  }
+  // Pattern p repeats 60 - 15p times: on every column it holds a high code,
+  // then a few columns drift to low codes row by row.
+  std::vector<uint32_t> row(kColumns);
+  for (uint32_t p = 0; p < 4; ++p) {
+    for (uint32_t rep = 0; rep < 60 - 15 * p; ++rep) {
+      for (size_t c = 0; c < kColumns; ++c) {
+        row[c] = kDictValues - 1 - p * 7 - static_cast<uint32_t>(c);
+      }
+      if (rep % 3 == 0) row[(p + rep) % kColumns] = rep % 5;
+      if (rep % 4 == 1) row[(3 * p + rep) % kColumns] = rep % 3;
+      table.AppendRow(row);
+    }
+  }
+  for (uint32_t i = 0; i < 120; ++i) {
+    for (size_t c = 0; c < kColumns; ++c) {
+      row[c] = (i * 7 + static_cast<uint32_t>(c) * 3) % 6;
+    }
+    table.AppendRow(row);
+  }
+  table.Freeze();
+  return table;
+}
+
+// clang-format off
+const Pin kWidePins[] = {
+    {"wide/mw=default/k=1", 10, 50190, 42719, 7471, 0, 194319, 306},
+    {"wide/mw=default/k=2", 20, 131230, 112982, 11975, 6273, 310485, 531},
+    {"wide/mw=default/k=3", 30, 227580, 195797, 15929, 15854, 402867, 731},
+    {"wide/mw=9.5/k=1", 9, 49620, 42203, 7407, 0, 192473, 306},
+    {"wide/mw=9.5/k=2", 18, 129830, 111778, 11846, 6196, 307806, 531},
+    {"wide/mw=9.5/k=3", 27, 225390, 193848, 15850, 15622, 400789, 711},
+};
+// clang-format on
+
+TEST(FinderStatsTest, HashedPackerStatsMatchPinnedFigures) {
+  const Table table = WideCodeTable();
+  SizeWeight size;
+  const Views one(table, 1, false, Rule(table.num_columns()));
+  const Views two(table, 2, false, Rule(table.num_columns()));
+  // The default mw, under which every Find counts candidates of all ten
+  // arities (ten passes a step), and a binding one (9.5) that weighs every
+  // arity-10 candidate out while arity 9 still packs to a hash.
+  for (const char* mw : {"default", "9.5"}) {
+    for (size_t k = 1; k <= 3; ++k) {
+      const std::string name =
+          std::string("wide/mw=") + mw + "/k=" + std::to_string(k);
+      const Pin* pin = nullptr;
+      for (const Pin& p : kWidePins) {
+        if (name == p.name) pin = &p;
+      }
+      BrsOptions options;
+      options.k = k;
+      if (std::string(mw) != "default") options.max_weight = 9.5;
+      for (const Views* views : {&one, &two}) {
+        options.num_threads = views->ptrs.size();
+        auto got = RunBrs(views->ptrs, size, options);
+        ASSERT_TRUE(got.ok()) << name << ": " << got.status().ToString();
+        const std::string row = PinRow(name, *got);
+        if (pin == nullptr) {
+          ADD_FAILURE() << "no pin; now reads\n" << row;
+          continue;
+        }
+        const std::string label =
+            name + " shards=" + std::to_string(views->ptrs.size());
+        EXPECT_EQ(got->stats.passes, pin->passes) << label << "\n" << row;
+        EXPECT_EQ(got->stats.candidates_generated, pin->generated)
+            << label << "\n" << row;
+        EXPECT_EQ(got->stats.candidates_pruned, pin->pruned)
+            << label << "\n" << row;
+        EXPECT_EQ(got->stats.candidates_counted, pin->counted)
+            << label << "\n" << row;
+        EXPECT_EQ(got->stats.candidates_stale_skipped, pin->stale)
+            << label << "\n" << row;
+        EXPECT_EQ(got->stats.tuple_visits, pin->tuple_visits)
+            << label << "\n" << row;
+        EXPECT_EQ(got->total_score, pin->total_score) << label << "\n" << row;
       }
     }
   }
