@@ -39,17 +39,20 @@ fi
 # HTTP, RPC, cluster and chaos suites drive both wire protocols through the
 # shared connection loop (src/net/conn_loop.cc, built into libsmartdd under
 # the same flags). The score suite drives EvaluateRuleList's block sweep
-# and its single-rule Count fold, which counts with count_codes or a
-# match_eq mask for an integer-valued weight and leaves every other weight
-# to the sweep. The sampling and sampler-digest suites
+# and its fold, which counts integer masses per block from match_eq masks
+# (count_codes for one rule of one predicate under Count) and leaves every
+# fractional weight or measure to the sweep. The sampling and sampler-digest suites
 # drive the Create/ExactMasses block passes over memory and disk granules.
 # The random suite drives Rng::UniformInt, whose draws place every
 # reservoir slot and stitch pick. The count-regime suite holds Count
 # searches to Sum searches over an all-ones measure, and the sum-regime
 # suite holds integer Sum searches, which count by measure bit-planes, to
 # their half-scaled per-row twins, with one view of kMinParallelRows rows
-# whose threaded searches count on the pool.
-SAN_TESTS="parallel_marginal_test|parallel_sampling_test|sample_handler_test|session_test|concurrent_sessions_test|task_scheduler_test|service_test|codec_test|metrics_test|http_server_test|chaos_test|disk_table_test|sharded_engine_test|packed_column_test|deadline_test|rpc_test|cluster_test|live_table_test|expansion_cache_test|cover_memo_test|brs_oracle_test|greedy_oracle_test|best_marginal_test|brs_test|drilldown_test|table_test|rule_test|mw_estimator_test|score_test|sampling_test|sampler_digest_test|random_test|count_regime_test|sum_regime_test"
+# whose threaded searches count on the pool. The finder-stats suite pins
+# every search stat, and its candidate generation joins each new candidate
+# against its sub-rules' prefix buckets (index walks the Debug build's
+# checks and the sanitizers should see), on exact and hashed packings.
+SAN_TESTS="parallel_marginal_test|parallel_sampling_test|sample_handler_test|session_test|concurrent_sessions_test|task_scheduler_test|service_test|codec_test|metrics_test|http_server_test|chaos_test|disk_table_test|sharded_engine_test|packed_column_test|deadline_test|rpc_test|cluster_test|live_table_test|expansion_cache_test|cover_memo_test|brs_oracle_test|greedy_oracle_test|best_marginal_test|brs_test|drilldown_test|table_test|rule_test|mw_estimator_test|score_test|sampling_test|sampler_digest_test|random_test|count_regime_test|sum_regime_test|finder_stats_test"
 SAN_TARGETS=(
   parallel_marginal_test parallel_sampling_test sample_handler_test
   session_test concurrent_sessions_test task_scheduler_test
@@ -60,7 +63,7 @@ SAN_TARGETS=(
   best_marginal_test brs_test drilldown_test
   table_test rule_test mw_estimator_test score_test
   sampling_test sampler_digest_test random_test count_regime_test
-  sum_regime_test
+  sum_regime_test finder_stats_test
 )
 
 # $3 is the build type: the ASan stage builds Debug, so every SMARTDD_DCHECK
@@ -90,10 +93,10 @@ if [[ "$MODE" != "--tsan-only" && "$MODE" != "--asan-only" ]]; then
   # (the run above dispatches to AVX2 where the host has it): its bitset
   # AND, popcount and plane-mass kernels have a scalar and an AVX2 form,
   # and the Release build must be bit-identical under both. The score
-  # suite's single-rule Count fold counts through count_codes and
-  # match_eq, which have both forms too.
+  # suite's fold counts through count_codes and match_eq, which have both
+  # forms too, and the finder-stats suite pins every stat on either path.
   (cd build && SMARTDD_KERNEL=scalar ctest --output-on-failure -j "$(nproc)" \
-    -R 'cover_memo_test|parallel_marginal_test|count_regime_test|sum_regime_test|brs_oracle_test|greedy_oracle_test|score_test')
+    -R 'cover_memo_test|parallel_marginal_test|count_regime_test|sum_regime_test|brs_oracle_test|greedy_oracle_test|score_test|finder_stats_test')
 
   # Service-protocol smoke: a scripted session's codec bytes in must
   # reproduce the golden snapshot bytes out (the paper's retail walkthrough

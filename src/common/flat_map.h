@@ -197,6 +197,20 @@ class TuplePacker {
     return prefix;
   }
 
+  /// The inverse: the Pack of the tuple packed as `key` with its last value
+  /// 0. The last position is the topmost field, so this clears every bit
+  /// from its offset up. Exact packers only.
+  Key128 Prefix(Key128 key) const {
+    SMARTDD_DCHECK(exact_ && !bits_.empty());
+    if (last_shift_ >= 64) {
+      key.hi &= (uint64_t{1} << (last_shift_ - 64)) - 1;
+    } else {
+      key.lo &= (uint64_t{1} << last_shift_) - 1;
+      key.hi = 0;
+    }
+    return key;
+  }
+
  private:
   /// ORs a `bits`-wide value into the key at bit `shift`; a value that
   /// straddles bit 64 lands in both lanes.

@@ -113,19 +113,38 @@ constexpr size_t kCountBlock = 64;
 /// them in a local vector.
 constexpr size_t kMaxHoistedArity = 64;
 
+/// A run [begin, end) of entry indices in a CandidateGroup.
+struct Bucket {
+  uint32_t begin = 0;
+  uint32_t end = 0;
+};
+
 /// All candidates sharing one set of instantiated columns (arity >= 2).
 /// Values are packed Key128s; the raw tuples live in `tuples`, strided by
 /// arity and parallel to the map's insertion order, because hashed
 /// (overflow-width) keys cannot be unpacked.
+///
+/// A parent inserts all its extensions by one column at once, in
+/// ascending value order, so the entries sharing their first arity - 1
+/// values (a prefix) form one run, ascending in the last value. The prefix
+/// index maps each prefix, packed with last value 0, to its run; it is
+/// built when a later pass first joins against the group (see
+/// IndexPrefixes), and a group is never empty, so an empty index is an
+/// unbuilt one.
 struct CandidateGroup {
   Cols cols;
   TuplePacker packer;
   FlatMap<Entry> map;
   std::vector<uint32_t> tuples;
   uint32_t store_group = 0;  // this column set's index in the CoverStore
+  FlatMap<Bucket> prefixes;
 
   const uint32_t* tuple(size_t entry_index) const {
     return tuples.data() + entry_index * cols.size();
+  }
+  /// The last value of entry `entry_index`.
+  uint32_t last(size_t entry_index) const {
+    return tuples[(entry_index + 1) * cols.size() - 1];
   }
 };
 
@@ -329,6 +348,12 @@ struct MarginalRuleFinder::Impl {
   CoveredLevels& levels;                 // pass1.levels
   std::vector<CandidateGroup> counted;   // arity >= 2 groups, all passes
   FlatMap<uint32_t> counted_index;       // ColsKey -> index into `counted`
+  /// Per dense column, for the pass being generated: the values a
+  /// candidate may add (occurring, not excluded, of positive mass), and
+  /// those of them whose own SuperRuleBound passes H (all when not
+  /// pruning). Ascending.
+  std::vector<std::vector<uint32_t>> gen_values;
+  std::vector<std::vector<uint32_t>> gen_passing;
 
   double best_marginal = 0;  // the paper's threshold H
   Rule best_rule{0};
@@ -1298,6 +1323,7 @@ struct MarginalRuleFinder::Impl {
     struct Item {
       CandidateGroup* group;
       uint32_t index;  // entry index within the group's map
+      double key;      // the sort key, min(bound, last)
       uint64_t visits = 0;
       uint32_t rows = 0;  // a new cover bitset's popcount (exact regime)
       bool skip = false;
@@ -1305,18 +1331,15 @@ struct MarginalRuleFinder::Impl {
     std::vector<Item> items;
     for (auto& g : groups) {
       for (uint32_t i = 0; i < g.map.size(); ++i) {
-        if (!g.map.entry(i).second.excluded) {
-          items.push_back(Item{&g, i});
+        const Entry& e = g.map.entry(i).second;
+        if (!e.excluded) {
+          items.push_back(Item{&g, i, std::min(e.bound, e.last)});
         }
       }
     }
-    auto key = [](const Item& item) {
-      const Entry& e = item.group->map.entry(item.index).second;
-      return std::min(e.bound, e.last);
-    };
     std::stable_sort(items.begin(), items.end(),
-                     [&](const Item& a, const Item& b) {
-                       return key(a) > key(b);
+                     [](const Item& a, const Item& b) {
+                       return a.key > b.key;
                      });
 
     const bool prune = options.pruning == PruningMode::kFull;
@@ -1437,61 +1460,73 @@ struct MarginalRuleFinder::Impl {
 
   // --- Candidate generation ---------------------------------------------
 
+  /// Builds `g`'s prefix index: one key per run of entries sharing a
+  /// prefix. An exact packer clears the last field off the entry's key; a
+  /// hashed one packs the tuple again with last value 0.
+  void IndexPrefixes(CandidateGroup& g, std::vector<uint32_t>& scratch) const {
+    const size_t arity = g.cols.size();
+    auto prefix_of = [&](uint32_t i) {
+      if (g.packer.exact()) return g.packer.Prefix(g.map.entry(i).first);
+      scratch.assign(g.tuple(i), g.tuple(i) + arity);
+      scratch.back() = 0;
+      return g.packer.Pack(scratch.data(), arity);
+    };
+    const uint32_t n = static_cast<uint32_t>(g.map.size());
+    Key128 next = n > 0 ? prefix_of(0) : Key128{};
+    for (uint32_t begin = 0, end; begin < n; begin = end) {
+      const Key128 prefix = next;
+      for (end = begin + 1; end < n && (next = prefix_of(end)) == prefix;) {
+        ++end;
+      }
+      auto [bucket, inserted] = g.prefixes.FindOrInsert(prefix);
+      SMARTDD_DCHECK(inserted) << "a prefix's entries are one run";
+      *bucket = Bucket{begin, end};
+    }
+  }
+
   /// Scratch for ExtendParent, reused across parents. For one (parent,
   /// added column) pair, `sub_groups[i]` is the counted group of the
   /// immediate sub-rule that lacks the parent's i-th column (the added
-  /// column last), and `sub_prefix[i]` its packed key with the added value
-  /// 0, so a value costs one PackLast and one probe per sub-rule. A hashed
-  /// packer packs row i of `sub_vals` (the sub-rule's values, the added one
-  /// last) instead.
+  /// column last), and `buckets[i]` its bucket: the entries whose prefix is
+  /// the parent's values less the i-th, ascending in the added value.
   struct GenScratch {
     Cols cand_cols, sub_cols;
-    std::vector<uint32_t> cand_vals, sub_vals;
+    std::vector<uint32_t> cand_vals, sub_vals, index_vals;
     std::vector<const CandidateGroup*> sub_groups;
-    std::vector<Key128> sub_prefix;
+    std::vector<Bucket> buckets;
   };
 
-  /// Resolves the sub-rule groups of one (parent, added column c) pair
-  /// (parent arity >= 2). Returns false when one was never counted: every
-  /// candidate of the pair then has a missing sub-rule.
+  /// Resolves the sub-rule groups and buckets of one (parent, added column
+  /// c) pair (parent arity >= 2). Returns false when a group or a bucket
+  /// is missing: that sub-rule was never generated for any added value,
+  /// so every candidate of the pair lacks it.
   bool ResolveSubGroups(const Cols& pcols, const uint32_t* pvals, uint32_t c,
-                        GenScratch& gs) const {
+                        GenScratch& gs) {
     const size_t parity = pcols.size();
     gs.sub_groups.resize(parity);
-    gs.sub_prefix.resize(parity);
-    gs.sub_vals.resize(parity * parity);
+    gs.buckets.resize(parity);
+    gs.sub_vals.resize(parity);
     for (size_t i = 0; i < parity; ++i) {
       gs.sub_cols.clear();
-      uint32_t* vals = gs.sub_vals.data() + i * parity;
       for (size_t j = 0, n = 0; j < parity; ++j) {
         if (j == i) continue;
         gs.sub_cols.push_back(pcols[j]);
-        vals[n++] = pvals[j];
+        gs.sub_vals[n++] = pvals[j];
       }
       gs.sub_cols.push_back(c);
-      vals[parity - 1] = 0;
+      gs.sub_vals[parity - 1] = 0;
       const uint32_t* slot =
           counted_index.Find(ColsKey(gs.sub_cols.data(), parity));
       if (slot == nullptr) return false;
-      const CandidateGroup& g = counted[*slot];
+      CandidateGroup& g = counted[*slot];
+      if (g.prefixes.empty()) IndexPrefixes(g, gs.index_vals);
+      const Bucket* bucket =
+          g.prefixes.Find(g.packer.Pack(gs.sub_vals.data(), parity));
+      if (bucket == nullptr) return false;
       gs.sub_groups[i] = &g;
-      gs.sub_prefix[i] = g.packer.exact() ? g.packer.Pack(vals, parity)
-                                          : Key128{};
+      gs.buckets[i] = *bucket;
     }
     return true;
-  }
-
-  /// The counted entry of sub-rule i of the resolved pair at added value
-  /// v, or nullptr when it was never counted.
-  const Entry* FindSub(GenScratch& gs, size_t i, uint32_t v) const {
-    const CandidateGroup& g = *gs.sub_groups[i];
-    if (g.packer.exact()) {
-      return g.map.Find(g.packer.PackLast(gs.sub_prefix[i], v));
-    }
-    const size_t arity = g.cols.size();
-    uint32_t* vals = gs.sub_vals.data() + i * arity;
-    vals[arity - 1] = v;
-    return g.map.Find(g.packer.Pack(vals, arity));
   }
 
   /// Extends one parent (cols/vals/entry) with every later column's
@@ -1501,10 +1536,18 @@ struct MarginalRuleFinder::Impl {
   /// or of zero mass (the candidate is then itself zero-mass or already
   /// dominated), or when the least SuperRuleBound over them is below H or
   /// not positive. Two sub-rules need no lookup: the parent, and at arity 2
-  /// the added singleton; the others are probed in column order and the
-  /// first that prunes ends the test. The same sub-rules give the shortest
-  /// stored cover to count from, ties to the earliest dropped column.
-  /// When the weight cap cannot bind, only the survivors are weighed.
+  /// the added singleton. The others are joined: per added column, each
+  /// sub-rule's bucket is found once (a missing one prunes every candidate
+  /// of the pair), then the added values are merged against the buckets in
+  /// ascending order, sub-rules in column order, and the first that prunes
+  /// ends the test. The same sub-rules give the shortest stored cover to
+  /// count from, ties to the earliest dropped column.
+  ///
+  /// Every value of `gen_values` is a generated candidate; the loop walks
+  /// only those that can survive (the values whose own bound passes at
+  /// arity 2, the shortest bucket's above it), or, when the weight cap
+  /// binds, all of them, each weighed before its prune test. The rest are
+  /// tallied as pruned. Survivors are inserted in ascending value order.
   void ExtendParent(const Cols& pcols, const uint32_t* pvals,
                     const Entry& parent, bool prune,
                     FlatMap<uint32_t>& group_index,
@@ -1529,51 +1572,86 @@ struct MarginalRuleFinder::Impl {
     for (size_t ci = 0; ci < columns.size(); ++ci) {
       const uint32_t c = columns[ci];
       if (c <= pcols.back()) continue;
-      const SingletonTable& st = singles[ci];
+      const std::vector<uint32_t>& values = gen_values[ci];
+      if (values.empty()) continue;
+      stats.candidates_generated += values.size();
+      const bool dead = fails(parent_bound) ||
+                        (parity >= 2 && !ResolveSubGroups(pcols, pvals, c, gs));
+      // The values walked, a list of `walk_n` codes `walk_stride` apart.
+      const uint32_t* walk = values.data();
+      size_t walk_n = values.size();
+      size_t walk_stride = 1;
+      if (!cap_binds && dead) {
+        walk_n = 0;
+      } else if (!cap_binds && parity == 1) {
+        walk = gen_passing[ci].data();
+        walk_n = gen_passing[ci].size();
+      } else if (!cap_binds) {
+        size_t shortest = 0;
+        for (size_t i = 1; i < parity; ++i) {
+          if (gs.buckets[i].end - gs.buckets[i].begin <
+              gs.buckets[shortest].end - gs.buckets[shortest].begin) {
+            shortest = i;
+          }
+        }
+        // The bucket's last values: its tuples have arity `parity`.
+        walk = gs.sub_groups[shortest]->tuple(gs.buckets[shortest].begin) +
+               (parity - 1);
+        walk_n = gs.buckets[shortest].end - gs.buckets[shortest].begin;
+        walk_stride = parity;
+      }
       cand_cols[parity] = c;
-      const bool missing =
-          parity >= 2 && !ResolveSubGroups(pcols, pvals, c, gs);
+      const SingletonTable& st = singles[ci];
       CandidateGroup* g = nullptr;  // found or made on the first survivor
       Key128 cand_prefix;
-      for (uint32_t v1 : st.codes) {
-        const Entry& e1 = st.entries[v1];
-        if (e1.excluded || e1.mass <= 0) continue;
-        ++stats.candidates_generated;
-
+      size_t over_cap = 0;
+      size_t kept = 0;
+      for (size_t k = 0; k < walk_n; ++k) {
+        const uint32_t v1 = walk[k * walk_stride];
         cand_vals[parity] = v1;
         double w = 0;
         if (cap_binds) {
           w = EffectiveWeight(cand_cols, cand_vals.data());
-          if (w > options.max_weight) continue;  // weight cap (mw)
+          if (w > options.max_weight) {  // weight cap (mw)
+            ++over_cap;
+            continue;
+          }
+          if (dead) continue;
         }
 
-        double bound = parity == 1 ? std::min(parent_bound, SuperRuleBound(e1))
-                                   : parent_bound;
-        bool pruned = missing || fails(bound);
+        double bound =
+            parity == 1
+                ? std::min(parent_bound, SuperRuleBound(st.entries[v1]))
+                : parent_bound;
+        bool pruned = fails(bound);
         uint32_t source = kNoCover;
         uint32_t source_col = 0;
         uint32_t source_size = std::numeric_limits<uint32_t>::max();
         // At arity 2 the sub-rules are the parent and e1, both known.
         const size_t probed = parity >= 2 ? parity : 0;
         for (size_t i = 0; i < probed && !pruned; ++i) {
-          const Entry* sub = FindSub(gs, i, v1);
-          if (sub == nullptr || sub->excluded || sub->mass <= 0) {
+          const CandidateGroup& sg = *gs.sub_groups[i];
+          Bucket& b = gs.buckets[i];
+          while (b.begin < b.end && sg.last(b.begin) < v1) ++b.begin;
+          if (b.begin == b.end || sg.last(b.begin) != v1) {
             pruned = true;
             break;
           }
-          bound = std::min(bound, SuperRuleBound(*sub));
+          const Entry& sub = sg.map.entry(b.begin).second;
+          if (sub.excluded || sub.mass <= 0) {
+            pruned = true;
+            break;
+          }
+          bound = std::min(bound, SuperRuleBound(sub));
           pruned = fails(bound);
-          if (sub->cover != kNoCover &&
-              store.covers[sub->cover].size < source_size) {
-            source = sub->cover;
+          if (sub.cover != kNoCover &&
+              store.covers[sub.cover].size < source_size) {
+            source = sub.cover;
             source_col = static_cast<uint32_t>(i);
-            source_size = store.covers[sub->cover].size;
+            source_size = store.covers[sub.cover].size;
           }
         }
-        if (pruned) {
-          ++stats.candidates_pruned;
-          continue;
-        }
+        if (pruned) continue;
         // The parent is the sub-rule that lacks the added (last) column.
         if (parity >= 2 && parent.cover != kNoCover &&
             store.covers[parent.cover].size < source_size) {
@@ -1607,19 +1685,20 @@ struct MarginalRuleFinder::Impl {
             g->packer.exact() ? g->packer.PackLast(cand_prefix, v1)
                               : g->packer.Pack(cand_vals.data(), arity);
         auto [entry, fresh] = g->map.FindOrInsert(vals_key);
-        if (fresh) {
-          entry->weight = w;
-          entry->bound = bound;
-          const uint32_t* stored = store.groups[g->store_group].Find(vals_key);
-          if (stored != nullptr) {
-            entry->cover = *stored;
-            entry->last = store.covers[*stored].marginal;
-          }
-          entry->source = source;
-          entry->source_col = source_col;
-          g->tuples.insert(g->tuples.end(), cand_vals.begin(), cand_vals.end());
+        ++kept;
+        if (!fresh) continue;  // only a hashed key can collide
+        entry->weight = w;
+        entry->bound = bound;
+        const uint32_t* stored = store.groups[g->store_group].Find(vals_key);
+        if (stored != nullptr) {
+          entry->cover = *stored;
+          entry->last = store.covers[*stored].marginal;
         }
+        entry->source = source;
+        entry->source_col = source_col;
+        g->tuples.insert(g->tuples.end(), cand_vals.begin(), cand_vals.end());
       }
+      stats.candidates_pruned += values.size() - over_cap - kept;
     }
   }
 
@@ -1627,10 +1706,27 @@ struct MarginalRuleFinder::Impl {
   /// candidates (`prev_group_ids`, or the singletons when j == 2). Each
   /// candidate extends a parent with one column strictly after the parent's
   /// last column, so every candidate is generated exactly once from its
-  /// prefix sub-rule.
+  /// prefix sub-rule. H stays fixed while a pass generates, so the values
+  /// each column may add, and those whose own bound passes, are listed once.
   std::vector<CandidateGroup> GenerateCandidates(
       const std::vector<uint32_t>& prev_group_ids, bool from_singles) {
     const bool prune = options.pruning == PruningMode::kFull;
+    gen_values.resize(columns.size());
+    gen_passing.resize(columns.size());
+    for (size_t ci = 0; ci < columns.size(); ++ci) {
+      const SingletonTable& st = singles[ci];
+      gen_values[ci].clear();
+      gen_passing[ci].clear();
+      for (uint32_t v : st.codes) {
+        const Entry& e = st.entries[v];
+        if (e.excluded || e.mass <= 0) continue;
+        gen_values[ci].push_back(v);
+        const double bound = SuperRuleBound(e);
+        if (!prune || (bound >= best_marginal && bound > 0)) {
+          gen_passing[ci].push_back(v);
+        }
+      }
+    }
     FlatMap<uint32_t> group_index;
     std::vector<CandidateGroup> out;
     GenScratch gs;

@@ -134,6 +134,13 @@ struct MarginalRuleResult {
 ///         Marginal(r') + Mass(r') * (max_weight - W(r'))
 /// cannot beat the best marginal value H found so far.
 ///
+/// Generation is a prefix join (apriori-gen): a candidate extends a counted
+/// parent by one later column, and its other immediate sub-rules are
+/// found, not probed. A counted group's entries sharing all values but the
+/// last form one run ascending in the last value, so per (parent, added
+/// column) each sub-rule's run is found once, a missing run prunes every
+/// candidate of the pair, and the added values merge against the runs.
+///
 /// The finder is one BRS run: its k Find calls are the k greedy steps, and
 /// it owns the greedy's state, each row's covered weight (the weight of the
 /// heaviest earlier pick covering it). A Find after a successful one first

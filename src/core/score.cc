@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <numeric>
 
 #include "rules/rule_ops.h"
@@ -42,60 +43,47 @@ RuleListEvaluation EvaluateRuleList(
 
   std::vector<size_t> order = OrderByWeightDesc(rules, weight);
   std::vector<double> weights(rules.size());
+  double max_weight = 1;
   for (size_t i = 0; i < rules.size(); ++i) {
     weights[i] = weight.Weight(rules[i]);
+    max_weight = std::max(max_weight, std::abs(weights[i]));
   }
   const ScanKernels& kern = GetScanKernels(ResolveKernelPath(kernel));
   // Per-rule match-mask scratch for one row block.
   std::vector<uint8_t> masks(rules.size() * kScanBlockRows);
 
-  // Single-rule Count fast path: with one rule and no measure column every
-  // match contributes the same 1.0 to mass and the same weights[0] to the
-  // score, so the per-row attribution sweep collapses to a match count —
-  // count_codes for <= 1 predicate, a mask popcount otherwise. For an
-  // integer weight w with rows * |w| < 2^53 every partial sum of the sweep
-  // is an exact integer, so count * w is the sweep's float bit for bit;
-  // any other weight takes the sweep.
-  bool count_fold = rules.size() == 1 && weight.IntegerValued();
-  uint64_t rows = 0;
+  // The fold: with integer weights and every mass a non-negative integer
+  // (Count, or an integer measure) whose total times the largest |weight|
+  // stays below 2^53, every partial sum of the attribution sweep below is
+  // an exact integer. Per block, in display order, each rule then adds the
+  // mass of its matches and of its matches no earlier rule claimed, summed
+  // in integers (byte-mask popcounts under Count); the doubles they add to
+  // stay exact integers. The score is the sum of weight times marginal
+  // mass, which equals the sweep's float bit for bit.
+  const bool count = !views.empty() && !views[0]->has_measure();
+  bool fold = weight.IntegerValued();
+  double total = 0;
   for (const TableView* vp : views) {
-    count_fold = count_fold && !vp->has_measure();
-    rows += vp->num_rows();
-  }
-  if (count_fold &&
-      static_cast<double>(rows) * std::abs(weights[0]) < kMaxExactSum) {
-    const Rule& r = rules[0];
-    uint64_t total = 0;
-    std::vector<uint32_t> counts;
-    for (const TableView* vp : views) {
-      const TableView& view = *vp;
-      const uint64_t n = view.num_rows();
-      const std::vector<size_t> inst = r.InstantiatedColumns();
-      if (inst.empty()) {
-        total += n;
-      } else if (inst.size() == 1) {
-        const size_t c = inst[0];
-        const size_t dict = view.table().dictionary(c).size();
-        const uint32_t want = r.value(c);
-        counts.assign(dict, 0);
-        kern.count_codes(view.table().column(c).ref(), 0, n, dict,
-                         counts.data());
-        if (want < dict) total += counts[want];
-      } else {
-        for (uint64_t b0 = 0; b0 < n; b0 += kScanBlockRows) {
-          const uint64_t b1 = std::min(n, b0 + kScanBlockRows);
-          ComputeRuleMask(r, view.table(), b0, b1, masks.data(), kern);
-          const size_t bn = static_cast<size_t>(b1 - b0);
-          for (size_t j = 0; j < bn; ++j) total += masks[j] != 0 ? 1 : 0;
-        }
-      }
+    if (!fold) break;
+    if (count) {
+      total += static_cast<double>(vp->num_rows());
+      continue;
     }
-    out.mass[0] = static_cast<double>(total);
-    out.marginal_mass[0] = static_cast<double>(total);
-    // 0.0 + turns a -0.0 product into the +0.0 the sweep leaves.
-    out.total_score = 0.0 + static_cast<double>(total) * weights[0];
-    return out;
+    const double* m = MassColumn(*vp);
+    for (uint64_t t = 0; t < vp->num_rows(); ++t) {
+      // Rejects NaN and negatives; integers stay exact below 2^53.
+      fold = fold && m[t] >= 0 && std::floor(m[t]) == m[t];
+      total += m[t];
+    }
   }
+  fold = fold && total * max_weight < kMaxExactSum;
+  std::vector<uint8_t> claimed(fold ? kScanBlockRows : 0);
+  std::vector<uint64_t> block_mass(fold && !count ? kScanBlockRows : 0);
+
+  const std::vector<size_t> single = rules.size() == 1
+                                         ? rules[0].InstantiatedColumns()
+                                         : std::vector<size_t>{};
+  std::vector<uint32_t> counts;
 
   // One accumulator set, advanced sequentially across the shard views in
   // shard order: the addition sequence matches the unsharded evaluation
@@ -104,6 +92,19 @@ RuleListEvaluation EvaluateRuleList(
     const TableView& view = *vp;
     const uint64_t n = view.num_rows();
     const double* mass_col = MassColumn(view);
+    if (fold && count && single.size() == 1) {
+      // One rule of one predicate under Count: the counting kernel tallies
+      // the packed column without a mask.
+      const size_t dict = view.table().dictionary(single[0]).size();
+      const uint32_t want = rules[0].value(single[0]);
+      counts.assign(dict, 0);
+      kern.count_codes(view.table().column(single[0]).ref(), 0, n, dict,
+                       counts.data());
+      const double hits = want < dict ? counts[want] : 0;
+      out.mass[0] += hits;
+      out.marginal_mass[0] += hits;
+      continue;
+    }
     // Per-rule match masks over each row block through the dispatched
     // kernels, then one sequential attribution sweep per block — the same
     // per-row, ordered-rule addition sequence as a direct loop, so the
@@ -114,6 +115,52 @@ RuleListEvaluation EvaluateRuleList(
       for (size_t i = 0; i < rules.size(); ++i) {
         ComputeRuleMask(rules[i], view.table(), b0, b1,
                         masks.data() + i * kScanBlockRows, kern);
+      }
+      if (fold && count) {
+        // Masks are 0x00 or 0xFF bytes; the block is padded with zero
+        // bytes to whole words, and a word's byte sum counts its matches.
+        const size_t words = (bn + 7) / 8;
+        std::memset(claimed.data(), 0, words * 8);
+        constexpr uint64_t kOnes = 0x0101010101010101ULL;
+        auto matches = [](uint64_t bytes) { return (bytes * kOnes) >> 56; };
+        for (size_t i : order) {
+          uint8_t* mask = masks.data() + i * kScanBlockRows;
+          std::memset(mask + bn, 0, words * 8 - bn);
+          uint64_t hits = 0;
+          uint64_t fresh = 0;
+          for (size_t w = 0; w < words; ++w) {
+            uint64_t m, c;
+            std::memcpy(&m, mask + 8 * w, 8);
+            std::memcpy(&c, claimed.data() + 8 * w, 8);
+            hits += matches(m & kOnes);
+            fresh += matches(m & ~c & kOnes);
+            c |= m;
+            std::memcpy(claimed.data() + 8 * w, &c, 8);
+          }
+          out.mass[i] += static_cast<double>(hits);
+          out.marginal_mass[i] += static_cast<double>(fresh);
+        }
+        continue;
+      }
+      if (fold) {
+        std::memset(claimed.data(), 0, bn);
+        for (size_t j = 0; j < bn; ++j) {
+          block_mass[j] = static_cast<uint64_t>(mass_col[b0 + j]);
+        }
+        for (size_t i : order) {
+          uint8_t* mask = masks.data() + i * kScanBlockRows;
+          uint64_t hits = 0;
+          uint64_t fresh = 0;
+          for (size_t j = 0; j < bn; ++j) {
+            const uint64_t hit = mask[j] & 1;
+            hits += hit * block_mass[j];
+            fresh += (hit & ~claimed[j]) * block_mass[j];
+            claimed[j] |= hit;
+          }
+          out.mass[i] += static_cast<double>(hits);
+          out.marginal_mass[i] += static_cast<double>(fresh);
+        }
+        continue;
       }
       for (size_t j = 0; j < bn; ++j) {
         const double m = mass_col ? mass_col[b0 + j] : 1.0;
@@ -130,6 +177,12 @@ RuleListEvaluation EvaluateRuleList(
           }
         }
       }
+    }
+  }
+  if (fold) {
+    // From 0.0, so a -0.0 product leaves the sweep's +0.0.
+    for (size_t i = 0; i < rules.size(); ++i) {
+      out.total_score += weights[i] * out.marginal_mass[i];
     }
   }
   return out;

@@ -53,7 +53,10 @@ std::vector<size_t> OrderByWeightDesc(const std::vector<Rule>& rules,
 /// sequentially across the views in shard order — the same addition
 /// sequence as evaluating the unsharded original — so the floats are
 /// byte-identical for every shard count (per-shard subtotals folded
-/// together would not be: a different fold tree drifts in the ULPs).
+/// together would not be: a different fold tree drifts in the ULPs). When
+/// every term is an integer and every sum stays below 2^53 (an integer
+/// weight, integer masses), it counts per block instead of sweeping rows,
+/// with the sweep's result bit for bit.
 RuleListEvaluation EvaluateRuleList(
     const std::vector<const TableView*>& views, const std::vector<Rule>& rules,
     const WeightFunction& weight, KernelPref kernel = KernelPref::kAuto);

@@ -51,9 +51,16 @@ std::vector<uint32_t> FilterRows(const TableView& view, const Rule& r,
   for (uint64_t b0 = 0; b0 < n; b0 += kScanBlockRows) {
     const uint64_t b1 = std::min(n, b0 + kScanBlockRows);
     ComputeRuleMask(r, view.table(), b0, b1, mask, kern);
+    // Branch-free compaction: every row is written, and the cursor moves
+    // past the covered ones only.
+    size_t kept = rows.size();
+    rows.resize(kept + static_cast<size_t>(b1 - b0));
+    uint32_t* out = rows.data();
     for (uint64_t t = b0; t < b1; ++t) {
-      if (mask[t - b0] != 0) rows.push_back(static_cast<uint32_t>(t));
+      out[kept] = static_cast<uint32_t>(t);
+      kept += mask[t - b0] != 0;
     }
+    rows.resize(kept);
   }
   return rows;
 }

@@ -130,6 +130,13 @@ class PackedColumn {
     return col;
   }
 
+  /// A column of `n` codes, code i being code row_at(i) of this one, in
+  /// this column's representation: its width class and bits, which a
+  /// frozen column fixed at its first Freeze, whatever its dictionary has
+  /// grown to since. An unfrozen column copies to raw codes.
+  template <typename RowAt>
+  [[nodiscard]] PackedColumn CopyRows(uint64_t n, RowAt row_at) const;
+
   /// Appends one code. Only legal before Freeze.
   void Append(uint32_t code) {
     if (width_ != PackedWidth::kUnpacked) FailFrozenAppend();
@@ -160,6 +167,46 @@ class PackedColumn {
   std::vector<uint16_t> b16_;    // k16  (padded likewise)
   std::vector<uint64_t> words_;  // kSub (padded: 64-bit window reads)
 };
+
+template <typename RowAt>
+PackedColumn PackedColumn::CopyRows(uint64_t n, RowAt row_at) const {
+  PackedColumn out;
+  out.width_ = width_;
+  out.bits_ = bits_;
+  out.size_ = n;
+  switch (width_) {
+    case PackedWidth::kUnpacked:
+    case PackedWidth::k32:
+      out.raw_.resize(n);
+      for (uint64_t i = 0; i < n; ++i) out.raw_[i] = raw_[row_at(i)];
+      break;
+    case PackedWidth::k16:
+      out.b16_.resize(n + kPackedPadBytes / sizeof(uint16_t));
+      for (uint64_t i = 0; i < n; ++i) out.b16_[i] = b16_[row_at(i)];
+      break;
+    case PackedWidth::k8:
+      out.b8_.resize(n + kPackedPadBytes);
+      for (uint64_t i = 0; i < n; ++i) out.b8_[i] = b8_[row_at(i)];
+      break;
+    case PackedWidth::kSub: {
+      // 64 / bits codes fill each output word; a code never straddles a
+      // word, in the source or in the copy.
+      const uint64_t per_word = 64 / bits_;
+      const uint64_t mask = (uint64_t{1} << bits_) - 1;
+      out.words_.assign(
+          (n * bits_ + 63) / 64 + kPackedPadBytes / sizeof(uint64_t), 0u);
+      for (uint64_t i = 0; i < n; ++i) {
+        const uint64_t src = uint64_t{row_at(i)} * bits_;
+        const uint64_t code = (words_[src >> 6] >> (src & 63)) & mask;
+        out.words_[i / per_word] |= code << ((i % per_word) * bits_);
+      }
+      break;
+    }
+    case PackedWidth::kConst:
+      break;
+  }
+  return out;
+}
 
 }  // namespace smartdd
 

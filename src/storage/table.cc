@@ -60,10 +60,11 @@ Table Table::FromColumns(const Table& like,
 template <typename RowAt>
 Table Table::CopyRows(uint64_t n, RowAt row_at) const {
   Table t = EmptyLike(*this);
+  // Each column copies in its own representation, so copies of a frozen
+  // table come out frozen at the parent's widths: shard slices and
+  // drill-down covers inherit the parent's packed layout.
   for (size_t c = 0; c < cols_.size(); ++c) {
-    const PackedRef src = cols_[c].ref();
-    t.cols_[c].Reserve(n);
-    for (uint64_t i = 0; i < n; ++i) t.cols_[c].Append(src.Get(row_at(i)));
+    t.cols_[c] = cols_[c].CopyRows(n, row_at);
   }
   for (size_t m = 0; m < measures_.size(); ++m) {
     t.measures_[m].resize(n);
@@ -72,9 +73,7 @@ Table Table::CopyRows(uint64_t n, RowAt row_at) const {
     }
   }
   t.num_rows_ = n;
-  // Copies of a frozen table come out frozen: shard slices and drill-down
-  // covers inherit the parent's packed representation.
-  if (frozen_) t.Freeze();
+  t.frozen_ = frozen_;
   return t;
 }
 

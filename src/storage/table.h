@@ -57,9 +57,10 @@ class Table {
   Table SliceRows(uint64_t row_begin, uint64_t row_end) const;
 
   /// Copies the listed rows, in list order (any order, repeats allowed),
-  /// into a new table sharing this table's dictionaries; frozen when this
-  /// table is. This is how a drill-down builds T_r, the compact table of
-  /// the tuples its base rule covers (paper §3.1).
+  /// into a new table sharing this table's dictionaries; frozen, at this
+  /// table's column widths, when this table is. This is how a drill-down
+  /// builds T_r, the compact table of the tuples its base rule covers
+  /// (paper §3.1).
   Table GatherRows(std::span<const uint32_t> rows) const;
 
   /// Copies every row into a new *unfrozen* table whose dictionaries are

@@ -153,7 +153,8 @@ TEST(TuplePackerTest, StraddlesThe64BitBoundary) {
 TEST(TuplePackerTest, PackLastEqualsPack) {
   // Random exact layouts, half of them built so that the last position
   // straddles bit 64; PackLast on the tuple's zero-last prefix must give
-  // Pack's key for every last value.
+  // Pack's key for every last value, and Prefix must take that key back to
+  // the prefix.
   Rng rng(2029);
   size_t straddles = 0;
   for (int trial = 0; trial < 2000; ++trial) {
@@ -198,6 +199,8 @@ TEST(TuplePackerTest, PackLastEqualsPack) {
     vals.back() = static_cast<uint32_t>((uint64_t{1} << bits.back()) - 1);
     EXPECT_EQ(packer.PackLast(prefix, vals.back()),
               packer.Pack(vals.data(), arity))
+        << "trial " << trial;
+    EXPECT_EQ(packer.Prefix(packer.Pack(vals.data(), arity)), prefix)
         << "trial " << trial;
   }
   EXPECT_GE(straddles, 1000u);

@@ -150,6 +150,127 @@ void ForEachKernelPath(Check check) {
   if (Avx2Available()) check(GetScanKernels(KernelPath::kAvx2), "avx2");
 }
 
+// --- Packed views: GatherRows and SliceRows copy in the source's layout ------
+
+/// A table with one column per width class: dictionaries of 1 (kConst),
+/// 2, 4 and 16 (kSub at 1, 2 and 4 bits), 200 (k8), 300 (k16) and 70000
+/// (k32) values, every code occurring, and a measure; frozen on request.
+Table EveryWidthTable(uint64_t n, bool freeze) {
+  const std::vector<uint32_t> dicts = {1, 2, 4, 16, 200, 300, 70000};
+  std::vector<std::string> names;
+  for (size_t c = 0; c < dicts.size(); ++c) {
+    names.push_back("c" + std::to_string(c));
+  }
+  Table table(names);
+  table.AddMeasureColumn("m");
+  for (size_t c = 0; c < dicts.size(); ++c) {
+    for (uint32_t v = 0; v < dicts[c]; ++v) {
+      table.EncodeValue(c, std::to_string(v));
+    }
+  }
+  std::vector<std::vector<uint32_t>> codes;
+  for (size_t c = 0; c < dicts.size(); ++c) {
+    codes.push_back(MakeCodes(n, dicts[c], static_cast<uint32_t>(7 + c)));
+  }
+  std::vector<uint32_t> row(dicts.size());
+  for (uint64_t r = 0; r < n; ++r) {
+    for (size_t c = 0; c < dicts.size(); ++c) row[c] = codes[c][r];
+    table.AppendRow(row, std::vector<double>{0.5 * static_cast<double>(r)});
+  }
+  if (freeze) table.Freeze();
+  return table;
+}
+
+/// Checks that row i of `copy` is row rows[i] of `src`: every code through
+/// Get and through each kernel path's unpack (which reads the payload's
+/// tail padding), the measure, and the source's width class and bits.
+void ExpectCopyOf(const Table& src, const Table& copy,
+                  const std::vector<uint32_t>& rows, const std::string& label) {
+  ASSERT_EQ(copy.num_rows(), rows.size()) << label;
+  EXPECT_EQ(copy.is_frozen(), src.is_frozen()) << label;
+  for (size_t c = 0; c < src.num_columns(); ++c) {
+    const PackedColumn& col = copy.column(c);
+    EXPECT_EQ(col.width(), src.column(c).width()) << label << " c=" << c;
+    EXPECT_EQ(col.bits(), src.column(c).bits()) << label << " c=" << c;
+    if (col.width() == PackedWidth::kSub || col.width() == PackedWidth::k8 ||
+        col.width() == PackedWidth::k16) {
+      // The tail padding the sub-byte and SIMD gather reads rely on.
+      EXPECT_GE(col.byte_size(),
+                PackedColumn::PayloadBytes({col.width(), col.bits()},
+                                           rows.size()) +
+                    kPackedPadBytes)
+          << label << " c=" << c;
+    }
+    for (size_t i = 0; i < rows.size(); ++i) {
+      ASSERT_EQ(col.Get(i), src.column(c).Get(rows[i]))
+          << label << " c=" << c << " i=" << i;
+    }
+    ForEachKernelPath([&](const ScanKernels& k, const char* path) {
+      std::vector<uint32_t> out(kScanBlockRows);
+      for (uint64_t b0 = 0; b0 < rows.size(); b0 += kScanBlockRows) {
+        const uint64_t b1 =
+            std::min<uint64_t>(rows.size(), b0 + kScanBlockRows);
+        k.unpack(col.ref(), b0, b1, out.data());
+        for (uint64_t i = b0; i < b1; ++i) {
+          ASSERT_EQ(out[i - b0], src.column(c).Get(rows[i]))
+              << label << " " << path << " c=" << c << " i=" << i;
+        }
+      }
+    });
+  }
+  for (size_t i = 0; i < rows.size(); ++i) {
+    ASSERT_EQ(copy.measure(0, i), src.measure(0, rows[i])) << label;
+  }
+}
+
+TEST(PackedColumnTest, GatherAndSliceCopyEveryWidthClass) {
+  constexpr uint64_t kRows = 5003;  // a partial block and partial words
+  std::mt19937 rng(61);
+  for (bool freeze : {true, false}) {
+    const Table table = EveryWidthTable(kRows, freeze);
+    if (freeze) {
+      const std::vector<PackedWidth> want = {
+          PackedWidth::kConst, PackedWidth::kSub, PackedWidth::kSub,
+          PackedWidth::kSub,   PackedWidth::k8,   PackedWidth::k16,
+          PackedWidth::k32};
+      for (size_t c = 0; c < want.size(); ++c) {
+        ASSERT_EQ(table.column(c).width(), want[c]) << "c=" << c;
+      }
+      ASSERT_EQ(table.column(1).bits(), 1);
+      ASSERT_EQ(table.column(2).bits(), 2);
+      ASSERT_EQ(table.column(3).bits(), 4);
+    }
+    const std::string label = freeze ? "frozen" : "unfrozen";
+    // Any order, with repeats; and none.
+    std::vector<uint32_t> rows(3 * kRows / 2);
+    for (uint32_t& r : rows) r = rng() % kRows;
+    ExpectCopyOf(table, table.GatherRows(rows), rows, label + " gather");
+    ExpectCopyOf(table, table.GatherRows({}), {}, label + " empty gather");
+    std::vector<uint32_t> slice_rows;
+    for (uint32_t r = 13; r < 4990; ++r) slice_rows.push_back(r);
+    ExpectCopyOf(table, table.SliceRows(13, 4990), slice_rows,
+                 label + " slice");
+  }
+}
+
+TEST(PackedColumnTest, CopiesKeepWidthsAfterTheDictionaryGrew) {
+  // A shared dictionary that grows after the table froze (a live table's
+  // appends) must not change how copies are laid out: they keep the
+  // widths the table froze at, which every reader takes from the column.
+  Table table = EveryWidthTable(2000, /*freeze=*/true);
+  table.EncodeValue(1, "grown");  // 3 values: 2 bits would now be needed
+  table.EncodeValue(3, "grown");  // 17 values: a byte
+  for (uint32_t v = 200; v < 260; ++v) {
+    table.EncodeValue(4, std::to_string(v));  // 260 values: 16 bits
+  }
+  std::vector<uint32_t> rows;
+  for (uint32_t r = 0; r < 2000; r += 3) rows.push_back(1999 - r);
+  ExpectCopyOf(table, table.GatherRows(rows), rows, "grown gather");
+  std::vector<uint32_t> slice_rows;
+  for (uint32_t r = 100; r < 1100; ++r) slice_rows.push_back(r);
+  ExpectCopyOf(table, table.SliceRows(100, 1100), slice_rows, "grown slice");
+}
+
 TEST(ScanKernelTest, UnpackMatchesGetOnEveryWidth) {
   for (uint32_t dict : {1u, 2u, 4u, 9u, 16u, 200u, 300u, 70000u}) {
     std::vector<uint32_t> codes = MakeCodes(5000, dict, dict);

@@ -181,9 +181,9 @@ TEST(ScoreSumAggregateTest, UsesMeasureMass) {
 
 // A one-rule list under Count may fold its evaluation into a match count,
 // which is exact only for an integer-valued weight; any other weight takes
-// the block sweep. Either way every figure must equal the sweep over an
-// all-ones measure, the path every Sum evaluation takes: for rules with
-// 0, 1 and 2 instantiated columns, over 1 and 2 shard views.
+// the block sweep. Either way every figure must equal the evaluation over
+// an all-ones measure: for rules with 0, 1 and 2 instantiated columns, over
+// 1 and 2 shard views.
 TEST(SingleRuleCountTest, MatchesSweepOverOnes) {
   SynthSpec spec;
   spec.rows = 3001;
@@ -248,6 +248,103 @@ TEST(SingleRuleCountTest, MatchesSweepOverOnes) {
     const RuleListEvaluation drift =
         EvaluateRuleList(sum, {single}, fractional);
     EXPECT_NE(drift.total_score, drift.mass[0] * 0.7);
+  }
+}
+
+/// SizeWeight that does not claim integer values, so an evaluation under
+/// it takes the per-row sweep whatever the masses.
+class SweepSizeWeight : public WeightFunction {
+ public:
+  double Weight(const Rule& rule) const override { return size_.Weight(rule); }
+  std::string name() const override { return "SweepSize"; }
+  double MaxPossibleWeight(size_t num_columns) const override {
+    return size_.MaxPossibleWeight(num_columns);
+  }
+
+ private:
+  SizeWeight size_;
+};
+
+// With an integer weight and integer masses EvaluateRuleList folds each
+// block into per-rule mass counts instead of sweeping row by row. The fold
+// must give every figure of the sweep bit for bit: lists of k = 1..4
+// overlapping rules of 0 to 3 predicates, under Count and an integer Sum,
+// on 1 and 2 shard views. A fractional measure keeps the sweep, whose
+// score is the row-order sum ScoreRuleListInOrder makes.
+TEST(RuleListFoldTest, FoldMatchesSweep) {
+  SynthSpec spec;
+  spec.rows = 9001;  // three blocks, the last partial
+  spec.cardinalities = {4, 7, 3, 5};
+  spec.zipf = {1.3, 0.9, 1.1, 0.7};
+  spec.seed = 32;
+  const Table synth = GenerateSyntheticTable(spec);
+  Table table = Table::EmptyLike(synth);
+  table.AddMeasureColumn("int");
+  table.AddMeasureColumn("half");
+  std::vector<uint32_t> codes(synth.num_columns());
+  Rng rng(32);
+  for (uint64_t r = 0; r < synth.num_rows(); ++r) {
+    synth.GetRow(r, codes.data());
+    const double m = static_cast<double>(rng.UniformInt(1000));
+    table.AppendRow(codes, std::vector<double>{m, m + 0.5});
+  }
+  table.Freeze();
+
+  SizeWeight size;
+  SweepSizeWeight sweep;
+  for (size_t shards : {size_t{1}, size_t{2}}) {
+    const ShardPlan plan = ShardPlan::Make(table.num_rows(), shards);
+    std::vector<Table> slices;
+    for (size_t s = 0; s < shards; ++s) {
+      slices.push_back(
+          table.SliceRows(plan.shard(s).begin, plan.shard(s).end));
+    }
+    for (int measure : {-1, 0, 1}) {
+      std::vector<TableView> views;
+      for (const Table& t : slices) {
+        views.emplace_back(t);
+        if (measure >= 0) views.back().SelectMeasure(measure);
+      }
+      std::vector<const TableView*> ptrs;
+      for (const TableView& v : views) ptrs.push_back(&v);
+      for (size_t k = 1; k <= 4; ++k) {
+        // Rules read off rows, keeping up to 3 of their values, so that
+        // they overlap and nest.
+        std::vector<Rule> rules;
+        for (size_t i = 0; i < k; ++i) {
+          table.GetRow(rng.UniformInt(table.num_rows()), codes.data());
+          Rule r(table.num_columns());
+          const size_t preds = (i + k) % 4;
+          for (size_t p = 0; p < preds; ++p) {
+            const size_t c = (i + 2 * p) % table.num_columns();
+            r.set_value(c, codes[c]);
+          }
+          rules.push_back(r);
+        }
+        const std::string label = "measure=" + std::to_string(measure) +
+                                  " k=" + std::to_string(k) +
+                                  " shards=" + std::to_string(shards);
+        const RuleListEvaluation got = EvaluateRuleList(ptrs, rules, size);
+        const RuleListEvaluation want = EvaluateRuleList(ptrs, rules, sweep);
+        for (size_t i = 0; i < k; ++i) {
+          // EXPECT_EQ on doubles is exact.
+          EXPECT_EQ(got.mass[i], want.mass[i]) << label << " rule " << i;
+          EXPECT_EQ(got.marginal_mass[i], want.marginal_mass[i])
+              << label << " rule " << i;
+        }
+        EXPECT_EQ(got.total_score, want.total_score) << label;
+        EXPECT_GT(got.total_score, 0) << label;
+        if (measure == 1 && shards == 1) {
+          std::vector<Rule> sorted;
+          for (size_t i : OrderByWeightDesc(rules, size)) {
+            sorted.push_back(rules[i]);
+          }
+          EXPECT_EQ(got.total_score,
+                    ScoreRuleListInOrder(*ptrs[0], sorted, size))
+              << label;
+        }
+      }
+    }
   }
 }
 
