@@ -92,10 +92,11 @@ Measurement RunOnce(const Table& table, const WeightFunction& weight, size_t k,
     double ms = timer.ElapsedMillis();
     SMARTDD_CHECK(response.ok()) << response.status().ToString();
     latencies.push_back(ms);
-    // tuple_visits counts rows walked. Counting passes walk a stored or
-    // sub-rule cover where one is shorter than the postings, so the same
-    // search reports fewer rows (and a lower rate) than a postings-only
-    // walk did: compare this figure only across builds of one finder.
+    // tuple_visits counts rows read. Counting passes start from a stored or
+    // sub-rule cover where one is shorter than the rarest value's cover, so
+    // the same search reports fewer rows (and a lower rate) than a count
+    // from value covers alone: compare this figure only across builds of
+    // one finder.
     double mtps = static_cast<double>(response->stats.tuple_visits) /
                   (ms * 1e-3) / 1e6;
     m.mtuples_per_sec = std::max(m.mtuples_per_sec, mtps);

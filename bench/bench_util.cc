@@ -95,13 +95,6 @@ void RecordScalar(const std::string& name, double value) {
   ScalarRecords().emplace_back(name, value);
 }
 
-void RecordTableBytes(const std::string& name, const Table& table) {
-  RecordScalar(name + "_packed_bytes",
-               static_cast<double>(table.resident_column_bytes()));
-  RecordScalar(name + "_unpacked_bytes",
-               static_cast<double>(table.unpacked_column_bytes()));
-}
-
 void FlushJson() {
   const std::string& path = Flags().json_path;
   if (path.empty()) return;
@@ -246,21 +239,6 @@ ExpansionMeasurement MeasureExpandEmpty(const ScanSource& source,
   m.total_ms = total.ElapsedMillis();
   m.result = std::move(result).value();
   return m;
-}
-
-BenchSession MakeBenchSession(const Table& table, const WeightFunction& weight,
-                              SessionOptions options) {
-  EngineOptions engine_options;
-  engine_options.num_shards = Flags().shards;
-  engine_options.num_threads = options.num_threads;
-  engine_options.kernel = Flags().kernel;
-  if (options.kernel == KernelPref::kAuto) options.kernel = Flags().kernel;
-  RecordTableBytes("session_table", table);
-  auto engine = ExplorationEngine::Create(table, weight, engine_options);
-  SMARTDD_CHECK(engine.ok()) << engine.status().ToString();
-  auto session = (*engine)->NewSession(std::move(options));
-  SMARTDD_CHECK(session.ok()) << session.status().ToString();
-  return BenchSession{std::move(engine).value(), std::move(session).value()};
 }
 
 }  // namespace smartdd::bench

@@ -26,8 +26,8 @@ struct BenchFlags {
   /// --threads=N (or SMARTDD_THREADS): threads for search passes.
   /// 0 = all hardware threads.
   size_t threads = 0;
-  /// --shards=N (or SMARTDD_SHARDS): row partitions for session benches
-  /// that go through BenchSession. 1 = the classic unsharded engine.
+  /// --shards=N (or SMARTDD_SHARDS): a row partition count the sharded
+  /// benches add to their series. 1 = the classic unsharded engine.
   size_t shards = 1;
   /// --json=FILE (or SMARTDD_JSON): write every PrintSeriesRow record as
   /// machine-readable JSON to FILE at exit.
@@ -55,10 +55,6 @@ std::string JsonEscape(const std::string& s);
 /// object (last write wins) — used for dataset byte footprints and
 /// pass/skip gates that are not series rows.
 void RecordScalar(const std::string& name, double value);
-
-/// Records a table's packed (resident) vs unpacked (4 B/code) column bytes
-/// under "<name>_packed_bytes" / "<name>_unpacked_bytes".
-void RecordTableBytes(const std::string& name, const Table& table);
 
 /// The benchmark datasets, cached per process.
 ///
@@ -100,16 +96,6 @@ ExpansionMeasurement MeasureExpandEmpty(const ScanSource& source,
                                         double mw, uint64_t min_sample_size,
                                         uint64_t memory_capacity, size_t k,
                                         uint64_t seed);
-
-/// An engine plus one session on it, honoring Flags().shards and
-/// Flags().threads. Dies with a message on invalid options (benches
-/// want loud failures, not Status plumbing).
-struct BenchSession {
-  std::unique_ptr<ExplorationEngine> engine;
-  ExplorationSession session;
-};
-BenchSession MakeBenchSession(const Table& table, const WeightFunction& weight,
-                              SessionOptions options);
 
 }  // namespace smartdd::bench
 

@@ -51,8 +51,10 @@ fi
 # whose threaded searches count on the pool. The finder-stats suite pins
 # every search stat, and its candidate generation joins each new candidate
 # against its sub-rules' prefix buckets (index walks the Debug build's
-# checks and the sanitizers should see), on exact and hashed packings.
-SAN_TESTS="parallel_marginal_test|parallel_sampling_test|sample_handler_test|session_test|concurrent_sessions_test|task_scheduler_test|service_test|codec_test|metrics_test|http_server_test|chaos_test|disk_table_test|sharded_engine_test|packed_column_test|deadline_test|rpc_test|cluster_test|live_table_test|expansion_cache_test|cover_memo_test|brs_oracle_test|greedy_oracle_test|best_marginal_test|brs_test|drilldown_test|table_test|rule_test|mw_estimator_test|score_test|sampling_test|sampler_digest_test|random_test|count_regime_test|sum_regime_test|finder_stats_test"
+# checks and the sanitizers should see), on exact and hashed packings. The
+# row-set suite drives the finder's one cover type: list merges, bit tests
+# and bitset ANDs that write through raw buffers, and the level bitsets.
+SAN_TESTS="parallel_marginal_test|parallel_sampling_test|sample_handler_test|session_test|concurrent_sessions_test|task_scheduler_test|service_test|codec_test|metrics_test|http_server_test|chaos_test|disk_table_test|sharded_engine_test|packed_column_test|deadline_test|rpc_test|cluster_test|live_table_test|expansion_cache_test|cover_memo_test|brs_oracle_test|greedy_oracle_test|best_marginal_test|brs_test|drilldown_test|table_test|rule_test|mw_estimator_test|score_test|sampling_test|sampler_digest_test|random_test|count_regime_test|sum_regime_test|finder_stats_test|row_set_test"
 SAN_TARGETS=(
   parallel_marginal_test parallel_sampling_test sample_handler_test
   session_test concurrent_sessions_test task_scheduler_test
@@ -63,7 +65,7 @@ SAN_TARGETS=(
   best_marginal_test brs_test drilldown_test
   table_test rule_test mw_estimator_test score_test
   sampling_test sampler_digest_test random_test count_regime_test
-  sum_regime_test finder_stats_test
+  sum_regime_test finder_stats_test row_set_test
 )
 
 # $3 is the build type: the ASan stage builds Debug, so every SMARTDD_DCHECK
@@ -95,8 +97,9 @@ if [[ "$MODE" != "--tsan-only" && "$MODE" != "--asan-only" ]]; then
   # and the Release build must be bit-identical under both. The score
   # suite's fold counts through count_codes and match_eq, which have both
   # forms too, and the finder-stats suite pins every stat on either path.
+  # The row-set suite intersects and weighs with the selected kernels.
   (cd build && SMARTDD_KERNEL=scalar ctest --output-on-failure -j "$(nproc)" \
-    -R 'cover_memo_test|parallel_marginal_test|count_regime_test|sum_regime_test|brs_oracle_test|greedy_oracle_test|score_test|finder_stats_test')
+    -R 'cover_memo_test|parallel_marginal_test|count_regime_test|sum_regime_test|brs_oracle_test|greedy_oracle_test|score_test|finder_stats_test|row_set_test')
 
   # Service-protocol smoke: a scripted session's codec bytes in must
   # reproduce the golden snapshot bytes out (the paper's retail walkthrough

@@ -1,6 +1,7 @@
 #include "core/best_marginal.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstring>
@@ -14,6 +15,7 @@
 #include "common/logging.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
+#include "core/row_set.h"
 #include "rules/rule_ops.h"
 
 namespace smartdd {
@@ -85,21 +87,20 @@ struct LaneLayout {
         rows((n + lanes - 1) / lanes) {}
 };
 
-/// A lane length no row list reaches: WalkMarginal then sums sequentially.
+/// A lane length no row set reaches: WalkMarginal then sums sequentially.
 constexpr uint64_t kOneLane = std::numeric_limits<uint64_t>::max();
-/// Bounds the cover store (64 MB of row ids, or of bitset words in the
-/// exact regime, per finder). Once full, new candidates are no longer
-/// recorded and count from the postings or value bitsets, with identical
-/// results.
-constexpr uint64_t kMaxCoverRows = uint64_t{1} << 24;
-constexpr uint64_t kMaxCoverWords = kMaxCoverRows / 2;
+/// Bounds the cover store at 64 MB of row sets per finder. Once full, new
+/// candidates are no longer recorded and count from the value covers, with
+/// identical results.
+constexpr uint64_t kMaxCoverBytes = uint64_t{64} << 20;
+/// The cover store allocates its words in blocks of this many words (or
+/// one cover's, when larger), so appending never moves a stored cover.
+constexpr uint64_t kCoverBlockWords = uint64_t{1} << 16;
 
 /// The exact regime's limits (see ExactRegime): integer sums below 2^53
-/// are exact in a double, value bitsets may take up to twice the postings'
-/// bytes (a 32-bit row id per row and column, against one bit per row and
-/// value), and the starting covered weights form at most this many levels.
+/// are exact in a double, and the starting covered weights form at most
+/// this many levels.
 constexpr double kMaxExactSum = 9007199254740992.0;  // 2^53
-constexpr uint64_t kMaxMeanValues = 64;
 constexpr size_t kMaxStartLevels = 64;
 
 /// Largest block of candidates counted together. The threshold H is frozen
@@ -109,9 +110,8 @@ constexpr size_t kMaxStartLevels = 64;
 /// ForEachBlock), so H rises from 0 before the wide blocks start.
 constexpr size_t kCountBlock = 64;
 
-/// Stack capacity for a candidate's column predicates; a wider rule holds
-/// them in a local vector.
-constexpr size_t kMaxHoistedArity = 64;
+/// Two buffers a chain of RowSet intersections alternates between.
+using CoverBuffers = std::array<std::vector<uint64_t>, 2>;
 
 /// A run [begin, end) of entry indices in a CandidateGroup.
 struct Bucket {
@@ -158,34 +158,15 @@ struct SingletonTable {
   std::vector<Entry> entries;
   std::vector<uint32_t> counts;
   std::vector<uint32_t> codes;
-  /// Pass 1's lane length for this column; a recount over the postings
-  /// sums in these lanes (see RecountSingles).
+  /// Pass 1's lane length for this column; a marginal over a value's
+  /// cover sums in these lanes (see Walk).
   uint64_t lane_rows = 0;
+  /// Each occurring value's cover, the rows holding it in the global row
+  /// order: `counts[v]` rows at word `cover_at[v]` of `covers`, in the form
+  /// RowSet::IsList picks (see Impl::ValueCover).
+  std::vector<uint64_t> covers;
+  std::vector<uint64_t> cover_at;
 };
-
-/// Row postings per dictionary code of one column, CSR layout: the rows
-/// covered by code v are rows[offsets[v] .. offsets[v+1]), ascending in
-/// the concatenated (global) row order.
-struct Postings {
-  std::vector<uint32_t> offsets;
-  std::vector<uint32_t> rows;
-};
-
-/// The covered weights in the exact regime: the distinct weights,
-/// ascending, each with the bitset of the rows at that weight. Every row is
-/// in exactly one level; no levels means every weight is still the
-/// starting one and none has been needed yet.
-struct CoveredLevels {
-  std::vector<double> weights;
-  std::vector<std::vector<uint64_t>> rows;
-};
-
-/// Rows in bitset words: bit t % 64 of word t / 64 is global row t.
-uint64_t BitsetWords(uint64_t rows) { return (rows + 63) / 64; }
-
-void SetRow(uint64_t* bits, uint64_t row) {
-  bits[row >> 6] |= uint64_t{1} << (row & 63);
-}
 
 }  // namespace
 
@@ -195,16 +176,18 @@ void SetRow(uint64_t* bits, uint64_t row) {
 /// the serial gather after each candidate block.
 struct MarginalRuleFinder::CoverStore {
   struct Cover {
-    uint64_t begin;  // offset into `rows`, or into `words` when exact
-    uint32_t size;   // rows covered
+    const uint64_t* data;  // a RowSet in the form its size picks
+    uint32_t size;         // rows covered
     double mass;
     double marginal;  // as last counted; an upper bound in later Finds
   };
   std::vector<Cover> covers;
-  /// Concatenated covers, each ascending in the global row order.
-  std::vector<uint32_t> rows;
-  /// In the exact regime, concatenated cover bitsets instead.
-  std::vector<uint64_t> words;
+  /// The covers' words, in blocks that are never moved or grown; the last
+  /// block's first `block_used` words are taken.
+  std::vector<std::unique_ptr<uint64_t[]>> blocks;
+  uint64_t block_words = 0;
+  uint64_t block_used = 0;
+  uint64_t bytes = 0;  // of the stored covers
   /// ColsKey -> index into `groups`; each group maps packed values to an
   /// index into `covers`. A deque: growing it never moves the groups.
   FlatMap<uint32_t> group_index;
@@ -221,64 +204,49 @@ struct MarginalRuleFinder::CoverStore {
   }
 
   /// Records a cover; returns its index, or kNoCover once the store is full.
-  uint32_t Add(uint32_t group, const Key128& vals_key,
-               const std::vector<uint32_t>& cover, double mass,
-               double marginal) {
-    if (full || rows.size() + cover.size() > kMaxCoverRows) {
+  uint32_t Add(uint32_t group, const Key128& vals_key, const RowSet& cover,
+               double mass, double marginal) {
+    const uint64_t words = RowSet::StorageWords(cover.size(), cover.words());
+    if (full || bytes + 8 * words > kMaxCoverBytes) {
       full = true;
       return kNoCover;
     }
+    if (blocks.empty() || block_used + words > block_words) {
+      block_words = std::max(kCoverBlockWords, words);
+      blocks.emplace_back(new uint64_t[block_words]);
+      block_used = 0;
+    }
+    uint64_t* data = blocks.back().get() + block_used;
+    block_used += words;
+    bytes += 8 * words;
+    WriteRowSet(cover, data);
     const uint32_t id = static_cast<uint32_t>(covers.size());
-    covers.push_back(Cover{rows.size(), static_cast<uint32_t>(cover.size()),
-                           mass, marginal});
-    rows.insert(rows.end(), cover.begin(), cover.end());
+    covers.push_back(Cover{data, cover.size(), mass, marginal});
     *groups[group].FindOrInsert(vals_key).first = id;
     return id;
   }
 
-  /// Records a cover bitset of `size` rows (its popcount) and measure mass
-  /// `mass`; kNoCover once the store is full.
-  uint32_t AddBits(uint32_t group, const Key128& vals_key,
-                   const std::vector<uint64_t>& bits, uint32_t size,
-                   double mass, double marginal) {
-    if (full || words.size() + bits.size() > kMaxCoverWords) {
-      full = true;
-      return kNoCover;
-    }
-    const uint32_t id = static_cast<uint32_t>(covers.size());
-    covers.push_back(Cover{words.size(), size, mass, marginal});
-    words.insert(words.end(), bits.begin(), bits.end());
-    *groups[group].FindOrInsert(vals_key).first = id;
-    return id;
+  RowSet Set(uint32_t id, uint64_t words) const {
+    const Cover& c = covers[id];
+    return RowSet::At(c.data, c.size, words);
   }
-
-  const uint32_t* begin(const Cover& c) const { return rows.data() + c.begin; }
-  const uint64_t* bits(const Cover& c) const { return words.data() + c.begin; }
 };
 
 /// Pass 1's state, kept for the finder's lifetime once a Find built it:
-/// counts, masses, weights and postings depend only on the views, and each
-/// entry's marginal is the one it was last counted with. `pending` is the
-/// last winner, whose covered-weight update the next Find applies before it
-/// reads any covered weight, along the winner's postings, its stored cover,
-/// or a cover rebuilt from the postings (bitsets in the exact regime; see
+/// counts, masses, weights and value covers depend only on the views, and
+/// each entry's marginal is the one it was last counted with. `pending` is
+/// the last winner, whose covered-weight update the next Find applies
+/// before it reads any covered weight, along the winner's value cover, its
+/// stored cover, or a cover rebuilt from the value covers (see
 /// ApplyPending).
 struct MarginalRuleFinder::PassOneStore {
   std::vector<SingletonTable> singles;  // per dense column
-  std::vector<Postings> postings;       // per dense column, global row ids
   bool built = false;
 
-  /// The exact regime, decided once by the finder's constructor. It
-  /// replaces the postings with `value_bits` (per dense column, one bitset
-  /// per dictionary code, code v at word v * BitsetWords(rows)) and the
-  /// covered-weight array with `levels`. Under Sum, pass 1 also builds
-  /// `num_planes` measure bit-planes (plane p at word p * BitsetWords(rows)
-  /// holds bit p of each row's measure); Count has none.
+  /// The exact regime, decided once by the finder's constructor, and its
+  /// measure bit-planes and covered-weight levels.
   bool exact = false;
-  size_t num_planes = 0;
-  std::vector<std::vector<uint64_t>> value_bits;
-  std::vector<uint64_t> planes;
-  CoveredLevels levels;
+  ExactWeigher weigher;
 
   struct Pick {
     Rule rule{0};
@@ -332,10 +300,10 @@ struct MarginalRuleFinder::Impl {
   bool count_mode = false;
   /// The exact regime (pass1.exact): Count, or Sum over a small
   /// non-negative integer measure, from integer weights, so every marginal
-  /// term is an integer and every sum is exact in any order. Covers are row
-  /// bitsets of `words` words, weighed by the measure bit-planes (see Mass)
-  /// against the covered-weight levels (see LevelMarginal).
+  /// term is an integer and every sum is exact in any order. Covers are
+  /// weighed by pass1.weigher (see Marginal).
   bool exact = false;
+  /// Bitset words of the global row space: every cover is a RowSet in it.
   uint64_t words = 0;
   /// Whether the weight cap mw can exclude a candidate, i.e. mw is below
   /// MaxPossibleWeight of the rule width. When it cannot (RunBrs's default
@@ -343,9 +311,8 @@ struct MarginalRuleFinder::Impl {
   /// survive pruning.
   bool cap_binds = true;
 
-  std::vector<Postings>& postings;       // pass1.postings
   std::vector<SingletonTable>& singles;  // pass1.singles
-  CoveredLevels& levels;                 // pass1.levels
+  ExactWeigher& weigher;                 // pass1.weigher
   std::vector<CandidateGroup> counted;   // arity >= 2 groups, all passes
   FlatMap<uint32_t> counted_index;       // ColsKey -> index into `counted`
   /// Per dense column, for the pass being generated: the values a
@@ -394,9 +361,8 @@ struct MarginalRuleFinder::Impl {
         threads(ThreadPool::EffectiveThreads(opts.num_threads)),
         kpath(ResolveKernelPath(opts.kernel)),
         kern(&GetScanKernels(kpath)),
-        postings(p1.postings),
         singles(p1.singles),
-        levels(p1.levels) {
+        weigher(p1.weigher) {
     SMARTDD_CHECK(!views.empty());
     const TableView& proto = *views[0];
     SMARTDD_CHECK(base.num_columns() == proto.num_columns());
@@ -467,22 +433,6 @@ struct MarginalRuleFinder::Impl {
       const uint64_t chunk_hi = std::min(hi, s.begin + s.rows);
       fn(s, lo - s.begin, chunk_hi - s.begin);
       lo = chunk_hi;
-    }
-  }
-
-  /// Invokes fn(segment, begin, end) for each maximal run [begin, end) of
-  /// the ascending global row list [p, end) that lies in one shard, in order.
-  template <typename Fn>
-  void ForEachRun(const uint32_t* p, const uint32_t* end, Fn&& fn) const {
-    size_t si = 0;
-    while (p != end) {
-      while (segs[si].begin + segs[si].rows <= *p) ++si;
-      const Segment& s = segs[si];
-      const uint32_t* run_end = std::lower_bound(
-          p, end, s.begin + s.rows,
-          [](uint32_t a, uint64_t b) { return uint64_t{a} < b; });
-      fn(s, p, run_end);
-      p = run_end;
     }
   }
 
@@ -580,159 +530,87 @@ struct MarginalRuleFinder::Impl {
     }
   }
 
-  // --- Exact regime ----------------------------------------------------
+  // --- Covers ----------------------------------------------------------
 
-  /// The bitset of the rows where table column `col` holds `code`.
-  const uint64_t* ValueBits(uint32_t col, uint32_t code) const {
-    return pass1.value_bits[col_dense[col]].data() + code * words;
+  /// The cover of value `code` of dense column `ci`.
+  RowSet ValueCover(size_t ci, uint32_t code) const {
+    const SingletonTable& st = singles[ci];
+    return RowSet::At(st.covers.data() + st.cover_at[code], st.counts[code],
+                      words);
   }
 
-  /// Invokes fn(segment, local_lo, local_hi) over every row in chunks of
-  /// kMinLaneRows global rows, the chunks in parallel. The chunks are whole
-  /// bitset words, so chunks setting bits of one bitset never share a word.
-  template <typename Fn>
-  void ForEachWordChunk(Fn&& fn) {
+  /// Builds the measure bit-planes (Sum in the exact regime only): row t's
+  /// measure m has bit p of m set iff plane p has bit t set. The chunks are
+  /// kMinLaneRows global rows, whole words, so concurrent chunks never
+  /// write one word.
+  void BuildPlanes() {
+    if (weigher.num_planes == 0) return;
+    weigher.planes.assign(weigher.num_planes * words, 0);
     RunChunked((total_rows + kMinLaneRows - 1) / kMinLaneRows,
                [&](uint64_t chunk) {
-                 ForEachRange(chunk * kMinLaneRows,
-                              std::min(total_rows, (chunk + 1) * kMinLaneRows),
-                              fn);
+                 ForEachRange(
+                     chunk * kMinLaneRows,
+                     std::min(total_rows, (chunk + 1) * kMinLaneRows),
+                     [&](const Segment& s, uint64_t llo, uint64_t lhi) {
+                       kern->set_planes(s.mass_col + llo, lhi - llo,
+                                        s.begin + llo, weigher.num_planes,
+                                        words, weigher.planes.data());
+                     });
                });
   }
 
-  /// Builds the levels from the starting covered weights (all zero when
-  /// `covered` is empty), once.
-  void EnsureLevels() {
-    if (!levels.weights.empty()) return;
-    if (covered.empty()) {
-      levels.weights.assign(1, 0.0);
-      levels.rows.assign(1, std::vector<uint64_t>(words, ~uint64_t{0}));
-      if (total_rows % 64 != 0) {
-        levels.rows[0].back() = (uint64_t{1} << (total_rows % 64)) - 1;
-      }
-      return;
-    }
-    levels.weights = covered;
-    std::sort(levels.weights.begin(), levels.weights.end());
-    levels.weights.erase(
-        std::unique(levels.weights.begin(), levels.weights.end()),
-        levels.weights.end());
-    levels.rows.assign(levels.weights.size(),
-                       std::vector<uint64_t>(words, 0));
-    for (uint64_t t = 0; t < total_rows; ++t) {
-      const size_t l = static_cast<size_t>(
-          std::lower_bound(levels.weights.begin(), levels.weights.end(),
-                           covered[t]) -
-          levels.weights.begin());
-      SetRow(levels.rows[l].data(), t);
-    }
+  /// The walk of `s` against the covered weights (see WalkMarginal in
+  /// core/row_set.h), each row's measure read from its shard's column.
+  /// Over a value's cover with its column's lane length, that is the float
+  /// a per-lane scatter of pass 1 would compute for the value; with
+  /// kOneLane it is the sequential sum over the same rows.
+  double Walk(const RowSet& s, double w, uint64_t lane_rows,
+              double* mass) const {
+    size_t si = 0;
+    auto measure = [&](uint32_t t) {
+      while (segs[si].begin + segs[si].rows <= t) ++si;
+      const Segment& seg = segs[si];
+      return seg.mass_col ? seg.mass_col[t - seg.begin] : 1.0;
+    };
+    return WalkMarginal(s, w, lane_rows, covered.data(), measure, mass);
   }
 
-  /// Moves the rows of `cover` below weight w up to level w: the
-  /// covered-weight update cw(t) = max(cw(t), w) over the cover.
-  void RaiseLevels(const uint64_t* cover, double w) {
-    auto it = std::lower_bound(levels.weights.begin(), levels.weights.end(), w);
-    const size_t top = static_cast<size_t>(it - levels.weights.begin());
-    const bool inserted = it == levels.weights.end() || *it != w;
-    if (inserted) {
-      levels.weights.insert(it, w);
-      levels.rows.insert(levels.rows.begin() + top,
-                         std::vector<uint64_t>(words, 0));
+  /// The marginal at weight w of a rule with cover `s` and mass `mass`: in
+  /// the exact regime by the weigher, from the mass alone while every row
+  /// has one covered weight and by popcounts for a bitset, otherwise by a
+  /// walk in `lane_rows`-row lanes. All give the row-order sum bit for bit.
+  double Marginal(const RowSet& s, double w, double mass,
+                  uint64_t lane_rows) const {
+    if (exact && (!s.is_list() || weigher.level_weights.size() == 1)) {
+      return weigher.Marginal(s, w, static_cast<uint64_t>(mass), *kern);
     }
-    // Downward, so erasing an emptied level leaves the lower indices, and
-    // `dst` (the level's heap words) stays valid as the vector shifts.
-    uint64_t* dst = levels.rows[top].data();
-    uint64_t any = 0;
-    size_t at = top;  // level w's index once emptied levels are erased
-    for (size_t l = top; l-- > 0;) {
-      uint64_t* src = levels.rows[l].data();
-      uint64_t left = 0;
-      for (uint64_t i = 0; i < words; ++i) {
-        const uint64_t moved = src[i] & cover[i];
-        src[i] ^= moved;
-        dst[i] |= moved;
-        any |= moved;
-        left |= src[i];
-      }
-      if (left == 0) {
-        levels.weights.erase(levels.weights.begin() + l);
-        levels.rows.erase(levels.rows.begin() + l);
-        --at;
-      }
-    }
-    if (inserted && any == 0) {
-      levels.weights.erase(levels.weights.begin() + at);
-      levels.rows.erase(levels.rows.begin() + at);
-    }
-  }
-
-  /// The mass of the rows in a & b: the sum of their measure values,
-  /// 2^p * popcount(a & b & plane p) summed over the planes, or under
-  /// Count (no planes) the popcount of a & b.
-  uint64_t Mass(const uint64_t* a, const uint64_t* b) const {
-    return kern->and_mass(a, b, pass1.planes.data(), pass1.num_planes, words);
-  }
-
-  /// The mass of a bitset of `count` rows: `count` itself under Count.
-  double BitsMass(const uint64_t* bits, uint64_t count) const {
-    return static_cast<double>(pass1.num_planes == 0 ? count
-                                                     : Mass(bits, bits));
-  }
-
-  /// The marginal of a cover bitset of mass `mass` at weight w:
-  ///   sum over levels l < w of (w - l) * Mass(cover & level l).
-  /// When every level is below w, the lowest level's mass is the cover's
-  /// less the others', which saves one mass pass. Every term is an integer
-  /// and every partial sum stays below 2^53, so this is bit for bit the
-  /// row-order sum of mass(t) * (w - cw(t))^+ over the cover.
-  double LevelMarginal(const uint64_t* cover, double w, double mass) const {
-    const std::vector<double>& lw = levels.weights;
-    if (mass == 0 || lw[0] >= w) return 0;
-    const bool derive = lw.back() < w;
-    double marginal = 0;
-    uint64_t rest = static_cast<uint64_t>(mass);
-    for (size_t l = derive ? 1 : 0; l < lw.size() && lw[l] < w; ++l) {
-      const uint64_t level_mass = Mass(cover, levels.rows[l].data());
-      marginal += (w - lw[l]) * static_cast<double>(level_mass);
-      rest -= level_mass;
-    }
-    if (derive) marginal += (w - lw[0]) * static_cast<double>(rest);
-    return marginal;
-  }
-
-  /// Builds the measure bit-planes (Sum only): row t's measure m has bit p
-  /// of m set iff plane p has bit t set. The chunks are whole words, so
-  /// concurrent chunks never write one word.
-  void BuildPlanes() {
-    if (pass1.num_planes == 0) return;
-    pass1.planes.assign(pass1.num_planes * words, 0);
-    ForEachWordChunk([&](const Segment& s, uint64_t llo, uint64_t lhi) {
-      kern->set_planes(s.mass_col + llo, lhi - llo, s.begin + llo,
-                       pass1.num_planes, words, pass1.planes.data());
-    });
+    return Walk(s, w, lane_rows, nullptr);
   }
 
   // --- Pass 1 -----------------------------------------------------------
 
-  /// One scan per column counting every size-1 rule and building the
-  /// per-value CSR postings. Parallel over fixed row chunks with per-chunk
-  /// accumulators merged in chunk order, so sums are bit-identical to the
-  /// single-thread run. With `fold` (Count in the exact regime only) the scan
-  /// stops after Phase A: no postings are built and each marginal is
-  /// max(0, w) times the value's count. Returns DeadlineExceeded when the
-  /// deadline fires at a column boundary.
+  /// One scan per column counting every size-1 rule and building each
+  /// value's cover. Parallel over fixed row lanes with per-lane
+  /// accumulators merged in lane order, so sums are bit-identical to the
+  /// single-thread run. With `fold` (Count in the exact regime only) the
+  /// scan stops after Phase A: no covers are built and each marginal is
+  /// max(0, w) times the value's count. Otherwise, once every cover is
+  /// built, a pending update (the winner of a folded Find) is applied along
+  /// its value's cover, and then every marginal is counted over its
+  /// value's cover in the column's lanes. Returns DeadlineExceeded when the
+  /// deadline fires at a column boundary; a pending update then stays
+  /// pending.
   Status CountSizeOne(bool fold) {
-    if (exact && !fold) return CountSizeOneBits();
-    SMARTDD_DCHECK(!pass1.pending);
     const uint64_t n = total_rows;
-
-    postings.resize(columns.size());
     singles.resize(columns.size());
+    if (exact && !fold) BuildPlanes();
 
-    // Reused per-lane scratch (sized per column below).
+    // Reused per-lane scratch (sized per column below), and the rows of
+    // every value of a column, by value, before each takes its form.
     std::vector<uint32_t> lane_counts;
     std::vector<double> lane_mass;
-    std::vector<double> lane_marginal;
+    std::vector<uint32_t> rows;
+    std::vector<uint32_t> offsets;
 
     for (size_t ci = 0; ci < columns.size(); ++ci) {
       const uint32_t c = columns[ci];
@@ -797,12 +675,12 @@ struct MarginalRuleFinder::Impl {
 
       if (DeadlineExpired()) return DeadlineStatus();
 
-      // Gather: merge in lane order; lay out CSR offsets. Under Count the
-      // mass is the count itself (exact in double up to 2^53 rows, and
-      // bit-identical to summing 1.0 per row).
+      // Gather: merge in lane order; lay out each value's rows and cover.
+      // Under Count the mass is the count itself (exact in double up to
+      // 2^53 rows, and bit-identical to summing 1.0 per row).
       WallTimer merge_timer;
-      Postings& ps = postings[ci];
-      ps.offsets.assign(dict + 1, 0u);
+      offsets.assign(dict + 1, 0u);
+      st.cover_at.assign(dict + 1, 0);
       for (size_t v = 0; v < dict; ++v) {
         uint32_t total = 0;
         double mass = 0;
@@ -819,12 +697,15 @@ struct MarginalRuleFinder::Impl {
         }
         st.counts[v] = total;
         st.entries[v].mass = mass;
-        ps.offsets[v + 1] = ps.offsets[v] + total;
+        offsets[v + 1] = offsets[v] + total;
+        st.cover_at[v + 1] =
+            st.cover_at[v] + RowSet::StorageWords(total, words);
         if (total > 0) st.codes.push_back(static_cast<uint32_t>(v));
       }
       stats.merge_seconds += merge_timer.ElapsedMillis() / 1e3;
 
       WeighSingles(st);
+      stats.tuple_visits += n;
 
       // Folded: every covered weight is 0.0 and every mass 1.0, so a
       // value's marginal is max(0, w) times its count, an integer below
@@ -834,16 +715,15 @@ struct MarginalRuleFinder::Impl {
           Entry& e = st.entries[v];
           if (!e.excluded) e.marginal = std::max(0.0, e.weight) * st.counts[v];
         }
-        stats.tuple_visits += n;
         if (DeadlineExpired()) return DeadlineStatus();
         continue;
       }
 
       // Turn per-lane counts into per-lane write cursors (exclusive
-      // prefix over lanes per code, offset by the CSR base).
-      ps.rows.resize(n);
+      // prefix over lanes per code, offset by the value's first row).
+      rows.resize(n);
       for (size_t v = 0; v < dict; ++v) {
-        uint32_t cursor = ps.offsets[v];
+        uint32_t cursor = offsets[v];
         for (uint64_t k = 0; k < num_lanes; ++k) {
           uint32_t cnt = lane_counts[k * dict + v];
           lane_counts[k * dict + v] = cursor;
@@ -851,51 +731,72 @@ struct MarginalRuleFinder::Impl {
         }
       }
 
-      // Phase B: scatter rows into the postings (lane-ordered, so each
-      // code's posting list stays ascending in the concatenated row order)
-      // and accumulate the marginal sums per lane.
-      lane_marginal.assign(num_lanes * dict, 0.0);
+      // Phase B: scatter rows by value, lane-ordered, so each value's rows
+      // stay ascending in the concatenated row order.
       RunChunked(num_lanes, [&](uint64_t lane) {
         const auto [lo, hi] = lane_bounds(lane);
         uint32_t* cursors = lane_counts.data() + lane * dict;
-        double* marginal = lane_marginal.data() + lane * dict;
         uint32_t codes[kScanBlockRows];
         ForEachRange(lo, hi, [&](const Segment& s, uint64_t llo,
                                  uint64_t lhi) {
           const PackedRef col = s.view->table().column(c).ref();
-          const double* mass_col = s.mass_col;
-          const double* cw = covered.data() + s.begin;
-          const uint64_t gbase = s.begin;
           for (uint64_t b0 = llo; b0 < lhi; b0 += kScanBlockRows) {
             const uint64_t b1 = std::min(lhi, b0 + kScanBlockRows);
             kern->unpack(col, b0, b1, codes);
             for (uint64_t t = b0; t < b1; ++t) {
-              const uint32_t code = codes[t - b0];
-              ps.rows[cursors[code]++] = static_cast<uint32_t>(gbase + t);
-              const Entry& e = st.entries[code];
-              if (e.excluded) continue;
-              const double m = mass_col ? mass_col[t] : 1.0;
-              marginal[code] +=
-                  m * std::max(0.0, e.weight - cw[t]);
+              rows[cursors[codes[t - b0]]++] =
+                  static_cast<uint32_t>(s.begin + t);
             }
           }
         });
       });
-      WallTimer marginal_merge_timer;
-      for (size_t v = 0; v < dict; ++v) {
-        if (st.counts[v] == 0 || st.entries[v].excluded) continue;
-        double marginal = 0;
-        for (uint64_t k = 0; k < num_lanes; ++k) {
-          marginal += lane_marginal[k * dict + v];
-        }
-        st.entries[v].marginal = marginal;
-      }
-      stats.merge_seconds += marginal_merge_timer.ElapsedMillis() / 1e3;
-      stats.tuple_visits += n;
+
+      // Each value's rows take their form, the values in parallel: a
+      // bitset is written whole by one task.
+      st.covers.resize(st.cover_at[dict]);
+      RunChunked(st.codes.size(), [&](uint64_t i) {
+        const uint32_t v = st.codes[i];
+        WriteRowSet(RowSet::List(rows.data() + offsets[v], st.counts[v], words),
+                    st.covers.data() + st.cover_at[v]);
+      });
       if (DeadlineExpired()) return DeadlineStatus();
     }
     ++stats.passes;
+    if (fold) return Status::OK();
+
+    ApplyPending();
+    std::vector<SingleItem> items = CountedSingles();
+    RunChunked(items.size(), [&](uint64_t i) { CountSingle(items[i]); });
     return Status::OK();
+  }
+
+  /// A singleton to count: its entry, its value's cover and its column's
+  /// pass-1 lane length.
+  struct SingleItem {
+    Entry* e;
+    RowSet cover;
+    uint64_t lane_rows;
+  };
+
+  /// The singletons of weight at most mw, by column and value.
+  std::vector<SingleItem> CountedSingles() {
+    std::vector<SingleItem> items;
+    for (size_t ci = 0; ci < columns.size(); ++ci) {
+      SingletonTable& st = singles[ci];
+      for (uint32_t v : st.codes) {
+        if (st.entries[v].excluded) continue;
+        items.push_back(
+            SingleItem{&st.entries[v], ValueCover(ci, v), st.lane_rows});
+      }
+    }
+    return items;
+  }
+
+  /// Counts a singleton's marginal over its value's cover in pass 1's
+  /// lanes, which gives a per-lane scatter's float bit for bit.
+  void CountSingle(const SingleItem& item) const {
+    Entry& e = *item.e;
+    e.marginal = Marginal(item.cover, e.weight, e.mass, item.lane_rows);
   }
 
   /// Weights for the codes that occur (serial: WeightFunction is not
@@ -919,161 +820,45 @@ struct MarginalRuleFinder::Impl {
     }
   }
 
-  /// Pass 1 in the exact regime: under Sum it first builds the measure
-  /// bit-planes; then one scan per column sets each row's bit in its
-  /// value's bitset. A value's count is the bitset's popcount, its mass the
-  /// bitset's Mass and its marginal a LevelMarginal. The sums are exact
-  /// integers, so they equal the lane sums of CountSizeOne bit for bit.
-  /// A pending update (the winner of a folded Find) is applied along its
-  /// value's bitset once every bitset is built, before any marginal is
-  /// counted; it stays pending when the deadline fires during the build.
-  Status CountSizeOneBits() {
-    BuildPlanes();
-    singles.resize(columns.size());
-    pass1.value_bits.resize(columns.size());
-    for (size_t ci = 0; ci < columns.size(); ++ci) {
-      const uint32_t c = columns[ci];
-      const size_t dict = dict_size(c);
-      SingletonTable& st = singles[ci];
-      st.col = c;
-      st.entries.assign(dict, Entry{});
-      st.counts.assign(dict, 0u);
-      st.codes.clear();
-      std::vector<uint64_t>& bits = pass1.value_bits[ci];
-      bits.assign(dict * words, 0);
-      ForEachWordChunk([&](const Segment& s, uint64_t llo, uint64_t lhi) {
-        const PackedRef col = s.view->table().column(c).ref();
-        uint32_t codes[kScanBlockRows];
-        for (uint64_t b0 = llo; b0 < lhi; b0 += kScanBlockRows) {
-          const uint64_t b1 = std::min(lhi, b0 + kScanBlockRows);
-          kern->unpack(col, b0, b1, codes);
-          for (uint64_t t = b0; t < b1; ++t) {
-            SetRow(bits.data() + codes[t - b0] * words, s.begin + t);
-          }
-        }
-      });
-      if (DeadlineExpired()) return DeadlineStatus();
-
-      WallTimer merge_timer;
-      for (size_t v = 0; v < dict; ++v) {
-        const uint64_t* b = bits.data() + v * words;
-        st.counts[v] = static_cast<uint32_t>(kern->and_popcount(b, b, words));
-        st.entries[v].mass = BitsMass(b, st.counts[v]);
-        if (st.counts[v] > 0) st.codes.push_back(static_cast<uint32_t>(v));
-      }
-      WeighSingles(st);
-      stats.merge_seconds += merge_timer.ElapsedMillis() / 1e3;
-      stats.tuple_visits += total_rows;
-      if (DeadlineExpired()) return DeadlineStatus();
-    }
-    ApplyPending();
-    WallTimer merge_timer;
-    for (SingletonTable& st : singles) {
-      for (uint32_t v : st.codes) {
-        Entry& e = st.entries[v];
-        if (e.excluded) continue;
-        e.marginal = LevelMarginal(ValueBits(st.col, v), e.weight, e.mass);
-      }
-    }
-    stats.merge_seconds += merge_timer.ElapsedMillis() / 1e3;
-    ++stats.passes;
-    return Status::OK();
-  }
-
-  /// Sum of mass(t) * (w - cw(t))^+ over an ascending global row list,
-  /// added in row order within each `lane_rows`-row lane of the global row
-  /// space, the lane sums then added in lane order. Over a code's postings
-  /// with its column's lane length, that is the float pass 1's Phase B
-  /// computes for the code (a lane without its rows adds 0.0 there, which
-  /// changes nothing); with kOneLane it is the sequential sum a postings
-  /// walk makes over the same rows. Either way bit for bit.
-  double WalkMarginal(const uint32_t* p, const uint32_t* end, double w,
-                      uint64_t lane_rows) const {
-    const double* cw = covered.data();
-    double marginal = 0;
-    double lane = 0;
-    uint64_t lane_end = 0;
-    ForEachRun(p, end, [&](const Segment& s, const uint32_t* q,
-                           const uint32_t* run_end) {
-      for (; q != run_end; ++q) {
-        if (*q >= lane_end) {
-          marginal += lane;
-          lane = 0;
-          lane_end = (*q / lane_rows + 1) * lane_rows;
-        }
-        const double m = s.mass_col ? s.mass_col[*q - s.begin] : 1.0;
-        lane += m * std::max(0.0, w - cw[*q]);
-      }
-    });
-    return marginal + lane;
-  }
-
   /// Applies the pending covered-weight update in full along the previous
-  /// winner's cover: a singleton's postings, a wider rule's stored cover,
-  /// or, when the full store kept none, the cover CountOneCandidate
-  /// rebuilds from the postings. Every row of the views is covered by the
-  /// base, so that is exactly the rows the winner covers. In the exact
-  /// regime the same cover, as a bitset (a value's, a stored one, or the
-  /// AND of the winner's values'), moves its rows up the levels. The update
-  /// is a max, so it does not depend on row order.
+  /// winner's cover: a singleton's value cover, a wider rule's stored
+  /// cover, or, when the full store kept none, the cover CoverOf rebuilds
+  /// from the value covers. Every row of the views is covered by the base,
+  /// so that is exactly the rows the winner covers. In the exact regime the
+  /// cover also moves its rows up the weigher's levels. The update is a
+  /// max, so it does not depend on row order.
   void ApplyPending() {
     if (!pass1.pending) return;
     const PassOneStore::Pick pending = *pass1.pending;
     pass1.pending.reset();
-    Cols cols;
-    std::vector<uint32_t> vals;
-    for (uint32_t c : columns) {
-      if (pending.rule.is_star(c)) continue;
-      cols.push_back(c);
-      vals.push_back(pending.rule.value(c));
-    }
-    Entry rebuilt;  // weight 0: a rebuild only wants the cover
-    if (exact) {
-      std::vector<uint64_t> bits;
-      const uint64_t* cover;
-      if (pending.single >= 0) {
-        cover = ValueBits(columns[pending.single],
-                          pending.rule.value(columns[pending.single]));
-      } else if (pending.cover != kNoCover) {
-        cover = store.bits(store.covers[pending.cover]);
-      } else {
-        uint32_t rows;
-        CountOneCandidateBits(cols, vals.data(), rebuilt, bits, &rows);
-        cover = bits.data();
-      }
-      RaiseLevels(cover, pending.weight);
-      return;
-    }
-    std::vector<uint32_t> list;
-    const uint32_t* rows;
-    uint64_t len;
+    RowSet cover;
+    CoverBuffers buffers;
     if (pending.single >= 0) {
-      const Postings& ps = postings[pending.single];
-      const uint32_t code = pending.rule.value(columns[pending.single]);
-      rows = ps.rows.data() + ps.offsets[code];
-      len = ps.offsets[code + 1] - ps.offsets[code];
+      cover = ValueCover(pending.single,
+                         pending.rule.value(columns[pending.single]));
     } else if (pending.cover != kNoCover) {
-      const CoverStore::Cover& c = store.covers[pending.cover];
-      rows = store.begin(c);
-      len = c.size;
+      cover = store.Set(pending.cover, words);
     } else {
-      CountOneCandidate(cols, vals.data(), rebuilt, &list);
-      rows = list.data();
-      len = list.size();
+      Cols cols;
+      std::vector<uint32_t> vals;
+      for (uint32_t c : columns) {
+        if (pending.rule.is_star(c)) continue;
+        cols.push_back(c);
+        vals.push_back(pending.rule.value(c));
+      }
+      uint64_t visits;
+      cover = CoverOf(cols, vals.data(), Entry{}, buffers, &visits);
     }
     const double w = pending.weight;
+    if (exact) weigher.Raise(cover, w);
     double* cw = covered.data();
-    RunChunked((len + kMinLaneRows - 1) / kMinLaneRows, [&](uint64_t chunk) {
-      const uint32_t* p = rows + chunk * kMinLaneRows;
-      const uint32_t* end = rows + std::min(len, (chunk + 1) * kMinLaneRows);
-      for (; p != end; ++p) {
-        if (cw[*p] < w) cw[*p] = w;
-      }
+    cover.ForEach([&](uint32_t t) {
+      if (cw[t] < w) cw[t] = w;
     });
   }
 
-  /// Pass 1 of a Find after the one that built the postings: counts,
-  /// masses, weights and postings are the stored ones, and a singleton's
+  /// Pass 1 of a Find after the one that built the value covers: counts,
+  /// masses, weights and covers are the stored ones, and a singleton's
   /// marginal can only have fallen since it was last counted. Singletons
   /// are taken in decreasing order of that last marginal, in the block
   /// schedule with H frozen per block; one whose last marginal is below H
@@ -1082,36 +867,15 @@ struct MarginalRuleFinder::Impl {
   /// recounted after all: stale, it would loosen pass 2's bounds and let
   /// through candidates that its fresh count prunes. The others keep their
   /// last marginal as a stale bound, which prunes exactly as the fresh one
-  /// would. A recount walks the postings in pass 1's lanes, which gives
-  /// Phase B's floats bit for bit; in the exact regime it is the value
-  /// bitset's LevelMarginal, an exact integer.
+  /// would. A recount counts the value's cover as pass 1 did (see
+  /// CountSingle), so its float is pass 1's bit for bit.
   Status RecountSingles() {
-    struct Item {
-      Entry* e;
-      const uint32_t* rows;  // the value's postings, or its bitset if exact
-      const uint64_t* bits;
-      uint32_t size;
-      uint64_t lane_rows;
-    };
-    std::vector<Item> items;
-    for (size_t ci = 0; ci < columns.size(); ++ci) {
-      SingletonTable& st = singles[ci];
-      for (uint32_t v : st.codes) {
-        ++stats.candidates_generated;
-        Entry& e = st.entries[v];
-        if (e.excluded) continue;
-        if (exact) {
-          items.push_back(Item{&e, nullptr, ValueBits(st.col, v), st.counts[v],
-                               st.lane_rows});
-        } else {
-          const Postings& ps = postings[ci];
-          items.push_back(Item{&e, ps.rows.data() + ps.offsets[v], nullptr,
-                               st.counts[v], st.lane_rows});
-        }
-      }
+    for (const SingletonTable& st : singles) {
+      stats.candidates_generated += st.codes.size();
     }
+    std::vector<SingleItem> items = CountedSingles();
     std::stable_sort(items.begin(), items.end(),
-                     [](const Item& a, const Item& b) {
+                     [](const SingleItem& a, const SingleItem& b) {
                        return a.e->marginal > b.e->marginal;
                      });
 
@@ -1119,16 +883,10 @@ struct MarginalRuleFinder::Impl {
     double h = best_marginal;
     std::vector<size_t> todo;  // indices into `items` to recount
     auto recount = [&] {
-      RunChunked(todo.size(), [&](uint64_t k) {
-        Item& item = items[todo[k]];
-        item.e->marginal =
-            exact ? LevelMarginal(item.bits, item.e->weight, item.e->mass)
-                  : WalkMarginal(item.rows, item.rows + item.size,
-                                 item.e->weight, item.lane_rows);
-      });
+      RunChunked(todo.size(), [&](uint64_t k) { CountSingle(items[todo[k]]); });
       for (size_t i : todo) {
         items[i].e->stale = false;
-        stats.tuple_visits += items[i].size;
+        stats.tuple_visits += items[i].cover.size();
         ++stats.candidates_counted;
         h = std::max(h, items[i].e->marginal);
       }
@@ -1152,7 +910,7 @@ struct MarginalRuleFinder::Impl {
       }
     }
     recount();  // each fresh marginal is below H: H stays final
-    for (const Item& item : items) {
+    for (const SingleItem& item : items) {
       stats.candidates_stale_skipped += item.e->stale;
     }
     ++stats.passes;
@@ -1161,33 +919,17 @@ struct MarginalRuleFinder::Impl {
 
   // --- Counting passes (arity >= 2) -------------------------------------
 
-  /// Counts one candidate. A stored rule walks its own cover for the
-  /// marginal and reuses the stored mass. Otherwise the walk list is the
-  /// shortest stored immediate sub-rule cover when it is shorter than the
-  /// rarest value's postings (then only the sub-rule's missing column is
-  /// checked), else those postings (every other column is checked). Either
-  /// list is ascending in the concatenated row order and crosses shard
-  /// boundaries by rebinding the column predicates to the next shard's
-  /// slice. Each run goes through the gather-filter kernel in blocks and
-  /// the survivors are summed in row order — a strictly sequential
-  /// accumulation over exactly the covered rows, so the sums never depend
-  /// on the kernel, on which list was walked or on where the shard cuts
-  /// fall. Appends the covered global row ids to `record` when set.
-  /// Returns the rows walked. Writes only to `e` and `record` — safe to
-  /// run concurrently across distinct candidates.
-  uint64_t CountOneCandidate(const Cols& cols, const uint32_t* vals, Entry& e,
-                             std::vector<uint32_t>* record) const {
-    if (e.cover != kNoCover) {
-      const CoverStore::Cover& c = store.covers[e.cover];
-      const uint32_t* rows = store.begin(c);
-      e.mass = c.mass;
-      e.marginal += WalkMarginal(rows, rows + c.size, e.weight, kOneLane);
-      return c.size;
-    }
+  /// The cover of the rule cols=vals of arity >= 2 with entry `e`. It
+  /// starts from the shorter of the shortest stored immediate sub-rule
+  /// cover (e.source) and the rarest value's cover, selected by occurrence
+  /// count, the rows a walk visits, not by mass (under Sum a huge-support
+  /// value can have near-zero mass). That is intersected with the cover of
+  /// the sub-rule's missing value, or with every other value's cover; the
+  /// result is held in `buffers`. Sets *visits to the starting cover's
+  /// size.
+  RowSet CoverOf(const Cols& cols, const uint32_t* vals, const Entry& e,
+                 CoverBuffers& buffers, uint64_t* visits) const {
     const size_t arity = cols.size();
-    // The postings candidate: the shortest posting list, selected by
-    // occurrence *count* (the actual rows visited), not mass — under Sum a
-    // huge-support value can have near-zero mass.
     size_t rare_i = 0;
     uint32_t rare_count = std::numeric_limits<uint32_t>::max();
     for (size_t i = 0; i < arity; ++i) {
@@ -1197,111 +939,47 @@ struct MarginalRuleFinder::Impl {
         rare_i = i;
       }
     }
-    const uint32_t* row_begin;
-    const uint32_t* row_end;
-    size_t pivot = rare_i;
-    bool only_pivot = false;  // check only the pivot column, not all others
-    if (e.source != kNoCover && store.covers[e.source].size < rare_count) {
-      const CoverStore::Cover& c = store.covers[e.source];
-      row_begin = store.begin(c);
-      row_end = row_begin + c.size;
-      pivot = e.source_col;
-      only_pivot = true;
-    } else {
-      const Postings& ps = postings[col_dense[cols[rare_i]]];
-      row_begin = ps.rows.data() + ps.offsets[vals[rare_i]];
-      row_end = ps.rows.data() + ps.offsets[vals[rare_i] + 1];
+    const bool from_source =
+        e.source != kNoCover && store.covers[e.source].size < rare_count;
+    RowSet cover = from_source
+                       ? store.Set(e.source, words)
+                       : ValueCover(col_dense[cols[rare_i]], vals[rare_i]);
+    *visits = cover.size();
+    size_t out = 0;
+    for (size_t i = 0; i < arity; ++i) {
+      if (from_source ? i != e.source_col : i == rare_i) continue;
+      cover = Intersect(cover, ValueCover(col_dense[cols[i]], vals[i]), *kern,
+                        buffers[out]);
+      out ^= 1;
     }
-    auto checked = [&](size_t i) {
-      return only_pivot ? i == pivot : i != pivot;
-    };
-
-    GatherPred stack_preds[kMaxHoistedArity];
-    std::vector<GatherPred> wide_preds;
-    GatherPred* preds = stack_preds;
-    if (arity > kMaxHoistedArity) {
-      wide_preds.resize(arity);
-      preds = wide_preds.data();
-    }
-    uint32_t outbuf[kScanBlockRows];
-    const double* cw = covered.data();
-    double mass = 0;
-    double marginal = 0;
-    ForEachRun(row_begin, row_end, [&](const Segment& s, const uint32_t* p,
-                                       const uint32_t* run_end) {
-      const Table& table = s.view->table();
-      size_t num_preds = 0;
-      for (size_t i = 0; i < arity; ++i) {
-        if (!checked(i)) continue;
-        preds[num_preds].col = table.column(cols[i]).ref();
-        preds[num_preds].want = vals[i];
-        ++num_preds;
-      }
-      while (p != run_end) {
-        const size_t blk = std::min<size_t>(
-            static_cast<size_t>(run_end - p), kScanBlockRows);
-        const size_t kept =
-            kern->filter_rows(p, blk, s.begin, preds, num_preds, outbuf);
-        for (size_t j = 0; j < kept; ++j) {
-          const double m = s.mass_col ? s.mass_col[outbuf[j] - s.begin] : 1.0;
-          mass += m;
-          marginal += m * std::max(0.0, e.weight - cw[outbuf[j]]);
-        }
-        if (record != nullptr) {
-          record->insert(record->end(), outbuf, outbuf + kept);
-        }
-        p += blk;
-      }
-    });
-    e.mass += mass;
-    e.marginal += marginal;
-    return static_cast<uint64_t>(row_end - row_begin);
+    return cover;
   }
 
-  /// CountOneCandidate in the exact regime. A stored rule's marginal is its
-  /// stored bitset's LevelMarginal. Otherwise the cover is one AND: the
-  /// shortest stored immediate sub-rule's bitset with the missing value's
-  /// bitset, or all the values' bitsets; it is left in `cover`, and its
-  /// popcount in `rows`. Mass and marginal are exact integers, so they
-  /// equal the walk's sums. Returns the rows the walk would read: the
-  /// shorter of the sub-rule's cover and the rarest value's postings.
-  uint64_t CountOneCandidateBits(const Cols& cols, const uint32_t* vals,
-                                 Entry& e, std::vector<uint64_t>& cover,
-                                 uint32_t* rows) const {
+  /// Counts one candidate: a stored rule's marginal over its stored cover,
+  /// with the stored mass; otherwise mass and marginal over the cover
+  /// CoverOf builds in `buffers`, which it leaves in *cover. Outside the
+  /// exact regime both are sums in row order over exactly the covered
+  /// rows, so they never depend on the kernel, on the form of any cover or
+  /// on where the shard cuts fall. Returns the rows walked: the stored
+  /// cover's size, or the size of the cover CoverOf starts from. Writes
+  /// only to `e`, `buffers` and *cover — safe to run concurrently across
+  /// distinct candidates.
+  uint64_t CountOneCandidate(const Cols& cols, const uint32_t* vals, Entry& e,
+                             CoverBuffers& buffers, RowSet* cover) const {
     if (e.cover != kNoCover) {
-      const CoverStore::Cover& c = store.covers[e.cover];
-      e.mass = c.mass;
-      e.marginal += LevelMarginal(store.bits(c), e.weight, c.mass);
-      return c.size;
+      const RowSet stored = store.Set(e.cover, words);
+      e.mass = store.covers[e.cover].mass;
+      e.marginal = Marginal(stored, e.weight, e.mass, kOneLane);
+      return stored.size();
     }
-    const size_t arity = cols.size();
-    uint32_t rare_count = std::numeric_limits<uint32_t>::max();
-    for (size_t i = 0; i < arity; ++i) {
-      rare_count = std::min(
-          rare_count, singles[col_dense[cols[i]]].counts[vals[i]]);
-    }
-    cover.resize(words);
-    uint64_t count;
-    uint64_t visits = rare_count;
-    if (e.source != kNoCover) {
-      const CoverStore::Cover& c = store.covers[e.source];
-      count = kern->and_store(
-          store.bits(c), ValueBits(cols[e.source_col], vals[e.source_col]),
-          words, cover.data());
-      visits = std::min(visits, uint64_t{c.size});
+    uint64_t visits;
+    *cover = CoverOf(cols, vals, e, buffers, &visits);
+    if (exact && (!cover->is_list() || count_mode)) {
+      e.mass = static_cast<double>(weigher.Mass(*cover, *kern));
+      e.marginal = Marginal(*cover, e.weight, e.mass, kOneLane);
     } else {
-      count = kern->and_store(ValueBits(cols[0], vals[0]),
-                              ValueBits(cols[1], vals[1]), words,
-                              cover.data());
-      for (size_t i = 2; i < arity; ++i) {
-        count = kern->and_store(cover.data(), ValueBits(cols[i], vals[i]),
-                                words, cover.data());
-      }
+      e.marginal = Walk(*cover, e.weight, kOneLane, &e.mass);
     }
-    const double mass = BitsMass(cover.data(), count);
-    *rows = static_cast<uint32_t>(count);
-    e.mass += mass;
-    e.marginal += LevelMarginal(cover.data(), e.weight, mass);
     return visits;
   }
 
@@ -1325,7 +1003,7 @@ struct MarginalRuleFinder::Impl {
       uint32_t index;  // entry index within the group's map
       double key;      // the sort key, min(bound, last)
       uint64_t visits = 0;
-      uint32_t rows = 0;  // a new cover bitset's popcount (exact regime)
+      RowSet cover;  // a new cover, held in its slot's buffers
       bool skip = false;
     };
     std::vector<Item> items;
@@ -1344,8 +1022,7 @@ struct MarginalRuleFinder::Impl {
 
     const bool prune = options.pruning == PruningMode::kFull;
     double h = best_marginal;
-    std::vector<std::vector<uint32_t>> slot_covers(exact ? 0 : kCountBlock);
-    std::vector<std::vector<uint64_t>> slot_bits(exact ? kCountBlock : 0);
+    std::vector<CoverBuffers> slot_buffers(kCountBlock);
     SMARTDD_RETURN_IF_ERROR(ForEachBlock(items.size(), [&](size_t begin,
                                                            size_t end) {
       // Pruning decisions against the frozen H, in order.
@@ -1364,25 +1041,13 @@ struct MarginalRuleFinder::Impl {
           ++stats.candidates_stale_skipped;
         }
       }
-      const bool record = !store.full;
       RunChunked(end - begin, [&](uint64_t k) {
         Item& item = items[begin + k];
         if (item.skip) return;
-        Entry& e = item.group->map.entry(item.index).second;
-        if (exact) {
-          item.visits =
-              CountOneCandidateBits(item.group->cols,
-                                    item.group->tuple(item.index), e,
-                                    slot_bits[k], &item.rows);
-          return;
-        }
-        std::vector<uint32_t>* cover = nullptr;
-        if (record && e.cover == kNoCover) {
-          cover = &slot_covers[k];
-          cover->clear();
-        }
         item.visits = CountOneCandidate(
-            item.group->cols, item.group->tuple(item.index), e, cover);
+            item.group->cols, item.group->tuple(item.index),
+            item.group->map.entry(item.index).second, slot_buffers[k],
+            &item.cover);
       });
       // Gather: merge in item order; record the new covers and the fresh
       // marginals; advance H for the next block.
@@ -1392,13 +1057,9 @@ struct MarginalRuleFinder::Impl {
         auto& [k, e] = items[i].group->map.entry(items[i].index);
         if (e.cover != kNoCover) {
           store.covers[e.cover].marginal = e.marginal;
-        } else if (record && exact) {
-          e.cover = store.AddBits(items[i].group->store_group, k,
-                                  slot_bits[i - begin], items[i].rows, e.mass,
-                                  e.marginal);
-        } else if (record) {
-          e.cover = store.Add(items[i].group->store_group, k,
-                              slot_covers[i - begin], e.mass, e.marginal);
+        } else {
+          e.cover = store.Add(items[i].group->store_group, k, items[i].cover,
+                              e.mass, e.marginal);
         }
         stats.tuple_visits += items[i].visits;
         ++stats.candidates_counted;
@@ -1769,26 +1430,25 @@ struct MarginalRuleFinder::Impl {
 
     // While `covered` is empty every covered weight is 0.0. Under Count in
     // the exact regime, a first Find capped at size-1 rules has no pass to
-    // walk the value bitsets, and every marginal folds from the counts: its
+    // walk the value covers, and every marginal folds from the counts: its
     // pass 1 stops after Phase A, which counts without decoding a row, and
-    // builds no bitsets, and the next Find builds pass 1. (A Sum Phase A
-    // decodes every row, so a Sum search builds its bitsets at once and
-    // its stats stay those of the per-row path.) Every other pass needs
-    // the covered weights: the levels in the regime, the array outside it.
+    // builds no covers, and the next Find builds pass 1. (A Sum Phase A
+    // decodes every row, so a Sum search builds its covers at once and its
+    // stats stay those of the per-row path.) Every other pass needs the
+    // covered weights: the array, and in the regime also the levels.
     const bool fold = exact && count_mode && max_size == 1 &&
-                      covered.empty() && levels.weights.empty();
-    if (exact) {
-      EnsureLevels();
-    } else if (covered.empty()) {
-      covered.assign(total_rows, 0.0);
+                      covered.empty() && weigher.level_weights.empty();
+    if (exact && weigher.level_weights.empty()) {
+      weigher.SetLevels(covered, total_rows);
     }
+    if (!fold && covered.empty()) covered.assign(total_rows, 0.0);
 
     // Pass 1: the first Find scans the view for every size-1 rule and
-    // builds the postings (value bitsets when exact); later Finds update
-    // the covered weights along the last winner's cover and recount from
-    // the stored state. The pending update is applied in full before the
-    // recount starts, even when the recount then fails; after a folded
-    // Find, pass 1 applies it once its value bitsets are built.
+    // builds the value covers; later Finds update the covered weights along
+    // the last winner's cover and recount from the stored state. The
+    // pending update is applied in full before the recount starts, even
+    // when the recount then fails; after a folded Find, pass 1 applies it
+    // once its value covers are built.
     if (pass1.built) {
       ApplyPending();
       SMARTDD_RETURN_IF_ERROR(RecountSingles());
@@ -1833,10 +1493,8 @@ namespace {
 
 /// The exact regime, decided from the finder's inputs: an integer-valued
 /// weight; integer, non-negative starting covered weights in at most
-/// kMaxStartLevels levels; value bitsets no larger than twice the postings
-/// (the search columns' dictionaries, which bound their occurring values,
-/// average at most kMaxMeanValues); Count, or Sum over a measure whose
-/// every value is a non-negative integer below 2^kMaxMeasurePlanes; and every
+/// kMaxStartLevels levels; Count, or Sum over a measure whose every value
+/// is a non-negative integer below 2^kMaxMeasurePlanes; and every
 /// marginal below 2^53 (the total mass x the largest weight a candidate
 /// may have). Returns the number of measure bit-planes the Sum needs (at
 /// least 1; 0 under Count), or nullopt outside the regime.
@@ -1857,20 +1515,6 @@ std::optional<size_t> ExactRegime(const std::vector<const TableView*>& views,
   for (double w : starts) {
     if (!(w >= 0 && std::floor(w) == w)) return std::nullopt;  // NaN, inf
   }
-  std::vector<bool> searched(proto.num_columns(),
-                             options.allowed_columns.empty());
-  for (size_t c : options.allowed_columns) {
-    if (c < searched.size()) searched[c] = true;  // Find checks the rest
-  }
-  uint64_t columns = 0;
-  uint64_t values = 0;
-  for (size_t c = 0; c < searched.size(); ++c) {
-    if (!searched[c]) continue;
-    ++columns;
-    values += proto.table().dictionary(c).size();
-  }
-  if (values > kMaxMeanValues * columns) return std::nullopt;
-
   static_assert(kMaxMeasurePlanes <= 31, "the planes take 32-bit measures");
   double total = static_cast<double>(rows);
   uint64_t bits = 0;  // the OR of every measure value
@@ -1921,7 +1565,8 @@ MarginalRuleFinder::MarginalRuleFinder(std::vector<const TableView*> views,
   const std::optional<size_t> planes =
       ExactRegime(views_, weight, options_, covered_, rows);
   pass1_->exact = planes.has_value();
-  pass1_->num_planes = planes.value_or(0);
+  pass1_->weigher.words = BitsetWords(rows);
+  pass1_->weigher.num_planes = planes.value_or(0);
 }
 
 MarginalRuleFinder::~MarginalRuleFinder() = default;

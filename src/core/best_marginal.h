@@ -82,7 +82,7 @@ struct MarginalSearchStats {
   /// Counting passes: pass 1 (the size-1 rules) plus one per arity >= 2.
   /// Pass 1 scans every row of the view on a finder's first Find (and
   /// again on the second when the first folded, see MarginalRuleFinder);
-  /// later Finds walk only the postings of the singletons they recount.
+  /// later Finds read only the covers of the singletons they recount.
   size_t passes = 0;
   size_t candidates_generated = 0;   ///< candidate rules considered
   size_t candidates_pruned = 0;      ///< dropped by the upper-bound test
@@ -90,14 +90,12 @@ struct MarginalSearchStats {
   /// Skipped because the marginal counted in an earlier Find on the same
   /// finder already fell below H (a marginal never rises between Finds).
   size_t candidates_stale_skipped = 0;
-  /// Rows walked by the counting: n per column when pass 1 scans the view,
-  /// the posting list of each recounted singleton otherwise, then per
-  /// counted candidate the length of the row list its count walked (a
-  /// stored cover, a sub-rule's cover, or its rarest value's postings).
-  /// A count by bitsets (the exact regime, see MarginalRuleFinder)
-  /// walks no list and adds the length of the list the walk would read, so
-  /// the figure does not depend on the regime. The covered-weight update's
-  /// rows are not included.
+  /// Rows read by the counting: n per column when pass 1 scans the view,
+  /// the cover size of each recounted singleton otherwise, then per
+  /// counted candidate the size of the cover its count started from (a
+  /// stored cover, a sub-rule's cover, or its rarest value's cover). The
+  /// figure does not depend on the regime or on the form of any cover.
+  /// The covered-weight update's rows are not included.
   uint64_t tuple_visits = 0;
   /// Wall time spent in the gather/merge stages — folding per-lane and
   /// per-block partial aggregates back together in deterministic order
@@ -141,26 +139,33 @@ struct MarginalRuleResult {
 /// column) each sub-rule's run is found once, a missing run prunes every
 /// candidate of the pair, and the added values merge against the runs.
 ///
+/// Every cover the finder holds, of a value, of a counted rule, or of a
+/// winner it rebuilds, is a RowSet (core/row_set.h): global row ids held
+/// as an ascending list while they are fewer than a quarter of the row
+/// space's bitset words, else as a bitset. A candidate's cover starts from
+/// the shorter of its shortest stored immediate sub-rule cover and its
+/// rarest value's cover, and is intersected with the value covers it still
+/// lacks.
+///
 /// The finder is one BRS run: its k Find calls are the k greedy steps, and
 /// it owns the greedy's state, each row's covered weight (the weight of the
 /// heaviest earlier pick covering it). A Find after a successful one first
 /// raises the rows the previous winner covers to the winner's weight, so
-/// covered weights only ever rise. The update walks the winner's postings
-/// or stored cover; when the full store kept none, the cover is rebuilt
-/// from the postings as a count of the winner would walk them.
+/// covered weights only ever rise. The update reads the winner's value
+/// cover or stored cover; when the full store kept none, the cover is
+/// rebuilt as a count of the winner would build it.
 ///
 /// The finder is a lazy greedy across its Find calls (Minoux's accelerated
 /// greedy). It keeps, for its whole lifetime, everything that depends only
 /// on the views:
-///  - pass 1's singleton counts, masses, weights and CSR postings, built by
+///  - pass 1's singleton counts, masses, weights and value covers, built by
 ///    the first Find's full scan. Under Count in the exact regime (below),
 ///    a first Find capped at size-1 rules from all-zero covered weights
-///    needs no value bitsets and derives each marginal from the counts, so
-///    its scan only counts and the second Find builds pass 1;
-///  - a cover store: for every counted rule of arity >= 2, the rows it
-///    covers and its mass. A later count of a stored rule walks only its
-///    cover; a new rule of arity >= 3 walks its shortest stored immediate
-///    sub-rule cover and checks the one missing column;
+///    needs no covers and derives each marginal from the counts, so its
+///    scan only counts and the second Find builds pass 1;
+///  - a cover store: for every counted rule of arity >= 2, its cover and
+///    mass, up to 64 MB of covers. A later count of a stored rule reads
+///    only its cover;
 ///  - each rule's last counted marginal. Covered weights only rise, so that
 ///    value bounds the rule's current marginal bit for bit, and a later
 ///    Find recounts a rule only when it can still reach the threshold H (a
@@ -170,35 +175,25 @@ struct MarginalRuleResult {
 /// bit-identical to a fresh finder per step started from the same covered
 /// weights. The views' rows must not change while the finder is in use.
 ///
-/// The exact regime. The constructor decides once whether every marginal
-/// term mass * (W(r) - cw(t))^+ is an integer and every sum stays below
-/// 2^53: WeightFunction::IntegerValued(), integer starting covered weights
-/// (at most 64 distinct ones), search-column dictionaries averaging at most
-/// 64 values (so one bit per row and value costs at most twice the
-/// postings' 32-bit row ids), Count aggregation or a Sum whose one scan of
-/// the measure finds every value a non-negative integer below
-/// 2^kMaxMeasurePlanes, and the total mass times the largest admissible
-/// weight below 2^53. Sums are then exact in any order, and the finder
-/// counts by popcounts instead of per-row sums:
-///  - pass 1 builds one row bitset per value instead of postings, and a
-///    covered-weight update rebuilds a winner the full store did not keep
-///    as the AND of its values' bitsets;
-///  - under Sum, pass 1 also builds P measure bit-planes P_b (the rows
-///    whose measure has bit b set, P the bit width of the largest value),
-///    and the mass of a bitset X is sum over b of 2^b * popcount(X & P_b);
-///    Count is the zero-plane case, where the mass is popcount(X);
-///  - the cover store keeps each counted rule's bitset;
-///  - a new candidate's cover is one AND: its shortest stored immediate
-///    sub-rule's bitset with the missing value's bitset, or all its values'
-///    bitsets;
-///  - the covered weights are a few level bitsets (the rows at each
-///    distinct weight), so a rule's marginal is
-///    sum over levels l < W(r) of (W(r) - l) * mass(S & level l).
-/// Every figure equals the per-row sum's bit for bit, and the stats are the
-/// same (see tuple_visits) until a cover store fills: the bitset store
-/// holds fewer covers than the row-id store, and once it is full the two
-/// paths skip and count different candidates. Other searches keep the
-/// per-row sums.
+/// A cover is weighed one of two ways. Outside the exact regime its rows
+/// are walked in ascending order against the covered weights: a
+/// singleton's in pass 1's lanes, so the floats do not depend on the
+/// cover's form or on the thread count. The exact regime is decided once
+/// by the constructor: every marginal term mass * (W(r) - cw(t))^+ is an
+/// integer and every sum stays below 2^53, given WeightFunction::
+/// IntegerValued(), integer starting covered weights (at most 64 distinct
+/// ones), Count aggregation or a Sum whose one scan of the measure finds
+/// every value a non-negative integer below 2^kMaxMeasurePlanes, and the
+/// total mass times the largest admissible weight below 2^53. Sums are
+/// then exact in any order, and a bitset cover is weighed by popcounts
+/// (ExactWeigher): under Sum through P measure bit-planes P_b, the mass of
+/// a bitset X being sum over b of 2^b * popcount(X & P_b), with Count the
+/// zero-plane case, and its marginal through the covered weights kept as
+/// level bitsets (the rows at each distinct weight) as
+/// sum over levels l < W(r) of (W(r) - l) * mass(S & level l).
+/// A list cover is summed row by row. Every figure equals the per-row
+/// sum's bit for bit, and the stats are the same in and out of the regime
+/// (see tuple_visits).
 class MarginalRuleFinder {
  public:
   /// `views` are row-contiguous shard slices, in shard order, of one

@@ -89,24 +89,6 @@ void MatchEqScalar(PackedRef col, uint64_t begin, size_t n, uint32_t want,
   }
 }
 
-size_t FilterRowsScalar(const uint32_t* rows, size_t n, uint64_t bias,
-                        const GatherPred* preds, size_t num_preds,
-                        uint32_t* out) {
-  size_t kept = 0;
-  for (size_t j = 0; j < n; ++j) {
-    const uint64_t local = rows[j] - bias;
-    bool match = true;
-    for (size_t p = 0; p < num_preds; ++p) {
-      if (preds[p].col.Get(local) != preds[p].want) {
-        match = false;
-        break;
-      }
-    }
-    if (match) out[kept++] = rows[j];
-  }
-  return kept;
-}
-
 void CountCodesScalar(PackedRef col, uint64_t begin, uint64_t end,
                       size_t dict_size, uint32_t* counts) {
   (void)dict_size;
@@ -187,9 +169,8 @@ void SetPlanesScalar(const double* values, uint64_t n, uint64_t first,
 }
 
 constexpr ScanKernels kScalarKernels = {
-    &UnpackScalar,     &MatchEqScalar,  &FilterRowsScalar,
-    &CountCodesScalar, &AndStoreScalar, &AndPopcountScalar,
-    &AndMassScalar,    &SetPlanesScalar,
+    &UnpackScalar,   &MatchEqScalar, &CountCodesScalar, &AndStoreScalar,
+    &AndMassScalar,  &SetPlanesScalar,
 };
 
 bool CpuHasAvx2() {

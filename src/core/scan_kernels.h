@@ -42,14 +42,6 @@ KernelPath ResolveKernelPath(KernelPref pref);
 const char* KernelPathName(KernelPath path);
 const char* KernelPrefName(KernelPref pref);
 
-/// One predicate of a gather filter: column `col` must decode to `want` at
-/// the probed row. kConst columns never appear here (the caller drops
-/// always-true predicates and short-circuits never-true ones).
-struct GatherPred {
-  PackedRef col;
-  uint32_t want = 0;
-};
-
 /// The kernel table bound to one KernelPath. Every function has identical
 /// observable semantics on both paths — the SIMD variants only vectorize
 /// integer decode, compare and bitset work, never a floating-point sum —
@@ -65,13 +57,6 @@ struct ScanKernels {
   void (*match_eq)(PackedRef col, uint64_t begin, size_t n, uint32_t want,
                    uint8_t* mask, bool first);
 
-  /// Posting-list filter: copies rows[j] (global row ids) into `out` when
-  /// every predicate matches at local row rows[j] - bias, preserving order.
-  /// Returns the number of rows kept.
-  size_t (*filter_rows)(const uint32_t* rows, size_t n, uint64_t bias,
-                        const GatherPred* preds, size_t num_preds,
-                        uint32_t* out);
-
   /// counts[v] += number of occurrences of code v over rows [begin, end).
   /// `counts` has dict_size entries; every stored code is < dict_size (the
   /// codes come from the column's dictionary). Pure integer counting, so
@@ -81,21 +66,18 @@ struct ScanKernels {
   void (*count_codes)(PackedRef col, uint64_t begin, uint64_t end,
                       size_t dict_size, uint32_t* counts);
 
-  /// Row bitsets (bit t of word t / 64 is row t), the marginal search's
-  /// cover form in its exact regime. out[i] = a[i] & b[i] for i in
-  /// [0, n); returns the number of set bits in `out`. `out` may alias `a`
-  /// or `b`, so a chain of calls ANDs any number of bitsets.
+  /// Row bitsets (bit t of word t / 64 is row t), the dense form of the
+  /// marginal search's row sets (core/row_set.h). out[i] = a[i] & b[i] for
+  /// i in [0, n); returns the number of set bits in `out`. `out` may alias
+  /// `a` or `b`, so a chain of calls ANDs any number of bitsets.
   uint64_t (*and_store)(const uint64_t* a, const uint64_t* b, size_t n,
                         uint64_t* out);
-
-  /// The number of set bits in a[i] & b[i] over i in [0, n).
-  uint64_t (*and_popcount)(const uint64_t* a, const uint64_t* b, size_t n);
 
   /// The measure mass of the rows in a & b, from measure bit-planes: plane
   /// p (words planes[p * n .. p * n + n)) holds bit p of each row's
   /// integer measure, and the mass is the sum over p < num_planes of
   ///   2^p * popcount(a & b & plane p).
-  /// With no planes every row weighs 1, and this is and_popcount.
+  /// With no planes every row weighs 1, and this is popcount(a & b).
   uint64_t (*and_mass)(const uint64_t* a, const uint64_t* b,
                        const uint64_t* planes, size_t num_planes, size_t n);
 

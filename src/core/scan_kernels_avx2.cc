@@ -16,8 +16,8 @@ namespace {
 
 // i32gather indexes are signed 32-bit, applied to the base at the given
 // byte scale. These guards keep every computed offset in int32 range; the
-// kernels fall back to scalar (or reject the pred) when they fail, which in
-// practice never happens for in-memory drill-down tables.
+// kernels fall back to scalar when they fail, which in practice never
+// happens for in-memory drill-down tables.
 bool GatherSafe(const PackedRef& col) {
   switch (col.width) {
     case PackedWidth::kSub:
@@ -224,111 +224,6 @@ void MatchEqAvx2(PackedRef col, uint64_t begin, size_t n, uint32_t want,
   }
 }
 
-/// Decodes `col` at 8 arbitrary local row indexes (a gather).
-__m256i GatherDecode(const PackedRef& col, __m256i idx) {
-  switch (col.width) {
-    case PackedWidth::kUnpacked:
-    case PackedWidth::k32:
-      return _mm256_i32gather_epi32(static_cast<const int*>(col.data), idx,
-                                    4);
-    case PackedWidth::k16:
-      return _mm256_and_si256(
-          _mm256_i32gather_epi32(static_cast<const int*>(col.data),
-                                 _mm256_slli_epi32(idx, 1), 1),
-          _mm256_set1_epi32(0xFFFF));
-    case PackedWidth::k8:
-      return _mm256_and_si256(
-          _mm256_i32gather_epi32(static_cast<const int*>(col.data), idx, 1),
-          _mm256_set1_epi32(0xFF));
-    case PackedWidth::kSub: {
-      const __m256i bitpos =
-          _mm256_mullo_epi32(idx, _mm256_set1_epi32(col.bits));
-      const __m256i byteoff = _mm256_srli_epi32(bitpos, 3);
-      const __m256i shift =
-          _mm256_and_si256(bitpos, _mm256_set1_epi32(7));
-      const __m256i words = _mm256_i32gather_epi32(
-          static_cast<const int*>(col.data), byteoff, 1);
-      return _mm256_and_si256(_mm256_srlv_epi32(words, shift),
-                              _mm256_set1_epi32((1 << col.bits) - 1));
-    }
-    case PackedWidth::kConst:
-      return _mm256_setzero_si256();
-  }
-  return _mm256_setzero_si256();
-}
-
-size_t FilterRowsAvx2(const uint32_t* rows, size_t n, uint64_t bias,
-                      const GatherPred* preds, size_t num_preds,
-                      uint32_t* out) {
-  // Normalize: drop row-independent predicates, reject never-true ones, and
-  // bail to scalar if any column can't be gathered safely.
-  GatherPred eff[64];
-  size_t ne = 0;
-  if (num_preds > 64) {
-    return internal::GetScalarKernels().filter_rows(rows, n, bias, preds,
-                                                    num_preds, out);
-  }
-  for (size_t p = 0; p < num_preds; ++p) {
-    const PackedRef& col = preds[p].col;
-    const uint32_t want = preds[p].want;
-    if (col.width == PackedWidth::kConst) {
-      if (want != 0) return 0;
-      continue;
-    }
-    uint32_t max_code = 0xFFFFFFFFu;
-    if (col.width == PackedWidth::k8) max_code = 0xFF;
-    if (col.width == PackedWidth::k16) max_code = 0xFFFF;
-    if (col.width == PackedWidth::kSub) {
-      max_code = (uint32_t{1} << col.bits) - 1;
-    }
-    if (want > max_code) return 0;
-    if (!GatherSafe(col)) {
-      return internal::GetScalarKernels().filter_rows(rows, n, bias, preds,
-                                                      num_preds, out);
-    }
-    eff[ne++] = preds[p];
-  }
-  if (ne == 0) {
-    std::memcpy(out, rows, n * sizeof(uint32_t));
-    return n;
-  }
-  const __m256i biasv =
-      _mm256_set1_epi32(static_cast<int>(static_cast<uint32_t>(bias)));
-  size_t kept = 0;
-  size_t j = 0;
-  for (; j + 8 <= n; j += 8) {
-    const __m256i r =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(rows + j));
-    const __m256i local = _mm256_sub_epi32(r, biasv);
-    __m256i ok = _mm256_set1_epi32(-1);
-    for (size_t p = 0; p < ne; ++p) {
-      const __m256i vals = GatherDecode(eff[p].col, local);
-      ok = _mm256_and_si256(
-          ok, _mm256_cmpeq_epi32(
-                  vals, _mm256_set1_epi32(static_cast<int>(eff[p].want))));
-      if (_mm256_testz_si256(ok, ok)) break;
-    }
-    int m = _mm256_movemask_ps(_mm256_castsi256_ps(ok));
-    while (m != 0) {
-      const int b = __builtin_ctz(static_cast<unsigned>(m));
-      out[kept++] = rows[j + b];
-      m &= m - 1;
-    }
-  }
-  for (; j < n; ++j) {
-    const uint64_t local = rows[j] - bias;
-    bool match = true;
-    for (size_t p = 0; p < ne; ++p) {
-      if (eff[p].col.Get(local) != eff[p].want) {
-        match = false;
-        break;
-      }
-    }
-    if (match) out[kept++] = rows[j];
-  }
-  return kept;
-}
-
 /// SWAR histogram for the sub-byte widths: the packed payload is counted
 /// 64 bits (16/32/64 codes) at a time with bit-plane masks and hardware
 /// popcounts, never decoding a single code. Works because Freeze rounds
@@ -527,9 +422,8 @@ void SetPlanesAvx2(const double* values, uint64_t n, uint64_t first,
 }
 
 constexpr ScanKernels kAvx2Kernels = {
-    &UnpackAvx2,     &MatchEqAvx2,  &FilterRowsAvx2,
-    &CountCodesAvx2, &AndStoreAvx2, &AndPopcountAvx2,
-    &AndMassAvx2,    &SetPlanesAvx2,
+    &UnpackAvx2,   &MatchEqAvx2,   &CountCodesAvx2, &AndStoreAvx2,
+    &AndMassAvx2,  &SetPlanesAvx2,
 };
 
 }  // namespace

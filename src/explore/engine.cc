@@ -215,8 +215,8 @@ Result<DrillDownResponse> ExplorationEngine::DrillDown(
       SmartDrillDown(shards.ptrs, *weight_, request));
 
   // Every counting pass ran over every shard's rows: pass 1 of a run's
-  // first greedy step scans them all, and the later passes walk postings
-  // and stored covers, whose row lists span the shards. The gather/merge
+  // first greedy step scans them all, and the later passes read value and
+  // stored covers, whose rows span the shards. The gather/merge
   // wall time is the scatter-gather overhead.
   for (Counter* c : shard_scan_passes_) c->Inc(response.stats.passes);
   merge_latency_->Observe(response.stats.merge_seconds);

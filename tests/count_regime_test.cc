@@ -7,9 +7,10 @@
 // counts by a single measure bit-plane. The two must agree bit for bit on
 // every rule, weight, mass, marginal and score, and on every search stat,
 // for every shard x thread count, at the root, in drill-downs and in star
-// drill-downs. Searches outside the regime (fractional weights, a column
-// with too many values, fractional starting covered weights) must agree
-// too. tests/sum_regime_test.cc holds regime searches to per-row twins.
+// drill-downs. Searches outside the regime (fractional weights, fractional
+// starting covered weights) must agree too, and so must a search whose
+// cover store fills, with its per-row twin over an all-0.5 measure.
+// tests/sum_regime_test.cc holds regime searches to per-row twins.
 
 #include <gtest/gtest.h>
 
@@ -29,13 +30,14 @@
 namespace smartdd {
 namespace {
 
-/// `src`'s rows with one measure column of 1.0s, sharing its dictionaries.
-Table WithOnes(const Table& src) {
+/// `src`'s rows with one more measure column, `name`, holding `value` in
+/// every row, sharing its dictionaries.
+Table WithConstant(const Table& src, const std::string& name, double value) {
   Table out = Table::EmptyLike(src);
-  const size_t m = out.AddMeasureColumn("one");
+  const size_t m = out.AddMeasureColumn(name);
   EXPECT_EQ(m, src.num_measures());
   std::vector<uint32_t> codes(src.num_columns());
-  std::vector<double> measures(src.num_measures() + 1, 1.0);
+  std::vector<double> measures(src.num_measures() + 1, value);
   for (uint64_t r = 0; r < src.num_rows(); ++r) {
     for (size_t c = 0; c < src.num_columns(); ++c) codes[c] = src.code(c, r);
     for (size_t k = 0; k < src.num_measures(); ++k) {
@@ -46,6 +48,9 @@ Table WithOnes(const Table& src) {
   out.Freeze();
   return out;
 }
+
+/// `src`'s rows with one measure column of 1.0s, sharing its dictionaries.
+Table WithOnes(const Table& src) { return WithConstant(src, "one", 1.0); }
 
 /// A table in the oracle suites' shape: 1-6 columns of 1-4 values, 1-200
 /// rows, skewed so that some rules dominate and others tie.
@@ -124,7 +129,7 @@ void ExpectSameStats(const MarginalSearchStats& a,
 
 /// `stats` is false for a search over one free column in the exact-count
 /// regime: its first Count step folds its marginals from the counts
-/// without building value bitsets (so its second step scans again), which
+/// without building value covers (so its second step scans again), which
 /// Sum never does. Outside the regime Count never folds.
 void ExpectSameResponse(const DrillDownResponse& got,
                         const DrillDownResponse& want, bool stats,
@@ -246,12 +251,14 @@ TEST(CountRegimeTest, FractionalBitsWeightMatchesSumOverOnes) {
 }
 
 TEST(CountRegimeTest, WideColumnMatchesSumOverOnes) {
-  // 200 values next to 3: the value bitsets would outgrow the postings.
-  // The drill-down fixes the first column and searches the 200-value one
-  // alone, so it stays outside the regime with one free column.
+  // 200 values next to 3: the wide column's rarer values' covers are lists
+  // and its commoner ones' bitsets, and the regime admits the column (a
+  // cover's form follows from its rows, so no dictionary size bounds it). The
+  // drill-down fixes the first column and searches the 200-value one alone,
+  // in the regime with one free column, so its Count steps fold.
   const Table table = SynthTable(20000, {3, 200}, 11);
   SizeWeight size;
-  CompareGrid(table, size, false, "wide-column");
+  CompareGrid(table, size, true, "wide-column");
 }
 
 TEST(CountRegimeTest, FractionalStartingCoveredWeightMatchesSumOverOnes) {
@@ -286,6 +293,51 @@ TEST(CountRegimeTest, FractionalStartingCoveredWeightMatchesSumOverOnes) {
                         label + " step " + std::to_string(step));
       }
     }
+  }
+}
+
+TEST(CountRegimeTest, FullCoverStoreStatsMatchPerRowTwin) {
+  // 20,000 rows of 7 columns of 4-12 values, Size at the default mw, one
+  // finder of 3 Finds on one shard and one thread. The first Find counts
+  // ~457,000 candidates. A store holding every cover as a 313-word bitset
+  // would fill after 26,800 of them and leave every later Find to recount
+  // the rest; as row sets, lists while under 79 rows, they all fit in the
+  // 64 MB cap. The Count search runs in the exact regime and its twin, a Sum
+  // over an all-0.5 measure, outside it, row by row; a Sum over an all-1.0
+  // measure is in the regime like Count. Every cover is one row set whose
+  // form follows from its rows, so the three stores keep the same covers
+  // and every later Find counts, skips and visits alike: the stats must
+  // match, and every mass and marginal must be exactly twice the twin's.
+  const Table table = WithConstant(
+      SynthTable(20000, {4, 6, 8, 10, 12, 5, 9}, 2017), "half", 0.5);
+  TableView count(table);
+  TableView ones(table, table.num_measures() - 2);
+  TableView halves(table, table.num_measures() - 1);
+  SizeWeight weight;
+  MarginalSearchOptions options;
+  options.num_threads = 1;
+  MarginalRuleFinder regime({&count}, weight, options);
+  MarginalRuleFinder sum_ones({&ones}, weight, options);
+  MarginalRuleFinder per_row({&halves}, weight, options);
+  ASSERT_TRUE(regime.exact_regime());
+  ASSERT_TRUE(sum_ones.exact_regime());
+  ASSERT_FALSE(per_row.exact_regime());
+  for (int step = 0; step < 3; ++step) {
+    const std::string label = "step " + std::to_string(step);
+    auto got = regime.Find();
+    auto twin = sum_ones.Find();
+    auto want = per_row.Find();
+    ASSERT_TRUE(got.ok() && twin.ok() && want.ok()) << label;
+    for (const auto* other : {&*twin, &*want}) {
+      EXPECT_EQ(got->rule, other->rule) << label;
+      EXPECT_EQ(got->weight, other->weight) << label;
+    }
+    EXPECT_EQ(got->mass, twin->mass) << label;
+    EXPECT_EQ(got->marginal, twin->marginal) << label;
+    EXPECT_EQ(got->mass, 2 * want->mass) << label;
+    EXPECT_EQ(got->marginal, 2 * want->marginal) << label;
+    ExpectSameStats(regime.stats(), sum_ones.stats(), label + " ones");
+    ExpectSameStats(regime.stats(), per_row.stats(), label + " halves");
   }
 }
 

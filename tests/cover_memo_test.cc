@@ -286,11 +286,11 @@ TEST(CoverMemoTest, BrsMatchesFreshFinderPerStepAcrossTheGrid) {
 }
 
 TEST(CoverMemoTest, SizeOneCappedSearchesMatchFreshFinderPerStep) {
-  // A search capped at size-1 rules builds the postings on its first step
-  // (its second under Count, whose first step folds its marginals from the
-  // counts), and later steps update the covered weights along the winner's
-  // postings and recount only the singletons that can still reach H. Two
-  // such searches: max_rule_size = 1 over the whole table, and a
+  // A search capped at size-1 rules builds the value covers on its first
+  // step (its second under Count, whose first step folds its marginals from
+  // the counts), and later steps update the covered weights along the
+  // winner's cover and recount only the singletons that can still reach H.
+  // Two such searches: max_rule_size = 1 over the whole table, and a
   // drill-down whose base leaves one column free.
   const Table table = GridTable();
   SizeWeight weight;
@@ -347,7 +347,7 @@ TEST(CoverMemoTest, SizeOneCappedSearchesMatchFreshFinderPerStep) {
           EXPECT_EQ(got->stats.candidates_stale_skipped, *stale) << label;
         }
       }
-      // k = 3: later steps walk postings instead of rescanning.
+      // k = 3: later steps read value covers instead of rescanning.
       EXPECT_LT(*visits, reference.stats.tuple_visits) << config;
       EXPECT_LE(*counted, reference.stats.candidates_counted) << config;
     }
@@ -458,22 +458,27 @@ Table CorrelatedTable(uint64_t rows, size_t correlated,
 }
 
 TEST(CoverMemoTest, WinnersTheFullStoreDidNotKeepMatchFreshFinders) {
-  // Each table fills the cover store before its winning rules are counted,
-  // so the store keeps no cover of them, and a later step must still raise
-  // exactly their rows. Exhaustive pruning counts every rule with rows.
-  //  - Count under Size, in the exact-count regime: 64,000 rows make every
-  //    cover a bitset of 1,000 words, so the store's kMaxCoverWords = 2^23
-  //    words hold 8,388 covers. Two 100-value columns give ~10,000 arity-2
-  //    rules with rows (64,000 rows over 10,000 value pairs leave ~17
-  //    empty), so the store fills in pass 2 and keeps no arity-3 rule. The
-  //    search columns average (100 + 100 + 3 * 2) / 5 = 41 values, within
-  //    the regime's 64. Three correlated columns make arity-3 rules win.
-  //  - Sum under Size, outside the regime: the store's kMaxCoverRows =
-  //    2^24 = 16,777,216 row ids. Each of 110,000 rows lies in C(10, 2) =
-  //    45 arity-2 and C(10, 3) = 120 arity-3 rules of 10 binary columns, so
-  //    passes 2 and 3 would store 165 * 110,000 = 18,150,000 row ids: the
-  //    store fills in pass 3 and keeps no arity-4 rule. Four correlated
-  //    columns make arity-4 rules win.
+  // These tables were sized to fill the cover store before their winning
+  // rules were counted when it had two caps, 2^23 bitset words in the exact
+  // regime and 2^24 row ids outside it. Under its one cap of 64 MB = 2^23
+  // words, where a cover is a row list (4 bytes a row) while it has fewer
+  // rows than a quarter of the bitset's words and a bitset otherwise,
+  // neither fills it, so both now check winners the store kept;
+  // WinnersPastTheStoreByteCapMatchFreshFinders fills it.
+  // Exhaustive pruning counts every rule with rows.
+  //  - Count under Size, in the exact regime: at 64,000 rows a bitset is
+  //    1,000 words. Passes 2 and 3 store the 20 rules on the three binary
+  //    columns and the 1,200 rules of one binary and one 100-value column
+  //    (~320 rows) as bitsets, the 1,200 rules of two binary and one
+  //    100-value column (~160 rows) as lists of 80 words, and ~70,000
+  //    rules on both 100-value columns (~6 and ~3 rows) as lists of 3 and
+  //    2 words: about 1,220,000 + 96,000 + 150,000 = 1,466,000 words.
+  //    Three correlated columns make arity-3 rules win.
+  //  - Sum under Size, outside the regime: at 110,000 rows a bitset is
+  //    1,719 words. 10 binary columns give 4 * C(10, 2) + 8 * C(10, 3) =
+  //    1,140 rules of arity 2 and 3, so passes 2 and 3 store at most
+  //    1,140 * 1,719 = 1,959,660 words. Four correlated columns make
+  //    arity-4 rules win.
   struct Case {
     std::string name;
     Table table;
@@ -509,6 +514,40 @@ TEST(CoverMemoTest, WinnersTheFullStoreDidNotKeepMatchFreshFinders) {
         ExpectBitIdentical(*got, reference, label);
       }
     }
+  }
+}
+
+TEST(CoverMemoTest, WinnersPastTheStoreByteCapMatchFreshFinders) {
+  // Count under Size, in the exact regime, on a table that fills the cover
+  // store's 64 MB = 2^23 words before any arity-4 rule is counted, so the
+  // store keeps none of the arity-4 winners and a later step rebuilds
+  // their rows. 120,000 rows make a bitset 1,875 words, the form of every
+  // cover of 469 rows or more, so 2^23 words hold 4,473 covers. 18 binary
+  // columns give 4 * C(18, 2) + 8 * C(18, 3) = 7,140 rules of arity 2 and
+  // 3, each of about 1,400 rows or more (the fewest where the four
+  // correlated columns disagree), so the store fills in pass 3. Exhaustive
+  // pruning counts every rule with rows, and the four correlated columns
+  // make arity-4 rules win.
+  const Table table =
+      CorrelatedTable(120000, 4, std::vector<uint32_t>(14, 2), 283);
+  SizeWeight weight;
+  BrsOptions options;
+  options.k = 3;
+  options.pruning = PruningMode::kExhaustive;
+  options.max_rule_size = 4;
+  options.num_threads = 1;
+  Shards one(table, 1, false);
+  const BrsResult reference = ReferenceBrs(one.ptrs, weight, options);
+  ASSERT_EQ(reference.rules.size(), options.k);
+  EXPECT_EQ(reference.rules[0].rule.size(), 4u);
+  for (size_t shards : {size_t{1}, size_t{2}}) {
+    Shards layout(table, shards, false);
+    const std::string label = "shards=" + std::to_string(shards) +
+                              " threads=" + std::to_string(2 * shards);
+    options.num_threads = 2 * shards;
+    auto got = RunBrs(layout.ptrs, weight, options);
+    ASSERT_TRUE(got.ok()) << label << ": " << got.status().ToString();
+    ExpectBitIdentical(*got, reference, label);
   }
 }
 

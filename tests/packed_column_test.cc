@@ -337,29 +337,6 @@ TEST(ScanKernelTest, MatchEqAgreesAcrossPaths) {
   }
 }
 
-TEST(ScanKernelTest, FilterRowsAgreesAcrossPaths) {
-  std::vector<uint32_t> c0 = MakeCodes(8192, 5, 23);
-  std::vector<uint32_t> c1 = MakeCodes(8192, 13, 29);
-  PackedColumn p0 = MakeColumn(c0, 5);
-  PackedColumn p1 = MakeColumn(c1, 13);
-  // A posting list with a bias, as the pass-2 gather paths use it.
-  const uint64_t bias = 100;
-  std::vector<uint32_t> rows;
-  for (uint32_t r = 0; r < 8192; r += 3) rows.push_back(r + bias);
-  GatherPred preds[2] = {{p0.ref(), 2}, {p1.ref(), 7}};
-  std::vector<uint32_t> want;
-  for (uint32_t r : rows) {
-    if (c0[r - bias] == 2 && c1[r - bias] == 7) want.push_back(r);
-  }
-  ForEachKernelPath([&](const ScanKernels& k, const char* name) {
-    std::vector<uint32_t> out(rows.size());
-    size_t kept =
-        k.filter_rows(rows.data(), rows.size(), bias, preds, 2, out.data());
-    out.resize(kept);
-    EXPECT_EQ(out, want) << name;
-  });
-}
-
 TEST(ScanKernelTest, BitsetAndAndPopcountAgreeAcrossPaths) {
   std::mt19937_64 gen(1412);
   // Lengths around the four-word unroll, and words from empty to full.
@@ -381,8 +358,6 @@ TEST(ScanKernelTest, BitsetAndAndPopcountAgreeAcrossPaths) {
       EXPECT_EQ(k.and_store(a.data(), b.data(), n, out.data()), want_count)
           << name << " n=" << n;
       EXPECT_EQ(out, want) << name << " n=" << n;
-      EXPECT_EQ(k.and_popcount(a.data(), b.data(), n), want_count)
-          << name << " n=" << n;
       // In place, as a chain of ANDs uses it.
       std::vector<uint64_t> acc = a;
       EXPECT_EQ(k.and_store(acc.data(), b.data(), n, acc.data()), want_count)

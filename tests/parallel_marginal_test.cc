@@ -146,7 +146,7 @@ TEST(ParallelMarginalTest, SumAggregateIdenticalAcrossThreadCounts) {
   }
 
   // The per-row path's later greedy steps on the pool: covered-weight
-  // updates along postings and stored covers, and lane-summed recounts.
+  // updates along value and stored covers, and lane-summed recounts.
   auto brs = [&](size_t threads) {
     BrsOptions options;
     options.k = 3;
