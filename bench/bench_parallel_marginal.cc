@@ -12,7 +12,9 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <limits>
+#include <optional>
 #include <thread>
 #include <string>
 #include <vector>
@@ -35,17 +37,39 @@ struct Measurement {
   smartdd::BrsResult result;
 };
 
+/// Sets SMARTDD_KERNEL, the one scan-kernel selector, for its lifetime and
+/// then restores the outer value or unsets it. The finder resolves the
+/// variable once per Find, so the searches inside the scope run the named
+/// path.
+class ScopedKernel {
+ public:
+  explicit ScopedKernel(const char* kernel) {
+    if (const char* outer = std::getenv("SMARTDD_KERNEL")) outer_ = outer;
+    ::setenv("SMARTDD_KERNEL", kernel, 1);
+  }
+  ~ScopedKernel() {
+    if (outer_) {
+      ::setenv("SMARTDD_KERNEL", outer_->c_str(), 1);
+    } else {
+      ::unsetenv("SMARTDD_KERNEL");
+    }
+  }
+  ScopedKernel(const ScopedKernel&) = delete;
+  ScopedKernel& operator=(const ScopedKernel&) = delete;
+
+ private:
+  std::optional<std::string> outer_;
+};
+
 Measurement RunOnce(const smartdd::TableView& view,
                     const smartdd::WeightFunction& weight, size_t k,
                     size_t threads, uint64_t reps,
-                    smartdd::KernelPref kernel = smartdd::KernelPref::kAuto,
                     size_t max_rule_size =
                         std::numeric_limits<size_t>::max()) {
   smartdd::BrsOptions options;
   options.k = k;
   options.max_weight = 3;
   options.num_threads = threads;
-  options.kernel = kernel;
   options.max_rule_size = max_rule_size;
 
   Measurement m;
@@ -169,13 +193,13 @@ int main(int argc, char** argv) {
   // The kernel dimension: the same search on the scalar and (when the host
   // has it) AVX2 paths must return byte-identical rules; the paths differ
   // only in decode/compare vectorization, never in float accumulation order.
-  const KernelPath resolved = ResolveKernelPath(Flags().kernel);
+  const KernelPath resolved = ResolveKernelPath();
   std::vector<std::pair<std::string, Measurement>> kernel_runs;
-  kernel_runs.emplace_back(
-      "scalar", RunOnce(view, weight, k, 1, reps, KernelPref::kScalar));
-  if (resolved == KernelPath::kAvx2) {
-    kernel_runs.emplace_back(
-        "avx2", RunOnce(view, weight, k, 1, reps, KernelPref::kAvx2));
+  std::vector<const char*> kernels = {"scalar"};
+  if (resolved == KernelPath::kAvx2) kernels.push_back("avx2");
+  for (const char* kernel : kernels) {
+    ScopedKernel scoped(kernel);
+    kernel_runs.emplace_back(kernel, RunOnce(view, weight, k, 1, reps));
   }
   for (const auto& [name, m] : kernel_runs) {
     std::printf("kernel=%-6s ms=%.3f\n", name.c_str(), m.ms);
@@ -217,11 +241,12 @@ int main(int argc, char** argv) {
     double base_ms = std::numeric_limits<double>::infinity();
     double fast_ms = base_ms;
     for (uint64_t pair = 0; pair < std::max(reps, kGatePairs); ++pair) {
-      base_ms = std::min(base_ms, RunOnce(unpacked_view, weight, 1, 1, 1,
-                                          KernelPref::kScalar, 1)
-                                      .ms);
-      fast_ms = std::min(
-          fast_ms, RunOnce(packed_view, weight, 1, 1, 1, Flags().kernel, 1).ms);
+      {
+        ScopedKernel scalar("scalar");
+        base_ms =
+            std::min(base_ms, RunOnce(unpacked_view, weight, 1, 1, 1, 1).ms);
+      }
+      fast_ms = std::min(fast_ms, RunOnce(packed_view, weight, 1, 1, 1, 1).ms);
     }
     pass1_speedup = fast_ms > 0 ? base_ms / fast_ms : 0;
     if (has_avx2) pass1_gate = pass1_speedup >= 2.0 ? "pass" : "fail";

@@ -43,9 +43,6 @@ void ParseFlags(int argc, char** argv) {
   flags.shards = static_cast<size_t>(EnvU64("SMARTDD_SHARDS", 1));
   const char* json_env = std::getenv("SMARTDD_JSON");
   if (json_env != nullptr && *json_env != '\0') flags.json_path = json_env;
-  // SMARTDD_KERNEL also steers kAuto resolution inside the library; parsing
-  // it here as well makes the flag and the env var behave identically.
-  flags.kernel = KernelPrefFromEnv();
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     if (std::strncmp(arg, "--threads=", 10) == 0) {
@@ -54,15 +51,10 @@ void ParseFlags(int argc, char** argv) {
       flags.shards = static_cast<size_t>(std::strtoull(arg + 9, nullptr, 10));
     } else if (std::strncmp(arg, "--json=", 7) == 0) {
       flags.json_path = arg + 7;
-    } else if (std::strncmp(arg, "--kernel=", 9) == 0) {
-      auto pref = ParseKernelPref(arg + 9);
-      SMARTDD_CHECK(pref.ok()) << pref.status().ToString();
-      flags.kernel = *pref;
     }
   }
-  std::fprintf(stderr, "[bench] scan kernels: %s (requested %s)\n",
-               KernelPathName(ResolveKernelPath(flags.kernel)),
-               KernelPrefName(flags.kernel));
+  std::fprintf(stderr, "[bench] scan kernels: %s\n",
+               KernelPathName(ResolveKernelPath()));
   static bool registered = false;
   if (!registered) {
     registered = true;
@@ -105,8 +97,7 @@ void FlushJson() {
     return;
   }
   std::fprintf(f, "{\n  \"threads\": %zu,\n  \"kernel\": \"%s\",\n",
-               Flags().threads,
-               KernelPathName(ResolveKernelPath(Flags().kernel)));
+               Flags().threads, KernelPathName(ResolveKernelPath()));
   const auto& scalars = ScalarRecords();
   std::fprintf(f, "  \"scalars\": {");
   for (size_t i = 0; i < scalars.size(); ++i) {
@@ -231,7 +222,6 @@ ExpansionMeasurement MeasureExpandEmpty(const ScanSource& source,
   brs.k = k;
   brs.max_weight = mw;
   brs.num_threads = Flags().threads;
-  brs.kernel = Flags().kernel;
   phase.Restart();
   auto result = RunBrs({&view}, weight, brs);
   SMARTDD_CHECK(result.ok()) << result.status().ToString();

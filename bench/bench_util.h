@@ -32,9 +32,6 @@ struct BenchFlags {
   /// --json=FILE (or SMARTDD_JSON): write every PrintSeriesRow record as
   /// machine-readable JSON to FILE at exit.
   std::string json_path;
-  /// --kernel=auto|scalar|avx2 (or SMARTDD_KERNEL): scan-kernel path for
-  /// search passes. Results are byte-identical on every path.
-  KernelPref kernel = KernelPref::kAuto;
 };
 BenchFlags& Flags();
 

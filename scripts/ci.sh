@@ -97,9 +97,12 @@ if [[ "$MODE" != "--tsan-only" && "$MODE" != "--asan-only" ]]; then
   # and the Release build must be bit-identical under both. The score
   # suite's fold counts through count_codes and match_eq, which have both
   # forms too, and the finder-stats suite pins every stat on either path.
-  # The row-set suite intersects and weighs with the selected kernels.
+  # The row-set suite intersects and weighs with the selected kernels. The
+  # paper-claims suite's §3.5 and Figure 5 counter claims (pruning counts
+  # fewer candidates than the exhaustive search, and no fewer as mw grows)
+  # must hold on both paths.
   (cd build && SMARTDD_KERNEL=scalar ctest --output-on-failure -j "$(nproc)" \
-    -R 'cover_memo_test|parallel_marginal_test|count_regime_test|sum_regime_test|brs_oracle_test|greedy_oracle_test|score_test|finder_stats_test|row_set_test')
+    -R 'cover_memo_test|parallel_marginal_test|count_regime_test|sum_regime_test|brs_oracle_test|greedy_oracle_test|score_test|finder_stats_test|row_set_test|paper_claims_test')
 
   # Service-protocol smoke: a scripted session's codec bytes in must
   # reproduce the golden snapshot bytes out (the paper's retail walkthrough

@@ -42,12 +42,7 @@ ExplorationService::ExplorationService(ServiceOptions options)
       live_snapshot_every_ms_(options.live_snapshot_every_ms),
       live_fsync_every_records_(options.live_fsync_every_records),
       clock_ms_(options.clock_ms),
-      cache_([&options]() {
-        cache::ExpansionCacheOptions c;
-        c.max_bytes = options.cache_max_bytes;
-        c.shards = options.cache_shards;
-        return c;
-      }()),
+      cache_({.max_bytes = options.cache_max_bytes}),
       registry_([this, &options]() {
         SessionRegistry::Options r;
         r.max_sessions = options.max_sessions;
@@ -305,8 +300,8 @@ bool ExplorationService::BuildCacheKey(const ExpandRequest& request,
   const SessionOptions& opts = session.options();
   // The dataset name pins the weight function (fixed at registration), and
   // the version pins the rows; everything else that shapes the result is
-  // spelled out. Execution knobs (threads/kernel/shards) are deliberately
-  // absent — the determinism contract makes them byte-irrelevant.
+  // spelled out. Execution knobs (threads, shards) are deliberately absent
+  // — the determinism contract makes them byte-irrelevant.
   std::string k = StrFormat(
       "%s|v%llu|k=%zu|mw=%.17g|m=%s|r=", dataset.c_str(),
       static_cast<unsigned long long>(version), opts.k, opts.max_weight,

@@ -46,8 +46,6 @@ struct ServiceOptions {
   /// Expansion-cache byte budget across all cache shards (0 disables the
   /// cross-session expansion cache entirely).
   size_t cache_max_bytes = 32u << 20;
-  /// Expansion-cache LRU shard count.
-  size_t cache_shards = 8;
 };
 
 /// The transport-agnostic front door to smart drill-down: an
@@ -222,9 +220,10 @@ class ExplorationService {
   /// produces the error response). The key covers every input that can
   /// change the expansion's bytes (dataset identity — which pins the
   /// weight function — table version, node rule, star column, k,
-  /// max_weight, measure, pruning) and deliberately excludes num_threads /
-  /// kernel / num_shards, which the determinism contract makes
-  /// byte-irrelevant.
+  /// max_weight, measure) and deliberately excludes num_threads and
+  /// num_shards, which the determinism contract makes byte-irrelevant. The
+  /// scan-kernel path is no setting of a request at all (SMARTDD_KERNEL
+  /// picks it per process), and every path returns the same bytes.
   bool BuildCacheKey(const ExpandRequest& request,
                      const ExplorationSession& session, std::string* key);
 

@@ -49,12 +49,13 @@ struct ExpansionCacheOptions {
 ///   star column
 ///
 /// (the dataset name pins the weight function, fixed at registration) and
-/// *nothing* that cannot: num_threads, kernel, and num_shards are
-/// excluded because the engine's determinism contract makes the result
-/// byte-identical across them — which is exactly what lets a scalar 1-shard
-/// backend hit on an entry computed by an AVX2 8-thread one. Entries never
-/// invalidate by scan: a table append bumps the version, new keys simply
-/// stop matching, and stale entries age out of the LRU.
+/// *nothing* that cannot: num_threads and num_shards are excluded because
+/// the engine's determinism contract makes the result byte-identical across
+/// them, and across the per-process scan-kernel path — which is exactly
+/// what lets a scalar 1-shard backend hit on an entry computed by an AVX2
+/// 8-thread one. Entries never invalidate by scan: a table append bumps
+/// the version, new keys simply stop matching, and stale entries age out of
+/// the LRU.
 ///
 /// Single-flight: when N sessions request the same missing key
 /// concurrently, one becomes the leader (LookupOrBegin returns nullptr) and

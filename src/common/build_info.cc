@@ -19,7 +19,7 @@ BuildInfo GetBuildInfo() {
   BuildInfo info;
   info.version = SMARTDD_VERSION;
   info.git_sha = SMARTDD_GIT_SHA;
-  info.kernel = KernelPathName(ResolveKernelPath(KernelPref::kAuto));
+  info.kernel = KernelPathName(ResolveKernelPath());
   return info;
 }
 

@@ -16,6 +16,7 @@
 #include "common/thread_pool.h"
 #include "common/timer.h"
 #include "core/row_set.h"
+#include "core/scan_kernels.h"
 #include "rules/rule_ops.h"
 
 namespace smartdd {
@@ -289,9 +290,8 @@ struct MarginalRuleFinder::Impl {
   /// every chunk inline).
   size_t threads;
 
-  /// Resolved once per search so a process can host scalar and SIMD
-  /// engines side by side (the differential suite does).
-  KernelPath kpath;
+  /// Resolved once per Find (ResolveKernelPath), so a differential test
+  /// switches paths by setting SMARTDD_KERNEL between searches.
   const ScanKernels* kern;
   /// Count aggregation (no measure column): pass 1 skips the per-lane mass
   /// accumulators and derives mass from the integer counts. Exact: each
@@ -359,8 +359,7 @@ struct MarginalRuleFinder::Impl {
                             : Rule(views[0]->num_columns())),
         scratch(0),
         threads(ThreadPool::EffectiveThreads(opts.num_threads)),
-        kpath(ResolveKernelPath(opts.kernel)),
-        kern(&GetScanKernels(kpath)),
+        kern(&GetScanKernels(ResolveKernelPath())),
         singles(p1.singles),
         weigher(p1.weigher) {
     SMARTDD_CHECK(!views.empty());
@@ -1557,7 +1556,7 @@ MarginalRuleFinder::MarginalRuleFinder(std::vector<const TableView*> views,
   for (const TableView* v : views_) {
     rows += v->num_rows();
     SMARTDD_DCHECK(!options_.base_rule ||
-                   !GatherCover(*v, *options_.base_rule, options_.kernel))
+                   !GatherCover(*v, *options_.base_rule))
         << "base_rule must cover every row of the views";
   }
   SMARTDD_CHECK(covered_.empty() || covered_.size() == rows)

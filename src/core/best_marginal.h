@@ -9,7 +9,6 @@
 
 #include "common/deadline.h"
 #include "common/result.h"
-#include "core/scan_kernels.h"
 #include "rules/rule.h"
 #include "storage/table_view.h"
 #include "weights/weight_function.h"
@@ -65,11 +64,6 @@ struct MarginalSearchOptions {
   /// search on the calling thread whatever the value. Results are
   /// bit-identical for every value (see best_marginal.cc).
   size_t num_threads = 0;
-  /// Scan-kernel dispatch (core/scan_kernels.h): kAuto defers to
-  /// SMARTDD_KERNEL, then CPU detection. Results are bit-identical across
-  /// paths — the SIMD kernels vectorize only integer decode, compare and
-  /// bitset work, never floating-point accumulation.
-  KernelPref kernel = KernelPref::kAuto;
   /// Cooperative cancellation: checked at pass, column, lane, and
   /// candidate-block boundaries. When it fires, Find returns
   /// DeadlineExceeded; when it does not, results are bit-identical to a

@@ -28,19 +28,11 @@ Result<BrsResult> RunBrs(const std::vector<const TableView*>& views,
     }
   }
 
-  MarginalSearchOptions search;
-  search.max_weight = options.max_weight;
+  MarginalSearchOptions search = options;
   if (std::isinf(search.max_weight)) {
     double cap = weight.MaxPossibleWeight(views[0]->num_columns());
     if (std::isfinite(cap)) search.max_weight = cap;
   }
-  search.pruning = options.pruning;
-  search.max_rule_size = options.max_rule_size;
-  search.allowed_columns = options.allowed_columns;
-  search.base_rule = options.base_rule;
-  search.num_threads = options.num_threads;
-  search.kernel = options.kernel;
-  search.deadline = options.deadline;
 
   // The finder owns the covered weights: each Find first applies the
   // previous pick's update.
@@ -83,8 +75,7 @@ Result<BrsResult> RunBrs(const std::vector<const TableView*>& views,
   // Exact Count/MCount (or Sum/MSum) of the final list over the view.
   std::vector<Rule> in_order;
   for (const auto& r : result.rules) in_order.push_back(r.rule);
-  RuleListEvaluation eval =
-      EvaluateRuleList(views, in_order, weight, options.kernel);
+  RuleListEvaluation eval = EvaluateRuleList(views, in_order, weight);
   for (size_t i = 0; i < result.rules.size(); ++i) {
     result.rules[i].mass = eval.mass[i];
     result.rules[i].marginal_mass = eval.marginal_mass[i];

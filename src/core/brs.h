@@ -12,38 +12,25 @@
 
 namespace smartdd {
 
-/// Options for the BRS (Best Rule Set) greedy algorithm (paper Algorithm 1).
-struct BrsOptions {
+/// Options for the BRS (Best Rule Set) greedy algorithm (paper Algorithm 1):
+/// the marginal search's options, which every greedy step searches with,
+/// plus k and the anytime callback. Two inherited fields read differently
+/// here:
+///  - max_weight, the paper's mw: when infinite, RunBrs substitutes
+///    weight.MaxPossibleWeight(num_columns) if that is finite, making the
+///    search exact by default.
+///  - deadline, the time-limit mode (§6.1: "we can set a time limit ... and
+///    display as many rules as we can find within that time limit"): it can
+///    interrupt a step in flight (the interrupted step's work is discarded;
+///    completed steps are kept) and can fire before the first step. Expiry
+///    marks the result partial instead of erroring — degrade, not fail.
+struct BrsOptions : MarginalSearchOptions {
   /// Number of rules to select (the paper's k).
   size_t k = 4;
-  /// The paper's mw cap; rules heavier than this are not considered. When
-  /// infinite, RunBrs substitutes weight.MaxPossibleWeight(num_columns) if
-  /// that is finite, making the search exact by default.
-  double max_weight = std::numeric_limits<double>::infinity();
-  PruningMode pruning = PruningMode::kFull;
-  size_t max_rule_size = std::numeric_limits<size_t>::max();
-  /// Drill-down reduction: restrict the search to these columns and merge
-  /// `base_rule` into every candidate (see core/drilldown.h).
-  std::vector<size_t> allowed_columns;
-  std::optional<Rule> base_rule;
-  /// Threads for the marginal-search counting passes (0 = all hardware
-  /// threads). Results are bit-identical for every value.
-  size_t num_threads = 0;
-  /// Scan-kernel path for the counting passes and list evaluation
-  /// (core/scan_kernels.h). Results are bit-identical across paths.
-  KernelPref kernel = KernelPref::kAuto;
   /// Anytime mode (§6.1: "keep adding rules ... displaying new rules as
   /// they are found"): invoked after each greedy pick; return false to stop
   /// early with the rules found so far.
   std::function<bool(const ScoredRule&, size_t index)> on_rule;
-  /// Time-limit mode (§6.1: "we can set a time limit ... and display as
-  /// many rules as we can find within that time limit"): a cooperative
-  /// deadline, threaded into the marginal search's chunk loops, so it can
-  /// interrupt a step in flight (the interrupted step's work is discarded;
-  /// completed steps are kept) and can fire before the first step. Expiry
-  /// marks the result partial instead of erroring — degrade, not fail.
-  /// Default is inert.
-  Deadline deadline;
 };
 
 /// Output of BRS.

@@ -38,7 +38,7 @@ Result<DrillDownResponse> SmartDrillDown(
     covers.reserve(views.size());  // cover_views point into both vectors
     cover_views.reserve(views.size());
     for (size_t i = 0; i < views.size(); ++i) {
-      std::optional<Table> cover = GatherCover(*views[i], base, request.kernel);
+      std::optional<Table> cover = GatherCover(*views[i], base);
       if (!cover) continue;
       covers.push_back(std::move(*cover));
       subs[i] = &cover_views.emplace_back(covers.back(),
@@ -80,7 +80,6 @@ Result<DrillDownResponse> SmartDrillDown(
   brs.allowed_columns = allowed;
   brs.base_rule = base;
   brs.num_threads = request.num_threads;
-  brs.kernel = request.kernel;
   brs.on_rule = request.on_step;
   brs.deadline = request.deadline;
 

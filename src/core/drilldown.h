@@ -24,9 +24,6 @@ struct DrillDownRequest {
   double max_weight = std::numeric_limits<double>::infinity();
   /// Threads for the underlying BRS search (0 = all hardware threads).
   size_t num_threads = 0;
-  /// Scan-kernel path for the search (core/scan_kernels.h): kAuto defers
-  /// to SMARTDD_KERNEL, then CPU detection. Bit-identical across paths.
-  KernelPref kernel = KernelPref::kAuto;
   /// Step streaming (§6.1 anytime mode as a service surface): invoked after
   /// each of the k greedy BRS steps with the freshly selected full-width
   /// rule and its 0-based step index. Return false to cancel the remaining

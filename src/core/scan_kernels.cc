@@ -2,9 +2,9 @@
 
 #include <cstdlib>
 #include <cstring>
+#include <string_view>
 
 #include "common/logging.h"
-#include "common/status.h"
 #include "core/scan_kernels_internal.h"
 
 namespace smartdd {
@@ -193,51 +193,38 @@ bool Avx2Available() {
   return available;
 }
 
-Result<KernelPref> ParseKernelPref(std::string_view s) {
-  if (s == "auto") return KernelPref::kAuto;
-  if (s == "scalar") return KernelPref::kScalar;
-  if (s == "avx2") return KernelPref::kAvx2;
-  return Status::InvalidArgument("unknown kernel '" + std::string(s) +
-                                 "' (expected auto|scalar|avx2)");
-}
-
-KernelPref KernelPrefFromEnv() {
+KernelPath ResolveKernelPath() {
   const char* env = std::getenv("SMARTDD_KERNEL");
-  if (env == nullptr || *env == '\0') return KernelPref::kAuto;
-  Result<KernelPref> parsed = ParseKernelPref(env);
-  if (!parsed.ok()) {
-    static bool warned = [&] {
-      SMARTDD_LOG(Warning) << "ignoring SMARTDD_KERNEL=" << env << ": "
-                           << parsed.status().ToString();
+  const std::string_view pref = env == nullptr ? "" : env;
+  KernelPath path = Avx2Available() ? KernelPath::kAvx2 : KernelPath::kScalar;
+  if (pref == "scalar") {
+    path = KernelPath::kScalar;
+  } else if (pref == "avx2") {
+    static bool warned = [] {
+      if (!Avx2Available()) {
+        SMARTDD_LOG(Warning)
+            << "SMARTDD_KERNEL=avx2 requested but AVX2 is unavailable "
+               "(cpu or build); falling back to scalar kernels";
+      }
       return true;
     }();
     (void)warned;
-    return KernelPref::kAuto;
+  } else if (!pref.empty() && pref != "auto") {
+    static bool warned = [&] {
+      SMARTDD_LOG(Warning) << "ignoring SMARTDD_KERNEL=" << pref
+                           << ": unknown kernel (expected auto|scalar|avx2)";
+      return true;
+    }();
+    (void)warned;
   }
-  return *parsed;
-}
-
-KernelPath ResolveKernelPath(KernelPref pref) {
-  if (pref == KernelPref::kAuto) pref = KernelPrefFromEnv();
-  switch (pref) {
-    case KernelPref::kScalar:
-      return KernelPath::kScalar;
-    case KernelPref::kAvx2:
-      if (!Avx2Available()) {
-        static bool warned = [] {
-          SMARTDD_LOG(Warning)
-              << "SMARTDD_KERNEL=avx2 requested but AVX2 is unavailable "
-                 "(cpu or build); falling back to scalar kernels";
-          return true;
-        }();
-        (void)warned;
-        return KernelPath::kScalar;
-      }
-      return KernelPath::kAvx2;
-    case KernelPref::kAuto:
-      return Avx2Available() ? KernelPath::kAvx2 : KernelPath::kScalar;
-  }
-  return KernelPath::kScalar;
+  // One line per process, so an operator can confirm from the log which
+  // path a deployment took (smartdd_build_info exports it too).
+  static bool logged = [path] {
+    SMARTDD_LOG(Info) << "scan kernels: " << KernelPathName(path);
+    return true;
+  }();
+  (void)logged;
+  return path;
 }
 
 const char* KernelPathName(KernelPath path) {
@@ -248,18 +235,6 @@ const char* KernelPathName(KernelPath path) {
       return "avx2";
   }
   return "scalar";
-}
-
-const char* KernelPrefName(KernelPref pref) {
-  switch (pref) {
-    case KernelPref::kAuto:
-      return "auto";
-    case KernelPref::kScalar:
-      return "scalar";
-    case KernelPref::kAvx2:
-      return "avx2";
-  }
-  return "auto";
 }
 
 const ScanKernels& GetScanKernels(KernelPath path) {

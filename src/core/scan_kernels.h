@@ -3,9 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string_view>
 
-#include "common/result.h"
 #include "rules/rule.h"
 #include "storage/packed_column.h"
 #include "storage/table.h"
@@ -18,29 +16,21 @@ namespace smartdd {
 /// whose build compiled the AVX2 translation unit.
 enum class KernelPath : uint8_t { kScalar = 0, kAvx2 = 1 };
 
-/// A caller's preference, resolved to a KernelPath at engine creation:
-/// kAuto defers to the SMARTDD_KERNEL environment variable, and an unset or
-/// "auto" variable defers to CPU detection. Requesting kAvx2 on a host
-/// without AVX2 falls back to scalar (logged once).
-enum class KernelPref : uint8_t { kAuto = 0, kScalar = 1, kAvx2 = 2 };
-
 /// True when the AVX2 kernels are compiled in AND the CPU reports AVX2.
 bool Avx2Available();
 
-/// Parses "scalar" | "avx2" | "auto" (case-sensitive).
-Result<KernelPref> ParseKernelPref(std::string_view s);
-
-/// Process-wide default from SMARTDD_KERNEL (unset or unparsable -> kAuto).
-KernelPref KernelPrefFromEnv();
-
-/// Resolves a preference to the path that will actually run. Pure function
-/// of (pref, environment, CPU) — engines resolve once at creation and pin
-/// the result, so a differential test can hold a scalar engine and an AVX2
-/// engine in one process.
-KernelPath ResolveKernelPath(KernelPref pref);
+/// The path the scan kernels run on: SMARTDD_KERNEL ("scalar" | "avx2" |
+/// "auto"), and an unset or "auto" variable defers to CPU detection.
+/// Requesting avx2 on a host without AVX2 falls back to scalar, and an
+/// unparsable value is ignored (each logged once). This is the one kernel
+/// selector: every path returns the same bytes, so the choice is a fact
+/// about the platform, not a setting of a request. The variable is read on
+/// each call (the finder resolves once per Find, the sampler at
+/// construction), so a differential test switches paths by setting it
+/// between searches; the first resolution in a process is logged.
+KernelPath ResolveKernelPath();
 
 const char* KernelPathName(KernelPath path);
-const char* KernelPrefName(KernelPref pref);
 
 /// The kernel table bound to one KernelPath. Every function has identical
 /// observable semantics on both paths — the SIMD variants only vectorize
@@ -90,8 +80,9 @@ struct ScanKernels {
                      size_t num_planes, size_t stride, uint64_t* planes);
 };
 
-/// The kernel table for a resolved path (kAvx2 silently degrades to the
-/// scalar table when unavailable, mirroring ResolveKernelPath).
+/// The kernel table for a path (kAvx2 silently degrades to the scalar
+/// table when unavailable, mirroring ResolveKernelPath). The kernel unit
+/// tests name both paths directly.
 const ScanKernels& GetScanKernels(KernelPath path);
 
 /// Rows per block the callers hand to the kernels: bounds scratch (codes +

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <numeric>
 
+#include "core/scan_kernels.h"
 #include "rules/rule_ops.h"
 
 namespace smartdd {
@@ -36,7 +37,7 @@ std::vector<size_t> OrderByWeightDesc(const std::vector<Rule>& rules,
 
 RuleListEvaluation EvaluateRuleList(
     const std::vector<const TableView*>& views, const std::vector<Rule>& rules,
-    const WeightFunction& weight, KernelPref kernel) {
+    const WeightFunction& weight) {
   RuleListEvaluation out;
   out.mass.assign(rules.size(), 0.0);
   out.marginal_mass.assign(rules.size(), 0.0);
@@ -48,7 +49,7 @@ RuleListEvaluation EvaluateRuleList(
     weights[i] = weight.Weight(rules[i]);
     max_weight = std::max(max_weight, std::abs(weights[i]));
   }
-  const ScanKernels& kern = GetScanKernels(ResolveKernelPath(kernel));
+  const ScanKernels& kern = GetScanKernels(ResolveKernelPath());
   // Per-rule match-mask scratch for one row block.
   std::vector<uint8_t> masks(rules.size() * kScanBlockRows);
 

@@ -4,7 +4,6 @@
 #include <cstddef>
 #include <vector>
 
-#include "core/scan_kernels.h"
 #include "rules/rule.h"
 #include "storage/table_view.h"
 #include "weights/weight_function.h"
@@ -45,8 +44,8 @@ std::vector<size_t> OrderByWeightDesc(const std::vector<Rule>& rules,
 /// Exact evaluation of a rule list: per-rule Count/MCount (or Sum/MSum) and
 /// the total score. The list is internally evaluated in descending-weight
 /// order per Definition 2, but outputs are reported in the input order.
-/// `kernel` selects the scan-kernel path for the per-rule match masks
-/// (results are bit-identical across paths).
+/// The per-rule match masks run on the ResolveKernelPath() path (results
+/// are bit-identical across paths).
 ///
 /// `views` are row-contiguous shard slices, in shard order, of one logical
 /// table; a single view is passed as `{&view}`. The accumulators run
@@ -59,7 +58,7 @@ std::vector<size_t> OrderByWeightDesc(const std::vector<Rule>& rules,
 /// with the sweep's result bit for bit.
 RuleListEvaluation EvaluateRuleList(
     const std::vector<const TableView*>& views, const std::vector<Rule>& rules,
-    const WeightFunction& weight, KernelPref kernel = KernelPref::kAuto);
+    const WeightFunction& weight);
 
 /// Score of a rule *set* (Definition 2): sort by weight descending, then
 /// sum MCount(r) * W(r).

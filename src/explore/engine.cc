@@ -16,16 +16,6 @@ namespace smartdd {
 
 namespace {
 
-/// Logs the scan-kernel path this engine's sessions will run with (their
-/// kAuto defers to EngineOptions::kernel, which kAuto-resolves through
-/// SMARTDD_KERNEL and CPU detection). One line per engine, at creation, so
-/// an operator can confirm from the log which path a deployment took.
-void LogKernelPath(KernelPref pref) {
-  SMARTDD_LOG(Info) << "scan kernels: "
-                    << KernelPathName(ResolveKernelPath(pref))
-                    << " (requested " << KernelPrefName(pref) << ")";
-}
-
 /// Whole-table views over the shards, in shard order, each with `measure`
 /// selected when set.
 struct ShardViews {
@@ -105,7 +95,6 @@ ExplorationEngine::ExplorationEngine(const Table& table,
       shards_.push_back(&shard_slices_.back());
     }
   }
-  LogKernelPath(options_.kernel);
 
   MetricsRegistry& registry = MetricsRegistry::Default();
   // Resident bytes of the packed column payloads, whole table and per shard.
@@ -151,7 +140,6 @@ ExplorationEngine::ExplorationEngine(const ScanSource& source,
     options_.sampler.num_threads = options_.num_threads;
   }
   sampler_ = std::make_unique<SampleHandler>(source, options_.sampler);
-  LogKernelPath(options_.kernel);
 }
 
 ExplorationEngine::~ExplorationEngine() {
@@ -231,7 +219,7 @@ std::vector<double> ExplorationEngine::ExactMasses(
   // are byte-identical for every shard count.
   const ShardViews shards(shards_, measure);
   std::vector<double> masses =
-      EvaluateRuleList(shards.ptrs, rules, *weight_, options_.kernel).mass;
+      EvaluateRuleList(shards.ptrs, rules, *weight_).mass;
   for (Counter* c : shard_scan_passes_) c->Inc(1);
   return masses;
 }

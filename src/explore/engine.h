@@ -11,7 +11,6 @@
 #include "common/result.h"
 #include "common/task_scheduler.h"
 #include "core/drilldown.h"
-#include "core/scan_kernels.h"
 #include "sampling/sample_handler.h"
 #include "storage/scan_source.h"
 #include "storage/table.h"
@@ -35,11 +34,6 @@ struct EngineOptions {
   /// Default thread knob for sessions and the sampler's scan passes when
   /// theirs is left at 0 (0 = all hardware threads).
   size_t num_threads = 0;
-  /// Default scan-kernel path for sessions that leave theirs at kAuto.
-  /// kAuto resolves through SMARTDD_KERNEL and then CPU detection; the
-  /// resolved path is logged once at engine creation. Every path produces
-  /// byte-identical results — this is a speed knob, not a semantics knob.
-  KernelPref kernel = KernelPref::kAuto;
   /// Cap on concurrently running background tasks (prefetch passes); the
   /// scheduler spawns workers lazily, so engines whose sessions never
   /// prefetch cost no threads.

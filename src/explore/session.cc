@@ -33,9 +33,6 @@ void ExplorationSession::Bind(ExplorationEngine* engine,
   if (options_.num_threads == 0) {
     options_.num_threads = engine_->options().num_threads;
   }
-  if (options_.kernel == KernelPref::kAuto) {
-    options_.kernel = engine_->options().kernel;
-  }
   id_ = engine_->RegisterSession();
   double total_mass = engine_->table() != nullptr
                           ? static_cast<double>(engine_->table()->num_rows())
@@ -97,7 +94,6 @@ Result<DrillDownResponse> ExplorationSession::RunDrillDown(
   request.k = options_.k;
   request.max_weight = options_.max_weight;
   request.num_threads = options_.num_threads;
-  request.kernel = options_.kernel;
   request.deadline = deadline;
   if (engine_->table() != nullptr) {
     if (on_step) {

@@ -42,11 +42,6 @@ struct SessionOptions {
   /// to EngineOptions::num_threads), not from here. Results are
   /// bit-identical for every thread count.
   size_t num_threads = 0;
-  /// Scan-kernel path for this session's drill-down searches (0 = the
-  /// engine default). kAuto defers to the engine's kernel, which itself
-  /// defers to SMARTDD_KERNEL and CPU detection. Results are bit-identical
-  /// across paths.
-  KernelPref kernel = KernelPref::kAuto;
 };
 
 /// One displayed rule in the exploration tree.

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "core/scan_kernels.h"
+
 namespace smartdd {
 
 bool IsSubRuleOf(const Rule& general, const Rule& specific) {
@@ -42,11 +44,10 @@ double RuleMass(const TableView& view, const Rule& r) {
   return mass;
 }
 
-std::vector<uint32_t> FilterRows(const TableView& view, const Rule& r,
-                                 KernelPref kernel) {
+std::vector<uint32_t> FilterRows(const TableView& view, const Rule& r) {
   std::vector<uint32_t> rows;
   const uint64_t n = view.num_rows();
-  const ScanKernels& kern = GetScanKernels(ResolveKernelPath(kernel));
+  const ScanKernels& kern = GetScanKernels(ResolveKernelPath());
   uint8_t mask[kScanBlockRows];
   for (uint64_t b0 = 0; b0 < n; b0 += kScanBlockRows) {
     const uint64_t b1 = std::min(n, b0 + kScanBlockRows);
@@ -65,9 +66,8 @@ std::vector<uint32_t> FilterRows(const TableView& view, const Rule& r,
   return rows;
 }
 
-std::optional<Table> GatherCover(const TableView& view, const Rule& r,
-                                 KernelPref kernel) {
-  const std::vector<uint32_t> rows = FilterRows(view, r, kernel);
+std::optional<Table> GatherCover(const TableView& view, const Rule& r) {
+  const std::vector<uint32_t> rows = FilterRows(view, r);
   if (rows.size() == view.num_rows()) return std::nullopt;
   return view.table().GatherRows(rows);
 }

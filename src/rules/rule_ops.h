@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/result.h"
-#include "core/scan_kernels.h"
 #include "rules/rule.h"
 #include "storage/table_view.h"
 
@@ -78,15 +77,13 @@ double RuleMass(const TableView& view, const Rule& r);
 
 /// Ids of the view rows covered by `r`, ascending. Runs block-wise through
 /// the dispatched match-mask kernels; the output is identical on every path.
-std::vector<uint32_t> FilterRows(const TableView& view, const Rule& r,
-                                 KernelPref kernel = KernelPref::kAuto);
+std::vector<uint32_t> FilterRows(const TableView& view, const Rule& r);
 
 /// T_r (paper §3.1): the view rows covered by `r`, gathered in row order
 /// into a compact table that shares the view's dictionaries (see
 /// Table::GatherRows). Returns nullopt when `r` covers every row: the view
 /// then already is T_r, and nothing is copied.
-std::optional<Table> GatherCover(const TableView& view, const Rule& r,
-                                 KernelPref kernel = KernelPref::kAuto);
+std::optional<Table> GatherCover(const TableView& view, const Rule& r);
 
 /// Selectivity ratio S(r1, r2) from paper §4.1: the fraction of r1-covered
 /// mass that is also covered by r2, for r1 a sub-rule of r2 (0 otherwise; 0

@@ -271,7 +271,7 @@ SampleHandler::SampleHandler(const ScanSource& source,
     : source_(&source),
       prototype_(source.MakeEmptyTable()),
       options_(options),
-      kernels_(&GetScanKernels(ResolveKernelPath(KernelPref::kAuto))) {
+      kernels_(&GetScanKernels(ResolveKernelPath())) {
   SMARTDD_CHECK(options_.min_sample_size <= options_.memory_capacity)
       << "minSS cannot exceed memory capacity M";
 }

@@ -23,6 +23,7 @@
 #include "data/synth.h"
 #include "rules/rule_ops.h"
 #include "storage/shard_plan.h"
+#include "tests/test_util.h"
 #include "weights/standard_weights.h"
 #include "weights/star_constraint.h"
 
@@ -36,18 +37,11 @@ namespace {
 BrsResult ReferenceBrs(const std::vector<const TableView*>& views,
                        const WeightFunction& weight,
                        const BrsOptions& options) {
-  MarginalSearchOptions search;
-  search.max_weight = options.max_weight;
+  MarginalSearchOptions search = options;
   if (std::isinf(search.max_weight)) {
     double cap = weight.MaxPossibleWeight(views[0]->num_columns());
     if (std::isfinite(cap)) search.max_weight = cap;
   }
-  search.pruning = options.pruning;
-  search.max_rule_size = options.max_rule_size;
-  search.allowed_columns = options.allowed_columns;
-  search.base_rule = options.base_rule;
-  search.num_threads = options.num_threads;
-  search.kernel = options.kernel;
 
   BrsResult result;
   uint64_t total_rows = 0;
@@ -83,8 +77,7 @@ BrsResult ReferenceBrs(const std::vector<const TableView*>& views,
                    });
   std::vector<Rule> in_order;
   for (const auto& r : result.rules) in_order.push_back(r.rule);
-  RuleListEvaluation eval =
-      EvaluateRuleList(views, in_order, weight, options.kernel);
+  RuleListEvaluation eval = EvaluateRuleList(views, in_order, weight);
   for (size_t i = 0; i < result.rules.size(); ++i) {
     result.rules[i].mass = eval.mass[i];
     result.rules[i].marginal_mass = eval.marginal_mass[i];
@@ -231,9 +224,11 @@ TEST(CoverMemoTest, BrsMatchesFreshFinderPerStepAcrossTheGrid) {
               "/" + BaseName(base) + "/k=" + std::to_string(k);
           options.k = k;
           options.num_threads = 1;
-          options.kernel = KernelPref::kScalar;
-          const BrsResult reference =
-              ReferenceBrs(layouts[0].views, *weight, options);
+          BrsResult reference;
+          {
+            testing::ScopedKernel scalar("scalar");
+            reference = ReferenceBrs(layouts[0].views, *weight, options);
+          }
           ASSERT_EQ(reference.rules.size(), k) << config;
 
           std::optional<uint64_t> visits;
@@ -241,14 +236,13 @@ TEST(CoverMemoTest, BrsMatchesFreshFinderPerStepAcrossTheGrid) {
           std::optional<size_t> stale;
           for (const Layout& l : layouts) {
             for (size_t threads : {size_t{1}, size_t{4}}) {
-              for (KernelPref kernel :
-                   {KernelPref::kScalar, KernelPref::kAuto}) {
+              for (const char* kernel : {"scalar", "auto"}) {
                 const std::string label =
                     config + " shards=" + std::to_string(l.shards) +
-                    " threads=" + std::to_string(threads) + " kernel=" +
-                    (kernel == KernelPref::kScalar ? "scalar" : "auto");
+                    " threads=" + std::to_string(threads) +
+                    " kernel=" + kernel;
                 options.num_threads = threads;
-                options.kernel = kernel;
+                testing::ScopedKernel scoped(kernel);
                 auto got = RunBrs(l.views, *weight, options);
                 ASSERT_TRUE(got.ok()) << label << ": "
                                       << got.status().ToString();
@@ -322,7 +316,6 @@ TEST(CoverMemoTest, SizeOneCappedSearchesMatchFreshFinderPerStep) {
       const std::string config = std::string(sum ? "Sum" : "Count") + "/" +
                                  (drill ? "drilldown" : "max_rule_size=1");
       options.num_threads = 1;
-      options.kernel = KernelPref::kScalar;
       const BrsResult reference = ReferenceBrs(views[0], weight, options);
       ASSERT_EQ(reference.rules.size(), options.k) << config;
       std::optional<uint64_t> visits;
@@ -368,7 +361,6 @@ TEST(CoverMemoTest, MultiLaneRecountsMatchFreshFinders) {
   SizeWeight weight;
   BrsOptions options;
   options.k = 4;
-  options.kernel = KernelPref::kScalar;
   options.num_threads = 1;
   Shards one(table, 1, /*sum=*/true);
   const BrsResult reference = ReferenceBrs(one.ptrs, weight, options);

@@ -11,7 +11,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
@@ -22,6 +21,7 @@
 #include "core/scan_kernels.h"
 #include "data/synth.h"
 #include "rules/rule.h"
+#include "tests/test_util.h"
 #include "weights/standard_weights.h"
 
 namespace smartdd {
@@ -360,8 +360,9 @@ TEST(ExpansionCacheServiceTest, InvalidationIsPurelyByVersionBump) {
 // full byte transcript (streamed SSE steps of cold AND hit expands, plus
 // the final tree). Every config must produce the same bytes, and the hit
 // path must actually fire. This is the load-bearing property behind the
-// key's exclusion of threads/kernel/shards: a scalar 1-shard 1-thread
-// backend may serve an entry computed by an AVX2 4-shard 8-thread one.
+// key's exclusion of threads, shards and the kernel path: a scalar 1-shard
+// 1-thread backend may serve an entry computed by an AVX2 4-shard 8-thread
+// one.
 TEST(ExpansionCacheServiceTest, HitPathByteIdenticalAcrossExecutionConfigs) {
   Table base = SynthBase();
   SizeWeight weight;
@@ -381,14 +382,11 @@ TEST(ExpansionCacheServiceTest, HitPathByteIdenticalAcrossExecutionConfigs) {
     }
   }
 
-  const char* saved = std::getenv("SMARTDD_KERNEL");
-  std::string saved_value = saved != nullptr ? saved : "";
   std::string reference;
   for (const Config& config : configs) {
-    // Engines resolve SMARTDD_KERNEL once at creation; the service creates
-    // its version engine lazily on the first open, safely inside this env
-    // window.
-    ::setenv("SMARTDD_KERNEL", config.kernel, 1);
+    // Every search of this config, cold or replayed, runs inside the
+    // SMARTDD_KERNEL scope (the finder resolves it once per Find).
+    testing::ScopedKernel scoped(config.kernel);
     api::ServiceOptions options;
     options.num_shards = config.shards;
     options.live_snapshot_every_rows = 1;
@@ -431,11 +429,6 @@ TEST(ExpansionCacheServiceTest, HitPathByteIdenticalAcrossExecutionConfigs) {
     }
     EXPECT_NE(service.ServeLine("close " + tok).find("\"ok\":true"),
               std::string::npos);
-  }
-  if (saved != nullptr) {
-    ::setenv("SMARTDD_KERNEL", saved_value.c_str(), 1);
-  } else {
-    ::unsetenv("SMARTDD_KERNEL");
   }
   ASSERT_GE(configs.size(), 4u);
   ASSERT_FALSE(reference.empty());

@@ -492,7 +492,8 @@ void CheckMemoryGrid(const Table& table, const WeightFunction& weight,
                      const std::optional<std::string>& measure) {
   for (size_t shards : {1u, 4u}) {
     for (size_t threads : {1u, 8u}) {
-      for (KernelPref pref : {KernelPref::kScalar, KernelPref::kAvx2}) {
+      for (const char* kernel : {"scalar", "avx2"}) {
+        testing::ScopedKernel scoped(kernel);
         EngineOptions options;
         options.num_shards = shards;
         auto engine = ExplorationEngine::Create(table, weight, options);
@@ -500,13 +501,12 @@ void CheckMemoryGrid(const Table& table, const WeightFunction& weight,
         SessionOptions so;
         so.k = 3;
         so.num_threads = threads;
-        so.kernel = pref;
         so.measure_column = measure;
         auto session = (*engine)->NewSession(so);
         ASSERT_TRUE(session.ok()) << session.status().ToString();
         EXPECT_EQ(Drive(*session), expected)
             << "tree drift at shards=" << shards << " threads=" << threads
-            << " kernel=" << KernelPrefName(pref);
+            << " kernel=" << kernel;
       }
     }
   }
@@ -524,9 +524,12 @@ TEST(PackedDifferentialTest, MemoryTableTreesIdenticalAcrossKernels) {
   SessionOptions serial;
   serial.k = 3;
   serial.num_threads = 1;
-  serial.kernel = KernelPref::kScalar;
-  auto reference = testing::MakeSession(table, weight, serial);
-  std::string expected = Drive(reference.session);
+  std::string expected;
+  {
+    testing::ScopedKernel scalar("scalar");
+    auto reference = testing::MakeSession(table, weight, serial);
+    expected = Drive(reference.session);
+  }
   ASSERT_FALSE(expected.empty());
   CheckMemoryGrid(table, weight, expected, std::nullopt);
 }
@@ -543,14 +546,20 @@ TEST(PackedDifferentialTest, MeasureTableTreesIdenticalAcrossKernels) {
   SessionOptions serial;
   serial.k = 3;
   serial.num_threads = 1;
-  serial.kernel = KernelPref::kScalar;
   serial.measure_column = "value";
-  auto reference = testing::MakeSession(table, weight, serial);
-  std::string expected = Drive(reference.session);
+  std::string expected;
+  {
+    testing::ScopedKernel scalar("scalar");
+    auto reference = testing::MakeSession(table, weight, serial);
+    expected = Drive(reference.session);
+  }
   ASSERT_FALSE(expected.empty());
   CheckMemoryGrid(table, weight, expected, std::string("value"));
 }
 
+// Each engine is created inside its SMARTDD_KERNEL scope, so the grid flips
+// the sampler's Create and ExactMasses scans (resolved when the sampler is
+// constructed) along with the searches.
 TEST(PackedDifferentialTest, DiskTableTreesIdenticalAcrossKernels) {
   CensusSpec census;
   census.rows = 40000;
@@ -571,24 +580,26 @@ TEST(PackedDifferentialTest, DiskTableTreesIdenticalAcrossKernels) {
   SessionOptions serial;
   serial.k = 3;
   serial.num_threads = 1;
-  serial.kernel = KernelPref::kScalar;
-  auto reference = testing::MakeSession(source, weight, serial, sampling);
-  std::string expected = Drive(reference.session);
+  std::string expected;
+  {
+    testing::ScopedKernel scalar("scalar");
+    auto reference = testing::MakeSession(source, weight, serial, sampling);
+    expected = Drive(reference.session);
+  }
   ASSERT_FALSE(expected.empty());
 
   for (size_t threads : {1u, 8u}) {
-    for (KernelPref pref : {KernelPref::kScalar, KernelPref::kAvx2}) {
+    for (const char* kernel : {"scalar", "avx2"}) {
+      testing::ScopedKernel scoped(kernel);
       auto engine = ExplorationEngine::Create(source, weight, sampling);
       ASSERT_TRUE(engine.ok()) << engine.status().ToString();
       SessionOptions so;
       so.k = 3;
       so.num_threads = threads;
-      so.kernel = pref;
       auto session = (*engine)->NewSession(so);
       ASSERT_TRUE(session.ok()) << session.status().ToString();
       EXPECT_EQ(Drive(*session), expected)
-          << "disk tree drift at threads=" << threads
-          << " kernel=" << KernelPrefName(pref);
+          << "disk tree drift at threads=" << threads << " kernel=" << kernel;
     }
   }
   std::remove(path.c_str());

@@ -22,7 +22,7 @@ namespace smartdd {
 namespace {
 
 const ScanKernels& Kernels() {
-  return GetScanKernels(ResolveKernelPath(KernelPref::kAuto));
+  return GetScanKernels(ResolveKernelPath());
 }
 
 /// A set and the storage it lives in.

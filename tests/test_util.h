@@ -1,6 +1,8 @@
 #ifndef SMARTDD_TESTS_TEST_UTIL_H_
 #define SMARTDD_TESTS_TEST_UTIL_H_
 
+#include <cstdlib>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -73,6 +75,31 @@ inline OwnedSession MakeSession(const ScanSource& source,
   SMARTDD_CHECK(session.ok()) << session.status().ToString();
   return OwnedSession{std::move(engine).value(), std::move(session).value()};
 }
+
+/// Sets SMARTDD_KERNEL, the one scan-kernel selector, for its lifetime and
+/// then restores the outer value or unsets it. The finder resolves the
+/// variable once per Find and the sampler at construction, so searches and
+/// samplers made inside the scope run the named path. setenv races with
+/// any concurrent getenv: hold one only while no search or prefetch runs.
+class ScopedKernel {
+ public:
+  explicit ScopedKernel(const char* kernel) {
+    if (const char* outer = std::getenv("SMARTDD_KERNEL")) outer_ = outer;
+    ::setenv("SMARTDD_KERNEL", kernel, 1);
+  }
+  ~ScopedKernel() {
+    if (outer_) {
+      ::setenv("SMARTDD_KERNEL", outer_->c_str(), 1);
+    } else {
+      ::unsetenv("SMARTDD_KERNEL");
+    }
+  }
+  ScopedKernel(const ScopedKernel&) = delete;
+  ScopedKernel& operator=(const ScopedKernel&) = delete;
+
+ private:
+  std::optional<std::string> outer_;
+};
 
 }  // namespace smartdd::testing
 
