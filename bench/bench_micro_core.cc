@@ -1,11 +1,16 @@
 // Google-benchmark micro-benchmarks of the hot paths: rule coverage checks,
-// the per-pass counting loop, reservoir sampling, score evaluation, and the
+// the per-pass counting loop, the finder's bitset kernels on every kernel
+// path the host has, reservoir sampling, score evaluation, and the
 // drill-down filter.
 
 #include <benchmark/benchmark.h>
 
+#include <string>
+#include <vector>
+
 #include "common/random.h"
 #include "core/best_marginal.h"
+#include "core/scan_kernels.h"
 #include "core/score.h"
 #include "data/synth.h"
 #include "rules/rule_ops.h"
@@ -115,6 +120,69 @@ void BM_BestMarginalSum(benchmark::State& state) {
 BENCHMARK(BM_BestMarginalSum)
     ->ArgsProduct({{1, 4, 7, 10, 14}, {0, 1}})
     ->Unit(benchmark::kMicrosecond);
+
+/// `words` random bitset words (about half the bits set), as the finder's
+/// row bitsets over views of 64 * words rows.
+std::vector<uint64_t> RandomWords(size_t words, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<uint64_t> out(words);
+  for (uint64_t& w : out) w = rng.Next();
+  return out;
+}
+
+/// One and_store of two bitsets of arg 0 words (131, 313 and 436 words are
+/// views of 8.4k, 20k and 27.9k rows) on one kernel path: the AND and
+/// count each candidate's cover takes.
+void BM_AndStore(benchmark::State& state, KernelPath path) {
+  const ScanKernels& k = GetScanKernels(path);
+  const size_t words = static_cast<size_t>(state.range(0));
+  const std::vector<uint64_t> a = RandomWords(words, 1);
+  const std::vector<uint64_t> b = RandomWords(words, 2);
+  std::vector<uint64_t> out(words);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        k.and_store(a.data(), b.data(), words, out.data()));
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(state.iterations() * 3 * 8 *
+                          static_cast<int64_t>(words));
+}
+
+/// One and_mass of two bitsets of arg 0 words over arg 1 measure planes
+/// (0 is a plain popcount, the Count regime's mass) on one kernel path.
+void BM_AndMass(benchmark::State& state, KernelPath path) {
+  const ScanKernels& k = GetScanKernels(path);
+  const size_t words = static_cast<size_t>(state.range(0));
+  const size_t planes = static_cast<size_t>(state.range(1));
+  const std::vector<uint64_t> a = RandomWords(words, 1);
+  const std::vector<uint64_t> b = RandomWords(words, 2);
+  const std::vector<uint64_t> p = RandomWords(planes * words, 3);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        k.and_mass(a.data(), b.data(), p.data(), planes, words));
+  }
+  state.SetBytesProcessed(state.iterations() * (2 + planes) * 8 *
+                          static_cast<int64_t>(words));
+}
+
+// Named BM_AndStore/<path>/<words> and BM_AndMass/<path>/<words>/<planes>,
+// registered for the paths this host has.
+const bool kKernelBenchmarks = [] {
+  for (KernelPath path : AvailableKernelPaths()) {
+    const std::string name = KernelPathName(path);
+    benchmark::RegisterBenchmark(("BM_AndStore/" + name).c_str(), BM_AndStore,
+                                 path)
+        ->Arg(131)
+        ->Arg(313)
+        ->Arg(436)
+        ->Unit(benchmark::kNanosecond);
+    benchmark::RegisterBenchmark(("BM_AndMass/" + name).c_str(), BM_AndMass,
+                                 path)
+        ->ArgsProduct({{131, 313, 436}, {0, 7}})
+        ->Unit(benchmark::kNanosecond);
+  }
+  return true;
+}();
 
 void BM_ReservoirOffer(benchmark::State& state) {
   ReservoirSampler rs(5000, 99);

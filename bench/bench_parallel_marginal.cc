@@ -5,7 +5,7 @@
 // identical to the serial run (they must be bit-identical by construction),
 // and emits machine-readable results to BENCH_parallel_marginal.json. Exits
 // nonzero when results differ, when packing saves less than 2x the column
-// bytes, or when an AVX2 host's pass-1 speedup is below 2x.
+// bytes, or when a SIMD host's pass-1 speedup is below 2x.
 //
 // Knobs: SMARTDD_CENSUS_ROWS (default 500000), SMARTDD_CENSUS_COLS (7),
 //        SMARTDD_BENCH_K (2 greedy steps), SMARTDD_BENCH_REPS (3).
@@ -190,16 +190,15 @@ int main(int argc, char** argv) {
                    shard_runs.back().ms, "shards", "ms");
   }
 
-  // The kernel dimension: the same search on the scalar and (when the host
-  // has it) AVX2 paths must return byte-identical rules; the paths differ
-  // only in decode/compare vectorization, never in float accumulation order.
+  // The kernel dimension: the same search on every path the host has must
+  // return byte-identical rules; the paths differ only in decode, compare
+  // and bitset vectorization, never in float accumulation order.
   const KernelPath resolved = ResolveKernelPath();
   std::vector<std::pair<std::string, Measurement>> kernel_runs;
-  std::vector<const char*> kernels = {"scalar"};
-  if (resolved == KernelPath::kAvx2) kernels.push_back("avx2");
-  for (const char* kernel : kernels) {
-    ScopedKernel scoped(kernel);
-    kernel_runs.emplace_back(kernel, RunOnce(view, weight, k, 1, reps));
+  for (KernelPath path : AvailableKernelPaths()) {
+    ScopedKernel scoped(KernelPathName(path));
+    kernel_runs.emplace_back(KernelPathName(path),
+                             RunOnce(view, weight, k, 1, reps));
   }
   for (const auto& [name, m] : kernel_runs) {
     std::printf("kernel=%-6s ms=%.3f\n", name.c_str(), m.ms);
@@ -220,15 +219,16 @@ int main(int argc, char** argv) {
 
   // Gate 2 (throughput): single-threaded pass-1 (k=1, size-1 rules only) on
   // census-200k — packed storage + the resolved SIMD path must be >= 2x the
-  // unpacked scalar baseline. Hosts without AVX2 report the gate as skipped
-  // rather than passed, and exit 0. The two sides run in alternating reps,
-  // so host noise lands on both, and each side keeps its best of at least
-  // kGatePairs reps whatever SMARTDD_BENCH_REPS says: one rep of a ~0.6 ms
-  // side read from 1.9x to 7.9x across runs of one binary.
+  // unpacked scalar baseline. Hosts (or SMARTDD_KERNEL values) that resolve
+  // to the scalar path report the gate as skipped rather than passed, and
+  // exit 0. The two sides run in alternating reps, so host noise lands on
+  // both, and each side keeps its best of at least kGatePairs reps whatever
+  // SMARTDD_BENCH_REPS says: one rep of a ~0.6 ms side read from 1.9x to
+  // 7.9x across runs of one binary.
   constexpr uint64_t kGatePairs = 7;
-  const bool has_avx2 = resolved == KernelPath::kAvx2;
+  const bool has_simd = resolved != KernelPath::kScalar;
   double pass1_speedup = 0;
-  std::string pass1_gate = "skipped (no avx2)";
+  std::string pass1_gate = "skipped (scalar kernels)";
   {
     CensusSpec gate_spec = spec;
     gate_spec.rows = EnvU64("SMARTDD_GATE_ROWS", 200000);
@@ -249,7 +249,7 @@ int main(int argc, char** argv) {
       fast_ms = std::min(fast_ms, RunOnce(packed_view, weight, 1, 1, 1, 1).ms);
     }
     pass1_speedup = fast_ms > 0 ? base_ms / fast_ms : 0;
-    if (has_avx2) pass1_gate = pass1_speedup >= 2.0 ? "pass" : "fail";
+    if (has_simd) pass1_gate = pass1_speedup >= 2.0 ? "pass" : "fail";
     std::printf(
         "pass-1 gate (census-%llu, k=1, size-1): unpacked+scalar=%.3fms "
         "packed+%s=%.3fms speedup=%.2fx -> %s\n",
@@ -329,7 +329,7 @@ int main(int argc, char** argv) {
   // Clear the flag so the generic atexit JSON sink does not overwrite the
   // structured report we just wrote.
   Flags().json_path.clear();
-  // Every gate sets the exit code; a skipped pass-1 gate (no AVX2 path)
+  // Every gate sets the exit code; a skipped pass-1 gate (scalar path)
   // does not fail the run.
   const bool pass1_ok = pass1_gate != "fail";
   if (!bytes_gate) std::printf("FAIL: byte-reduction gate\n");

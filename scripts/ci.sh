@@ -68,22 +68,38 @@ SAN_TARGETS=(
   sum_regime_test finder_stats_test row_set_test
 )
 
+# The SMARTDD_KERNEL values of the scan-kernel paths this host's CPU
+# reports (scalar always; a path the build left out falls back to the best
+# one it has, with a warning).
+host_kernels() {
+  local flags
+  flags=$(grep -m1 '^flags' /proc/cpuinfo 2>/dev/null || true)
+  echo scalar
+  if [[ " $flags " == *" avx2 "* ]]; then
+    echo avx2
+    if [[ " $flags " == *" avx512f "* &&
+          " $flags " == *" avx512_vpopcntdq "* ]]; then
+      echo avx512
+    fi
+  fi
+}
+
 # $3 is the build type: the ASan stage builds Debug, so every SMARTDD_DCHECK
 # (e.g. the marginal finder's base-covers-every-row precondition) is live
 # in the suites it runs.
 run_sanitizer_stage() {
-  local name="$1" flags="$2" build_type="$3"
+  local name="$1" flags="$2" build_type="$3" kernel
   cmake -B "build-$name" -S . -DCMAKE_BUILD_TYPE="$build_type" \
     -DCMAKE_CXX_FLAGS="$flags"
   cmake --build "build-$name" -j "$(nproc)" --target "${SAN_TARGETS[@]}"
-  # The full suite twice: once pinned to the portable scalar kernels, once
-  # with auto dispatch (AVX2 where the host has it) — the differential
-  # suites must be byte-identical under both, and the sanitizers must see
-  # both code paths.
-  (cd "build-$name" &&
-    SMARTDD_KERNEL=scalar ctest --output-on-failure -j "$(nproc)" -R "$SAN_TESTS")
-  (cd "build-$name" &&
-    SMARTDD_KERNEL=auto ctest --output-on-failure -j "$(nproc)" -R "$SAN_TESTS")
+  # The full suite once per kernel path the host has (scalar, AVX2,
+  # AVX-512): the differential suites must be byte-identical under each,
+  # and the sanitizers must see every code path.
+  for kernel in $(host_kernels); do
+    (cd "build-$name" &&
+      SMARTDD_KERNEL=$kernel ctest --output-on-failure -j "$(nproc)" \
+        -R "$SAN_TESTS")
+  done
 }
 
 if [[ "$MODE" != "--tsan-only" && "$MODE" != "--asan-only" ]]; then
@@ -92,17 +108,22 @@ if [[ "$MODE" != "--tsan-only" && "$MODE" != "--asan-only" ]]; then
   (cd build && ctest --output-on-failure -j "$(nproc)")
 
   # The finder's differential suites again on the portable scalar kernels
-  # (the run above dispatches to AVX2 where the host has it): its bitset
-  # AND, popcount and plane-mass kernels have a scalar and an AVX2 form,
-  # and the Release build must be bit-identical under both. The score
-  # suite's fold counts through count_codes and match_eq, which have both
-  # forms too, and the finder-stats suite pins every stat on either path.
-  # The row-set suite intersects and weighs with the selected kernels. The
-  # paper-claims suite's §3.5 and Figure 5 counter claims (pruning counts
-  # fewer candidates than the exhaustive search, and no fewer as mw grows)
-  # must hold on both paths.
-  (cd build && SMARTDD_KERNEL=scalar ctest --output-on-failure -j "$(nproc)" \
-    -R 'cover_memo_test|parallel_marginal_test|count_regime_test|sum_regime_test|brs_oracle_test|greedy_oracle_test|score_test|finder_stats_test|row_set_test|paper_claims_test')
+  # and on AVX2 (the run above dispatches to the fastest path the host has,
+  # AVX-512 where it reports AVX-512F and VPOPCNTDQ): its bitset AND,
+  # popcount and plane-mass kernels have a scalar, an AVX2 and an AVX-512
+  # form, and the Release build must be bit-identical under each. The score
+  # suite's fold counts through count_codes and match_eq, which have a
+  # scalar and an AVX2 form, and the finder-stats suite pins every stat on
+  # each path. The row-set suite intersects and weighs with the selected
+  # kernels. The paper-claims suite's §3.5 and Figure 5 counter claims
+  # (pruning counts fewer candidates than the exhaustive search, and no
+  # fewer as mw grows) must hold on every path. A host without AVX2 runs
+  # the avx2 pass on scalar kernels (with a warning).
+  for kernel in scalar avx2; do
+    (cd build && SMARTDD_KERNEL=$kernel ctest --output-on-failure \
+      -j "$(nproc)" \
+      -R 'cover_memo_test|parallel_marginal_test|count_regime_test|sum_regime_test|brs_oracle_test|greedy_oracle_test|score_test|finder_stats_test|row_set_test|paper_claims_test')
+  done
 
   # Service-protocol smoke: a scripted session's codec bytes in must
   # reproduce the golden snapshot bytes out (the paper's retail walkthrough
@@ -165,10 +186,11 @@ sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)' "$result" \
   # Packed-storage / SIMD smoke: the marginal bench checks that results are
   # identical across thread counts, shard counts, AND kernel paths, that
   # bit-packing actually shrinks the resident columns (>= 2x gate), and
-  # that packed+AVX2 pass 1 is >= 2x unpacked+scalar (skipped without
-  # AVX2); it exits nonzero when any of these fails. The pass-1 gate times
-  # its two sides in alternating reps and takes best-of over at least 7
-  # pairs, so SMARTDD_BENCH_REPS=1 below does not make it a single sample.
+  # that packed+SIMD pass 1 is >= 2x unpacked+scalar (skipped on the
+  # scalar path); it exits nonzero when any of these fails. The pass-1
+  # gate times its two sides in alternating reps and takes best-of over
+  # at least 7 pairs, so SMARTDD_BENCH_REPS=1 below does not make it a
+  # single sample.
   # K=3 so later greedy steps count from the finder's cover store under
   # the same gate. 200k rows is above kMinParallelRows (2^17), so the
   # thread counts above 1 reach the thread pool.

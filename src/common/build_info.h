@@ -7,9 +7,9 @@ namespace smartdd {
 
 /// Identity of this binary, for telling cluster members apart in a mixed
 /// deployment: the library version, the git revision it was built from, and
-/// the scan-kernel path the process resolved at startup (scalar vs avx2 —
-/// the one knob that legitimately differs between otherwise identical
-/// builds on heterogeneous hosts).
+/// the scan-kernel path the process resolved at startup (scalar, avx2 or
+/// avx512 — the one knob that legitimately differs between otherwise
+/// identical builds on heterogeneous hosts).
 struct BuildInfo {
   std::string version;
   std::string git_sha;

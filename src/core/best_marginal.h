@@ -34,7 +34,10 @@ inline constexpr uint64_t kMinParallelRows = uint64_t{1} << 17;
 /// the regime took 2.1, 2.9, 2.6, 3.2 and 4.0 ms, and the per-row walk of
 /// the half-scaled twins 9.5-10.0 ms. The planes cost about 0.15 ms each,
 /// so the two would cross past 40 planes; the cap stays one plane past the
-/// largest measured case, where the regime still ran 2.4x faster.
+/// largest measured case, where the regime still ran 2.4x faster. These are
+/// AVX2 timings: the AVX-512 path's and_mass takes a plane for less (about
+/// 0.04 against 0.14 us per 313-word mass in bench_micro_core's
+/// BM_AndMass), so it only moves the crossing further out.
 inline constexpr size_t kMaxMeasurePlanes = 16;
 
 /// Controls how aggressively FindBestMarginalRule prunes its candidate

@@ -1,7 +1,12 @@
 #include "core/scan_kernels.h"
 
+#include <algorithm>
+#include <array>
+#include <atomic>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
+#include <string>
 #include <string_view>
 
 #include "common/logging.h"
@@ -12,7 +17,7 @@ namespace {
 
 // --- Portable scalar kernels ------------------------------------------
 //
-// These are the semantic reference: the AVX2 variants must be observably
+// These are the semantic reference: the SIMD variants must be observably
 // identical (the differential suite in tests/packed_column_test.cc holds
 // them to that on full drill-down trees).
 
@@ -173,12 +178,49 @@ constexpr ScanKernels kScalarKernels = {
     &AndMassScalar,  &SetPlanesScalar,
 };
 
-bool CpuHasAvx2() {
+// Whether the CPU (and, for AVX-512, the OS's saved register state) has
+// the instructions a path's bodies use. Called from static initializers
+// too (benches register per-path benchmarks before main), hence the
+// explicit init.
+bool CpuHas(KernelPath path) {
 #if defined(__x86_64__) || defined(__i386__)
-  return __builtin_cpu_supports("avx2");
-#else
+  __builtin_cpu_init();
+  switch (path) {
+    case KernelPath::kScalar:
+      return true;
+    case KernelPath::kAvx2:
+      return __builtin_cpu_supports("avx2");
+    case KernelPath::kAvx512:
+      return __builtin_cpu_supports("avx2") &&
+             __builtin_cpu_supports("avx512f") &&
+             __builtin_cpu_supports("avx512vpopcntdq");
+  }
   return false;
+#else
+  return path == KernelPath::kScalar;
 #endif
+}
+
+// The table a path's translation unit built, or nullptr for a stub.
+const ScanKernels* CompiledKernels(KernelPath path) {
+  switch (path) {
+    case KernelPath::kScalar:
+      return &kScalarKernels;
+    case KernelPath::kAvx2:
+      return internal::GetAvx2Kernels();
+    case KernelPath::kAvx512:
+      return internal::GetAvx512Kernels();
+  }
+  return nullptr;
+}
+
+// The fastest available path: what an unset or "auto" SMARTDD_KERNEL runs.
+KernelPath BestKernelPath() {
+  KernelPath best = KernelPath::kScalar;
+  for (KernelPath path : kKernelPaths) {
+    if (KernelPathAvailable(path)) best = path;
+  }
+  return best;
 }
 
 }  // namespace
@@ -187,35 +229,59 @@ namespace internal {
 const ScanKernels& GetScalarKernels() { return kScalarKernels; }
 }  // namespace internal
 
-bool Avx2Available() {
-  static const bool available =
-      CpuHasAvx2() && internal::GetAvx2Kernels() != nullptr;
-  return available;
+bool KernelPathAvailable(KernelPath path) {
+  static const auto available = [] {
+    std::array<bool, std::size(kKernelPaths)> out{};
+    for (KernelPath p : kKernelPaths) {
+      // CompiledKernels runs second: an ISA unit may use its instructions
+      // anywhere, so it is entered only on a CPU that has them.
+      out[static_cast<size_t>(p)] = CpuHas(p) && CompiledKernels(p) != nullptr;
+    }
+    return out;
+  }();
+  return available[static_cast<size_t>(path)];
+}
+
+std::vector<KernelPath> AvailableKernelPaths() {
+  std::vector<KernelPath> paths;
+  for (KernelPath path : kKernelPaths) {
+    if (KernelPathAvailable(path)) paths.push_back(path);
+  }
+  return paths;
 }
 
 KernelPath ResolveKernelPath() {
   const char* env = std::getenv("SMARTDD_KERNEL");
   const std::string_view pref = env == nullptr ? "" : env;
-  KernelPath path = Avx2Available() ? KernelPath::kAvx2 : KernelPath::kScalar;
-  if (pref == "scalar") {
-    path = KernelPath::kScalar;
-  } else if (pref == "avx2") {
-    static bool warned = [] {
-      if (!Avx2Available()) {
-        SMARTDD_LOG(Warning)
-            << "SMARTDD_KERNEL=avx2 requested but AVX2 is unavailable "
-               "(cpu or build); falling back to scalar kernels";
+  KernelPath path = BestKernelPath();
+  if (!pref.empty() && pref != "auto") {
+    const KernelPath* named =
+        std::find_if(std::begin(kKernelPaths), std::end(kKernelPaths),
+                     [&](KernelPath p) { return pref == KernelPathName(p); });
+    if (named == std::end(kKernelPaths)) {
+      static std::atomic<bool> warned{false};
+      if (!warned.exchange(true)) {
+        std::string expected = "auto";
+        for (KernelPath p : kKernelPaths) {
+          expected += '|';
+          expected += KernelPathName(p);
+        }
+        SMARTDD_LOG(Warning) << "ignoring SMARTDD_KERNEL=" << pref
+                             << ": unknown kernel (expected " << expected
+                             << ")";
       }
-      return true;
-    }();
-    (void)warned;
-  } else if (!pref.empty() && pref != "auto") {
-    static bool warned = [&] {
-      SMARTDD_LOG(Warning) << "ignoring SMARTDD_KERNEL=" << pref
-                           << ": unknown kernel (expected auto|scalar|avx2)";
-      return true;
-    }();
-    (void)warned;
+    } else if (KernelPathAvailable(*named)) {
+      path = *named;
+    } else {
+      static std::atomic<bool> warned[std::size(kKernelPaths)] = {};
+      if (!warned[static_cast<size_t>(*named)].exchange(true)) {
+        SMARTDD_LOG(Warning)
+            << "SMARTDD_KERNEL=" << pref << " requested but "
+            << KernelPathName(*named)
+            << " is unavailable (cpu or build); falling back to "
+            << KernelPathName(path) << " kernels";
+      }
+    }
   }
   // One line per process, so an operator can confirm from the log which
   // path a deployment took (smartdd_build_info exports it too).
@@ -233,16 +299,15 @@ const char* KernelPathName(KernelPath path) {
       return "scalar";
     case KernelPath::kAvx2:
       return "avx2";
+    case KernelPath::kAvx512:
+      return "avx512";
   }
   return "scalar";
 }
 
 const ScanKernels& GetScanKernels(KernelPath path) {
-  if (path == KernelPath::kAvx2) {
-    const ScanKernels* avx2 = internal::GetAvx2Kernels();
-    if (avx2 != nullptr && CpuHasAvx2()) return *avx2;
-  }
-  return kScalarKernels;
+  return KernelPathAvailable(path) ? *CompiledKernels(path)
+                                   : *CompiledKernels(BestKernelPath());
 }
 
 namespace {

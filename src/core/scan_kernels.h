@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <vector>
 
 #include "rules/rule.h"
 #include "storage/packed_column.h"
@@ -12,31 +13,45 @@ namespace smartdd {
 
 /// The dispatch path the scan kernels actually run on. The portable scalar
 /// path is always compiled (and always differential-tested against the SIMD
-/// path); kAvx2 exists only on x86-64 hosts whose CPU reports AVX2 and
-/// whose build compiled the AVX2 translation unit.
-enum class KernelPath : uint8_t { kScalar = 0, kAvx2 = 1 };
+/// paths); kAvx2 exists only on x86-64 hosts whose CPU reports AVX2 and
+/// whose build compiled the AVX2 translation unit, and kAvx512 only where
+/// the CPU also reports AVX-512F and VPOPCNTDQ and the build compiled the
+/// AVX-512 unit. Ordered from slowest to fastest.
+enum class KernelPath : uint8_t { kScalar = 0, kAvx2 = 1, kAvx512 = 2 };
 
-/// True when the AVX2 kernels are compiled in AND the CPU reports AVX2.
-bool Avx2Available();
+/// Every path, in KernelPath order.
+inline constexpr KernelPath kKernelPaths[] = {
+    KernelPath::kScalar, KernelPath::kAvx2, KernelPath::kAvx512};
 
-/// The path the scan kernels run on: SMARTDD_KERNEL ("scalar" | "avx2" |
-/// "auto"), and an unset or "auto" variable defers to CPU detection.
-/// Requesting avx2 on a host without AVX2 falls back to scalar, and an
-/// unparsable value is ignored (each logged once). This is the one kernel
-/// selector: every path returns the same bytes, so the choice is a fact
-/// about the platform, not a setting of a request. The variable is read on
-/// each call (the finder resolves once per Find, the sampler at
-/// construction), so a differential test switches paths by setting it
-/// between searches; the first resolution in a process is logged.
+/// True when the path's kernels are compiled in AND the CPU reports the
+/// instructions they use (always true for kScalar).
+bool KernelPathAvailable(KernelPath path);
+
+/// The available paths, in KernelPath order: the list differential tests
+/// and benches loop over.
+std::vector<KernelPath> AvailableKernelPaths();
+
+/// The path the scan kernels run on: SMARTDD_KERNEL ("auto" | "scalar" |
+/// "avx2" | "avx512"), and an unset or "auto" variable picks the fastest
+/// available path. Requesting a path this host lacks falls back to the
+/// fastest available one, and an unparsable value is ignored (each logged
+/// once). This is the one kernel selector: every path returns the same
+/// bytes, so the choice is a fact about the platform, not a setting of a
+/// request. The variable is read on each call (the finder resolves once
+/// per Find, the sampler at construction), so a differential test switches
+/// paths by setting it between searches; the first resolution in a
+/// process is logged.
 KernelPath ResolveKernelPath();
 
+/// The path's SMARTDD_KERNEL value: "scalar", "avx2" or "avx512".
 const char* KernelPathName(KernelPath path);
 
 /// The kernel table bound to one KernelPath. Every function has identical
-/// observable semantics on both paths — the SIMD variants only vectorize
+/// observable semantics on every path — the SIMD variants only vectorize
 /// integer decode, compare and bitset work, never a floating-point sum —
 /// which is what keeps drill-down trees byte-identical across
-/// {scalar, SIMD} x num_threads x num_shards.
+/// {scalar, AVX2, AVX-512} x num_threads x num_shards. The AVX-512 table is
+/// the AVX2 table with VPOPCNTDQ bodies for and_store and and_mass.
 struct ScanKernels {
   /// Decodes codes [begin, end) of `col` into `out`.
   void (*unpack)(PackedRef col, uint64_t begin, uint64_t end, uint32_t* out);
@@ -50,7 +65,7 @@ struct ScanKernels {
   /// counts[v] += number of occurrences of code v over rows [begin, end).
   /// `counts` has dict_size entries; every stored code is < dict_size (the
   /// codes come from the column's dictionary). Pure integer counting, so
-  /// both paths produce identical counts — the AVX2 path replaces the
+  /// every path produces identical counts — the AVX2 path replaces the
   /// scalar histogram with SWAR popcounts on the sub-byte widths, which is
   /// where the packed layout pays off (no per-row decode at all).
   void (*count_codes)(PackedRef col, uint64_t begin, uint64_t end,
@@ -80,9 +95,9 @@ struct ScanKernels {
                      size_t num_planes, size_t stride, uint64_t* planes);
 };
 
-/// The kernel table for a path (kAvx2 silently degrades to the scalar
-/// table when unavailable, mirroring ResolveKernelPath). The kernel unit
-/// tests name both paths directly.
+/// The kernel table for a path (an unavailable path silently degrades to
+/// the fastest available table, mirroring ResolveKernelPath). The kernel
+/// unit tests name every available path directly.
 const ScanKernels& GetScanKernels(KernelPath path);
 
 /// Rows per block the callers hand to the kernels: bounds scratch (codes +

@@ -10,6 +10,12 @@ namespace smartdd::internal {
 /// dispatcher degrades to scalar without any preprocessor coupling here.
 const ScanKernels* GetAvx2Kernels();
 
+/// Defined in scan_kernels_avx512.cc (the only TU compiled with -mavx512f
+/// -mavx512vpopcntdq): the AVX2 table with the bitset kernels swapped for
+/// VPOPCNTDQ bodies, or nullptr when the build enabled neither. The TU's
+/// code may use AVX-512 anywhere, so call it only on a CPU that has it.
+const ScanKernels* GetAvx512Kernels();
+
 /// The portable reference kernels (always compiled, always tested).
 const ScanKernels& GetScalarKernels();
 

@@ -236,7 +236,7 @@ TEST(CoverMemoTest, BrsMatchesFreshFinderPerStepAcrossTheGrid) {
           std::optional<size_t> stale;
           for (const Layout& l : layouts) {
             for (size_t threads : {size_t{1}, size_t{4}}) {
-              for (const char* kernel : {"scalar", "auto"}) {
+              for (const char* kernel : testing::AvailableKernels()) {
                 const std::string label =
                     config + " shards=" + std::to_string(l.shards) +
                     " threads=" + std::to_string(threads) +

@@ -4,8 +4,8 @@
 // wait counters, service-level single-flight (N concurrent identical
 // expands cost one scan), and the differential contract — the hit path
 // replays responses AND step streams byte-identical to the cold path
-// across {shards 1,4} x {threads 1,8} x {kernels scalar,avx2}, because the
-// cache key deliberately excludes all three execution knobs.
+// across {shards 1,4} x {threads 1,8} x {every kernel path the host has},
+// because the cache key deliberately excludes all three execution knobs.
 
 #include "cache/expansion_cache.h"
 
@@ -375,8 +375,7 @@ TEST(ExpansionCacheServiceTest, HitPathByteIdenticalAcrossExecutionConfigs) {
   std::vector<Config> configs;
   for (size_t shards : {1, 4}) {
     for (size_t threads : {1, 8}) {
-      for (const char* kernel : {"scalar", "avx2"}) {
-        if (std::string_view(kernel) == "avx2" && !Avx2Available()) continue;
+      for (const char* kernel : testing::AvailableKernels()) {
         configs.push_back({shards, threads, kernel});
       }
     }

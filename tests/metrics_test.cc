@@ -1,7 +1,7 @@
 // common/metrics tests: counter/gauge/histogram correctness under
 // concurrent writers (the TSan-guarded contract — every update is one
 // relaxed atomic RMW), Prometheus text rendering, and registry identity
-// (same name -> same instrument).
+// (same name -> same instrument), and the build-info gauge's kernel label.
 
 #include "common/metrics.h"
 
@@ -11,6 +11,10 @@
 #include <string>
 #include <thread>
 #include <vector>
+
+#include "common/build_info.h"
+#include "core/scan_kernels.h"
+#include "tests/test_util.h"
 
 namespace smartdd {
 namespace {
@@ -147,6 +151,24 @@ TEST(MetricsRegistryTest, RenderPrometheusFormat) {
 
 TEST(MetricsRegistryTest, DefaultRegistryIsAProcessSingleton) {
   EXPECT_EQ(&MetricsRegistry::Default(), &MetricsRegistry::Default());
+}
+
+// smartdd_build_info labels the path the scan kernels resolve to under
+// each SMARTDD_KERNEL value, so /metrics tells hosts on different paths
+// apart.
+TEST(BuildInfoTest, KernelLabelIsTheResolvedPath) {
+  for (const char* kernel : testing::AvailableKernels()) {
+    testing::ScopedKernel scoped(kernel);
+    const std::string resolved = KernelPathName(ResolveKernelPath());
+    EXPECT_EQ(resolved, kernel);
+    EXPECT_EQ(GetBuildInfo().kernel, resolved);
+    EXPECT_NE(BuildInfoLine().find(" kernel=" + resolved), std::string::npos);
+    RegisterBuildInfoMetric();
+    const std::string text = MetricsRegistry::Default().RenderPrometheus();
+    EXPECT_NE(text.find("kernel=\"" + resolved + "\"} 1\n"),
+              std::string::npos)
+        << kernel;
+  }
 }
 
 TEST(HistogramTest, LatencyLadderIsStrictlyIncreasing) {

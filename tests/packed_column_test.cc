@@ -1,9 +1,9 @@
 // Tests for the bit-packed column storage and the runtime-dispatched scan
 // kernels: round-trips across every width class, the kernel unit
-// differentials (scalar vs AVX2 must agree byte for byte), and a full-tree
-// differential suite proving drill-down trees identical across
-// {scalar, SIMD} x threads (x shards for in-memory tables) on memory,
-// measure, and disk tables.
+// differentials (scalar, AVX2 and AVX-512 must agree byte for byte), and a
+// full-tree differential suite proving drill-down trees identical across
+// {every available kernel path} x threads (x shards for in-memory tables)
+// on memory, measure, and disk tables.
 
 #include <gtest/gtest.h>
 
@@ -141,13 +141,32 @@ TEST(PackedColumnTest, SliceRowsOfFrozenTableStaysPackedAndByteCompatible) {
 
 // --- Kernel unit differentials ----------------------------------------------
 
-/// Runs `check` for the scalar kernels and, when this host has AVX2, for
-/// the AVX2 kernels — the differential contract is that both tables have
-/// identical observable behavior on every width class.
+/// Runs `check` for the kernels of every path this host has — the
+/// differential contract is that all tables have identical observable
+/// behavior on every width class.
 template <typename Check>
 void ForEachKernelPath(Check check) {
-  check(GetScanKernels(KernelPath::kScalar), "scalar");
-  if (Avx2Available()) check(GetScanKernels(KernelPath::kAvx2), "avx2");
+  for (KernelPath path : AvailableKernelPaths()) {
+    check(GetScanKernels(path), KernelPathName(path));
+  }
+}
+
+TEST(ScanKernelTest, ResolveHonorsEachPathAndFallsBackToTheBest) {
+  const std::vector<KernelPath> available = AvailableKernelPaths();
+  ASSERT_FALSE(available.empty());
+  EXPECT_EQ(available.front(), KernelPath::kScalar);
+  const KernelPath best = available.back();
+  for (KernelPath path : kKernelPaths) {
+    testing::ScopedKernel scoped(KernelPathName(path));
+    EXPECT_EQ(ResolveKernelPath(), KernelPathAvailable(path) ? path : best)
+        << KernelPathName(path);
+    EXPECT_EQ(&GetScanKernels(path), &GetScanKernels(ResolveKernelPath()))
+        << KernelPathName(path);
+  }
+  for (const char* value : {"auto", "", "avx1024"}) {
+    testing::ScopedKernel scoped(value);
+    EXPECT_EQ(ResolveKernelPath(), best) << "SMARTDD_KERNEL=" << value;
+  }
 }
 
 // --- Packed views: GatherRows and SliceRows copy in the source's layout ------
@@ -339,9 +358,11 @@ TEST(ScanKernelTest, MatchEqAgreesAcrossPaths) {
 
 TEST(ScanKernelTest, BitsetAndAndPopcountAgreeAcrossPaths) {
   std::mt19937_64 gen(1412);
-  // Lengths around the four-word unroll, and words from empty to full.
+  // Lengths around the four-word unroll and the eight-word vector (with and
+  // without a tail), and words from empty to full.
   for (size_t n : {size_t{0}, size_t{1}, size_t{3}, size_t{4}, size_t{5},
-                   size_t{64}, size_t{313}}) {
+                   size_t{7}, size_t{8}, size_t{9}, size_t{15}, size_t{16},
+                   size_t{17}, size_t{64}, size_t{313}}) {
     std::vector<uint64_t> a(n), b(n);
     for (size_t i = 0; i < n; ++i) {
       a[i] = i % 7 == 0 ? ~uint64_t{0} : gen();
@@ -369,10 +390,12 @@ TEST(ScanKernelTest, BitsetAndAndPopcountAgreeAcrossPaths) {
 
 TEST(ScanKernelTest, BitsetPlaneMassAgreesAcrossPaths) {
   std::mt19937_64 gen(1997);
-  // Lengths around the four-word unroll (4 has no tail word, the others
-  // do), and plane counts from none (a popcount) to the Sum regime's cap.
+  // Lengths around the four-word unroll and the eight-word vector (4, 8
+  // and 16 have no tail word, the others do), and plane counts from none
+  // (a popcount) to the Sum regime's cap.
   for (size_t n : {size_t{0}, size_t{1}, size_t{3}, size_t{4}, size_t{5},
-                   size_t{313}}) {
+                   size_t{7}, size_t{8}, size_t{9}, size_t{15}, size_t{16},
+                   size_t{17}, size_t{313}}) {
     std::vector<uint64_t> a(n), b(n);
     for (size_t i = 0; i < n; ++i) {
       a[i] = i % 7 == 0 ? ~uint64_t{0} : gen();
@@ -485,14 +508,14 @@ std::string Drive(ExplorationSession& session) {
   return TreeFingerprint(session);
 }
 
-/// Drives every {shards} x {threads} x {scalar, avx2} combination of a
-/// memory-table engine and expects the exact fingerprint `expected`.
+/// Drives every {shards} x {threads} x {available kernel path} combination
+/// of a memory-table engine and expects the exact fingerprint `expected`.
 void CheckMemoryGrid(const Table& table, const WeightFunction& weight,
                      const std::string& expected,
                      const std::optional<std::string>& measure) {
   for (size_t shards : {1u, 4u}) {
     for (size_t threads : {1u, 8u}) {
-      for (const char* kernel : {"scalar", "avx2"}) {
+      for (const char* kernel : testing::AvailableKernels()) {
         testing::ScopedKernel scoped(kernel);
         EngineOptions options;
         options.num_shards = shards;
@@ -589,7 +612,7 @@ TEST(PackedDifferentialTest, DiskTableTreesIdenticalAcrossKernels) {
   ASSERT_FALSE(expected.empty());
 
   for (size_t threads : {1u, 8u}) {
-    for (const char* kernel : {"scalar", "avx2"}) {
+    for (const char* kernel : testing::AvailableKernels()) {
       testing::ScopedKernel scoped(kernel);
       auto engine = ExplorationEngine::Create(source, weight, sampling);
       ASSERT_TRUE(engine.ok()) << engine.status().ToString();

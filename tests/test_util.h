@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/scan_kernels.h"
 #include "explore/engine.h"
 #include "explore/session.h"
 #include "rules/rule.h"
@@ -74,6 +75,17 @@ inline OwnedSession MakeSession(const ScanSource& source,
   auto session = (*engine)->NewSession(std::move(options));
   SMARTDD_CHECK(session.ok()) << session.status().ToString();
   return OwnedSession{std::move(engine).value(), std::move(session).value()};
+}
+
+/// The SMARTDD_KERNEL values of every kernel path this host has, scalar
+/// first: the list each differential test loops over, so a new path joins
+/// every grid at once.
+inline std::vector<const char*> AvailableKernels() {
+  std::vector<const char*> names;
+  for (KernelPath path : AvailableKernelPaths()) {
+    names.push_back(KernelPathName(path));
+  }
+  return names;
 }
 
 /// Sets SMARTDD_KERNEL, the one scan-kernel selector, for its lifetime and
